@@ -20,12 +20,9 @@ as JSON so future PRs have a comparable perf trajectory.  Workloads:
   feed-forward corrections, the RUS distillation unit, the prioritized
   superscalar mix — and the surface-code d=3/d=5 memories at the
   standard noise point (with their seeded golden logical error counts);
-* a **dense-replay sweep** on the statevector backend: the ideal
-  chain with GEMM-fused replay (fused vs unfused compiled closures),
-  and the noisy chain comparing the compiled noise-site program
-  against the PR 4 timed device-level replay loop (the
-  ``speedup_vs_device_replay`` figure the compiled pipeline is
-  asserted against in ``benchmarks/test_trace_cache_speedup.py``).
+* a **dense-replay sweep** on the statevector backend through the
+  compiled noise-site program: the ideal chain fused vs unfused, and
+  the noisy chain.
 
 Usage::
 
@@ -257,10 +254,9 @@ def measure_dense_workload(program, n_qubits: int,
                            noise_factory=None) -> dict:
     """One dense (statevector) sweep entry.
 
-    On the ideal substrate the interesting comparison is GEMM fusion
-    on vs off; on a noisy substrate it is the compiled noise-site
-    program vs the PR 4 timed device-level replay loop
-    (``trace_cache_compiled_noise=False``).
+    On the ideal substrate the entry also compares GEMM fusion on vs
+    off; a noisy entry reports the compiled noise-site program against
+    the cycle-accurate rate only.
     """
     uncached_rate, _ = _measure(program, n_qubits, False,
                                 uncached_shots, noise_factory,
@@ -285,19 +281,12 @@ def measure_dense_workload(program, n_qubits: int,
             "fusion_speedup": round(fused_rate / unfused_rate, 2),
         })
     else:
-        device_rate, _ = _measure(program, n_qubits, True,
-                                  cached_shots, noise_factory,
-                                  backend="statevector",
-                                  trace_cache_compiled_noise=False)
         compiled_rate, engine = _measure(program, n_qubits, True,
                                          cached_shots, noise_factory,
                                          backend="statevector")
         entry.update({
-            "device_replay_shots_per_s": round(device_rate, 2),
             "cached_shots_per_s": round(compiled_rate, 2),
             "speedup": round(compiled_rate / uncached_rate, 1),
-            "speedup_vs_device_replay": round(
-                compiled_rate / device_rate, 2),
         })
     batched_rate, batched_engine = _measure(
         program, n_qubits, True, cached_shots, noise_factory,
@@ -657,15 +646,14 @@ def run_suite(quick: bool = False,
         workloads["service_warm_start"] = measure_service_warm_start(
             artifact_dir)
     return {
-        "schema": "bench-shots/v8",
+        "schema": "bench-shots/v9",
         "description": ("Shot throughput of the compile-once ShotEngine "
                         "with the cycle-accurate simulator (uncached) vs "
                         "trace-cache replay (cached = serial per-shot "
                         "loop, batched = lockstep cohorts at the "
                         "reported batch_width), on ideal and noisy "
-                        "substrates; dense entries compare GEMM-fused "
-                        "replay and the compiled noise-site program "
-                        "against their uncompiled counterparts; the "
+                        "substrates; ideal dense entries compare "
+                        "GEMM-fused against unfused replay; the "
                         "service_sweep entry shards a cycle-accurate-"
                         "bound sweep across the shot-sweep service's "
                         "worker pool and reports per-worker-count "
@@ -687,7 +675,10 @@ def run_suite(quick: bool = False,
                         "the routing decision (Clifford/noise analysis "
                         "over the profile-composed channels) and the "
                         "profile's content fingerprint next to the "
-                        "throughput numbers."),
+                        "throughput numbers; v9 drops the noisy dense "
+                        "entries' device_replay_shots_per_s and "
+                        "speedup_vs_device_replay, whose replay loop "
+                        "no longer exists."),
         "config": {"backend": "stabilizer + statevector (dense sweep)",
                    "chain_rounds": CHAIN_ROUNDS,
                    "noise": "PauliChannel(px=1e-3) + "

@@ -147,92 +147,6 @@ def test_noisy_trace_cache_throughput(benchmark, report):
     assert cache.resumes > 0
 
 
-def dense_noisy_sweep():
-    """Compiled noise-site replay vs the PR 4 timed device loop.
-
-    Both strategies replay the same trie on the same noisy dense
-    substrate; only the per-shot execution differs (flat prebound
-    closures vs the per-op timed Python loop), so the rate ratio
-    isolates exactly the compilation win.  Rates are best-of-2 to
-    damp scheduler noise.
-    """
-    from benchmarks.perf_report import chain_noise_model
-
-    chain = build_repetition_chain_program(5, rounds=2, encode_one=True)
-
-    def dense_engine(**config_changes):
-        engine = ShotEngine(
-            chain, config=scalar_config(trace_cache_batch=False,
-                                        **config_changes),
-            backend="statevector", n_qubits=9,
-            noise=chain_noise_model())
-        engine.run(30)  # warm the trie and the compiled programs
-        return engine
-
-    device_engine = dense_engine(trace_cache_compiled_noise=False)
-    engine = dense_engine()
-    # Interleaved best-of-3 so clock drift and CPU contention hit
-    # both strategies alike.
-    device_rate = compiled_rate = 0.0
-    shots = 400
-    for _ in range(3):
-        start = time.perf_counter()
-        device_engine.run(shots)
-        device_rate = max(device_rate,
-                          shots / (time.perf_counter() - start))
-        start = time.perf_counter()
-        engine.run(shots)
-        compiled_rate = max(compiled_rate,
-                            shots / (time.perf_counter() - start))
-
-    def histogram(**config_changes):
-        engine = ShotEngine(
-            chain, config=scalar_config(**config_changes),
-            backend="statevector", n_qubits=9,
-            noise=chain_noise_model())
-        return engine.run(IDENTITY_SHOTS)
-
-    reference = histogram(trace_cache=False)
-    compiled = histogram()
-    device = histogram(trace_cache_compiled_noise=False)
-    return {
-        "device": device_rate, "compiled": compiled_rate,
-        "speedup": compiled_rate / device_rate,
-        "identical": (compiled.counts == reference.counts
-                      and compiled.total_ns == reference.total_ns
-                      and device.counts == reference.counts
-                      and device.total_ns == reference.total_ns),
-        "cache": engine.trace_cache,
-    }
-
-
-def test_dense_compiled_noise_throughput(benchmark, report):
-    """The compiled dense pipeline must beat the PR 4 device loop 3x.
-
-    The noise-site program pre-resolves idle-decay durations, channel
-    sites and ZZ windows and GEMM-fuses the unitary runs between
-    them, so the per-shot cost collapses to the irreducible numpy
-    kernels plus the live measurement draws (measured ~3.3-3.6x on
-    the 9-qubit noisy chain; asserted at 3x for noisy CI runners —
-    the ratio of two rates measured back-to-back is far more stable
-    than either absolute rate).
-    """
-    data = benchmark.pedantic(dense_noisy_sweep, rounds=1, iterations=1)
-    cache = data["cache"]
-    report("trace_cache_dense_noisy", format_table(
-        ["workload", "device-replay shots/s", "compiled shots/s",
-         "speedup", "hits/misses (resumes)", "bit-identical"],
-        [["chain_dense_noisy_9q",
-          f"{data['device']:.1f}", f"{data['compiled']:.1f}",
-          f"{data['speedup']:.1f}x",
-          f"{cache.hits}/{cache.misses} ({cache.resumes})",
-          "yes" if data["identical"] else "NO"]],
-        title=("Compiled noise-site dense replay vs timed device-level "
-               "replay (statevector backend, Pauli+readout noise)")))
-    assert data["identical"], "dense replay diverged"
-    assert data["speedup"] >= 3.0, f"only {data['speedup']:.1f}x"
-
-
 def batched_sweep():
     """Shot-batched cohort replay vs the serial per-shot replay loop.
 

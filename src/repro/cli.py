@@ -65,8 +65,6 @@ def _config_from_args(args: argparse.Namespace):
         config = config.with_(trace_cache_max_nodes=max_nodes)
     if getattr(args, "no_dense_fusion", False):
         config = config.with_(trace_cache_dense_fusion=False)
-    if getattr(args, "no_compiled_noise", False):
-        config = config.with_(trace_cache_compiled_noise=False)
     if getattr(args, "no_batch_shots", False):
         config = config.with_(trace_cache_batch=False)
     batch_width = getattr(args, "batch_shots", None)
@@ -125,7 +123,6 @@ _CACHE_FLAGS = (
     ("no_trace_cache", "--no-trace-cache"),
     ("trace_cache_max_nodes", "--trace-cache-max-nodes"),
     ("no_dense_fusion", "--no-dense-fusion"),
-    ("no_compiled_noise", "--no-compiled-noise"),
     ("batch_shots", "--batch-shots"),
     ("no_batch_shots", "--no-batch-shots"),
     ("artifact_cache", "--artifact-cache"),
@@ -352,12 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
              "identity with the cycle-accurate path is almost-sure "
              "(~2^-50 per measurement) rather than exact — use this "
              "flag when exactness must be structural")
-    run_parser.add_argument(
-        "--no-compiled-noise", action="store_true",
-        help="use the per-op timed device-level loop for noisy dense "
-             "trace-cache replay instead of the compiled noise-site "
-             "program (identical rng draw streams; amplitudes also "
-             "bit-identical when --no-dense-fusion is given)")
     run_parser.add_argument(
         "--batch-shots", type=int, default=None, metavar="N",
         help="cohort width for shot-batched trace-cache replay: "

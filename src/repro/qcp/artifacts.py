@@ -1,8 +1,8 @@
 """Persistent compiled-trace artifact cache: warm starts across processes.
 
 Every process still pays full compile cost on start — sign-trace
-programs, GEMM-fused block operators and the recorded trie itself are
-rebuilt from scratch before the first cached shot can replay.  This
+programs and the recorded trie itself are rebuilt from scratch before
+the first cached shot can replay.  This
 module serializes a :class:`~repro.qcp.tracecache.TraceCache` to a
 versioned on-disk artifact so a restarted engine, a fresh service
 worker (including one built after a ``BrokenProcessPool`` rebuild), or
@@ -27,7 +27,7 @@ unknown noise-channel type, say — makes the engine *non-cacheable*
 rather than wrongly keyed (:func:`artifact_fingerprint` returns
 ``None`` and the engine simply stays cold).
 
-On-disk format (schema 1)
+On-disk format (schema 3)
 =========================
 
 ::
@@ -37,13 +37,15 @@ On-disk format (schema 1)
 The header carries the schema version, the full key fingerprint and
 the section lengths; the meta JSON describes the trie (nodes in
 parent-before-child order, recorded items, decisions as decoded-pc
-references, compiled sign-trace programs, fused dense block plans, LRU
-recency order); the 16-byte-aligned binary section holds the packed
-sign columns as flat fixed-width little-endian buffers plus the
-``numpy`` arrays (exit tableaux, fused operators), all of which are
-**mmap-ed on load** — masks and matrices are read straight out of the
-mapping, never through Python file I/O.  The trailing sha256 covers
-everything before it.
+references, compiled sign-trace programs, LRU recency order); the
+16-byte-aligned binary section holds the packed sign columns as flat
+fixed-width little-endian buffers plus the ``numpy`` exit tableaux,
+all of which are **mmap-ed on load** — masks and arrays are read
+straight out of the mapping, never through Python file I/O.  The
+trailing sha256 covers everything before it.  Dense (statevector)
+tries store only their recorded items: their noise-site programs
+recompile lazily on first replay, which costs closure compilation but
+never a cycle-accurate shot.
 
 Fail-closed loading
 ===================
@@ -88,13 +90,11 @@ from repro.qcp.tracecache import (TraceCache, TraceNode, _D_BRANCH,
                                   _I_OPS, _S_CLS, _S_FMR, _S_MEAS_D,
                                   _S_MEAS_R, _S_NOISE, _S_RESET_D,
                                   _S_RESET_R, _S_XOR)
-from repro.qpu.stabilizer import StabilizerState
-from repro.qpu.statevector import FUSE_MAX_QUBITS, StateVector, fuse_ops
 
 #: Bumped whenever the on-disk layout changes; part of the key
 #: fingerprint *and* checked against the header, so an old artifact is
 #: both unfindable under the new key and rejected if renamed into place.
-ARTIFACT_SCHEMA_VERSION = 2
+ARTIFACT_SCHEMA_VERSION = 3
 
 ARTIFACT_MAGIC = b"QTAC"
 ARTIFACT_SUFFIX = ".qta"
@@ -102,9 +102,8 @@ ARTIFACT_SUFFIX = ".qta"
 _CHECKSUM_BYTES = 32
 _HEADER_KEYS = frozenset({"schema", "fingerprint", "meta_bytes",
                           "buffer_off", "buffer_bytes"})
-_META_KEYS = frozenset({"mode", "fused", "masks", "arrays", "nodes",
-                        "recency"})
-_NODE_KEYS = frozenset({"p", "e", "t", "i", "d", "s", "x", "f"})
+_META_KEYS = frozenset({"mode", "masks", "arrays", "nodes", "recency"})
+_NODE_KEYS = frozenset({"p", "e", "t", "i", "d", "s", "x"})
 
 #: QCPConfig fields excluded from the fingerprint: they steer where
 #: artifacts live and how large the directory may grow — never what a
@@ -214,26 +213,6 @@ def artifact_fingerprint(program, config: QCPConfig, backend: str,
         }
     except Exception:
         return None
-
-
-def replay_mode(qpu, config: QCPConfig) -> str:
-    """Which replay representation this engine compiles to.
-
-    Mirrors the dispatch in :meth:`TraceCache.replay` — the artifact
-    stores mode-specific compiled programs, and a loader must agree
-    with the live dispatch about which programs it may install.
-    """
-    state = qpu.state
-    noise = qpu.noise
-    if isinstance(state, StabilizerState) and noise.is_pauli_only:
-        return "signs"
-    if noise.is_ideal:
-        return "generic"
-    if (config.trace_cache_compiled_noise
-            and isinstance(state, StateVector)
-            and noise.is_dense_compilable):
-        return "dense"
-    return "device"
 
 
 # -- decoded-pc <-> closure mapping ---------------------------------------
@@ -546,83 +525,6 @@ def _decode_sign_program(encoded, memory, buffers: _BufferReader,
     return program
 
 
-def _encode_fused_plans(items: tuple, writer: _BufferWriter,
-                        arrays: list,
-                        max_qubits: int | None = None) -> list:
-    """Per-item GEMM-fusion plans for an ideal dense node.
-
-    Recomputes :func:`fuse_ops` over each recorded op run (the live
-    node caches only the opaque replay closure) and stores the fused
-    block operators as buffer-backed matrices, so a warm start skips
-    the fusion matrix products entirely.  ``max_qubits`` must match
-    the width the live replay fuses at (``config.fuse_max_qubits``) or
-    warm and cold amplitudes would round differently.
-    """
-    if max_qubits is None:
-        max_qubits = FUSE_MAX_QUBITS
-    plans = []
-    for item in items:
-        if item[0] != _I_OPS:
-            plans.append(None)
-            continue
-        steps = []
-        for step in fuse_ops(item[1], max_qubits=max_qubits):
-            if step[0] == "reset":
-                steps.append(["reset", step[1]])
-            else:
-                ref = writer.add_array(
-                    np.ascontiguousarray(step[1], dtype=np.complex128),
-                    arrays)
-                steps.append(["gate", ref, list(step[2])])
-        plans.append(steps)
-    return plans
-
-
-def _decode_fused_program(plans, items: tuple, state,
-                          buffers: _BufferReader) -> list:
-    """Rebuild a node's fused replay program from stored block plans.
-
-    Mirrors :meth:`StateVector.compile_fused_ops` step for step — the
-    stored matrices go through the same :meth:`block_applier` closures,
-    so the arithmetic (and every amplitude) is bit-identical to a cold
-    compile of the same recorded ops.
-    """
-    _require(isinstance(plans, list) and len(plans) == len(items))
-    program = []
-    for plan, item in zip(plans, items):
-        if item[0] != _I_OPS:
-            _require(plan is None)
-            program.append(item)
-            continue
-        _require(isinstance(plan, list))
-        steps = []
-        for step in plan:
-            _require(isinstance(step, list) and step)
-            if step[0] == "reset":
-                _require(len(step) == 2)
-                qubit = _int_field(step[1], 0)
-                _require(qubit < state.n_qubits)
-                steps.append(lambda q=qubit, s=state: s.reset(q))
-            else:
-                _require(step[0] == "gate" and len(step) == 3)
-                support = step[2]
-                _require(isinstance(support, list) and support)
-                support = tuple(_int_field(q, 0) for q in support)
-                _require(all(q < state.n_qubits for q in support))
-                dim = 1 << len(support)
-                matrix = buffers.array(step[1], "complex128", 2)
-                _require(matrix.shape == (dim, dim))
-                steps.append(state.block_applier(matrix, support))
-        steps = tuple(steps)
-
-        def replay(steps=steps) -> None:
-            for apply in steps:
-                apply()
-
-        program.append((_I_OPS, replay))
-    return program
-
-
 def _node_devops(items: tuple) -> int:
     """Recomputed from the items — never trusted from the file."""
     return sum(len(item[1]) if item[0] == _I_OPS else 1
@@ -715,12 +617,8 @@ class ArtifactCache:
         return True
 
     def _serialize(self, cache: TraceCache, memory, qpu) -> bytes:
-        config = cache.config
-        mode = replay_mode(qpu, config)
+        mode = cache.mode
         state = qpu.state
-        fuse = bool(config.trace_cache_dense_fusion)
-        save_fused = (mode == "generic" and fuse
-                      and isinstance(state, StateVector))
         pcs = _closure_pcs(memory)
         writer = _BufferWriter()
         arrays: list = []
@@ -746,7 +644,7 @@ class ArtifactCache:
                 "t": node.total_ns,
                 "i": _encode_items(node.items, pcs),
                 "d": _encode_decision(node.decision, pcs),
-                "s": None, "x": None, "f": None,
+                "s": None, "x": None,
             }
             if (mode == "signs" and node._program is not None
                     and node._program_state is state
@@ -756,10 +654,6 @@ class ArtifactCache:
                 encoded["x"] = [
                     writer.add_array(node._exit_xz[0], arrays),
                     writer.add_array(node._exit_xz[1], arrays)]
-            elif save_fused:
-                encoded["f"] = _encode_fused_plans(
-                    node.items, writer, arrays,
-                    max_qubits=config.fuse_max_qubits)
             nodes_meta.append(encoded)
 
         # Pack every integer mask into one flat fixed-width buffer —
@@ -780,7 +674,7 @@ class ArtifactCache:
                 recency.append(position)
             current = current.lru_prev
 
-        meta = {"mode": mode, "fused": save_fused,
+        meta = {"mode": mode,
                 "masks": [mask_off, mask_nbytes, len(masks)],
                 "arrays": arrays, "nodes": nodes_meta,
                 "recency": recency}
@@ -827,16 +721,9 @@ class ArtifactCache:
 
     def _install(self, meta: dict, buffers: _BufferReader,
                  cache: TraceCache, memory, qpu) -> None:
-        config = cache.config
         mode = meta["mode"]
-        _require(mode == replay_mode(qpu, config))
-        fused = meta["fused"]
-        _require(isinstance(fused, bool))
+        _require(mode == cache.mode)
         state = qpu.state
-        if fused:
-            _require(mode == "generic"
-                     and bool(config.trace_cache_dense_fusion)
-                     and isinstance(state, StateVector))
         rows = 2 * int(self.fingerprint["n_qubits"]) + 1
 
         encoded_nodes = meta["nodes"]
@@ -883,11 +770,6 @@ class ArtifactCache:
                 node._exit_xz = (exit_x, exit_z)
             else:
                 _require(encoded["x"] is None)
-            if encoded["f"] is not None:
-                _require(fused)
-                node._program = _decode_fused_program(
-                    encoded["f"], node.items, state, buffers)
-                node._program_state = state
             nodes.append(node)
 
         recency = meta["recency"]

@@ -87,12 +87,13 @@ class QCPConfig:
     #: disable to force every shot through the full control-stack
     #: model (e.g. when profiling the microarchitecture itself).  The
     #: shot engine ignores the flag automatically for substrates it
-    #: cannot cache (custom ``qpu_factory`` devices, which are opaque
-    #: to the recorder).
+    #: cannot cache: those without a compiled replay mode (see
+    #: :func:`repro.qcp.tracecache.replay_mode`) and custom
+    #: ``qpu_factory`` devices, which are opaque to the recorder.
     trace_cache: bool = True
     #: Fuse consecutive recorded unitaries of a dense (statevector)
     #: trace-cache replay segment into precomposed operators (GEMM
-    #: fusion, see :func:`repro.qpu.statevector.fuse_ops`).  Fusion
+    #: fusion, see :func:`repro.qpu.statevector.fuse_into`).  Fusion
     #: happens only *within* a decision-free run (one trie node) and
     #: never consumes rng draws, but it perturbs amplitudes in the
     #: last ulp (matrix products round differently) — so a delivered
@@ -102,16 +103,6 @@ class QCPConfig:
     #: observed one).  Disable for exact amplitude-level or
     #: guaranteed-exact outcome comparisons.
     trace_cache_dense_fusion: bool = True
-    #: Compile noisy dense (statevector) trace-cache replay into a
-    #: flat noise-site program — per-site channel draws, idle-decay
-    #: windows, ZZ windows and readout corruption pre-resolved at
-    #: compile time — instead of the per-op timed device-level Python
-    #: loop.  Draw-for-draw identical either way; with
-    #: ``trace_cache_dense_fusion`` off the amplitudes are bit-for-bit
-    #: identical too, while fusion makes outcome identity almost-sure
-    #: (see that flag's note).  The flag exists so benchmarks can
-    #: compare the two replay modes.
-    trace_cache_compiled_noise: bool = True
     #: Replay cached shots in batches: the shot engine hands the trace
     #: cache a whole cohort of shot seeds and the cache walks the trie
     #: as a *wavefront*, executing every compiled segment once for the
@@ -120,9 +111,9 @@ class QCPConfig:
     #: per shot-seed to serial replay (each shot still draws from its
     #: own salted rngs, in the same order); shots whose decision paths
     #: leave the cached trie fall back to the serial per-shot loop,
-    #: which records the new path as usual.  Fails closed like
-    #: :attr:`trace_cache_compiled_noise`: nodes whose programs contain
-    #: a site the batch compiler does not model are replayed serially.
+    #: which records the new path as usual.  Fails closed: nodes whose
+    #: programs contain a site the batch compiler does not model are
+    #: replayed serially.
     trace_cache_batch: bool = True
     #: Cohort width for batched replay (``None`` = auto: 256 shots —
     #: four machine words per bit-plane row — on stabilizer
@@ -132,9 +123,9 @@ class QCPConfig:
     #: Directory for the persistent compiled-trace artifact cache
     #: (``None`` = disabled).  When set, a shot engine whose identity
     #: (program, config, backend, noise profile) matches an artifact
-    #: on disk starts *warm* — the recorded trie, compiled sign-trace
-    #: programs and fused dense operators are mmap-ed in instead of
-    #: recompiled — and engines publish their compiled tries back to
+    #: on disk starts *warm* — the recorded trie and compiled
+    #: sign-trace programs are mmap-ed in instead of recompiled — and
+    #: engines publish their compiled tries back to
     #: the directory after running shots (atomic write-rename, safe to
     #: share across processes and service workers).  Loads are
     #: fail-closed: any mismatch or corruption silently falls back to

@@ -17,19 +17,21 @@ control-stack simulation and records the device-op stream; every
 later shot sharing that decision path replays the recorded stream
 straight into the QPU backend, skipping the event kernel entirely
 while producing bit-identical outcomes, histograms and timings.
-Replay itself is compiled per substrate: sign-trace programs on the
-stabilizer backend, GEMM-fused block operators on the ideal dense
-backend (``QCPConfig.trace_cache_dense_fusion``), and flat noise-site
-programs on the noisy dense backend
-(``QCPConfig.trace_cache_compiled_noise``), all funnelling through
-one shared decide/hit/resume epilogue.
+Replay itself is compiled per substrate
+(:func:`~repro.qcp.tracecache.replay_mode`): sign-trace programs on
+the stabilizer backend and flat noise-site programs — GEMM-fused
+unless ``QCPConfig.trace_cache_dense_fusion`` is off — on the dense
+backend, both funnelling through one shared decide/hit/resume
+epilogue.
 This includes **noisy substrates** (pass ``noise=``): the per-shot
 reseeded noise rng is replayed positionally, and a replay that
 diverges from the trie resumes the cycle-accurate simulation from
 the divergence frontier (:class:`~repro.qcp.tracecache.CheckpointQPU`)
-instead of re-simulating the whole shot.  Only custom ``qpu_factory``
-devices fall back to always-cycle-accurate execution — the cache
-cannot see inside them.
+instead of re-simulating the whole shot.  Substrates with no compiled
+replay mode (non-Pauli noise on the stabilizer backend, channels the
+compilers do not model) and custom ``qpu_factory`` devices, which the
+cache cannot see inside, fall back to always-cycle-accurate
+execution.
 
 Backend selection
 =================
@@ -68,7 +70,7 @@ from repro.qcp.system import QuAPESystem, infer_qubit_count
 from repro.qcp.routing import RoutingDecision, route_backend
 from repro.qcp.tracecache import (CheckpointQPU, RecordingQPU,
                                   ResumePoint, TraceCache,
-                                  auto_batch_width)
+                                  auto_batch_width, replay_mode)
 from repro.qpu.device import QPUBase, SimulatedQPU
 from repro.qpu.noise import NoiseModel
 from repro.qpu.profile import DeviceProfile, load_device_profile
@@ -302,12 +304,17 @@ class ShotEngine:
                                      backend=self.backend, noise=noise,
                                      profile=profile)
         # -- trace cache: replay decision-path-identical shots -----------
-        # Any engine-owned SimulatedQPU is cacheable — ideal or noisy
-        # (noise draws replay positionally from the per-shot reseeded
-        # channel rng).  A custom factory is opaque to the recorder.
+        # An engine-owned SimulatedQPU is cacheable when its substrate
+        # has a compiled replay mode, decided once here (noise draws
+        # replay positionally from the per-shot reseeded channel rng).
+        # Any other substrate, and a custom factory's devices, which
+        # are opaque to the recorder, run every shot cycle-accurately.
         self.trace_cache: TraceCache | None = None
         if self.config.trace_cache and self._qpu is not None:
-            self.trace_cache = TraceCache(self.config)
+            mode = replay_mode(self._qpu)
+            if mode is not None:
+                self.trace_cache = TraceCache(self.config, mode,
+                                              self._qpu.noise)
         # -- persistent artifact cache: warm-start the trace cache -------
         # Keyed by the full engine identity; an engine whose identity
         # cannot be fingerprinted (exotic noise channel) stays cold

@@ -21,9 +21,9 @@ decision sequence.  A node holds the *segment* of work between two
 decisions, in chronological (kernel-event) order:
 
 * device-level backend operations (gates/resets) with their issue
-  times — replayed through compiled batched closures
-  (:meth:`~repro.qpu.backend.SimulationBackend.compile_ops`) on ideal
-  substrates, or through a timed device-level program on noisy ones;
+  times — replayed through the node's compiled program (a sign trace
+  on the stabilizer tableau, a noise-site program on the dense
+  statevector; see :func:`replay_mode`);
 * measurements — executed **live** against the backend so each shot
   draws its own outcomes (one rng draw per measurement/reset keeps the
   replay draw-for-draw aligned with the recording simulation);
@@ -65,29 +65,28 @@ sites the cycle-accurate simulation would:
   decision path stays shot-invariant and each potential injection site
   compiles to pre-computed sign masks (``_S_NOISE``).  Readout flips
   are drawn live at each compiled measurement.
-* On the **dense** backend, a noisy replay runs the node's compiled
-  *noise-site program* (:meth:`TraceNode.dense_program`): the per-op
-  timed device loop is pre-resolved at compile time into a flat list
-  of prebound steps — idle-decay sites (durations precomputed from
-  the recorded issue times), gate-channel sites, ZZ crosstalk windows
-  (overlaps precomputed by modelling the device's window bookkeeping)
-  and live measurements with readout corruption — analogous to the
-  stabilizer ``_S_NOISE`` sites.  Each step calls exactly the channel
-  code the device layer would with exactly the same arguments, so the
-  replay is draw-for-draw and bit-for-bit identical; only the
-  *structure* (which sites exist, with which constants) is hoisted
-  out of the per-shot loop.  ``QCPConfig.trace_cache_compiled_noise``
-  falls back to the original per-op timed device loop
-  (:meth:`TraceNode.device_program`) for comparison.
+* On the **dense** backend, every replay runs the node's compiled
+  *noise-site program* (:meth:`TraceNode.dense_program`): the device's
+  per-op timed behaviour is pre-resolved at compile time into a flat
+  list of prebound steps — idle-decay sites (durations precomputed
+  from the recorded issue times), gate-channel sites, ZZ crosstalk
+  windows (overlaps precomputed by modelling the device's window
+  bookkeeping) and live measurements with readout corruption —
+  analogous to the stabilizer ``_S_NOISE`` sites.  Each step calls
+  exactly the channel code the device layer would with exactly the
+  same arguments, so the replay is draw-for-draw and bit-for-bit
+  identical; only the *structure* (which sites exist, with which
+  constants) is hoisted out of the per-shot loop.  An ideal substrate
+  compiles the same program with no noise sites.
 
 Dense GEMM fusion
 =================
 
 Decision-free unitary runs on the statevector backend are fused into
-precomposed block operators (:func:`repro.qpu.statevector.fuse_ops`)
-before replay — one batched matmul per run instead of one dispatch
-per gate.  Fusion is keyed per :class:`TraceNode` and never crosses a
-decision, a measurement, a reset, or a noise site, so the rng draw
+precomposed block operators (:class:`_DenseBlockCompiler`) before
+replay — one batched matmul per run instead of one dispatch per gate.
+Fusion is keyed per :class:`TraceNode` and never crosses a decision,
+a measurement, a reset, or a state-reading noise site, so the rng draw
 sequence (and with it every delivered outcome, histogram and timing
 under a fixed seed) is identical to unfused replay; intermediate
 amplitudes may differ in the last ulp.  Disable with
@@ -137,8 +136,11 @@ never evicted, so the bound is best-effort when a single path is
 longer than the cap.
 
 Not cacheable (the shot engine falls back to cycle-accurate
-execution): custom ``qpu_factory`` devices — the cache cannot see
-inside them.
+execution): substrates :func:`replay_mode` has no compiled program
+for — non-Pauli noise on the stabilizer tableau, channels outside
+:attr:`~repro.qpu.noise.NoiseModel.is_dense_compilable` on the
+statevector — and custom ``qpu_factory`` devices, which the cache
+cannot see inside.
 """
 
 from __future__ import annotations
@@ -196,15 +198,7 @@ _S_CLS = 5      # (_S_CLS, proc_id, run)
 _S_FMR = 6      # (_S_FMR, proc_id, rd, qubit)
 _S_NOISE = 7    # (_S_NOISE, dep_p, per_qubit_masks, pauli_cumulative)
 
-# Timed device-program step codes (uncompiled noisy dense replay —
-# the PR 4 comparison mode, see TraceNode.device_program).
-_DV_GATE = 0    # (_DV_GATE, time_ns, name, qubits, params, duration)
-_DV_RESET = 1   # (_DV_RESET, time_ns, qubit, duration)
-_DV_MEAS = 2    # (_DV_MEAS, time_ns, qubit, duration)
-_DV_CLS = 3     # (_DV_CLS, proc_id, run)
-_DV_FMR = 4     # (_DV_FMR, proc_id, rd, qubit)
-
-# The compiled *noise-site program* (noisy dense replay, see
+# The compiled *noise-site program* (dense replay, see
 # TraceNode.dense_program) has no step codes at all: it is a flat list
 # of zero-argument closures — fused unitary blocks, idle-decay sites
 # with precomputed durations, channel-draw sites, ZZ windows with
@@ -274,12 +268,12 @@ class _ReplayProcessor:
 class _ReplayContext:
     """Per-shot classical replay state, shared by every replay mode.
 
-    Owns the pieces the three specialized hot loops all need — the
-    delivered-outcome map, the chronological outcome list, the
-    skipped-devop count, and the lazily created per-processor register
-    facades over one shared register file — so the decide/hit/resume
-    epilogue (:meth:`TraceCache._epilogue`) is written once against
-    this object instead of being triplicated per mode.
+    Owns the pieces every replay loop needs — the delivered-outcome
+    map, the chronological outcome list, the skipped-devop count, and
+    the lazily created per-processor register facades over one shared
+    register file — so the decide/hit/resume epilogue
+    (:meth:`TraceCache._epilogue`) is written once against this object
+    instead of once per mode.
     """
 
     __slots__ = ("config", "delivered", "outcomes", "skip_ops",
@@ -349,7 +343,7 @@ class TraceNode:
     __slots__ = ("items", "decision", "children", "total_ns", "devops",
                  "last_used", "parent", "edge", "lru_prev", "lru_next",
                  "_program", "_program_state", "_exit_xz",
-                 "_device_program", "_dense_program", "_dense_state",
+                 "_dense_program", "_dense_state",
                  "_exit_busy", "_exit_windows",
                  "_bsign_program", "_bsign_state",
                  "_bdense_program", "_bdense_state", "_bexit_windows")
@@ -371,7 +365,6 @@ class TraceNode:
         #: at node exit, the entry state for compiling child nodes and
         #: the tableau half of a divergence-frontier checkpoint.
         self._exit_xz: tuple[np.ndarray, np.ndarray] | None = None
-        self._device_program: list | None = None
         self._dense_program: list | None = None
         self._dense_state: SimulationBackend | None = None
         #: Noise-site compilation: the device's busy-until and
@@ -388,33 +381,6 @@ class TraceNode:
         self._bdense_program: list | None = None
         self._bdense_state: SimulationBackend | None = None
         self._bexit_windows: dict[int, tuple[int, int]] | None = None
-
-    def program(self, state: SimulationBackend, fuse: bool = False,
-                max_qubits: int | None = None) -> list:
-        """This node's generic replay program, compiled for ``state``.
-
-        With ``fuse`` the backend ops go through
-        :meth:`~repro.qpu.backend.SimulationBackend.compile_fused_ops`
-        (GEMM fusion on the dense backend; a no-op elsewhere), with
-        ``max_qubits`` as the fusion-width bound (``None`` = the
-        backend default; the router widens it for small registers).
-        """
-        if self._program is None or self._program_state is not state:
-            if fuse:
-                def compile_ops(ops):
-                    return state.compile_fused_ops(
-                        ops, max_qubits=max_qubits)
-            else:
-                compile_ops = state.compile_ops
-            program = []
-            for item in self.items:
-                if item[0] == _I_OPS:
-                    program.append((_I_OPS, compile_ops(item[1])))
-                else:
-                    program.append(item)
-            self._program = program
-            self._program_state = state
-        return self._program
 
     def sign_program(self, state: StabilizerState,
                      parent: "TraceNode | None",
@@ -450,53 +416,11 @@ class TraceNode:
             self._program_state = state
         return self._program
 
-    def device_program(self, profile=None) -> list:
-        """This node's timed device-level replay program.
-
-        Used for noisy substrates the sign-trace cannot model: each
-        step re-applies one recorded operation at its original issue
-        time through the same state/noise sequence the device layer
-        performs — gate-name resolution and duration lookups (against
-        ``profile``'s per-qubit calibration when the owning device has
-        one) are done once here instead of per replay.  The compiled
-        steps depend only on the recorded items, the gate registry and
-        the device profile; a cache serves one engine whose profile is
-        fixed, so caching them on the node is sound.
-        """
-        if self._device_program is None:
-            steps: list[tuple] = []
-            if profile is None:
-                def duration_of(name, qubits):
-                    return lookup_gate(name).duration_ns
-            else:
-                duration_of = profile.gate_duration_ns
-            for item in self.items:
-                code = item[0]
-                if code == _I_OPS:
-                    for (kind, name, qubits, params), time_ns in \
-                            zip(item[1], item[2]):
-                        duration = duration_of(name, qubits)
-                        if kind == "reset":
-                            steps.append((_DV_RESET, time_ns, qubits[0],
-                                          duration))
-                        else:
-                            steps.append((_DV_GATE, time_ns, name,
-                                          qubits, params, duration))
-                elif code == _I_MEAS:
-                    steps.append((_DV_MEAS, item[2], item[1],
-                                  duration_of("measure", (item[1],))))
-                elif code == _I_CLS:
-                    steps.append((_DV_CLS, item[1], item[2]))
-                else:  # _I_FMR
-                    steps.append((_DV_FMR, item[1], item[2], item[3]))
-            self._device_program = steps
-        return self._device_program
-
     def dense_program(self, qpu: SimulatedQPU,
                       parent: "TraceNode | None", fuse: bool,
                       ctx: _ReplayContext,
                       max_qubits: int | None = None) -> list:
-        """This node's compiled noise-site program (noisy dense replay).
+        """This node's compiled noise-site program (dense replay).
 
         Compiles the segment against the device's timing model: the
         busy-until map and drive-window bookkeeping are *decision-path
@@ -1066,8 +990,8 @@ def _compile_dense_node(items: tuple, qpu: SimulatedQPU,
                 block.add_site(kind, pauli_cum, qubits)
             else:
                 # Fail closed on a site kind this compiler predates
-                # (is_dense_compilable should have routed the model
-                # to the device loop before we ever get here).
+                # (replay_mode admits only dense-compilable models,
+                # so this is reached only if the two drift apart).
                 raise TraceDivergenceError(
                     f"unknown gate-channel site kind {kind!r}")
 
@@ -1186,8 +1110,7 @@ def _compile_dense_node(items: tuple, qpu: SimulatedQPU,
 class _UnbatchableNode(Exception):
     """A node's segment contains a site the batch compiler cannot
     model; the wavefront falls back to the serial per-shot loop for
-    the affected shots (fail closed, mirroring ``is_dense_compilable``'s
-    routing to the device loop)."""
+    the affected shots (fail closed)."""
 
 
 class _BatchCohort:
@@ -1498,6 +1421,27 @@ def _compile_batch_dense_node(items: tuple, qpu: SimulatedQPU,
     return steps
 
 
+def replay_mode(qpu: SimulatedQPU) -> str | None:
+    """The compiled replay representation of ``qpu``'s substrate.
+
+    ``"signs"`` (the sign trace, :meth:`TraceNode.sign_program`) on
+    the stabilizer tableau under Pauli-only noise; ``"dense"`` (the
+    noise-site program, :meth:`TraceNode.dense_program`) on the
+    statevector under ideal or dense-compilable noise; ``None`` for
+    every other substrate, which the shot engine then runs
+    cycle-accurately — fail closed, since both noise predicates are
+    allow-lists.  Evaluated once per engine and stored on its
+    :class:`TraceCache`, where the replay dispatch and the artifact
+    codec read it.
+    """
+    noise = qpu.noise
+    if isinstance(qpu.state, StabilizerState):
+        return "signs" if noise.is_pauli_only else None
+    if isinstance(qpu.state, StateVector) and noise.is_dense_compilable:
+        return "dense"
+    return None
+
+
 def auto_batch_width(qpu: SimulatedQPU) -> int:
     """Default cohort width for batched replay on ``qpu``'s substrate.
 
@@ -1520,8 +1464,8 @@ class RecordingQPU:
     :class:`CheckpointQPU` around one); every attribute not intercepted
     here delegates to it, so the control stack drives the proxy
     exactly like the real device.  Backend operations and measurement
-    samples are appended — with their issue times, which the noisy
-    device replay needs — to the shared chronological ``recorded``
+    samples are appended — with their issue times, which the
+    noise-site compiler needs — to the shared chronological ``recorded``
     stream, interleaved with the classical entries the processor
     recording hooks contribute.
     """
@@ -1613,8 +1557,15 @@ class TraceCache:
     off the cached trie plus unbatchable segments).
     """
 
-    def __init__(self, config: QCPConfig) -> None:
+    def __init__(self, config: QCPConfig, mode: str,
+                 noise: NoiseModel) -> None:
         self.config = config
+        #: The engine's :func:`replay_mode`: ``"signs"`` or ``"dense"``.
+        self.mode = mode
+        #: Whether cohorts have a batch kernel: bit-plane sign columns
+        #: always do; dense cohorts only when every channel is
+        #: batch-compilable (idle decay reads per-shot live state).
+        self.batchable = mode == "signs" or noise.is_batch_compilable
         self.root: TraceNode | None = None
         self.max_nodes = config.trace_cache_max_nodes
         self.hits = 0
@@ -1663,12 +1614,11 @@ class TraceCache:
 
         Clears the per-shot device logs, restarts/reseeds ``qpu``
         (measurement *and* noise rng) and walks the trie: backend
-        segments are applied through compiled closures (or the timed
-        device program on noisy dense substrates), measurements
-        execute live so each shot draws its own outcomes, classical
-        micro-ops run against a register facade, and each decision is
-        re-computed from this shot's own delivered bits to pick the
-        next edge.
+        segments run through the node programs of the cache's
+        ``mode``, measurements execute live so each shot draws its own
+        outcomes, classical micro-ops run against a register facade,
+        and each decision is re-computed from this shot's own
+        delivered bits to pick the next edge.
 
         Returns ``(last result per qubit, total ns)`` on a full hit; a
         :class:`ResumePoint` on a divergence-frontier miss (the caller
@@ -1685,19 +1635,9 @@ class TraceCache:
         qpu.operation_log.clear()
         qpu.timing_violations.clear()
         qpu.restart(seed=seed)
-        state = qpu.state
-        if isinstance(state, StabilizerState) and qpu.noise.is_pauli_only:
+        if self.mode == "signs":
             return self._replay_signs(node, qpu)
-        if qpu.noise.is_ideal:
-            return self._replay_generic(node, qpu)
-        if (self.config.trace_cache_compiled_noise
-                and isinstance(state, StateVector)
-                and qpu.noise.is_dense_compilable):
-            # is_dense_compilable fails closed: a NoiseModel channel
-            # the compiler does not know about routes to the timed
-            # device loop below, whose live hooks pick it up.
-            return self._replay_dense(node, qpu)
-        return self._replay_device(node, qpu)
+        return self._replay_dense(node, qpu)
 
     def _resume_point(self, ctx: _ReplayContext) -> ResumePoint:
         self.misses += 1
@@ -1721,9 +1661,9 @@ class TraceCache:
         replay restores the tableau, noise-site replay restores the
         device bookkeeping) and returns :meth:`_resume_point`.
 
-        This epilogue is the correctness-critical part the three
-        specialized hot loops must agree on; keeping it in one place
-        is what the differential fuzzing suite leans on.
+        This epilogue is the correctness-critical part every replay
+        loop must agree on; keeping it in one place is what the
+        differential fuzzing suite leans on.
         """
         decision = node.decision
         if decision is None:
@@ -1739,42 +1679,9 @@ class TraceCache:
             return None
         return child
 
-    def _replay_generic(self, node: TraceNode, qpu: SimulatedQPU
-                        ) -> tuple[dict[int, int], int] | ResumePoint:
-        """Ideal-substrate replay through compiled backend closures."""
-        state = qpu.state
-        measure = state.measure
-        fuse = self.config.trace_cache_dense_fusion
-        width = self.config.fuse_max_qubits
-        ctx = _ReplayContext(self.config)
-        delivered = ctx.delivered
-        outcomes = ctx.outcomes
-        while True:
-            self._touch(node)
-            ctx.skip_ops += node.devops
-            for item in node.program(state, fuse, max_qubits=width):
-                code = item[0]
-                if code == _I_OPS:
-                    item[1]()
-                elif code == _I_MEAS:
-                    value = measure(item[1])
-                    delivered[item[1]] = value
-                    outcomes.append(value)
-                elif code == _I_CLS:
-                    item[2](ctx.proc(item[1]))
-                else:  # _I_FMR
-                    ctx.write_fmr(item[1], item[2], item[3])
-            nxt = self._epilogue(node, ctx)
-            if nxt is _HIT:
-                return delivered, node.total_ns
-            if nxt is None:
-                # The live backend state *is* the frontier checkpoint.
-                return self._resume_point(ctx)
-            node = nxt
-
     def _replay_dense(self, node: TraceNode, qpu: SimulatedQPU
                       ) -> tuple[dict[int, int], int] | ResumePoint:
-        """Noisy dense replay through the compiled noise-site program.
+        """Dense replay through the compiled noise-site program.
 
         Every step is prebound (fused unitary runs, idle-decay sites
         with precomputed durations, channel draws, ZZ windows with
@@ -1813,69 +1720,6 @@ class TraceCache:
                 qpu._windows.update(node._exit_windows)
                 return self._resume_point(ctx)
             parent = node
-            node = nxt
-
-    def _replay_device(self, node: TraceNode, qpu: SimulatedQPU
-                       ) -> tuple[dict[int, int], int] | ResumePoint:
-        """Noisy-substrate replay through the timed device program.
-
-        The uncompiled comparison mode (PR 4 behaviour, selected by
-        ``trace_cache_compiled_noise=False``) and the fallback for
-        noisy non-dense backends: re-applies the recorded operation
-        stream at its original issue times through the same state /
-        noise-channel / idle-decay / crosstalk-window sequence
-        :class:`SimulatedQPU` performs, drawing both rngs positionally
-        — minus the event kernel, operation logging, topology
-        validation and telemetry.
-        """
-        state = qpu.state
-        noise = qpu.noise
-        busy = qpu._busy_until
-        ctx = _ReplayContext(self.config)
-        delivered = ctx.delivered
-        outcomes = ctx.outcomes
-        while True:
-            self._touch(node)
-            ctx.skip_ops += node.devops
-            for step in node.device_program(qpu.profile):
-                code = step[0]
-                # The noise/decay/window hooks below run
-                # unconditionally, mirroring SimulatedQPU exactly:
-                # gating them behind channel enumerations here would
-                # fail open for channels added to the device layer
-                # later (each hook is cheap when its channels are off).
-                if code == _DV_GATE:
-                    _c, time_ns, name, qubits, params, duration = step
-                    qpu._decay_idle(time_ns, qubits)
-                    for qubit in qubits:
-                        busy[qubit] = time_ns + duration
-                    state.apply_gate(name, qubits, params)
-                    noise.after_gate(state, name, qubits)
-                    qpu._note_window(time_ns, qubits, duration)
-                elif code == _DV_MEAS:
-                    _c, time_ns, qubit, duration = step
-                    qpu._decay_idle(time_ns, (qubit,))
-                    busy[qubit] = time_ns + duration
-                    value = noise.corrupt_readout(state.measure(qubit),
-                                                  qubit)
-                    delivered[qubit] = value
-                    outcomes.append(value)
-                elif code == _DV_RESET:
-                    _c, time_ns, qubit, duration = step
-                    qpu._decay_idle(time_ns, (qubit,))
-                    busy[qubit] = time_ns + duration
-                    state.reset(qubit)
-                elif code == _DV_CLS:
-                    step[2](ctx.proc(step[1]))
-                else:  # _DV_FMR
-                    ctx.write_fmr(step[1], step[2], step[3])
-            nxt = self._epilogue(node, ctx)
-            if nxt is _HIT:
-                return delivered, node.total_ns
-            if nxt is None:
-                # Device bookkeeping (busy map, drive windows) and
-                # both rngs are live at the frontier.
-                return self._resume_point(ctx)
             node = nxt
 
     def _replay_signs(self, node: TraceNode, qpu: SimulatedQPU
@@ -2010,34 +1854,22 @@ class TraceCache:
         state and rngs are never touched — cohorts carry their own —
         but its per-shot logs are cleared, as any serial replay would.
         """
+        if not self.batchable:
+            return None
         results: list = [None] * len(seeds)
         node = self.root
         if node is None or node.items is None:
             return results
-        state = qpu.state
-        noise = qpu.noise
-        if isinstance(state, StabilizerState) and noise.is_pauli_only:
-            self._tick += 1
-            # Per-shot device logs describe the *last* simulated shot;
-            # a batched pass supersedes it just like a serial replay
-            # (which clears them before restarting), so stale entries
-            # must not survive the cohort.
-            qpu.operation_log.clear()
-            qpu.timing_violations.clear()
+        self._tick += 1
+        # Per-shot device logs describe the *last* simulated shot; a
+        # batched pass supersedes it just like a serial replay (which
+        # clears them before restarting), so stale entries must not
+        # survive the cohort.
+        qpu.operation_log.clear()
+        qpu.timing_violations.clear()
+        if self.mode == "signs":
             return self._replay_batch_signs(node, qpu, seeds, results)
-        if isinstance(state, StateVector) and (
-                noise.is_ideal
-                or (self.config.trace_cache_compiled_noise
-                    and noise.is_dense_compilable
-                    and noise.is_batch_compilable)):
-            # is_batch_compilable fails closed like is_dense_compilable:
-            # state-reading channels (idle decay) and unknown channels
-            # keep the serial loop, which is always correct.
-            self._tick += 1
-            qpu.operation_log.clear()
-            qpu.timing_violations.clear()
-            return self._replay_batch_dense(node, qpu, seeds, results)
-        return None
+        return self._replay_batch_dense(node, qpu, seeds, results)
 
     def _epilogue_batch(self, node: TraceNode, slots: list, ctxs: list,
                         results: list, measured: tuple | None = None

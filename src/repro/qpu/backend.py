@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import abc
 import random
-from typing import Callable, Sequence
+from typing import Sequence
 
 #: One pre-resolved backend operation: ``(kind, name, qubits, params)``
 #: where ``kind`` is ``"gate"`` (unitary) or ``"reset"``.  The name is
@@ -131,7 +131,7 @@ class SimulationBackend(abc.ABC):
         """
         return None
 
-    # -- batched application (the trace-cache replay path) -----------------
+    # -- sequential application (the reference for compiled replay) --------
 
     def apply_ops(self, ops: Sequence[BackendOp]) -> None:
         """Apply a pre-resolved operation stream in order.
@@ -148,45 +148,6 @@ class SimulationBackend(abc.ABC):
                 self.reset(qubits[0])
             else:
                 self.apply_gate(name, qubits, params)
-
-    def compile_ops(self,
-                    ops: Sequence[BackendOp]) -> Callable[[], None]:
-        """Compile an operation stream into a replayable closure.
-
-        The returned thunk applies the stream to *this* backend
-        instance.  Subclasses specialise it (cached unitaries, fused
-        single-qubit runs, flattened tableau primitives); the default
-        simply loops over :meth:`apply_ops`.  Compiled closures must be
-        draw-for-draw and bit-for-bit equivalent to :meth:`apply_ops`.
-        """
-        frozen = tuple(ops)
-        return lambda: self.apply_ops(frozen)
-
-    def compile_fused_ops(self, ops: Sequence[BackendOp],
-                          max_qubits: int | None = None
-                          ) -> Callable[[], None]:
-        """Compile an operation stream, fusing gates where profitable.
-
-        Like :meth:`compile_ops` but with a *relaxed numeric contract*:
-        a backend may precompose consecutive unitaries into batched
-        operators (GEMM fusion), trading last-ulp amplitude identity
-        for fewer passes over the state.  The rng draw *sequence* is
-        strictly identical (fusion never consumes draws; resets still
-        draw exactly one each), so a measurement outcome — a threshold
-        comparison of a draw against the excited-state probability —
-        can differ from :meth:`apply_ops` only when a draw lands
-        inside the few-ulp window the perturbed probability opens:
-        per-measurement probability on the order of 2^-50,
-        astronomically unlikely but not structurally impossible.
-        Callers that need *exact* amplitude or outcome identity (e.g.
-        amplitude-level comparisons against the cycle-accurate
-        simulator) must use :meth:`compile_ops`.  Backends with no
-        fusion opportunity simply delegate to :meth:`compile_ops`
-        (the stabilizer tableau already flattens to primitive
-        conjugations; fusing further would not change the operation
-        count).
-        """
-        return self.compile_ops(ops)
 
     def _check_qubit(self, qubit: int) -> None:
         if not 0 <= qubit < self.n_qubits:

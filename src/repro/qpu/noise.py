@@ -441,8 +441,8 @@ class NoiseModel:
         untouched), and a readout flip never touches the state at all.
         This is the condition under which the trace cache can keep its
         compiled sign-trace replay on noisy stabilizer substrates —
-        ZZ crosstalk and amplitude damping are not Clifford channels
-        and need the dense backend's device-level replay instead.
+        ZZ crosstalk and amplitude damping are not Clifford channels,
+        so a stabilizer engine carrying them runs cycle-accurately.
 
         Fails **closed**: the Pauli-compatible channels are an
         allow-list, so a channel field added to :class:`NoiseModel`
@@ -461,11 +461,10 @@ class NoiseModel:
 
         Fails **closed**, like :attr:`is_pauli_only`: the supported
         channel fields are an allow-list, so an *enabled* channel
-        added to :class:`NoiseModel` later routes noisy dense replay
-        back to the timed device-level loop (whose hooks run the live
-        device code and therefore pick the new channel up
-        automatically) until the compiler is explicitly taught about
-        it.
+        added to :class:`NoiseModel` later leaves the engine without a
+        trace cache — every shot runs the live device code, which
+        picks the new channel up automatically — until the compiler
+        is explicitly taught about it.
         """
         compilable = {"depolarizing", "two_qubit_depolarizing",
                       "pauli", "zz", "readout", "decoherence",
@@ -547,7 +546,7 @@ class NoiseModel:
 
         Delegates to :meth:`ZZCrosstalk.window_events` — the single
         shared implementation of the drive-window overlap accounting —
-        so the cycle-accurate device loop and every compiled replay
+        so the cycle-accurate device and every compiled replay
         derive their events from identical logic.  Empty without a ZZ
         channel.
         """

@@ -27,12 +27,12 @@ Non-Clifford gates (t, rx(theta), ...) raise
 from __future__ import annotations
 
 import random
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from repro.qpu.backend import (BackendOp, NonCliffordGateError,
-                               SimulationBackend, register_backend)
+from repro.qpu.backend import (NonCliffordGateError, SimulationBackend,
+                               register_backend)
 
 #: Gates the tableau can conjugate by, with their decomposition into
 #: the primitive conjugations implemented below.  Order matters: the
@@ -192,54 +192,6 @@ class StabilizerState(SimulationBackend):
             f"supports {sorted(_CLIFFORD_DECOMPOSITIONS)} and "
             f"{sorted(_TWO_QUBIT_DECOMPOSITIONS)} — use the "
             f"'statevector' backend for this circuit")
-
-    def compile_ops(self,
-                    ops: Sequence[BackendOp]) -> Callable[[], None]:
-        """Flatten an op stream into primitive tableau conjugations.
-
-        Name resolution, qubit validation and the Clifford
-        decomposition all happen once here; a replay is then a tight
-        loop over pre-bound primitive updates (``_h``/``_s``/``_x``/
-        ``_y``/``_z``/``_cnot``) with no per-gate lookups left.
-        """
-        from repro.circuit.gates import lookup_gate
-
-        steps: list[tuple[Callable, tuple]] = []
-        one_qubit = self._ONE_QUBIT
-        for kind, name, qubits, params in ops:
-            qubits = tuple(qubits)
-            for qubit in qubits:
-                self._check_qubit(qubit)
-            if kind == "reset":
-                steps.append((self.reset, (qubits[0],)))
-                continue
-            canonical = lookup_gate(name).name
-            if params:
-                raise NonCliffordGateError(
-                    f"parametric gate {name!r} is not Clifford; use the "
-                    f"'statevector' backend for this circuit")
-            if canonical in _CLIFFORD_DECOMPOSITIONS:
-                for primitive in _CLIFFORD_DECOMPOSITIONS[canonical]:
-                    steps.append((one_qubit[primitive],
-                                  (self, qubits[0])))
-            elif canonical in _TWO_QUBIT_DECOMPOSITIONS:
-                for primitive, a, b in _TWO_QUBIT_DECOMPOSITIONS[canonical]:
-                    if primitive == "cnot":
-                        steps.append((StabilizerState._cnot,
-                                      (self, qubits[a], qubits[b])))
-                    else:
-                        steps.append((one_qubit[primitive],
-                                      (self, qubits[a])))
-            else:
-                raise NonCliffordGateError(
-                    f"gate {name!r} is not Clifford; the stabilizer "
-                    f"backend cannot compile it")
-
-        def replay() -> None:
-            for conjugate, args in steps:
-                conjugate(*args)
-
-        return replay
 
     def apply_unitary(self, matrix: np.ndarray,
                       qubits: tuple[int, ...]) -> None:

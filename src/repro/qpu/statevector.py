@@ -23,8 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.circuit.gates import lookup_gate
-from repro.qpu.backend import (BackendOp, SimulationBackend,
-                               register_backend)
+from repro.qpu.backend import SimulationBackend, register_backend
 
 #: Hard cap on the dense representation (2^24 amplitudes = 256 MiB).
 DENSE_QUBIT_LIMIT = 24
@@ -113,67 +112,14 @@ def fuse_into(matrix: np.ndarray, support: tuple[int, ...],
     Returns the grown ``(matrix, support)`` pair, or ``None`` when
     the support union would exceed ``max_qubits`` (the caller then
     flushes the block and opens a new one).  This is the one greedy
-    accumulation kernel every fusion consumer shares — the plain op
-    stream (:func:`fuse_ops`) and the trace cache's noise-site
-    compiler, which interleaves deferred channel sites.
+    accumulation kernel the trace cache's serial and cohort dense
+    compilers share; both interleave deferred channel sites with it.
     """
     union = tuple(sorted(set(support) | set(qubits)))
     if len(union) > max_qubits:
         return None
     return (_lift(gate_matrix, tuple(qubits), union)
             @ _lift(matrix, support, union), union)
-
-
-def fuse_ops(ops: Sequence[BackendOp],
-             max_qubits: int = FUSE_MAX_QUBITS) -> list[tuple]:
-    """Greedily precompose consecutive unitaries into block operators.
-
-    Walks the stream keeping one open block (a matrix and its qubit
-    support); each unitary whose support union stays within
-    ``max_qubits`` is lifted onto the union and multiplied in
-    (:func:`fuse_into`), so an entire gate run costs one pass over
-    the amplitudes at replay time.  Resets are non-unitary and flush
-    the block (they also consume an rng draw, which composition must
-    never absorb).
-
-    Returns steps ``("gate", matrix, qubits)`` / ``("reset", qubit)``.
-    Numerically this trades last-ulp amplitude identity (matrix
-    products round differently than sequential application) for fewer
-    GEMMs; the rng draw *sequence* is unchanged, so a measurement
-    outcome can differ from unfused replay only when a draw lands
-    inside the few-ulp window the perturbed probability opens —
-    see :meth:`SimulationBackend.compile_fused_ops` for the precise
-    contract.
-    """
-    steps: list[tuple] = []
-    support: tuple[int, ...] = ()
-    matrix: np.ndarray | None = None
-
-    def flush() -> None:
-        nonlocal support, matrix
-        if matrix is not None:
-            steps.append(("gate", matrix, support))
-            support, matrix = (), None
-
-    for kind, name, qubits, params in ops:
-        if kind == "reset":
-            flush()
-            steps.append(("reset", qubits[0]))
-            continue
-        gate_matrix = (cached_unitary(name, params) if len(qubits) == 1
-                       else lookup_gate(name).unitary(tuple(params)))
-        if matrix is None:
-            support, matrix = tuple(qubits), gate_matrix
-            continue
-        fused = fuse_into(matrix, support, gate_matrix, tuple(qubits),
-                          max_qubits)
-        if fused is not None:
-            matrix, support = fused
-        else:
-            flush()
-            support, matrix = tuple(qubits), gate_matrix
-    flush()
-    return steps
 
 
 @register_backend
@@ -307,35 +253,6 @@ class StateVector(SimulationBackend):
             return
         self.apply_unitary(definition.unitary(tuple(params)), qubits)
 
-    def compile_ops(self,
-                    ops: Sequence[BackendOp]) -> Callable[[], None]:
-        """Compile an op stream into one closure over cached matrices.
-
-        Name/parameter resolution, qubit-count dispatch and matrix
-        construction all happen once here instead of per replay; the
-        closure is a flat list of pre-bound applications.  Matrices are
-        deliberately *not* pre-multiplied across gates: ``(U2 @ U1) v``
-        rounds differently than ``U2 (U1 v)``, and the compiled-replay
-        contract is bit-for-bit equivalence with sequential
-        :meth:`apply_gate` execution.
-        """
-        steps: list[tuple[Callable, tuple]] = []
-        for kind, name, qubits, params in ops:
-            if kind == "reset":
-                steps.append((self.reset, (qubits[0],)))
-            elif len(qubits) == 1:
-                steps.append((self._apply_single_qubit,
-                              (cached_unitary(name, params), qubits[0])))
-            else:
-                matrix = lookup_gate(name).unitary(params)
-                steps.append((self.apply_unitary, (matrix, qubits)))
-
-        def replay() -> None:
-            for apply, args in steps:
-                apply(*args)
-
-        return replay
-
     def block_applier(self, matrix: np.ndarray,
                       qubits: tuple[int, ...]) -> Callable[[], None]:
         """Precompile one k-qubit operator application for replay.
@@ -401,38 +318,6 @@ class StateVector(SimulationBackend):
             ).reshape(-1)
 
         return apply
-
-    def compile_fused_ops(self, ops: Sequence[BackendOp],
-                          max_qubits: int | None = None
-                          ) -> Callable[[], None]:
-        """Compile an op stream with GEMM fusion (:func:`fuse_ops`).
-
-        Consecutive unitaries within the stream are precomposed into
-        block operators, so a decision-free gate run replays as a
-        handful of batched matmuls (through precompiled
-        :meth:`block_applier` closures) instead of one dispatch per
-        gate.  ``max_qubits`` caps the fused block width (default
-        :data:`FUSE_MAX_QUBITS`; the backend router widens it for
-        small registers).  Fusion never consumes rng draws, but
-        amplitudes may differ from :meth:`compile_ops` in the last
-        ulp — outcome identity is almost-sure, not structural; see the
-        base-class contract for the precise statement.
-        """
-        if max_qubits is None:
-            max_qubits = FUSE_MAX_QUBITS
-        steps: list[Callable[[], None]] = []
-        for step in fuse_ops(ops, max_qubits=max_qubits):
-            if step[0] == "reset":
-                qubit = step[1]
-                steps.append(lambda q=qubit: self.reset(q))
-            else:
-                steps.append(self.block_applier(step[1], step[2]))
-
-        def replay() -> None:
-            for apply in steps:
-                apply()
-
-        return replay
 
     # -- non-unitary operations ------------------------------------------------
 

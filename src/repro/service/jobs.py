@@ -223,6 +223,10 @@ class JobManager:
     def _finish(self, job: Job, status: str, event: dict) -> None:
         job.status = status
         job.terminal_event = event
+        # Only cancel() looks jobs up by id, and it refuses finished
+        # ones; keeping them would hold every result for the
+        # service's lifetime.
+        self._by_id.pop(job.id, None)
         self._counters[{"done": "completed", "failed": "failed",
                         "cancelled": "cancelled"}[status]] += 1
         self._publish(job, event)

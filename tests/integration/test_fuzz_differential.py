@@ -13,8 +13,7 @@ seed:
 * issue model: scalar x superscalar;
 * noise: ideal, Pauli+readout (both backends), and the full dense
   channel stack (statevector only);
-* dense replay flavours: GEMM fusion on/off, compiled noise-site
-  program vs the timed device-level loop;
+* dense replay flavours: GEMM fusion on/off and an LRU-bounded trie;
 * shot batching: lockstep cohorts (bit-plane sign columns on the
   stabilizer backend, batch GEMMs on the statevector backend,
   wavefront trie traversal for control flow) vs the serial per-shot
@@ -22,11 +21,11 @@ seed:
   widths larger than the shot count.
 
 This is the suite guarding the shared decide/hit/resume epilogue
-(:meth:`repro.qcp.tracecache.TraceCache._epilogue`): all three
-specialized replay loops (sign-trace, generic compiled, dense
-noise-site) funnel through it, so a disagreement between any two
-strategies points either at a hot-loop specialization or at the one
-shared tail.
+(:meth:`repro.qcp.tracecache.TraceCache._epilogue`): both serial
+replay loops (sign-trace, dense noise-site) and both batched loops
+funnel through it, so a disagreement between any two strategies
+points either at a hot-loop specialization or at the one shared
+tail.
 """
 
 from __future__ import annotations
@@ -188,9 +187,8 @@ def test_fuzz_pauli_noise_both_backends(program):
 @given(control_flow_programs(), st.booleans())
 def test_fuzz_dense_noise_replay_flavours(program, superscalar):
     """Full dense channel stack: every noisy-dense replay flavour —
-    compiled noise-site program (fused and unfused), timed
-    device-level loop, LRU-bounded — against the cycle-accurate
-    reference."""
+    compiled noise-site program fused and unfused, LRU-bounded —
+    against the cycle-accurate reference."""
     config = superscalar_config(4) if superscalar else scalar_config()
     engines = {
         "uncached": cache_engine(program, "statevector", config,
@@ -200,9 +198,6 @@ def test_fuzz_dense_noise_replay_flavours(program, superscalar):
         "compiled-unfused": cache_engine(
             program, "statevector", config, dense_noise,
             trace_cache_dense_fusion=False),
-        "device-loop": cache_engine(
-            program, "statevector", config, dense_noise,
-            trace_cache_compiled_noise=False),
         "compiled-lru": cache_engine(
             program, "statevector", config, dense_noise,
             trace_cache_max_nodes=4),
@@ -334,17 +329,16 @@ def test_fuzz_warm_artifact_start_matches_cold(tmp_path_factory, program):
 def test_epilogue_is_shared_by_all_replay_modes():
     """The decide/hit/resume tail is literally one implementation.
 
-    Guard against the epilogue being re-triplicated: the three
-    specialized loops must not grow private decision handling.  This
-    asserts the single choke point exists and the loops call it.
+    Guard against the epilogue being duplicated: the two serial loops
+    must not grow private decision handling.  This asserts the single
+    choke point exists and the loops call it.
     """
     import inspect
 
     from repro.qcp import tracecache
 
     assert hasattr(tracecache.TraceCache, "_epilogue")
-    for mode in ("_replay_signs", "_replay_generic", "_replay_dense",
-                 "_replay_device"):
+    for mode in ("_replay_signs", "_replay_dense"):
         source = inspect.getsource(getattr(tracecache.TraceCache, mode))
         assert "_epilogue" in source, f"{mode} bypasses the epilogue"
         assert "children.get" not in source, (

@@ -260,8 +260,8 @@ def test_unknown_meta_field_falls_back_cold(tmp_path):
     reference = populate(tmp_path)
     path = artifact_file(tmp_path)
     fingerprint = populate_fingerprint(tmp_path)
-    meta = {"mode": "signs", "fused": False, "masks": [0, 0, 0],
-            "arrays": [], "nodes": [], "recency": [], "surprise": 1}
+    meta = {"mode": "signs", "masks": [0, 0, 0], "arrays": [],
+            "nodes": [], "recency": [], "surprise": 1}
     with open(path, "wb") as handle:
         handle.write(artifacts_mod._assemble(fingerprint, meta, b""))
     assert_cold_but_correct(tmp_path, reference)

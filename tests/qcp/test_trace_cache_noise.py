@@ -13,6 +13,8 @@ force frequent divergence.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -51,6 +53,22 @@ def dense_only_noise() -> NoiseModel:
         zz=ZZCrosstalk(zeta_hz=2.5e6, pairs=((0, 1), (1, 2), (3, 4))),
         decoherence=DecoherenceNoise(t1_us=50.0, t2_us=40.0),
         readout=ReadoutError(p0_given_1=0.03, p1_given_0=0.02))
+
+
+def unknown_channel_noise() -> NoiseModel:
+    """An enabled channel no replay compiler models (fails closed)."""
+
+    @dataclasses.dataclass
+    class Extended(NoiseModel):
+        leakage: object | None = None
+
+    return Extended(leakage=object())
+
+
+def unfired_zz_noise() -> NoiseModel:
+    """Non-Pauli ZZ crosstalk with no coupled pair: the tableau can
+    run it cycle-accurately because the channel never fires."""
+    return NoiseModel(zz=ZZCrosstalk(zeta_hz=1e3, pairs=()))
 
 
 def fair_coin_program():
@@ -122,8 +140,8 @@ class TestNoisyEquivalence:
         assert cached.trace_cache.resumes > 0
 
     def test_full_channel_stack_on_dense_backend(self):
-        # ZZ crosstalk and T1/T2 decay go through the timed
-        # device-level replay (busy/window bookkeeping included).
+        # ZZ crosstalk and T1/T2 decay go through the compiled
+        # noise-site program (busy/window bookkeeping included).
         program = build_repetition_memory_program(rounds=3,
                                                   encode_one=True)
         assert_bit_identical(program, 5, "statevector",
@@ -229,6 +247,30 @@ class TestGating:
         engine = ShotEngine(build_rus_blocks(1), n_qubits=3,
                             noise=pauli_noise())
         assert engine.trace_cache is not None
+
+    @pytest.mark.parametrize("backend, noise_factory, mode", [
+        ("statevector", unknown_channel_noise, None),
+        ("stabilizer", unfired_zz_noise, None),
+        ("statevector", NoiseModel, "dense"),
+    ], ids=["unknown-channel", "stabilizer-zz", "ideal-dense"])
+    def test_replay_mode_fails_closed(self, backend, noise_factory,
+                                      mode):
+        # A substrate with no compiled replay mode gets no trace cache
+        # and runs cycle-accurately; the ideal statevector replays.
+        program = build_repetition_chain_program(3, rounds=2,
+                                                 encode_one=True)
+        cached, uncached = engine_pair(program, 5, backend,
+                                       scalar_config(), noise_factory)
+        shots = 40
+        result = cached.run(shots)
+        reference = uncached.run(shots)
+        assert result.counts == reference.counts
+        assert result.total_ns == reference.total_ns
+        if mode is None:
+            assert cached.trace_cache is None
+        else:
+            assert cached.trace_cache.mode == mode
+            assert cached.trace_cache.hits == shots - 1
 
     def test_noise_with_custom_factory_rejected(self):
         from repro.qpu import PRNGQPU

@@ -192,8 +192,8 @@ class TestDenseCompilableGating:
 
     def test_unknown_enabled_channel_fails_closed(self):
         # An active channel the noise-site compiler predates must
-        # route dense replay back to the timed device loop, not be
-        # silently dropped from the compiled program.
+        # disable the trace cache (every shot then runs the live
+        # device), not be silently dropped from the compiled program.
         import dataclasses
         from repro.qpu.noise import NoiseModel
 

@@ -158,14 +158,42 @@ def test_inverse_circuit_returns_to_start(gates, qubit):
     assert state.fidelity_with(reference) == pytest.approx(1.0)
 
 
+def compile_dense(ops, seed=0, max_qubits=None):
+    """``ops`` through the trace cache's dense block compiler.
+
+    Compiles one recorded op run for an ideal 4-qubit device seeded
+    with ``seed``; returns the device, the replay steps and the qubit
+    support of every fused block the compiler emitted.
+    """
+    from repro.qcp.config import QCPConfig
+    from repro.qcp.tracecache import (_I_OPS, _ReplayContext,
+                                      _compile_dense_node)
+    from repro.qpu.device import SimulatedQPU
+
+    qpu = SimulatedQPU(4, seed=seed)
+    supports = []
+    applier = qpu.state.block_applier
+
+    def recording_applier(matrix, qubits):
+        supports.append(tuple(qubits))
+        return applier(matrix, qubits)
+
+    qpu.state.block_applier = recording_applier
+    times = tuple(40 * index for index in range(len(ops)))
+    steps = _compile_dense_node(((_I_OPS, tuple(ops), times),), qpu, {},
+                                {}, True, _ReplayContext(QCPConfig()),
+                                max_qubits=max_qubits)
+    return qpu, steps, supports
+
+
 class TestGemmFusion:
     """GEMM fusion and precompiled block appliers (trace-cache replay).
 
     ``block_applier`` promises *bit-for-bit* identity with
-    ``apply_unitary`` (same GEMM on the same gathered buffer);
-    ``fuse_ops``/``compile_fused_ops`` promise identical rng draw
-    sequences and measurement outcomes, with amplitudes equal up to
-    last-ulp rounding (matrix products round differently).
+    ``apply_unitary`` (same GEMM on the same gathered buffer); the
+    dense block compiler promises identical rng draw sequences and
+    measurement outcomes, with amplitudes equal up to last-ulp
+    rounding (matrix products round differently).
     """
 
     OPS = [
@@ -184,38 +212,39 @@ class TestGemmFusion:
     def test_fused_stream_matches_sequential_amplitudes(self):
         for seed in range(10):
             sequential = StateVector(4, rng=random.Random(seed))
-            fused = StateVector(4, rng=random.Random(seed))
             sequential.apply_ops(self.OPS)
-            fused.compile_fused_ops(self.OPS)()
-            assert np.allclose(sequential.amplitudes, fused.amplitudes)
+            fused, steps, _ = compile_dense(self.OPS, seed)
+            for step in steps:
+                step()
+            assert np.allclose(sequential.amplitudes,
+                               fused.state.amplitudes)
 
     def test_fusion_preserves_rng_draws_and_outcomes(self):
         # Resets flush and draw exactly one rng draw each, so the
         # draw streams — and every later measurement — stay aligned.
         for seed in range(20):
             sequential = StateVector(4, rng=random.Random(seed))
-            fused = StateVector(4, rng=random.Random(seed))
             sequential.apply_ops(self.OPS)
-            fused.compile_fused_ops(self.OPS)()
+            fused, steps, _ = compile_dense(self.OPS, seed)
+            for step in steps:
+                step()
             for qubit in range(4):
-                assert sequential.measure(qubit) == fused.measure(qubit)
+                assert sequential.measure(qubit) == \
+                    fused.state.measure(qubit)
 
-    def test_fuse_ops_respects_support_bound(self):
-        from repro.qpu.statevector import fuse_ops
-        steps = fuse_ops(self.OPS, max_qubits=2)
-        for step in steps:
-            if step[0] == "gate":
-                assert len(step[2]) <= 2
+    def test_block_compiler_respects_support_bound(self):
+        _, steps, supports = compile_dense(self.OPS, max_qubits=2)
+        assert supports
+        assert all(len(support) <= 2 for support in supports)
         # Resets survive as explicit steps (they consume an rng draw).
-        assert sum(1 for step in steps if step[0] == "reset") == 1
+        assert len(steps) == len(supports) + 1
 
-    def test_fuse_ops_folds_single_qubit_runs(self):
-        from repro.qpu.statevector import fuse_ops
+    def test_block_compiler_folds_single_qubit_runs(self):
         run = [("gate", "h", (1,), ()), ("gate", "t", (1,), ()),
                ("gate", "s", (1,), ()), ("gate", "x", (1,), ())]
-        steps = fuse_ops(run)
+        _, steps, supports = compile_dense(run)
         assert len(steps) == 1
-        assert steps[0][0] == "gate" and steps[0][2] == (1,)
+        assert supports == [(1,)]
 
     def test_lift_matches_direct_application(self):
         from repro.circuit.gates import lookup_gate

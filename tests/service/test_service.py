@@ -229,6 +229,25 @@ class TestJobManager:
 
         run_async(main())
 
+    def test_finished_jobs_are_released(self):
+        # Each finished job holds its spec, shard histograms and
+        # result; the manager must not keep them for its lifetime.
+        async def main():
+            manager = JobManager(n_workers=1, queue_size=4)
+            await manager.start()
+            try:
+                jobs = [manager.submit(self.spec(shots=8 + index))[0]
+                        for index in range(3)]
+                for job in jobs:
+                    await asyncio.wait_for(job.done.wait(), 60)
+                assert manager.stats()["jobs"]["completed"] == 3
+                assert manager._by_id == {}
+                assert not any(manager.cancel(job.id) for job in jobs)
+            finally:
+                await manager.stop()
+
+        run_async(main())
+
 
 class TestArtifactWarmWorkers:
     """Warm worker starts via the shared artifact directory, plus the
