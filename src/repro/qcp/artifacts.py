@@ -27,7 +27,7 @@ unknown noise-channel type, say — makes the engine *non-cacheable*
 rather than wrongly keyed (:func:`artifact_fingerprint` returns
 ``None`` and the engine simply stays cold).
 
-On-disk format (schema 3)
+On-disk format (schema 4)
 =========================
 
 ::
@@ -46,6 +46,14 @@ trailing sha256 covers everything before it.  Dense (statevector)
 tries store only their recorded items: their noise-site programs
 recompile lazily on first replay, which costs closure compilation but
 never a cycle-accurate shot.
+
+Items are stored as recorded, every classical op included; the live
+sets of the decision slice (see :mod:`repro.qcp.tracecache`) are not
+stored but computed once per load.  A persisted sign-trace program was
+compiled from its node's live set at save time, a superset of the one
+the load computes, so it is kept.  Schema 4 is the first with sliced
+programs: a schema-3 artifact, whose programs replay every classical
+op, is rejected and recompiled once.
 
 Fail-closed loading
 ===================
@@ -89,12 +97,12 @@ from repro.qcp.tracecache import (TraceCache, TraceNode, _D_BRANCH,
                                   _D_MRCE, _I_CLS, _I_FMR, _I_MEAS,
                                   _I_OPS, _S_CLS, _S_FMR, _S_MEAS_D,
                                   _S_MEAS_R, _S_NOISE, _S_RESET_D,
-                                  _S_RESET_R, _S_XOR)
+                                  _S_RESET_R, _S_XOR, _seed_live)
 
 #: Bumped whenever the on-disk layout changes; part of the key
 #: fingerprint *and* checked against the header, so an old artifact is
 #: both unfindable under the new key and rejected if renamed into place.
-ARTIFACT_SCHEMA_VERSION = 3
+ARTIFACT_SCHEMA_VERSION = 4
 
 ARTIFACT_MAGIC = b"QTAC"
 ARTIFACT_SUFFIX = ".qta"
@@ -775,6 +783,7 @@ class ArtifactCache:
         recency = meta["recency"]
         _require(isinstance(recency, list))
         _require(sorted(recency) == list(range(1, len(nodes))))
+        _seed_live(nodes)
 
         # All validated — attach.  From here on the trie is live; the
         # recency touches reproduce the saved LRU order (coldest

@@ -24,15 +24,25 @@ The compiled classical closures replicate the architectural semantics
 previously implemented by ``ProcessorCore._apply_classical``; the
 dispositions (``"next"``/``"taken"``/``"halt"``/``"stall_fmr"``) and
 stall-cycle accounting are unchanged.
+
+Every micro-op closure also carries its **def/use sets** as the
+attribute ``effects = (defs, uses)``, derived once next to the closure:
+the locations the op writes and reads, each ``(LOC_REG, index)`` for a
+register of the executing processor or ``(LOC_SHARED, address)`` for a
+shared-memory word.  The hardwired zero register is never a location
+(writes to it are dropped, reads are constant), and neither is the
+program counter or the measurement-result file.  The trace cache's
+decision slice (:mod:`repro.qcp.tracecache`) walks these sets backward
+from each recorded branch to find the classical ops a replay must run.
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
-from repro.isa.instructions import (Alu, Addi, Branch, Fmr, Halt,
-                                    Instruction, Jmp, Ldi, Ldm, Mov, Mrce,
-                                    Nop, Not, Qmeas, Qop, Stm)
+from repro.isa.instructions import (ZERO_REG, Alu, Addi, Branch, Fmr,
+                                    Halt, Instruction, Jmp, Ldi, Ldm, Mov,
+                                    Mrce, Nop, Not, Qmeas, Qop, Stm)
 from repro.isa.vliw import Bundle
 from repro.qcp.emitter import QuantumOp
 
@@ -62,6 +72,25 @@ DecodedInstr = tuple
 #: A compiled classical micro-op.
 ClassicalRun = Callable[["object"], tuple[str, int]]
 
+#: Location spaces of the def/use sets: ``(LOC_REG, index)`` is a
+#: register of the processor that executes the op, ``(LOC_SHARED,
+#: address)`` a word of the shared registers every processor sees.
+LOC_REG = "reg"
+LOC_SHARED = "shared"
+
+
+def _regs(*indices: int) -> tuple:
+    """Register locations; the zero register is never one."""
+    return tuple((LOC_REG, index) for index in indices
+                 if index != ZERO_REG)
+
+
+def _with_effects(run: ClassicalRun, defs: tuple = (),
+                  uses: tuple = ()) -> ClassicalRun:
+    """Attach the def/use sets to a micro-op closure."""
+    run.effects = (defs, uses)
+    return run
+
 
 def _run_nop(proc) -> tuple[str, int]:
     return "next", 0
@@ -69,6 +98,10 @@ def _run_nop(proc) -> tuple[str, int]:
 
 def _run_halt(proc) -> tuple[str, int]:
     return "halt", 0
+
+
+_with_effects(_run_nop)
+_with_effects(_run_halt)
 
 
 def _compile_classical(instr: Instruction) -> ClassicalRun:
@@ -83,7 +116,7 @@ def _compile_classical(instr: Instruction) -> ClassicalRun:
         def run_jmp(proc):
             proc.pc = target
             return "taken", proc.config.branch_penalty_cycles
-        return run_jmp
+        return _with_effects(run_jmp)
     if isinstance(instr, Branch):
         compare = instr._COMPARATORS[instr.opcode]
         rs, rt, target = instr.rs, instr.rt, int(instr.target)
@@ -94,14 +127,14 @@ def _compile_classical(instr: Instruction) -> ClassicalRun:
                 proc.pc = target
                 return "taken", proc.config.branch_penalty_cycles
             return "next", 0
-        return run_branch
+        return _with_effects(run_branch, uses=_regs(rs, rt))
     if isinstance(instr, Ldi):
         rd, imm = instr.rd, instr.imm
 
         def run_ldi(proc):
             proc.registers.write(rd, imm)
             return "next", 0
-        return run_ldi
+        return _with_effects(run_ldi, _regs(rd))
     if isinstance(instr, Mov):
         rd, rs = instr.rd, instr.rs
 
@@ -109,21 +142,23 @@ def _compile_classical(instr: Instruction) -> ClassicalRun:
             registers = proc.registers
             registers.write(rd, registers.read(rs))
             return "next", 0
-        return run_mov
+        return _with_effects(run_mov, _regs(rd), _regs(rs))
     if isinstance(instr, Ldm):
         rd, addr = instr.rd, instr.addr
 
         def run_ldm(proc):
             proc.registers.write(rd, proc.shared.read(addr))
             return "next", 0
-        return run_ldm
+        return _with_effects(run_ldm, _regs(rd),
+                             ((LOC_SHARED, addr),))
     if isinstance(instr, Stm):
         rs, addr = instr.rs, instr.addr
 
         def run_stm(proc):
             proc.shared.write(addr, proc.registers.read(rs))
             return "next", 0
-        return run_stm
+        return _with_effects(run_stm, ((LOC_SHARED, addr),),
+                             _regs(rs))
     if isinstance(instr, Addi):
         rd, rs, imm = instr.rd, instr.rs, instr.imm
 
@@ -131,7 +166,7 @@ def _compile_classical(instr: Instruction) -> ClassicalRun:
             registers = proc.registers
             registers.write(rd, registers.read(rs) + imm)
             return "next", 0
-        return run_addi
+        return _with_effects(run_addi, _regs(rd), _regs(rs))
     if isinstance(instr, Not):
         rd, rs = instr.rd, instr.rs
 
@@ -139,7 +174,7 @@ def _compile_classical(instr: Instruction) -> ClassicalRun:
             registers = proc.registers
             registers.write(rd, registers.read(rs) ^ 1)
             return "next", 0
-        return run_not
+        return _with_effects(run_not, _regs(rd), _regs(rs))
     if isinstance(instr, Alu):
         evaluate = instr._FUNCS[instr.opcode]
         rd, rs, rt = instr.rd, instr.rs, instr.rt
@@ -149,7 +184,7 @@ def _compile_classical(instr: Instruction) -> ClassicalRun:
             registers.write(rd, evaluate(registers.read(rs),
                                          registers.read(rt)))
             return "next", 0
-        return run_alu
+        return _with_effects(run_alu, _regs(rd), _regs(rs, rt))
     if isinstance(instr, Fmr):
         rd, qubit = instr.rd, instr.qubit
 
@@ -159,7 +194,9 @@ def _compile_classical(instr: Instruction) -> ClassicalRun:
                 proc.registers.write(rd, results.read(qubit))
                 return "next", 0
             return "stall_fmr", 0
-        return run_fmr
+        # The result register file is not replay state: a replay
+        # serves fetches from the shot's own delivered bits.
+        return _with_effects(run_fmr, _regs(rd))
     raise TypeError(f"not a classical instruction: {instr}")
 
 
@@ -189,7 +226,8 @@ def decode_instruction(instr: Instruction) -> DecodedInstr:
     * ``K_CLASSICAL`` — ``(micro-op closure, hoistable, effect
       class)``; the effect class (``E_NONE``/``E_REG``/``E_BRANCH``/
       ``E_FMR``) tells the trace-cache recorder whether and how the
-      instruction must be captured for a functional replay.
+      instruction must be captured for a functional replay, and the
+      closure's ``effects`` attribute holds its def/use sets.
     """
     if isinstance(instr, Bundle):
         slots = tuple(

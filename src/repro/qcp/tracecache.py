@@ -28,9 +28,11 @@ decisions, in chronological (kernel-event) order:
   draws its own outcomes (one rng draw per measurement/reset keeps the
   replay draw-for-draw aligned with the recording simulation);
 * the executed classical micro-ops (register/shared-memory writes) and
-  measurement-result fetches — replayed against a lightweight
-  register-file facade, because the next decision must be *computed*
-  from this shot's own outcomes, not assumed from the recording.
+  measurement-result fetches — recorded in full, but replayed only as
+  far as a recorded branch depends on them (the *decision slice*,
+  below), against a lightweight register-file facade: the next
+  decision must be *computed* from this shot's own outcomes, not
+  assumed from the recording.
 
 Edges leave a node at its recorded decision point: a data-dependent
 branch (keyed by taken/not-taken, evaluated by re-running the compiled
@@ -97,6 +99,29 @@ Readout corruption is drawn exactly as the device draws it, so the
 *collapsed* state (which stays uncorrupted) both match the
 cycle-accurate path bit for bit.
 
+Decision-slice classical replay
+===============================
+
+A replay hit returns only the delivered bits and ``total_ns``, and a
+resumed shot re-runs its whole classical stream cycle-accurately, so
+register and shared-memory state matters to a replay only where a
+recorded branch reads it.  Each node therefore keeps a *live set*
+(:attr:`TraceNode.live`): the locations — registers per processor,
+shared-memory words — its own branch reads, plus those its recorded
+children need on entry.  The compilers read a live view of the
+recorded items (:meth:`TraceNode.live_items`): a backward pass over
+the def/use sets :mod:`repro.qcp.decode` attaches to every micro-op
+keeps a classical item only when it defines a location that is live
+after it.  On the Shor syndrome benchmark that leaves the 18
+verification fetches of the 236 classical ops on its decision path.
+
+Live sets only grow.  :meth:`TraceCache.record` updates them leaf to
+root along the path it just recorded and drops a node's compiled
+programs when its live set grows — a branch recorded later can revive
+an op an earlier path left dead.  The pass fails closed: an item whose
+micro-op carries no def/use sets is kept, and so is every classical
+item before it on the path (:data:`_LIVE_ALL`).
+
 Checkpoint-resume at the divergence frontier
 ============================================
 
@@ -152,6 +177,7 @@ import numpy as np
 
 from repro.circuit.gates import lookup_gate
 from repro.qcp.config import QCPConfig
+from repro.qcp.decode import LOC_REG
 from repro.qcp.registers import RegisterFile, SharedRegisters
 from repro.qpu.backend import SimulationBackend
 from repro.qpu.device import SimulatedQPU
@@ -212,6 +238,10 @@ _S_NOISE = 7    # (_S_NOISE, dep_p, per_qubit_masks, pauli_cumulative)
 #: Sentinel returned by the shared replay epilogue when a shot
 #: completed at a recorded leaf.
 _HIT = object()
+
+#: The live set past a classical item whose micro-op has no def/use
+#: sets: every location, so the item and everything before it is kept.
+_LIVE_ALL = frozenset({("*", "*")})
 
 #: Index alias for ``random.Random.choice`` at noise sites: consuming
 #: the rng through ``choice`` on a length-3 sequence is draw-for-draw
@@ -324,6 +354,94 @@ class _ReplayContext:
         self.outcomes.append(value)
 
 
+def _located(proc_id: int, locations: tuple) -> list:
+    """A micro-op's locations as live-set keys: registers are
+    per processor, shared-memory words are global."""
+    return [(proc_id, index) if space == LOC_REG else (space, index)
+            for space, index in locations]
+
+
+def _join(live, more):
+    """The union of two live sets (``None`` is empty).
+
+    Returns ``live`` itself when ``more`` adds nothing, so callers
+    detect growth by identity.
+    """
+    if not more or live is _LIVE_ALL:
+        return live
+    if more is _LIVE_ALL:
+        return _LIVE_ALL
+    if live is None:
+        return frozenset(more)
+    return live if live.issuperset(more) else live.union(more)
+
+
+def _decision_uses(decision: tuple | None):
+    """The live-set keys a recorded decision reads (``None``: none).
+
+    An MRCE resolution reads a delivered bit, which a replay always
+    has; a branch reads its two registers.
+    """
+    if decision is None or decision[0] != _D_BRANCH:
+        return None
+    effects = getattr(decision[2], "effects", None)
+    if effects is None:
+        return _LIVE_ALL
+    return _located(decision[1], effects[1])
+
+
+def _slice(items: tuple, live) -> tuple[set, frozenset | None]:
+    """One backward liveness pass over a node's recorded items.
+
+    ``live`` is the node's live set at its decision point.  Returns
+    ``(dead, entry)``: the positions of the classical items no live
+    location depends on, and the live set at node entry.  An item
+    whose micro-op has no def/use sets ends the pass: it and every
+    item before it stay, and the entry set is :data:`_LIVE_ALL`.
+    """
+    dead: set = set()
+    if live is _LIVE_ALL:
+        return dead, _LIVE_ALL
+    current = set(live) if live else set()
+    for index in range(len(items) - 1, -1, -1):
+        item = items[index]
+        code = item[0]
+        if code == _I_FMR:
+            key = (item[1], item[2])
+            if key in current:
+                current.discard(key)
+            else:
+                dead.add(index)
+        elif code == _I_CLS:
+            effects = getattr(item[2], "effects", None)
+            if effects is None:
+                return dead, _LIVE_ALL
+            defs = _located(item[1], effects[0])
+            if current.isdisjoint(defs):
+                dead.add(index)
+            else:
+                current.difference_update(defs)
+                current.update(_located(item[1], effects[1]))
+    if not current:
+        return dead, None
+    # A node the live locations pass through unchanged shares the set.
+    return dead, (live if current == live else frozenset(current))
+
+
+def _seed_live(nodes: list) -> None:
+    """Compute the live sets of a whole trie at once.
+
+    ``nodes`` lists every recorded node parent-before-child (an
+    artifact load's order), so the reverse walk finishes each node's
+    children before the node itself.
+    """
+    for node in reversed(nodes):
+        node.live = _join(node.live, _decision_uses(node.decision))
+        if node.parent is not None:
+            node.parent.live = _join(node.parent.live,
+                                     _slice(node.items, node.live)[1])
+
+
 class TraceNode:
     """One trie node: the work segment up to the next decision point.
 
@@ -338,11 +456,16 @@ class TraceNode:
     recorded through this node; ``parent``/``edge`` locate the node in
     the trie and ``lru_prev``/``lru_next`` link it into the cache's
     recency list (amortized eviction, see :meth:`TraceCache._evict`).
+
+    ``live`` is the node's live set: the locations its own branch and
+    its recorded children read from the classical state at its
+    decision point (``None`` when there are none).  The compiled
+    programs replay only :meth:`live_items`.
     """
 
     __slots__ = ("items", "decision", "children", "total_ns", "devops",
                  "last_used", "parent", "edge", "lru_prev", "lru_next",
-                 "_program", "_program_state", "_exit_xz",
+                 "live", "_program", "_program_state", "_exit_xz",
                  "_dense_program", "_dense_state",
                  "_exit_busy", "_exit_windows",
                  "_bsign_program", "_bsign_state",
@@ -359,6 +482,7 @@ class TraceNode:
         self.edge: int | None = None
         self.lru_prev: TraceNode | None = None
         self.lru_next: TraceNode | None = None
+        self.live: frozenset | None = None
         self._program: list | None = None
         self._program_state: SimulationBackend | None = None
         #: Stabilizer sign-trace compilation: model (x, z) bit matrices
@@ -381,6 +505,24 @@ class TraceNode:
         self._bdense_program: list | None = None
         self._bdense_state: SimulationBackend | None = None
         self._bexit_windows: dict[int, tuple[int, int]] | None = None
+
+    def live_items(self) -> tuple:
+        """The recorded items minus the classical ops no recorded
+        decision depends on — the view every compiler reads."""
+        dead = _slice(self.items, self.live)[0]
+        if not dead:
+            return self.items
+        return tuple(item for index, item in enumerate(self.items)
+                     if index not in dead)
+
+    def drop_programs(self) -> None:
+        """Forget the compiled programs; the next replay recompiles.
+
+        The exit snapshots stay: they depend only on the quantum items,
+        so child programs compiled from them remain valid.
+        """
+        self._program = self._dense_program = None
+        self._bsign_program = self._bdense_program = None
 
     def sign_program(self, state: StabilizerState,
                      parent: "TraceNode | None",
@@ -409,7 +551,7 @@ class TraceNode:
             else:
                 x = parent._exit_xz[0].copy()
                 z = parent._exit_xz[1].copy()
-            self._program = _compile_sign_node(self.items,
+            self._program = _compile_sign_node(self.live_items(),
                                                state.n_qubits, x, z,
                                                noise)
             self._exit_xz = (x, z)
@@ -443,7 +585,7 @@ class TraceNode:
                 busy = dict(parent._exit_busy)
                 windows = dict(parent._exit_windows)
             self._dense_program = _compile_dense_node(
-                self.items, qpu, busy, windows, fuse, ctx,
+                self.live_items(), qpu, busy, windows, fuse, ctx,
                 max_qubits=max_qubits)
             self._exit_busy = busy
             self._exit_windows = windows
@@ -492,7 +634,8 @@ class TraceNode:
             else:
                 windows = dict(parent._bexit_windows)
             self._bdense_program = _compile_batch_dense_node(
-                self.items, qpu, windows, fuse, max_qubits=max_qubits)
+                self.live_items(), qpu, windows, fuse,
+                max_qubits=max_qubits)
             self._bexit_windows = windows
             self._bdense_state = state
         return self._bdense_program
@@ -2245,9 +2388,10 @@ class TraceCache:
         control stack re-issued the prefix through the checkpoint
         proxy), so the walk passes through the existing prefix nodes —
         verifying their decisions — and extends the trie at the new
-        edge.  When an LRU bound is configured and the insertion
-        pushed the node count past it, the least-recently-used
-        subtrees are evicted.
+        edge.  A stream with classical entries then grows the live sets
+        along the path (:meth:`_grow_live`).  When an LRU bound is
+        configured and the insertion pushed the node count past it,
+        the least-recently-used subtrees are evicted.
         """
         self._tick += 1
         if self.root is None:
@@ -2258,6 +2402,9 @@ class TraceCache:
         items: list = []
         ops: list = []
         times: list = []
+        #: (node, newly recorded) from the root down.
+        path: list[tuple[TraceNode, bool]] = []
+        classical = False
 
         def flush_ops() -> None:
             if ops:
@@ -2268,6 +2415,7 @@ class TraceCache:
         def close_node(decision: tuple | None, outcome: int | None):
             nonlocal node, items
             flush_ops()
+            path.append((node, node.items is None))
             if node.items is None:
                 node.items = tuple(items)
                 node.decision = decision
@@ -2304,20 +2452,47 @@ class TraceCache:
             elif tag == REC_CLS:
                 flush_ops()
                 items.append((_I_CLS, entry[1], entry[2]))
+                classical = True
             elif tag == REC_FMR:
                 flush_ops()
                 items.append((_I_FMR, entry[1], entry[2], entry[3]))
+                classical = True
             elif tag == REC_DEC:
                 node = close_node((_D_BRANCH, entry[1], entry[2]),
                                   entry[3])
+                classical = True
             else:  # REC_MDEC
                 node = close_node((_D_MRCE, entry[1]), entry[2])
         leaf = close_node(None, None)
         assert leaf is None
         if node.total_ns == 0:
             node.total_ns = total_ns
+        if classical:
+            self._grow_live(path)
         if self.max_nodes is not None and self.nodes > self.max_nodes:
             self._evict()
+
+    def _grow_live(self, path: list) -> None:
+        """Grow the live sets along a just-recorded path, leaf to root.
+
+        A node's live set takes in its own branch's uses and the entry
+        set of the path's next node.  A node whose live set grows drops
+        its compiled programs: a branch recorded later can revive an op
+        that an earlier path left dead.  The walk stops at the first
+        node recorded before whose live set did not change — its
+        parent already covers what it needs on entry.  A path without
+        classical entries adds nothing and is never walked.
+        """
+        entry = None
+        for node, fresh in reversed(path):
+            live = _join(_join(node.live, _decision_uses(node.decision)),
+                         entry)
+            if live is not node.live:
+                node.live = live
+                node.drop_programs()
+            elif not fresh:
+                return
+            entry = _slice(node.items, live)[1]
 
     # -- LRU eviction ------------------------------------------------------
 

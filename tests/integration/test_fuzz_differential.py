@@ -1,9 +1,10 @@
 """Differential fuzzing of the shot-execution strategies.
 
 Hypothesis generates random control-flow programs — data-dependent
-branches, bounded retry loops, MRCE conditionals, active resets — and
-every execution strategy must agree **bit for bit** under a fixed
-seed:
+branches, bounded retry loops, MRCE conditionals, active resets, and
+classical accumulators that round-trip through shared memory into a
+guarded branch — and every execution strategy must agree **bit for
+bit** under a fixed seed:
 
 * simulation backends: ``statevector`` x ``stabilizer`` (the gate pool
   is Clifford-only, so both can represent every generated program and
@@ -26,6 +27,13 @@ replay loops (sign-trace, dense noise-site) and both batched loops
 funnel through it, so a disagreement between any two strategies
 points either at a hot-loop specialization or at the one shared
 tail.
+
+The accumulator segments are what the trace cache's decision slice
+(only the classical ops a recorded branch depends on are replayed)
+has to get right: an accumulator no branch reads is a dead chain, and
+one read only behind a data-dependent guard becomes live only once a
+path through the guard is recorded, after the ops it depends on were
+first compiled out.
 """
 
 from __future__ import annotations
@@ -44,6 +52,9 @@ GATES = ("h", "x", "s", "z", "y90", "cnot")
 
 N_QUBITS = 4
 SHOTS = 6
+
+#: Shared-memory word the accumulator segments round-trip through.
+ACCUMULATOR_ADDR = 9
 
 
 def pauli_noise() -> NoiseModel:
@@ -73,11 +84,15 @@ def control_flow_programs(draw):
     Segments chain gates with one feedback construct each: a
     measure + branch skip, an MRCE conditional, a *bounded* retry loop
     (measure until 0, at most three tries — a miniature RUS whose
-    decision paths fan out), or an active reset.  Every qubit is
-    measured at the end so histograms are comparable.
+    decision paths fan out), an active reset, or an accumulator fold:
+    the measured bit is XORed into ``r6``, which round-trips through
+    shared memory; a later fold may first branch on the accumulator,
+    guarded by its own bit so that only some paths read it.  Every
+    qubit is measured at the end so histograms are comparable.
     """
     builder = ProgramBuilder("fuzz")
     builder.ldi(7, 3)  # retry-loop bound
+    accumulated = False
     n_segments = draw(st.integers(1, 4))
     for segment in range(n_segments):
         for _ in range(draw(st.integers(0, 3))):
@@ -91,7 +106,7 @@ def control_flow_programs(draw):
             else:
                 builder.qop(gate, [draw(st.integers(0, N_QUBITS - 1))],
                             timing=2)
-        kind = draw(st.integers(0, 3))
+        kind = draw(st.integers(0, 4))
         qubit = draw(st.integers(0, N_QUBITS - 1))
         target = draw(st.integers(0, N_QUBITS - 1))
         if kind == 0:
@@ -115,8 +130,21 @@ def control_flow_programs(draw):
             builder.beq(1, 0, done)
             builder.blt(5, 7, retry)
             builder.label(done)
-        else:
+        elif kind == 3:
             builder.qop("reset", [qubit], timing=2)
+        else:
+            builder.qmeas(qubit, timing=2)
+            builder.fmr(1, qubit)
+            if accumulated and draw(st.booleans()):
+                over = builder.fresh_label(f"over{segment}")
+                builder.beq(1, 0, over)
+                builder.bne(6, 0, over)
+                builder.qop("x", [target], timing=2)
+                builder.label(over)
+            builder.xor(6, 6, 1)
+            builder.stm(6, ACCUMULATOR_ADDR)
+            builder.ldm(6, ACCUMULATOR_ADDR)
+            accumulated = True
     for qubit in range(N_QUBITS):
         builder.qmeas(qubit, timing=4)
     builder.halt()

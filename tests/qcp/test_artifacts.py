@@ -15,11 +15,14 @@ import os
 
 import pytest
 
+from repro.benchlib.steane import (N_QUBITS as STEANE_QUBITS,
+                                   build_shor_syndrome_program)
 from repro.isa.builder import ProgramBuilder
 from repro.qcp import ShotEngine, scalar_config
 from repro.qcp import artifacts as artifacts_mod
 from repro.qcp.artifacts import (ARTIFACT_SUFFIX, ArtifactCache,
                                  artifact_fingerprint, cache_key)
+from repro.qcp.tracecache import _I_CLS, _I_FMR, _S_CLS, _S_FMR
 from repro.qpu.noise import NoiseModel, PauliChannel, ReadoutError
 
 N_QUBITS = 3
@@ -51,13 +54,18 @@ def pauli_noise() -> NoiseModel:
                                            p1_given_0=0.04))
 
 
+def shor_program():
+    """The paper's Shor syndrome benchmark, one round, six cores."""
+    return build_shor_syndrome_program(rounds=1)
+
+
 def make_engine(tmp_path, backend="stabilizer", noise=None, program=None,
-                **config_changes):
+                n_qubits=N_QUBITS, n_processors=1, **config_changes):
     config = scalar_config(artifact_cache_dir=str(tmp_path),
                            **config_changes)
     return ShotEngine(program if program is not None else build_program(),
-                      config=config, backend=backend, n_qubits=N_QUBITS,
-                      noise=noise)
+                      config=config, backend=backend, n_qubits=n_qubits,
+                      n_processors=n_processors, noise=noise)
 
 
 def artifact_file(tmp_path) -> str:
@@ -90,19 +98,46 @@ def assert_cold_but_correct(tmp_path, reference, **kwargs):
 
 # -- the happy path -------------------------------------------------------
 
-@pytest.mark.parametrize("backend,noise_factory", [
-    ("stabilizer", None),
-    ("statevector", None),
-    ("stabilizer", pauli_noise),
-    ("statevector", pauli_noise),
+@pytest.mark.parametrize("backend,noise_factory,program_factory", [
+    pytest.param("stabilizer", None, build_program, id="stabilizer-None"),
+    pytest.param("statevector", None, build_program,
+                 id="statevector-None"),
+    pytest.param("stabilizer", pauli_noise, build_program,
+                 id="stabilizer-pauli_noise"),
+    pytest.param("statevector", pauli_noise, build_program,
+                 id="statevector-pauli_noise"),
+    pytest.param("stabilizer", None, shor_program, id="stabilizer-shor"),
 ])
-def test_warm_start_bit_identical(tmp_path, backend, noise_factory):
+def test_warm_start_bit_identical(tmp_path, backend, noise_factory,
+                                  program_factory):
     noise = noise_factory() if noise_factory else None
-    reference = populate(tmp_path, backend=backend, noise=noise)
+    shape = ({"n_qubits": STEANE_QUBITS, "n_processors": 6}
+             if program_factory is shor_program else {})
+    reference = populate(tmp_path, backend=backend, noise=noise,
+                         program=program_factory(), **shape)
     warm = make_engine(tmp_path, backend=backend,
-                       noise=noise_factory() if noise_factory else None)
+                       noise=noise_factory() if noise_factory else None,
+                       program=program_factory(), **shape)
     assert warm.artifacts.warm_loads == 1
     assert warm.trace_cache.root is not None
+    # The persisted sign programs replay exactly the decision slice
+    # of the live sets the load computed.
+    codes = []
+    stack = [warm.trace_cache.root]
+    while stack:
+        node = stack.pop()
+        stack.extend(node.children.values())
+        if node._program is None:
+            continue
+        replayed = [op for op in node._program
+                    if op[0] in (_S_CLS, _S_FMR)]
+        live = [item for item in node.live_items()
+                if item[0] in (_I_CLS, _I_FMR)]
+        assert [op[1:] for op in replayed] == [item[1:] for item in live]
+        codes += [op[0] for op in replayed]
+    if program_factory is shor_program:
+        # Only the six verification fetches feed a branch.
+        assert (codes.count(_S_CLS), codes.count(_S_FMR)) == (0, 6)
     result = warm.run(SHOTS)
     assert result.counts == reference.counts
     assert result.total_ns == reference.total_ns

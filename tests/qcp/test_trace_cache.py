@@ -17,6 +17,8 @@ from repro.compiler import compile_circuit
 from repro.isa.builder import ProgramBuilder
 from repro.qcp import (QCPConfig, ShotEngine, TraceCache, scalar_config,
                        superscalar_config)
+from repro.qcp.decode import K_CLASSICAL
+from repro.qcp.tracecache import _I_CLS, _S_CLS, _S_FMR
 from repro.qpu import PRNGQPU
 
 #: Clifford-only gate pool so every generated program runs on both
@@ -194,3 +196,162 @@ class TestSteaneWorkload:
         # substrate, so every shot shares one decision path.
         assert cache.misses == 1
         assert cache.hits == 11
+
+
+def path_nodes(cache):
+    """Every recorded node of the trie, root first."""
+    nodes, stack = [], [cache.root]
+    while stack:
+        node = stack.pop()
+        if node is not None and node.items is not None:
+            nodes.append(node)
+            stack.extend(node.children.values())
+    return nodes
+
+
+def classical_ops(node):
+    """(``_S_CLS``, ``_S_FMR``) op counts of a node's sign program."""
+    codes = [op[0] for op in node._program]
+    return codes.count(_S_CLS), codes.count(_S_FMR)
+
+
+def revival_program():
+    """A shared word that only the second side of a coin flip reads.
+
+    Block ``store`` measures a fair coin ``v`` on q0 and ``stm``s it.
+    Block ``decide`` flips a second coin on q1; on its 1 side it
+    ``ldm``s ``v`` and branches on it (applying X to q2 when set), on
+    its 0 side nothing reads the shared word.  The ``stm`` is dead on
+    the 0 side and live on the 1 side.
+    """
+    builder = ProgramBuilder("revival")
+    with builder.block("store", priority=0):
+        builder.qop("h", [0], timing=2)
+        builder.qmeas(0, timing=2)
+        builder.fmr(1, 0)
+        builder.stm(1, 0)
+        builder.halt()
+    with builder.block("decide", priority=1):
+        builder.qop("h", [1], timing=2)
+        builder.qmeas(1, timing=2)
+        builder.fmr(2, 1)
+        builder.beq(2, 0, "done")
+        builder.ldm(3, 0)
+        builder.beq(3, 0, "done")
+        builder.qop("x", [2], timing=2)
+        builder.label("done")
+        builder.qmeas(2, timing=2)
+        builder.halt()
+    return builder.build()
+
+
+def opaque_program():
+    """Two branches; the op between them is made opaque by the test.
+
+    ``ldi r4, 5`` above the first branch and ``ldi r4, 7`` below the
+    second are dead (nothing reads r4); ``addi r6, r6, 1`` between the
+    branches is dead too, but the test strips its def/use sets.
+    """
+    builder = ProgramBuilder("opaque")
+    builder.ldi(4, 5)
+    builder.qop("h", [0], timing=2)
+    builder.qmeas(0, timing=2)
+    builder.fmr(1, 0)
+    builder.beq(1, 0, "skip")
+    builder.qop("x", [1], timing=2)
+    builder.label("skip")
+    builder.qop("h", [2], timing=2)
+    builder.qmeas(2, timing=2)
+    builder.fmr(2, 2)
+    builder.addi(6, 6, 1)
+    builder.beq(2, 0, "end")
+    builder.ldi(4, 7)
+    builder.label("end")
+    builder.qmeas(1, timing=2)
+    builder.halt()
+    return builder.build()
+
+
+class TestDecisionSlice:
+    """Replay runs only the classical ops a recorded branch reads."""
+
+    def test_shor_path_replays_only_verification_fetches(self):
+        from repro.benchlib.steane import (N_QUBITS,
+                                           build_shor_syndrome_program)
+        engine = ShotEngine(build_shor_syndrome_program(rounds=3),
+                            backend="stabilizer", n_processors=6,
+                            n_qubits=N_QUBITS)
+        engine.run(300)
+        cache = engine.trace_cache
+        assert (cache.hits, cache.misses) == (299, 1)
+        counts = [classical_ops(node) for node in path_nodes(cache)]
+        # 146 parity/vote/report ops and 72 syndrome fetches are dead:
+        # only the 18 verification fetches feed a branch.
+        assert sum(cls for cls, _ in counts) == 0
+        assert sum(fmr for _, fmr in counts) == 18
+
+    @pytest.mark.parametrize("backend", ["stabilizer", "statevector"])
+    def test_later_branch_revives_dead_store(self, backend):
+        program = revival_program()
+        kwargs = dict(backend=backend, n_processors=2, n_qubits=3)
+        uncached = ShotEngine(program, config=QCPConfig(trace_cache=False),
+                              **kwargs)
+        outcomes = [uncached.run_shot(seed)[0] for seed in range(64)]
+        # Start on a shot whose second coin is 0, so the path that
+        # leaves the stored word dead is recorded (and compiled) first.
+        start = next(seed for seed, bits in enumerate(outcomes)
+                     if bits[1] == 0)
+        stop = start + 40
+        window = outcomes[start:stop]
+        paths = {(bits[1], bits[0] if bits[1] else None)
+                 for bits in window}
+        assert len(paths) == 3  # both edges of the ldm branch recorded
+        reference = uncached.run_range(start, stop)
+        for changes in ({"trace_cache_batch": False},
+                        {"trace_cache_batch_width": 4}):
+            engine = ShotEngine(program, config=QCPConfig(**changes),
+                                **kwargs)
+            result = engine.run_range(start, stop)
+            assert result.counts == reference.counts, changes
+            assert result.total_ns == reference.total_ns, changes
+            assert engine.trace_cache.misses == len(paths), changes
+
+    def test_item_without_def_use_sets_fails_closed(self):
+        program = opaque_program()
+        uncached = ShotEngine(program, config=QCPConfig(trace_cache=False),
+                              backend="stabilizer", n_qubits=3)
+        reference = uncached.run(24)
+        for changes in ({"trace_cache_batch": False}, {}):
+            engine = ShotEngine(program, config=QCPConfig(**changes),
+                                backend="stabilizer", n_qubits=3)
+            decoded = engine.memory._decoded
+            pc = next(pc for pc, instr in enumerate(program.instructions)
+                      if instr.opcode.name == "ADDI")
+            kind, instr, (run, hoistable, eclass) = decoded[pc]
+            assert kind == K_CLASSICAL
+
+            def opaque(proc, run=run):
+                return run(proc)
+            decoded[pc] = (kind, instr, (opaque, hoistable, eclass))
+            result = engine.run(24)
+            assert result.counts == reference.counts
+            assert result.total_ns == reference.total_ns
+            root = engine.trace_cache.root
+            children = [node for node in root.children.values()
+                        if node.items is not None]
+            grandchildren = [node for child in children
+                             for node in child.children.values()
+                             if node.items is not None]
+            assert len(children) == 2 and len(grandchildren) == 4
+            # At and above the opaque op everything stays: the dead
+            # ldi above it and the opaque op itself.
+            assert classical_ops(root) == (1, 1)
+            for child in children:
+                assert classical_ops(child) == (1, 1)
+                assert any(item[0] == _I_CLS and item[2] is opaque
+                           for item in child.live_items())
+            # Below it the slice still prunes the dead ldi.
+            assert all(classical_ops(node) == (0, 0)
+                       for node in grandchildren)
+            assert any(item[0] == _I_CLS for node in grandchildren
+                       for item in node.items)
