@@ -177,15 +177,14 @@ import numpy as np
 
 from repro.circuit.gates import lookup_gate
 from repro.qcp.config import QCPConfig
-from repro.qcp.decode import LOC_REG
+from repro.qcp.decode import LOC_REG, LOC_SHARED
 from repro.qcp.registers import RegisterFile, SharedRegisters
 from repro.qpu.backend import SimulationBackend
 from repro.qpu.device import SimulatedQPU
 from repro.qpu.noise import NOISE_SEED_SALT, NoiseModel
 from repro.qpu.stabilizer import (SignBitPlanes, StabilizerState,
                                   _CLIFFORD_DECOMPOSITIONS,
-                                  _TWO_QUBIT_DECOMPOSITIONS,
-                                  pack_shot_mask)
+                                  _TWO_QUBIT_DECOMPOSITIONS)
 from repro.qpu.statevector import (BatchStateVector, FUSE_MAX_QUBITS,
                                    StateVector, _lift,
                                    batch_block_applier, cached_unitary,
@@ -294,16 +293,161 @@ class _ReplayProcessor:
         self.config = config
         self.pc = 0
 
+    def load(self, location: tuple, value: int) -> None:
+        """Set a live-set location (:func:`_located`): a shared word,
+        or a register of this facade whichever processor owns it."""
+        if location[0] == LOC_SHARED:
+            self.shared.write(location[1], value)
+        else:
+            self.registers.write(location[1], value)
+
+    def value(self, location: tuple) -> int:
+        """Read a live-set location back (see :meth:`load`)."""
+        if location[0] == LOC_SHARED:
+            return self.shared.read(location[1])
+        return self.registers.read(location[1])
+
+
+class _CohortState:
+    """The classical state of a bit-plane cohort, as value partitions.
+
+    ``partitions[location]`` maps each value the location holds in
+    some lane to the mask of the lanes holding it (bit ``slot`` per
+    shot).  Locations are keyed like the decision slice's live sets
+    (:func:`_located`); a location never written holds 0 in every
+    lane.  No micro-op reads the zero register as a location: the
+    scratch facade reads it as 0.  Sub-cohorts share one state through
+    masked writes, as they share the delivered-outcome words, so a
+    split copies nothing.
+
+    Micro-ops run through :meth:`execute` and :meth:`branch`: the
+    recorded closure runs once per distinct combination of its input
+    values present in the cohort, on one reused scratch facade, and
+    the lanes are grouped by its result.  Nothing here draws an rng.
+    """
+
+    __slots__ = ("lanes", "partitions", "scratch")
+
+    def __init__(self, lanes: int, config: QCPConfig) -> None:
+        #: Every lane of the cohort (the initial wavefront).
+        self.lanes = lanes
+        self.partitions: dict[tuple, dict[int, int]] = {}
+        self.scratch = _ReplayProcessor(SharedRegisters(), config)
+
+    def read(self, location: tuple, lanes: int) -> dict[int, int]:
+        """``location``'s value partition restricted to ``lanes``."""
+        partition = self.partitions.get(location)
+        if partition is None:
+            return {0: lanes}
+        restricted = {}
+        for value, mask in partition.items():
+            mask &= lanes
+            if mask:
+                restricted[value] = mask
+        return restricted
+
+    def write(self, location: tuple, partition: dict[int, int],
+              lanes: int) -> None:
+        """Masked write: ``partition`` (disjoint masks covering
+        ``lanes``) replaces ``location``'s values in ``lanes``; every
+        other lane keeps its value."""
+        old = self.partitions.get(location)
+        if old is None:
+            old = {0: self.lanes}
+        keep = ~lanes
+        merged = {}
+        for value, mask in old.items():
+            mask &= keep
+            if mask:
+                merged[value] = mask
+        for value, mask in partition.items():
+            if mask:
+                merged[value] = merged.get(value, 0) | mask
+        self.partitions[location] = merged
+
+    def combinations(self, locations: tuple, lanes: int) -> list:
+        """The distinct value combinations of ``locations`` in
+        ``lanes``: ``[(values, mask)]`` with disjoint masks covering
+        ``lanes``.
+
+        Each location refines the combinations so far by its values.
+        A combination stops refining once its lanes are used up; when
+        both sides are many-valued, one pass over the lanes replaces
+        the pairwise masks, so the work never exceeds the lane count
+        per location.
+        """
+        combos = [((), lanes)]
+        for location in locations:
+            partition = self.read(location, lanes)
+            refined = []
+            if len(combos) * len(partition) <= lanes.bit_count():
+                for values, mask in combos:
+                    for value, value_mask in partition.items():
+                        both = mask & value_mask
+                        if both:
+                            refined.append((values + (value,), both))
+                            mask ^= both
+                            if not mask:
+                                break
+            else:
+                owner = {}
+                for value, value_mask in partition.items():
+                    while value_mask:
+                        lane = value_mask & -value_mask
+                        owner[lane] = value
+                        value_mask ^= lane
+                for values, mask in combos:
+                    groups: dict[int, int] = {}
+                    while mask:
+                        lane = mask & -mask
+                        value = owner[lane]
+                        groups[value] = groups.get(value, 0) | lane
+                        mask ^= lane
+                    refined.extend((values + (value,), group)
+                                   for value, group in groups.items())
+            combos = refined
+        return combos
+
+    def _evaluate(self, run, uses: tuple, lanes: int):
+        """Run ``run`` once per input combination on the scratch
+        facade; yield its disposition and the combination's lanes."""
+        scratch = self.scratch
+        for values, mask in self.combinations(uses, lanes):
+            for location, value in zip(uses, values):
+                scratch.load(location, value)
+            yield run(scratch)[0], mask
+
+    def execute(self, run, defs: tuple, uses: tuple, lanes: int) -> None:
+        """Replay a classical micro-op over the cohort's ``lanes``."""
+        results: list[dict[int, int]] = [{} for _ in defs]
+        value = self.scratch.value
+        for _disposition, mask in self._evaluate(run, uses, lanes):
+            for partition, location in zip(results, defs):
+                result = value(location)
+                partition[result] = partition.get(result, 0) | mask
+        for location, partition in zip(defs, results):
+            self.write(location, partition, lanes)
+
+    def branch(self, run, uses: tuple, lanes: int) -> int:
+        """The lanes in which a recorded branch micro-op is taken."""
+        taken = 0
+        for disposition, mask in self._evaluate(run, uses, lanes):
+            if disposition == "taken":
+                taken |= mask
+        return taken
+
 
 class _ReplayContext:
-    """Per-shot classical replay state, shared by every replay mode.
+    """Per-shot classical replay state of the serial loops and the
+    dense cohort loop.
 
-    Owns the pieces every replay loop needs — the delivered-outcome
-    map, the chronological outcome list, the skipped-devop count, and
-    the lazily created per-processor register facades over one shared
-    register file — so the decide/hit/resume epilogue
-    (:meth:`TraceCache._epilogue`) is written once against this object
-    instead of once per mode.
+    Owns the pieces those loops need — the delivered-outcome map, the
+    chronological outcome list, the skipped-devop count, and the
+    lazily created per-processor register facades over one shared
+    register file — so a shot's decision (:func:`_decide`) and the
+    serial decide/hit/resume epilogue (:meth:`TraceCache._epilogue`)
+    are written once against this object.  Sign cohorts keep no
+    per-shot context: their classical state is a :class:`_CohortState`.
     """
 
     __slots__ = ("config", "delivered", "outcomes", "skip_ops",
@@ -352,6 +496,18 @@ class _ReplayContext:
         """Record one live measurement outcome."""
         self.delivered[qubit] = value
         self.outcomes.append(value)
+
+
+def _decide(decision: tuple, ctx: _ReplayContext) -> int:
+    """The edge one shot takes at a recorded decision.
+
+    A data-dependent branch re-runs its compiled micro-op on the shot's
+    register facade (1 when taken); an MRCE resolution reads the shot's
+    delivered bit.
+    """
+    if decision[0] == _D_BRANCH:
+        return 1 if decision[2](ctx.proc(decision[1]))[0] == "taken" else 0
+    return ctx.delivered[decision[1]]
 
 
 def _located(proc_id: int, locations: tuple) -> list:
@@ -594,7 +750,7 @@ class TraceNode:
 
     def batch_sign_program(self, state: StabilizerState,
                            parent: "TraceNode | None",
-                           noise: NoiseModel) -> list:
+                           noise: NoiseModel) -> tuple:
         """The sign trace re-expressed for bit-plane cohorts.
 
         Derived from :meth:`sign_program` (compiling it on demand, so
@@ -602,12 +758,13 @@ class TraceNode:
         place): every packed integer mask becomes an array of tableau
         row indices, turning each serial integer XOR into one
         vectorised XOR over the cohort's bit-plane rows.  Returns
-        ``(batched_ops, measured_qubits)`` — see
-        :func:`_batch_sign_ops`.
+        ``(batched_ops, measured_qubits, branch_uses)`` — see
+        :func:`_batch_sign_ops`, which raises :class:`_UnbatchableNode`
+        when a micro-op has no def/use sets.
         """
         serial = self.sign_program(state, parent, noise)
         if self._bsign_program is None or self._bsign_state is not state:
-            self._bsign_program = _batch_sign_ops(serial)
+            self._bsign_program = _batch_sign_ops(serial, self.decision)
             self._bsign_state = state
         return self._bsign_program
 
@@ -865,19 +1022,42 @@ def _mask_rows(mask: int) -> np.ndarray:
     return np.array(rows, dtype=np.intp)
 
 
-def _batch_sign_ops(program: list) -> tuple:
+def _cohort_effects(proc_id: int, run) -> tuple:
+    """A micro-op's ``(defs, uses)`` as cohort-state locations.
+
+    Raises :class:`_UnbatchableNode` for a micro-op without def/use
+    sets: a cohort cannot tell which values it reads, so the cohort
+    goes to the serial loop (fail closed).
+    """
+    effects = getattr(run, "effects", None)
+    if effects is None:
+        raise _UnbatchableNode("classical micro-op without def/use sets")
+    # An op reading one register twice (``add r6, r6, r6``) has one
+    # input, not a combination of two.
+    return (tuple(dict.fromkeys(_located(proc_id, effects[0]))),
+            tuple(dict.fromkeys(_located(proc_id, effects[1]))))
+
+
+def _batch_sign_ops(program: list, decision: tuple | None) -> tuple:
     """Re-express a compiled sign trace for bit-plane execution.
 
     Structure and op order are identical to the serial program — only
     the integer masks become row-index arrays (and the CHP ``g`` phase
     collapses to its parity bit), so the batched loop mirrors the
-    serial loop op for op and draw for draw.  Returns
-    ``(batched_ops, measured_qubits)``: the second element is the
-    segment's measurement manifest in program order, which the
-    wavefront accumulates along its path so a completed shot can
-    materialize its delivered map from the cohort-level outcome words
-    in one pass.
+    serial loop op for op and draw for draw.  Classical ops carry
+    their locations for the cohort's :class:`_CohortState`: a
+    ``_S_CLS`` becomes ``(_S_CLS, run, defs, uses)`` and a ``_S_FMR``
+    ``(_S_FMR, register, qubit)``.  Returns ``(batched_ops,
+    measured_qubits, branch_uses)``: the segment's measurement
+    manifest in program order, which the wavefront accumulates along
+    its path so a completed shot can materialize its delivered map
+    from the cohort-level outcome words in one pass, and the
+    locations the node's branch decision reads (``None`` for an MRCE
+    or a leaf).
     """
+    branch_uses = None
+    if decision is not None and decision[0] == _D_BRANCH:
+        branch_uses = _cohort_effects(decision[1], decision[2])[1]
     batched: list = []
     measured: list = []
     for op in program:
@@ -905,9 +1085,11 @@ def _batch_sign_ops(program: list) -> tuple:
             rows = tuple(tuple(_mask_rows(mask) for mask in qubit_masks)
                          for qubit_masks in masks)
             batched.append((_S_NOISE, dep_p, rows, pauli_cum))
-        else:  # _S_CLS / _S_FMR — classical, already shot-indexed
-            batched.append(op)
-    return batched, tuple(measured)
+        elif code == _S_CLS:
+            batched.append((_S_CLS, op[2]) + _cohort_effects(op[1], op[2]))
+        else:  # _S_FMR
+            batched.append((_S_FMR, (op[1], op[2]), op[3]))
+    return batched, tuple(measured), branch_uses
 
 
 def _word_int(words) -> int:
@@ -925,34 +1107,6 @@ def _int_words(value: int, words: int) -> np.ndarray:
         out[index] = value & 0xFFFFFFFFFFFFFFFF
         value >>= 64
     return out
-
-
-class _BitPlaneDelivered:
-    """Per-shot view over the cohort-level delivered-outcome words.
-
-    The batched sign replay records measurement outcomes as one
-    arbitrary-precision integer per qubit (bit ``b`` is shot ``b``'s
-    latest outcome) instead of touching every shot's dict on every
-    measurement.  This view makes those words look like the per-shot
-    ``delivered`` mapping the shared epilogue reads — an MRCE decision
-    or an FMR register write costs one shift-and-mask — and
-    ``snapshot`` materializes the real dict once, when the shot
-    completes at a leaf.
-    """
-
-    __slots__ = ("words", "slot")
-
-    def __init__(self, words: dict, slot: int) -> None:
-        self.words = words
-        self.slot = slot
-
-    def __getitem__(self, qubit: int) -> int:
-        return (self.words[qubit] >> self.slot) & 1
-
-    def snapshot(self, measured: tuple) -> dict:
-        slot = self.slot
-        words = self.words
-        return {qubit: (words[qubit] >> slot) & 1 for qubit in measured}
 
 
 class _DenseBlockCompiler:
@@ -1792,32 +1946,27 @@ class TraceCache:
 
     def _epilogue(self, node: TraceNode,
                   ctx: _ReplayContext) -> "TraceNode | object | None":
-        """The shared decide/hit/resume tail of every replay mode.
+        """The shared decide/hit/resume tail of both serial loops.
 
         Re-computes the node's recorded decision from this shot's own
-        state — a data-dependent branch re-runs its compiled micro-op
-        on the register facade, an MRCE resolution reads the delivered
-        bit — and returns the child :class:`TraceNode` to continue
-        into, the :data:`_HIT` sentinel when the shot completed at a
-        recorded leaf (hit counted here), or ``None`` on a trie miss:
-        the caller materializes its mode-specific frontier (sign
-        replay restores the tableau, noise-site replay restores the
-        device bookkeeping) and returns :meth:`_resume_point`.
+        state (:func:`_decide`) and returns the child
+        :class:`TraceNode` to continue into, the :data:`_HIT` sentinel
+        when the shot completed at a recorded leaf (hit counted here),
+        or ``None`` on a trie miss: the caller materializes its
+        mode-specific frontier (sign replay restores the tableau,
+        noise-site replay restores the device bookkeeping) and returns
+        :meth:`_resume_point`.
 
-        This epilogue is the correctness-critical part every replay
-        loop must agree on; keeping it in one place is what the
+        This epilogue and its cohort counterpart
+        (:meth:`_split_cohort`) are the only places a replay selects
+        an edge; keeping them in one place each is what the
         differential fuzzing suite leans on.
         """
         decision = node.decision
         if decision is None:
             self.hits += 1
             return _HIT
-        if decision[0] == _D_BRANCH:
-            outcome = (1 if decision[2](ctx.proc(decision[1]))[0]
-                       == "taken" else 0)
-        else:  # _D_MRCE
-            outcome = ctx.delivered[decision[1]]
-        child = node.children.get(outcome)
+        child = node.children.get(_decide(decision, ctx))
         if child is None or child.items is None:
             return None
         return child
@@ -1982,20 +2131,21 @@ class TraceCache:
 
         The trie is traversed as a **wavefront**: every compiled
         segment executes once for all live shots — bit-plane XORs on
-        stabilizer substrates, batch GEMMs on dense ones — and each
-        decision is drawn per shot from its own seeded rngs (the exact
-        streams ``qpu.restart(seed)`` would produce), partitioning the
-        cohort across child edges.  Returns a list aligned with
-        ``seeds``: ``(last result per qubit, total ns)`` for each shot
-        a wavefront completed at a recorded leaf — bit-identical per
-        shot-seed to :meth:`replay` — and ``None`` for shots that left
-        the cached trie or hit an unbatchable segment; the caller runs
-        those through the serial per-shot path, which records new
-        paths as usual.  Returns ``None`` (no list) when this
-        substrate/noise/config combination has no batch kernel at all,
-        so the caller can stop attempting batches.  The live QPU's
-        state and rngs are never touched — cohorts carry their own —
-        but its per-shot logs are cleared, as any serial replay would.
+        stabilizer substrates, batch GEMMs on dense ones — while every
+        shot draws its own seeded rngs (the exact streams
+        ``qpu.restart(seed)`` would produce), and each decision
+        partitions the cohort across child edges.  Returns a list
+        aligned with ``seeds``: ``(last result per qubit, total ns)``
+        for each shot a wavefront completed at a recorded leaf —
+        bit-identical per shot-seed to :meth:`replay` — and ``None``
+        for shots that left the cached trie or hit an unbatchable
+        segment; the caller runs those through the serial per-shot
+        path, which records new paths as usual.  Returns ``None`` (no
+        list) when this substrate/noise/config combination has no
+        batch kernel at all, so the caller can stop attempting
+        batches.  The live QPU's state and rngs are never touched —
+        cohorts carry their own — but its per-shot logs are cleared,
+        as any serial replay would.
         """
         if not self.batchable:
             return None
@@ -2014,54 +2164,41 @@ class TraceCache:
             return self._replay_batch_signs(node, qpu, seeds, results)
         return self._replay_batch_dense(node, qpu, seeds, results)
 
-    def _epilogue_batch(self, node: TraceNode, slots: list, ctxs: list,
-                        results: list, measured: tuple | None = None
-                        ) -> dict:
-        """The shared decide/hit/fallback tail of the batched modes.
+    def _split_cohort(self, node: TraceNode, slots: list, lanes: int,
+                      taken: int) -> list:
+        """Partition a cohort across its node's decision edges.
 
-        Runs the serial :meth:`_epilogue` once per live shot — same
-        compiled micro-op re-run, same delivered-bit lookup, same
-        child selection and hit counting — and partitions the cohort
-        by the resulting edge.  Completed shots write their result
-        into ``results`` (counted in ``batched_shots``); shots whose
-        decisions leave the cached trie are left as ``None`` for the
-        serial fallback (counted in ``serial_fallbacks``); a cohort
-        that divides across continuations counts ``wavefront_splits``.
-        ``measured`` is the sign mode's path measurement manifest:
-        when given, each completed shot's delivered map is
-        materialized from the cohort outcome words
-        (:meth:`_BitPlaneDelivered.snapshot`); when ``None`` (dense
-        mode) the per-shot context already owns a real dict.  Returns
-        ``{id(child): (child, rows)}`` for the surviving
-        sub-wavefronts (``rows`` index into ``slots``/``ctxs``).
+        The one edge selection of both batched loops.  ``lanes`` is
+        the cohort's lane mask (bit ``slot`` for each shot in
+        ``slots``) and ``taken`` the lanes whose decision took edge 1.
+        Lanes whose edge leads off the cached trie stay ``None`` for
+        the serial fallback (counted in ``serial_fallbacks``); a
+        cohort that divides across continuations counts
+        ``wavefront_splits``.  Returns ``[(child, rows, child_lanes)]``
+        for the surviving sub-cohorts in push order — the edge of the
+        cohort's first slot first — with ``rows`` indexing ``slots``.
         """
-        groups: dict[int, tuple[TraceNode, list[int]]] = {}
+        edges = []
         fallback = 0
-        completed = 0
-        for row, slot in enumerate(slots):
-            nxt = self._epilogue(node, ctxs[row])
-            if nxt is _HIT:
-                # Per-shot contexts are never reused, so the delivered
-                # map can be handed out without a copy.
-                delivered = ctxs[row].delivered
-                if measured is not None:
-                    delivered = delivered.snapshot(measured)
-                results[slot] = (delivered, node.total_ns)
-                self.batched_shots += 1
-                completed += 1
-            elif nxt is None:
-                fallback += 1
+        first = (taken >> slots[0]) & 1
+        for outcome in (first, first ^ 1):
+            mask = taken if outcome else lanes & ~taken
+            if not mask:
+                continue
+            child = node.children.get(outcome)
+            if child is None or child.items is None:
+                fallback += mask.bit_count()
+            elif mask == lanes:
+                edges.append((child, range(len(slots)), mask))
             else:
-                entry = groups.get(id(nxt))
-                if entry is None:
-                    entry = groups[id(nxt)] = (nxt, [])
-                entry[1].append(row)
+                edges.append((child,
+                              [row for row, slot in enumerate(slots)
+                               if (mask >> slot) & 1], mask))
         self.serial_fallbacks += fallback
-        parts = (len(groups) + (1 if fallback else 0)
-                 + (1 if completed else 0))
+        parts = len(edges) + (1 if fallback else 0)
         if parts > 1:
             self.wavefront_splits += parts - 1
-        return groups
+        return edges
 
     def _replay_batch_signs(self, root: TraceNode, qpu: SimulatedQPU,
                             seeds: list, results: list) -> list:
@@ -2078,14 +2215,17 @@ class TraceCache:
         a decision keep sharing the plane array through disjoint
         cohort masks.
 
-        Two wavefront fast paths keep the per-shot Python work off
-        the common QEC shape (measure, MRCE-reset, repeat): a leaf
-        completes its whole cohort in one pass over the delivered
-        words, and an MRCE decision whose outcome word is uniform
-        across the cohort (all 0 or all 1 — no split) resolves the
-        edge once via the shared epilogue instead of once per shot.
-        Per-shot classical contexts are created lazily — a path with
-        no classical ops and no split decisions never builds one.
+        Everything classical is decided once per cohort, not once per
+        shot.  Delivered outcomes are one lane word per qubit, and the
+        registers and shared words are value partitions
+        (:class:`_CohortState`).  A fetch writes its qubit's outcome
+        word; a classical op or branch runs its recorded closure once
+        per distinct input combination present; an MRCE decision reads
+        the outcome word.  Each decision so yields a taken-lane mask
+        for :meth:`_split_cohort`.  A micro-op without def/use sets
+        hands the whole cohort to the serial loop (fail closed).  A
+        leaf completes its whole cohort in one pass over the delivered
+        words.
         """
         state: StabilizerState = qpu.state
         noise = qpu.noise
@@ -2101,33 +2241,25 @@ class TraceCache:
                   for seed in seeds]
                  if readout is not None or not noise.is_ideal else None)
         # Measurement outcomes live in one arbitrary-precision integer
-        # per qubit (bit b = shot b's latest outcome); per-shot
-        # contexts read them through a shift-and-mask view instead of
-        # paying a dict write per shot per measurement.
+        # per qubit (bit b = shot b's latest outcome).
         delivered_words: dict[int, int] = {}
-        all_ctxs: list = [None] * width
-        config = self.config
-
-        def ctx_for(slot: int) -> _ReplayContext:
-            ctx = all_ctxs[slot]
-            if ctx is None:
-                ctx = all_ctxs[slot] = _ReplayContext(config)
-                ctx.delivered = _BitPlaneDelivered(delivered_words,
-                                                   slot)
-            return ctx
-
+        everyone = (1 << width) - 1
+        classical = _CohortState(everyone, self.config)
         stack: list[tuple] = [(root, None, list(range(width)), (),
-                               None, 0)]
+                               None, everyone)]
         while stack:
             node, parent, slots, measured, cmask, cmask_int = stack.pop()
             self._touch(node)
             if cmask is None:
                 # Only freshly partitioned sub-cohorts repack; an
                 # unsplit wavefront carries its mask down the path.
-                cmask = pack_shot_mask(slots, width)
-                cmask_int = _word_int(cmask)
-            ops, node_measured = node.batch_sign_program(state, parent,
-                                                         noise)
+                cmask = _int_words(cmask_int, words)
+            try:
+                ops, node_measured, branch_uses = \
+                    node.batch_sign_program(state, parent, noise)
+            except _UnbatchableNode:
+                self.serial_fallbacks += len(slots)
+                continue
             for qubit in node_measured:
                 if qubit not in measured:
                     measured = measured + (qubit,)
@@ -2252,11 +2384,11 @@ class TraceCache:
                         srngs[slot].random()
                     planes.xor_rows(z_idx, out_bits & cmask)
                 elif code == _S_CLS:
-                    for slot in slots:
-                        op[2](ctx_for(slot).proc(op[1]))
+                    classical.execute(op[1], op[2], op[3], cmask_int)
                 else:  # _S_FMR
-                    for slot in slots:
-                        ctx_for(slot).write_fmr(op[1], op[2], op[3])
+                    word = delivered_words[op[2]] & cmask_int
+                    classical.write(op[1], {1: word, 0: cmask_int ^ word},
+                                    cmask_int)
             decision = node.decision
             if decision is None:
                 # Leaf fast path: the whole cohort completes here —
@@ -2307,30 +2439,19 @@ class TraceCache:
                 self.batched_shots += live
                 continue
             if decision[0] == _D_MRCE:
-                word = delivered_words[decision[1]] & cmask_int
-                if word == 0 or word == cmask_int:
-                    # Uniform MRCE outcome: no split — resolve the
-                    # edge once through the shared epilogue and carry
-                    # the whole cohort (or drop it all to the serial
-                    # fallback at an unexplored edge).
-                    nxt = self._epilogue(node, ctx_for(slots[0]))
-                    if nxt is None:
-                        self.serial_fallbacks += len(slots)
-                    else:
-                        stack.append((nxt, node, slots, measured,
-                                      cmask, cmask_int))
-                    continue
-            ctxs = [ctx_for(slot) for slot in slots]
-            groups = self._epilogue_batch(node, slots, ctxs, results,
-                                          measured)
-            for child, rows_idx in groups.values():
-                if len(rows_idx) == len(slots):
+                taken = delivered_words[decision[1]] & cmask_int
+            else:
+                taken = classical.branch(decision[2], branch_uses,
+                                         cmask_int)
+            for child, rows, lanes in self._split_cohort(
+                    node, slots, cmask_int, taken):
+                if lanes == cmask_int:
                     stack.append((child, node, slots, measured,
                                   cmask, cmask_int))
                 else:
                     stack.append((child, node,
-                                  [slots[r] for r in rows_idx],
-                                  measured, None, 0))
+                                  [slots[row] for row in rows],
+                                  measured, None, lanes))
         return results
 
     def _replay_batch_dense(self, root: TraceNode, qpu: SimulatedQPU,
@@ -2373,9 +2494,22 @@ class TraceCache:
                 continue
             for step in program:
                 step(cohort)
-            groups = self._epilogue_batch(node, cohort.slots,
-                                          cohort.ctxs, results)
-            for child, rows in groups.values():
+            decision = node.decision
+            if decision is None:
+                # Per-shot contexts are never reused, so the delivered
+                # maps can be handed out without a copy.
+                for slot, ctx in zip(cohort.slots, cohort.ctxs):
+                    results[slot] = (ctx.delivered, node.total_ns)
+                self.hits += len(cohort.slots)
+                self.batched_shots += len(cohort.slots)
+                continue
+            lanes = taken = 0
+            for slot, ctx in zip(cohort.slots, cohort.ctxs):
+                lanes |= 1 << slot
+                if _decide(decision, ctx):
+                    taken |= 1 << slot
+            for child, rows, _lanes in self._split_cohort(
+                    node, cohort.slots, lanes, taken):
                 stack.append((child, node, cohort.take(rows)))
         return results
 

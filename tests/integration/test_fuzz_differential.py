@@ -21,19 +21,26 @@ bit** under a fixed seed:
   replay loop, at cohort widths that split at every decision and
   widths larger than the shot count.
 
-This is the suite guarding the shared decide/hit/resume epilogue
-(:meth:`repro.qcp.tracecache.TraceCache._epilogue`): both serial
-replay loops (sign-trace, dense noise-site) and both batched loops
-funnel through it, so a disagreement between any two strategies
-points either at a hot-loop specialization or at the one shared
-tail.
+This is the suite guarding edge selection, which lives in two places:
+both serial replay loops (sign-trace, dense noise-site) decide through
+the shared decide/hit/resume epilogue
+(:meth:`repro.qcp.tracecache.TraceCache._epilogue`), and both batched
+loops partition their cohorts through one shared split
+(:meth:`~repro.qcp.tracecache.TraceCache._split_cohort`).  The dense
+cohort loop decides shot by shot; the sign cohort loop decides once per
+distinct combination of register values in the cohort.  A disagreement
+between any two strategies points at a hot-loop specialization or at
+one of the two shared tails.
 
 The accumulator segments are what the trace cache's decision slice
 (only the classical ops a recorded branch depends on are replayed)
-has to get right: an accumulator no branch reads is a dead chain, and
-one read only behind a data-dependent guard becomes live only once a
-path through the guard is recorded, after the ops it depends on were
-first compiled out.
+and the sign cohorts' value partitions have to get right.  An
+accumulator no branch reads is a dead chain, and one read only behind
+a data-dependent guard becomes live only once a path through the guard
+is recorded, after the ops it depends on were first compiled out.  The
+fold is an ``xor`` or an ``add``, so a cohort's accumulator can hold
+more than two values, and the guard compares it with ``bne`` or with
+the ordered ``blt``/``bge``.
 """
 
 from __future__ import annotations
@@ -55,6 +62,14 @@ SHOTS = 6
 
 #: Shared-memory word the accumulator segments round-trip through.
 ACCUMULATOR_ADDR = 9
+
+#: Accumulator folds ``r6 <- r6 (op) r1``: ``add`` leaves more than two
+#: values in a cohort's accumulator.
+FOLDS = ("xor", "add")
+
+#: Accumulator guards ``(branch, rs, rt)``; ``r7`` holds the retry
+#: bound 3, so the ordered compares split on accumulators near it.
+GUARDS = (("bne", 6, 0), ("blt", 7, 6), ("bge", 6, 7))
 
 
 def pauli_noise() -> NoiseModel:
@@ -85,10 +100,11 @@ def control_flow_programs(draw):
     measure + branch skip, an MRCE conditional, a *bounded* retry loop
     (measure until 0, at most three tries — a miniature RUS whose
     decision paths fan out), an active reset, or an accumulator fold:
-    the measured bit is XORed into ``r6``, which round-trips through
-    shared memory; a later fold may first branch on the accumulator,
-    guarded by its own bit so that only some paths read it.  Every
-    qubit is measured at the end so histograms are comparable.
+    the measured bit is XORed or added into ``r6``, which round-trips
+    through shared memory; a later fold may first branch on the
+    accumulator (:data:`GUARDS`), guarded by its own bit so that only
+    some paths read it.  Every qubit is measured at the end so
+    histograms are comparable.
     """
     builder = ProgramBuilder("fuzz")
     builder.ldi(7, 3)  # retry-loop bound
@@ -138,10 +154,11 @@ def control_flow_programs(draw):
             if accumulated and draw(st.booleans()):
                 over = builder.fresh_label(f"over{segment}")
                 builder.beq(1, 0, over)
-                builder.bne(6, 0, over)
+                branch, rs, rt = draw(st.sampled_from(GUARDS))
+                getattr(builder, branch)(rs, rt, over)
                 builder.qop("x", [target], timing=2)
                 builder.label(over)
-            builder.xor(6, 6, 1)
+            getattr(builder, draw(st.sampled_from(FOLDS)))(6, 6, 1)
             builder.stm(6, ACCUMULATOR_ADDR)
             builder.ldm(6, ACCUMULATOR_ADDR)
             accumulated = True
@@ -355,33 +372,49 @@ def test_fuzz_warm_artifact_start_matches_cold(tmp_path_factory, program):
 
 
 def test_epilogue_is_shared_by_all_replay_modes():
-    """The decide/hit/resume tail is literally one implementation.
+    """Edge selection has exactly two implementations.
 
-    Guard against the epilogue being duplicated: the two serial loops
-    must not grow private decision handling.  This asserts the single
-    choke point exists and the loops call it.
+    Both serial loops decide through the shared epilogue and both
+    batched loops partition through the one shared cohort split; no
+    other replay code selects a trie edge (the recorder creates
+    edges, it does not select them).  The sign cohort loop builds no
+    per-shot context and names no comparator or ALU function: its
+    decisions run the recorded micro-op closures.
     """
     import inspect
 
     from repro.qcp import tracecache
 
-    assert hasattr(tracecache.TraceCache, "_epilogue")
+    cache = tracecache.TraceCache
     for mode in ("_replay_signs", "_replay_dense"):
-        source = inspect.getsource(getattr(tracecache.TraceCache, mode))
-        assert "_epilogue" in source, f"{mode} bypasses the epilogue"
-        assert "children.get" not in source, (
-            f"{mode} re-implements edge selection outside the epilogue")
-    # The batched loops funnel through _epilogue_batch, which decides
-    # each cohort row with the *same* serial _epilogue — the wavefront
-    # partition is bookkeeping around the one choke point, not a
-    # second decision implementation.
+        source = inspect.getsource(getattr(cache, mode))
+        assert "self._epilogue(" in source, f"{mode} bypasses the epilogue"
     for mode in ("_replay_batch_signs", "_replay_batch_dense"):
-        source = inspect.getsource(getattr(tracecache.TraceCache, mode))
-        assert "_epilogue_batch" in source, (
-            f"{mode} bypasses the batched epilogue")
-        assert "children.get" not in source, (
-            f"{mode} re-implements edge selection outside the epilogue")
-    source = inspect.getsource(tracecache.TraceCache._epilogue_batch)
-    assert "_epilogue(" in source, (
-        "_epilogue_batch re-implements per-row decisions")
-    assert "children.get" not in source
+        source = inspect.getsource(getattr(cache, mode))
+        assert "self._split_cohort(" in source, (
+            f"{mode} bypasses the shared cohort split")
+    # Every function written in the module, methods included.
+    functions = [(name, member)
+                 for name, member in vars(tracecache).items()
+                 if inspect.isfunction(member)]
+    for owner in vars(tracecache).values():
+        if inspect.isclass(owner):
+            functions.extend(
+                (f"{owner.__name__}.{name}", member)
+                for name, member in vars(owner).items()
+                if inspect.isfunction(member))
+    selectors = {name for name, member in functions
+                 if member.__code__.co_filename == tracecache.__file__
+                 and "children.get" in inspect.getsource(member)}
+    assert selectors == {"TraceCache._epilogue",
+                         "TraceCache._split_cohort",
+                         "TraceCache.record"}, selectors
+    source = inspect.getsource(cache._replay_batch_signs)
+    for banned in ("_COMPARATORS", "_FUNCS", ".taken(", "_ReplayContext",
+                   "_decide("):
+        assert banned not in source, (
+            f"the sign cohort loop decides outside the recorded "
+            f"closures: {banned}")
+    source = inspect.getsource(tracecache._CohortState)
+    for banned in ("_COMPARATORS", "_FUNCS", ".taken("):
+        assert banned not in source, banned

@@ -10,6 +10,7 @@ points at the broken part instead of at "the histogram differs".
 from __future__ import annotations
 
 import types
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -17,7 +18,8 @@ import pytest
 from repro.cli import main
 from repro.isa.builder import ProgramBuilder
 from repro.qcp import QCPConfig, ShotEngine, scalar_config
-from repro.qcp.tracecache import (_BitPlaneDelivered, _int_words,
+from repro.qcp.decode import K_CLASSICAL
+from repro.qcp.tracecache import (_D_BRANCH, _CohortState, _int_words,
                                   _word_int, auto_batch_width)
 from repro.qpu.noise import (DecoherenceNoise, NoiseModel, PauliChannel,
                              ReadoutError)
@@ -120,15 +122,6 @@ def test_pack_shot_mask_and_unpack_bit():
         assert unpack_shot_bit(mask, slot) == expected
 
 
-def test_bit_plane_delivered_view_and_snapshot():
-    words = {2: 0b101, 7: 0b010}
-    assert _BitPlaneDelivered(words, 0)[2] == 1
-    assert _BitPlaneDelivered(words, 1)[2] == 0
-    assert _BitPlaneDelivered(words, 1)[7] == 1
-    snap = _BitPlaneDelivered(words, 2).snapshot((2, 7))
-    assert snap == {2: 1, 7: 0}
-
-
 def test_sign_bit_planes_masked_mutation():
     planes = SignBitPlanes(rows=4, width=70)
     live = pack_shot_mask([0, 1, 69], 70)
@@ -144,6 +137,59 @@ def test_sign_bit_planes_masked_mutation():
     assert _word_int(planes.row(1)) == _word_int(other)
     with pytest.raises(ValueError):
         SignBitPlanes(rows=0, width=1)
+
+
+# -- cohort classical state ---------------------------------------------------
+
+
+def test_cohort_state_masked_write_keeps_other_lanes():
+    state = _CohortState(0b1111, QCPConfig())
+    state.write((0, 6), {5: 0b0011, 9: 0b1100}, 0b1111)
+    # A sub-cohort's write touches only its own lanes.
+    state.write((0, 6), {7: 0b0010}, 0b0010)
+    assert state.read((0, 6), 0b1111) == {5: 0b0001, 9: 0b1100, 7: 0b0010}
+    assert state.read((0, 6), 0b1000) == {9: 0b1000}
+
+
+def test_cohort_state_never_written_location_reads_zero():
+    state = _CohortState(0b1111, QCPConfig())
+    assert state.read((2, 4), 0b0110) == {0: 0b0110}
+    assert state.read(("shared", 9), 0b1111) == {0: 0b1111}
+    # A write in some lanes leaves the rest of the cohort at 0.
+    state.write((2, 4), {3: 0b0001}, 0b0001)
+    assert state.read((2, 4), 0b1111) == {0: 0b1110, 3: 0b0001}
+
+
+@pytest.mark.parametrize("left, right", [
+    # Few values: refine combination masks pairwise.
+    (lambda slot: slot % 2, lambda slot: slot % 3),
+    # Many values on both sides: refine lane by lane.
+    (lambda slot: slot % 5, lambda slot: slot // 3),
+])
+def test_cohort_state_combinations_partition_the_cohort(left, right):
+    width = 64
+    lanes = (1 << width) - 1
+    state = _CohortState(lanes, QCPConfig())
+    for location, value_of in (((0, 1), left), (("shared", 4), right)):
+        partition: dict = {}
+        for slot in range(width):
+            value = value_of(slot)
+            partition[value] = partition.get(value, 0) | 1 << slot
+        state.write(location, partition, lanes)
+    cohort = lanes & ~0b101  # a sub-cohort without lanes 0 and 2
+    combos = state.combinations(((0, 1), ("shared", 4)), cohort)
+    covered = 0
+    for values, mask in combos:
+        assert mask and not mask & covered
+        covered |= mask
+        for slot in range(width):
+            if (mask >> slot) & 1:
+                assert values == (left(slot), right(slot))
+    assert covered == cohort
+    # One combination per distinct value pair present in the cohort.
+    assert len(combos) == len({(left(slot), right(slot))
+                               for slot in range(width)
+                               if (cohort >> slot) & 1})
 
 
 # -- cohort widths and batch state objects ------------------------------------
@@ -218,16 +264,21 @@ def test_width_one_cohorts_still_batch():
 
 
 def test_fair_coin_splits_wavefronts():
-    result, cache = run_engine(coin_program(), n_qubits=2, shots=60)
     reference, _ = run_engine(coin_program(), n_qubits=2, shots=60,
                               trace_cache_batch=False)
-    assert result.counts == reference.counts
-    assert result.total_ns == reference.total_ns
-    assert cache.hits + cache.misses == 60
-    # Both branch edges occur in 59 replayed shots with overwhelming
-    # probability, so the cohort must have partitioned.
-    assert cache.wavefront_splits > 0
-    assert cache.batched_shots > 0
+    # Shot 0 records one edge of the coin.  The first cohort splits at
+    # it: its lanes on the recorded edge complete batched, the others
+    # fall back to the serial loop (which records the second edge);
+    # later cohorts find both edges and split without falling back.
+    for width, batched, splits, fallbacks in ((None, 28, 1, 31),
+                                              (8, 54, 8, 5)):
+        result, cache = run_engine(coin_program(), n_qubits=2, shots=60,
+                                   trace_cache_batch_width=width)
+        assert result.counts == reference.counts, width
+        assert result.total_ns == reference.total_ns, width
+        assert (cache.hits, cache.misses, cache.resumes) == (58, 2, 1)
+        assert (cache.batched_shots, cache.wavefront_splits,
+                cache.serial_fallbacks) == (batched, splits, fallbacks)
 
 
 def test_readout_noise_keeps_cohorts_batched():
@@ -275,3 +326,143 @@ def test_dense_ideal_chain_batches():
     assert result.counts == reference.counts
     assert result.total_ns == reference.total_ns
     assert cache.batched_shots == 39
+
+
+# -- cohort-level decisions ---------------------------------------------------
+
+
+def wrap_closures(engine, wrap):
+    """Replace each decoded classical micro-op ``run`` at ``pc`` by
+    ``wrap(pc, run)`` before any shot records it."""
+    decoded = engine.memory._decoded
+    for pc, (kind, instr, payload) in enumerate(decoded):
+        if kind == K_CLASSICAL:
+            run, hoistable, eclass = payload
+            decoded[pc] = (kind, instr,
+                           (wrap(pc, run), hoistable, eclass))
+
+
+def test_shor_cohort_runs_each_branch_once(monkeypatch):
+    from repro.benchlib.steane import (N_QUBITS,
+                                       build_shor_syndrome_program)
+    from repro.qcp import tracecache
+
+    engine = ShotEngine(build_shor_syndrome_program(rounds=1),
+                        backend="stabilizer", n_processors=6,
+                        n_qubits=N_QUBITS)
+    calls: Counter = Counter()
+
+    def counting(pc, run):
+        def counted(proc):
+            calls[pc] += 1
+            return run(proc)
+        counted.effects = run.effects
+        counted.pc = pc
+        return counted
+
+    wrap_closures(engine, counting)
+    engine.run_shot(0)  # cold: records the only decision path
+    contexts = []
+
+    class CountedContext(tracecache._ReplayContext):
+        def __init__(self, config):
+            contexts.append(self)
+            super().__init__(config)
+
+    monkeypatch.setattr(tracecache, "_ReplayContext", CountedContext)
+    calls.clear()
+    cache = engine.trace_cache
+    results = cache.replay_batch(engine._qpu, list(range(1, 257)))
+    assert all(result is not None for result in results)
+    assert (cache.batched_shots, cache.wavefront_splits,
+            cache.serial_fallbacks) == (256, 0, 0)
+    branches = []
+    node = cache.root
+    while node.decision is not None:
+        if node.decision[0] == _D_BRANCH:
+            branches.append(node.decision[2].pc)
+        (node,) = node.children.values()
+    # The six verification branches decide once for the whole cohort;
+    # no other micro-op is live on the path, and no shot gets a
+    # classical context of its own.
+    assert len(branches) == 6
+    assert calls == Counter({pc: 1 for pc in branches})
+    assert contexts == []
+
+
+def fold_program(coins: int = 8):
+    """Coin bits folded by ``add`` into a many-valued ``blt`` operand.
+
+    ``r6 = 2 * (r6 + coin)`` per coin leaves up to ``2**coins``
+    distinct values in ``r6``, so a cohort's classical state carries
+    registers with far more than two values, decided by an ordered
+    comparator against ``r7``.
+    """
+    builder = ProgramBuilder("fold")
+    builder.ldi(7, 1 << coins)
+    for _ in range(coins):
+        builder.qop("h", [0], timing=2)
+        builder.qmeas(0, timing=2)
+        builder.fmr(1, 0)
+        builder.add(6, 6, 1)
+        builder.add(6, 6, 6)
+    builder.blt(6, 7, "low")
+    builder.qop("x", [1], timing=2)
+    builder.label("low")
+    builder.qmeas(1, timing=2)
+    builder.halt()
+    return builder.build()
+
+
+@pytest.mark.parametrize("width", [7, 256])
+def test_many_valued_registers_match_cycle_accurate(width):
+    program = fold_program()
+    engine = ShotEngine(program, config=scalar_config(
+        trace_cache_batch_width=width), backend="stabilizer", n_qubits=2)
+    uncached = ShotEngine(program, config=scalar_config(trace_cache=False),
+                          backend="stabilizer", n_qubits=2)
+    result = engine.run_range(0, 300)
+    reference = uncached.run_range(0, 300)
+    assert result.counts == reference.counts
+    assert result.total_ns == reference.total_ns
+    assert engine.trace_cache.batched_shots > 0
+
+
+@pytest.mark.parametrize("opcode", ["BEQ", "ADDI"])
+def test_micro_op_without_effects_fails_closed(opcode):
+    """A recorded closure without def/use sets — the coin's branch, or
+    a classical op feeding it — sends every cohort reaching it to the
+    serial loop whole; results are unchanged."""
+    builder = ProgramBuilder("opaque_coin")
+    builder.qop("h", [0], timing=2)
+    builder.qmeas(0, timing=2)
+    builder.fmr(1, 0)
+    builder.addi(1, 1, 0)
+    builder.beq(1, 0, "skip")
+    builder.qop("x", [1], timing=2)
+    builder.label("skip")
+    builder.qmeas(1, timing=2)
+    builder.halt()
+    program = builder.build()
+    reference, _ = run_engine(program, n_qubits=2, shots=40,
+                              trace_cache_batch=False)
+    engine = ShotEngine(program, config=scalar_config(),
+                        backend="stabilizer", n_qubits=2)
+
+    def strip(pc, run):
+        if program.instructions[pc].opcode.name != opcode:
+            return run
+
+        def opaque(proc):
+            return run(proc)
+        return opaque
+
+    wrap_closures(engine, strip)
+    result = engine.run(40)
+    assert result.counts == reference.counts
+    assert result.total_ns == reference.total_ns
+    cache = engine.trace_cache
+    # Shot 0 runs cold; the other 39 form one cohort that never splits.
+    assert cache.serial_fallbacks == 39
+    assert (cache.batched_shots, cache.wavefront_splits) == (0, 0)
+    assert cache.hits + cache.misses == 40
