@@ -101,7 +101,11 @@ class QCPConfig:
     #: measurement draw lands inside that few-ulp probability window
     #: (~2^-50 per measurement; no fixed-seed test suite has ever
     #: observed one).  Disable for exact amplitude-level or
-    #: guaranteed-exact outcome comparisons.
+    #: guaranteed-exact outcome comparisons: every gate, channel
+    #: correction and ZZ phase then replays as its own operator on its
+    #: own qubits, bit-for-bit what the device applies.  Serial and
+    #: batched replay compile the same step list, so the flag means
+    #: the same for both.
     trace_cache_dense_fusion: bool = True
     #: Replay cached shots in batches: the shot engine hands the trace
     #: cache a whole cohort of shot seeds and the cache walks the trie
@@ -112,7 +116,7 @@ class QCPConfig:
     #: own salted rngs, in the same order); shots whose decision paths
     #: leave the cached trie fall back to the serial per-shot loop,
     #: which records the new path as usual.  Fails closed: nodes whose
-    #: programs contain a site the batch compiler does not model are
+    #: programs contain a step the cohort binding does not model are
     #: replayed serially.
     trace_cache_batch: bool = True
     #: Cohort width for batched replay (``None`` = auto: 256 shots —

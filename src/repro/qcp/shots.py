@@ -429,10 +429,6 @@ class ShotEngine:
             cache.record(recorded, execution.total_ns)
         return last_value, execution.total_ns
 
-    def _run_all(self, shots: int):
-        """Yield every shot's (last results, ns) for seeds 0..shots-1."""
-        return self._run_seeds(range(shots))
-
     def _run_seeds(self, seeds: range):
         """Yield each seed's (last results, ns) in seed order.
 

@@ -67,19 +67,23 @@ sites the cycle-accurate simulation would:
   decision path stays shot-invariant and each potential injection site
   compiles to pre-computed sign masks (``_S_NOISE``).  Readout flips
   are drawn live at each compiled measurement.
-* On the **dense** backend, every replay runs the node's compiled
-  *noise-site program* (:meth:`TraceNode.dense_program`): the device's
-  per-op timed behaviour is pre-resolved at compile time into a flat
-  list of prebound steps — idle-decay sites (durations precomputed
-  from the recorded issue times), gate-channel sites, ZZ crosstalk
-  windows (overlaps precomputed by modelling the device's window
-  bookkeeping) and live measurements with readout corruption —
-  analogous to the stabilizer ``_S_NOISE`` sites.  Each step calls
-  exactly the channel code the device layer would with exactly the
-  same arguments, so the replay is draw-for-draw and bit-for-bit
-  identical; only the *structure* (which sites exist, with which
-  constants) is hoisted out of the per-shot loop.  An ideal substrate
-  compiles the same program with no noise sites.
+* On the **dense** backend, each node compiles once into a
+  state-free *step list* (:func:`_compile_dense_steps`): the device's
+  per-op timed behaviour is pre-resolved against one model of its
+  busy-until and drive-window bookkeeping into unitaries (ZZ
+  crosstalk windows become per-pair phase unitaries with precomputed
+  overlaps), gate-channel sites with their Pauli corrections,
+  idle-decay sites with precomputed durations, resets, live
+  measurements with their readout channel and classical ops —
+  analogous to the stabilizer ``_S_NOISE`` sites.  The list is bound
+  twice: the serial loop runs zero-argument closures over the live
+  statevector (:meth:`TraceNode.dense_program`), the wavefront loop
+  closures over a cohort (:meth:`TraceNode.batch_dense_program`).
+  Every stochastic step draws exactly as the device's channel does,
+  so the replay is draw-for-draw identical; only the *structure*
+  (which sites exist, with which constants) is hoisted out of the
+  per-shot loop.  An ideal substrate compiles the same list with no
+  noise sites.
 
 Dense GEMM fusion
 =================
@@ -92,7 +96,11 @@ a measurement, a reset, or a state-reading noise site, so the rng draw
 sequence (and with it every delivered outcome, histogram and timing
 under a fixed seed) is identical to unfused replay; intermediate
 amplitudes may differ in the last ulp.  Disable with
-``QCPConfig.trace_cache_dense_fusion``.
+``QCPConfig.trace_cache_dense_fusion``: every gate, channel correction
+and ZZ phase is then its own step on its own qubits, applied through
+:meth:`~repro.qpu.statevector.StateVector.block_applier`, which is
+bit-for-bit identical to the device's ``apply_unitary`` — amplitudes
+included.
 
 Readout corruption is drawn exactly as the device draws it, so the
 *delivered* bit (which the control stack keys decisions on) and the
@@ -223,16 +231,17 @@ _S_CLS = 5      # (_S_CLS, proc_id, run)
 _S_FMR = 6      # (_S_FMR, proc_id, rd, qubit)
 _S_NOISE = 7    # (_S_NOISE, dep_p, per_qubit_masks, pauli_cumulative)
 
-# The compiled *noise-site program* (dense replay, see
-# TraceNode.dense_program) has no step codes at all: it is a flat list
-# of zero-argument closures — fused unitary blocks, idle-decay sites
-# with precomputed durations, channel-draw sites, ZZ windows with
-# precomputed overlaps, live measurements with readout corruption, and
-# classical micro-ops over the shared replay context — so the hot loop
-# is nothing but ``for step in program: step()``.  Each closure calls
-# exactly the code the device layer would run with exactly the
-# arguments the device would pass, keeping the replay draw-for-draw
-# identical to cycle-accurate execution.
+# Compiled *dense step* codes (statevector backend, see
+# _compile_dense_steps): a state-free list that _bind_serial and
+# _bind_cohort turn into closures, so the hot loops are nothing but
+# ``for step in program: step()`` (or ``step(cohort)``).
+_V_UNITARY = 0  # (_V_UNITARY, matrix, support)
+_V_CHANNEL = 1  # (_V_CHANNEL, kind, params, ((support, (X, Y, Z)), ...))
+_V_DECAY = 2    # (_V_DECAY, qubit, idle_ns, decoherence_channel)
+_V_RESET = 3    # (_V_RESET, qubit)
+_V_MEAS = 4     # (_V_MEAS, qubit, corrupt or None)
+_V_CLS = 5      # (_V_CLS, proc_id, run)
+_V_FMR = 6      # (_V_FMR, proc_id, rd, qubit)
 
 #: Sentinel returned by the shared replay epilogue when a shot
 #: completed at a recorded leaf.
@@ -247,6 +256,10 @@ _LIVE_ALL = frozenset({("*", "*")})
 #: identical to ``DepolarizingNoise``'s ``rng.choice(("x","y","z"))``,
 #: and the returned index selects the matching sign mask directly.
 _PAULI_INDICES = (0, 1, 2)
+
+#: The gate names of those indices, the order of every (X, Y, Z)
+#: correction triple.
+_PAULIS = ("x", "y", "z")
 
 
 class TraceDivergenceError(RuntimeError):
@@ -624,8 +637,7 @@ class TraceNode:
                  "live", "_program", "_program_state", "_exit_xz",
                  "_dense_program", "_dense_state",
                  "_exit_busy", "_exit_windows",
-                 "_bsign_program", "_bsign_state",
-                 "_bdense_program", "_bdense_state", "_bexit_windows")
+                 "_bsign_program", "_bsign_state", "_bdense_program")
 
     def __init__(self) -> None:
         self.items: tuple | None = None
@@ -647,20 +659,18 @@ class TraceNode:
         self._exit_xz: tuple[np.ndarray, np.ndarray] | None = None
         self._dense_program: list | None = None
         self._dense_state: SimulationBackend | None = None
-        #: Noise-site compilation: the device's busy-until and
+        #: Dense step compilation: the device's busy-until and
         #: drive-window bookkeeping at node exit — the entry state for
-        #: compiling child nodes, and what a divergence-frontier
-        #: resume restores into the live device.
+        #: compiling child nodes (under either binding), and what a
+        #: divergence-frontier resume restores into the live device.
         self._exit_busy: dict[int, int] | None = None
         self._exit_windows: dict[int, tuple[int, int]] | None = None
         #: Batched (wavefront) replay compilations: the sign-trace
         #: program with masks re-expressed as bit-plane row indices,
-        #: and the dense program as cohort-taking step closures.
+        #: and the dense step list bound to cohort-taking closures.
         self._bsign_program: list | None = None
         self._bsign_state: SimulationBackend | None = None
         self._bdense_program: list | None = None
-        self._bdense_state: SimulationBackend | None = None
-        self._bexit_windows: dict[int, tuple[int, int]] | None = None
 
     def live_items(self) -> tuple:
         """The recorded items minus the classical ops no recorded
@@ -714,37 +724,47 @@ class TraceNode:
             self._program_state = state
         return self._program
 
+    def _dense_steps(self, qpu: SimulatedQPU, parent: "TraceNode | None",
+                     fuse: bool, max_qubits: int | None) -> list:
+        """Compile this node's state-free dense step list.
+
+        The device's busy-until map and drive-window bookkeeping are
+        *decision-path invariants* (they depend only on the recorded
+        issue times), so :func:`_compile_dense_steps` models them once
+        — chained from the parent node's exit maps, exactly like the
+        sign trace chains its model tableau.  The exit maps are kept
+        on the node so child nodes compile from them and a
+        divergence-frontier resume can restore them into the live
+        device; both bindings write the same values, and every walk
+        compiles a parent before its children.
+        """
+        if parent is None:
+            busy: dict[int, int] = {}
+            windows: dict[int, tuple[int, int]] = {}
+        else:
+            busy = dict(parent._exit_busy)
+            windows = dict(parent._exit_windows)
+        steps = _compile_dense_steps(self.live_items(), qpu, busy,
+                                     windows, fuse, max_qubits)
+        self._exit_busy = busy
+        self._exit_windows = windows
+        return steps
+
     def dense_program(self, qpu: SimulatedQPU,
                       parent: "TraceNode | None", fuse: bool,
                       ctx: _ReplayContext,
                       max_qubits: int | None = None) -> list:
-        """This node's compiled noise-site program (dense replay).
+        """This node's serial dense program.
 
-        Compiles the segment against the device's timing model: the
-        busy-until map and drive-window bookkeeping are *decision-path
-        invariants* (they depend only on the recorded issue times), so
-        they are modelled once at compile time — chained from the
-        parent node's exit state, exactly like the sign trace chains
-        its model tableau — and every idle-decay duration, channel
-        site and ZZ overlap becomes a prebound closure over ``ctx``
-        (the owning cache's persistent replay context).  The exit maps
-        are kept on the node so child nodes compile from them and a
-        divergence-frontier resume can restore them into the live
-        device.
+        The step list bound to zero-argument closures over the live
+        statevector, the noise rng and ``ctx`` (the owning cache's
+        persistent replay context), see :func:`_bind_serial`.
         """
         state = qpu.state
         if self._dense_program is None or self._dense_state is not state:
-            if parent is None:
-                busy: dict[int, int] = {}
-                windows: dict[int, tuple[int, int]] = {}
-            else:
-                busy = dict(parent._exit_busy)
-                windows = dict(parent._exit_windows)
-            self._dense_program = _compile_dense_node(
-                self.live_items(), qpu, busy, windows, fuse, ctx,
-                max_qubits=max_qubits)
-            self._exit_busy = busy
-            self._exit_windows = windows
+            self._dense_program = _bind_serial(
+                self._dense_steps(qpu, parent, fuse, max_qubits), qpu,
+                ctx)
             self._dense_state = state
         return self._dense_program
 
@@ -774,27 +794,20 @@ class TraceNode:
                             max_qubits: int | None = None) -> list:
         """This node's cohort-taking dense program (batched replay).
 
-        Like :meth:`dense_program` but every step is a closure over a
-        :class:`_BatchCohort` argument instead of a captured per-shot
-        context, so one compilation serves every wavefront (and every
-        ``take``-partitioned sub-cohort) that passes through the node.
-        ZZ drive windows are chained from the parent's batched exit
-        map exactly like the serial compiler chains its bookkeeping.
-        Raises :class:`_UnbatchableNode` when the segment contains a
-        site the batch compiler does not model — the caller then falls
-        back to the serial per-shot loop (fail closed).
+        The same step list as :meth:`dense_program`, bound to closures
+        over a :class:`_BatchCohort` argument instead of the live
+        state (:func:`_bind_cohort`), so one compilation serves every
+        wavefront (and every ``take``-partitioned sub-cohort) that
+        passes through the node.  The cohort state is never captured,
+        so the program stays valid for the cache's lifetime.  Raises
+        :class:`_UnbatchableNode` when the segment contains a step the
+        cohort binding does not model — the caller then falls back to
+        the serial per-shot loop (fail closed).
         """
-        state = qpu.state
-        if self._bdense_program is None or self._bdense_state is not state:
-            if parent is None:
-                windows: dict[int, tuple[int, int]] = {}
-            else:
-                windows = dict(parent._bexit_windows)
-            self._bdense_program = _compile_batch_dense_node(
-                self.live_items(), qpu, windows, fuse,
-                max_qubits=max_qubits)
-            self._bexit_windows = windows
-            self._bdense_state = state
+        if self._bdense_program is None:
+            self._bdense_program = _bind_cohort(
+                self._dense_steps(qpu, parent, fuse, max_qubits),
+                qpu.state.n_qubits)
         return self._bdense_program
 
 
@@ -1125,13 +1138,18 @@ class _DenseBlockCompiler:
     the draw streams stay positionally identical to the device.  This
     is what keeps fusion alive under per-gate channel noise, where a
     naive compiler would have to flush at every gate.
+
+    Emits state-free steps into ``steps``: ``_V_UNITARY`` for a block,
+    then one ``_V_CHANNEL`` per deferred site with each site qubit's
+    (X, Y, Z) corrections on the block's support.  With ``fuse``
+    unset no block ever opens: every unitary is its own step, and a
+    site's corrections are the bare Paulis on their own qubits.
     """
 
-    def __init__(self, state: StateVector, nrng, steps: list,
+    def __init__(self, steps: list, fuse: bool,
                  max_qubits: int | None = None) -> None:
-        self.state = state
-        self.nrng = nrng
         self.steps = steps
+        self.fuse = fuse
         self.max_qubits = (FUSE_MAX_QUBITS if max_qubits is None
                            else max_qubits)
         self.support: tuple[int, ...] = ()
@@ -1143,19 +1161,31 @@ class _DenseBlockCompiler:
 
     def add_unitary(self, matrix: np.ndarray,
                     qubits: tuple[int, ...]) -> None:
-        if self.matrix is None:
-            self.support, self.matrix = tuple(qubits), matrix
+        qubits = tuple(qubits)
+        if not self.fuse:
+            self.steps.append((_V_UNITARY, matrix, qubits))
             return
-        fused = fuse_into(self.matrix, self.support, matrix,
-                          tuple(qubits), max_qubits=self.max_qubits)
+        if self.matrix is None:
+            self.support, self.matrix = qubits, matrix
+            return
+        fused = fuse_into(self.matrix, self.support, matrix, qubits,
+                          max_qubits=self.max_qubits)
         if fused is not None:
             self.matrix, self.support = fused
         else:
             self.flush()
-            self.support, self.matrix = tuple(qubits), matrix
+            self.support, self.matrix = qubits, matrix
 
     def add_site(self, kind: str, params,
                  qubits: tuple[int, ...]) -> None:
+        if self.matrix is None:
+            # Nothing open (fusion off): the injection point is the
+            # current step, so each correction is the Pauli itself.
+            paulis = tuple(cached_unitary(pauli) for pauli in _PAULIS)
+            self.steps.append((_V_CHANNEL, kind, params,
+                               tuple(((qubit,), paulis)
+                                     for qubit in qubits)))
+            return
         # The site's gate was just added, so the block is open and
         # contains it; the prefix snapshot pins the injection point.
         self.sites.append((kind, params, qubits, self.matrix,
@@ -1166,131 +1196,56 @@ class _DenseBlockCompiler:
             return
         block = self.matrix
         support = self.support
-        self.steps.append(self.state.block_applier(block, support))
-        nrng = self.nrng
+        self.steps.append((_V_UNITARY, block, support))
         for kind, params, qubits, prefix, prefix_support in self.sites:
             # R = block @ prefix† (the product of the unitaries after
             # the site); corrections are R P R† per qubit per Pauli.
             lifted = _lift(prefix, prefix_support, support)
             rest = block @ lifted.conj().T
             rest_dag = rest.conj().T
-            appliers = []
-            for qubit in qubits:
-                triplet = tuple(
-                    self.state.block_applier(
-                        rest @ _lift(cached_unitary(pauli),
-                                     (qubit,), support) @ rest_dag,
-                        support)
-                    for pauli in ("x", "y", "z"))
-                appliers.append(triplet)
-            appliers = tuple(appliers)
-            if kind == "dep":
-                p = params
-
-                def site(nrng=nrng, p=p, appliers=appliers) -> None:
-                    # Draw-for-draw DepolarizingNoise.apply: one
-                    # random() per qubit, one choice() on a fire.
-                    for triplet in appliers:
-                        if nrng.random() < p:
-                            triplet[nrng.choice(_PAULI_INDICES)]()
-            else:  # "pauli"
-                cx, cxy, cxyz = params
-
-                def site(nrng=nrng, cx=cx, cxy=cxy, cxyz=cxyz,
-                         appliers=appliers) -> None:
-                    # Draw-for-draw PauliChannel.apply.
-                    for triplet in appliers:
-                        draw = nrng.random()
-                        if draw < cx:
-                            triplet[0]()
-                        elif draw < cxy:
-                            triplet[1]()
-                        elif draw < cxyz:
-                            triplet[2]()
-            self.steps.append(site)
+            corrections = tuple(
+                (support, tuple(rest @ _lift(cached_unitary(pauli),
+                                             (qubit,), support)
+                                @ rest_dag for pauli in _PAULIS))
+                for qubit in qubits)
+            self.steps.append((_V_CHANNEL, kind, params, corrections))
         self.support, self.matrix = (), None
         self.sites = []
 
 
-def _compile_dense_node(items: tuple, qpu: SimulatedQPU,
-                        busy: dict[int, int],
-                        windows: dict[int, tuple[int, int]],
-                        fuse: bool, ctx: _ReplayContext,
-                        max_qubits: int | None = None) -> list:
-    """Compile a node's segment into a flat noise-site program.
+def _compile_dense_steps(items: tuple, qpu: SimulatedQPU,
+                         busy: dict[int, int],
+                         windows: dict[int, tuple[int, int]],
+                         fuse: bool,
+                         max_qubits: int | None = None) -> list:
+    """Compile a node's segment into a state-free dense step list.
 
+    The one dense compiler: both :func:`_bind_serial` and
+    :func:`_bind_cohort` bind its output, so timing, channel
+    selection, ZZ windows and fusion are modelled here only.
     ``busy``/``windows`` model :class:`~repro.qpu.device.SimulatedQPU`
     bookkeeping at node entry and are advanced **in place** to the
     node's exit state.  Idle durations and ZZ overlaps are pure
     functions of the recorded issue times, so they become constants;
-    the replay consumes both rngs at exactly the recorded sites,
+    the bound steps consume both rngs at exactly the recorded sites,
     preserving bit-identity of every draw and delivered outcome.
 
-    The program is a list of zero-argument closures over ``state``,
-    the noise channels and the (persistent, per-shot-reset) replay
-    context ``ctx``.  With ``fuse`` unset, every step performs the
-    same arithmetic the device layer would (channel/decay/ZZ steps
-    call the very device code; per-gate steps go through
-    :meth:`~repro.qpu.statevector.StateVector.block_applier`, which
-    is bit-for-bit identical to the device's apply path) — amplitudes
-    included.  With ``fuse`` set, unitary runs are GEMM-fused through
-    channel sites (:class:`_DenseBlockCompiler`) and ZZ windows are
-    folded into the fusion stream as per-pair conditional-phase
-    unitaries; amplitudes may then differ in the last ulp (the fusion
-    contract) while draw streams, outcomes and timings are unchanged.
-    State-*reading* sites — idle decay (amplitude damping depends on
-    the live excited-state probability), resets and measurements —
-    always flush the open block.
+    Unitary runs are GEMM-fused through channel sites
+    (:class:`_DenseBlockCompiler`) and ZZ windows enter the fusion
+    stream as per-pair conditional-phase unitaries; with ``fuse``
+    unset every gate, channel correction and ZZ phase is its own
+    step on its own qubits.  State-*reading* sites — idle decay
+    (amplitude damping depends on the live excited-state
+    probability), resets and measurements — always flush the open
+    block.  An unknown gate-channel site kind raises (fail closed).
     """
-    state = qpu.state
     noise = qpu.noise
-    nrng = noise.rng
     decoherence = noise.decoherence
     zz = noise.zz
-    pauli = noise.pauli
-    pauli_cum = None
-    if pauli is not None:
-        pauli_cum = (pauli.px, pauli.px + pauli.py,
-                     pauli.px + pauli.py + pauli.pz)
-    profile = qpu.profile
-    if profile is None:
-        def duration_of(name, qubits):
-            return lookup_gate(name).duration_ns
-    else:
-        duration_of = profile.gate_duration_ns
-    state_measure = state.measure
     readout = noise.readout
-    delivered = ctx.delivered
-    outcomes = ctx.outcomes
+    duration_of = qpu.gate_duration_ns
     steps: list = []
-    block = (_DenseBlockCompiler(state, nrng, steps, max_qubits)
-             if fuse else None)
-
-    def flush_gates() -> None:
-        if block is not None:
-            block.flush()
-
-    def channel_sites(qubits: tuple[int, ...]) -> None:
-        # One source of truth for channel selection/order:
-        # NoiseModel.gate_site_specs.  Fused mode defers the sites
-        # into the open block; unfused mode emits the very channel
-        # calls the device would make.
-        if block is None:
-            for applier in noise.gate_site_appliers(qubits):
-                steps.append(lambda a=applier, q=qubits:
-                             a(state, q, nrng))
-            return
-        for kind, channel in noise.gate_site_specs(qubits):
-            if kind == "dep":
-                block.add_site(kind, channel.p, qubits)
-            elif kind == "pauli":
-                block.add_site(kind, pauli_cum, qubits)
-            else:
-                # Fail closed on a site kind this compiler predates
-                # (replay_mode admits only dense-compilable models,
-                # so this is reached only if the two drift apart).
-                raise TraceDivergenceError(
-                    f"unknown gate-channel site kind {kind!r}")
+    block = _DenseBlockCompiler(steps, fuse, max_qubits)
 
     def decay_sites(time_ns: int, qubits: tuple[int, ...]) -> None:
         # Mirrors SimulatedQPU._decay_idle with the idle durations and
@@ -1301,20 +1256,36 @@ def _compile_dense_node(items: tuple, qpu: SimulatedQPU,
         for qubit in qubits:
             idle = time_ns - busy.get(qubit, 0)
             if idle > 0:
-                flush_gates()
-                steps.append(
-                    lambda q=qubit, t=idle,
-                    ch=decoherence.for_qubit(qubit):
-                    ch.apply_idle(state, q, t, nrng))
+                block.flush()
+                steps.append((_V_DECAY, qubit, idle,
+                              decoherence.for_qubit(qubit)))
+
+    def channel_sites(qubits: tuple[int, ...]) -> None:
+        # NoiseModel.gate_site_specs is the one source of truth for
+        # channel selection and order, shared with the live device.
+        for kind, channel in noise.gate_site_specs(qubits):
+            if kind == "dep":
+                block.add_site(kind, channel.p, qubits)
+            elif kind == "pauli":
+                # PauliChannel.apply's cumulative thresholds.
+                block.add_site(kind, (channel.px, channel.px + channel.py,
+                                      channel.px + channel.py
+                                      + channel.pz), qubits)
+            else:
+                # Fail closed on a site kind this compiler predates
+                # (replay_mode admits only dense-compilable models,
+                # so this is reached only if the two drift apart).
+                raise TraceDivergenceError(
+                    f"unknown gate-channel site kind {kind!r}")
 
     def note_window(time_ns: int, qubits: tuple[int, ...],
                     duration: int) -> None:
         # Mirrors SimulatedQPU._note_window on the model dict —
         # including the expired-window pruning, so a divergence-
         # frontier resume restores exactly the dict the live device
-        # would hold; only the triggered per-pair ZZ applications
-        # survive into the program (ZZCrosstalk.window_events is the
-        # single shared overlap-accounting implementation).
+        # would hold; only the triggered per-pair ZZ phases survive
+        # into the steps (ZZCrosstalk.window_events is the single
+        # shared overlap-accounting implementation).
         expired = [qubit for qubit, (_, stop) in windows.items()
                    if stop <= time_ns]
         for qubit in expired:
@@ -1325,35 +1296,11 @@ def _compile_dense_node(items: tuple, qpu: SimulatedQPU,
         for qubit in qubits:
             windows[qubit] = (time_ns, end)
         for left, right, overlap_ns in events:
-            if block is not None:
-                # Fold the deterministic per-pair conditional phase
-                # into the fusion stream, exactly as
-                # ZZCrosstalk.apply_pair would apply it.
-                matrix = zz.pair_unitary(left, right, overlap_ns)
-                if matrix is not None:
-                    block.add_unitary(matrix, (left, right))
-            else:
-                steps.append(
-                    lambda lft=left, rgt=right, o=overlap_ns:
-                    zz.apply_pair(state, lft, rgt, o))
-
-    def measure_step(qubit: int):
-        # NoiseModel.corrupt_readout with the None check compiled out
-        # and the qubit's calibrated readout channel resolved at
-        # compile time (one rng draw per measurement either way).
-        if readout is None:
-            def step(q=qubit) -> None:
-                value = state_measure(q)
-                delivered[q] = value
-                outcomes.append(value)
-        else:
-            rcorrupt = readout.for_qubit(qubit).corrupt
-
-            def step(q=qubit) -> None:
-                value = rcorrupt(state_measure(q), nrng)
-                delivered[q] = value
-                outcomes.append(value)
-        return step
+            # The deterministic conditional phase ZZCrosstalk.apply_pair
+            # would apply (elided when exactly zero).
+            matrix = zz.pair_unitary(left, right, overlap_ns)
+            if matrix is not None:
+                block.add_unitary(matrix, (left, right))
 
     for item in items:
         code = item[0]
@@ -1368,44 +1315,122 @@ def _compile_dense_node(items: tuple, qpu: SimulatedQPU,
                     # The device applies no gate noise after a reset
                     # and opens no drive window for it; resets draw
                     # the backend rng, so they always flush.
-                    flush_gates()
-                    steps.append(lambda q=qubits[0]: state.reset(q))
+                    block.flush()
+                    steps.append((_V_RESET, qubits[0]))
                     continue
-                matrix = (cached_unitary(name, params)
-                          if len(qubits) == 1
-                          else lookup_gate(name).unitary(params))
-                if block is not None:
-                    block.add_unitary(matrix, qubits)
-                else:
-                    # block_applier is bit-identical to the device's
-                    # apply path, so unfused mode shares the applier
-                    # instead of duplicating per-gate dispatch here.
-                    steps.append(state.block_applier(matrix, qubits))
+                block.add_unitary(cached_unitary(name, params)
+                                  if len(qubits) == 1
+                                  else lookup_gate(name).unitary(params),
+                                  qubits)
                 channel_sites(qubits)
                 note_window(time_ns, qubits, duration)
         elif code == _I_MEAS:
             qubit, time_ns = item[1], item[2]
             decay_sites(time_ns, (qubit,))
             busy[qubit] = time_ns + duration_of("measure", (qubit,))
-            flush_gates()
-            steps.append(measure_step(qubit))
+            block.flush()
+            # The qubit's calibrated readout channel resolves here
+            # (for_qubit is identity on the uniform channel).
+            steps.append((_V_MEAS, qubit,
+                          None if readout is None
+                          else readout.for_qubit(qubit).corrupt))
         elif code == _I_CLS:
             # Classical micro-ops never touch the quantum state, so
             # they need no gate flush; program order within the
             # segment is preserved for everything that matters (the
             # delivered-outcome map is only written at measure steps,
             # which do flush).
-            steps.append(lambda run=item[2], pid=item[1]:
-                         run(ctx.proc(pid)))
+            steps.append((_V_CLS, item[1], item[2]))
         else:  # _I_FMR
-            steps.append(lambda pid=item[1], rd=item[2], q=item[3]:
-                         ctx.write_fmr(pid, rd, q))
-    flush_gates()
+            steps.append((_V_FMR, item[1], item[2], item[3]))
+    block.flush()
     return steps
 
 
+def _serial_channel_step(kind: str, params, appliers: tuple, nrng):
+    """One serial step for a stochastic gate-channel site.
+
+    ``appliers`` holds, per site qubit, the (X, Y, Z) correction
+    appliers.  Draw-for-draw ``DepolarizingNoise.apply`` /
+    ``PauliChannel.apply``: one ``random()`` per qubit, plus one
+    ``choice()`` on a depolarizing fire.
+    """
+    if kind == "dep":
+        p = params
+
+        def step() -> None:
+            for triplet in appliers:
+                if nrng.random() < p:
+                    triplet[nrng.choice(_PAULI_INDICES)]()
+    else:  # "pauli"
+        cx, cxy, cxyz = params
+
+        def step() -> None:
+            for triplet in appliers:
+                draw = nrng.random()
+                if draw < cx:
+                    triplet[0]()
+                elif draw < cxy:
+                    triplet[1]()
+                elif draw < cxyz:
+                    triplet[2]()
+    return step
+
+
+def _bind_serial(steps: list, qpu: SimulatedQPU,
+                 ctx: _ReplayContext) -> list:
+    """Bind a dense step list to zero-argument closures (serial loop).
+
+    Unitaries and channel corrections run through
+    :meth:`~repro.qpu.statevector.StateVector.block_applier` on the
+    live statevector; channel sites draw the noise rng like
+    ``DepolarizingNoise``/``PauliChannel``; idle decay, resets and
+    measurements call the device's own channel and state code; and
+    classical steps run over ``ctx``, the cache's persistent replay
+    context (reset in place per shot, so the captured containers stay
+    connected).
+    """
+    state = qpu.state
+    nrng = qpu.noise.rng
+    state_measure = state.measure
+    delivered = ctx.delivered
+    outcomes = ctx.outcomes
+    program: list = []
+    for step in steps:
+        code = step[0]
+        if code == _V_UNITARY:
+            program.append(state.block_applier(step[1], step[2]))
+        elif code == _V_CHANNEL:
+            appliers = tuple(
+                tuple(state.block_applier(matrix, support)
+                      for matrix in matrices)
+                for support, matrices in step[3])
+            program.append(_serial_channel_step(step[1], step[2],
+                                                appliers, nrng))
+        elif code == _V_DECAY:
+            program.append(lambda q=step[1], t=step[2], ch=step[3]:
+                           ch.apply_idle(state, q, t, nrng))
+        elif code == _V_RESET:
+            program.append(lambda q=step[1]: state.reset(q))
+        elif code == _V_MEAS:
+            def measure(q=step[1], corrupt=step[2]) -> None:
+                value = state_measure(q)
+                if corrupt is not None:
+                    value = corrupt(value, nrng)
+                delivered[q] = value
+                outcomes.append(value)
+            program.append(measure)
+        elif code == _V_CLS:
+            program.append(lambda run=step[2], pid=step[1]:
+                           run(ctx.proc(pid)))
+        else:  # _V_FMR
+            program.append(lambda pid=step[1], rd=step[2], q=step[3]:
+                           ctx.write_fmr(pid, rd, q))
+    return program
+
+
 class _UnbatchableNode(Exception):
-    """A node's segment contains a site the batch compiler cannot
+    """A node's segment contains a step the cohort binding cannot
     model; the wavefront falls back to the serial per-shot loop for
     the affected shots (fail closed)."""
 
@@ -1444,70 +1469,6 @@ class _BatchCohort:
                             else [self.nrngs[r] for r in rows])
 
 
-class _BatchDenseCompiler:
-    """Cohort-step analogue of :class:`_DenseBlockCompiler`.
-
-    Same incremental GEMM fusion and deferred-site algebra (``R P R†``
-    corrections emitted after the block, exact in site order), but the
-    emitted steps take a :class:`_BatchCohort`: the block applies to
-    every row in one batch GEMM, and each deferred channel site draws
-    every shot's own noise rng — qubit-outer, shot-inner, preserving
-    each shot's serial draw order — then applies the fired corrections
-    to just those rows.
-    """
-
-    def __init__(self, n_qubits: int, steps: list,
-                 max_qubits: int | None = None) -> None:
-        self.n_qubits = n_qubits
-        self.steps = steps
-        self.max_qubits = (FUSE_MAX_QUBITS if max_qubits is None
-                           else max_qubits)
-        self.support: tuple[int, ...] = ()
-        self.matrix: np.ndarray | None = None
-        self.sites: list[tuple] = []
-
-    def add_unitary(self, matrix: np.ndarray,
-                    qubits: tuple[int, ...]) -> None:
-        if self.matrix is None:
-            self.support, self.matrix = tuple(qubits), matrix
-            return
-        fused = fuse_into(self.matrix, self.support, matrix,
-                          tuple(qubits), max_qubits=self.max_qubits)
-        if fused is not None:
-            self.matrix, self.support = fused
-        else:
-            self.flush()
-            self.support, self.matrix = tuple(qubits), matrix
-
-    def add_site(self, kind: str, params,
-                 qubits: tuple[int, ...]) -> None:
-        self.sites.append((kind, params, qubits, self.matrix,
-                           self.support))
-
-    def flush(self) -> None:
-        if self.matrix is None:
-            return
-        block = self.matrix
-        support = self.support
-        applier = batch_block_applier(self.n_qubits, block, support)
-        self.steps.append(lambda cohort, a=applier: a(cohort.batch))
-        for kind, params, qubits, prefix, prefix_support in self.sites:
-            lifted = _lift(prefix, prefix_support, support)
-            rest = block @ lifted.conj().T
-            rest_dag = rest.conj().T
-            appliers = tuple(
-                tuple(batch_block_applier(
-                    self.n_qubits,
-                    rest @ _lift(cached_unitary(pauli),
-                                 (qubit,), support) @ rest_dag,
-                    support)
-                    for pauli in ("x", "y", "z"))
-                for qubit in qubits)
-            self.steps.append(_batch_channel_step(kind, params, appliers))
-        self.support, self.matrix = (), None
-        self.sites = []
-
-
 def _batch_channel_step(kind: str, params, appliers: tuple):
     """One cohort step for a stochastic gate-channel site.
 
@@ -1522,200 +1483,112 @@ def _batch_channel_step(kind: str, params, appliers: tuple):
     if kind == "dep":
         p = params
 
-        def step(cohort: _BatchCohort) -> None:
-            for triplet in appliers:
-                fired: tuple[list, list, list] = ([], [], [])
-                for row, nrng in enumerate(cohort.nrngs):
-                    if nrng.random() < p:
-                        fired[nrng.choice(_PAULI_INDICES)].append(row)
-                for index in range(3):
-                    if fired[index]:
-                        triplet[index](cohort.batch,
-                                       np.array(fired[index],
-                                                dtype=np.intp))
-    elif kind == "pauli":
+        def fire(nrngs: list, fired: tuple) -> None:
+            for row, nrng in enumerate(nrngs):
+                if nrng.random() < p:
+                    fired[nrng.choice(_PAULI_INDICES)].append(row)
+    else:  # "pauli"
         cx, cxy, cxyz = params
 
-        def step(cohort: _BatchCohort) -> None:
-            for triplet in appliers:
-                fired = ([], [], [])
-                for row, nrng in enumerate(cohort.nrngs):
-                    draw = nrng.random()
-                    if draw < cx:
-                        fired[0].append(row)
-                    elif draw < cxy:
-                        fired[1].append(row)
-                    elif draw < cxyz:
-                        fired[2].append(row)
-                for index in range(3):
-                    if fired[index]:
-                        triplet[index](cohort.batch,
-                                       np.array(fired[index],
-                                                dtype=np.intp))
-    else:
-        raise _UnbatchableNode(
-            f"unknown gate-channel site kind {kind!r}")
+        def fire(nrngs: list, fired: tuple) -> None:
+            for row, nrng in enumerate(nrngs):
+                draw = nrng.random()
+                if draw < cx:
+                    fired[0].append(row)
+                elif draw < cxy:
+                    fired[1].append(row)
+                elif draw < cxyz:
+                    fired[2].append(row)
+
+    def step(cohort: _BatchCohort) -> None:
+        for triplet in appliers:
+            fired: tuple[list, list, list] = ([], [], [])
+            fire(cohort.nrngs, fired)
+            for index in range(3):
+                if fired[index]:
+                    triplet[index](cohort.batch,
+                                   np.array(fired[index], dtype=np.intp))
     return step
 
 
-def _compile_batch_dense_node(items: tuple, qpu: SimulatedQPU,
-                              windows: dict[int, tuple[int, int]],
-                              fuse: bool,
-                              max_qubits: int | None = None) -> list:
-    """Compile a node's segment into cohort-taking dense steps.
+def _collapse_cohort(cohort: _BatchCohort, qubit: int) -> list:
+    """Measure ``qubit`` in every shot of a cohort; the raw outcomes.
 
-    The batched analogue of :func:`_compile_dense_node` minus the
-    idle-decay sites (amplitude damping reads per-shot live state, so
-    decoherent models are gated out by
-    :attr:`~repro.qpu.noise.NoiseModel.is_batch_compilable` — and
-    fail closed here if one slips through).  ``windows`` models the
-    device's drive-window bookkeeping at node entry, advanced in place
-    to the exit state.  Measurements become one cohort probability
-    reduction plus per-shot draws/collapse; every other stochastic
-    site draws shot-by-shot from each shot's own noise rng in serial
-    order, so the batch is draw-for-draw identical per shot-seed.
+    One cohort-wide probability reduction replaces per-shot scans;
+    each outcome still comes from its shot's own measurement rng.
     """
-    state = qpu.state
-    noise = qpu.noise
-    if noise.decoherence is not None:
-        raise _UnbatchableNode("idle decay reads per-shot live state")
-    n = state.n_qubits
-    zz = noise.zz
-    pauli = noise.pauli
-    pauli_cum = None
-    if pauli is not None:
-        pauli_cum = (pauli.px, pauli.px + pauli.py,
-                     pauli.px + pauli.py + pauli.pz)
-    readout = noise.readout
-    profile = qpu.profile
-    if profile is None:
-        def duration_of(name, qubits):
-            return lookup_gate(name).duration_ns
-    else:
-        duration_of = profile.gate_duration_ns
-    steps: list = []
-    block = _BatchDenseCompiler(n, steps, max_qubits) if fuse else None
+    p_one = cohort.batch.probability_of_one(qubit)
+    outcomes = [1 if srng.random() < p_one[row] else 0
+                for row, srng in enumerate(cohort.srngs)]
+    cohort.batch.collapse(qubit, np.array(outcomes), p_one)
+    return outcomes
 
-    def flush_gates() -> None:
-        if block is not None:
-            block.flush()
 
-    def gate_applier(matrix: np.ndarray,
-                     qubits: tuple[int, ...]) -> None:
-        if block is not None:
-            block.add_unitary(matrix, qubits)
-            return
-        applier = batch_block_applier(n, matrix, qubits)
-        steps.append(lambda cohort, a=applier: a(cohort.batch))
+def _bind_cohort(steps: list, n: int) -> list:
+    """Bind a dense step list to closures over a :class:`_BatchCohort`.
 
-    def channel_sites(qubits: tuple[int, ...]) -> None:
-        for kind, channel in noise.gate_site_specs(qubits):
-            if kind == "dep":
-                params = channel.p
-            elif kind == "pauli":
-                params = pauli_cum
-            else:
-                raise _UnbatchableNode(
-                    f"unknown gate-channel site kind {kind!r}")
-            if block is not None:
-                block.add_site(kind, params, qubits)
-                continue
+    Every operator becomes one batch GEMM over the cohort's stacked
+    amplitudes (:func:`~repro.qpu.statevector.batch_block_applier`);
+    measurements become one cohort probability reduction plus
+    per-shot draws and collapse; every stochastic site draws each
+    shot's own rngs in serial order (qubit-outer, shot-inner), so the
+    cohort is draw-for-draw identical per shot-seed.  Raises
+    :class:`_UnbatchableNode` on an idle-decay step: amplitude damping
+    reads per-shot live state, so decoherent models are gated out by
+    :attr:`~repro.qpu.noise.NoiseModel.is_batch_compilable` — and
+    fail closed here if one slips through.
+    """
+    program: list = []
+    for step in steps:
+        code = step[0]
+        if code == _V_UNITARY:
+            program.append(lambda cohort,
+                           a=batch_block_applier(n, step[1], step[2]):
+                           a(cohort.batch))
+        elif code == _V_CHANNEL:
             appliers = tuple(
-                tuple(batch_block_applier(n, cached_unitary(p), (q,))
-                      for p in ("x", "y", "z"))
-                for q in qubits)
-            steps.append(_batch_channel_step(kind, params, appliers))
+                tuple(batch_block_applier(n, matrix, support)
+                      for matrix in matrices)
+                for support, matrices in step[3])
+            program.append(_batch_channel_step(step[1], step[2],
+                                               appliers))
+        elif code == _V_DECAY:
+            raise _UnbatchableNode("idle decay reads per-shot live state")
+        elif code == _V_RESET:
+            flip = batch_block_applier(n, cached_unitary("x"), (step[1],))
 
-    def note_window(time_ns: int, qubits: tuple[int, ...],
-                    duration: int) -> None:
-        # Same model as _compile_dense_node's: prune expired windows,
-        # then one per-pair event per coupled pair's own overlap
-        # (ZZCrosstalk.window_events is the single shared
-        # implementation).  Overlaps are decision-path constants, so
-        # the phases fold into the fusion block at compile time.
-        expired = [qubit for qubit, (_, stop) in windows.items()
-                   if stop <= time_ns]
-        for qubit in expired:
-            del windows[qubit]
-        end = time_ns + duration
-        events = (zz.window_events(windows, time_ns, end, qubits)
-                  if zz is not None else ())
-        for qubit in qubits:
-            windows[qubit] = (time_ns, end)
-        for left, right, overlap_ns in events:
-            matrix = zz.pair_unitary(left, right, overlap_ns)
-            if matrix is not None:
-                gate_applier(matrix, (left, right))
-
-    def measure_step(qubit: int):
-        # Per-qubit readout calibration resolves at compile time;
-        # for_qubit is identity on the uniform channel.
-        rcorrupt = (None if readout is None
-                    else readout.for_qubit(qubit).corrupt)
-
-        def step(cohort: _BatchCohort, q=qubit) -> None:
-            # One cohort-wide reduction replaces per-shot probability
-            # scans; outcomes still come from each shot's own rng.
-            p_one = cohort.batch.probability_of_one(q)
-            outcomes = [1 if srng.random() < p_one[row] else 0
-                        for row, srng in enumerate(cohort.srngs)]
-            cohort.batch.collapse(q, np.array(outcomes), p_one)
-            if rcorrupt is None:
-                for row, ctx in enumerate(cohort.ctxs):
-                    ctx.deliver(q, outcomes[row])
-            else:
-                for row, ctx in enumerate(cohort.ctxs):
-                    ctx.deliver(q, rcorrupt(outcomes[row],
-                                            cohort.nrngs[row]))
-        return step
-
-    def reset_step(qubit: int):
-        applier = batch_block_applier(n, cached_unitary("x"), (qubit,))
-
-        def step(cohort: _BatchCohort, q=qubit) -> None:
-            p_one = cohort.batch.probability_of_one(q)
-            outcomes = [1 if srng.random() < p_one[row] else 0
-                        for row, srng in enumerate(cohort.srngs)]
-            cohort.batch.collapse(q, np.array(outcomes), p_one)
-            ones = [row for row, outcome in enumerate(outcomes)
-                    if outcome]
-            if ones:
-                applier(cohort.batch, np.array(ones, dtype=np.intp))
-        return step
-
-    for item in items:
-        code = item[0]
-        if code == _I_OPS:
-            for op, time_ns in zip(item[1], item[2]):
-                kind, name, qubits, params = op
-                duration = duration_of(name, qubits)
-                if kind == "reset":
-                    flush_gates()
-                    steps.append(reset_step(qubits[0]))
-                    continue
-                matrix = (cached_unitary(name, params)
-                          if len(qubits) == 1
-                          else lookup_gate(name).unitary(params))
-                gate_applier(matrix, qubits)
-                channel_sites(qubits)
-                note_window(time_ns, qubits, duration)
-        elif code == _I_MEAS:
-            flush_gates()
-            steps.append(measure_step(item[1]))
-        elif code == _I_CLS:
+            def reset(cohort: _BatchCohort, q=step[1], flip=flip) -> None:
+                ones = [row for row, outcome
+                        in enumerate(_collapse_cohort(cohort, q))
+                        if outcome]
+                if ones:
+                    flip(cohort.batch, np.array(ones, dtype=np.intp))
+            program.append(reset)
+        elif code == _V_MEAS:
+            def measure(cohort: _BatchCohort, q=step[1],
+                        corrupt=step[2]) -> None:
+                outcomes = _collapse_cohort(cohort, q)
+                if corrupt is None:
+                    for row, ctx in enumerate(cohort.ctxs):
+                        ctx.deliver(q, outcomes[row])
+                else:
+                    for row, ctx in enumerate(cohort.ctxs):
+                        ctx.deliver(q, corrupt(outcomes[row],
+                                               cohort.nrngs[row]))
+            program.append(measure)
+        elif code == _V_CLS:
             def cls_step(cohort: _BatchCohort,
-                         run=item[2], pid=item[1]) -> None:
+                         run=step[2], pid=step[1]) -> None:
                 for ctx in cohort.ctxs:
                     run(ctx.proc(pid))
-            steps.append(cls_step)
-        else:  # _I_FMR
-            def fmr_step(cohort: _BatchCohort, pid=item[1],
-                         rd=item[2], q=item[3]) -> None:
+            program.append(cls_step)
+        else:  # _V_FMR
+            def fmr_step(cohort: _BatchCohort, pid=step[1],
+                         rd=step[2], q=step[3]) -> None:
                 for ctx in cohort.ctxs:
                     ctx.write_fmr(pid, rd, q)
-            steps.append(fmr_step)
-    flush_gates()
-    return steps
+            program.append(fmr_step)
+    return program
 
 
 def replay_mode(qpu: SimulatedQPU) -> str | None:
@@ -2465,7 +2338,7 @@ class TraceCache:
         firings and readout flips are drawn from each shot's own
         seeded rngs in serial order.  Decision splits gather-copy the
         partitioned amplitude rows into child cohorts.  Nodes whose
-        segments the batch compiler cannot model drop their cohort to
+        steps the cohort binding cannot model drop their cohort to
         the serial fallback (fail closed).
         """
         batch = qpu.state.make_batch_state(len(seeds))

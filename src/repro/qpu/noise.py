@@ -183,8 +183,8 @@ class ZZCrosstalk:
         dense, batched — applies the unitaries identically.
 
         This is the single implementation all paths share; see
-        ``SimulatedQPU._note_window`` and the trace-cache dense
-        compilers.
+        ``SimulatedQPU._note_window`` and the trace cache's dense step
+        compiler.
         """
         events = []
         for left, right in self.pairs:
@@ -484,11 +484,11 @@ class NoiseModel:
         Decoherence is excluded: its idle-decay trajectory reads the
         state (amplitude-damping jump probabilities depend on the
         current amplitudes), so shots sharing a cohort would need
-        per-shot Kraus branches the batch compiler does not model —
+        per-shot Kraus branches the cohort binding does not model —
         those models replay serially.  Fails **closed** like
         :attr:`is_dense_compilable`: an allow-list, so new channel
         fields route batched replay back to the serial loop until the
-        batch compiler is explicitly taught about them.
+        cohort binding is explicitly taught about them.
         """
         batchable = {"depolarizing", "two_qubit_depolarizing",
                      "pauli", "zz", "readout", "seed", "rng"}
@@ -528,17 +528,6 @@ class NoiseModel:
         if self.pauli is not None:
             specs.append(("pauli", self.pauli))
         return tuple(specs)
-
-    def gate_site_appliers(self, qubits: tuple[int, ...]) -> tuple:
-        """The channel applications :meth:`after_gate` would perform.
-
-        The bound ``apply`` methods of :meth:`gate_site_specs`, for
-        replays that re-run the channels verbatim: calling each as
-        ``applier(state, qubits, rng)`` is draw-for-draw and
-        bit-for-bit identical to ``after_gate(state, gate, qubits)``.
-        """
-        return tuple(channel.apply
-                     for _kind, channel in self.gate_site_specs(qubits))
 
     def zz_window_events(self, windows: dict, time_ns: int, end: int,
                          gate_qubits: tuple[int, ...]) -> list:

@@ -376,19 +376,6 @@ class StabilizerState(SimulationBackend):
 # bitwise, so batched replay is bit-identical to the serial column.
 
 
-def pack_shot_bits(bits: Sequence[int]) -> np.ndarray:
-    """Pack one bit per shot into little-endian uint64 words.
-
-    Shot ``b``'s bit lands in bit ``b % 64`` of word ``b // 64`` —
-    the bit-plane convention of :class:`SignBitPlanes`.
-    """
-    words = [0] * ((len(bits) + 63) >> 6)
-    for index, bit in enumerate(bits):
-        if bit:
-            words[index >> 6] |= 1 << (index & 63)
-    return np.array(words, dtype=np.uint64)
-
-
 def pack_shot_mask(slots: Sequence[int], width: int) -> np.ndarray:
     """Cohort mask: the bit-plane words with the given shot slots set."""
     words = [0] * ((width + 63) >> 6)

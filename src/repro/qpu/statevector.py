@@ -111,9 +111,9 @@ def fuse_into(matrix: np.ndarray, support: tuple[int, ...],
 
     Returns the grown ``(matrix, support)`` pair, or ``None`` when
     the support union would exceed ``max_qubits`` (the caller then
-    flushes the block and opens a new one).  This is the one greedy
-    accumulation kernel the trace cache's serial and cohort dense
-    compilers share; both interleave deferred channel sites with it.
+    flushes the block and opens a new one).  This is the greedy
+    accumulation kernel of the trace cache's dense step compiler,
+    which interleaves deferred channel sites with it.
     """
     union = tuple(sorted(set(support) | set(qubits)))
     if len(union) > max_qubits:

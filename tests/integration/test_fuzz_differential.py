@@ -12,14 +12,18 @@ bit** under a fixed seed:
 * trace cache: off (the cycle-accurate reference), on, and on with a
   tiny LRU bound (eviction + re-record churn);
 * issue model: scalar x superscalar;
-* noise: ideal, Pauli+readout (both backends), and the full dense
-  channel stack (statevector only);
+* noise: ideal, Pauli+readout (both backends), the full dense
+  channel stack (statevector only) and that stack without decoherence
+  (statevector only; the channels dense cohorts batch);
 * dense replay flavours: GEMM fusion on/off and an LRU-bounded trie;
 * shot batching: lockstep cohorts (bit-plane sign columns on the
   stabilizer backend, batch GEMMs on the statevector backend,
   wavefront trie traversal for control flow) vs the serial per-shot
   replay loop, at cohort widths that split at every decision and
-  widths larger than the shot count.
+  widths larger than the shot count.  Dense cohorts run under the
+  batchable channel stack with fusion on and off, so cohort ZZ
+  windows, deferred corrections and unfused cohort steps are
+  differential-tested; under decoherence they must decline.
 
 This is the suite guarding edge selection, which lives in two places:
 both serial replay loops (sign-trace, dense noise-site) decide through
@@ -78,17 +82,30 @@ def pauli_noise() -> NoiseModel:
                                            p1_given_0=0.04))
 
 
+#: Chained ZZ pairs: when three or four qubits drive concurrently,
+#: several pairs overlap in the *same* window, each with its own
+#: overlap length — the per-pair accounting the replay modes must
+#: reproduce exactly (a collapsed single-event model diverges here).
+ZZ_PAIRS = ((0, 1), (1, 2), (2, 3), (0, 3))
+
+
 def dense_noise() -> NoiseModel:
-    # Chained ZZ pairs: when three or four qubits drive concurrently,
-    # several pairs overlap in the *same* window, each with its own
-    # overlap length — the per-pair accounting the replay modes must
-    # reproduce exactly (a collapsed single-event model diverges here).
     return NoiseModel(
         depolarizing=DepolarizingNoise(p=0.02),
         two_qubit_depolarizing=DepolarizingNoise(p=0.04),
-        zz=ZZCrosstalk(zeta_hz=2.5e6,
-                       pairs=((0, 1), (1, 2), (2, 3), (0, 3))),
+        zz=ZZCrosstalk(zeta_hz=2.5e6, pairs=ZZ_PAIRS),
         decoherence=DecoherenceNoise(t1_us=60.0, t2_us=45.0),
+        readout=ReadoutError(p0_given_1=0.05, p1_given_0=0.03))
+
+
+def batchable_dense_noise() -> NoiseModel:
+    # No decoherence, so every channel is batch-compilable and dense
+    # cohorts replay it instead of declining.
+    return NoiseModel(
+        depolarizing=DepolarizingNoise(p=0.02),
+        two_qubit_depolarizing=DepolarizingNoise(p=0.04),
+        pauli=PauliChannel(px=0.02, py=0.01, pz=0.02),
+        zz=ZZCrosstalk(zeta_hz=2.5e6, pairs=ZZ_PAIRS),
         readout=ReadoutError(p0_given_1=0.05, p1_given_0=0.03))
 
 
@@ -276,40 +293,51 @@ BATCH_WIDTHS = (1, 7, 64, 100)
 def test_fuzz_batched_replay_matches_serial(program):
     """Shot-batched replay is bit-identical per shot-seed to serial.
 
-    Every (backend, noise, cohort width) cell must reproduce the
-    serial-replay histogram, total_ns and measured-qubit union
+    Every (backend, noise, fusion, cohort width) cell must reproduce
+    the serial-replay histogram, total_ns and measured-qubit union
     exactly.  Widths 7 and 64 force wavefront splits at every random
     decision the generated program takes; width 100 exceeds the shot
-    count; width 1 degenerates to cohorts of one.  The dense channel
-    stack includes decoherence, which the batch compiler refuses
+    count; width 1 degenerates to cohorts of one.  The batchable dense
+    stack must actually batch, fused and unfused.  The full dense
+    stack includes decoherence, which the cohort binding refuses
     (idle decay reads per-shot live state), so that cell additionally
     pins the fail-closed mode fallback: results still identical,
     zero shots batched.
     """
     config = scalar_config()
-    for backend, noise_factory in (("stabilizer", None),
-                                   ("statevector", None),
-                                   ("stabilizer", pauli_noise),
-                                   ("statevector", pauli_noise),
-                                   ("statevector", dense_noise)):
+    for backend, noise_factory, changes in (
+            ("stabilizer", None, {}),
+            ("statevector", None, {}),
+            ("stabilizer", pauli_noise, {}),
+            ("statevector", pauli_noise, {}),
+            ("statevector", batchable_dense_noise, {}),
+            ("statevector", batchable_dense_noise,
+             {"trace_cache_dense_fusion": False}),
+            ("statevector", dense_noise, {})):
         serial = cache_engine(program, backend, config, noise_factory,
-                              trace_cache_batch=False)
+                              trace_cache_batch=False, **changes)
         reference = serial.run(BATCH_SHOTS)
         assert serial.trace_cache.batched_shots == 0
+        batched = 0
         for width in BATCH_WIDTHS:
             engine = cache_engine(program, backend, config,
                                   noise_factory,
-                                  trace_cache_batch_width=width)
+                                  trace_cache_batch_width=width,
+                                  **changes)
             result = engine.run(BATCH_SHOTS)
-            name = f"{backend}/{noise_factory}/{width}"
+            name = f"{backend}/{noise_factory}/{changes}/{width}"
             assert result.counts == reference.counts, name
             assert result.total_ns == reference.total_ns, name
             assert result.measured_qubits == \
                 reference.measured_qubits, name
             cache = engine.trace_cache
             assert cache.hits + cache.misses == BATCH_SHOTS, name
-            if noise_factory is dense_noise:
-                assert cache.batched_shots == 0, name
+            batched += cache.batched_shots
+        name = f"{backend}/{noise_factory}/{changes}"
+        if noise_factory is dense_noise:
+            assert batched == 0, name
+        elif noise_factory is batchable_dense_noise:
+            assert batched > 0, name
 
 
 @settings(max_examples=6, deadline=None)
@@ -380,6 +408,11 @@ def test_epilogue_is_shared_by_all_replay_modes():
     edges, it does not select them).  The sign cohort loop builds no
     per-shot context and names no comparator or ALU function: its
     decisions run the recorded micro-op closures.
+
+    Dense compilation has exactly one implementation: the drive-window
+    pruning, the ZZ window accounting, the gate-channel selection and
+    GEMM fusion each appear in one function, and both dense bindings
+    (serial and cohort) compile through the one step compiler.
     """
     import inspect
 
@@ -409,6 +442,22 @@ def test_epilogue_is_shared_by_all_replay_modes():
     assert selectors == {"TraceCache._epilogue",
                          "TraceCache._split_cohort",
                          "TraceCache.record"}, selectors
+
+    def holders(text: str) -> set:
+        return {name for name, member in functions
+                if member.__code__.co_filename == tracecache.__file__
+                and text in inspect.getsource(member)}
+
+    for kernel in ("stop <= time_ns", "window_events(",
+                   "gate_site_specs(", "fuse_into("):
+        assert len(holders(kernel)) == 1, (kernel, holders(kernel))
+    # The step compiler's own definition and its one caller.
+    assert holders("_compile_dense_steps(") == {"_compile_dense_steps",
+                                                "TraceNode._dense_steps"}
+    for binding in ("dense_program", "batch_dense_program"):
+        source = inspect.getsource(getattr(tracecache.TraceNode, binding))
+        assert "self._dense_steps(" in source, (
+            f"{binding} bypasses the shared dense step compiler")
     source = inspect.getsource(cache._replay_batch_signs)
     for banned in ("_COMPARATORS", "_FUNCS", ".taken(", "_ReplayContext",
                    "_decide("):

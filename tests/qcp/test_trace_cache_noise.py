@@ -14,7 +14,9 @@ force frequent divergence.
 from __future__ import annotations
 
 import dataclasses
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -290,3 +292,90 @@ class TestGating:
                             noise=pauli_noise())
         for seed in (0, 5, 5, 123):  # repeats must reproduce too
             assert first.run_shot(seed) == second.run_shot(seed)
+
+
+def unfused_exactness_noise() -> NoiseModel:
+    """Every dense channel at rates that fire often: depolarizing (one-
+    and two-qubit), Pauli, chained per-pair ZZ and T1/T2 decay."""
+    return NoiseModel(
+        depolarizing=DepolarizingNoise(p=0.1),
+        two_qubit_depolarizing=DepolarizingNoise(p=0.15),
+        pauli=PauliChannel(px=0.05, py=0.04, pz=0.06),
+        zz=ZZCrosstalk(zeta_hz=2.5e6,
+                       pairs=((0, 1), (1, 2), (2, 3), (0, 3))),
+        decoherence=DecoherenceNoise(t1_us=50.0, t2_us=40.0))
+
+
+def random_segment(seed: int, n_qubits: int = 4, length: int = 30):
+    """A seeded random decision-free segment as recorded ops + times.
+
+    One-qubit gates (``t`` included) and CNOTs, issued back to back
+    (overlapping drives, so ZZ windows fire) or after idle gaps (so
+    T1/T2 decay fires).
+    """
+    rng = random.Random(seed)
+    ops, times = [], []
+    time_ns = 0
+    for _ in range(length):
+        if rng.random() < 0.3:
+            control, target = rng.sample(range(n_qubits), 2)
+            ops.append(("gate", "cnot", (control, target), ()))
+        else:
+            gate = rng.choice(("h", "t", "s", "x", "y90", "z"))
+            ops.append(("gate", gate, (rng.randrange(n_qubits),), ()))
+        times.append(time_ns)
+        time_ns += rng.choice((0, 10, 20, 30, 150, 400))
+    return tuple(ops), tuple(times)
+
+
+class TestUnfusedDenseSteps:
+    """With fusion off, the compiled dense steps *are* the device."""
+
+    def test_serial_binding_matches_device_amplitudes(self):
+        # Each segment runs through SimulatedQPU.apply_gate and through
+        # the serial binding of its unfused step list on an identically
+        # seeded device: amplitudes must be exactly equal (not close),
+        # and both noise rngs must end in the same state.
+        from repro.qcp.config import QCPConfig
+        from repro.qcp.tracecache import (_I_OPS, _ReplayContext,
+                                          _bind_serial,
+                                          _compile_dense_steps)
+        from repro.qpu.device import SimulatedQPU
+
+        for seed in range(200):
+            ops, times = random_segment(seed)
+            device = SimulatedQPU(4, noise=unfused_exactness_noise(),
+                                  seed=seed)
+            device.restart(seed=seed)
+            for (_, name, qubits, params), time_ns in zip(ops, times):
+                device.apply_gate(time_ns, name, qubits, params)
+            replay = SimulatedQPU(4, noise=unfused_exactness_noise(),
+                                  seed=seed)
+            replay.restart(seed=seed)
+            busy, windows = {}, {}
+            steps = _compile_dense_steps(((_I_OPS, ops, times),),
+                                         replay, busy, windows,
+                                         fuse=False)
+            for step in _bind_serial(steps, replay,
+                                     _ReplayContext(QCPConfig())):
+                step()
+            assert np.array_equal(device.state.amplitudes,
+                                  replay.state.amplitudes), seed
+            assert (device.noise.rng.getstate()
+                    == replay.noise.rng.getstate()), seed
+            # The compile-time timing model ends where the device does.
+            assert busy == device._busy_until, seed
+            assert windows == device._windows, seed
+
+    def test_unknown_site_kind_fails_closed(self, monkeypatch):
+        from repro.qcp.tracecache import (_I_OPS, TraceDivergenceError,
+                                          _compile_dense_steps)
+        from repro.qpu.device import SimulatedQPU
+
+        qpu = SimulatedQPU(2, noise=pauli_noise())
+        monkeypatch.setattr(qpu.noise, "gate_site_specs",
+                            lambda qubits: (("leak", None),))
+        items = ((_I_OPS, (("gate", "h", (0,), ()),), (0,)),)
+        for fuse in (True, False):
+            with pytest.raises(TraceDivergenceError):
+                _compile_dense_steps(items, qpu, {}, {}, fuse)

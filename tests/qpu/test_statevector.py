@@ -159,15 +159,16 @@ def test_inverse_circuit_returns_to_start(gates, qubit):
 
 
 def compile_dense(ops, seed=0, max_qubits=None):
-    """``ops`` through the trace cache's dense block compiler.
+    """``ops`` through the trace cache's dense step compiler.
 
     Compiles one recorded op run for an ideal 4-qubit device seeded
-    with ``seed``; returns the device, the replay steps and the qubit
-    support of every fused block the compiler emitted.
+    with ``seed`` and binds it for serial replay; returns the device,
+    the replay steps and the qubit support of every fused block the
+    compiler emitted.
     """
     from repro.qcp.config import QCPConfig
     from repro.qcp.tracecache import (_I_OPS, _ReplayContext,
-                                      _compile_dense_node)
+                                      _bind_serial, _compile_dense_steps)
     from repro.qpu.device import SimulatedQPU
 
     qpu = SimulatedQPU(4, seed=seed)
@@ -180,9 +181,10 @@ def compile_dense(ops, seed=0, max_qubits=None):
 
     qpu.state.block_applier = recording_applier
     times = tuple(40 * index for index in range(len(ops)))
-    steps = _compile_dense_node(((_I_OPS, tuple(ops), times),), qpu, {},
-                                {}, True, _ReplayContext(QCPConfig()),
-                                max_qubits=max_qubits)
+    steps = _bind_serial(
+        _compile_dense_steps(((_I_OPS, tuple(ops), times),), qpu, {}, {},
+                             True, max_qubits=max_qubits),
+        qpu, _ReplayContext(QCPConfig()))
     return qpu, steps, supports
 
 
