@@ -185,10 +185,10 @@ def chain_dense_profile(n_qubits: int) -> DeviceProfile:
     """Amplitude-level calibration: per-qubit T1/T2 + per-pair ZZ.
 
     Non-Pauli channels, so the auto router sends even the Clifford
-    chain to the dense statevector; decoherence reads live amplitudes,
-    so the cohort path declines up front and batched runs replay
-    serially (still bit-identical) — ``batched_shots`` stays 0 in the
-    entry's ``batched_trace_cache``.
+    chain to the dense statevector, where idle decay runs the cohort
+    decay kernel: batched runs replay in cohorts (bit-identical), so
+    ``batched_shots`` is positive in the entry's
+    ``batched_trace_cache``.
     """
     qubits = {str(qubit): {"t1_us": 60.0 + 5.0 * qubit, "t2_us": 45.0}
               for qubit in range(n_qubits)}

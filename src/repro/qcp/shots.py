@@ -313,8 +313,7 @@ class ShotEngine:
         if self.config.trace_cache and self._qpu is not None:
             mode = replay_mode(self._qpu)
             if mode is not None:
-                self.trace_cache = TraceCache(self.config, mode,
-                                              self._qpu.noise)
+                self.trace_cache = TraceCache(self.config, mode)
         # -- persistent artifact cache: warm-start the trace cache -------
         # Keyed by the full engine identity; an engine whose identity
         # cannot be fingerprinted (exotic noise channel) stays cold
@@ -456,16 +455,9 @@ class ShotEngine:
             width = auto_batch_width(self._qpu)
         yield self.run_shot(seeds[0])
         index = 1
-        batching = True
         while index < len(seeds):
             chunk = list(seeds[index:index + width])
-            replayed = (cache.replay_batch(self._qpu, chunk)
-                        if batching else None)
-            if replayed is None:
-                # No batch kernel for this substrate/noise/config —
-                # stay serial for the rest of the run.
-                batching = False
-                replayed = [None] * len(chunk)
+            replayed = cache.replay_batch(self._qpu, chunk)
             for chunk_seed, result in zip(chunk, replayed):
                 yield (result if result is not None
                        else self.run_shot(chunk_seed))

@@ -237,7 +237,7 @@ _S_NOISE = 7    # (_S_NOISE, dep_p, per_qubit_masks, pauli_cumulative)
 # ``for step in program: step()`` (or ``step(cohort)``).
 _V_UNITARY = 0  # (_V_UNITARY, matrix, support)
 _V_CHANNEL = 1  # (_V_CHANNEL, kind, params, ((support, (X, Y, Z)), ...))
-_V_DECAY = 2    # (_V_DECAY, qubit, idle_ns, decoherence_channel)
+_V_DECAY = 2    # (_V_DECAY, qubit, gamma, sqrt(1 - gamma), p_dephase)
 _V_RESET = 3    # (_V_RESET, qubit)
 _V_MEAS = 4     # (_V_MEAS, qubit, corrupt or None)
 _V_CLS = 5      # (_V_CLS, proc_id, run)
@@ -799,10 +799,7 @@ class TraceNode:
         state (:func:`_bind_cohort`), so one compilation serves every
         wavefront (and every ``take``-partitioned sub-cohort) that
         passes through the node.  The cohort state is never captured,
-        so the program stays valid for the cache's lifetime.  Raises
-        :class:`_UnbatchableNode` when the segment contains a step the
-        cohort binding does not model — the caller then falls back to
-        the serial per-shot loop (fail closed).
+        so the program stays valid for the cache's lifetime.
         """
         if self._bdense_program is None:
             self._bdense_program = _bind_cohort(
@@ -1248,17 +1245,19 @@ def _compile_dense_steps(items: tuple, qpu: SimulatedQPU,
     block = _DenseBlockCompiler(steps, fuse, max_qubits)
 
     def decay_sites(time_ns: int, qubits: tuple[int, ...]) -> None:
-        # Mirrors SimulatedQPU._decay_idle with the idle durations and
-        # the qubit's calibrated T1/T2 channel resolved at compile
-        # time (for_qubit is identity on the uniform channel).
+        # Mirrors SimulatedQPU._decay_idle, resolving at compile time
+        # the idle durations, each qubit's calibrated T1/T2 channel
+        # (for_qubit is identity on the uniform channel) and so the
+        # decay kernel's constants.
         if decoherence is None:
             return
         for qubit in qubits:
             idle = time_ns - busy.get(qubit, 0)
             if idle > 0:
                 block.flush()
-                steps.append((_V_DECAY, qubit, idle,
-                              decoherence.for_qubit(qubit)))
+                steps.append(
+                    (_V_DECAY, qubit)
+                    + decoherence.for_qubit(qubit).decay_constants(idle))
 
     def channel_sites(qubits: tuple[int, ...]) -> None:
         # NoiseModel.gate_site_specs is the one source of truth for
@@ -1385,7 +1384,9 @@ def _bind_serial(steps: list, qpu: SimulatedQPU,
     :meth:`~repro.qpu.statevector.StateVector.block_applier` on the
     live statevector; channel sites draw the noise rng like
     ``DepolarizingNoise``/``PauliChannel``; idle decay, resets and
-    measurements call the device's own channel and state code; and
+    measurements call the device's own state kernels
+    (:meth:`~repro.qpu.statevector.StateVector.apply_decay` with the
+    compiled constants); and
     classical steps run over ``ctx``, the cache's persistent replay
     context (reset in place per shot, so the captured containers stay
     connected).
@@ -1393,6 +1394,7 @@ def _bind_serial(steps: list, qpu: SimulatedQPU,
     state = qpu.state
     nrng = qpu.noise.rng
     state_measure = state.measure
+    state_decay = state.apply_decay
     delivered = ctx.delivered
     outcomes = ctx.outcomes
     program: list = []
@@ -1408,8 +1410,8 @@ def _bind_serial(steps: list, qpu: SimulatedQPU,
             program.append(_serial_channel_step(step[1], step[2],
                                                 appliers, nrng))
         elif code == _V_DECAY:
-            program.append(lambda q=step[1], t=step[2], ch=step[3]:
-                           ch.apply_idle(state, q, t, nrng))
+            program.append(lambda q=step[1], g=step[2], k=step[3],
+                           d=step[4]: state_decay(q, g, k, d, nrng))
         elif code == _V_RESET:
             program.append(lambda q=step[1]: state.reset(q))
         elif code == _V_MEAS:
@@ -1430,9 +1432,9 @@ def _bind_serial(steps: list, qpu: SimulatedQPU,
 
 
 class _UnbatchableNode(Exception):
-    """A node's segment contains a step the cohort binding cannot
-    model; the wavefront falls back to the serial per-shot loop for
-    the affected shots (fail closed)."""
+    """A sign node contains a classical micro-op the cohort cannot
+    partition (no def/use sets); the wavefront falls back to the serial
+    per-shot loop for the affected shots (fail closed)."""
 
 
 class _BatchCohort:
@@ -1530,13 +1532,12 @@ def _bind_cohort(steps: list, n: int) -> list:
     Every operator becomes one batch GEMM over the cohort's stacked
     amplitudes (:func:`~repro.qpu.statevector.batch_block_applier`);
     measurements become one cohort probability reduction plus
-    per-shot draws and collapse; every stochastic site draws each
-    shot's own rngs in serial order (qubit-outer, shot-inner), so the
-    cohort is draw-for-draw identical per shot-seed.  Raises
-    :class:`_UnbatchableNode` on an idle-decay step: amplitude damping
-    reads per-shot live state, so decoherent models are gated out by
-    :attr:`~repro.qpu.noise.NoiseModel.is_batch_compilable` — and
-    fail closed here if one slips through.
+    per-shot draws and collapse; idle decay runs the cohort form of
+    the serial kernel
+    (:meth:`~repro.qpu.statevector.BatchStateVector.apply_decay`);
+    every stochastic site draws each shot's own rngs in serial order
+    (qubit-outer, shot-inner), so the cohort is draw-for-draw
+    identical per shot-seed.
     """
     program: list = []
     for step in steps:
@@ -1553,7 +1554,11 @@ def _bind_cohort(steps: list, n: int) -> list:
             program.append(_batch_channel_step(step[1], step[2],
                                                appliers))
         elif code == _V_DECAY:
-            raise _UnbatchableNode("idle decay reads per-shot live state")
+            program.append(lambda cohort, q=step[1], g=step[2],
+                           k=step[3], d=step[4]:
+                           cohort.batch.apply_decay(q, g, k, d,
+                                                    cohort.srngs,
+                                                    cohort.nrngs))
         elif code == _V_RESET:
             flip = batch_block_applier(n, cached_unitary("x"), (step[1],))
 
@@ -1727,15 +1732,10 @@ class TraceCache:
     off the cached trie plus unbatchable segments).
     """
 
-    def __init__(self, config: QCPConfig, mode: str,
-                 noise: NoiseModel) -> None:
+    def __init__(self, config: QCPConfig, mode: str) -> None:
         self.config = config
         #: The engine's :func:`replay_mode`: ``"signs"`` or ``"dense"``.
         self.mode = mode
-        #: Whether cohorts have a batch kernel: bit-plane sign columns
-        #: always do; dense cohorts only when every channel is
-        #: batch-compilable (idle decay reads per-shot live state).
-        self.batchable = mode == "signs" or noise.is_batch_compilable
         self.root: TraceNode | None = None
         self.max_nodes = config.trace_cache_max_nodes
         self.hits = 0
@@ -1998,8 +1998,7 @@ class TraceCache:
 
     # -- batched (wavefront) replay ----------------------------------------
 
-    def replay_batch(self, qpu: SimulatedQPU, seeds: list
-                     ) -> "list | None":
+    def replay_batch(self, qpu: SimulatedQPU, seeds: list) -> list:
         """Replay a cohort of shot seeds through the trie at once.
 
         The trie is traversed as a **wavefront**: every compiled
@@ -2013,15 +2012,11 @@ class TraceCache:
         bit-identical per shot-seed to :meth:`replay` — and ``None``
         for shots that left the cached trie or hit an unbatchable
         segment; the caller runs those through the serial per-shot
-        path, which records new paths as usual.  Returns ``None`` (no
-        list) when this substrate/noise/config combination has no
-        batch kernel at all, so the caller can stop attempting
-        batches.  The live QPU's state and rngs are never touched —
-        cohorts carry their own — but its per-shot logs are cleared,
-        as any serial replay would.
+        path, which records new paths as usual.  Every replay mode
+        has a batch kernel.  The live QPU's state and rngs are never
+        touched — cohorts carry their own — but its per-shot logs are
+        cleared, as any serial replay would.
         """
-        if not self.batchable:
-            return None
         results: list = [None] * len(seeds)
         node = self.root
         if node is None or node.items is None:
@@ -2328,7 +2323,7 @@ class TraceCache:
         return results
 
     def _replay_batch_dense(self, root: TraceNode, qpu: SimulatedQPU,
-                            seeds: list, results: list) -> "list | None":
+                            seeds: list, results: list) -> list:
         """Wavefront dense replay over a stacked amplitude matrix.
 
         The cohort is a ``(width, 2^n)`` :class:`BatchStateVector`;
@@ -2337,35 +2332,26 @@ class TraceCache:
         reduction over the whole matrix, while outcomes, channel
         firings and readout flips are drawn from each shot's own
         seeded rngs in serial order.  Decision splits gather-copy the
-        partitioned amplitude rows into child cohorts.  Nodes whose
-        steps the cohort binding cannot model drop their cohort to
-        the serial fallback (fail closed).
+        partitioned amplitude rows into child cohorts.
         """
         batch = qpu.state.make_batch_state(len(seeds))
-        if batch is None:
-            return None
         fuse = self.config.trace_cache_dense_fusion
         width = self.config.fuse_max_qubits
         cohort = _BatchCohort(
             batch, list(range(len(seeds))),
             [_ReplayContext(self.config) for _ in seeds],
             [random.Random(seed) for seed in seeds],
-            # Channel firings and readout flips are the only noise-rng
-            # consumers; an ideal substrate never draws them, so skip
-            # the per-shot Mersenne seeding entirely.
+            # Channel firings, readout flips and dephasing are the only
+            # noise-rng consumers; an ideal substrate never draws them,
+            # so skip the per-shot Mersenne seeding entirely.
             None if qpu.noise.is_ideal else
             [random.Random(seed ^ NOISE_SEED_SALT) for seed in seeds])
         stack: list[tuple] = [(root, None, cohort)]
         while stack:
             node, parent, cohort = stack.pop()
             self._touch(node)
-            try:
-                program = node.batch_dense_program(qpu, parent, fuse,
-                                                   max_qubits=width)
-            except _UnbatchableNode:
-                self.serial_fallbacks += len(cohort.slots)
-                continue
-            for step in program:
+            for step in node.batch_dense_program(qpu, parent, fuse,
+                                                 max_qubits=width):
                 step(cohort)
             decision = node.decision
             if decision is None:

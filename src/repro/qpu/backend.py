@@ -123,11 +123,11 @@ class SimulationBackend(abc.ABC):
         Batched trace-cache replay advances a whole cohort of shots
         per compiled step; a backend that can represent the cohort as
         one stacked object (e.g. a ``(width, 2^n)`` amplitude matrix)
-        returns it here.  The default is ``None`` — fail closed: the
-        replay engine then keeps the serial per-shot loop, which is
-        always correct.  (The stabilizer substrate is batched without
-        this hook: its sign-trace replay never touches the tableau, so
-        the cohort lives in bit-planes owned by the trace cache.)
+        returns it here.  The default is ``None``; only the dense
+        replay mode, which runs on the statevector, asks for one.  (The
+        stabilizer substrate is batched without this hook: its
+        sign-trace replay never touches the tableau, so the cohort
+        lives in bit-planes owned by the trace cache.)
         """
         return None
 

@@ -279,14 +279,28 @@ class DecoherenceNoise:
         p_keep = math.exp(-duration_ns * 1e-3 * rate_phi_per_us)
         return (1.0 - p_keep) / 2.0
 
+    def decay_constants(self, duration_ns: float
+                        ) -> tuple[float, float, float]:
+        """``(gamma, sqrt(1 - gamma), dephasing probability)`` for
+        ``duration_ns`` of idle time — the arguments of the backend's
+        ``apply_decay`` kernel, which compiled replay precomputes once
+        per idle site."""
+        gamma = self.gamma(duration_ns)
+        return (gamma, math.sqrt(1.0 - gamma),
+                self.dephasing_probability(duration_ns))
+
     def apply_idle(self, state: StateVector, qubit: int,
                    duration_ns: float, rng: random.Random) -> None:
-        """Decay ``qubit`` for ``duration_ns`` of idle time."""
+        """Decay ``qubit`` for ``duration_ns`` of idle time.
+
+        Resolves the qubit's channel (:meth:`for_qubit`), so
+        calibrated subclasses need no override.
+        """
         if duration_ns <= 0:
             return
-        state.apply_amplitude_damping(qubit, self.gamma(duration_ns))
-        if rng.random() < self.dephasing_probability(duration_ns):
-            state.apply_gate("z", (qubit,))
+        state.apply_decay(
+            qubit, *self.for_qubit(qubit).decay_constants(duration_ns),
+            rng)
 
     def for_qubit(self, qubit: int) -> "DecoherenceNoise":
         """The channel governing ``qubit`` (uniform: always ``self``)."""
@@ -300,9 +314,9 @@ class QubitDecoherenceNoise(DecoherenceNoise):
     ``per_qubit`` holds ``(qubit, t1_us, t2_us)`` triples from a
     :class:`~repro.qpu.profile.DeviceProfile`; unlisted qubits use the
     inherited ``t1_us``/``t2_us`` defaults.  A subclass so the
-    name-based allow-lists and fingerprints pick it up unchanged —
-    note it stays excluded from batched replay exactly like its base
-    (``is_batch_compilable`` gates on the *field*, not the class).
+    name-based allow-lists and fingerprints pick it up unchanged, and
+    so serial and batched replay compile its per-qubit decay exactly
+    like its base's (through :meth:`for_qubit`).
     """
 
     per_qubit: tuple[tuple[int, float, float], ...] = ()
@@ -314,14 +328,6 @@ class QubitDecoherenceNoise(DecoherenceNoise):
 
     def for_qubit(self, qubit: int) -> DecoherenceNoise:
         return self._table.get(qubit, self)
-
-    def apply_idle(self, state: StateVector, qubit: int,
-                   duration_ns: float, rng: random.Random) -> None:
-        channel = self._table.get(qubit)
-        if channel is None:
-            super().apply_idle(state, qubit, duration_ns, rng)
-        else:
-            channel.apply_idle(state, qubit, duration_ns, rng)
 
 
 @dataclass
@@ -472,29 +478,6 @@ class NoiseModel:
         return all(getattr(self, spec.name) is None
                    for spec in fields(self)
                    if spec.name not in compilable)
-
-    @property
-    def is_batch_compilable(self) -> bool:
-        """True when *batched* dense replay models every channel this
-        model could carry.
-
-        The batched dense engine replays noise sites as per-shot draws
-        over a stacked amplitude matrix, which it can do for the purely
-        positional channels (depolarizing, Pauli, ZZ windows, readout).
-        Decoherence is excluded: its idle-decay trajectory reads the
-        state (amplitude-damping jump probabilities depend on the
-        current amplitudes), so shots sharing a cohort would need
-        per-shot Kraus branches the cohort binding does not model —
-        those models replay serially.  Fails **closed** like
-        :attr:`is_dense_compilable`: an allow-list, so new channel
-        fields route batched replay back to the serial loop until the
-        cohort binding is explicitly taught about them.
-        """
-        batchable = {"depolarizing", "two_qubit_depolarizing",
-                     "pauli", "zz", "readout", "seed", "rng"}
-        return all(getattr(self, spec.name) is None
-                   for spec in fields(self)
-                   if spec.name not in batchable)
 
     def after_gate(self, state: StateVector, gate: str,
                    qubits: tuple[int, ...]) -> None:

@@ -201,13 +201,19 @@ class StabilizerState(SimulationBackend):
             "(needed e.g. by the ZZ-crosstalk channel); use the "
             "'statevector' backend")
 
-    def apply_amplitude_damping(self, qubit: int, gamma: float) -> None:
-        """Amplitude damping is not a stabilizer channel."""
-        if gamma == 0.0:
-            return
-        raise NonCliffordGateError(
-            "the stabilizer backend cannot apply amplitude damping; "
-            "use the 'statevector' backend for decoherence noise")
+    def apply_decay(self, qubit: int, gamma: float, keep: float,
+                    dephase: float, nrng: random.Random) -> None:
+        """Amplitude damping is not a stabilizer channel.
+
+        Only its dephasing half (a stochastic Z) is, so the kernel
+        runs when ``gamma`` is exactly zero and raises otherwise.
+        """
+        if gamma != 0.0:
+            raise NonCliffordGateError(
+                "the stabilizer backend cannot apply amplitude damping; "
+                "use the 'statevector' backend for decoherence noise")
+        if nrng.random() < dephase:
+            self.apply_gate("z", (qubit,))
 
     # -- measurement -------------------------------------------------------
 

@@ -334,8 +334,8 @@ class StateVector(SimulationBackend):
         """Projectively measure ``qubit`` and collapse the state.
 
         Shares one (-1, 2, 2^qubit) view between the probability
-        reduction and the collapse write; numerically identical to
-        ``probability_of_one`` + ``_project``.
+        reduction (numerically :meth:`probability_of_one`) and the
+        collapse write.
         """
         self._check_qubit(qubit)
         view = self._amplitudes.reshape(-1, 2, 1 << qubit)
@@ -349,54 +349,51 @@ class StateVector(SimulationBackend):
         self._amplitudes /= norm
         return outcome
 
-    def _project(self, qubit: int, outcome: int, p_one: float) -> None:
-        norm = math.sqrt(p_one if outcome else 1.0 - p_one)
-        if norm == 0.0:
-            raise RuntimeError("projection onto zero-probability outcome")
-        view = self._amplitudes.reshape(-1, 2, 1 << qubit)
-        view[:, 1 - outcome, :] = 0.0
-        self._amplitudes /= norm
-
     def reset(self, qubit: int) -> None:
         """Unconditionally reset ``qubit`` to |0> (measure + flip)."""
         outcome = self.measure(qubit)
         if outcome:
             self.apply_gate("x", (qubit,))
 
-    def apply_amplitude_damping(self, qubit: int, gamma: float) -> None:
-        """One quantum-trajectory step of T1 decay.
+    def apply_decay(self, qubit: int, gamma: float, keep: float,
+                    dephase: float, nrng: random.Random) -> None:
+        """One quantum-trajectory step of T1/T2 idle decay on ``qubit``.
 
-        With probability ``gamma * P(|1>)`` the excitation decays (jump
-        operator); otherwise the no-jump back-action slightly rotates
-        amplitude toward |0>.  Averaged over trajectories this is the
-        amplitude-damping channel with decay probability ``gamma``.
+        ``gamma`` is the amplitude-damping probability, ``keep`` its
+        no-jump factor ``sqrt(1 - gamma)`` and ``dephase`` the
+        probability of a stochastic Z (see
+        :meth:`~repro.qpu.noise.DecoherenceNoise.decay_constants`).
+        Both Kraus branches are diagonal or a swap, so the kernel works
+        in place on the ``(-1, 2, 2^qubit)`` view:
+
+        * with probability ``gamma * P(|1>)`` (measurement rng) the
+          excitation decays: the |1> half moves to |0>, divided by
+          ``sqrt(P(|1>))``;
+        * otherwise the |1> half is scaled by ``keep`` and the state
+          renormalised by its ``np.linalg.norm``;
+        * then, with probability ``dephase`` (noise rng ``nrng``), the
+          |1> half is negated.
+
+        Every amplitude equals the textbook ``kron``/matmul
+        application of ``diag(1, keep)`` (or projection plus X, or Z),
+        bit for bit; :meth:`BatchStateVector.apply_decay` is the same
+        kernel row for row.
         """
-        if not 0.0 <= gamma <= 1.0:
-            raise ValueError(f"gamma out of range: {gamma}")
-        if gamma == 0.0:
-            return
-        p_one = self.probability_of_one(qubit)
-        if self.rng.random() < gamma * p_one:
-            # Jump: the photon is emitted, the qubit lands in |0>.
-            self._project(qubit, 1, p_one)
-            self.apply_gate("x", (qubit,))
-            return
-        # No jump: K0 = diag(1, sqrt(1-gamma)), then renormalise.
-        k0 = np.array([[1.0, 0.0],
-                       [0.0, math.sqrt(1.0 - gamma)]], dtype=complex)
-        self.apply_kraus(k0, qubit)
-
-    def apply_kraus(self, matrix: np.ndarray, qubit: int) -> None:
-        """Apply a single-qubit Kraus operator and renormalise.
-
-        ``apply_unitary`` performs no unitarity check, so it doubles as
-        the raw operator application for trajectory noise channels.
-        """
-        self.apply_unitary(matrix, (qubit,))
-        norm = self.norm()
-        if norm == 0.0:
-            raise RuntimeError("state annihilated by Kraus operator")
-        self._amplitudes = self._amplitudes / norm
+        view = self._amplitudes.reshape(-1, 2, 1 << qubit)
+        ones = view[:, 1, :]
+        if gamma != 0.0:
+            p_one = float(np.add.reduce(np.abs(ones) ** 2, axis=None))
+            if self.rng.random() < gamma * p_one:
+                view[:, 0, :] = ones / math.sqrt(p_one)
+                ones.fill(0.0)
+            else:
+                ones *= keep
+                norm = float(np.linalg.norm(self._amplitudes))
+                if norm == 0.0:
+                    raise RuntimeError("state annihilated by idle decay")
+                self._amplitudes /= norm
+        if nrng.random() < dephase:
+            np.negative(ones, out=ones)
 
     # -- batched shots ---------------------------------------------------------
 
@@ -477,7 +474,10 @@ def batch_block_applier(n_qubits: int, matrix: np.ndarray,
             cohort = psi.shape[0]
             out = np.matmul(
                 matrix, psi[:, gather].reshape(cohort, block_rows, -1))
-            out = out.reshape(cohort, -1)[:, scatter]
+            # np.take, not ``[:, scatter]``: fancy indexing after a
+            # slice returns a non-C-contiguous array, and the per-row
+            # reductions must traverse each row in serial order.
+            out = np.take(out.reshape(cohort, -1), scatter, axis=1)
             if rows is None:
                 batch._psi = out
             else:
@@ -510,10 +510,13 @@ class BatchStateVector:
     applies to all rows at once (:func:`batch_block_applier`), and the
     per-qubit measurement reduction collapses to **one**
     ``np.add.reduce`` over the whole matrix per measured qubit.  The
-    per-shot *draws* (measurement outcomes, channel firings) stay
-    outside this class — they belong to each shot's own seeded rngs, in
-    serial order, which is what keeps batched replay bit-identical per
-    shot-seed.
+    per-shot *draws* (measurement outcomes, channel firings, decay
+    jumps) belong to each shot's own seeded rngs, in serial order,
+    which is what keeps batched replay bit-identical per shot-seed.
+
+    ``_psi`` stays C-contiguous: every per-row reduction then walks a
+    row in the order the serial reduction walks the shot's vector, so
+    each row's P(|1>) and norm equal the serial values bit for bit.
     """
 
     def __init__(self, n_qubits: int, width: int) -> None:
@@ -582,4 +585,47 @@ class BatchStateVector:
         view[~ones, :, 1, :] = 0.0
         self._psi /= norms[:, None]
 
+    def apply_decay(self, qubit: int, gamma: float, keep: float,
+                    dephase: float, srngs: Sequence[random.Random],
+                    nrngs: Sequence[random.Random]) -> None:
+        """:meth:`StateVector.apply_decay` on every row, bit for bit.
 
+        One cohort-wide P(|1>) reduction; row ``b`` draws its jump
+        from its measurement rng ``srngs[b]`` and its dephasing fire
+        from its noise rng ``nrngs[b]``, as the serial kernel would.
+        Jump rows are projected and flipped together; no-jump rows are
+        scaled together but renormalised by one ``np.linalg.norm``
+        call per row, the serial reduction.
+        """
+        view = self._psi.reshape(self.width, -1, 2, 1 << qubit)
+        if gamma != 0.0:
+            p_one = self.probability_of_one(qubit)
+            jumped = [srng.random() < gamma * p
+                      for srng, p in zip(srngs, p_one.tolist())]
+            if any(jumped):
+                rows = np.flatnonzero(jumped)
+                view[rows, :, 0, :] = (view[rows, :, 1, :]
+                                       / np.sqrt(p_one[rows])[:, None,
+                                                              None])
+                view[rows, :, 1, :] = 0.0
+                stay = np.flatnonzero(np.logical_not(jumped))
+                if stay.size:
+                    self._psi[stay] = _damp_rows(self._psi[stay], qubit,
+                                                 keep)
+            else:
+                _damp_rows(self._psi, qubit, keep)
+        fired = np.flatnonzero([nrng.random() < dephase
+                                for nrng in nrngs])
+        if fired.size:
+            view[fired, :, 1, :] = -view[fired, :, 1, :]
+
+
+def _damp_rows(psi: np.ndarray, qubit: int, keep: float) -> np.ndarray:
+    """The no-jump branch of :meth:`BatchStateVector.apply_decay`,
+    in place on a ``(rows, 2^n)`` matrix (returned for chaining)."""
+    psi.reshape(psi.shape[0], -1, 2, 1 << qubit)[:, :, 1, :] *= keep
+    norms = np.array([np.linalg.norm(row) for row in psi])
+    if not norms.all():
+        raise RuntimeError("state annihilated by idle decay")
+    psi /= norms[:, None]
+    return psi

@@ -14,16 +14,16 @@ bit** under a fixed seed:
 * issue model: scalar x superscalar;
 * noise: ideal, Pauli+readout (both backends), the full dense
   channel stack (statevector only) and that stack without decoherence
-  (statevector only; the channels dense cohorts batch);
+  but with a Pauli channel (statevector only);
 * dense replay flavours: GEMM fusion on/off and an LRU-bounded trie;
 * shot batching: lockstep cohorts (bit-plane sign columns on the
   stabilizer backend, batch GEMMs on the statevector backend,
   wavefront trie traversal for control flow) vs the serial per-shot
   replay loop, at cohort widths that split at every decision and
-  widths larger than the shot count.  Dense cohorts run under the
-  batchable channel stack with fusion on and off, so cohort ZZ
-  windows, deferred corrections and unfused cohort steps are
-  differential-tested; under decoherence they must decline.
+  widths larger than the shot count.  Dense cohorts run under both
+  dense channel stacks, the Pauli one with fusion on and off, so
+  cohort ZZ windows, deferred corrections, idle decay and unfused
+  cohort steps are differential-tested.
 
 This is the suite guarding edge selection, which lives in two places:
 both serial replay loops (sign-trace, dense noise-site) decide through
@@ -98,9 +98,8 @@ def dense_noise() -> NoiseModel:
         readout=ReadoutError(p0_given_1=0.05, p1_given_0=0.03))
 
 
-def batchable_dense_noise() -> NoiseModel:
-    # No decoherence, so every channel is batch-compilable and dense
-    # cohorts replay it instead of declining.
+def pauli_dense_noise() -> NoiseModel:
+    # The dense stack with a Pauli channel in place of decoherence.
     return NoiseModel(
         depolarizing=DepolarizingNoise(p=0.02),
         two_qubit_depolarizing=DepolarizingNoise(p=0.04),
@@ -297,12 +296,8 @@ def test_fuzz_batched_replay_matches_serial(program):
     the serial-replay histogram, total_ns and measured-qubit union
     exactly.  Widths 7 and 64 force wavefront splits at every random
     decision the generated program takes; width 100 exceeds the shot
-    count; width 1 degenerates to cohorts of one.  The batchable dense
-    stack must actually batch, fused and unfused.  The full dense
-    stack includes decoherence, which the cohort binding refuses
-    (idle decay reads per-shot live state), so that cell additionally
-    pins the fail-closed mode fallback: results still identical,
-    zero shots batched.
+    count; width 1 degenerates to cohorts of one.  Both dense stacks
+    must actually batch, decoherence included.
     """
     config = scalar_config()
     for backend, noise_factory, changes in (
@@ -310,8 +305,8 @@ def test_fuzz_batched_replay_matches_serial(program):
             ("statevector", None, {}),
             ("stabilizer", pauli_noise, {}),
             ("statevector", pauli_noise, {}),
-            ("statevector", batchable_dense_noise, {}),
-            ("statevector", batchable_dense_noise,
+            ("statevector", pauli_dense_noise, {}),
+            ("statevector", pauli_dense_noise,
              {"trace_cache_dense_fusion": False}),
             ("statevector", dense_noise, {})):
         serial = cache_engine(program, backend, config, noise_factory,
@@ -333,11 +328,8 @@ def test_fuzz_batched_replay_matches_serial(program):
             cache = engine.trace_cache
             assert cache.hits + cache.misses == BATCH_SHOTS, name
             batched += cache.batched_shots
-        name = f"{backend}/{noise_factory}/{changes}"
-        if noise_factory is dense_noise:
-            assert batched == 0, name
-        elif noise_factory is batchable_dense_noise:
-            assert batched > 0, name
+        if noise_factory in (dense_noise, pauli_dense_noise):
+            assert batched > 0, f"{backend}/{noise_factory}/{changes}"
 
 
 @settings(max_examples=6, deadline=None)

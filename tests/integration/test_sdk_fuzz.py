@@ -8,7 +8,8 @@ them across the full execution matrix:
 
 * statevector x stabilizer,
 * trace cache off / on / tiny-LRU,
-* serial x batched wavefront replay,
+* serial x batched wavefront replay (Pauli noise on both backends,
+  T1/T2 decay on the statevector),
 * cold x warm persistent artifacts,
 * in-process x 2-worker sharded service (the programs travel as
   ``to_asm()`` text, so this also fuzzes the round-trip contract).
@@ -22,7 +23,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.qcp import ShotEngine, run_shots, scalar_config
-from repro.qpu.noise import NoiseModel, PauliChannel, ReadoutError
+from repro.qpu.noise import (DecoherenceNoise, NoiseModel, PauliChannel,
+                             ReadoutError)
 from repro.sdk import SdkBuilder
 
 N_QUBITS = 4
@@ -34,6 +36,12 @@ GATES = ("h", "x", "s", "z", "y90", "cnot")
 
 def pauli_noise() -> NoiseModel:
     return NoiseModel(pauli=PauliChannel(px=0.03, py=0.01, pz=0.02),
+                      readout=ReadoutError(p0_given_1=0.06,
+                                           p1_given_0=0.04))
+
+
+def decoherent_noise() -> NoiseModel:
+    return NoiseModel(decoherence=DecoherenceNoise(t1_us=5.0, t2_us=4.0),
                       readout=ReadoutError(p0_given_1=0.06,
                                            p1_given_0=0.04))
 
@@ -157,15 +165,17 @@ def test_sdk_fuzz_backends_and_cache_modes(program):
 @given(sdk_programs())
 def test_sdk_fuzz_batched_matches_serial(program):
     """Wavefront-batched replay against serial, histogram + ns."""
-    for backend in ("statevector", "stabilizer"):
-        serial = engine_for(program, backend, pauli_noise,
+    for backend, noise_factory in (("statevector", pauli_noise),
+                                   ("stabilizer", pauli_noise),
+                                   ("statevector", decoherent_noise)):
+        serial = engine_for(program, backend, noise_factory,
                             trace_cache_batch=False)
         reference = serial.run(BATCH_SHOTS)
         for width in (1, 7, 64):
-            engine = engine_for(program, backend, pauli_noise,
+            engine = engine_for(program, backend, noise_factory,
                                 trace_cache_batch_width=width)
             result = engine.run(BATCH_SHOTS)
-            name = f"{backend}/width{width}"
+            name = f"{backend}/{noise_factory.__name__}/width{width}"
             assert result.counts == reference.counts, name
             assert result.total_ns == reference.total_ns, name
             assert result.measured_qubits == \

@@ -305,11 +305,9 @@ def decoherent_noise():
         readout=ReadoutError(p0_given_1=0.02, p1_given_0=0.01))
 
 
-def test_decoherence_falls_back_to_serial_replay():
-    # Idle decay reads per-shot live state, so the engine-level gate
-    # (is_batch_compilable) refuses the substrate outright:
-    # replay_batch returns no kernel and the engine stays serial —
-    # results unchanged.
+def test_decoherence_batches_in_cohorts():
+    # Idle decay has a cohort kernel (BatchStateVector.apply_decay),
+    # so decoherent substrates replay in cohorts — results unchanged.
     result, cache = run_engine(chain_program(), backend="statevector",
                                noise=decoherent_noise(), shots=20)
     reference, _ = run_engine(chain_program(), backend="statevector",
@@ -317,27 +315,8 @@ def test_decoherence_falls_back_to_serial_replay():
                               trace_cache_batch=False)
     assert result.counts == reference.counts
     assert result.total_ns == reference.total_ns
-    assert cache.batched_shots == 0
+    assert cache.batched_shots > 0
     assert cache.hits + cache.misses == 20
-
-
-def test_cohort_binding_refuses_idle_decay():
-    # Past the engine-level gate, the cohort binding itself raises on
-    # the root's idle-decay steps, so the one cohort of 19 replayed
-    # shots falls back to the serial loop whole — results unchanged.
-    engine = ShotEngine(chain_program(), config=scalar_config(),
-                        backend="statevector", n_qubits=5,
-                        noise=decoherent_noise())
-    cache = engine.trace_cache
-    cache.batchable = True
-    result = engine.run(20)
-    reference, _ = run_engine(chain_program(), backend="statevector",
-                              noise=decoherent_noise(), shots=20,
-                              trace_cache_batch=False)
-    assert result.counts == reference.counts
-    assert result.total_ns == reference.total_ns
-    assert cache.batched_shots == 0
-    assert cache.serial_fallbacks == 19
 
 
 def test_dense_ideal_chain_batches():

@@ -309,15 +309,12 @@ class TestCalibratedBitIdentityMatrix:
         assert warm.trace_cache.misses == 0
 
     def test_batchable_profile_actually_batches(self):
-        # Without t1/t2 the composed model is batch-compilable, so the
-        # lockstep cohorts must both engage and stay bit-identical.
-        doc = json.loads(json.dumps(PROFILE_DOC))
-        del doc["defaults"]["t1_us"], doc["defaults"]["t2_us"]
-        doc["qubits"]["0"].pop("t1_us")
-        doc["qubits"]["2"].pop("t2_us")
-        reference = calibrated_engine(doc, trace_cache=False) \
+        # T1/T2 decay included, the lockstep cohorts must both engage
+        # and stay bit-identical.
+        reference = calibrated_engine(PROFILE_DOC, trace_cache=False) \
             .run(SWEEP_SHOTS)
-        batched = calibrated_engine(doc, trace_cache_batch_width=7)
+        batched = calibrated_engine(PROFILE_DOC,
+                                    trace_cache_batch_width=7)
         result = batched.run(SWEEP_SHOTS)
         assert result.counts == reference.counts
         assert result.total_ns == reference.total_ns

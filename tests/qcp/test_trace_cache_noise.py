@@ -328,6 +328,49 @@ def random_segment(seed: int, n_qubits: int = 4, length: int = 30):
     return tuple(ops), tuple(times)
 
 
+def decaying_noise() -> NoiseModel:
+    """:func:`unfused_exactness_noise` with a T1 short enough that idle
+    decay jumps often, plus readout flips at the measurements."""
+    noise = unfused_exactness_noise()
+    noise.decoherence = DecoherenceNoise(t1_us=0.5, t2_us=0.8)
+    noise.readout = ReadoutError(p0_given_1=0.1, p1_given_0=0.05)
+    return noise
+
+
+def random_measured_segment(seed: int, n_qubits: int = 4,
+                            length: int = 30) -> tuple:
+    """A seeded random decision-free segment as recorded items: runs of
+    :func:`random_segment`'s gates plus resets, split by
+    measurements."""
+    from repro.qcp.tracecache import _I_MEAS, _I_OPS
+
+    rng = random.Random(seed)
+    items, ops, times = [], [], []
+    time_ns = 0
+    for _ in range(length):
+        draw = rng.random()
+        if draw < 0.15:
+            if ops:
+                items.append((_I_OPS, tuple(ops), tuple(times)))
+                ops, times = [], []
+            items.append((_I_MEAS, rng.randrange(n_qubits), time_ns))
+        else:
+            if draw < 0.2:
+                ops.append(("reset", "reset", (rng.randrange(n_qubits),),
+                            ()))
+            elif draw < 0.4:
+                control, target = rng.sample(range(n_qubits), 2)
+                ops.append(("gate", "cnot", (control, target), ()))
+            else:
+                gate = rng.choice(("h", "t", "s", "x", "y90", "z"))
+                ops.append(("gate", gate, (rng.randrange(n_qubits),), ()))
+            times.append(time_ns)
+        time_ns += rng.choice((0, 10, 20, 30, 150, 400))
+    if ops:
+        items.append((_I_OPS, tuple(ops), tuple(times)))
+    return tuple(items)
+
+
 class TestUnfusedDenseSteps:
     """With fusion off, the compiled dense steps *are* the device."""
 
@@ -366,6 +409,81 @@ class TestUnfusedDenseSteps:
             # The compile-time timing model ends where the device does.
             assert busy == device._busy_until, seed
             assert windows == device._windows, seed
+
+    def test_cohort_binding_matches_serial_rows(self):
+        # A 6-shot cohort through the cohort binding of each segment:
+        # row b must equal, exactly, shot b's device amplitudes
+        # (unfused) and shot b's serial binding (fused), with the same
+        # delivered outcomes and both of its rngs in the same state.
+        from repro.qcp.config import QCPConfig
+        from repro.qcp.tracecache import (_I_OPS, _V_DECAY, _BatchCohort,
+                                          _ReplayContext, _bind_cohort,
+                                          _bind_serial,
+                                          _compile_dense_steps)
+        from repro.qpu.device import SimulatedQPU
+        from repro.qpu.noise import NOISE_SEED_SALT
+        from repro.qpu.statevector import BatchStateVector
+
+        def device_shots(items, seeds):
+            device = SimulatedQPU(4, noise=decaying_noise())
+            for seed in seeds:
+                device.restart(seed=seed)
+                delivered = {}
+                for item in items:
+                    if item[0] == _I_OPS:
+                        for (_, name, qubits, params), time_ns in zip(
+                                item[1], item[2]):
+                            device.apply_gate(time_ns, name, qubits,
+                                              params)
+                    else:
+                        delivered[item[1]] = device.measure(item[2],
+                                                            item[1])
+                yield device, delivered
+
+        def serial_shots(steps, seeds):
+            # Bound once and restarted per shot, as the cache does.
+            replay = SimulatedQPU(4, noise=decaying_noise())
+            ctx = _ReplayContext(QCPConfig())
+            program = _bind_serial(steps, replay, ctx)
+            for seed in seeds:
+                replay.restart(seed=seed)
+                ctx.reset()
+                for step in program:
+                    step()
+                yield replay, ctx.delivered
+
+        likely_jumps = 0
+        for segment in range(100):
+            items = random_measured_segment(segment)
+            seeds = [segment * 6 + row for row in range(6)]
+            for fuse in (False, True):
+                steps = _compile_dense_steps(
+                    items, SimulatedQPU(4, noise=decaying_noise()), {},
+                    {}, fuse=fuse)
+                cohort = _BatchCohort(
+                    BatchStateVector(4, 6), list(range(6)),
+                    [_ReplayContext(QCPConfig()) for _ in seeds],
+                    [random.Random(seed) for seed in seeds],
+                    [random.Random(seed ^ NOISE_SEED_SALT)
+                     for seed in seeds])
+                for step in _bind_cohort(steps, 4):
+                    step(cohort)
+                shots = (serial_shots(steps, seeds) if fuse
+                         else device_shots(items, seeds))
+                for row, (shot, delivered) in enumerate(shots):
+                    name = (segment, fuse, row)
+                    assert np.array_equal(cohort.batch.amplitudes[row],
+                                          shot.state.amplitudes), name
+                    assert cohort.ctxs[row].delivered == delivered, name
+                    assert (cohort.srngs[row].getstate()
+                            == shot._rng.getstate()), name
+                    assert (cohort.nrngs[row].getstate()
+                            == shot.noise.rng.getstate()), name
+            # The short T1 must make jumps common: count the idle
+            # sites whose damping probability exceeds 0.3.
+            likely_jumps += sum(step[0] == _V_DECAY and step[2] > 0.3
+                                for step in steps)
+        assert likely_jumps > 100
 
     def test_unknown_site_kind_fails_closed(self, monkeypatch):
         from repro.qcp.tracecache import (_I_OPS, TraceDivergenceError,

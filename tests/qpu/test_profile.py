@@ -11,9 +11,10 @@ import pathlib
 
 import pytest
 
-from repro.qpu.noise import (NoiseModel, DepolarizingNoise,
-                             PairZZCrosstalk, QubitDecoherenceNoise,
-                             QubitReadoutError, ReadoutError)
+from repro.qpu.noise import (DecoherenceNoise, DepolarizingNoise,
+                             NoiseModel, PairZZCrosstalk,
+                             QubitDecoherenceNoise, QubitReadoutError,
+                             ReadoutError)
 from repro.qpu.profile import (DeviceProfile, QubitCalibration,
                                load_device_profile)
 
@@ -195,4 +196,10 @@ class TestNoiseComposition:
         noise = DeviceProfile.from_dict(DOC).noise_model()
         assert noise.is_dense_compilable
         assert not noise.is_pauli_only        # ZZ + decoherence
-        assert not noise.is_batch_compilable  # decoherence blocks batch
+        # Serial replay and cohorts run decoherence through one decay
+        # kernel, fed each qubit's calibrated (or default) constants.
+        for qubit, t1_us in ((0, 45.0), (1, 70.0)):
+            assert (noise.decoherence.for_qubit(qubit)
+                    .decay_constants(500)
+                    == DecoherenceNoise(t1_us=t1_us, t2_us=55.0)
+                    .decay_constants(500)), qubit

@@ -6,6 +6,7 @@ import pytest
 
 from repro.qpu import (NonCliffordGateError, StabilizerQPU,
                        StabilizerState, backend_names, make_backend)
+from repro.qpu.noise import DecoherenceNoise, NoiseModel
 
 
 class TestStabilizerState:
@@ -171,3 +172,12 @@ class TestStabilizerQPU:
         qpu = StabilizerQPU(2, seed=0)
         with pytest.raises(NonCliffordGateError):
             qpu.apply_gate(0, "t", (0,))
+
+    def test_decoherence_raises_once_decay_fires(self):
+        # T1 damping is not a stabilizer channel: a device carrying it
+        # runs until the first idle gap, then raises.
+        qpu = StabilizerQPU(2, seed=0, noise=NoiseModel(
+            decoherence=DecoherenceNoise(t1_us=50.0, t2_us=40.0)))
+        qpu.apply_gate(0, "h", (0,))  # no idle gap yet
+        with pytest.raises(NonCliffordGateError, match="statevector"):
+            qpu.apply_gate(500, "h", (0,))

@@ -299,3 +299,142 @@ class TestGemmFusion:
             compiled.block_applier(matrix, (qubit,))()
             assert np.array_equal(reference.amplitudes,
                                   compiled.amplitudes)
+
+
+def random_amplitudes(rng: np.random.Generator, shape) -> np.ndarray:
+    """Random normalised amplitude vectors (one per row of ``shape``)."""
+    psi = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return psi / np.linalg.norm(psi, axis=-1, keepdims=True)
+
+
+class ScriptedDraws:
+    """An rng stand-in whose ``random()`` returns scripted values."""
+
+    def __init__(self, *values: float) -> None:
+        self.values = list(values)
+
+    def random(self) -> float:
+        return self.values.pop(0)
+
+
+def reference_decay(state: StateVector, qubit: int, gamma: float,
+                    dephase: float, nrng) -> None:
+    """Idle decay the textbook way: the no-jump Kraus operator
+    ``diag(1, sqrt(1 - gamma))`` through ``apply_unitary`` (the kron or
+    batched matmul) plus ``np.linalg.norm`` renormalisation, projection
+    plus an X gate on a jump, and a Z gate on a dephasing fire."""
+    if gamma != 0.0:
+        p_one = state.probability_of_one(qubit)
+        if state.rng.random() < gamma * p_one:
+            state._amplitudes.reshape(-1, 2, 1 << qubit)[:, 0, :] = 0.0
+            state._amplitudes /= math.sqrt(p_one)
+            state.apply_gate("x", (qubit,))
+        else:
+            k0 = np.array([[1.0, 0.0], [0.0, math.sqrt(1.0 - gamma)]],
+                          dtype=complex)
+            state.apply_unitary(k0, (qubit,))
+            state._amplitudes = (state._amplitudes
+                                 / float(np.linalg.norm(state._amplitudes)))
+    if nrng.random() < dephase:
+        state.apply_gate("z", (qubit,))
+
+
+class TestDecayKernel:
+    """``apply_decay``: one diagonal in-place kernel for T1/T2 decay."""
+
+    def test_matches_kron_reference_in_every_branch(self):
+        # Scripted draws force each branch: jump (0.0) or no jump
+        # (0.95 > gamma * P(1)), dephasing fire (0.0) or not (0.5).
+        rng = np.random.default_rng(5)
+        for n in range(1, 10):
+            for qubit in range(n):
+                for _ in range(11):
+                    vector = random_amplitudes(rng, 1 << n)
+                    gamma = float(rng.uniform(0.01, 0.9))
+                    for jump in (0.0, 0.95):
+                        for fire in (0.0, 0.5):
+                            kernel = StateVector(n)
+                            reference = StateVector(n)
+                            for state in (kernel, reference):
+                                state._amplitudes[:] = vector
+                                state.rng = ScriptedDraws(jump)
+                            kernel.apply_decay(qubit, gamma,
+                                               math.sqrt(1.0 - gamma), 0.3,
+                                               ScriptedDraws(fire))
+                            reference_decay(reference, qubit, gamma, 0.3,
+                                            ScriptedDraws(fire))
+                            assert np.array_equal(kernel.amplitudes,
+                                                  reference.amplitudes), \
+                                (n, qubit, jump, fire)
+
+    def test_zero_gamma_draws_only_the_dephasing_coin(self):
+        state = StateVector(2, rng=ScriptedDraws())
+        state.apply_gate("h", (1,))
+        before = state.amplitudes.copy()
+        state.apply_decay(1, 0.0, 1.0, 0.2, ScriptedDraws(0.1))
+        ones = before.reshape(2, 2)[1]
+        assert np.array_equal(state.amplitudes.reshape(2, 2)[1], -ones)
+
+    def test_cohort_rows_match_serial_kernel(self):
+        # Each row draws its own rngs and ends bit-identical to a
+        # serial StateVector running the same kernel with them.
+        from repro.qpu.statevector import BatchStateVector
+        rng = np.random.default_rng(9)
+        jumped = []
+        for n in range(1, 10):
+            for qubit in range(n):
+                rows = random_amplitudes(rng, (6, 1 << n))
+                seeds = [int(seed) for seed in rng.integers(1 << 30,
+                                                            size=6)]
+                batch = BatchStateVector(n, 6)
+                batch._psi[:] = rows
+                srngs = [random.Random(seed) for seed in seeds]
+                nrngs = [random.Random(~seed) for seed in seeds]
+                batch.apply_decay(qubit, 0.6, math.sqrt(0.4), 0.4, srngs,
+                                  nrngs)
+                for row, seed in enumerate(seeds):
+                    serial = StateVector(n, rng=random.Random(seed))
+                    serial._amplitudes[:] = rows[row]
+                    nrng = random.Random(~seed)
+                    serial.apply_decay(qubit, 0.6, math.sqrt(0.4), 0.4,
+                                       nrng)
+                    assert np.array_equal(batch.amplitudes[row],
+                                          serial.amplitudes), (n, qubit)
+                    assert srngs[row].getstate() == \
+                        serial.rng.getstate()
+                    assert nrngs[row].getstate() == nrng.getstate()
+                    jumped.append(serial.probability_of_one(qubit) == 0)
+        assert any(jumped) and not all(jumped)  # both branches ran
+
+
+class TestBatchRows:
+    """Cohort rows must reduce exactly like the serial vector."""
+
+    @pytest.mark.parametrize("n, qubits", [
+        (6, (0,)), (6, (5,)), (6, (1, 4)), (6, (4, 1, 2)), (9, (8, 0)),
+        (15, (3, 12))])
+    def test_applier_rows_keep_serial_probabilities(self, n, qubits):
+        # Every applier kind (kron and BLAS single-qubit, gather and
+        # transpose k-qubit) must leave the rows C-contiguous, so each
+        # row's P(1) reduction equals the serial one exactly.
+        from repro.qpu.statevector import (BatchStateVector,
+                                           batch_block_applier)
+        rng = np.random.default_rng(n * 31 + len(qubits))
+        k = len(qubits)
+        raw = (rng.normal(size=(1 << k, 1 << k))
+               + 1j * rng.normal(size=(1 << k, 1 << k)))
+        matrix, _ = np.linalg.qr(raw)
+        rows = random_amplitudes(rng, (6, 1 << n))
+        batch = BatchStateVector(n, 6)
+        batch._psi[:] = rows
+        batch_block_applier(n, matrix, qubits)(batch)
+        p_one = [batch.probability_of_one(qubit) for qubit in range(n)]
+        for row in range(6):
+            serial = StateVector(n)
+            serial._amplitudes[:] = rows[row]
+            serial.block_applier(matrix, qubits)()
+            assert np.array_equal(batch.amplitudes[row],
+                                  serial.amplitudes)
+            for qubit in range(n):
+                assert p_one[qubit][row] == \
+                    serial.probability_of_one(qubit), (qubit, row)
