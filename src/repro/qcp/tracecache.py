@@ -190,7 +190,7 @@ from repro.qcp.registers import RegisterFile, SharedRegisters
 from repro.qpu.backend import SimulationBackend
 from repro.qpu.device import SimulatedQPU
 from repro.qpu.noise import NOISE_SEED_SALT, NoiseModel
-from repro.qpu.stabilizer import (SignBitPlanes, StabilizerState,
+from repro.qpu.stabilizer import (StabilizerState,
                                   _CLIFFORD_DECOMPOSITIONS,
                                   _TWO_QUBIT_DECOMPOSITIONS)
 from repro.qpu.statevector import (BatchStateVector, FUSE_MAX_QUBITS,
@@ -775,10 +775,10 @@ class TraceNode:
 
         Derived from :meth:`sign_program` (compiling it on demand, so
         the model-tableau chaining and exit snapshots stay in one
-        place): every packed integer mask becomes an array of tableau
-        row indices, turning each serial integer XOR into one
-        vectorised XOR over the cohort's bit-plane rows.  Returns
-        ``(batched_ops, measured_qubits, branch_uses)`` — see
+        place): every packed integer mask becomes a tuple of tableau
+        row indices, turning each serial integer XOR into one lane-mask
+        XOR per row of the cohort's bit-planes.  Returns
+        ``(batched_ops, measured_qubits, branch_uses, draws)`` — see
         :func:`_batch_sign_ops`, which raises :class:`_UnbatchableNode`
         when a micro-op has no def/use sets.
         """
@@ -1018,18 +1018,19 @@ def _compile_sign_node(items: tuple, n: int, x: np.ndarray,
     return program
 
 
-def _mask_rows(mask: int) -> np.ndarray:
-    """A packed integer row mask as an array of row indices.
+def _set_bits(mask: int) -> tuple:
+    """The indices of a mask's set bits, lowest first.
 
-    The bit-plane representation indexes tableau rows directly — a
-    serial op's ``r ^= mask`` becomes ``planes[rows] ^= cohort_mask``.
+    A compiled row mask becomes the tableau rows a cohort op touches
+    (``r ^= mask`` turns into ``planes[row] ^= lanes`` for each row),
+    and a lane mask becomes the shot slots it holds.
     """
-    rows = []
+    bits = []
     while mask:
         low = mask & -mask
-        rows.append(low.bit_length() - 1)
+        bits.append(low.bit_length() - 1)
         mask ^= low
-    return np.array(rows, dtype=np.intp)
+    return tuple(bits)
 
 
 def _cohort_effects(proc_id: int, run) -> tuple:
@@ -1051,72 +1052,71 @@ def _cohort_effects(proc_id: int, run) -> tuple:
 def _batch_sign_ops(program: list, decision: tuple | None) -> tuple:
     """Re-express a compiled sign trace for bit-plane execution.
 
-    Structure and op order are identical to the serial program — only
-    the integer masks become row-index arrays (and the CHP ``g`` phase
-    collapses to its parity bit), so the batched loop mirrors the
-    serial loop op for op and draw for draw.  Classical ops carry
-    their locations for the cohort's :class:`_CohortState`: a
-    ``_S_CLS`` becomes ``(_S_CLS, run, defs, uses)`` and a ``_S_FMR``
-    ``(_S_FMR, register, qubit)``.  Returns ``(batched_ops,
-    measured_qubits, branch_uses)``: the segment's measurement
-    manifest in program order, which the wavefront accumulates along
-    its path so a completed shot can materialize its delivered map
-    from the cohort-level outcome words in one pass, and the
-    locations the node's branch decision reads (``None`` for an MRCE
-    or a leaf).
+    Op order is identical to the serial program, so the batched loop
+    mirrors the serial loop op for op.  The integer masks become
+    tuples of tableau row indices, the CHP ``g`` phase collapses to
+    its parity bit, and each measurement or reset ends with its
+    target: the measured qubit, or a reset's zmask rows.
+
+    * ``(_S_MEAS_D | _S_RESET_D, rows, ghalf, target)``
+    * ``(_S_MEAS_R | _S_RESET_R, pivot, pm, t_rows, g_rows, shift,
+      target)``
+
+    Serial replay draws one measurement-rng ``random()`` per
+    measurement and reset, so the node consumes a fixed number of
+    draws.  ``shift`` is ``64 * i`` for a random-pivot op's draw ``i``
+    within the node: where the cohort reads each shot's coin in its
+    measurement stream.  Classical ops carry their locations for the
+    cohort's :class:`_CohortState`: a ``_S_CLS`` becomes ``(_S_CLS,
+    run, defs, uses)`` and a ``_S_FMR`` ``(_S_FMR, register, qubit)``.
+    Returns ``(batched_ops, measured_qubits, branch_uses, draws)``:
+    the segment's measurement manifest in program order, which the
+    wavefront accumulates along its path so a completed shot can
+    materialize its delivered map from the cohort-level outcome words
+    in one pass; the locations the node's branch decision reads
+    (``None`` for an MRCE or a leaf); and the node's draw count.
     """
     branch_uses = None
     if decision is not None and decision[0] == _D_BRANCH:
         branch_uses = _cohort_effects(decision[1], decision[2])[1]
     batched: list = []
     measured: list = []
+    draws = 0
     for op in program:
         code = op[0]
         if code == _S_XOR:
-            batched.append((_S_XOR, _mask_rows(op[1])))
+            batched.append((_S_XOR, _set_bits(op[1])))
         elif code == _S_MEAS_D:
-            batched.append((_S_MEAS_D, op[1], _mask_rows(op[2]),
-                            op[3] & 1))
+            batched.append((_S_MEAS_D, _set_bits(op[2]), op[3] & 1,
+                            op[1]))
             measured.append(op[1])
+            draws += 1
         elif code == _S_MEAS_R:
             _c, qubit, pivot, pm, tmask, gmask = op
-            batched.append((_S_MEAS_R, qubit, pivot, pm,
-                            _mask_rows(tmask), _mask_rows(gmask)))
+            batched.append((_S_MEAS_R, pivot, pm, _set_bits(tmask),
+                            _set_bits(gmask), 64 * draws, qubit))
             measured.append(qubit)
+            draws += 1
         elif code == _S_RESET_R:
             _c, pivot, pm, tmask, gmask, zmask = op
-            batched.append((_S_RESET_R, pivot, pm, _mask_rows(tmask),
-                            _mask_rows(gmask), _mask_rows(zmask)))
+            batched.append((_S_RESET_R, pivot, pm, _set_bits(tmask),
+                            _set_bits(gmask), 64 * draws,
+                            _set_bits(zmask)))
+            draws += 1
         elif code == _S_RESET_D:
-            batched.append((_S_RESET_D, _mask_rows(op[1]), op[2] & 1,
-                            _mask_rows(op[3])))
+            batched.append((_S_RESET_D, _set_bits(op[1]), op[2] & 1,
+                            _set_bits(op[3])))
+            draws += 1
         elif code == _S_NOISE:
             _c, dep_p, masks, pauli_cum = op
-            rows = tuple(tuple(_mask_rows(mask) for mask in qubit_masks)
+            rows = tuple(tuple(_set_bits(mask) for mask in qubit_masks)
                          for qubit_masks in masks)
             batched.append((_S_NOISE, dep_p, rows, pauli_cum))
         elif code == _S_CLS:
             batched.append((_S_CLS, op[2]) + _cohort_effects(op[1], op[2]))
         else:  # _S_FMR
             batched.append((_S_FMR, (op[1], op[2]), op[3]))
-    return batched, tuple(measured), branch_uses
-
-
-def _word_int(words) -> int:
-    """A little-endian sequence of 64-bit words as one Python int."""
-    value = 0
-    for index in range(len(words) - 1, -1, -1):
-        value = (value << 64) | int(words[index])
-    return value
-
-
-def _int_words(value: int, words: int) -> np.ndarray:
-    """A Python int as a little-endian array of 64-bit words."""
-    out = np.empty(words, dtype=np.uint64)
-    for index in range(words):
-        out[index] = value & 0xFFFFFFFFFFFFFFFF
-        value >>= 64
-    return out
+    return batched, tuple(measured), branch_uses, draws
 
 
 class _DenseBlockCompiler:
@@ -1620,10 +1620,10 @@ def replay_mode(qpu: SimulatedQPU) -> str | None:
 def auto_batch_width(qpu: SimulatedQPU) -> int:
     """Default cohort width for batched replay on ``qpu``'s substrate.
 
-    Stabilizer sign traces pack 64 shots per machine word; four words
-    per bit-plane row keep the vectorised XORs effectively free while
-    quartering the per-segment dispatch overhead each shot pays, so
-    the default cohort is 256.  Dense cohorts are capped so the
+    A stabilizer cohort's bit-plane row is one Python int with a bit
+    per shot; at 256 bits an integer XOR is still effectively free
+    while the per-segment dispatch overhead is spread over 256 shots,
+    so the default cohort is 256.  Dense cohorts are capped so the
     ``(width, 2^n)`` amplitude matrix stays around a few hundred
     megabytes of complex amplitudes.
     """
@@ -1746,6 +1746,10 @@ class TraceCache:
         self.batched_shots = 0
         self.wavefront_splits = 0
         self.serial_fallbacks = 0
+        #: Measurement-rng draws each sign-cohort shot takes up front:
+        #: the draw count of the last path a cohort completed.  Any
+        #: value is exact; a short stream is topped up on the way.
+        self.stream_draws = 0
         self._tick = 0
         # Persistent replay context for the compiled dense programs
         # (their closures capture it; reset in place per shot).
@@ -2002,13 +2006,14 @@ class TraceCache:
         """Replay a cohort of shot seeds through the trie at once.
 
         The trie is traversed as a **wavefront**: every compiled
-        segment executes once for all live shots — bit-plane XORs on
-        stabilizer substrates, batch GEMMs on dense ones — while every
-        shot draws its own seeded rngs (the exact streams
-        ``qpu.restart(seed)`` would produce), and each decision
-        partitions the cohort across child edges.  Returns a list
-        aligned with ``seeds``: ``(last result per qubit, total ns)``
-        for each shot a wavefront completed at a recorded leaf —
+        segment executes once for all live shots — integer bit-plane
+        XORs on stabilizer substrates, batch GEMMs on dense ones —
+        while every shot draws its own seeded rngs (the exact streams
+        ``qpu.restart(seed)`` would produce; a sign cohort takes each
+        shot's measurement draws in one ``getrandbits``), and each
+        decision partitions the cohort across child edges.  Returns a
+        list aligned with ``seeds``: ``(last result per qubit, total
+        ns)`` for each shot a wavefront completed at a recorded leaf —
         bit-identical per shot-seed to :meth:`replay` — and ``None``
         for shots that left the cached trie or hit an unbatchable
         segment; the caller runs those through the serial per-shot
@@ -2070,18 +2075,30 @@ class TraceCache:
 
     def _replay_batch_signs(self, root: TraceNode, qpu: SimulatedQPU,
                             seeds: list, results: list) -> list:
-        """Wavefront sign-trace replay over bit-plane sign columns.
+        """Wavefront sign-trace replay over integer bit-planes.
 
-        The cohort's sign columns live in a :class:`SignBitPlanes`
-        (bit ``b`` of a row's plane word is shot ``b``'s sign bit), so
-        one compiled ``_S_XOR`` advances every live shot with a single
-        vectorised XOR and deterministic measurements reduce to one
-        bit-plane parity per cohort.  Random-pivot measurements,
-        resets and noise sites draw each shot's own seeded rngs in
-        serial order (shot-inner loops), keeping every shot
-        bit-identical to its serial replay; sub-cohorts that split at
-        a decision keep sharing the plane array through disjoint
-        cohort masks.
+        The cohort's sign columns are bit-planes: ``planes[row]`` is one
+        Python int whose bit ``slot`` is that shot's sign bit for the
+        tableau row.  A compiled ``_S_XOR`` advances every live shot
+        with one integer XOR per touched row, and a deterministic
+        measurement's outcome lanes are the XOR of its rows.
+        Sub-cohorts that split at a decision keep sharing the planes
+        through disjoint lane masks.
+
+        Each shot draws its measurement rng once per walk, not once per
+        op.  Serial replay makes one ``random()`` per measurement and
+        reset; ``getrandbits(64 * k)`` leaves the Mersenne Twister where
+        ``k`` such calls leave it, and draw ``i``'s ``random() < 0.5``
+        holds exactly when bit ``64 * i + 31`` is clear.  So every shot
+        draws its stream at the root, sized by :attr:`stream_draws`.  A
+        sub-cohort carries its stream offset, which all its shots share
+        because they took the same path, and tops up its own shots when
+        it runs past the drawn length.  Random-pivot measurements and
+        resets read each shot's coin from its stream; deterministic
+        ones draw nothing.  Over-drawing is safe: the streams are
+        private, and a shot that leaves the trie reruns from its seed.
+        Noise sites and readout flips draw each shot's own noise rng
+        in serial order.
 
         Everything classical is decided once per cohort, not once per
         shot.  Delivered outcomes are one lane word per qubit, and the
@@ -2092,16 +2109,17 @@ class TraceCache:
         the outcome word.  Each decision so yields a taken-lane mask
         for :meth:`_split_cohort`.  A micro-op without def/use sets
         hands the whole cohort to the serial loop (fail closed).  A
-        leaf completes its whole cohort in one pass over the delivered
-        words.
+        leaf completes its whole cohort at once: shots with the same
+        outcomes share one result.
         """
         state: StabilizerState = qpu.state
         noise = qpu.noise
         readout = noise.readout
         width = len(seeds)
-        words = (width + 63) >> 6
-        planes = SignBitPlanes(2 * state.n_qubits + 1, width)
+        planes = [0] * (2 * state.n_qubits + 1)
         srngs = [random.Random(seed) for seed in seeds]
+        drawn = self.stream_draws
+        streams = [rng.getrandbits(64 * drawn) for rng in srngs]
         # The noise rng is only ever drawn by channel sites and readout
         # corruption; on an ideal substrate skipping its (expensive)
         # Mersenne seeding halves the per-shot rng cost.
@@ -2113,84 +2131,83 @@ class TraceCache:
         delivered_words: dict[int, int] = {}
         everyone = (1 << width) - 1
         classical = _CohortState(everyone, self.config)
+
+        def deliver(qubit: int, raw: int, slots: list, cmask: int) -> None:
+            if readout is not None:
+                # Per-qubit readout calibration resolves at the
+                # measurement site (identity on the uniform channel).
+                site = readout.for_qubit(qubit)
+                p0_given_1 = site.p0_given_1
+                p1_given_0 = site.p1_given_0
+                for slot in slots:
+                    bit = (raw >> slot) & 1
+                    flip = p0_given_1 if bit else p1_given_0
+                    if nrngs[slot].random() < flip:
+                        raw ^= 1 << slot
+            delivered_words[qubit] = (
+                (delivered_words.get(qubit, 0) & ~cmask) | raw)
+
         stack: list[tuple] = [(root, None, list(range(width)), (),
-                               None, everyone)]
+                               everyone, 0, drawn)]
         while stack:
-            node, parent, slots, measured, cmask, cmask_int = stack.pop()
+            node, parent, slots, measured, cmask, offset, drawn = \
+                stack.pop()
             self._touch(node)
-            if cmask is None:
-                # Only freshly partitioned sub-cohorts repack; an
-                # unsplit wavefront carries its mask down the path.
-                cmask = _int_words(cmask_int, words)
             try:
-                ops, node_measured, branch_uses = \
+                ops, node_measured, branch_uses, draws = \
                     node.batch_sign_program(state, parent, noise)
             except _UnbatchableNode:
                 self.serial_fallbacks += len(slots)
                 continue
+            if offset + draws > drawn:
+                extra = 64 * (offset + draws - drawn)
+                for slot in slots:
+                    streams[slot] |= (srngs[slot].getrandbits(extra)
+                                      << 64 * drawn)
+                drawn = offset + draws
+            coin = 64 * offset + 31
+            offset += draws
             for qubit in node_measured:
                 if qubit not in measured:
                     measured = measured + (qubit,)
             for op in ops:
                 code = op[0]
                 if code == _S_XOR:
-                    planes.xor_rows(op[1], cmask)
-                elif code == _S_MEAS_D:
-                    _c, qubit, rows_idx, ghalf = op
-                    raw_bits = planes.parity(rows_idx)
-                    if ghalf:
-                        raw_bits = raw_bits ^ cmask
-                    raw_int = _word_int(raw_bits)
-                    for slot in slots:
-                        srngs[slot].random()
-                    if readout is None:
-                        out_int = raw_int & cmask_int
+                    for row in op[1]:
+                        planes[row] ^= cmask
+                elif code == _S_MEAS_D or code == _S_RESET_D:
+                    _c, rows, ghalf, target = op
+                    raw = cmask if ghalf else 0
+                    for row in rows:
+                        raw ^= planes[row]
+                    raw &= cmask
+                    if code == _S_MEAS_D:
+                        deliver(target, raw, slots, cmask)
+                    elif raw:
+                        # A |1> outcome's X correction flips every
+                        # zmask row.
+                        for row in target:
+                            planes[row] ^= raw
+                elif code == _S_MEAS_R or code == _S_RESET_R:
+                    _c, pivot, pm, t_rows, g_rows, shift, target = op
+                    # random() < 0.5 exactly when the probed bit is
+                    # clear.
+                    probe = 1 << (coin + shift)
+                    raw = sum([1 << slot for slot in slots
+                               if not streams[slot] & probe])
+                    pivot_bits = planes[pivot] & cmask
+                    for row in g_rows:
+                        planes[row] ^= cmask
+                    for row in t_rows:
+                        planes[row] ^= pivot_bits
+                    keep = ~cmask
+                    planes[pm] = (planes[pm] & keep) | pivot_bits
+                    planes[pivot] = (planes[pivot] & keep) | raw
+                    if code == _S_MEAS_R:
+                        deliver(target, raw, slots, cmask)
                     else:
-                        # Per-qubit readout calibration resolves at
-                        # the measurement site (identity on the
-                        # uniform channel).
-                        site = readout.for_qubit(qubit)
-                        p0_given_1 = site.p0_given_1
-                        p1_given_0 = site.p1_given_0
-                        out_int = 0
-                        for slot in slots:
-                            bit = (raw_int >> slot) & 1
-                            flip = p0_given_1 if bit else p1_given_0
-                            if nrngs[slot].random() < flip:
-                                bit ^= 1
-                            out_int |= bit << slot
-                    delivered_words[qubit] = (
-                        (delivered_words.get(qubit, 0) & ~cmask_int)
-                        | out_int)
-                elif code == _S_MEAS_R:
-                    _c, qubit, pivot, pm, t_idx, g_idx = op
-                    raw_words = [0] * words
-                    for slot in slots:
-                        if srngs[slot].random() < 0.5:
-                            raw_words[slot >> 6] |= 1 << (slot & 63)
-                    raw_bits = np.array(raw_words, dtype=np.uint64)
-                    raw_int = _word_int(raw_words)
-                    pivot_bits = planes.row(pivot)
-                    planes.xor_rows(g_idx, cmask)
-                    planes.xor_rows(t_idx, pivot_bits & cmask)
-                    planes.assign_row(pm, pivot_bits, cmask)
-                    planes.assign_row(pivot, raw_bits, cmask)
-                    if readout is None:
-                        out_int = raw_int
-                    else:
-                        site = readout.for_qubit(qubit)
-                        p0_given_1 = site.p0_given_1
-                        p1_given_0 = site.p1_given_0
-                        out_int = 0
-                        for slot in slots:
-                            bit = (raw_int >> slot) & 1
-                            flip = p0_given_1 if bit else p1_given_0
-                            if nrngs[slot].random() < flip:
-                                bit ^= 1
-                            out_int |= bit << slot
-                    delivered_words[qubit] = (
-                        (delivered_words.get(qubit, 0) & ~cmask_int)
-                        | out_int)
+                        for row in target:
+                            planes[row] ^= raw
                 elif code == _S_NOISE:
                     _c, dep_p, qubit_rows, pauli_cum = op
                     if dep_p is not None:
@@ -2201,12 +2218,10 @@ class TraceCache:
                                 if nrng.random() < dep_p:
                                     index = nrng.choice(_PAULI_INDICES)
                                     fired[index] |= 1 << slot
-                            for index in range(3):
-                                if fired[index]:
-                                    planes.xor_rows(
-                                        triplet[index],
-                                        _int_words(fired[index],
-                                                   words))
+                            for rows, flips in zip(triplet, fired):
+                                if flips:
+                                    for row in rows:
+                                        planes[row] ^= flips
                     if pauli_cum is not None:
                         cx, cxy, cxyz = pauli_cum
                         for triplet in qubit_rows:
@@ -2214,112 +2229,58 @@ class TraceCache:
                             for slot in slots:
                                 draw = nrngs[slot].random()
                                 if draw < cx:
-                                    index = 0
+                                    fired[0] |= 1 << slot
                                 elif draw < cxy:
-                                    index = 1
+                                    fired[1] |= 1 << slot
                                 elif draw < cxyz:
-                                    index = 2
-                                else:
-                                    continue
-                                fired[index] |= 1 << slot
-                            for index in range(3):
-                                if fired[index]:
-                                    planes.xor_rows(
-                                        triplet[index],
-                                        _int_words(fired[index],
-                                                   words))
-                elif code == _S_RESET_R:
-                    _c, pivot, pm, t_idx, g_idx, z_idx = op
-                    out_words = [0] * words
-                    for slot in slots:
-                        if srngs[slot].random() < 0.5:
-                            out_words[slot >> 6] |= 1 << (slot & 63)
-                    out_bits = np.array(out_words, dtype=np.uint64)
-                    pivot_bits = planes.row(pivot)
-                    planes.xor_rows(g_idx, cmask)
-                    planes.xor_rows(t_idx, pivot_bits & cmask)
-                    planes.assign_row(pm, pivot_bits, cmask)
-                    planes.assign_row(pivot, out_bits, cmask)
-                    # The X correction on a |1> collapse flips every
-                    # zmask row — out_bits only carries live lanes.
-                    planes.xor_rows(z_idx, out_bits)
-                elif code == _S_RESET_D:
-                    _c, rows_idx, ghalf, z_idx = op
-                    out_bits = planes.parity(rows_idx)
-                    if ghalf:
-                        out_bits = out_bits ^ cmask
-                    for slot in slots:
-                        srngs[slot].random()
-                    planes.xor_rows(z_idx, out_bits & cmask)
+                                    fired[2] |= 1 << slot
+                            for rows, flips in zip(triplet, fired):
+                                if flips:
+                                    for row in rows:
+                                        planes[row] ^= flips
                 elif code == _S_CLS:
-                    classical.execute(op[1], op[2], op[3], cmask_int)
+                    classical.execute(op[1], op[2], op[3], cmask)
                 else:  # _S_FMR
-                    word = delivered_words[op[2]] & cmask_int
-                    classical.write(op[1], {1: word, 0: cmask_int ^ word},
-                                    cmask_int)
+                    word = delivered_words[op[2]] & cmask
+                    classical.write(op[1], {1: word, 0: cmask ^ word},
+                                    cmask)
             decision = node.decision
             if decision is None:
-                # Leaf fast path: the whole cohort completes here —
-                # materialize each shot's delivered map straight from
-                # the outcome words (the vectorised equivalent of the
-                # epilogue's per-shot hit tail).  Shots with the same
-                # outcome pattern share one result tuple: the patterns
-                # are transposed to per-shot byte keys in one numpy
-                # pass and the delivered map is built once per
-                # *distinct* outcome, not once per shot — histograms
-                # concentrate, so distinct outcomes are few.
-                total_ns = node.total_ns
-                live = len(slots)
-                if not measured:
-                    entry = ({}, total_ns)
-                    for slot in slots:
+                # Leaf: the whole cohort completes here.  Refine the
+                # cohort's lanes by each measured qubit's outcome word,
+                # so shots with the same outcomes share one delivered
+                # map — histograms concentrate, so the groups are few.
+                self.stream_draws = offset
+                groups = [(cmask, 0)]
+                for index, qubit in enumerate(measured):
+                    word = delivered_words[qubit]
+                    split = []
+                    for lanes, values in groups:
+                        ones = lanes & word
+                        if ones:
+                            split.append((ones, values | 1 << index))
+                        if ones != lanes:
+                            split.append((lanes ^ ones, values))
+                    groups = split
+                for lanes, values in groups:
+                    entry = ({qubit: (values >> index) & 1
+                              for index, qubit in enumerate(measured)},
+                             node.total_ns)
+                    for slot in _set_bits(lanes):
                         results[slot] = entry
-                elif live > 3:
-                    rows = np.empty((len(measured), words),
-                                    dtype=np.uint64)
-                    for index, qubit in enumerate(measured):
-                        rows[index] = _int_words(
-                            delivered_words[qubit], words)
-                    bits = np.unpackbits(
-                        rows.astype("<u8").view(np.uint8), axis=1,
-                        bitorder="little", count=width)
-                    packed = np.packbits(bits, axis=0)
-                    key_bytes = packed.T.copy().tobytes()
-                    stride = packed.shape[0]
-                    memo: dict = {}
-                    for slot in slots:
-                        key = key_bytes[slot * stride:
-                                        (slot + 1) * stride]
-                        entry = memo.get(key)
-                        if entry is None:
-                            entry = memo[key] = (
-                                {qubit:
-                                 (delivered_words[qubit] >> slot) & 1
-                                 for qubit in measured}, total_ns)
-                        results[slot] = entry
-                else:
-                    for slot in slots:
-                        results[slot] = (
-                            {qubit:
-                             (delivered_words[qubit] >> slot) & 1
-                             for qubit in measured}, total_ns)
-                self.hits += live
-                self.batched_shots += live
+                self.hits += len(slots)
+                self.batched_shots += len(slots)
                 continue
             if decision[0] == _D_MRCE:
-                taken = delivered_words[decision[1]] & cmask_int
+                taken = delivered_words[decision[1]] & cmask
             else:
-                taken = classical.branch(decision[2], branch_uses,
-                                         cmask_int)
+                taken = classical.branch(decision[2], branch_uses, cmask)
             for child, rows, lanes in self._split_cohort(
-                    node, slots, cmask_int, taken):
-                if lanes == cmask_int:
-                    stack.append((child, node, slots, measured,
-                                  cmask, cmask_int))
-                else:
-                    stack.append((child, node,
-                                  [slots[row] for row in rows],
-                                  measured, None, lanes))
+                    node, slots, cmask, taken):
+                stack.append((child, node,
+                              slots if lanes == cmask
+                              else [slots[row] for row in rows],
+                              measured, lanes, offset, drawn))
         return results
 
     def _replay_batch_dense(self, root: TraceNode, qpu: SimulatedQPU,

@@ -27,7 +27,6 @@ Non-Clifford gates (t, rx(theta), ...) raise
 from __future__ import annotations
 
 import random
-from typing import Sequence
 
 import numpy as np
 
@@ -368,79 +367,3 @@ class StabilizerState(SimulationBackend):
                 for q in range(n))
             strings.append(sign + paulis)
         return strings
-
-
-# -- shot-batched sign columns -------------------------------------------------
-#
-# The trace cache's sign-trace replay reduces a whole decision-free
-# stabilizer segment to XORs on a per-shot sign column (one bit per
-# tableau row).  Packing those columns *bit-plane* style — plane[row]
-# holds shot b's sign bit for that row in bit b of little-endian uint64
-# words — turns one compiled XOR into a replay step for up to 64 shots
-# per machine word: exactly the CHP bit-packing trick, widened along
-# the shot axis instead of the qubit axis.  All arithmetic is integer
-# bitwise, so batched replay is bit-identical to the serial column.
-
-
-def pack_shot_mask(slots: Sequence[int], width: int) -> np.ndarray:
-    """Cohort mask: the bit-plane words with the given shot slots set."""
-    words = [0] * ((width + 63) >> 6)
-    for slot in slots:
-        words[slot >> 6] |= 1 << (slot & 63)
-    return np.array(words, dtype=np.uint64)
-
-
-def unpack_shot_bit(words: np.ndarray, slot: int) -> int:
-    """Shot ``slot``'s bit from packed bit-plane words."""
-    return (int(words[slot >> 6]) >> (slot & 63)) & 1
-
-
-class SignBitPlanes:
-    """Bit-plane-packed sign columns for a cohort of sign-trace shots.
-
-    ``planes[row]`` is a ``(words,)`` uint64 array holding every
-    shot's sign bit for that tableau row.  Mutations take a *cohort
-    mask* (``pack_shot_mask`` of the live shot slots) so wavefronts
-    that partitioned the cohort across trie edges keep sharing one
-    plane array — each sub-cohort's XORs touch only its own bit lanes.
-    """
-
-    __slots__ = ("rows", "width", "words", "planes")
-
-    def __init__(self, rows: int, width: int) -> None:
-        if rows < 1 or width < 1:
-            raise ValueError("need at least one row and one shot")
-        self.rows = rows
-        self.width = width
-        self.words = (width + 63) >> 6
-        self.planes = np.zeros((rows, self.words), dtype=np.uint64)
-
-    def xor_rows(self, row_indices: np.ndarray,
-                 cohort_mask: np.ndarray) -> None:
-        """Flip the cohort's sign bits of every row in ``row_indices``.
-
-        This is the whole-batch replay step: one vectorised XOR
-        advances up to ``width`` shots through a compiled sign flip.
-        """
-        self.planes[row_indices] ^= cohort_mask
-
-    def parity(self, row_indices: np.ndarray) -> np.ndarray:
-        """Per-shot XOR of the rows' sign bits (vectorised popcount
-        fodder: bit b of the result is shot b's parity)."""
-        if len(row_indices) == 0:
-            return np.zeros(self.words, dtype=np.uint64)
-        return np.bitwise_xor.reduce(self.planes[row_indices], axis=0)
-
-    def row(self, row: int) -> np.ndarray:
-        """A defensive copy of one row's packed sign bits."""
-        return self.planes[row].copy()
-
-    def assign_row(self, row: int, bits: np.ndarray,
-                   cohort_mask: np.ndarray) -> None:
-        """Overwrite the cohort's lanes of ``row`` with ``bits``."""
-        self.planes[row] = ((self.planes[row] & ~cohort_mask)
-                            | (bits & cohort_mask))
-
-    def xor_row(self, row: int, bits: np.ndarray) -> None:
-        """XOR pre-masked ``bits`` into one row."""
-        self.planes[row] ^= bits

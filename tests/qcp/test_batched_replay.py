@@ -2,13 +2,14 @@
 
 The differential fuzzer (`tests/integration/test_fuzz_differential.py`)
 owns the bit-identity contract; these tests pin the batched machinery
-piece by piece — config gating, the CLI flags, the bit-plane helpers,
+piece by piece — config gating, the CLI flags, the rng draw basis,
 the cohort state objects and the wavefront counters — so a regression
 points at the broken part instead of at "the histogram differs".
 """
 
 from __future__ import annotations
 
+import random
 import types
 from collections import Counter
 
@@ -19,12 +20,11 @@ from repro.cli import main
 from repro.isa.builder import ProgramBuilder
 from repro.qcp import QCPConfig, ShotEngine, scalar_config
 from repro.qcp.decode import K_CLASSICAL
-from repro.qcp.tracecache import (_D_BRANCH, _CohortState, _int_words,
-                                  _word_int, auto_batch_width)
-from repro.qpu.noise import (DecoherenceNoise, NoiseModel, PauliChannel,
-                             ReadoutError)
-from repro.qpu.stabilizer import (SignBitPlanes, StabilizerState,
-                                  pack_shot_mask, unpack_shot_bit)
+from repro.qcp.tracecache import (_D_BRANCH, _CohortState,
+                                  auto_batch_width)
+from repro.qpu.noise import (DecoherenceNoise, DepolarizingNoise,
+                             NoiseModel, PauliChannel, ReadoutError)
+from repro.qpu.stabilizer import StabilizerState
 from repro.qpu.statevector import BatchStateVector, StateVector
 
 H = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
@@ -101,42 +101,23 @@ def test_cli_no_batch_shots_disables_cohorts(asm_file, capsys):
     assert "batched replay:" not in out
 
 
-# -- bit-plane helpers --------------------------------------------------------
+# -- rng draw basis -----------------------------------------------------------
 
 
-def test_word_int_round_trip():
-    value = (1 << 200) | (1 << 64) | 5
-    words = _int_words(value, 4)
-    assert words.dtype == np.uint64
-    assert _word_int(words) == value
-    assert _word_int(_int_words(0, 2)) == 0
-
-
-def test_pack_shot_mask_and_unpack_bit():
-    mask = pack_shot_mask([0, 3, 64, 129], 130)
-    assert len(mask) == 3
-    as_int = _word_int(mask)
-    for slot in range(130):
-        expected = 1 if slot in (0, 3, 64, 129) else 0
-        assert (as_int >> slot) & 1 == expected
-        assert unpack_shot_bit(mask, slot) == expected
-
-
-def test_sign_bit_planes_masked_mutation():
-    planes = SignBitPlanes(rows=4, width=70)
-    live = pack_shot_mask([0, 1, 69], 70)
-    planes.xor_rows(np.array([0, 2], dtype=np.intp), live)
-    assert _word_int(planes.parity(np.array([0], dtype=np.intp))) \
-        == _word_int(live)
-    # Parity of two equally-flipped rows cancels.
-    assert _word_int(planes.parity(np.array([0, 2], dtype=np.intp))) == 0
-    # assign_row touches only the cohort's lanes.
-    other = pack_shot_mask([5], 70)
-    planes.assign_row(1, np.full(2, 0xFFFFFFFFFFFFFFFF,
-                                 dtype=np.uint64), other)
-    assert _word_int(planes.row(1)) == _word_int(other)
-    with pytest.raises(ValueError):
-        SignBitPlanes(rows=0, width=1)
+@pytest.mark.parametrize("draws", [1, 2, 18, 162])
+def test_getrandbits_stream_is_random_draws(draws):
+    """Sign cohorts draw a shot's measurement stream with one
+    ``getrandbits(64 * k)``.  That must leave the rng where ``k``
+    ``random()`` calls leave it, and draw ``i``'s ``random() < 0.5``
+    must hold exactly when stream bit ``64 * i + 31`` is clear."""
+    for seed in range(200):
+        streamed = random.Random(seed)
+        stream = streamed.getrandbits(64 * draws)
+        serial = random.Random(seed)
+        coins = [serial.random() < 0.5 for _ in range(draws)]
+        assert streamed.getstate() == serial.getstate(), seed
+        assert coins == [not (stream >> (64 * index + 31)) & 1
+                         for index in range(draws)], seed
 
 
 # -- cohort classical state ---------------------------------------------------
@@ -388,6 +369,86 @@ def test_shor_cohort_runs_each_branch_once(monkeypatch):
     assert len(branches) == 6
     assert calls == Counter({pc: 1 for pc in branches})
     assert contexts == []
+
+
+def test_shor_cohort_draws_each_stream_once(monkeypatch):
+    from repro.benchlib.steane import (N_QUBITS,
+                                       build_shor_syndrome_program)
+
+    engine = ShotEngine(build_shor_syndrome_program(),
+                        backend="stabilizer", n_processors=6,
+                        n_qubits=N_QUBITS)
+    engine.run_shot(0)
+    cache = engine.trace_cache
+    # The first cohort learns the path's draw count.
+    cache.replay_batch(engine._qpu, list(range(1, 257)))
+    rngs = []
+    calls: Counter = Counter()
+
+    class CountingRandom(random.Random):
+        def __init__(self, seed=None):
+            rngs.append(self)
+            super().__init__(seed)
+
+        def random(self):
+            calls["random"] += 1
+            return super().random()
+
+        def getrandbits(self, k):
+            calls["getrandbits"] += 1
+            return super().getrandbits(k)
+
+    monkeypatch.setattr(random, "Random", CountingRandom)
+    results = cache.replay_batch(engine._qpu, list(range(257, 513)))
+    assert all(result is not None for result in results)
+    # The ideal substrate seeds no noise rngs, so every rng is a
+    # shot's measurement rng.  Drawn per op, a shot makes 162
+    # random() calls (41,472 for the cohort).
+    assert len(rngs) == 256
+    assert calls["random"] == 0
+    assert calls["getrandbits"] <= 256
+
+
+def rus_engine(**changes):
+    from repro.benchlib.rus import build_rus_blocks
+
+    noise = NoiseModel(depolarizing=DepolarizingNoise(0.02),
+                       pauli=PauliChannel(pz=0.01),
+                       readout=ReadoutError(p0_given_1=0.03,
+                                            p1_given_0=0.02))
+    return ShotEngine(build_rus_blocks(2),
+                      config=scalar_config(**changes),
+                      backend="stabilizer", n_qubits=6, noise=noise)
+
+
+def test_stream_offsets_and_over_draw_match_serial():
+    """Repeat-until-success paths differ in length, so sub-cohorts
+    carry their own stream offsets and top up short streams.  With no
+    stream drawn up front, with the learned size and with far more
+    than any path draws, every seed replays its serial result and the
+    live QPU's rngs stay where they were."""
+    seeds = list(range(300))
+    reference = rus_engine(trace_cache=False)
+    expected = [reference.run_shot(seed) for seed in seeds]
+    engine = rus_engine()
+    engine.run_range(0, 300)  # records every seed's path
+    cache = engine.trace_cache
+    qpu = engine._qpu
+
+    def replay(hint):
+        cache.stream_draws = hint
+        before = (qpu.state.rng.getstate(), qpu.noise.rng.getstate())
+        assert cache.replay_batch(qpu, seeds) == expected, hint
+        assert (qpu.state.rng.getstate(),
+                qpu.noise.rng.getstate()) == before
+        return cache.stream_draws
+
+    learned = replay(0)
+    assert 0 < learned < 100
+    replay(learned)
+    replay(1000)
+    # The seeds take paths of different lengths.
+    assert len({result[1] for result in expected}) > 1
 
 
 def fold_program(coins: int = 8):
