@@ -42,7 +42,6 @@ import hashlib
 import json
 import pathlib
 import platform
-import tempfile
 import time
 
 from repro.benchlib.dynamic import (DISTILLATION_QUBITS,
@@ -214,8 +213,8 @@ def measure_calibrated_workload(program, n_qubits: int,
     The engine routes once (Clifford/noise analysis over the program
     and the profile-composed channels) and the entry records the
     decision next to the throughput numbers, plus the profile's
-    content fingerprint — the same key component that invalidates
-    compiled artifacts when a single calibration value changes.
+    content fingerprint — the same key component that gives the
+    service a new engine when a single calibration value changes.
     """
     uncached_rate, engine = _measure(program, n_qubits, False,
                                      uncached_shots, backend="auto",
@@ -371,10 +370,9 @@ def measure_service_sweep(quick: bool = False) -> dict:
 def histogram_digest(result) -> str:
     """Stable digest of a shot histogram (counts + total duration).
 
-    The CI warm-start smoke job runs the quick suite twice against one
-    artifact directory and compares these digests across runs — a warm
-    start that changed a single count or nanosecond would show up as a
-    digest mismatch, not a buried diff.
+    A run that changed a single count or nanosecond shows up as a
+    digest mismatch, not a buried diff.  ``perfbench``'s golden
+    digests use the same rendering.
     """
     body = json.dumps([sorted((str(key), count)
                               for key, count in result.counts.items()),
@@ -382,183 +380,7 @@ def histogram_digest(result) -> str:
     return hashlib.sha256(body.encode()).hexdigest()
 
 
-def _measure_warm_cell(program, n_qubits: int, shots: int,
-                       directory: pathlib.Path, backend: str,
-                       noise_factory=None) -> tuple:
-    """One engine lifetime against ``directory``: build, run, sync.
-
-    Startup is timed separately from the shot loop because the
-    artifact cache moves work between them: a cold engine compiles
-    during the shots (misses) and publishes at the end; a warm engine
-    pays a load at construction and replays from shot one.
-    """
-    config = scalar_config(trace_cache=True,
-                           artifact_cache_dir=str(directory))
-    noise = noise_factory() if noise_factory is not None else None
-    start = time.perf_counter()
-    engine = ShotEngine(program, config=config, backend=backend,
-                        n_qubits=n_qubits, noise=noise)
-    startup_s = time.perf_counter() - start
-    start = time.perf_counter()
-    result = engine.run(shots)
-    run_s = time.perf_counter() - start
-    return engine, result, startup_s, run_s
-
-
-def _engine_side(engine, startup_s: float, run_s: float,
-                 shots: int) -> dict:
-    artifacts = engine.artifacts
-    return {
-        "startup_s": round(startup_s, 6),
-        "run_s": round(run_s, 6),
-        "shots_per_s": round(shots / run_s, 2),
-        "trace_cache_misses": engine.trace_cache.misses,
-        "artifact_cache": artifacts.stats(),
-    }
-
-
-def measure_artifact_warm_start(quick: bool = False,
-                                artifact_dir: pathlib.Path | None = None
-                                ) -> dict:
-    """Warm-vs-cold engine startup through the persistent artifact cache.
-
-    Two identical engines run back to back against one artifact
-    directory.  The first compiles every decision path it meets and
-    publishes the trie on exit; the second maps that artifact at
-    construction and replays from its very first shot — the number
-    this workload exists to show is the second engine running the
-    whole sweep with **zero trace-cache misses**, bit-identical to the
-    first (asserted here, not just reported).
-
-    With ``artifact_dir`` (the ``--artifact-cache`` flag) the
-    directory persists across invocations, so a *second run of this
-    script* starts warm too — that is the CI smoke contract: run the
-    quick suite twice, assert run two reports ``first.warm_loads >= 1``
-    and the ``histogram_sha256`` digests match run one's.
-    """
-    tmp = None
-    if artifact_dir is None:
-        tmp = tempfile.TemporaryDirectory(prefix="qcp-artifact-bench-")
-        base = pathlib.Path(tmp.name)
-    else:
-        base = pathlib.Path(artifact_dir)
-    try:
-        cells = {}
-        if quick:
-            specs = [("stabilizer_ideal", "stabilizer", None, 5, 9)]
-            shots = 40
-        else:
-            specs = [
-                ("stabilizer_ideal", "stabilizer", None, 13, 25),
-                ("stabilizer_noisy", "stabilizer", chain_noise_model,
-                 13, 25),
-                ("statevector_noisy", "statevector", chain_noise_model,
-                 3, 5),
-            ]
-            shots = 300
-        for name, backend, noise_factory, n_data, n_qubits in specs:
-            program = build_repetition_chain_program(
-                n_data, rounds=CHAIN_ROUNDS, encode_one=True)
-            directory = base / name
-            first_engine, first_result, first_startup, first_run = \
-                _measure_warm_cell(program, n_qubits, shots, directory,
-                                   backend, noise_factory)
-            warm_engine, warm_result, warm_startup, warm_run = \
-                _measure_warm_cell(program, n_qubits, shots, directory,
-                                   backend, noise_factory)
-            assert warm_result.counts == first_result.counts, \
-                f"{name}: warm != cold histogram"
-            assert warm_result.total_ns == first_result.total_ns, \
-                f"{name}: warm != cold total_ns"
-            assert warm_engine.artifacts.warm_loads == 1, \
-                f"{name}: warm engine did not load the artifact"
-            assert warm_engine.trace_cache.misses == 0, \
-                f"{name}: warm engine still compiled"
-            first_total = first_startup + first_run
-            warm_total = warm_startup + warm_run
-            cells[name] = {
-                "qubits": n_qubits,
-                "backend": backend,
-                "noisy": noise_factory is not None,
-                "shots": shots,
-                "first": _engine_side(first_engine, first_startup,
-                                      first_run, shots),
-                "warm": _engine_side(warm_engine, warm_startup,
-                                     warm_run, shots),
-                "warm_speedup": round(first_total / warm_total, 2),
-                "histogram_sha256": histogram_digest(first_result),
-            }
-        return {"artifact_dir_persistent": artifact_dir is not None,
-                "cells": cells}
-    finally:
-        if tmp is not None:
-            tmp.cleanup()
-
-
-def measure_service_warm_start(artifact_dir: pathlib.Path | None = None
-                               ) -> dict:
-    """Two worker pools sharing one artifact directory.
-
-    Pool one's workers compile cold and publish; pool two's workers —
-    brand-new processes — find the artifacts and start warm.  Reports
-    sweep wall time for each pool plus the per-worker warm-load
-    counters from ``/stats``, asserting the histograms bit-identical
-    before any number is emitted.
-    """
-    from repro.service.client import ServiceClient
-    from repro.service.server import ServiceHandle
-
-    n_data, n_qubits = 5, 9
-    shots = 128
-    program = build_repetition_chain_program(
-        n_data, rounds=CHAIN_ROUNDS, encode_one=True)
-    text = program.to_asm()
-    tmp = None
-    if artifact_dir is None:
-        tmp = tempfile.TemporaryDirectory(prefix="qcp-artifact-svc-")
-        artifact_dir = pathlib.Path(tmp.name)
-    directory = pathlib.Path(artifact_dir) / "service"
-
-    def pool_run() -> tuple[float, object, dict]:
-        with ServiceHandle.start(
-                n_workers=2,
-                artifact_cache_dir=str(directory)) as handle:
-            client = ServiceClient(handle.host, handle.port)
-            start = time.perf_counter()
-            result, _ = client.run_sweep(
-                text, shots=shots, seed=7, backend="stabilizer",
-                config={"trace_cache": True})
-            elapsed = time.perf_counter() - start
-            stats = client.stats()
-        return elapsed, result, stats
-
-    try:
-        cold_s, cold_result, _ = pool_run()
-        warm_s, warm_result, warm_stats = pool_run()
-    finally:
-        if tmp is not None:
-            tmp.cleanup()
-    assert warm_result.counts == cold_result.counts, "warm pool != cold"
-    assert warm_result.total_ns == cold_result.total_ns, \
-        "warm pool != cold"
-    warm_loads = sum(
-        worker.get("artifact_cache", {}).get("warm_loads", 0)
-        for worker in warm_stats["worker_cache"].values())
-    assert warm_loads >= 1, "no warm worker in the second pool"
-    return {
-        "qubits": n_qubits,
-        "shots": shots,
-        "n_workers": 2,
-        "cold_pool_sweep_s": round(cold_s, 6),
-        "warm_pool_sweep_s": round(warm_s, 6),
-        "warm_pool_speedup": round(cold_s / warm_s, 2),
-        "warm_pool_worker_warm_loads": warm_loads,
-        "histogram_sha256": histogram_digest(cold_result),
-    }
-
-
-def run_suite(quick: bool = False,
-              artifact_dir: pathlib.Path | None = None) -> dict:
+def run_suite(quick: bool = False) -> dict:
     workloads: dict[str, dict] = {}
     sizes = CHAIN_SIZES[:1] if quick else CHAIN_SIZES
     noisy_sizes = NOISY_CHAIN_SIZES[:1] if quick else NOISY_CHAIN_SIZES
@@ -640,13 +462,8 @@ def run_suite(quick: bool = False,
                 distance, rounds=2, shots=100).logical_errors
             workloads[f"surface_d{distance}_{layout.n_qubits}q"] = entry
     workloads["service_sweep"] = measure_service_sweep(quick)
-    workloads["artifact_warm_start"] = measure_artifact_warm_start(
-        quick, artifact_dir)
-    if not quick:
-        workloads["service_warm_start"] = measure_service_warm_start(
-            artifact_dir)
     return {
-        "schema": "bench-shots/v9",
+        "schema": "bench-shots/v10",
         "description": ("Shot throughput of the compile-once ShotEngine "
                         "with the cycle-accurate simulator (uncached) vs "
                         "trace-cache replay (cached = serial per-shot "
@@ -658,13 +475,7 @@ def run_suite(quick: bool = False,
                         "bound sweep across the shot-sweep service's "
                         "worker pool and reports per-worker-count "
                         "speedup over the serial engine (results "
-                        "asserted bit-identical first); the "
-                        "artifact_warm_start / service_warm_start "
-                        "entries time a second engine (and a second "
-                        "worker pool) starting from the persistent "
-                        "compiled-trace artifact cache, asserting the "
-                        "warm side replays with zero trace-cache "
-                        "misses and bit-identical histograms; v7 adds "
+                        "asserted bit-identical first); v7 adds "
                         "the SDK-authored dynamic workloads (teleport "
                         "chain, RUS distillation, superscalar mix) and "
                         "the surface-code d=3/d=5 memories at the "
@@ -678,16 +489,14 @@ def run_suite(quick: bool = False,
                         "throughput numbers; v9 drops the noisy dense "
                         "entries' device_replay_shots_per_s and "
                         "speedup_vs_device_replay, whose replay loop "
-                        "no longer exists."),
+                        "no longer exists; v10 drops the artifact "
+                        "warm-start entries."),
         "config": {"backend": "stabilizer + statevector (dense sweep)",
                    "chain_rounds": CHAIN_ROUNDS,
                    "noise": "PauliChannel(px=1e-3) + "
                             "ReadoutError(0.005, 0.002)",
                    "rus_max_nodes": RUS_MAX_NODES,
                    "quick": quick,
-                   "artifact_cache": (str(artifact_dir)
-                                      if artifact_dir is not None
-                                      else None),
                    "python": platform.python_version()},
         "workloads": workloads,
     }
@@ -699,39 +508,17 @@ def main(argv: list[str] | None = None) -> int:
                         help="two small workloads, tiny shot counts "
                              "(CI smoke: exercises the perf path, "
                              "asserts nothing about timing)")
-    parser.add_argument("--artifact-cache", type=pathlib.Path,
-                        metavar="DIR", default=None,
-                        help="persistent compiled-trace artifact "
-                             "directory for the warm-start workloads; "
-                             "a second invocation against the same DIR "
-                             "starts warm (the CI smoke job relies on "
-                             "this). Default: fresh temp dir per run.")
     parser.add_argument("-o", "--output", type=pathlib.Path,
                         default=DEFAULT_OUTPUT,
                         help=f"output path (default {DEFAULT_OUTPUT})")
     args = parser.parse_args(argv)
-    report = run_suite(quick=args.quick,
-                       artifact_dir=args.artifact_cache)
+    report = run_suite(quick=args.quick)
     args.output.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {args.output}")
     header = f"{'workload':<28} {'uncached/s':>11} {'cached/s':>10} " \
              f"{'batched/s':>10} {'speedup':>8} {'batch':>6}"
     print(header)
     for name, data in report["workloads"].items():
-        if name == "artifact_warm_start":
-            for cell, info in data["cells"].items():
-                print(f"warm_start:{cell:<17} first "
-                      f"{info['first']['startup_s'] + info['first']['run_s']:.3f}s, "
-                      f"warm {info['warm']['startup_s'] + info['warm']['run_s']:.3f}s "
-                      f"({info['warm_speedup']}x, "
-                      f"{info['warm']['trace_cache_misses']} warm misses)")
-            continue
-        if name == "service_warm_start":
-            print(f"{name:<28} cold pool {data['cold_pool_sweep_s']:.3f}s, "
-                  f"warm pool {data['warm_pool_sweep_s']:.3f}s "
-                  f"({data['warm_pool_speedup']}x, "
-                  f"{data['warm_pool_worker_warm_loads']} worker warm loads)")
-            continue
         if name == "service_sweep":
             scaling = ", ".join(
                 f"{w}w {info['speedup_vs_serial']}x"

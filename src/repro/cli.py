@@ -70,13 +70,6 @@ def _config_from_args(args: argparse.Namespace):
     batch_width = getattr(args, "batch_shots", None)
     if batch_width is not None:
         config = config.with_(trace_cache_batch_width=batch_width)
-    artifact_dir = getattr(args, "artifact_cache", None)
-    if artifact_dir is not None and \
-            not getattr(args, "no_artifact_cache", False):
-        config = config.with_(artifact_cache_dir=artifact_dir)
-    artifact_max = getattr(args, "artifact_cache_max_bytes", None)
-    if artifact_max is not None:
-        config = config.with_(artifact_cache_max_bytes=artifact_max)
     profile_path = getattr(args, "device_profile", None)
     if profile_path is not None:
         config = config.with_(device_profile=profile_path)
@@ -125,9 +118,6 @@ _CACHE_FLAGS = (
     ("no_dense_fusion", "--no-dense-fusion"),
     ("batch_shots", "--batch-shots"),
     ("no_batch_shots", "--no-batch-shots"),
-    ("artifact_cache", "--artifact-cache"),
-    ("artifact_cache_max_bytes", "--artifact-cache-max-bytes"),
-    ("no_artifact_cache", "--no-artifact-cache"),
 )
 
 
@@ -204,18 +194,6 @@ def _run_shots(program, args: argparse.Namespace) -> int:
                 line += (f", {cache.serial_fallbacks} serial "
                          f"fallbacks")
             print(line)
-        artifacts = engine.artifacts
-        if artifacts is not None:
-            stats = artifacts.stats()
-            line = (f"artifact cache: {stats['warm_loads']} warm "
-                    f"load(s), {stats['cold_compiles']} cold, "
-                    f"{stats['saves']} save(s), "
-                    f"{stats['bytes_on_disk']} bytes on disk")
-            if stats["invalidations"]:
-                line += f", {stats['invalidations']} invalidated"
-            if stats["evicted_files"]:
-                line += f", {stats['evicted_files']} file(s) evicted"
-            print(line)
     if result.measured_qubits:
         print(f"measured qubits: "
               f"{' '.join(f'q{q}' for q in result.measured_qubits)}")
@@ -285,15 +263,12 @@ def command_serve(args: argparse.Namespace) -> int:
     print(f"shot-sweep service on {args.host}:{args.port} "
           f"({args.workers} worker(s), queue size {args.queue_size}, "
           f"max retries {args.max_retries})", file=sys.stderr)
-    if args.artifact_cache is not None:
-        print(f"artifact cache: {args.artifact_cache}", file=sys.stderr)
     try:
         asyncio.run(serve(host=args.host, port=args.port,
                           n_workers=args.workers,
                           queue_size=args.queue_size,
                           max_retries=args.max_retries,
-                          engine_lru_capacity=args.engine_cache,
-                          artifact_cache_dir=args.artifact_cache))
+                          engine_lru_capacity=args.engine_cache))
     except KeyboardInterrupt:
         pass
     return 0
@@ -325,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
              "readout fidelities, per-gate-per-qubit durations, "
              "coupling-pair ZZ strengths (see docs/device_profiles.md); "
              "composed over the substrate's noise model and folded "
-             "into the engine/artifact identity")
+             "into the engine identity")
     run_parser.add_argument(
         "--shots", type=int, default=0,
         help="run N compile-once shots and print the histogram "
@@ -360,23 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-batch-shots", action="store_true",
         help="replay cached shots one at a time instead of in "
              "lockstep cohorts (results are bit-identical either way)")
-    run_parser.add_argument(
-        "--artifact-cache", metavar="DIR", default=None,
-        help="persistent compiled-trace artifact cache: load the "
-             "compiled trie for this program/config/noise identity "
-             "from DIR if present (warm start) and save it back after "
-             "the run; safe to share between processes, results are "
-             "bit-identical either way")
-    run_parser.add_argument(
-        "--no-artifact-cache", action="store_true",
-        help="ignore --artifact-cache: always compile cold and never "
-             "write artifacts")
-    run_parser.add_argument(
-        "--artifact-cache-max-bytes", type=int, default=None,
-        metavar="BYTES",
-        help="size bound on the artifact directory; after each save, "
-             "oldest-stamped artifacts are evicted until the total "
-             "fits (the newest artifact always survives)")
     run_parser.set_defaults(entry=command_run)
 
     asm_parser = commands.add_parser(
@@ -407,12 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine-cache", type=int, default=None, metavar="N",
         help="per-worker engine LRU capacity: each worker process "
              "keeps up to N compiled shot engines alive (default 8)")
-    serve_parser.add_argument(
-        "--artifact-cache", metavar="DIR", default=None,
-        help="shared compiled-trace artifact directory: workers load "
-             "compiled tries from DIR before compiling and publish "
-             "their own back, so restarted pools (and fresh workers "
-             "after a crash rebuild) start warm")
     serve_parser.set_defaults(entry=command_serve)
     return parser
 

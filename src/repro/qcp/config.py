@@ -68,8 +68,8 @@ class QCPConfig:
     #: T1/T2, per-qubit readout fidelities and per-pair ZZ couplings
     #: over the base noise model, and uses its per-gate-per-qubit
     #: durations for every busy/violation/drive-window computation.
-    #: The profile *content* (not the path) is part of the engine
-    #: identity and the artifact-cache fingerprint.
+    #: The profile *content* (not the path) is part of the service's
+    #: engine identity.
     device_profile: str | None = None
     #: Fused-block width cap for dense trace-cache replay (``None`` =
     #: :data:`repro.qpu.statevector.FUSE_MAX_QUBITS`).  The ``"auto"``
@@ -124,25 +124,6 @@ class QCPConfig:
     #: substrates, memory-capped on dense ones; see
     #: :func:`~repro.qcp.tracecache.auto_batch_width`).
     trace_cache_batch_width: int | None = None
-    #: Directory for the persistent compiled-trace artifact cache
-    #: (``None`` = disabled).  When set, a shot engine whose identity
-    #: (program, config, backend, noise profile) matches an artifact
-    #: on disk starts *warm* — the recorded trie and compiled
-    #: sign-trace programs are mmap-ed in instead of recompiled — and
-    #: engines publish their compiled tries back to
-    #: the directory after running shots (atomic write-rename, safe to
-    #: share across processes and service workers).  Loads are
-    #: fail-closed: any mismatch or corruption silently falls back to
-    #: a cold compile, never a wrong answer.  Never affects results —
-    #: the field is excluded from the artifact key fingerprint and
-    #: from service engine identity.  See :mod:`repro.qcp.artifacts`.
-    artifact_cache_dir: str | None = None
-    #: Size bound in bytes on the artifact-cache directory (``None`` =
-    #: unbounded).  After each save the writing engine sweeps the
-    #: directory, deleting oldest-stamped artifacts until the total
-    #: fits (the newest artifact always survives) — the cross-process
-    #: analogue of :attr:`trace_cache_max_nodes`'s recency eviction.
-    artifact_cache_max_bytes: int | None = None
     #: LRU bound on trace-cache trie nodes (``None`` = unbounded).
     #: High-path-entropy workloads — RUS loops driven by fair coins —
     #: record a new path per novel decision sequence; the bound evicts
@@ -176,9 +157,6 @@ class QCPConfig:
         if self.trace_cache_batch_width is not None \
                 and self.trace_cache_batch_width < 1:
             raise ValueError("trace-cache batch width must be positive")
-        if self.artifact_cache_max_bytes is not None \
-                and self.artifact_cache_max_bytes < 1:
-            raise ValueError("artifact-cache size bound must be positive")
         if self.fuse_max_qubits is not None and self.fuse_max_qubits < 1:
             raise ValueError("fused-block width must be positive")
 

@@ -63,7 +63,6 @@ from typing import Callable
 
 from repro.isa.program import BlockInfoTable, DependencyMode, Program
 from repro.analog.channels import ChannelMap
-from repro.qcp.artifacts import ArtifactCache, artifact_fingerprint
 from repro.qcp.config import QCPConfig
 from repro.qcp.memory import InstructionMemory
 from repro.qcp.system import QuAPESystem, infer_qubit_count
@@ -277,8 +276,8 @@ class ShotEngine:
         # -- automatic backend routing (backend="auto") ------------------
         # Resolved once, before the QPU is built: the routed name (and
         # the adaptive fusion width it may carry) is what flows into
-        # the device, the engine identity and the artifact fingerprint
-        # — "auto" itself never reaches make_backend.
+        # the device and the engine identity — "auto" itself never
+        # reaches make_backend.
         self.routing: RoutingDecision | None = None
         if self.backend == "auto":
             if qpu_factory is not None:
@@ -314,59 +313,6 @@ class ShotEngine:
             mode = replay_mode(self._qpu)
             if mode is not None:
                 self.trace_cache = TraceCache(self.config, mode)
-        # -- persistent artifact cache: warm-start the trace cache -------
-        # Keyed by the full engine identity; an engine whose identity
-        # cannot be fingerprinted (exotic noise channel) stays cold
-        # rather than risking a wrong key.  See repro.qcp.artifacts.
-        self.artifacts: ArtifactCache | None = None
-        self._artifact_sig: tuple | None = None
-        if (self.trace_cache is not None
-                and self.config.artifact_cache_dir is not None):
-            fingerprint = artifact_fingerprint(
-                program, self.config, self.backend, self._qpu.noise,
-                n_processors, self.qubit_count, dependency_mode,
-                profile=profile)
-            if fingerprint is not None:
-                self.artifacts = ArtifactCache(
-                    self.config.artifact_cache_dir, fingerprint,
-                    self.config.artifact_cache_max_bytes)
-                self.artifacts.load_into(self.trace_cache, self.memory,
-                                         self._qpu)
-                self._artifact_sig = self._artifact_state()
-
-    def _artifact_state(self) -> tuple:
-        """A cheap signature of what an artifact save would capture.
-
-        Saves are skipped while this is unchanged — replay-only
-        workloads (the steady state of a warm worker) never rewrite an
-        identical artifact.  Compiled-program installs matter too: a
-        warm batch of shots can compile sign programs for nodes that
-        were recorded earlier, which is exactly the compile work the
-        next process wants to skip.
-        """
-        cache = self.trace_cache
-        compiled = 0
-        nodes = [cache.root] if cache.root is not None else []
-        while nodes:
-            node = nodes.pop()
-            if node.items is None:
-                continue
-            if node._program is not None:
-                compiled += 1
-            nodes.extend(node.children.values())
-        return (cache.nodes, cache.misses, cache.evictions, compiled)
-
-    def _sync_artifacts(self) -> None:
-        """Publish the compiled trie to the artifact directory."""
-        artifacts = self.artifacts
-        cache = self.trace_cache
-        if artifacts is None or cache is None or cache.root is None:
-            return
-        signature = self._artifact_state()
-        if signature == self._artifact_sig:
-            return
-        if artifacts.save_from(cache, self.memory, self._qpu):
-            self._artifact_sig = signature
 
     def _shot_qpu(self, seed: int) -> QPUBase:
         if self.qpu_factory is not None:
@@ -495,7 +441,6 @@ class ShotEngine:
                 key = entry[1]
             counts[key] += 1
             shard.total_ns += shot_ns
-        self._sync_artifacts()
         return shard
 
     def run(self, shots: int) -> ShotResult:

@@ -597,20 +597,6 @@ def _slice(items: tuple, live) -> tuple[set, frozenset | None]:
     return dead, (live if current == live else frozenset(current))
 
 
-def _seed_live(nodes: list) -> None:
-    """Compute the live sets of a whole trie at once.
-
-    ``nodes`` lists every recorded node parent-before-child (an
-    artifact load's order), so the reverse walk finishes each node's
-    children before the node itself.
-    """
-    for node in reversed(nodes):
-        node.live = _join(node.live, _decision_uses(node.decision))
-        if node.parent is not None:
-            node.parent.live = _join(node.parent.live,
-                                     _slice(node.items, node.live)[1])
-
-
 class TraceNode:
     """One trie node: the work segment up to the next decision point.
 
@@ -1606,8 +1592,7 @@ def replay_mode(qpu: SimulatedQPU) -> str | None:
     every other substrate, which the shot engine then runs
     cycle-accurately — fail closed, since both noise predicates are
     allow-lists.  Evaluated once per engine and stored on its
-    :class:`TraceCache`, where the replay dispatch and the artifact
-    codec read it.
+    :class:`TraceCache`, where the replay dispatch reads it.
     """
     noise = qpu.noise
     if isinstance(qpu.state, StabilizerState):

@@ -223,9 +223,7 @@ class PairZZCrosstalk(ZZCrosstalk):
     ``pair_zeta_hz`` holds ``(left, right, zeta_hz)`` triples from a
     :class:`~repro.qpu.profile.DeviceProfile`; pairs not listed fall
     back to the uniform ``zeta_hz``.  Declared as a *subclass* so the
-    name-based :class:`NoiseModel` allow-lists admit it unchanged, and
-    so artifact fingerprints (which render the channel's class name
-    and fields) change automatically when a profile swaps it in.
+    name-based :class:`NoiseModel` allow-lists admit it unchanged.
     """
 
     pair_zeta_hz: tuple[tuple[int, int, float], ...] = ()
@@ -314,7 +312,7 @@ class QubitDecoherenceNoise(DecoherenceNoise):
     ``per_qubit`` holds ``(qubit, t1_us, t2_us)`` triples from a
     :class:`~repro.qpu.profile.DeviceProfile`; unlisted qubits use the
     inherited ``t1_us``/``t2_us`` defaults.  A subclass so the
-    name-based allow-lists and fingerprints pick it up unchanged, and
+    name-based allow-lists pick it up unchanged, and
     so serial and batched replay compile its per-qubit decay exactly
     like its base's (through :meth:`for_qubit`).
     """
@@ -370,7 +368,7 @@ class QubitReadoutError(ReadoutError):
     from a :class:`~repro.qpu.profile.DeviceProfile`; unlisted qubits
     use the inherited uniform probabilities.  A subclass, so the
     fail-closed allow-lists (``is_pauli_only`` keeps sign-trace replay
-    available) and artifact fingerprints admit it without edits.
+    available) admit it without edits.
     """
 
     per_qubit: tuple[tuple[int, float, float], ...] = ()

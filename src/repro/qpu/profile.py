@@ -16,12 +16,12 @@ document loaded once and threaded through the whole stack:
   own T1/T2 and readout flip probabilities and every coupling pair its
   own ZZ coefficient;
 * the trace cache compiles durations and channel parameters from the
-  profile at compile time, so cached/batched/artifact-warm replay
-  stays bit-identical to the cycle-accurate simulation;
-* :func:`~repro.qcp.artifacts.artifact_fingerprint` and the service's
-  engine keys include :meth:`DeviceProfile.fingerprint`, making the
-  profile part of compile identity (content-addressed: renaming the
-  file changes nothing, editing one T1 invalidates everything).
+  profile at compile time, so cached and batched replay stays
+  bit-identical to the cycle-accurate simulation;
+* the service's engine keys include the profile's canonical content,
+  making the profile part of compile identity (content-addressed:
+  renaming the file changes nothing, editing one T1 gives a new
+  engine).
 
 Parsing fails **closed**: an unknown key anywhere in the document
 raises :class:`ValueError` naming the offending key, in the same

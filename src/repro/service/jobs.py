@@ -76,8 +76,7 @@ class JobManager:
 
     def __init__(self, n_workers: int = 2, queue_size: int = 16,
                  max_retries: int = 2,
-                 engine_lru_capacity: int | None = None,
-                 artifact_cache_dir: str | None = None) -> None:
+                 engine_lru_capacity: int | None = None) -> None:
         if n_workers < 1:
             raise ValueError("need at least one worker")
         if queue_size < 1:
@@ -88,7 +87,6 @@ class JobManager:
         self.queue_size = queue_size
         self.max_retries = max_retries
         self.engine_lru_capacity = engine_lru_capacity
-        self.artifact_cache_dir = artifact_cache_dir
         self._pool: ProcessPoolExecutor | None = None
         self._queue: asyncio.Queue[Job] = asyncio.Queue()
         self._active: dict[str, Job] = {}  # job key -> queued/running job
@@ -120,14 +118,12 @@ class JobManager:
             self._pool = None
 
     def _new_pool(self) -> ProcessPoolExecutor:
-        # The initializer reruns in every worker of every pool — so a
-        # post-crash rebuild's fresh workers rejoin the shared artifact
-        # directory and recover their predecessors' compiled tries.
+        # The initializer reruns in every worker of every pool, so a
+        # post-crash rebuild's fresh workers get the same LRU bound.
         return ProcessPoolExecutor(
             max_workers=self.n_workers,
             initializer=workers.configure_worker,
-            initargs=(self.engine_lru_capacity,
-                      self.artifact_cache_dir))
+            initargs=(self.engine_lru_capacity,))
 
     def _rebuild_pool(self) -> None:
         if self._pool is not None:
@@ -201,7 +197,6 @@ class JobManager:
                                     if self.engine_lru_capacity
                                     is not None
                                     else workers._ENGINE_LRU_CAPACITY),
-            "artifact_cache_dir": self.artifact_cache_dir,
             "queue_depth": queued,
             "active_job": (self._current.summary()
                            if self._current is not None else None),
@@ -266,13 +261,8 @@ class JobManager:
             entry["backend"] = shard_result["backend"]
         if shard_result.get("routing") is not None:
             entry["routing"] = shard_result["routing"]
-        # Older workers (pre-artifact payloads) omit these keys.
-        if shard_result.get("artifact_cache") is not None:
-            entry["artifact_cache"] = shard_result["artifact_cache"]
-        if shard_result.get("engine_evictions") is not None:
-            entry["engine_evictions"] = shard_result["engine_evictions"]
-        if shard_result.get("engine_cache") is not None:
-            entry["engine_cache"] = shard_result["engine_cache"]
+        entry["engine_evictions"] = shard_result["engine_evictions"]
+        entry["engine_cache"] = shard_result["engine_cache"]
 
     # -- execution --------------------------------------------------------
 

@@ -125,7 +125,6 @@ async def serve(host: str = "127.0.0.1", port: int = 7781,
                 n_workers: int = 2, queue_size: int = 16,
                 max_retries: int = 2,
                 engine_lru_capacity: int | None = None,
-                artifact_cache_dir: str | None = None,
                 ready: "asyncio.Event | None" = None,
                 stop: "asyncio.Event | None" = None,
                 bound_port: list | None = None) -> None:
@@ -136,14 +135,11 @@ async def serve(host: str = "127.0.0.1", port: int = 7781,
     ephemeral one) appended to ``bound_port``.
 
     ``engine_lru_capacity`` bounds each worker process's cache of
-    compiled shot engines (default 8); ``artifact_cache_dir`` points
-    every worker — including post-crash rebuilds — at one shared
-    compiled-trace artifact directory so they start warm.
+    compiled shot engines (default 8).
     """
     manager = JobManager(n_workers=n_workers, queue_size=queue_size,
                          max_retries=max_retries,
-                         engine_lru_capacity=engine_lru_capacity,
-                         artifact_cache_dir=artifact_cache_dir)
+                         engine_lru_capacity=engine_lru_capacity)
     await manager.start()
     connections: set[asyncio.Task] = set()
 
@@ -202,7 +198,6 @@ class ServiceHandle:
     def start(cls, n_workers: int = 2, queue_size: int = 16,
               max_retries: int = 2,
               engine_lru_capacity: int | None = None,
-              artifact_cache_dir: str | None = None,
               timeout: float = 30.0) -> "ServiceHandle":
         started = threading.Event()
         box: dict = {}
@@ -217,7 +212,6 @@ class ServiceHandle:
                     port=0, n_workers=n_workers, queue_size=queue_size,
                     max_retries=max_retries,
                     engine_lru_capacity=engine_lru_capacity,
-                    artifact_cache_dir=artifact_cache_dir,
                     ready=ready, stop=box["stop"],
                     bound_port=ports))
                 await ready.wait()

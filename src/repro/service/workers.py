@@ -42,32 +42,24 @@ from repro.service.protocol import build_noise_model, program_from_text
 #: Engines cached per worker process, newest-used last.
 _ENGINE_LRU_CAPACITY = 8
 
-#: Shared compiled-trace artifact directory injected at pool creation
-#: (see :func:`configure_worker`); ``None`` = no artifact caching.
-_ARTIFACT_CACHE_DIR: str | None = None
-
 _engines: "OrderedDict[str, ShotEngine]" = OrderedDict()
 
 #: Engines dropped from the LRU over this process's lifetime.
 _engine_evictions = 0
 
 
-def configure_worker(engine_lru_capacity: int | None = None,
-                     artifact_cache_dir: str | None = None) -> None:
+def configure_worker(engine_lru_capacity: int | None = None) -> None:
     """Pool initializer: per-process knobs for every worker.
 
     Runs once in each worker process as the ``ProcessPoolExecutor``
     initializer — including the workers of a rebuilt pool after a
-    ``BrokenProcessPool``, which is exactly when the artifact
-    directory pays off: the fresh process finds the tries its
-    predecessors compiled and starts warm.
+    ``BrokenProcessPool``.
     """
-    global _ENGINE_LRU_CAPACITY, _ARTIFACT_CACHE_DIR
+    global _ENGINE_LRU_CAPACITY
     if engine_lru_capacity is not None:
         if engine_lru_capacity < 1:
             raise ValueError("engine LRU capacity must be positive")
         _ENGINE_LRU_CAPACITY = engine_lru_capacity
-    _ARTIFACT_CACHE_DIR = artifact_cache_dir
 
 
 def plan_shards(shots: int, shard_shots: int) -> list[tuple[int, int]]:
@@ -97,12 +89,6 @@ def default_shard_shots(shots: int, n_workers: int) -> int:
 
 def _build_engine(payload: dict) -> ShotEngine:
     config = QCPConfig().with_(**payload["config"])
-    if _ARTIFACT_CACHE_DIR is not None and \
-            config.artifact_cache_dir is None:
-        # Serve-level injection: never part of the job's engine key
-        # (the directory cannot change results), so all workers of a
-        # pool share one artifact directory transparently.
-        config = config.with_(artifact_cache_dir=_ARTIFACT_CACHE_DIR)
     profile = payload.get("profile")
     return ShotEngine(
         program_from_text(payload["program"]),
@@ -162,7 +148,6 @@ def run_shard(payload: dict, start: int, stop: int) -> dict:
                  "batched_shots": cache.batched_shots,
                  "wavefront_splits": cache.wavefront_splits,
                  "serial_fallbacks": cache.serial_fallbacks}
-    artifacts = engine.artifacts
     return {"start": start, "stop": stop,
             "counts": shard.counts, "total_ns": shard.total_ns,
             "pid": os.getpid(), "engine_key": payload["engine_key"],
@@ -170,8 +155,6 @@ def run_shard(payload: dict, start: int, stop: int) -> dict:
             "routing": (engine.routing.as_dict()
                         if engine.routing is not None else None),
             "trace_cache": stats,
-            "artifact_cache": (artifacts.stats()
-                               if artifacts is not None else None),
             "engine_evictions": _engine_evictions,
             "engine_cache": {"size": len(_engines),
                              "capacity": _ENGINE_LRU_CAPACITY}}

@@ -332,65 +332,6 @@ def test_fuzz_batched_replay_matches_serial(program):
             assert batched > 0, f"{backend}/{noise_factory}/{changes}"
 
 
-@settings(max_examples=6, deadline=None)
-@given(control_flow_programs())
-def test_fuzz_warm_artifact_start_matches_cold(tmp_path_factory, program):
-    """The warm x cold axis: engines restarted against a populated
-    artifact directory (:mod:`repro.qcp.artifacts`) are bit-identical
-    to cold compiles and to the cycle-accurate reference.
-
-    Per backend x noise cell: a cold engine populates the artifact
-    directory, a second engine warm-loads it, and both must agree
-    per-seed with an artifact-free engine — serial and batched.
-    """
-    config = scalar_config()
-    for backend, noise_factory in (("stabilizer", None),
-                                   ("statevector", None),
-                                   ("stabilizer", pauli_noise),
-                                   ("statevector", pauli_noise),
-                                   ("statevector", dense_noise)):
-        directory = tmp_path_factory.mktemp("artifacts")
-        warm_config = {"artifact_cache_dir": str(directory)}
-        cold = cache_engine(program, backend, config, noise_factory,
-                            **warm_config)
-        for seed in range(SHOTS):
-            cold.run_shot(seed)
-        cold._sync_artifacts()
-        warm = cache_engine(program, backend, config, noise_factory,
-                            **warm_config)
-        assert warm.artifacts is not None
-        assert warm.artifacts.warm_loads == 1, (backend, noise_factory)
-        engines = {
-            "uncached": cache_engine(program, backend, config,
-                                     noise_factory, trace_cache=False),
-            "cold": cache_engine(program, backend, config,
-                                 noise_factory),
-            "warm": warm,
-        }
-        run_matrix(program, engines)
-        assert warm.trace_cache.misses == 0, (backend, noise_factory)
-        # Batched replay over a warm-loaded trie agrees too.  The
-        # batch width is (conservatively) part of the key fingerprint,
-        # so the width-7 identity populates its own artifact first.
-        cold_batch = cache_engine(program, backend, config,
-                                  noise_factory,
-                                  trace_cache_batch_width=7,
-                                  **warm_config)
-        cold_batch.run(BATCH_SHOTS)
-        warm_batch = cache_engine(program, backend, config,
-                                  noise_factory,
-                                  trace_cache_batch_width=7,
-                                  **warm_config)
-        assert warm_batch.artifacts.warm_loads == 1
-        reference = cache_engine(program, backend, config,
-                                 noise_factory).run(BATCH_SHOTS)
-        result = warm_batch.run(BATCH_SHOTS)
-        assert result.counts == reference.counts, (backend,
-                                                   noise_factory)
-        assert result.total_ns == reference.total_ns, (backend,
-                                                       noise_factory)
-
-
 def test_epilogue_is_shared_by_all_replay_modes():
     """Edge selection has exactly two implementations.
 

@@ -10,7 +10,6 @@ them across the full execution matrix:
 * trace cache off / on / tiny-LRU,
 * serial x batched wavefront replay (Pauli noise on both backends,
   T1/T2 decay on the statevector),
-* cold x warm persistent artifacts,
 * in-process x 2-worker sharded service (the programs travel as
   ``to_asm()`` text, so this also fuzzes the round-trip contract).
 
@@ -180,30 +179,6 @@ def test_sdk_fuzz_batched_matches_serial(program):
             assert result.total_ns == reference.total_ns, name
             assert result.measured_qubits == \
                 reference.measured_qubits, name
-
-
-@settings(max_examples=4, deadline=None)
-@given(sdk_programs())
-def test_sdk_fuzz_warm_artifacts_match_cold(tmp_path_factory, program):
-    """Cold-compiled vs artifact-warm engines, serial and batched."""
-    for backend in ("statevector", "stabilizer"):
-        directory = str(tmp_path_factory.mktemp("sdk-artifacts"))
-        cold = engine_for(program, backend, pauli_noise,
-                          artifact_cache_dir=directory)
-        for seed in range(SHOTS):
-            cold.run_shot(seed)
-        cold._sync_artifacts()
-        warm = engine_for(program, backend, pauli_noise,
-                          artifact_cache_dir=directory)
-        assert warm.artifacts.warm_loads == 1
-        engines = {
-            "uncached": engine_for(program, backend, pauli_noise,
-                                   trace_cache=False),
-            "cold": engine_for(program, backend, pauli_noise),
-            "warm": warm,
-        }
-        run_matrix(program, engines)
-        assert warm.trace_cache.misses == 0, backend
 
 
 @pytest.fixture(scope="module")

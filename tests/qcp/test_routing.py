@@ -1,4 +1,4 @@
-"""Automatic backend routing and profile-aware compile identity.
+"""Automatic backend routing and calibrated bit identity.
 
 Three contracts in one module:
 
@@ -8,12 +8,9 @@ Three contracts in one module:
 * fail-closed backend construction — unknown names (including a raw
   ``"auto"`` that escaped resolution) raise naming every registered
   backend;
-* calibrated-profile compile identity — the profile's *content* is
-  part of :func:`~repro.qcp.artifacts.artifact_fingerprint`, so one
-  edited T1 invalidates artifacts while a file rename never does —
-  plus the acceptance bit-identity matrix: a calibrated noisy sweep
-  agrees across cycle-accurate x trace-cache x batched x
-  artifact-warm execution, histogram and total_ns alike.
+* the calibrated acceptance bit-identity matrix — a calibrated noisy
+  sweep agrees across cycle-accurate x trace-cache x batched
+  execution, histogram and total_ns alike.
 """
 
 from __future__ import annotations
@@ -23,14 +20,11 @@ import json
 import pytest
 
 from repro.isa.builder import ProgramBuilder
-from repro.isa.program import DependencyMode
 from repro.qcp import ShotEngine, scalar_config
-from repro.qcp.artifacts import artifact_fingerprint
 from repro.qcp.routing import (ADAPTIVE_FUSION_LIMIT, RoutingDecision,
                                is_clifford_program, route_backend)
 from repro.qpu.backend import backend_names, make_backend
-from repro.qpu.noise import (NoiseModel, PauliChannel, ZZCrosstalk,
-                             ideal_noise_model)
+from repro.qpu.noise import NoiseModel, PauliChannel, ZZCrosstalk
 from repro.qpu.profile import DeviceProfile
 
 
@@ -209,41 +203,6 @@ PROFILE_DOC = {
 }
 
 
-def fingerprint_for(profile, config=None):
-    fingerprint = artifact_fingerprint(
-        clifford_program(), config or scalar_config(), "statevector",
-        ideal_noise_model(), 1, 3, DependencyMode.PRIORITY,
-        profile=profile)
-    assert fingerprint is not None  # a swallowed error would vacuously pass
-    return fingerprint
-
-
-class TestProfileCompileIdentity:
-    def test_one_t1_edit_changes_the_artifact_key(self):
-        edited = json.loads(json.dumps(PROFILE_DOC))
-        edited["qubits"]["0"]["t1_us"] = 38.5
-        assert fingerprint_for(DeviceProfile.from_dict(edited)) != \
-            fingerprint_for(DeviceProfile.from_dict(PROFILE_DOC))
-
-    def test_file_rename_keeps_the_artifact_key(self, tmp_path):
-        from repro.qpu.profile import load_device_profile
-        first = tmp_path / "cal_v1.json"
-        second = tmp_path / "cal_final_really.json"
-        first.write_text(json.dumps(PROFILE_DOC))
-        second.write_text(json.dumps(PROFILE_DOC, indent=2))
-        assert fingerprint_for(load_device_profile(first)) == \
-            fingerprint_for(load_device_profile(second))
-
-    def test_profile_path_is_excluded_from_config_identity(self):
-        with_path = scalar_config(device_profile="/tmp/anything.json")
-        assert fingerprint_for(None, config=with_path) == \
-            fingerprint_for(None)
-
-    def test_no_profile_differs_from_some_profile(self):
-        assert fingerprint_for(None) != \
-            fingerprint_for(DeviceProfile.from_dict(PROFILE_DOC))
-
-
 def profile_program():
     """Branchy 3-qubit workload with concurrent drive on all pairs."""
     builder = ProgramBuilder("calibrated")
@@ -278,7 +237,7 @@ class TestCalibratedBitIdentityMatrix:
     """The acceptance matrix: one calibrated noisy sweep, every
     execution strategy, identical histograms *and* total_ns."""
 
-    def test_cycle_accurate_cached_batched_and_warm_agree(self, tmp_path):
+    def test_cycle_accurate_cached_and_batched_agree(self):
         reference = calibrated_engine(
             PROFILE_DOC, trace_cache=False).run(SWEEP_SHOTS)
         assert len(reference.counts) > 1  # the noise actually acts
@@ -295,18 +254,6 @@ class TestCalibratedBitIdentityMatrix:
         result = batched.run(SWEEP_SHOTS)
         assert result.counts == reference.counts
         assert result.total_ns == reference.total_ns
-
-        warm_config = {"artifact_cache_dir": str(tmp_path)}
-        cold = calibrated_engine(PROFILE_DOC, **warm_config)
-        assert cold.artifacts is not None  # profile key representable
-        cold.run(SWEEP_SHOTS)
-        cold._sync_artifacts()
-        warm = calibrated_engine(PROFILE_DOC, **warm_config)
-        assert warm.artifacts.warm_loads == 1
-        result = warm.run(SWEEP_SHOTS)
-        assert result.counts == reference.counts
-        assert result.total_ns == reference.total_ns
-        assert warm.trace_cache.misses == 0
 
     def test_batchable_profile_actually_batches(self):
         # T1/T2 decay included, the lockstep cohorts must both engage

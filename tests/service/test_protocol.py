@@ -69,6 +69,8 @@ class TestValidation:
         (job(timeout_s=-1), "bad_job"),
         (job(shard_shots=0), "bad_job"),
         (job(program=NO_MEASURE_ASM), "no_measurements"),
+        (job(config={"artifact_cache_dir": "/tmp/x"}), "bad_config"),
+        (job(config={"artifact_cache_max_bytes": 1}), "bad_config"),
     ])
     def test_rejections_carry_machine_readable_codes(self, raw, code):
         with pytest.raises(ProtocolError) as excinfo:

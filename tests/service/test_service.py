@@ -249,48 +249,8 @@ class TestJobManager:
         run_async(main())
 
 
-class TestArtifactWarmWorkers:
-    """Warm worker starts via the shared artifact directory, plus the
-    configurable per-worker engine LRU (both PR-8 service knobs)."""
-
-    def test_second_service_starts_warm_and_bit_identical(self, tmp_path):
-        directory = tmp_path / "artifacts"
-        with ServiceHandle.start(n_workers=2,
-                                 artifact_cache_dir=str(directory)) \
-                as handle:
-            client = ServiceClient(handle.host, handle.port)
-            first, _ = client.run_sweep(BRANCHY, shots=SHOTS,
-                                        backend="stabilizer",
-                                        shard_shots=6)
-            stats = client.stats()
-            assert stats["artifact_cache_dir"] == str(directory)
-            saved = [w["artifact_cache"]["saves"]
-                     for w in stats["worker_cache"].values()
-                     if w.get("artifact_cache") is not None]
-            assert saved and any(count >= 1 for count in saved)
-        # A brand-new service (fresh worker processes) consults the
-        # same directory: its workers warm-load instead of compiling,
-        # and the sweep is bit-identical.
-        with ServiceHandle.start(n_workers=2,
-                                 artifact_cache_dir=str(directory)) \
-                as handle:
-            client = ServiceClient(handle.host, handle.port)
-            second, _ = client.run_sweep(BRANCHY, shots=SHOTS,
-                                         backend="stabilizer",
-                                         shard_shots=6)
-            assert second.counts == first.counts
-            assert second.total_ns == first.total_ns
-            stats = client.stats()
-            warm = [w["artifact_cache"]["warm_loads"]
-                    for w in stats["worker_cache"].values()
-                    if w.get("artifact_cache") is not None]
-            assert warm and any(count >= 1 for count in warm)
-            caches = [w["trace_cache"]
-                      for w in stats["worker_cache"].values()
-                      if w.get("trace_cache") is not None]
-            # Warm-loaded tries replay every shard without a single
-            # cold simulation.
-            assert caches and all(c["misses"] == 0 for c in caches)
+class TestWorkerEngineLRU:
+    """The configurable per-worker engine LRU."""
 
     def test_engine_lru_capacity_is_configurable(self, tmp_path):
         with ServiceHandle.start(n_workers=1, engine_lru_capacity=1) \

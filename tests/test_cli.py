@@ -124,34 +124,6 @@ class TestUncacheableSubstrateWarning:
                      "--qpu", "stabilizer", "--no-trace-cache"]) == 0
         assert capsys.readouterr().err == ""
 
-    def test_artifact_cache_flags_warn_on_prng(self, asm_file, capsys,
-                                               tmp_path):
-        """--artifact-cache is as dead as the trace-cache flags on the
-        prng substrate (nothing is compiled, so nothing is saved)."""
-        assert main(["run", asm_file, "--shots", "4",
-                     "--artifact-cache", str(tmp_path / "cache"),
-                     "--artifact-cache-max-bytes", "1024"]) == 0
-        err = capsys.readouterr().err
-        assert "warning" in err
-        assert "--artifact-cache" in err
-        assert "--artifact-cache-max-bytes" in err
-        assert "uncacheable" in err
-
-    def test_no_artifact_cache_flag_warns_on_prng(self, asm_file,
-                                                  capsys):
-        assert main(["run", asm_file, "--shots", "4",
-                     "--no-artifact-cache"]) == 0
-        err = capsys.readouterr().err
-        assert "--no-artifact-cache" in err
-        assert "uncacheable" in err
-
-    def test_artifact_cache_does_not_warn_on_simulated(self, asm_file,
-                                                       capsys, tmp_path):
-        assert main(["run", asm_file, "--shots", "4",
-                     "--qpu", "stabilizer",
-                     "--artifact-cache", str(tmp_path / "cache")]) == 0
-        assert capsys.readouterr().err == ""
-
 
 class TestEmptyOutcomeRendering:
     def test_measurement_free_program_renders_explicitly(
