@@ -185,6 +185,8 @@ def _run_shots(program, args: argparse.Namespace) -> int:
                 f"frontier), {cache.nodes} trie nodes")
         if cache.evictions:
             line += f", {cache.evictions} evicted"
+        if cache.folds:
+            line += f", {cache.folds} MRCE decisions folded"
         print(line)
         if cache.batched_shots:
             line = (f"batched replay: {cache.batched_shots} shots in "

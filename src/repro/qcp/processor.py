@@ -144,6 +144,29 @@ class ProcessorCore:
             self.recording.append((REC_FMR, self.proc_id, instr.rd,
                                    instr.qubit))
 
+    def _record_mrce(self, instr: Mrce, value: int,
+                     stalled: bool = False) -> None:
+        """Append one MRCE resolution to the recording stream.
+
+        The entry carries the decision time and, for a resolution on
+        the stall path, a *quiescence signature*.  When the kernel
+        queue is empty (so is the timing queue: each of its operations
+        is a kernel event), nothing in the control stack reads absolute
+        time, and its future depends only on the pc, the registers and
+        ``(last_issue_ns - now, max(busy_until - now, 0))``: two
+        decisions with equal signatures have futures that are exact
+        time translates.  ``None`` marks every other resolution (see
+        :mod:`repro.qcp.tracecache`, Pauli-arm folds).
+        """
+        now = self.kernel.now
+        quiet = None
+        if stalled and not self.kernel.pending_events:
+            last = self.timing.last_issue_ns
+            quiet = (None if last is None else last - now,
+                     max(self._busy_until_ns - now, 0))
+        self.recording.append((REC_MDEC, instr.result_qubit, value,
+                               instr.target_qubit, now, quiet))
+
     # -- quantum execution helpers ---------------------------------------------
 
     def _execute_quantum_decoded(self, op: QuantumOp, timing: int,
@@ -184,8 +207,7 @@ class ProcessorCore:
         if self.results.is_valid(instr.result_qubit):
             result = self.results.read(instr.result_qubit)
             if self.recording is not None:
-                self.recording.append((REC_MDEC, instr.result_qubit,
-                                       result))
+                self._record_mrce(instr, result)
             self.ces.feedback(self._step_of(instr), 1 + logic)
             self._mrce_issue(instr, result,
                              self.kernel.now + logic * self.period)
@@ -199,7 +221,7 @@ class ProcessorCore:
     def _resume_mrce(self, instr: Mrce, value: int) -> None:
         now = self.kernel.now
         if self.recording is not None:
-            self.recording.append((REC_MDEC, instr.result_qubit, value))
+            self._record_mrce(instr, value, stalled=True)
         self.ces.excluded_wait(self._step_of(instr),
                                now - self._stall_began_ns)
         logic = self.config.mrce_logic_cycles
@@ -218,8 +240,7 @@ class ProcessorCore:
             logic = self.config.mrce_logic_cycles
             result = self.results.read(instr.result_qubit)
             if self.recording is not None:
-                self.recording.append((REC_MDEC, instr.result_qubit,
-                                       result))
+                self._record_mrce(instr, result)
             self.ces.feedback(self._step_of(instr), 1 + logic)
             self._mrce_issue(instr, result,
                              self.kernel.now + logic * self.period)
@@ -261,9 +282,7 @@ class ProcessorCore:
         if context in self.contexts.resolved_queue:
             self.contexts.resolved_queue.remove(context)
         if self.recording is not None:
-            self.recording.append((REC_MDEC,
-                                   context.instr.result_qubit,
-                                   context.result or 0))
+            self._record_mrce(context.instr, context.result or 0)
         switch = self.config.context_switch_cycles
         start = max(self.kernel.now, self._busy_until_ns)
         self._busy_until_ns = start + (switch + 1) * self.period

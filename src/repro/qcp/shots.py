@@ -312,7 +312,8 @@ class ShotEngine:
         if self.config.trace_cache and self._qpu is not None:
             mode = replay_mode(self._qpu)
             if mode is not None:
-                self.trace_cache = TraceCache(self.config, mode)
+                self.trace_cache = TraceCache(self.config, mode,
+                                              n_processors)
 
     def _shot_qpu(self, seed: int) -> QPUBase:
         if self.qpu_factory is not None:

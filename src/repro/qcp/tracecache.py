@@ -168,6 +168,51 @@ coldest-first *subtree*.  The path touched by the current shot is
 never evicted, so the bound is best-effort when a single path is
 longer than the cap.
 
+Pauli-arm folds
+===============
+
+Simple feedback control (MRCE) makes every resolution a trie key, so
+a surface-code shot that resets dozens of ancillas through MRCE almost
+never repeats a recorded path.  But an arm that adds one Pauli only
+flips tableau signs (Aaronson–Gottesman), so on sign-trace engines
+such a decision folds into one canonical child:
+
+* **Rule**, checked when an MRCE node gets its second recorded arm
+  (:meth:`TraceCache._fold`).  The engine folds at all only in
+  ``"signs"`` mode on one scalar core without fast context switch.
+  One arm's segment must equal the other's op for op, plus one
+  leading ``x``/``y``/``z`` on the MRCE target.  And their next points
+  must translate: both arms end at leaves (``δ`` is the difference of
+  their totals), or both end at the same MRCE resolved on the stall
+  path with equal quiescence signatures (see
+  :meth:`~repro.qcp.processor.ProcessorCore._record_mrce`; ``δ`` is
+  the difference of the two decision times).  At such a quiet
+  decision nothing in the control stack reads absolute time, so the
+  Pauli arm's whole future is the identity arm's, ``δ`` later.
+  Anything else declines — a branch, a sync-path or fast-switch
+  MRCE, a stall with events still pending: a branch decided at
+  processor time can absorb the shift, so equal segments alone prove
+  nothing.
+* **Times** are kept on the identity arms' clock: :meth:`record`
+  subtracts the ``δ`` of every fold the recording shot took on its
+  Pauli arm, a leaf stores a base total, and a shot reports the base
+  plus the ``δ`` of each fold it fired.
+* **Graft.**  The fold drops the Pauli arm and merges its recorded
+  subtree into the identity arm's, ``δ`` earlier
+  (:meth:`TraceCache._graft`); a decision the merge gives a second arm
+  is checked in turn.
+* **Replay.**  A Pauli-arm shot XORs the Pauli's sign mask, draws its
+  gate-noise site (the device's noise for the MRCE-issued gate), adds
+  ``δ`` to its time offset, counts the Pauli in ``skip_ops`` and
+  continues in the identity arm — in the serial epilogue and, without
+  splitting, in sign cohorts.
+* **Fail closed.**  A recording that takes a fold's Pauli arm
+  re-checks it (the Pauli first, then the canonical ops, the next
+  point ``δ`` later) and raises :class:`TraceDivergenceError` on a
+  mismatch, as for any decision mismatch: shots already served would
+  be wrong, so there is no silent unfold.  Evicting a fold's child
+  drops the fold.
+
 Not cacheable (the shot engine falls back to cycle-accurate
 execution): substrates :func:`replay_mode` has no compiled program
 for — non-Pauli noise on the stabilizer tableau, channels outside
@@ -207,7 +252,8 @@ REC_MEAS = "meas"   # (REC_MEAS, qubit, time_ns)
 REC_CLS = "cls"     # (REC_CLS, proc_id, run)
 REC_FMR = "fmr"     # (REC_FMR, proc_id, rd, qubit)
 REC_DEC = "dec"     # (REC_DEC, proc_id, run, taken)
-REC_MDEC = "mdec"   # (REC_MDEC, result_qubit, value)
+REC_MDEC = "mdec"   # (REC_MDEC, result_qubit, value, target, time_ns,
+#                     quiescence signature or None)
 
 # Compiled node-program item codes (replay side).
 _I_OPS = 0     # (_I_OPS, backend_ops, issue_times)
@@ -217,7 +263,7 @@ _I_FMR = 3     # (_I_FMR, proc_id, rd, qubit)
 
 # Decision kinds.
 _D_BRANCH = 0  # (_D_BRANCH, proc_id, run)
-_D_MRCE = 1    # (_D_MRCE, result_qubit)
+_D_MRCE = 1    # (_D_MRCE, result_qubit, target_qubit)
 
 # Compiled *sign-trace* op codes (stabilizer backend only, see
 # _compile_sign_node): the replay state is a single arbitrary-precision
@@ -455,22 +501,26 @@ class _ReplayContext:
     dense cohort loop.
 
     Owns the pieces those loops need — the delivered-outcome map, the
-    chronological outcome list, the skipped-devop count, and the
-    lazily created per-processor register facades over one shared
-    register file — so a shot's decision (:func:`_decide`) and the
-    serial decide/hit/resume epilogue (:meth:`TraceCache._epilogue`)
-    are written once against this object.  Sign cohorts keep no
-    per-shot context: their classical state is a :class:`_CohortState`.
+    chronological outcome list, the skipped-devop count, the time
+    offset of the folds fired (``shift_ns``; ``pauli`` is the fold
+    whose Pauli the next node replays first), and the lazily created
+    per-processor register facades over one shared register file — so
+    a shot's decision (:func:`_decide`) and the serial
+    decide/hit/resume epilogue (:meth:`TraceCache._epilogue`) are
+    written once against this object.  Sign cohorts keep no per-shot
+    context: their classical state is a :class:`_CohortState`.
     """
 
     __slots__ = ("config", "delivered", "outcomes", "skip_ops",
-                 "shared", "procs")
+                 "shift_ns", "pauli", "shared", "procs")
 
     def __init__(self, config: QCPConfig) -> None:
         self.config = config
         self.delivered: dict[int, int] = {}
         self.outcomes: list[int] = []
         self.skip_ops = 0
+        self.shift_ns = 0
+        self.pauli: _Fold | None = None
         self.shared = SharedRegisters()
         self.procs: dict[int, _ReplayProcessor] = {}
 
@@ -490,6 +540,8 @@ class _ReplayContext:
         self.delivered.clear()
         self.outcomes.clear()
         self.skip_ops = 0
+        self.shift_ns = 0
+        self.pauli = None
         self.shared = SharedRegisters()
         self.procs.clear()
 
@@ -616,9 +668,17 @@ class TraceNode:
     its recorded children read from the classical state at its
     decision point (``None`` when there are none).  The compiled
     programs replay only :meth:`live_items`.
+
+    An MRCE decision also keeps its time (``decision_ns``) and its
+    quiescence signature (``quiet``, ``None`` unless resolved on a
+    quiet stall); a folded one keeps its :class:`_Fold` and only the
+    identity arm's child.  Every time in the trie — item times,
+    ``decision_ns`` and leaf totals — is on the identity arms' clock
+    (see "Pauli-arm folds" above).
     """
 
     __slots__ = ("items", "decision", "children", "total_ns", "devops",
+                 "decision_ns", "quiet", "fold",
                  "last_used", "parent", "edge", "lru_prev", "lru_next",
                  "live", "_program", "_program_state", "_exit_xz",
                  "_dense_program", "_dense_state",
@@ -631,6 +691,9 @@ class TraceNode:
         self.children: dict[int, TraceNode] = {}
         self.total_ns = 0
         self.devops = 0
+        self.decision_ns: int | None = None
+        self.quiet: tuple | None = None
+        self.fold: _Fold | None = None
         self.last_used = 0
         self.parent: TraceNode | None = None
         self.edge: int | None = None
@@ -792,6 +855,74 @@ class TraceNode:
                 self._dense_steps(qpu, parent, fuse, max_qubits),
                 qpu.state.n_qubits)
         return self._bdense_program
+
+
+class _Fold:
+    """A folded MRCE decision: its Pauli arm replays the identity arm.
+
+    ``edge`` is the Pauli arm's edge, ``op`` its leading Pauli as a
+    recorded backend op and ``delta_ns`` how much later the Pauli arm
+    runs than the identity arm.  The Pauli's sign program — its XOR
+    mask and its gate-noise site — compiles once from the decision
+    node's exit tableau; a Pauli leaves x/z unchanged, so the identity
+    arm's programs serve both arms.
+    """
+
+    __slots__ = ("edge", "op", "delta_ns", "_program", "_batch",
+                 "_state")
+
+    def __init__(self, edge: int, op: tuple, delta_ns: int) -> None:
+        self.edge = edge
+        self.op = op
+        self.delta_ns = delta_ns
+        self._program: list | None = None
+        self._batch: list | None = None
+        self._state: SimulationBackend | None = None
+
+    def sign_program(self, node: TraceNode, state: StabilizerState,
+                     noise: NoiseModel) -> list:
+        """The Pauli's serial sign ops, after ``node`` (the folded
+        decision node, whose program is compiled)."""
+        if self._program is None or self._state is not state:
+            x, z = node._exit_xz
+            self._program = _compile_sign_node(
+                ((_I_OPS, (self.op,), (0,)),), state.n_qubits, x.copy(),
+                z.copy(), noise)
+            self._batch = _batch_sign_ops(self._program, None)[0]
+            self._state = state
+        return self._program
+
+    def batch_sign_program(self, node: TraceNode, state: StabilizerState,
+                           noise: NoiseModel) -> list:
+        """The same ops re-expressed for bit-plane cohorts."""
+        self.sign_program(node, state, noise)
+        return self._batch
+
+
+def _op_keys(items: tuple) -> list:
+    """A segment's ops in order, without their times: what the fold
+    rule compares.  Backend ops keep their params, measurements their
+    qubit, classical items their micro-op (closures compare by
+    identity; the engine decodes each instruction once)."""
+    keys: list = []
+    for item in items:
+        if item[0] == _I_OPS:
+            keys.extend(item[1])
+        elif item[0] == _I_MEAS:
+            keys.append(item[:2])
+        else:
+            keys.append(item)
+    return keys
+
+
+def _shifted(items: tuple, delta_ns: int) -> tuple:
+    """``items`` with every time ``delta_ns`` earlier."""
+    return tuple(
+        (_I_OPS, item[1], tuple(time - delta_ns for time in item[2]))
+        if item[0] == _I_OPS else
+        (_I_MEAS, item[1], item[2] - delta_ns) if item[0] == _I_MEAS
+        else item
+        for item in items)
 
 
 def _bitmask(rows: np.ndarray | list) -> int:
@@ -1499,6 +1630,44 @@ def _batch_channel_step(kind: str, params, appliers: tuple):
     return step
 
 
+def _cohort_noise(op: tuple, slots, nrngs: list, planes: list) -> None:
+    """One batched ``_S_NOISE`` site over the shots in ``slots``.
+
+    Each shot draws its own noise rng exactly as the serial loop does
+    (one ``random()`` per qubit, plus one ``choice()`` on a
+    depolarizing fire), and the fired Paulis XOR the bit-planes of
+    their lanes.
+    """
+    _c, dep_p, qubit_rows, pauli_cum = op
+    if dep_p is not None:
+        for triplet in qubit_rows:
+            fired = [0, 0, 0]
+            for slot in slots:
+                nrng = nrngs[slot]
+                if nrng.random() < dep_p:
+                    fired[nrng.choice(_PAULI_INDICES)] |= 1 << slot
+            for rows, flips in zip(triplet, fired):
+                if flips:
+                    for row in rows:
+                        planes[row] ^= flips
+    if pauli_cum is not None:
+        cx, cxy, cxyz = pauli_cum
+        for triplet in qubit_rows:
+            fired = [0, 0, 0]
+            for slot in slots:
+                draw = nrngs[slot].random()
+                if draw < cx:
+                    fired[0] |= 1 << slot
+                elif draw < cxy:
+                    fired[1] |= 1 << slot
+                elif draw < cxyz:
+                    fired[2] |= 1 << slot
+            for rows, flips in zip(triplet, fired):
+                if flips:
+                    for row in rows:
+                        planes[row] ^= flips
+
+
 def _collapse_cohort(cohort: _BatchCohort, qubit: int) -> list:
     """Measure ``qubit`` in every shot of a cohort; the raw outcomes.
 
@@ -1709,7 +1878,8 @@ class TraceCache:
     that needed the cycle-accurate simulator, cold or resumed),
     ``resumes`` (the subset of misses that restarted from the
     divergence frontier instead of from scratch), ``nodes`` (live trie
-    nodes) and ``evictions`` (nodes dropped by the LRU bound).
+    nodes), ``evictions`` (nodes dropped by the LRU bound) and
+    ``folds`` (MRCE decisions folded, see "Pauli-arm folds" above).
     Batched replay adds ``batched_shots`` (the subset of hits
     completed by a wavefront cohort), ``wavefront_splits`` (cohort
     partitions at decision points) and ``serial_fallbacks`` (shots a
@@ -1717,10 +1887,17 @@ class TraceCache:
     off the cached trie plus unbatchable segments).
     """
 
-    def __init__(self, config: QCPConfig, mode: str) -> None:
+    def __init__(self, config: QCPConfig, mode: str,
+                 n_processors: int) -> None:
         self.config = config
         #: The engine's :func:`replay_mode`: ``"signs"`` or ``"dense"``.
         self.mode = mode
+        #: Whether Pauli-arm MRCE decisions fold: sign traces on one
+        #: scalar core without fast context switch, where a quiet
+        #: decision's future is a pure time translate.
+        self.folding = (mode == "signs" and n_processors == 1
+                        and not config.is_superscalar
+                        and not config.fast_context_switch)
         self.root: TraceNode | None = None
         self.max_nodes = config.trace_cache_max_nodes
         self.hits = 0
@@ -1728,6 +1905,7 @@ class TraceCache:
         self.resumes = 0
         self.nodes = 0
         self.evictions = 0
+        self.folds = 0
         self.batched_shots = 0
         self.wavefront_splits = 0
         self.serial_fallbacks = 0
@@ -1819,6 +1997,11 @@ class TraceCache:
         noise-site replay restores the device bookkeeping) and returns
         :meth:`_resume_point`.
 
+        At a folded decision the Pauli arm continues in the identity
+        arm's child: the epilogue adds the fold's ``δ`` to the shot's
+        time offset, counts the Pauli in ``skip_ops`` and leaves the
+        fold in ``ctx.pauli`` for the sign loop to replay first.
+
         This epilogue and its cohort counterpart
         (:meth:`_split_cohort`) are the only places a replay selects
         an edge; keeping them in one place each is what the
@@ -1828,7 +2011,14 @@ class TraceCache:
         if decision is None:
             self.hits += 1
             return _HIT
-        child = node.children.get(_decide(decision, ctx))
+        edge = _decide(decision, ctx)
+        fold = node.fold
+        if fold is not None and edge == fold.edge:
+            ctx.pauli = fold
+            ctx.shift_ns += fold.delta_ns
+            ctx.skip_ops += 1
+            edge ^= 1
+        child = node.children.get(edge)
         if child is None or child.items is None:
             return None
         return child
@@ -1901,7 +2091,13 @@ class TraceCache:
         while True:
             self._touch(node)
             ctx.skip_ops += node.devops
-            for op in node.sign_program(state, parent, noise):
+            program = node.sign_program(state, parent, noise)
+            if ctx.pauli is not None:
+                # Entered on a fold's Pauli arm: the Pauli comes first.
+                program = ctx.pauli.sign_program(parent, state,
+                                                 noise) + program
+                ctx.pauli = None
+            for op in program:
                 code = op[0]
                 if code == _S_XOR:
                     r ^= op[1]
@@ -1972,7 +2168,7 @@ class TraceCache:
                     ctx.write_fmr(op[1], op[2], op[3])
             nxt = self._epilogue(node, ctx)
             if nxt is _HIT:
-                return delivered, node.total_ns
+                return delivered, node.total_ns + ctx.shift_ns
             if nxt is None:
                 # Materialize the frontier tableau: x/z from the last
                 # executed node's exit model, signs from the packed
@@ -2035,7 +2231,12 @@ class TraceCache:
         ``wavefront_splits``.  Returns ``[(child, rows, child_lanes)]``
         for the surviving sub-cohorts in push order — the edge of the
         cohort's first slot first — with ``rows`` indexing ``slots``.
+        A folded node does not split: every lane continues in the
+        identity arm (the sign loop has replayed the Pauli-arm lanes'
+        Pauli).
         """
+        if node.fold is not None:
+            taken = 0 if node.fold.edge else lanes
         edges = []
         fallback = 0
         first = (taken >> slots[0]) & 1
@@ -2094,8 +2295,10 @@ class TraceCache:
         the outcome word.  Each decision so yields a taken-lane mask
         for :meth:`_split_cohort`.  A micro-op without def/use sets
         hands the whole cohort to the serial loop (fail closed).  A
-        leaf completes its whole cohort at once: shots with the same
-        outcomes share one result.
+        folded MRCE does not split the cohort: its Pauli-arm lanes get
+        the Pauli's XOR and noise site and the fold's ``δ``.  A leaf
+        completes its whole cohort at once: shots with the same
+        outcomes and time offset share one result.
         """
         state: StabilizerState = qpu.state
         noise = qpu.noise
@@ -2115,6 +2318,10 @@ class TraceCache:
         # per qubit (bit b = shot b's latest outcome).
         delivered_words: dict[int, int] = {}
         everyone = (1 << width) - 1
+        #: Time-offset classes: the summed δ of the folds a lane fired
+        #: -> the mask of those lanes (sub-cohorts share it, like the
+        #: outcome words).
+        shifts = {0: everyone}
         classical = _CohortState(everyone, self.config)
 
         def deliver(qubit: int, raw: int, slots: list, cmask: int) -> None:
@@ -2194,35 +2401,7 @@ class TraceCache:
                         for row in target:
                             planes[row] ^= raw
                 elif code == _S_NOISE:
-                    _c, dep_p, qubit_rows, pauli_cum = op
-                    if dep_p is not None:
-                        for triplet in qubit_rows:
-                            fired = [0, 0, 0]
-                            for slot in slots:
-                                nrng = nrngs[slot]
-                                if nrng.random() < dep_p:
-                                    index = nrng.choice(_PAULI_INDICES)
-                                    fired[index] |= 1 << slot
-                            for rows, flips in zip(triplet, fired):
-                                if flips:
-                                    for row in rows:
-                                        planes[row] ^= flips
-                    if pauli_cum is not None:
-                        cx, cxy, cxyz = pauli_cum
-                        for triplet in qubit_rows:
-                            fired = [0, 0, 0]
-                            for slot in slots:
-                                draw = nrngs[slot].random()
-                                if draw < cx:
-                                    fired[0] |= 1 << slot
-                                elif draw < cxy:
-                                    fired[1] |= 1 << slot
-                                elif draw < cxyz:
-                                    fired[2] |= 1 << slot
-                            for rows, flips in zip(triplet, fired):
-                                if flips:
-                                    for row in rows:
-                                        planes[row] ^= flips
+                    _cohort_noise(op, slots, nrngs, planes)
                 elif code == _S_CLS:
                     classical.execute(op[1], op[2], op[3], cmask)
                 else:  # _S_FMR
@@ -2248,16 +2427,41 @@ class TraceCache:
                             split.append((lanes ^ ones, values))
                     groups = split
                 for lanes, values in groups:
-                    entry = ({qubit: (values >> index) & 1
-                              for index, qubit in enumerate(measured)},
-                             node.total_ns)
-                    for slot in _set_bits(lanes):
-                        results[slot] = entry
+                    delivered = {qubit: (values >> index) & 1
+                                 for index, qubit in enumerate(measured)}
+                    for shift, mask in shifts.items():
+                        mask &= lanes
+                        if mask:
+                            entry = (delivered, node.total_ns + shift)
+                            for slot in _set_bits(mask):
+                                results[slot] = entry
                 self.hits += len(slots)
                 self.batched_shots += len(slots)
                 continue
             if decision[0] == _D_MRCE:
                 taken = delivered_words[decision[1]] & cmask
+                fold = node.fold
+                if fold is not None:
+                    # The Pauli-arm lanes replay the Pauli and run δ
+                    # later; _split_cohort keeps the cohort whole.
+                    flips = taken if fold.edge else cmask ^ taken
+                    if flips:
+                        for op in fold.batch_sign_program(node, state,
+                                                          noise):
+                            if op[0] == _S_XOR:
+                                for row in op[1]:
+                                    planes[row] ^= flips
+                            else:
+                                _cohort_noise(op, _set_bits(flips), nrngs,
+                                              planes)
+                        moved: dict[int, int] = {}
+                        for shift, mask in shifts.items():
+                            for key, part in ((shift, mask & ~flips),
+                                              (shift + fold.delta_ns,
+                                               mask & flips)):
+                                if part:
+                                    moved[key] = moved.get(key, 0) | part
+                        shifts = moved
             else:
                 taken = classical.branch(decision[2], branch_uses, cmask)
             for child, rows, lanes in self._split_cohort(
@@ -2328,9 +2532,13 @@ class TraceCache:
         proxy), so the walk passes through the existing prefix nodes —
         verifying their decisions — and extends the trie at the new
         edge.  A stream with classical entries then grows the live sets
-        along the path (:meth:`_grow_live`).  When an LRU bound is
-        configured and the insertion pushed the node count past it,
-        the least-recently-used subtrees are evicted.
+        along the path (:meth:`_grow_live`).  On a folding engine the
+        walk takes a fold's Pauli arm into the identity arm, re-checks
+        the fold there and keeps the shot's later times on the
+        identity arms' clock; the decision that got a new arm is then
+        offered to :meth:`_fold`.  When an LRU bound is configured and
+        the insertion pushed the node count past it, the
+        least-recently-used subtrees are evicted.
         """
         self._tick += 1
         if self.root is None:
@@ -2344,6 +2552,11 @@ class TraceCache:
         #: (node, newly recorded) from the root down.
         path: list[tuple[TraceNode, bool]] = []
         classical = False
+        #: The δ of the folds this shot took on their Pauli arm: its
+        #: times are stored that much earlier.
+        shift = 0
+        #: The fold whose Pauli arm the open segment follows.
+        pauli: _Fold | None = None
 
         def flush_ops() -> None:
             if ops:
@@ -2351,25 +2564,51 @@ class TraceCache:
                 ops.clear()
                 times.clear()
 
-        def close_node(decision: tuple | None, outcome: int | None):
-            nonlocal node, items
+        def close_node(decision: tuple | None, outcome: int | None,
+                       time_ns: int | None = None,
+                       quiet: tuple | None = None):
+            nonlocal node, items, shift, pauli
             flush_ops()
-            path.append((node, node.items is None))
-            if node.items is None:
+            fresh = node.items is None
+            path.append((node, fresh))
+            if fresh:
                 node.items = tuple(items)
                 node.decision = decision
+                node.decision_ns = time_ns
+                node.quiet = quiet
                 node.devops = sum(
                     len(item[1]) if item[0] == _I_OPS else 1
                     for item in node.items
                     if item[0] == _I_OPS or item[0] == _I_MEAS)
+                if decision is None:
+                    node.total_ns = total_ns - shift
             elif not _same_decision(node.decision, decision):
                 raise TraceDivergenceError(
                     f"shot reached decision {decision!r} where the trie "
                     f"recorded {node.decision!r}; execution is not "
                     "decision-deterministic")
+            elif pauli is not None:
+                # Re-check the fold whose Pauli arm this shot took.
+                if decision is None:
+                    translated = node.total_ns == total_ns - shift
+                else:
+                    translated = ((node.decision_ns, node.quiet)
+                                  == (time_ns, quiet))
+                if not translated or _op_keys(items) != (
+                        [pauli.op] + _op_keys(node.items)):
+                    raise TraceDivergenceError(
+                        "a shot on the Pauli arm of a folded MRCE is not "
+                        "the identity arm plus the Pauli, shifted by the "
+                        "fold's delta; the fold rule does not hold")
             items = []
+            pauli = None
             if decision is None:
                 return None
+            fold = node.fold
+            if fold is not None and outcome == fold.edge:
+                pauli = fold
+                shift += fold.delta_ns
+                outcome ^= 1
             child = node.children.get(outcome)
             if child is None:
                 child = TraceNode()
@@ -2384,10 +2623,10 @@ class TraceCache:
             tag = entry[0]
             if tag == REC_GATE or tag == REC_RESET:
                 ops.append(entry[:4])
-                times.append(entry[4])
+                times.append(entry[4] - shift)
             elif tag == REC_MEAS:
                 flush_ops()
-                items.append((_I_MEAS, entry[1], entry[2]))
+                items.append((_I_MEAS, entry[1], entry[2] - shift))
             elif tag == REC_CLS:
                 flush_ops()
                 items.append((_I_CLS, entry[1], entry[2]))
@@ -2401,13 +2640,19 @@ class TraceCache:
                                   entry[3])
                 classical = True
             else:  # REC_MDEC
-                node = close_node((_D_MRCE, entry[1]), entry[2])
+                node = close_node((_D_MRCE, entry[1], entry[3]), entry[2],
+                                  entry[4] - shift, entry[5])
         leaf = close_node(None, None)
         assert leaf is None
-        if node.total_ns == 0:
-            node.total_ns = total_ns
         if classical:
             self._grow_live(path)
+        if self.folding:
+            # The parent of the first new node just got a new arm.
+            for index, (step, fresh) in enumerate(path):
+                if fresh:
+                    if index:
+                        self._fold(path[index - 1][0])
+                    break
         if self.max_nodes is not None and self.nodes > self.max_nodes:
             self._evict()
 
@@ -2432,6 +2677,147 @@ class TraceCache:
             elif not fresh:
                 return
             entry = _slice(node.items, live)[1]
+
+    # -- Pauli-arm folds ---------------------------------------------------
+
+    def _fold(self, node: TraceNode) -> None:
+        """Fold ``node`` if its two recorded arms pass the fold rule.
+
+        The rule (see "Pauli-arm folds" above): an unfolded MRCE
+        decision whose arms' segments differ by one leading ``x``,
+        ``y`` or ``z`` on the MRCE target, and whose arms both end at
+        leaves or both at the same quiet MRCE stall with equal
+        signatures.  The Pauli arm is then dropped and its subtree
+        grafted into the identity arm; every decision the graft gives
+        a second arm is checked in turn.
+        """
+        pending = [node]
+        while pending:
+            node = pending.pop()
+            decision = node.decision
+            if (node.fold is not None or decision is None
+                    or decision[0] != _D_MRCE
+                    or (node.parent is None and node is not self.root)):
+                continue  # folded, not an MRCE, or grafted away
+            arms = (node.children.get(0), node.children.get(1))
+            if any(arm is None or arm.items is None for arm in arms):
+                continue
+            keys = [_op_keys(arm.items) for arm in arms]
+            for edge in (0, 1):
+                lead = keys[edge][0] if keys[edge] else None
+                if (keys[edge][1:] == keys[edge ^ 1]
+                        and lead is not None and lead[0] == REC_GATE
+                        and lead[1] in _PAULIS
+                        and lead[2] == (decision[2],)):
+                    break
+            else:
+                continue
+            arm, canonical = arms[edge], arms[edge ^ 1]
+            if arm.decision is None and canonical.decision is None:
+                delta = arm.total_ns - canonical.total_ns
+            elif (arm.quiet is not None and arm.quiet == canonical.quiet
+                  and arm.decision == canonical.decision):
+                delta = arm.decision_ns - canonical.decision_ns
+            else:
+                continue
+            node.fold = _Fold(edge, lead, delta)
+            self.folds += 1
+            del node.children[edge]
+            pending.extend(self._graft(canonical, arm, delta))
+
+    def _graft(self, dst: TraceNode, src: TraceNode, shift: int) -> list:
+        """Merge the subtree below ``src`` into the one below ``dst``.
+
+        ``src`` stands where ``dst`` does but runs ``shift`` ns later
+        (the Pauli arm of a fold, or a node below one).  A child only
+        ``src`` recorded moves over, its times ``shift`` earlier; a
+        child both recorded merges in turn, and so does ``src``'s arm
+        of a decision ``dst`` folded, into the identity arm.  Both
+        sides must agree where they overlap — ops, decisions and
+        times, all on the identity arms' clock — or the fold was
+        wrong and this raises :class:`TraceDivergenceError`.  Merged
+        ``src`` nodes leave the trie; merge targets are touched, so
+        they stay at least as recent as what moved below them.
+        Returns the MRCE decisions that gained their second arm.
+        """
+        forked = []
+        stack = [(dst, src, shift)]
+        while stack:
+            dst, src, shift = stack.pop()
+            self._touch(dst)
+            live = _join(dst.live, src.live)
+            if live is not dst.live:
+                dst.live = live
+                dst.drop_programs()
+            if (not _same_decision(dst.decision, src.decision)
+                    or dst.quiet != src.quiet
+                    or (dst.decision_ns is not None
+                        and dst.decision_ns != src.decision_ns - shift)
+                    or (dst.decision is None
+                        and dst.total_ns != src.total_ns - shift)):
+                raise TraceDivergenceError(
+                    "a fold grafted a subtree that disagrees with the "
+                    "identity arm's; the fold rule does not hold")
+            pairs = [(edge, child, shift)
+                     for edge, child in src.children.items()]
+            if src.fold is not None:
+                if dst.fold is None:
+                    # dst takes the fold, so its own Pauli arm folds too
+                    # (after src's identity arm, its merge target).
+                    dst.fold = src.fold
+                    own = dst.children.pop(dst.fold.edge, None)
+                    if own is not None:
+                        pairs.append((dst.fold.edge, own, 0))
+                elif (dst.fold.edge, dst.fold.op, dst.fold.delta_ns) != (
+                        src.fold.edge, src.fold.op, src.fold.delta_ns):
+                    raise TraceDivergenceError(
+                        "two folds of one decision disagree")
+            fold = dst.fold
+            for edge, child, offset in pairs:
+                if child.items is None:
+                    self._drop(child)
+                    continue
+                lead = []
+                if fold is not None and edge == fold.edge:
+                    # A Pauli arm of a folded decision: the identity
+                    # arm plus the Pauli, δ later.
+                    edge ^= 1
+                    offset += fold.delta_ns
+                    lead = [fold.op]
+                mate = dst.children.get(edge)
+                if mate is None or mate.items is None:
+                    if mate is not None:
+                        self._drop(mate)
+                    dst.children[edge] = child
+                    child.parent = dst
+                    child.edge = edge
+                    self._translate(child, offset)
+                    if (dst.decision[0] == _D_MRCE and fold is None
+                            and edge ^ 1 in dst.children):
+                        forked.append(dst)
+                    continue
+                if _op_keys(child.items) != lead + _op_keys(mate.items):
+                    raise TraceDivergenceError(
+                        "a fold grafted a segment that disagrees with the "
+                        "identity arm's; the fold rule does not hold")
+                stack.append((mate, child, offset))
+            self._drop(src)
+        return forked
+
+    def _translate(self, node: TraceNode, delta_ns: int) -> None:
+        """Move every time in ``node``'s subtree ``delta_ns`` earlier."""
+        if not delta_ns:
+            return
+        stack = [node]
+        while stack:
+            node = stack.pop()
+            if node.items is not None:
+                node.items = _shifted(node.items, delta_ns)
+                if node.decision is None:
+                    node.total_ns -= delta_ns
+                elif node.decision_ns is not None:
+                    node.decision_ns -= delta_ns
+            stack.extend(node.children.values())
 
     # -- LRU eviction ------------------------------------------------------
 
@@ -2458,10 +2844,23 @@ class TraceCache:
             node = tail.lru_prev
             if node is self._lru_head or node.last_used >= self._tick:
                 break  # only the current shot's path remains
-            del node.parent.children[node.edge]
+            parent = node.parent
+            del parent.children[node.edge]
+            # A fold keeps only the identity arm: without it, no fold.
+            parent.fold = None
             removed = self._unlink_subtree(node)
             self.nodes -= removed
             self.evictions += removed
+
+    def _unlink(self, node: TraceNode) -> None:
+        """Take one detached node off the recency list."""
+        prev = node.lru_prev
+        if prev is not None:
+            nxt = node.lru_next
+            prev.lru_next = nxt
+            nxt.lru_prev = prev
+            node.lru_prev = node.lru_next = None
+        node.parent = None
 
     def _unlink_subtree(self, node: TraceNode) -> int:
         """Unlink a detached subtree from the recency list; its size."""
@@ -2469,16 +2868,15 @@ class TraceCache:
         stack = [node]
         while stack:
             current = stack.pop()
-            prev = current.lru_prev
-            if prev is not None:
-                nxt = current.lru_next
-                prev.lru_next = nxt
-                nxt.lru_prev = prev
-                current.lru_prev = current.lru_next = None
-            current.parent = None
+            self._unlink(current)
             removed += 1
             stack.extend(current.children.values())
         return removed
+
+    def _drop(self, node: TraceNode) -> None:
+        """Remove one node a graft merged away (its children moved)."""
+        self._unlink(node)
+        self.nodes -= 1
 
 
 def _same_decision(left: tuple | None, right: tuple | None) -> bool:

@@ -144,7 +144,7 @@ def run_shard(payload: dict, start: int, stop: int) -> dict:
     if cache is not None:
         stats = {"hits": cache.hits, "misses": cache.misses,
                  "resumes": cache.resumes, "nodes": cache.nodes,
-                 "evictions": cache.evictions,
+                 "evictions": cache.evictions, "folds": cache.folds,
                  "batched_shots": cache.batched_shots,
                  "wavefront_splits": cache.wavefront_splits,
                  "serial_fallbacks": cache.serial_fallbacks}

@@ -16,6 +16,9 @@ bit** under a fixed seed:
   channel stack (statevector only) and that stack without decoherence
   but with a Pauli channel (statevector only);
 * dense replay flavours: GEMM fusion on/off and an LRU-bounded trie;
+* Pauli-arm MRCE folds: arms drawn from ``i``/``x``/``y``/``z``,
+  quiet and non-quiet resolutions, and the one folding engine (one
+  scalar sign-trace core) against cells that must decline;
 * shot batching: lockstep cohorts (bit-plane sign columns on the
   stabilizer backend, batch GEMMs on the statevector backend,
   wavefront trie traversal for control flow) vs the serial per-shot
@@ -75,6 +78,10 @@ FOLDS = ("xor", "add")
 #: bound 3, so the ordered compares split on accumulators near it.
 GUARDS = (("bne", 6, 0), ("blt", 7, 6), ("bge", 6, 7))
 
+#: MRCE arms.  A pair with one identity arm is a Pauli-arm fold
+#: candidate; any other pair must decline.
+ARMS = ("i", "x", "y", "z")
+
 
 def pauli_noise() -> NoiseModel:
     return NoiseModel(pauli=PauliChannel(px=0.03, py=0.01, pz=0.02),
@@ -109,17 +116,23 @@ def pauli_dense_noise() -> NoiseModel:
 
 
 @st.composite
-def control_flow_programs(draw):
+def control_flow_programs(draw, coin_resets: int = 0):
     """Random well-formed programs exercising every decision kind.
 
     Segments chain gates with one feedback construct each: a
-    measure + branch skip, an MRCE conditional, a *bounded* retry loop
+    measure + branch skip, an MRCE conditional (each arm drawn from
+    :data:`ARMS`, optionally with a second measurement still in flight
+    when it resolves, then a gate whose timing label 0–5 decides how
+    much of the arms' time difference survives), a *bounded* retry loop
     (measure until 0, at most three tries — a miniature RUS whose
     decision paths fan out), an active reset, or an accumulator fold:
     the measured bit is XORed or added into ``r6``, which round-trips
     through shared memory; a later fold may first branch on the
     accumulator (:data:`GUARDS`), guarded by its own bit so that only
-    some paths read it.  Every qubit is measured at the end so
+    some paths read it.  ``coin_resets`` fair coins, each actively
+    reset through an MRCE, end the segments: fold candidates whose
+    arms end at the next coin's quiet MRCE stall or, for the last
+    coin, at the leaf.  Every qubit is measured at the end so
     histograms are comparable.
     """
     builder = ProgramBuilder("fuzz")
@@ -150,7 +163,15 @@ def control_flow_programs(draw):
             builder.label(skip)
         elif kind == 1:
             builder.qmeas(qubit, timing=2)
-            builder.mrce(qubit, target, op_if_zero="i", op_if_one="x")
+            if draw(st.booleans()):
+                builder.qmeas(draw(st.integers(0, N_QUBITS - 1).filter(
+                    lambda q, m=qubit: q != m)), timing=1)
+            builder.mrce(qubit, target,
+                         op_if_zero=draw(st.sampled_from(ARMS)),
+                         op_if_one=draw(st.sampled_from(ARMS)))
+            builder.qop(draw(st.sampled_from(GATES[:-1])),
+                        [draw(st.integers(0, N_QUBITS - 1))],
+                        timing=draw(st.integers(0, 5)))
         elif kind == 2:
             builder.ldi(5, 0)
             retry = builder.label(builder.fresh_label(f"retry{segment}"))
@@ -178,6 +199,12 @@ def control_flow_programs(draw):
             builder.stm(6, ACCUMULATOR_ADDR)
             builder.ldm(6, ACCUMULATOR_ADDR)
             accumulated = True
+    for _ in range(coin_resets):
+        coin = draw(st.integers(0, N_QUBITS - 1))
+        builder.qop("reset", [coin], timing=2)
+        builder.qop("h", [coin], timing=2)
+        builder.qmeas(coin, timing=2)
+        builder.mrce(coin, coin, op_if_zero="i", op_if_one="x")
     for qubit in range(N_QUBITS):
         builder.qmeas(qubit, timing=4)
     builder.halt()
@@ -332,13 +359,63 @@ def test_fuzz_batched_replay_matches_serial(program):
             assert batched > 0, f"{backend}/{noise_factory}/{changes}"
 
 
+FOLD_SHOTS = 16
+
+#: Engines that must decline every fold, against the one that folds.
+FOLD_CELLS = {
+    "scalar": ({}, "stabilizer", 1),
+    "superscalar": ({"fetch_width": 4, "n_quantum_pipelines": 4,
+                     "buffer_capacity": 8}, "stabilizer", 1),
+    "fast-switch": ({"fast_context_switch": True}, "stabilizer", 1),
+    "two-processors": ({}, "stabilizer", 2),
+    "statevector": ({}, "statevector", 1),
+}
+
+
+@settings(max_examples=6, deadline=None)
+@given(control_flow_programs(coin_resets=2))
+def test_fuzz_pauli_folds_match_cycle_accurate(program):
+    """Pauli-arm folds are exact, and only the scalar sign engine folds.
+
+    Each cell runs its cycle-accurate reference and its cached engine
+    serially, in cohorts and LRU-bounded at 4 nodes, under Pauli and
+    readout noise (so a folded Pauli draws its gate-noise site); every
+    shot must match per seed.  The scalar stabilizer cell must fold at
+    least once (its coin resets always offer folds), every other cell
+    never.
+    """
+    folds = {}
+    for name, (changes, backend, processors) in FOLD_CELLS.items():
+        config = scalar_config(**changes)
+        engines = {
+            variant: ShotEngine(program, config=config.with_(**extra),
+                                backend=backend, n_qubits=N_QUBITS,
+                                n_processors=processors,
+                                noise=pauli_noise())
+            for variant, extra in (
+                ("reference", {"trace_cache": False}),
+                ("serial", {"trace_cache_batch": False}),
+                ("batched", {"trace_cache_batch_width": 5}),
+                ("lru", {"trace_cache_max_nodes": 4}))}
+        seeds = range(FOLD_SHOTS)
+        expected = list(engines.pop("reference")._run_seeds(seeds))
+        for variant, engine in engines.items():
+            assert list(engine._run_seeds(seeds)) == expected, (
+                f"{name}/{variant} diverged from the cycle-accurate run")
+        folds[name] = sum(engine.trace_cache.folds
+                          for engine in engines.values())
+    assert folds.pop("scalar") > 0
+    assert not any(folds.values()), folds
+
+
 def test_epilogue_is_shared_by_all_replay_modes():
     """Edge selection has exactly two implementations.
 
     Both serial loops decide through the shared epilogue and both
     batched loops partition through the one shared cohort split; no
     other replay code selects a trie edge (the recorder creates
-    edges, it does not select them).  The sign cohort loop builds no
+    edges, and its Pauli-arm folds merge them, but neither selects
+    one for a shot).  The sign cohort loop builds no
     per-shot context and names no comparator or ALU function: its
     decisions run the recorded micro-op closures.
 
@@ -374,7 +451,8 @@ def test_epilogue_is_shared_by_all_replay_modes():
                  and "children.get" in inspect.getsource(member)}
     assert selectors == {"TraceCache._epilogue",
                          "TraceCache._split_cohort",
-                         "TraceCache.record"}, selectors
+                         "TraceCache.record", "TraceCache._fold",
+                         "TraceCache._graft"}, selectors
 
     def holders(text: str) -> set:
         return {name for name, member in functions

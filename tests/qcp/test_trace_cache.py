@@ -355,3 +355,130 @@ class TestDecisionSlice:
                        for node in grandchildren)
             assert any(item[0] == _I_CLS for node in grandchildren
                        for item in node.items)
+
+
+def translation_counterexample(label: int = 1):
+    """Equal next segments that do not translate.
+
+    The MRCE on q0 is a fold candidate: its arms differ by one leading
+    ``x`` on q2, and their next segments agree op for op with issue
+    times 10 ns apart.  But the next decision is a branch on q1 decided
+    at processor time, and with timing label 1 it absorbs the shift:
+    each leaf under the ``x`` arm has the same total as its
+    counterpart under the identity arm.  (With label 5 the leaves
+    where the ``z`` runs differ by 10 ns, the others by 0 ns.)  A fold
+    would report each Pauli-arm shot 10 ns late, so the rule must
+    decline.
+    """
+    builder = ProgramBuilder("fold_hole")
+    builder.qop("h", [1], timing=2)
+    builder.qmeas(1, timing=2)
+    builder.qop("h", [0], timing=2)
+    builder.qmeas(0, timing=2)
+    builder.mrce(0, 2, op_if_zero="i", op_if_one="x")
+    builder.qop("x", [3], timing=2)
+    builder.fmr(1, 1)
+    skip = builder.fresh_label("skip")
+    builder.beq(1, 0, skip)
+    builder.qop("z", [3], timing=label)
+    builder.label(skip)
+    for _ in range(4):
+        builder.qop("x", [3], timing=1)
+    for qubit in range(4):
+        builder.qmeas(qubit, timing=4)
+    builder.halt()
+    return builder.build()
+
+
+def active_reset_program(rounds: int = 4):
+    """Fair coins on q0, each actively reset through an MRCE."""
+    builder = ProgramBuilder("active_reset")
+    for _ in range(rounds):
+        builder.qop("h", [0], timing=2)
+        builder.qop("cnot", [0, 1], timing=2)
+        builder.qmeas(0, timing=2)
+        builder.mrce(0, 0, op_if_zero="i", op_if_one="x")
+    for qubit in range(2):
+        builder.qmeas(qubit, timing=4)
+    builder.halt()
+    return builder.build()
+
+
+class TestPauliFolds:
+    """Pauli-arm MRCE folds: exact where the rule holds, off elsewhere.
+
+    Every engine must agree per seed with the cycle-accurate model
+    (``trace_cache=False``), serially and in cohorts, whether or not
+    it folds.
+    """
+
+    SHOTS = 64
+
+    def per_seed(self, engine):
+        return list(engine._run_seeds(range(self.SHOTS)))
+
+    @pytest.mark.parametrize("label", [1, 5])
+    def test_translation_counterexample_declines(self, label):
+        program = translation_counterexample(label)
+        kwargs = dict(backend="stabilizer", n_qubits=4)
+        reference = ShotEngine(program,
+                               config=scalar_config(trace_cache=False),
+                               **kwargs)
+        expected = self.per_seed(reference)
+        for changes in ({"trace_cache_batch": False}, {},
+                        {"trace_cache_batch_width": 7}):
+            engine = ShotEngine(program, config=scalar_config(**changes),
+                                **kwargs)
+            assert self.per_seed(engine) == expected, changes
+            assert engine.trace_cache.folds == 0, changes
+
+    def test_surface_memory_folds_and_replays(self):
+        from repro.benchlib.surface import (build_surface_memory_program,
+                                            surface_layout,
+                                            surface_noise_model)
+        program = build_surface_memory_program(3, rounds=2)
+        kwargs = dict(backend="stabilizer",
+                      n_qubits=surface_layout(3).n_qubits,
+                      noise=surface_noise_model())
+        reference = ShotEngine(program,
+                               config=QCPConfig(trace_cache=False),
+                               **kwargs)
+        expected = self.per_seed(reference)
+        for changes in ({"trace_cache_batch": False},
+                        {"trace_cache_batch_width": 7},
+                        {"trace_cache_batch_width": 64}):
+            engine = ShotEngine(program, config=QCPConfig(**changes),
+                                **kwargs)
+            assert self.per_seed(engine) == expected, changes
+            cache = engine.trace_cache
+            assert cache.folds > 0 and cache.hits > 0, changes
+
+    def test_active_reset_folds_on_one_scalar_sign_core(self):
+        engine = ShotEngine(active_reset_program(), config=scalar_config(),
+                            backend="stabilizer", n_qubits=2)
+        reference = ShotEngine(active_reset_program(),
+                               config=scalar_config(trace_cache=False),
+                               backend="stabilizer", n_qubits=2)
+        assert self.per_seed(engine) == self.per_seed(reference)
+        assert engine.trace_cache.folds > 0
+
+    @pytest.mark.parametrize("cell", [
+        {"n_processors": 2},
+        {"config": scalar_config(fetch_width=4, buffer_capacity=8)},
+        {"config": scalar_config(fast_context_switch=True)},
+        {"backend": "statevector"},
+    ], ids=["two-processors", "fetch-width-4", "fast-switch",
+            "statevector"])
+    def test_folds_decline_off_one_scalar_sign_core(self, cell):
+        kwargs = {"backend": "stabilizer", "n_qubits": 2, **cell}
+        config = kwargs.pop("config", scalar_config())
+        program = active_reset_program()
+        reference = ShotEngine(program,
+                               config=config.with_(trace_cache=False),
+                               **kwargs)
+        expected = self.per_seed(reference)
+        for changes in ({"trace_cache_batch": False}, {}):
+            engine = ShotEngine(program, config=config.with_(**changes),
+                                **kwargs)
+            assert self.per_seed(engine) == expected, changes
+            assert engine.trace_cache.folds == 0, changes

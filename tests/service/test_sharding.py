@@ -146,6 +146,8 @@ class TestRunShardWorker:
         assert out["pid"] > 0
         assert out["trace_cache"] is not None
         assert out["trace_cache"]["misses"] >= 1
+        # The snapshot carries the fold count; a branch never folds.
+        assert out["trace_cache"]["folds"] == 0
 
     def test_uncached_shard_reports_no_cache(self):
         payload = self.payload(config={"trace_cache": False})

@@ -25,6 +25,21 @@ measure q[0] -> c[0];
 """
 
 
+#: A fair coin on q0, actively reset through an MRCE.
+RESET_ASM = """
+.block main prio=0
+    qop 2, h, q0
+    qmeas 2, q0
+    mrce q0, q0, i, x
+    qop 2, h, q0
+    qmeas 2, q0
+    mrce q0, q0, i, x
+    qmeas 4, q0
+    halt
+.endblock
+"""
+
+
 @pytest.fixture
 def asm_file(tmp_path):
     path = tmp_path / "demo.tqasm"
@@ -60,6 +75,17 @@ class TestRunCommand:
     def test_run_multiprocessor(self, asm_file, capsys):
         assert main(["run", asm_file, "--processors", "2"]) == 0
         assert "2 processor(s)" in capsys.readouterr().out
+
+
+    def test_trace_cache_line_reports_folds(self, tmp_path, capsys):
+        path = tmp_path / "reset.tqasm"
+        path.write_text(RESET_ASM)
+        # Only a scalar sign-trace core folds (the default is 8-wide).
+        assert main(["run", str(path), "--qpu", "stabilizer",
+                     "--width", "1", "--shots", "32"]) == 0
+        line = next(line for line in capsys.readouterr().out.splitlines()
+                    if line.startswith("trace cache:"))
+        assert "MRCE decisions folded" in line
 
 
 class TestAsmCommand:
