@@ -187,6 +187,9 @@ def _run_shots(program, args: argparse.Namespace) -> int:
             line += f", {cache.evictions} evicted"
         if cache.folds:
             line += f", {cache.folds} MRCE decisions folded"
+        if cache.restarts or cache.rejoins:
+            line += (f", {cache.restarts} restarts from a quiet-decision "
+                     f"snapshot, {cache.rejoins} rejoins")
         print(line)
         if cache.batched_shots:
             line = (f"batched replay: {cache.batched_shots} shots in "

@@ -113,6 +113,18 @@ class PrivateInstructionCache:
         bank.block = None
         bank.ready = False
 
+    def snapshot(self) -> tuple:
+        """The banks' ``(block, ready)`` and the active bank index."""
+        return (tuple((bank.block, bank.ready) for bank in self._banks),
+                self._active)
+
+    def restore(self, state: tuple) -> None:
+        """Reload the banks from a :meth:`snapshot`."""
+        banks, self._active = state
+        for bank, (block, ready) in zip(self._banks, banks):
+            bank.block = block
+            bank.ready = ready
+
     def drop_prefetch(self) -> None:
         """Discard a prefetched block (scheduling changed its mind)."""
         bank = self._banks[1 - self._active]

@@ -76,6 +76,10 @@ class ProcessorCore:
         #: shot is being recorded, ``None`` otherwise (see
         #: :mod:`repro.qcp.tracecache`).
         self.recording: list | None = None
+        #: Called (no arguments) after each quiet MRCE decision entry is
+        #: recorded; set by the system for a folding trace cache, which
+        #: may snapshot the control stack there or end the run.
+        self.on_quiet: Callable[[], None] | None = None
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -166,6 +170,44 @@ class ProcessorCore:
                      max(self._busy_until_ns - now, 0))
         self.recording.append((REC_MDEC, instr.result_qubit, value,
                                instr.target_qubit, now, quiet))
+        if quiet is not None and self.on_quiet is not None:
+            self.on_quiet()
+
+    # -- control-stack restart ----------------------------------------------
+
+    def snapshot(self) -> tuple:
+        """This core's state at a quiet MRCE stall, as plain data.
+
+        Taken where :meth:`_record_mrce` stamps a quiescence signature:
+        the core is stalled on the MRCE at ``pc`` and nothing is
+        pending.  Times are relative to now, and ``busy_until`` is
+        clamped at 0 like the signature's (a past value never delays a
+        cycle).  The stall's start is left out: it feeds only the CES
+        wait of the resolution, and Pauli arms that fold stall at
+        different offsets.  Registers are not kept: a snapshot exists
+        only on paths without classical entries, so they are at reset.
+        """
+        now = self.kernel.now
+        last = self.timing.last_issue_ns
+        return (self.pc, self.block, self.blocks_completed,
+                max(self._busy_until_ns - now, 0),
+                None if last is None else last - now,
+                self._current_step, self.cache.snapshot())
+
+    def restore(self, snapshot: tuple, now: int) -> None:
+        """Reload a :meth:`snapshot` at ``now`` and schedule the MRCE's
+        resolution then, with the value in its result register."""
+        (self.pc, self.block, self.blocks_completed, busy, last,
+         self._current_step, banks) = snapshot
+        self._busy_until_ns = now + busy
+        self.timing.last_issue_ns = None if last is None else now + last
+        self._stall_began_ns = now
+        self.cache.restore(banks)
+        self.state = ProcState.WAIT_RESULT
+        instr = self.cache.fetch_decoded(self.pc)[1]
+        self.kernel.schedule_at(
+            now, lambda: self._resume_mrce(
+                instr, self.results.read(instr.result_qubit)))
 
     # -- quantum execution helpers ---------------------------------------------
 

@@ -42,6 +42,12 @@ class RegisterFile:
         for index in range(len(self._values)):
             self._values[index] = 0
 
+    def copy(self) -> "RegisterFile":
+        """An independent register file holding the same values."""
+        clone = RegisterFile(len(self._values))
+        clone._values[:] = self._values
+        return clone
+
 
 class SharedRegisters:
     """Registers shared by all processors (LDM/STM target)."""
@@ -57,6 +63,12 @@ class SharedRegisters:
 
     def write(self, addr: int, value: int) -> None:
         self._values[addr] = int(value)
+
+    def copy(self) -> "SharedRegisters":
+        """Independent shared registers holding the same values."""
+        clone = SharedRegisters(len(self._values))
+        clone._values[:] = self._values
+        return clone
 
 
 @dataclass
@@ -127,6 +139,24 @@ class MeasurementResultRegisters:
                 f"read of invalid measurement result for q{qubit}; the "
                 "synchronisation protocol should have stalled")
         return slot.value
+
+    def valid_mask(self) -> int:
+        """The registers' valid flags, bit ``q`` for qubit ``q``."""
+        valid = 0
+        for qubit, slot in enumerate(self._slots):
+            if slot.valid:
+                valid |= 1 << qubit
+        return valid
+
+    def restore(self, valid: int, values: dict[int, int]) -> None:
+        """Set the valid flags from :meth:`valid_mask`; each valid
+        register takes its qubit's value from ``values``.  Nothing is
+        pending, no waiters, no history."""
+        for qubit, slot in enumerate(self._slots):
+            slot.valid = bool(valid >> qubit & 1)
+            slot.pending = False
+            if slot.valid:
+                slot.value = values[qubit]
 
     def wait(self, qubit: int,
              callback: Callable[[int, int], None]) -> None:

@@ -105,6 +105,25 @@ class BlockScheduler:
             return
         self._request_poll()
 
+    # -- control-stack restart ------------------------------------------------
+
+    def snapshot(self) -> tuple:
+        """Plain-data scheduler state (no pending events of its own:
+        taken only at a quiet decision, see
+        :meth:`~repro.qcp.system.QuAPESystem.snapshot`)."""
+        return (tuple([(entry.state, entry.processor)
+                       for entry in self.entries]),
+                self.priority_counter, self.busy, self._poll_scheduled,
+                self._finished)
+
+    def restore(self, snapshot: tuple) -> None:
+        """Reload a :meth:`snapshot` into this (fresh) scheduler."""
+        (entries, self.priority_counter, self.busy, self._poll_scheduled,
+         self._finished) = snapshot
+        for entry, (state, processor) in zip(self.entries, entries):
+            entry.state = state
+            entry.processor = processor
+
     # -- dependency checking ---------------------------------------------------
 
     def _advance_priority_counter(self) -> None:

@@ -27,11 +27,13 @@ This includes **noisy substrates** (pass ``noise=``): the per-shot
 reseeded noise rng is replayed positionally, and a replay that
 diverges from the trie resumes the cycle-accurate simulation from
 the divergence frontier (:class:`~repro.qcp.tracecache.CheckpointQPU`)
-instead of re-simulating the whole shot.  Substrates with no compiled
-replay mode (non-Pauli noise on the stabilizer backend, channels the
-compilers do not model) and custom ``qpu_factory`` devices, which the
-cache cannot see inside, fall back to always-cycle-accurate
-execution.
+instead of re-simulating the whole shot — or, at a quiet MRCE on a
+folding engine, restarts the control stack there from a snapshot and
+hands the shot back to replay at the next quiet MRCE the trie covers.
+Substrates with no compiled replay mode (non-Pauli noise on the
+stabilizer backend, channels the compilers do not model) and custom
+``qpu_factory`` devices, which the cache cannot see inside, fall back
+to always-cycle-accurate execution.
 
 Backend selection
 =================
@@ -68,7 +70,7 @@ from repro.qcp.memory import InstructionMemory
 from repro.qcp.system import QuAPESystem, infer_qubit_count
 from repro.qcp.routing import RoutingDecision, route_backend
 from repro.qcp.tracecache import (CheckpointQPU, RecordingQPU,
-                                  ResumePoint, TraceCache,
+                                  TraceCache, TraceRecorder,
                                   auto_batch_width, replay_mode)
 from repro.qpu.device import QPUBase, SimulatedQPU
 from repro.qpu.noise import NoiseModel
@@ -219,6 +221,14 @@ class ShotResult:
         return self.counts.most_common(1)[0][0]
 
 
+def _last_values(system: QuAPESystem,
+                 last_value: dict[int, int]) -> dict[int, int]:
+    """``last_value`` updated by every result ``system`` delivered."""
+    for delivery in system.results.history:
+        last_value[delivery.qubit] = delivery.value
+    return last_value
+
+
 class ShotEngine:
     """Compile-once, run-many executor for one program.
 
@@ -332,48 +342,72 @@ class ShotEngine:
         the reused QPU's measurement RNG otherwise.
 
         With the trace cache enabled the shot first attempts a trie
-        replay (batched backend ops, no event kernel); a replay that
-        diverges from the trie *resumes* the cycle-accurate simulation
-        from the divergence frontier — the backend state and rng
-        positions the replay prefix left behind — behind a
-        :class:`~repro.qcp.tracecache.CheckpointQPU` proxy that skips
-        the prefix device operations, then records the newly explored
-        path.  A cold cache falls back to a full cycle-accurate shot.
-        All paths return bit-identical results for the same seed.
+        replay (batched backend ops, no event kernel).  A replay that
+        diverges from the trie hands the shot to the cycle-accurate
+        simulator at the divergence frontier, and replay and
+        simulation then alternate until the shot ends:
+
+        * a miss at a node holding a control-stack snapshot (a quiet
+          MRCE on a folding engine) *restarts* the control stack there,
+          at the shot's own decision time, against the live QPU;
+        * any other miss re-runs the control stack from t = 0 behind a
+          :class:`~repro.qcp.tracecache.CheckpointQPU` proxy that skips
+          the prefix device operations;
+        * a run records the new path as it goes, and on a folding
+          engine stops at a quiet MRCE once the trie holds the shot's
+          edge again (the run returns ``stopped``); the shot then
+          continues in replay (:meth:`TraceCache.rejoin`).
+
+        A cold cache falls back to a full cycle-accurate shot.  All
+        paths return bit-identical results for the same seed.
         """
         cache = self.trace_cache
-        resume: ResumePoint | None = None
-        if cache is not None:
-            replayed = cache.replay(self._qpu, seed)
-            if isinstance(replayed, ResumePoint):
-                resume = replayed
+        if cache is None:
+            system = self._system(self._shot_qpu(seed))
+            execution = system.run()
+            system.kernel.run()  # drain trailing deliveries
+            return _last_values(system, {}), execution.total_ns
+        replayed = cache.replay(self._qpu, seed)
+        while not isinstance(replayed, tuple):
+            recorder = TraceRecorder.start(cache, replayed)
+            restart = recorder.restart
+            if restart is not None:
+                # The replay drove the QPU to the restart node.
+                qpu: QPUBase = self._qpu
             elif replayed is not None:
-                return replayed
-        if resume is not None:
-            # The replay already restarted/reseeded the QPU and drove
-            # it to the frontier; do not reset it again.
-            qpu: QPUBase = CheckpointQPU(self._qpu, resume)
-        else:
-            qpu = self._shot_qpu(seed)
-        recorded: list | None = None
-        if cache is not None:
-            recorded = []
-            qpu = RecordingQPU(qpu, recorded)
-        system = QuAPESystem(
+                # The replay already restarted/reseeded the QPU and
+                # drove it to the frontier; do not reset it again.
+                qpu = CheckpointQPU(self._qpu, replayed)
+            else:
+                qpu = self._shot_qpu(seed)
+            system = self._system(
+                RecordingQPU(qpu, recorder.stream), recorder.stream,
+                recorder.quiet if cache.folding else None)
+            if restart is not None:
+                system.restore(*restart)
+            execution = system.run()
+            if execution.stopped:
+                replayed = cache.rejoin(recorder, self._qpu)
+                continue
+            system.kernel.run()  # drain trailing deliveries
+            last_value = _last_values(
+                system, {} if restart is None else dict(restart[2]))
+            cache.record(recorder, execution.total_ns)
+            return last_value, execution.total_ns
+        return replayed
+
+    def _system(self, qpu: QPUBase, recorder: list | None = None,
+                on_quiet: Callable[[QuAPESystem], bool] | None = None
+                ) -> QuAPESystem:
+        """A fresh control stack around the shared compiled artifacts."""
+        return QuAPESystem(
             program=self.program, config=self.config,
             n_processors=self.n_processors, qpu=qpu,
             n_qubits=self.n_qubits,
             dependency_mode=self.dependency_mode,
             memory=self.memory, table=self.table,
-            channel_map=self.channel_map, recorder=recorded)
-        execution = system.run()
-        system.kernel.run()  # drain trailing deliveries
-        last_value: dict[int, int] = {}
-        for delivery in system.results.history:
-            last_value[delivery.qubit] = delivery.value
-        if recorded is not None:
-            cache.record(recorded, execution.total_ns)
-        return last_value, execution.total_ns
+            channel_map=self.channel_map, recorder=recorder,
+            on_quiet=on_quiet)
 
     def _run_seeds(self, seeds: range):
         """Yield each seed's (last results, ns) in seed order.

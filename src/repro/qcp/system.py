@@ -10,6 +10,7 @@ full control stack of Section 6.2).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.analog.awg import AWG
 from repro.analog.channels import ChannelMap
@@ -29,6 +30,11 @@ from repro.qpu.device import PRNGQPU, QPUBase
 from repro.sim.kernel import SimKernel
 
 
+class _Stop(Exception):
+    """Unwinds the event kernel when the :attr:`QuAPESystem.on_quiet`
+    hook ends the run; :meth:`QuAPESystem.run` catches it."""
+
+
 @dataclass
 class ExecutionResult:
     """Outcome of one full program run."""
@@ -38,6 +44,10 @@ class ExecutionResult:
     ces: CESAccumulator
     config: QCPConfig
     events_processed: int = 0
+    #: The run ended early at a quiet MRCE, where the
+    #: :attr:`QuAPESystem.on_quiet` hook took the shot back;
+    #: ``total_ns`` is then that decision's time.
+    stopped: bool = False
 
     @property
     def total_cycles(self) -> int:
@@ -92,6 +102,11 @@ class QuAPESystem:
     #: processor appends its classical-effect and decision entries to
     #: it (see :mod:`repro.qcp.tracecache`).
     recorder: list | None = None
+    #: Called with this system at every quiet MRCE decision a recorded
+    #: run reaches (see :meth:`ProcessorCore._record_mrce`); it may
+    #: :meth:`snapshot` the control stack, and returns true to end the
+    #: run there.
+    on_quiet: Callable[["QuAPESystem"], bool] | None = None
 
     def __post_init__(self) -> None:
         if self.n_processors < 1:
@@ -143,6 +158,7 @@ class QuAPESystem:
             kernel=self.kernel, table=self.table,
             processors=self.processors, config=self.config,
             trace=self.trace)
+        self._restored = False
 
     def _make_processor(self, proc_id: int) -> ProcessorCore:
         cache = PrivateInstructionCache(self.memory)
@@ -153,10 +169,47 @@ class QuAPESystem:
                    results=self.results, emitter=self.emitter,
                    trace=self.trace, on_done=self._processor_done)
         core.recording = self.recorder
+        if self.on_quiet is not None:
+            core.on_quiet = self._quiet
         return core
+
+    def _quiet(self) -> None:
+        if self.on_quiet(self):
+            raise _Stop
 
     def _processor_done(self, processor: ProcessorCore) -> None:
         self.scheduler.processor_finished(processor)
+
+    def snapshot(self) -> tuple:
+        """The control stack at a quiet MRCE stall, as plain data.
+
+        Call from :attr:`on_quiet` on a one-processor system.  Nothing
+        is pending there (the kernel queue is empty, so no measurement
+        is in flight), so the state is the core's
+        (:meth:`ProcessorCore.snapshot`), the scheduler's and the
+        result registers' valid flags, all clock-free.  Result values
+        are not kept: a restart takes them from the restarting shot.
+        """
+        core, = self.processors
+        return (core.snapshot(), self.scheduler.snapshot(),
+                self.results.valid_mask())
+
+    def restore(self, snapshot: tuple, now: int,
+                values: dict[int, int]) -> None:
+        """Start this fresh system from a :meth:`snapshot` at ``now``.
+
+        Each valid result register takes its qubit's value from
+        ``values`` (the restarting shot's delivered bits), and the
+        stalled MRCE resolves at ``now`` with its register's value.
+        :meth:`run` then continues from there instead of starting the
+        scheduler.
+        """
+        core_state, scheduler_state, valid = snapshot
+        self.results.restore(valid, values)
+        self.scheduler.restore(scheduler_state)
+        core, = self.processors
+        core.restore(core_state, now)
+        self._restored = True
 
     def run(self, max_events: int | None = 5_000_000) -> ExecutionResult:
         """Execute the whole program; returns the merged result.
@@ -166,6 +219,11 @@ class QuAPESystem:
         afterwards (trailing operation issues and result deliveries) so
         the trace is complete, but that tail is not program execution
         time.
+
+        A system :meth:`restore` set up continues from its snapshot;
+        issues before that quiet decision cannot set ``total_ns``, as
+        the program completes after it.  A run the :attr:`on_quiet`
+        hook ends returns ``stopped``.
         """
         completion = {"ns": 0}
 
@@ -173,8 +231,17 @@ class QuAPESystem:
             completion["ns"] = self.kernel.now
 
         self.scheduler.on_all_done = mark_done
-        self.scheduler.start()
-        self.kernel.run(max_events=max_events)
+        if not self._restored:
+            self.scheduler.start()
+        try:
+            self.kernel.run(max_events=max_events)
+        except _Stop:
+            # Nothing is pending at a quiet decision: the run is over.
+            return ExecutionResult(
+                total_ns=self.kernel.now, trace=self.trace,
+                ces=CESAccumulator(), config=self.config,
+                events_processed=self.kernel.events_processed,
+                stopped=True)
         if not self.scheduler.all_done:
             raise RuntimeError(
                 "simulation drained with unfinished blocks: "

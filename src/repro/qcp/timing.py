@@ -56,6 +56,11 @@ class TimingController:
     def last_issue_ns(self) -> int | None:
         return self._last_issue_ns
 
+    @last_issue_ns.setter
+    def last_issue_ns(self, value: int | None) -> None:
+        """Restore the timeline's anchor (a control-stack restart)."""
+        self._last_issue_ns = value
+
     def enqueue(self, op: QuantumOp, timing_label: int,
                 exec_time_ns: int) -> PendingOp:
         """Accept an executed quantum instruction for timed issue.

@@ -43,11 +43,13 @@ is equally decision-determined.
 * The **first** shot down any decision path runs the full
   cycle-accurate simulation (kernel events, processor cycles,
   scheduler, emitter) with a :class:`RecordingQPU` proxy and processor
-  recording hooks capturing the chronological stream, then extends the
-  trie.
+  recording hooks capturing the chronological stream, which a
+  :class:`TraceRecorder` inserts into the trie segment by segment.
 * **Every subsequent** shot re-computes its decisions during replay; a
   decision with no matching edge is a *miss* handled by
-  **checkpoint-resume at the divergence frontier** (below).
+  **checkpoint-resume at the divergence frontier** or, at a quiet MRCE
+  on a folding engine, by a **restart** from a control-stack snapshot
+  (both below).
 
 Noise-aware replay
 ==================
@@ -147,7 +149,9 @@ against the live backend, after which the newly discovered path is
 recorded into the trie as usual.  The sign-trace replay materializes
 the frontier tableau first (its compile-time x/z model plus the live
 packed sign column) through
-:meth:`~repro.qpu.backend.SimulationBackend.restore`.
+:meth:`~repro.qpu.backend.SimulationBackend.restore`.  A miss at a
+quiet MRCE on a folding engine skips the prefix re-run altogether (see
+"Restart and rejoin at quiet decisions" below).
 
 LRU bound
 =========
@@ -193,10 +197,10 @@ such a decision folds into one canonical child:
   MRCE, a stall with events still pending: a branch decided at
   processor time can absorb the shift, so equal segments alone prove
   nothing.
-* **Times** are kept on the identity arms' clock: :meth:`record`
-  subtracts the ``δ`` of every fold the recording shot took on its
-  Pauli arm, a leaf stores a base total, and a shot reports the base
-  plus the ``δ`` of each fold it fired.
+* **Times** are kept on the identity arms' clock: the
+  :class:`TraceRecorder` subtracts the ``δ`` of every fold the
+  recording shot took on its Pauli arm, a leaf stores a base total,
+  and a shot reports the base plus the ``δ`` of each fold it fired.
 * **Graft.**  The fold drops the Pauli arm and merges its recorded
   subtree into the identity arm's, ``δ`` earlier
   (:meth:`TraceCache._graft`); a decision the merge gives a second arm
@@ -212,6 +216,44 @@ such a decision folds into one canonical child:
   mismatch, as for any decision mismatch: shots already served would
   be wrong, so there is no silent unfold.  Evicting a fold's child
   drops the fold.
+
+Restart and rejoin at quiet decisions
+=====================================
+
+A shot that leaves the trie runs on the cycle-accurate simulator, and
+a :class:`TraceRecorder` inserts what it does into the trie, segment
+by segment, from the stream the control stack and the
+:class:`RecordingQPU` append to.  On a folding engine a miss simulates
+one segment, not a shot:
+
+* **Snapshot.**  At a quiet MRCE stall (see
+  :meth:`~repro.qcp.processor.ProcessorCore._record_mrce`) nothing is
+  pending, so the control stack is plain data:
+  :meth:`QuAPESystem.snapshot <repro.qcp.system.QuAPESystem.snapshot>`
+  takes the core's pc, block and relative times, the scheduler's
+  entries and flags, the cache banks and the result registers' valid
+  flags, with no result values.  A freshly recorded quiet MRCE node
+  keeps it, unless the path above has a classical entry (registers and
+  shared words are at reset only without one).  Every shot that
+  reaches the node shares it: the fold rule makes arms time
+  translates, so a snapshot is clock-free, and a graft requires merged
+  nodes' snapshots to be equal (:class:`TraceDivergenceError`
+  otherwise).
+* **Restart.**  A serial miss at a node with a snapshot
+  (:meth:`TraceRecorder.start`) materializes the tableau as for a
+  resume, then restores a fresh system at the node's decision time on
+  the shot's own clock; the valid result registers take the shot's
+  delivered bits and the MRCE resolves with the shot's bit.  Recording
+  starts at the node.
+* **Rejoin.**  At every quiet MRCE a recording run reaches, the
+  recorder (:meth:`TraceRecorder.quiet`) closes the segment and offers
+  the decision where the run left the trie to :meth:`TraceCache._fold`.
+  If a fold put the shot's next segment back in the trie, the run
+  stops there and the shot continues in serial sign replay
+  (:meth:`TraceCache.rejoin`), after two checks that fail closed to
+  running on: the live quiet signature and x/z tableau are the node's.
+  ``restarts`` and ``rejoins`` count both; a shot that touched the
+  simulator is one miss however often it rejoined.
 
 Not cacheable (the shot engine falls back to cycle-accurate
 execution): substrates :func:`replay_mode` has no compiled program
@@ -248,7 +290,7 @@ from repro.qpu.statevector import (BatchStateVector, FUSE_MAX_QUBITS,
 # four fields are a ready-made BackendOp.
 REC_GATE = "gate"   # (REC_GATE, name, qubits, params, time_ns)
 REC_RESET = "reset"  # (REC_RESET, "reset", (qubit,), (), time_ns)
-REC_MEAS = "meas"   # (REC_MEAS, qubit, time_ns)
+REC_MEAS = "meas"   # (REC_MEAS, qubit, time_ns, delivered value)
 REC_CLS = "cls"     # (REC_CLS, proc_id, run)
 REC_FMR = "fmr"     # (REC_FMR, proc_id, rd, qubit)
 REC_DEC = "dec"     # (REC_DEC, proc_id, run, taken)
@@ -325,7 +367,9 @@ class ResumePoint:
     device's busy/window bookkeeping are live at the frontier when
     this is returned; the shot engine wraps the QPU in a
     :class:`CheckpointQPU` built from this point so the cycle-accurate
-    re-run skips the shared prefix.
+    re-run skips the shared prefix, or restarts the control stack at
+    ``node`` when it holds a snapshot
+    (:meth:`TraceRecorder.start`).
     """
 
     #: Device-level operations (gates + resets + measurements) the
@@ -334,6 +378,12 @@ class ResumePoint:
     #: Delivered measurement bits of the prefix, in call order —
     #: served to the control stack instead of re-measuring.
     outcomes: list[int] = field(default_factory=list)
+    #: Sign replay only: the node whose decision had no edge, and the
+    #: shot's replay context there — what a restart from the node's
+    #: control-stack snapshot needs
+    #: (:meth:`TraceRecorder.start`).
+    node: "TraceNode | None" = None
+    ctx: "_ReplayContext | None" = None
 
 
 class _ReplayProcessor:
@@ -512,7 +562,7 @@ class _ReplayContext:
     """
 
     __slots__ = ("config", "delivered", "outcomes", "skip_ops",
-                 "shift_ns", "pauli", "shared", "procs")
+                 "shift_ns", "pauli", "shared", "procs", "simulated")
 
     def __init__(self, config: QCPConfig) -> None:
         self.config = config
@@ -523,6 +573,9 @@ class _ReplayContext:
         self.pauli: _Fold | None = None
         self.shared = SharedRegisters()
         self.procs: dict[int, _ReplayProcessor] = {}
+        #: The shot has run on the simulator: it is one miss, however
+        #: often it rejoins, and its leaf counts no hit.
+        self.simulated = False
 
     def reset(self) -> None:
         """Prepare for the next shot, keeping container identity.
@@ -544,6 +597,7 @@ class _ReplayContext:
         self.pauli = None
         self.shared = SharedRegisters()
         self.procs.clear()
+        self.simulated = False
 
     def proc(self, proc_id: int) -> _ReplayProcessor:
         """The register facade for ``proc_id`` (created on first use)."""
@@ -672,13 +726,15 @@ class TraceNode:
     An MRCE decision also keeps its time (``decision_ns``) and its
     quiescence signature (``quiet``, ``None`` unless resolved on a
     quiet stall); a folded one keeps its :class:`_Fold` and only the
-    identity arm's child.  Every time in the trie — item times,
+    identity arm's child.  A quiet MRCE on a folding engine also keeps
+    the control stack's ``snapshot`` there (see "Restart and rejoin at
+    quiet decisions" above).  Every time in the trie — item times,
     ``decision_ns`` and leaf totals — is on the identity arms' clock
     (see "Pauli-arm folds" above).
     """
 
     __slots__ = ("items", "decision", "children", "total_ns", "devops",
-                 "decision_ns", "quiet", "fold",
+                 "decision_ns", "quiet", "fold", "snapshot",
                  "last_used", "parent", "edge", "lru_prev", "lru_next",
                  "live", "_program", "_program_state", "_exit_xz",
                  "_dense_program", "_dense_state",
@@ -694,6 +750,7 @@ class TraceNode:
         self.decision_ns: int | None = None
         self.quiet: tuple | None = None
         self.fold: _Fold | None = None
+        self.snapshot: tuple | None = None
         self.last_used = 0
         self.parent: TraceNode | None = None
         self.edge: int | None = None
@@ -938,6 +995,13 @@ def _index_mask(indices) -> int:
     for index in indices:
         mask |= 1 << int(index)
     return mask
+
+
+def _pack_signs(signs: np.ndarray) -> int:
+    """A tableau's sign column packed into one integer, row ``i`` in
+    bit ``i`` (the inverse of :func:`_unpack_signs`)."""
+    return int.from_bytes(np.packbits(signs, bitorder="little").tobytes(),
+                          "little")
 
 
 def _unpack_signs(r: int, rows: int) -> np.ndarray:
@@ -1819,7 +1883,7 @@ class RecordingQPU:
 
     def measure(self, time_ns: int, qubit: int) -> int:
         outcome = self._inner.measure(time_ns, qubit)
-        self.recorded.append((REC_MEAS, qubit, time_ns))
+        self.recorded.append((REC_MEAS, qubit, time_ns, outcome))
         return outcome
 
     def reset(self, time_ns: int, qubit: int) -> None:
@@ -1871,6 +1935,325 @@ class CheckpointQPU:
         self.apply_gate(time_ns, "reset", (qubit,))
 
 
+def _ancestry(node: TraceNode | None) -> list:
+    """``node`` and its ancestors, root first (empty for ``None``)."""
+    chain = []
+    while node is not None:
+        chain.append(node)
+        node = node.parent
+    chain.reverse()
+    return chain
+
+
+class TraceRecorder:
+    """One simulator run's insertion into the trie, segment by segment.
+
+    The control stack and :class:`RecordingQPU` append to ``stream``.
+    The recorder consumes it at every quiet MRCE the run reaches
+    (:meth:`quiet`, the :attr:`QuAPESystem.on_quiet
+    <repro.qcp.system.QuAPESystem.on_quiet>` hook of a folding engine)
+    and when the run ends (:meth:`finish`).  The walk verifies the
+    nodes it passes, fills the unexplored ones and keeps every time on
+    the identity arms' clock: ``shift`` is the δ of the folds the shot
+    took, and ``pauli`` the fold whose Pauli arm the open segment
+    follows, re-checked when it closes.
+
+    A run starts at the root (a cold shot, or a t = 0 resume) or at a
+    restart node with the shot's context ``base``.  ``fork`` is the
+    decision where the walk last left the recorded trie, with the
+    shift before it and the outcomes taken since; it is offered to
+    :meth:`TraceCache._fold` once its new arm is closed.
+    """
+
+    __slots__ = ("cache", "stream", "read", "node", "items", "ops",
+                 "times", "path", "classical", "shift", "pauli", "fork",
+                 "base", "restart", "handover")
+
+    def __init__(self, cache: TraceCache, node: TraceNode, shift: int = 0,
+                 base: _ReplayContext | None = None) -> None:
+        self.cache = cache
+        self.stream: list = []
+        #: Stream entries consumed so far.
+        self.read = 0
+        #: The node whose segment is open.
+        self.node = node
+        self.items: list = []
+        self.ops: list = []
+        self.times: list = []
+        #: (node, newly recorded) from the root down, open node excluded.
+        self.path = [(ancestor, False) for ancestor in _ancestry(node.parent)]
+        #: The path holds a classical entry: no snapshots below it.
+        self.classical = False
+        self.shift = shift
+        self.pauli: _Fold | None = None
+        self.fork: list | None = None
+        self.base = base
+        #: (snapshot, now, delivered) when the run restarts from a node.
+        self.restart: tuple | None = None
+        #: (child, decision node, context, packed signs) once the shot
+        #: is handed back to replay.
+        self.handover: tuple | None = None
+
+    @classmethod
+    def start(cls, cache: TraceCache,
+              resume: ResumePoint | None) -> "TraceRecorder":
+        """The recorder of one simulator run for a shot that missed.
+
+        ``resume`` is what the replay returned: ``None`` for a cold
+        shot, else the miss's :class:`ResumePoint`.  A miss at a node
+        with a control-stack snapshot restarts there: ``restart`` holds
+        ``(snapshot, now, delivered)`` for :meth:`QuAPESystem.restore
+        <repro.qcp.system.QuAPESystem.restore>`, ``now`` being the
+        node's decision time on the shot's own clock.  Every other run
+        starts at the root, cold or behind a
+        :class:`CheckpointQPU` (a t = 0 resume).
+        """
+        node = None if resume is None else resume.node
+        if (node is not None and node.snapshot is not None
+                and resume.ctx.pauli is None):
+            ctx = resume.ctx
+            recorder = cls(cache, node, ctx.shift_ns, ctx)
+            recorder.restart = (node.snapshot,
+                                node.decision_ns + ctx.shift_ns,
+                                ctx.delivered)
+            cache.restarts += 1
+            return recorder
+        if cache.root is None:
+            cache.root = TraceNode()
+            cache.nodes += 1
+        cache._touch(cache.root)
+        return cls(cache, cache.root)
+
+    # -- consuming the stream ----------------------------------------------
+
+    def _feed(self) -> None:
+        """Consume the stream's new entries into the open segment,
+        closing a node at each decision."""
+        stream = self.stream
+        items = self.items
+        ops = self.ops
+        times = self.times
+        shift = self.shift
+        for index in range(self.read, len(stream)):
+            entry = stream[index]
+            tag = entry[0]
+            if tag == REC_GATE or tag == REC_RESET:
+                ops.append(entry[:4])
+                times.append(entry[4] - shift)
+                continue
+            if ops:
+                items.append((_I_OPS, tuple(ops), tuple(times)))
+                ops.clear()
+                times.clear()
+            if tag == REC_MEAS:
+                items.append((_I_MEAS, entry[1], entry[2] - shift))
+            elif tag == REC_CLS:
+                items.append((_I_CLS, entry[1], entry[2]))
+                self.classical = True
+            elif tag == REC_FMR:
+                items.append((_I_FMR, entry[1], entry[2], entry[3]))
+                self.classical = True
+            else:
+                if tag == REC_DEC:
+                    self.classical = True
+                    self._close((_D_BRANCH, entry[1], entry[2]), entry[3])
+                else:  # REC_MDEC
+                    self._close((_D_MRCE, entry[1], entry[3]), entry[2],
+                                entry[4] - shift, entry[5])
+                items = self.items
+                shift = self.shift
+        self.read = len(stream)
+
+    def _close(self, decision: tuple | None, outcome: int | None = None,
+               time_ns: int | None = None, quiet: tuple | None = None,
+               total_ns: int | None = None) -> None:
+        """Close the open segment at a decision (``None``: the leaf,
+        with the run's ``total_ns``) and open the outcome's child."""
+        if self.ops:
+            self.items.append((_I_OPS, tuple(self.ops), tuple(self.times)))
+            self.ops.clear()
+            self.times.clear()
+        node = self.node
+        items = self.items
+        fresh = node.items is None
+        self.path.append((node, fresh))
+        if fresh:
+            node.items = tuple(items)
+            node.decision = decision
+            node.decision_ns = time_ns
+            node.quiet = quiet
+            node.devops = sum(
+                len(item[1]) if item[0] == _I_OPS else 1
+                for item in node.items
+                if item[0] == _I_OPS or item[0] == _I_MEAS)
+            if decision is None:
+                node.total_ns = total_ns - self.shift
+        elif not _same_decision(node.decision, decision):
+            raise TraceDivergenceError(
+                f"shot reached decision {decision!r} where the trie "
+                f"recorded {node.decision!r}; execution is not "
+                "decision-deterministic")
+        elif self.pauli is not None:
+            # Re-check the fold whose Pauli arm this shot took.
+            if decision is None:
+                translated = node.total_ns == total_ns - self.shift
+            else:
+                translated = ((node.decision_ns, node.quiet)
+                              == (time_ns, quiet))
+            if not translated or _op_keys(items) != (
+                    [self.pauli.op] + _op_keys(node.items)):
+                raise TraceDivergenceError(
+                    "a shot on the Pauli arm of a folded MRCE is not "
+                    "the identity arm plus the Pauli, shifted by the "
+                    "fold's delta; the fold rule does not hold")
+        self.items = []
+        self.pauli = None
+        if decision is None:
+            return
+        shift = self.shift
+        self.node = child = self._step(node, outcome)
+        if self.fork is not None:
+            self.fork[2].append(outcome)
+        elif not fresh and child.items is None:
+            self.fork = [node, shift, [outcome]]
+
+    def _step(self, node: TraceNode, outcome: int) -> TraceNode:
+        """The child a recorded outcome leads to from ``node``.
+
+        A fold's Pauli arm leads into the identity arm, ``δ`` later,
+        with the Pauli first in the open segment; a new edge gets an
+        unexplored child.
+        """
+        fold = node.fold
+        if fold is not None and outcome == fold.edge:
+            self.pauli = fold
+            self.shift += fold.delta_ns
+            outcome ^= 1
+        cache = self.cache
+        child = node.children.get(outcome)
+        if child is None:
+            child = TraceNode()
+            child.parent = node
+            child.edge = outcome
+            node.children[outcome] = child
+            cache.nodes += 1
+        cache._touch(child)
+        return child
+
+    # -- quiet decisions -----------------------------------------------------
+
+    def quiet(self, system) -> bool:
+        """The run stands at a quiet MRCE, its decision entry recorded.
+
+        Closes the segment; a freshly recorded node on a path without
+        classical entries keeps the control-stack snapshot.  Once the
+        fork's new arm is closed, the fork is offered to
+        :meth:`TraceCache._fold` (live sets grown first).  A fold may
+        move the shot's decision into the identity arm: the walk is
+        re-done from the fork, and if the trie now holds the shot's
+        next segment the shot is handed back to replay.  Returns
+        whether it was: the run then stops here.
+        """
+        self._feed()
+        node, fresh = self.path[-1]
+        if fresh and not self.classical:
+            node.snapshot = system.snapshot()
+        fork = self.fork
+        if fork is None or len(fork[2]) < 2:
+            return False
+        cache = self.cache
+        if self.classical:
+            self._grow_live()
+        folds = cache.folds
+        cache._fold(fork[0])
+        if cache.folds == folds:
+            self.fork = None
+            return False
+        decision = self._relocate()
+        return (self.node.items is not None
+                and self._hand_over(system, decision))
+
+    def _grow_live(self) -> None:
+        """Grow the live sets along the path so far; later walks treat
+        its nodes as recorded before (see :meth:`TraceCache._grow_live`)."""
+        self.cache._grow_live(self.path)
+        self.path = [(node, False) for node, _fresh in self.path]
+
+    def _relocate(self) -> TraceNode:
+        """Re-walk the outcomes since the fork after a fold grafted
+        below it; returns the decision node the shot now stands at."""
+        node, self.shift, outcomes = self.fork
+        for outcome in outcomes:
+            decision = node
+            shift = self.shift
+            self.pauli = None
+            node = self._step(node, outcome)
+        self.node = node
+        self.path = [(ancestor, False) for ancestor in _ancestry(decision)]
+        self.fork = [decision, shift, [outcome]] if node.items is None \
+            else None
+        return decision
+
+    def _hand_over(self, system, node: TraceNode) -> bool:
+        """Hand the shot back to replay below ``node``; false to run on
+        (fail closed) when the live state is not the trie's there.
+
+        The checks: the live quiet signature is ``node``'s, and the live
+        tableau's x/z is ``node``'s compile-time exit model.  The
+        hand-over context then holds the shot's delivered bits and
+        outcome stream, its device-op count (so a later t = 0 resume
+        stays aligned), the live registers and shared words, and
+        ``shift_ns``, the live decision time minus ``node``'s.
+        :meth:`TraceCache._epilogue` selects the edge.
+        """
+        cache = self.cache
+        stream = self.stream
+        _tag, _qubit, _value, _target, time_ns, quiet = stream[-1]
+        if quiet != node.quiet:
+            return False
+        qpu = system.qpu
+        state = qpu.state
+        exit_x, exit_z = cache._exit_model(node, state, qpu.noise)
+        if not (np.array_equal(state.x, exit_x)
+                and np.array_equal(state.z, exit_z)):
+            return False
+        ctx = _ReplayContext(cache.config)
+        base = self.base
+        if base is not None:
+            ctx.delivered.update(base.delivered)
+            ctx.outcomes.extend(base.outcomes)
+            ctx.skip_ops = base.skip_ops
+        for entry in stream:
+            tag = entry[0]
+            if tag == REC_MEAS:
+                ctx.deliver(entry[1], entry[3])
+                ctx.skip_ops += 1
+            elif tag == REC_GATE or tag == REC_RESET:
+                ctx.skip_ops += 1
+        ctx.shared = system.shared.copy()
+        for core in system.processors:
+            ctx.proc(core.proc_id).registers = core.registers.copy()
+        ctx.shift_ns = time_ns - node.decision_ns
+        ctx.simulated = True
+        child = cache._epilogue(node, ctx)
+        if child is None:
+            return False
+        self.handover = (child, node, ctx, _pack_signs(state.r))
+        cache.rejoins += 1
+        return True
+
+    def finish(self, total_ns: int) -> None:
+        """The run ended: close the leaf, grow live sets along the path
+        and offer a pending fork to :meth:`TraceCache._fold`."""
+        self._feed()
+        self._close(None, total_ns=total_ns)
+        cache = self.cache
+        if self.classical:
+            cache._grow_live(self.path)
+        if cache.folding and self.fork is not None:
+            cache._fold(self.fork[0])
+
+
 class TraceCache:
     """Trie of recorded shot traces keyed by control-flow decisions.
 
@@ -1878,8 +2261,12 @@ class TraceCache:
     that needed the cycle-accurate simulator, cold or resumed),
     ``resumes`` (the subset of misses that restarted from the
     divergence frontier instead of from scratch), ``nodes`` (live trie
-    nodes), ``evictions`` (nodes dropped by the LRU bound) and
-    ``folds`` (MRCE decisions folded, see "Pauli-arm folds" above).
+    nodes), ``evictions`` (nodes dropped by the LRU bound), ``folds``
+    (MRCE decisions folded, see "Pauli-arm folds" above), ``restarts``
+    (simulator runs started from a node's control-stack snapshot) and
+    ``rejoins`` (runs stopped to hand their shot back to replay, see
+    "Restart and rejoin at quiet decisions" above).  A shot counts one
+    hit or one miss, however often it rejoined.
     Batched replay adds ``batched_shots`` (the subset of hits
     completed by a wavefront cohort), ``wavefront_splits`` (cohort
     partitions at decision points) and ``serial_fallbacks`` (shots a
@@ -1906,6 +2293,8 @@ class TraceCache:
         self.nodes = 0
         self.evictions = 0
         self.folds = 0
+        self.restarts = 0
+        self.rejoins = 0
         self.batched_shots = 0
         self.wavefront_splits = 0
         self.serial_fallbacks = 0
@@ -1964,11 +2353,13 @@ class TraceCache:
         ``None`` when the trie is cold (first shot ever) — the caller
         then restarts the QPU itself and simulates from scratch.
         """
+        # One tick per shot: the recorder and a rejoined replay stamp
+        # the nodes they touch with it, so the LRU bound spares them.
+        self._tick += 1
         node = self.root
         if node is None or node.items is None:
             self.misses += 1
             return None
-        self._tick += 1
         qpu.operation_log.clear()
         qpu.timing_violations.clear()
         qpu.restart(seed=seed)
@@ -1976,13 +2367,18 @@ class TraceCache:
             return self._replay_signs(node, qpu)
         return self._replay_dense(node, qpu)
 
-    def _resume_point(self, ctx: _ReplayContext) -> ResumePoint:
-        self.misses += 1
-        self.resumes += 1
+    def _resume_point(self, ctx: _ReplayContext,
+                      node: TraceNode | None = None) -> ResumePoint:
+        if not ctx.simulated:
+            ctx.simulated = True
+            self.misses += 1
+            self.resumes += 1
         # Copy: the dense replay context is reused across shots, so the
-        # ResumePoint must not alias its (soon reset) outcome list.
+        # ResumePoint must not alias its (soon reset) outcome list; only
+        # the sign loop, whose context is the shot's own, hands it out.
         return ResumePoint(skip_ops=ctx.skip_ops,
-                           outcomes=list(ctx.outcomes))
+                           outcomes=list(ctx.outcomes), node=node,
+                           ctx=None if node is None else ctx)
 
     def _epilogue(self, node: TraceNode,
                   ctx: _ReplayContext) -> "TraceNode | object | None":
@@ -2009,7 +2405,8 @@ class TraceCache:
         """
         decision = node.decision
         if decision is None:
-            self.hits += 1
+            if not ctx.simulated:
+                self.hits += 1
             return _HIT
         edge = _decide(decision, ctx)
         fold = node.fold
@@ -2066,7 +2463,9 @@ class TraceCache:
             parent = node
             node = nxt
 
-    def _replay_signs(self, node: TraceNode, qpu: SimulatedQPU
+    def _replay_signs(self, node: TraceNode, qpu: SimulatedQPU,
+                      ctx: _ReplayContext | None = None,
+                      parent: TraceNode | None = None, r: int = 0
                       ) -> tuple[dict[int, int], int] | ResumePoint:
         """Replay via the compiled sign-trace (stabilizer backends).
 
@@ -2077,17 +2476,20 @@ class TraceCache:
         tableau is materialized into the live backend — x/z from the
         node's compile-time exit model, signs from ``r`` — so the
         resumed cycle-accurate run continues from the checkpoint.
+
+        A shot that rejoins the trie (:meth:`rejoin`) enters at the
+        hand-over child with its context, its decision node as
+        ``parent`` and the live packed signs ``r``.
         """
         state: StabilizerState = qpu.state
         noise = qpu.noise
         corrupt = noise.corrupt_readout
         nrng = noise.rng
         rng = state.rng.random
-        ctx = _ReplayContext(self.config)
+        if ctx is None:
+            ctx = _ReplayContext(self.config)
         delivered = ctx.delivered
         outcomes = ctx.outcomes
-        r = 0
-        parent: TraceNode | None = None
         while True:
             self._touch(node)
             ctx.skip_ops += node.devops
@@ -2177,7 +2579,7 @@ class TraceCache:
                 exit_x, exit_z = node._exit_xz
                 state.restore((exit_x, exit_z,
                                _unpack_signs(r, exit_x.shape[0])))
-                return self._resume_point(ctx)
+                return self._resume_point(ctx, node)
             parent = node
             node = nxt
 
@@ -2524,137 +2926,49 @@ class TraceCache:
 
     # -- recording ---------------------------------------------------------
 
-    def record(self, recorded: list, total_ns: int) -> None:
-        """Insert one cycle-accurately executed shot into the trie.
+    def record(self, recorder: "TraceRecorder", total_ns: int) -> None:
+        """Finish a simulator run's recording: the shot ended.
 
-        For a resumed shot the stream covers the whole shot (the
-        control stack re-issued the prefix through the checkpoint
-        proxy), so the walk passes through the existing prefix nodes —
-        verifying their decisions — and extends the trie at the new
-        edge.  A stream with classical entries then grows the live sets
-        along the path (:meth:`_grow_live`).  On a folding engine the
-        walk takes a fold's Pauli arm into the identity arm, re-checks
-        the fold there and keeps the shot's later times on the
-        identity arms' clock; the decision that got a new arm is then
-        offered to :meth:`_fold`.  When an LRU bound is configured and
-        the insertion pushed the node count past it, the
+        The recorder has consumed the run's stream up to its last quiet
+        decision; the rest closes at a leaf
+        (:meth:`TraceRecorder.finish`).  When an
+        LRU bound is configured
+        and the shot pushed the node count past it, the
         least-recently-used subtrees are evicted.
         """
-        self._tick += 1
-        if self.root is None:
-            self.root = TraceNode()
-            self.nodes += 1
-        node = self.root
-        self._touch(node)
-        items: list = []
-        ops: list = []
-        times: list = []
-        #: (node, newly recorded) from the root down.
-        path: list[tuple[TraceNode, bool]] = []
-        classical = False
-        #: The δ of the folds this shot took on their Pauli arm: its
-        #: times are stored that much earlier.
-        shift = 0
-        #: The fold whose Pauli arm the open segment follows.
-        pauli: _Fold | None = None
-
-        def flush_ops() -> None:
-            if ops:
-                items.append((_I_OPS, tuple(ops), tuple(times)))
-                ops.clear()
-                times.clear()
-
-        def close_node(decision: tuple | None, outcome: int | None,
-                       time_ns: int | None = None,
-                       quiet: tuple | None = None):
-            nonlocal node, items, shift, pauli
-            flush_ops()
-            fresh = node.items is None
-            path.append((node, fresh))
-            if fresh:
-                node.items = tuple(items)
-                node.decision = decision
-                node.decision_ns = time_ns
-                node.quiet = quiet
-                node.devops = sum(
-                    len(item[1]) if item[0] == _I_OPS else 1
-                    for item in node.items
-                    if item[0] == _I_OPS or item[0] == _I_MEAS)
-                if decision is None:
-                    node.total_ns = total_ns - shift
-            elif not _same_decision(node.decision, decision):
-                raise TraceDivergenceError(
-                    f"shot reached decision {decision!r} where the trie "
-                    f"recorded {node.decision!r}; execution is not "
-                    "decision-deterministic")
-            elif pauli is not None:
-                # Re-check the fold whose Pauli arm this shot took.
-                if decision is None:
-                    translated = node.total_ns == total_ns - shift
-                else:
-                    translated = ((node.decision_ns, node.quiet)
-                                  == (time_ns, quiet))
-                if not translated or _op_keys(items) != (
-                        [pauli.op] + _op_keys(node.items)):
-                    raise TraceDivergenceError(
-                        "a shot on the Pauli arm of a folded MRCE is not "
-                        "the identity arm plus the Pauli, shifted by the "
-                        "fold's delta; the fold rule does not hold")
-            items = []
-            pauli = None
-            if decision is None:
-                return None
-            fold = node.fold
-            if fold is not None and outcome == fold.edge:
-                pauli = fold
-                shift += fold.delta_ns
-                outcome ^= 1
-            child = node.children.get(outcome)
-            if child is None:
-                child = TraceNode()
-                child.parent = node
-                child.edge = outcome
-                node.children[outcome] = child
-                self.nodes += 1
-            self._touch(child)
-            return child
-
-        for entry in recorded:
-            tag = entry[0]
-            if tag == REC_GATE or tag == REC_RESET:
-                ops.append(entry[:4])
-                times.append(entry[4] - shift)
-            elif tag == REC_MEAS:
-                flush_ops()
-                items.append((_I_MEAS, entry[1], entry[2] - shift))
-            elif tag == REC_CLS:
-                flush_ops()
-                items.append((_I_CLS, entry[1], entry[2]))
-                classical = True
-            elif tag == REC_FMR:
-                flush_ops()
-                items.append((_I_FMR, entry[1], entry[2], entry[3]))
-                classical = True
-            elif tag == REC_DEC:
-                node = close_node((_D_BRANCH, entry[1], entry[2]),
-                                  entry[3])
-                classical = True
-            else:  # REC_MDEC
-                node = close_node((_D_MRCE, entry[1], entry[3]), entry[2],
-                                  entry[4] - shift, entry[5])
-        leaf = close_node(None, None)
-        assert leaf is None
-        if classical:
-            self._grow_live(path)
-        if self.folding:
-            # The parent of the first new node just got a new arm.
-            for index, (step, fresh) in enumerate(path):
-                if fresh:
-                    if index:
-                        self._fold(path[index - 1][0])
-                    break
+        recorder.finish(total_ns)
         if self.max_nodes is not None and self.nodes > self.max_nodes:
             self._evict()
+
+    def rejoin(self, recorder: "TraceRecorder", qpu: SimulatedQPU
+               ) -> tuple[dict[int, int], int] | ResumePoint:
+        """Continue a shot whose run stopped at a quiet MRCE
+        (:meth:`TraceRecorder.quiet`) in serial sign replay, from the
+        hand-over child its recorder chose through :meth:`_epilogue`.
+
+        Returns the replay's result: the shot's outcome, or a
+        :class:`ResumePoint` for its next miss (counted as no new miss).
+        """
+        child, parent, ctx, r = recorder.handover
+        replayed = self._replay_signs(child, qpu, ctx, parent, r)
+        if (not isinstance(replayed, ResumePoint)
+                and self.max_nodes is not None
+                and self.nodes > self.max_nodes):
+            self._evict()
+        return replayed
+
+    def _exit_model(self, node: TraceNode, state: StabilizerState,
+                    noise: NoiseModel) -> tuple[np.ndarray, np.ndarray]:
+        """``node``'s compile-time exit x/z, compiling first the nodes
+        above it that no replay has compiled yet."""
+        pending = []
+        current: TraceNode | None = node
+        while current is not None and current._exit_xz is None:
+            pending.append(current)
+            current = current.parent
+        for current in reversed(pending):
+            current.sign_program(state, current.parent, noise)
+        return node._exit_xz
 
     def _grow_live(self, path: list) -> None:
         """Grow the live sets along a just-recorded path, leaf to root.
@@ -2751,6 +3065,7 @@ class TraceCache:
                 dst.drop_programs()
             if (not _same_decision(dst.decision, src.decision)
                     or dst.quiet != src.quiet
+                    or dst.snapshot != src.snapshot
                     or (dst.decision_ns is not None
                         and dst.decision_ns != src.decision_ns - shift)
                     or (dst.decision is None

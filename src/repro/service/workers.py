@@ -145,6 +145,7 @@ def run_shard(payload: dict, start: int, stop: int) -> dict:
         stats = {"hits": cache.hits, "misses": cache.misses,
                  "resumes": cache.resumes, "nodes": cache.nodes,
                  "evictions": cache.evictions, "folds": cache.folds,
+                 "restarts": cache.restarts, "rejoins": cache.rejoins,
                  "batched_shots": cache.batched_shots,
                  "wavefront_splits": cache.wavefront_splits,
                  "serial_fallbacks": cache.serial_fallbacks}

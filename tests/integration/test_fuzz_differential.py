@@ -116,7 +116,8 @@ def pauli_dense_noise() -> NoiseModel:
 
 
 @st.composite
-def control_flow_programs(draw, coin_resets: int = 0):
+def control_flow_programs(draw, coin_resets: int = 0,
+                          lead_coin: bool = False):
     """Random well-formed programs exercising every decision kind.
 
     Segments chain gates with one feedback construct each: a
@@ -132,10 +133,27 @@ def control_flow_programs(draw, coin_resets: int = 0):
     some paths read it.  ``coin_resets`` fair coins, each actively
     reset through an MRCE, end the segments: fold candidates whose
     arms end at the next coin's quiet MRCE stall or, for the last
-    coin, at the leaf.  Every qubit is measured at the end so
-    histograms are comparable.
+    coin, at the leaf.  ``lead_coin`` opens the program, before any
+    classical op, with one more coin whose reset a second measurement
+    and MRCE check: a fold candidate from quiet MRCE to quiet MRCE
+    whose nodes keep control-stack snapshots, so a shot that misses
+    at the coin restarts there.  Every qubit is measured at the end
+    so histograms are comparable.
     """
     builder = ProgramBuilder("fuzz")
+
+    def coin_reset() -> int:
+        coin = draw(st.integers(0, N_QUBITS - 1))
+        builder.qop("reset", [coin], timing=2)
+        builder.qop("h", [coin], timing=2)
+        builder.qmeas(coin, timing=2)
+        builder.mrce(coin, coin, op_if_zero="i", op_if_one="x")
+        return coin
+
+    if lead_coin:
+        coin = coin_reset()
+        builder.qmeas(coin, timing=2)
+        builder.mrce(coin, coin, op_if_zero="i", op_if_one="x")
     builder.ldi(7, 3)  # retry-loop bound
     accumulated = False
     n_segments = draw(st.integers(1, 4))
@@ -200,11 +218,7 @@ def control_flow_programs(draw, coin_resets: int = 0):
             builder.ldm(6, ACCUMULATOR_ADDR)
             accumulated = True
     for _ in range(coin_resets):
-        coin = draw(st.integers(0, N_QUBITS - 1))
-        builder.qop("reset", [coin], timing=2)
-        builder.qop("h", [coin], timing=2)
-        builder.qmeas(coin, timing=2)
-        builder.mrce(coin, coin, op_if_zero="i", op_if_one="x")
+        coin_reset()
     for qubit in range(N_QUBITS):
         builder.qmeas(qubit, timing=4)
     builder.halt()
@@ -373,7 +387,7 @@ FOLD_CELLS = {
 
 
 @settings(max_examples=6, deadline=None)
-@given(control_flow_programs(coin_resets=2))
+@given(control_flow_programs(coin_resets=2, lead_coin=True))
 def test_fuzz_pauli_folds_match_cycle_accurate(program):
     """Pauli-arm folds are exact, and only the scalar sign engine folds.
 
@@ -381,10 +395,19 @@ def test_fuzz_pauli_folds_match_cycle_accurate(program):
     serially, in cohorts and LRU-bounded at 4 nodes, under Pauli and
     readout noise (so a folded Pauli draws its gate-noise site); every
     shot must match per seed.  The scalar stabilizer cell must fold at
-    least once (its coin resets always offer folds), every other cell
-    never.
+    least once (its coin resets always offer folds) and restart at
+    least once (the lead coin's quiet MRCE keeps a snapshot, and a
+    shot that misses there restarts from it); every other cell never
+    folds, restarts or rejoins.
+
+    The scalar cell also runs noiseless, serially, where it must
+    rejoin: the lead coin's check then reads 0 on every shot, so the
+    shot whose new coin arm makes the fold finds the check's edge
+    already recorded and is handed back to replay there.  (Under
+    noise a rejoin is likely, not certain: the check can misread.)
     """
     folds = {}
+    seeds = range(FOLD_SHOTS)
     for name, (changes, backend, processors) in FOLD_CELLS.items():
         config = scalar_config(**changes)
         engines = {
@@ -397,15 +420,26 @@ def test_fuzz_pauli_folds_match_cycle_accurate(program):
                 ("serial", {"trace_cache_batch": False}),
                 ("batched", {"trace_cache_batch_width": 5}),
                 ("lru", {"trace_cache_max_nodes": 4}))}
-        seeds = range(FOLD_SHOTS)
         expected = list(engines.pop("reference")._run_seeds(seeds))
         for variant, engine in engines.items():
             assert list(engine._run_seeds(seeds)) == expected, (
                 f"{name}/{variant} diverged from the cycle-accurate run")
-        folds[name] = sum(engine.trace_cache.folds
-                          for engine in engines.values())
+        caches = [engine.trace_cache for engine in engines.values()]
+        folds[name] = sum(cache.folds for cache in caches)
+        if name == "scalar":
+            assert sum(cache.restarts for cache in caches) > 0
+        else:
+            assert all(cache.restarts == cache.rejoins == 0
+                       for cache in caches), name
     assert folds.pop("scalar") > 0
     assert not any(folds.values()), folds
+    reference, engine = (
+        ShotEngine(program, config=scalar_config(**extra),
+                   backend="stabilizer", n_qubits=N_QUBITS)
+        for extra in ({"trace_cache": False}, {"trace_cache_batch": False}))
+    assert list(engine._run_seeds(seeds)) == \
+        list(reference._run_seeds(seeds)), "noiseless scalar diverged"
+    assert engine.trace_cache.rejoins > 0
 
 
 def test_epilogue_is_shared_by_all_replay_modes():
@@ -414,10 +448,12 @@ def test_epilogue_is_shared_by_all_replay_modes():
     Both serial loops decide through the shared epilogue and both
     batched loops partition through the one shared cohort split; no
     other replay code selects a trie edge (the recorder creates
-    edges, and its Pauli-arm folds merge them, but neither selects
-    one for a shot).  The sign cohort loop builds no
-    per-shot context and names no comparator or ALU function: its
-    decisions run the recorded micro-op closures.
+    edges, stepping along a simulated shot's own outcomes, and its
+    Pauli-arm folds merge them, but neither selects one for a
+    replayed shot; a shot the recorder hands back to replay at a
+    quiet decision gets its edge from the epilogue).  The sign cohort
+    loop builds no per-shot context and names no comparator or ALU
+    function: its decisions run the recorded micro-op closures.
 
     Dense compilation has exactly one implementation: the drive-window
     pruning, the ZZ window accounting, the gate-channel selection and
@@ -451,8 +487,10 @@ def test_epilogue_is_shared_by_all_replay_modes():
                  and "children.get" in inspect.getsource(member)}
     assert selectors == {"TraceCache._epilogue",
                          "TraceCache._split_cohort",
-                         "TraceCache.record", "TraceCache._fold",
+                         "TraceRecorder._step", "TraceCache._fold",
                          "TraceCache._graft"}, selectors
+    source = inspect.getsource(tracecache.TraceRecorder._hand_over)
+    assert "cache._epilogue(" in source, "the rejoin bypasses the epilogue"
 
     def holders(text: str) -> set:
         return {name for name, member in functions

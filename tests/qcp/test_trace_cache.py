@@ -482,3 +482,291 @@ class TestPauliFolds:
                                 **kwargs)
             assert self.per_seed(engine) == expected, changes
             assert engine.trace_cache.folds == 0, changes
+
+
+def surface_memory():
+    """The d=3 surface memory (2 rounds), its layout and engine
+    arguments."""
+    from repro.benchlib.surface import (build_surface_memory_program,
+                                        surface_layout,
+                                        surface_noise_model)
+    layout = surface_layout(3)
+    return layout, build_surface_memory_program(3, rounds=2), dict(
+        backend="stabilizer", n_qubits=layout.n_qubits,
+        noise=surface_noise_model())
+
+
+class TestQuietRestart:
+    """Restart at a quiet MRCE from a snapshot, rejoin at the next one.
+
+    Every engine must agree per seed with the cycle-accurate model
+    (``trace_cache=False``), serially and in cohorts.
+    """
+
+    SHOTS = 64
+    #: Logical errors of the d=3 memory over seeds 0..63 (the
+    #: cycle-accurate model's; every engine must reproduce them).
+    GOLDEN_D3_LOGICAL_ERRORS_64 = 4
+
+    def per_seed(self, engine):
+        return list(engine._run_seeds(range(self.SHOTS)))
+
+    @pytest.mark.parametrize("changes", [
+        {"trace_cache_batch": False},
+        {"trace_cache_batch_width": 7},
+        {"trace_cache_batch_width": 64},
+        {"trace_cache_max_nodes": 4},
+    ], ids=["serial", "width-7", "width-64", "lru-4"])
+    def test_surface_memory_restarts_and_rejoins(self, changes):
+        from repro.benchlib.surface import decode_logical_z
+        layout, program, kwargs = surface_memory()
+        reference = ShotEngine(program, config=QCPConfig(trace_cache=False),
+                               **kwargs)
+        expected = self.per_seed(reference)
+        engine = ShotEngine(program, config=QCPConfig(**changes), **kwargs)
+        results = self.per_seed(engine)
+        assert results == expected
+        assert sum(decode_logical_z(layout, bits) for bits, _ in
+                   results) == self.GOLDEN_D3_LOGICAL_ERRORS_64
+        cache = engine.trace_cache
+        assert cache.restarts > 0 and cache.rejoins > 0
+        assert cache.hits + cache.misses == self.SHOTS
+        assert cache.resumes <= cache.misses
+
+    @pytest.mark.parametrize("decision", [0, 7, 8, 15],
+                             ids=["first", "round-end", "round-start",
+                                  "last"])
+    def test_snapshot_restores_across_fold_shifted_shots(self, decision):
+        """One shot's snapshot at a quiet MRCE restarts every other
+        shot there, at that shot's own decision time.
+
+        Each cycle-accurate shot keeps, at its ``decision``-th quiet
+        MRCE, the control-stack snapshot, its own QPU state (tableau
+        and both rngs), its delivered bits and its decision time.  Shot
+        B restarted from shot A's snapshot must end exactly as B's
+        full run: same ``total_ns``, same outcomes.  Decisions 7 and 8
+        end and start the d=3 memory's second round.
+        """
+        from repro.qcp.system import QuAPESystem
+        _layout, program, kwargs = surface_memory()
+        engine = ShotEngine(program, config=QCPConfig(trace_cache=False),
+                            **kwargs)
+        qpu = engine._qpu
+        shots = []
+        for seed in range(8):
+            points = []
+
+            def keep(system, points=points):
+                delivered = {}
+                for delivery in system.results.history:
+                    delivered[delivery.qubit] = delivery.value
+                points.append((system.snapshot(), system.kernel.now,
+                               delivered, qpu.state.snapshot(),
+                               qpu._rng.getstate(),
+                               qpu.noise.rng.getstate()))
+            system = QuAPESystem(
+                program=program, config=engine.config, qpu=qpu,
+                n_qubits=engine.n_qubits, memory=engine.memory,
+                table=engine.table, channel_map=engine.channel_map,
+                recorder=[], on_quiet=keep)
+            qpu.restart(seed=seed)
+            total = system.run().total_ns
+            system.kernel.run()
+            last = {}
+            for delivery in system.results.history:
+                last[delivery.qubit] = delivery.value
+            shots.append((points[decision], last, total))
+        times = {point[1] for point, _last, _total in shots}
+        # Past the first decision, some shots took shifted Pauli arms.
+        assert len(times) == 1 if decision == 0 else len(times) > 1
+        for donor, _last, _total in shots:
+            for (point, last, total) in shots:
+                _snapshot, now, delivered, tableau, rng, nrng = point
+                delivered = dict(delivered)
+                qpu.restart()
+                qpu.state.restore(tableau)
+                qpu._rng.setstate(rng)
+                qpu.noise.rng.setstate(nrng)
+                system = QuAPESystem(
+                    program=program, config=engine.config, qpu=qpu,
+                    n_qubits=engine.n_qubits, memory=engine.memory,
+                    table=engine.table, channel_map=engine.channel_map)
+                system.restore(donor[0], now, delivered)
+                _core, scheduler, valid = donor[0]
+                assert system.results.valid_mask() == valid
+                assert system.scheduler.snapshot() == scheduler
+                assert system.run().total_ns == total
+                system.kernel.run()
+                for delivery in system.results.history:
+                    delivered[delivery.qubit] = delivery.value
+                assert delivered == last
+
+    def test_handover_fails_closed_on_a_tableau_mismatch(self,
+                                                         monkeypatch):
+        """A live x/z that is not the node's exit model never rejoins:
+        the run goes on to the end, and every shot stays exact."""
+        from repro.qcp.tracecache import TraceCache
+        compiled = TraceCache._exit_model
+
+        def flipped(self, node, state, noise):
+            x, z = compiled(self, node, state, noise)
+            x = x.copy()
+            x[0, 0] ^= 1
+            return x, z
+        monkeypatch.setattr(TraceCache, "_exit_model", flipped)
+        _layout, program, kwargs = surface_memory()
+        reference = ShotEngine(program, config=QCPConfig(trace_cache=False),
+                               **kwargs)
+        engine = ShotEngine(program,
+                            config=QCPConfig(trace_cache_batch=False),
+                            **kwargs)
+        assert self.per_seed(engine) == self.per_seed(reference)
+        cache = engine.trace_cache
+        assert cache.restarts > 0 and cache.folds > 0
+        assert cache.rejoins == 0
+
+    def test_restart_keeps_earlier_results_valid(self):
+        """A result delivered before the restart node stays readable:
+        the MRCE on q1 resolves synchronously after the restarts."""
+        builder = ProgramBuilder("early_result")
+        builder.qop("h", [1], timing=2)
+        builder.qmeas(1, timing=2)
+        for _ in range(3):
+            builder.qop("h", [0], timing=2)
+            builder.qmeas(0, timing=2)
+            builder.mrce(0, 0, op_if_zero="i", op_if_one="x")
+        builder.mrce(1, 2, op_if_zero="i", op_if_one="x")
+        for qubit in range(3):
+            builder.qmeas(qubit, timing=4)
+        builder.halt()
+        program = builder.build()
+        kwargs = dict(backend="stabilizer", n_qubits=3)
+        reference = ShotEngine(program,
+                               config=scalar_config(trace_cache=False),
+                               **kwargs)
+        engine = ShotEngine(program,
+                            config=scalar_config(trace_cache_batch=False),
+                            **kwargs)
+        assert self.per_seed(engine) == self.per_seed(reference)
+        assert engine.trace_cache.restarts > 0
+
+    def test_rejoined_replay_reads_live_registers(self, monkeypatch):
+        """Branches after the rejoin point read a register and a shared
+        word written before it: the hand-over loads the live register
+        file and shared words."""
+        from repro.qcp.tracecache import TraceCache
+        handed = []
+        rejoin = TraceCache.rejoin
+
+        def spy(self, recorder, qpu):
+            ctx = recorder.handover[2]
+            handed.append((ctx.proc(0).registers.read(7),
+                           ctx.shared.read(5)))
+            return rejoin(self, recorder, qpu)
+        monkeypatch.setattr(TraceCache, "rejoin", spy)
+        builder = ProgramBuilder("live_register")
+        builder.ldi(7, 1)
+        builder.stm(7, 5)
+        for _ in range(3):
+            builder.qop("h", [0], timing=2)
+            builder.qmeas(0, timing=2)
+            builder.mrce(0, 0, op_if_zero="i", op_if_one="x")
+        builder.qop("h", [1], timing=2)
+        builder.qmeas(1, timing=2)
+        builder.fmr(1, 1)
+        builder.ldm(6, 5)
+        for target, register in ((2, 7), (3, 6)):
+            skip = builder.fresh_label("skip")
+            builder.beq(1, register, skip)
+            builder.qop("x", [target], timing=2)
+            builder.label(skip)
+        for qubit in range(4):
+            builder.qmeas(qubit, timing=4)
+        builder.halt()
+        program = builder.build()
+        kwargs = dict(backend="stabilizer", n_qubits=4)
+        reference = ShotEngine(program,
+                               config=scalar_config(trace_cache=False),
+                               **kwargs)
+        engine = ShotEngine(program,
+                            config=scalar_config(trace_cache_batch=False),
+                            **kwargs)
+        assert self.per_seed(engine) == self.per_seed(reference)
+        assert engine.trace_cache.rejoins > 0
+        assert handed and set(handed) == {(1, 1)}
+
+    @pytest.mark.parametrize("label", [1, 5])
+    def test_translation_counterexample_never_rejoins(self, label):
+        program = translation_counterexample(label)
+        kwargs = dict(backend="stabilizer", n_qubits=4)
+        reference = ShotEngine(program,
+                               config=scalar_config(trace_cache=False),
+                               **kwargs)
+        expected = self.per_seed(reference)
+        engine = ShotEngine(program, config=scalar_config(), **kwargs)
+        assert self.per_seed(engine) == expected
+        cache = engine.trace_cache
+        assert cache.folds == cache.rejoins == 0
+
+    def test_classical_write_before_quiet_mrce_takes_no_snapshot(self):
+        builder = ProgramBuilder("classical_first")
+        builder.ldi(4, 5)
+        for _ in range(4):
+            builder.qop("h", [0], timing=2)
+            builder.qop("cnot", [0, 1], timing=2)
+            builder.qmeas(0, timing=2)
+            builder.mrce(0, 0, op_if_zero="i", op_if_one="x")
+        for qubit in range(2):
+            builder.qmeas(qubit, timing=4)
+        builder.halt()
+        program = builder.build()
+        kwargs = dict(backend="stabilizer", n_qubits=2)
+        reference = ShotEngine(program,
+                               config=scalar_config(trace_cache=False),
+                               **kwargs)
+        engine = ShotEngine(program,
+                            config=scalar_config(trace_cache_batch=False),
+                            **kwargs)
+        assert self.per_seed(engine) == self.per_seed(reference)
+        cache = engine.trace_cache
+        assert cache.restarts == 0
+        assert cache.folds > 0 and cache.rejoins > 0
+        assert all(node.snapshot is None for node in path_nodes(cache))
+
+    def test_active_reset_restarts_on_one_scalar_sign_core(self):
+        program = active_reset_program()
+        kwargs = dict(backend="stabilizer", n_qubits=2)
+        reference = ShotEngine(program,
+                               config=scalar_config(trace_cache=False),
+                               **kwargs)
+        engine = ShotEngine(program,
+                            config=scalar_config(trace_cache_batch=False),
+                            **kwargs)
+        assert self.per_seed(engine) == self.per_seed(reference)
+        cache = engine.trace_cache
+        assert cache.restarts > 0 and cache.rejoins > 0
+        assert cache.hits + cache.misses == self.SHOTS
+
+    @pytest.mark.parametrize("cell", [
+        {"n_processors": 2},
+        {"config": scalar_config(fetch_width=4, buffer_capacity=8)},
+        {"config": scalar_config(fast_context_switch=True)},
+        {"backend": "statevector"},
+    ], ids=["two-processors", "fetch-width-4", "fast-switch",
+            "statevector"])
+    def test_no_restart_off_one_scalar_sign_core(self, cell):
+        kwargs = {"backend": "stabilizer", "n_qubits": 2, **cell}
+        config = kwargs.pop("config", scalar_config())
+        program = active_reset_program()
+        reference = ShotEngine(program,
+                               config=config.with_(trace_cache=False),
+                               **kwargs)
+        expected = self.per_seed(reference)
+        for changes in ({"trace_cache_batch": False}, {}):
+            engine = ShotEngine(program, config=config.with_(**changes),
+                                **kwargs)
+            assert self.per_seed(engine) == expected, changes
+            cache = engine.trace_cache
+            assert cache.restarts == cache.rejoins == 0, changes
+            assert all(node.snapshot is None
+                       for node in path_nodes(cache)), changes

@@ -146,8 +146,11 @@ class TestRunShardWorker:
         assert out["pid"] > 0
         assert out["trace_cache"] is not None
         assert out["trace_cache"]["misses"] >= 1
-        # The snapshot carries the fold count; a branch never folds.
+        # The snapshot carries the fold count; a branch never folds,
+        # so no run restarts from a snapshot or rejoins the trie.
         assert out["trace_cache"]["folds"] == 0
+        assert out["trace_cache"]["restarts"] == 0
+        assert out["trace_cache"]["rejoins"] == 0
 
     def test_uncached_shard_reports_no_cache(self):
         payload = self.payload(config={"trace_cache": False})

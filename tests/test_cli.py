@@ -87,6 +87,17 @@ class TestRunCommand:
                     if line.startswith("trace cache:"))
         assert "MRCE decisions folded" in line
 
+    def test_trace_cache_line_reports_restarts_and_rejoins(self, tmp_path,
+                                                           capsys):
+        path = tmp_path / "reset.tqasm"
+        path.write_text(RESET_ASM)
+        assert main(["run", str(path), "--qpu", "stabilizer",
+                     "--width", "1", "--shots", "32"]) == 0
+        line = next(line for line in capsys.readouterr().out.splitlines()
+                    if line.startswith("trace cache:"))
+        assert "restarts from a quiet-decision snapshot" in line
+        assert "rejoins" in line
+
 
 class TestAsmCommand:
     def test_listing_and_table(self, asm_file, capsys):
