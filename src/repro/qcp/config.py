@@ -104,8 +104,8 @@ class QCPConfig:
     #: guaranteed-exact outcome comparisons: every gate, channel
     #: correction and ZZ phase then replays as its own operator on its
     #: own qubits, bit-for-bit what the device applies.  Serial and
-    #: batched replay compile the same step list, so the flag means
-    #: the same for both.
+    #: batched replay run the same compiled program (a serial shot is
+    #: a cohort of one), so the flag means the same for both.
     trace_cache_dense_fusion: bool = True
     #: Replay cached shots in batches: the shot engine hands the trace
     #: cache a whole cohort of shot seeds and the cache walks the trie
@@ -114,10 +114,12 @@ class QCPConfig:
     #: GEMMs on dense ones — instead of once per shot.  Bit-identical
     #: per shot-seed to serial replay (each shot still draws from its
     #: own salted rngs, in the same order); shots whose decision paths
-    #: leave the cached trie fall back to the serial per-shot loop,
-    #: which records the new path as usual.  Fails closed: nodes whose
-    #: programs contain a step the cohort binding does not model are
-    #: replayed serially.
+    #: leave the cached trie fall back to the serial per-shot path,
+    #: which records the new path as usual.  Fails closed: sign nodes
+    #: whose programs contain a classical micro-op the cohort cannot
+    #: partition are replayed serially.  Off, every shot is served on
+    #: its own: a stabilizer shot by the serial sign loop, a dense
+    #: shot as a cohort of one.
     trace_cache_batch: bool = True
     #: Cohort width for batched replay (``None`` = auto: 256 shots —
     #: four machine words per bit-plane row — on stabilizer

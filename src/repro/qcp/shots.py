@@ -19,10 +19,11 @@ straight into the QPU backend, skipping the event kernel entirely
 while producing bit-identical outcomes, histograms and timings.
 Replay itself is compiled per substrate
 (:func:`~repro.qcp.tracecache.replay_mode`): sign-trace programs on
-the stabilizer backend and flat noise-site programs — GEMM-fused
+the stabilizer backend, whose serial loop decides through one
+decide/hit/resume epilogue, and flat noise-site programs — GEMM-fused
 unless ``QCPConfig.trace_cache_dense_fusion`` is off — on the dense
-backend, both funnelling through one shared decide/hit/resume
-epilogue.
+backend, which the cohort walker runs, a serial shot being a cohort
+of one.
 This includes **noisy substrates** (pass ``noise=``): the per-shot
 reseeded noise rng is replayed positionally, and a replay that
 diverges from the trie resumes the cycle-accurate simulation from

@@ -78,9 +78,10 @@ sites the cycle-accurate simulation would:
   idle-decay sites with precomputed durations, resets, live
   measurements with their readout channel and classical ops —
   analogous to the stabilizer ``_S_NOISE`` sites.  The list is bound
-  twice: the serial loop runs zero-argument closures over the live
-  statevector (:meth:`TraceNode.dense_program`), the wavefront loop
-  closures over a cohort (:meth:`TraceNode.batch_dense_program`).
+  once, to closures over a cohort
+  (:meth:`TraceNode.batch_dense_program`), and one wavefront loop runs
+  it: a serial shot is a cohort of one that draws the live device's
+  own rngs (:meth:`TraceCache.replay`).
   Every stochastic step draws exactly as the device's channel does,
   so the replay is draw-for-draw identical; only the *structure*
   (which sites exist, with which constants) is hoisted out of the
@@ -99,10 +100,10 @@ sequence (and with it every delivered outcome, histogram and timing
 under a fixed seed) is identical to unfused replay; intermediate
 amplitudes may differ in the last ulp.  Disable with
 ``QCPConfig.trace_cache_dense_fusion``: every gate, channel correction
-and ZZ phase is then its own step on its own qubits, applied through
-:meth:`~repro.qpu.statevector.StateVector.block_applier`, which is
-bit-for-bit identical to the device's ``apply_unitary`` — amplitudes
-included.
+and ZZ phase is then its own step on its own qubits, applied to each
+cohort row through :func:`~repro.qpu.statevector.batch_block_applier`,
+which is bit-for-bit identical to the device's ``apply_unitary`` —
+amplitudes included.
 
 Readout corruption is drawn exactly as the device draws it, so the
 *delivered* bit (which the control stack keys decisions on) and the
@@ -148,7 +149,7 @@ recorded delivered bits.  Only the divergent suffix is simulated
 against the live backend, after which the newly discovered path is
 recorded into the trie as usual.  The sign-trace replay materializes
 the frontier tableau first (its compile-time x/z model plus the live
-packed sign column) through
+packed sign column), and a dense replay its cohort-of-one row, through
 :meth:`~repro.qpu.backend.SimulationBackend.restore`.  A miss at a
 quiet MRCE on a folding engine skips the prefix re-run altogether (see
 "Restart and rejoin at quiet decisions" below).
@@ -320,9 +321,8 @@ _S_FMR = 6      # (_S_FMR, proc_id, rd, qubit)
 _S_NOISE = 7    # (_S_NOISE, dep_p, per_qubit_masks, pauli_cumulative)
 
 # Compiled *dense step* codes (statevector backend, see
-# _compile_dense_steps): a state-free list that _bind_serial and
-# _bind_cohort turn into closures, so the hot loops are nothing but
-# ``for step in program: step()`` (or ``step(cohort)``).
+# _compile_dense_steps): a state-free list that _bind_cohort turns into
+# closures, so the hot loop is nothing but ``step(cohort)``.
 _V_UNITARY = 0  # (_V_UNITARY, matrix, support)
 _V_CHANNEL = 1  # (_V_CHANNEL, kind, params, ((support, (X, Y, Z)), ...))
 _V_DECAY = 2    # (_V_DECAY, qubit, gamma, sqrt(1 - gamma), p_dephase)
@@ -365,7 +365,9 @@ class ResumePoint:
 
     The backend state, rng positions and (for noisy substrates) the
     device's busy/window bookkeeping are live at the frontier when
-    this is returned; the shot engine wraps the QPU in a
+    this is returned — a dense replay has copied its cohort-of-one row
+    into the device's statevector, and its rngs are the device's own;
+    the shot engine wraps the QPU in a
     :class:`CheckpointQPU` built from this point so the cycle-accurate
     re-run skips the shared prefix, or restarts the control stack at
     ``node`` when it holds a snapshot
@@ -547,18 +549,19 @@ class _CohortState:
 
 
 class _ReplayContext:
-    """Per-shot classical replay state of the serial loops and the
-    dense cohort loop.
+    """Per-shot classical replay state of the serial sign loop and of
+    every dense cohort shot.
 
     Owns the pieces those loops need — the delivered-outcome map, the
     chronological outcome list, the skipped-devop count, the time
     offset of the folds fired (``shift_ns``; ``pauli`` is the fold
     whose Pauli the next node replays first), and the lazily created
     per-processor register facades over one shared register file — so
-    a shot's decision (:func:`_decide`) and the serial
+    a shot's decision (:func:`_decide`) and the serial sign loop's
     decide/hit/resume epilogue (:meth:`TraceCache._epilogue`) are
-    written once against this object.  Sign cohorts keep no per-shot
-    context: their classical state is a :class:`_CohortState`.
+    written once against this object.  Every shot gets a fresh one.
+    Sign cohorts keep no per-shot context: their classical state is a
+    :class:`_CohortState`.
     """
 
     __slots__ = ("config", "delivered", "outcomes", "skip_ops",
@@ -575,28 +578,6 @@ class _ReplayContext:
         self.procs: dict[int, _ReplayProcessor] = {}
         #: The shot has run on the simulator: it is one miss, however
         #: often it rejoins, and its leaf counts no hit.
-        self.simulated = False
-
-    def reset(self) -> None:
-        """Prepare for the next shot, keeping container identity.
-
-        The compiled dense programs capture ``delivered`` and
-        ``outcomes`` *by object* in their closures, so those MUST be
-        cleared in place — replacing them with fresh containers would
-        silently disconnect every already-compiled program.  Anything
-        handed to an earlier consumer is protected by copying on the
-        way out instead: :meth:`TraceCache._resume_point` copies
-        ``outcomes`` and the dense hit path copies ``delivered``.
-        ``shared`` is the exception — nothing compiled captures it
-        (procs re-read it on creation), so it is simply replaced.
-        """
-        self.delivered.clear()
-        self.outcomes.clear()
-        self.skip_ops = 0
-        self.shift_ns = 0
-        self.pauli = None
-        self.shared = SharedRegisters()
-        self.procs.clear()
         self.simulated = False
 
     def proc(self, proc_id: int) -> _ReplayProcessor:
@@ -737,7 +718,6 @@ class TraceNode:
                  "decision_ns", "quiet", "fold", "snapshot",
                  "last_used", "parent", "edge", "lru_prev", "lru_next",
                  "live", "_program", "_program_state", "_exit_xz",
-                 "_dense_program", "_dense_state",
                  "_exit_busy", "_exit_windows",
                  "_bsign_program", "_bsign_state", "_bdense_program")
 
@@ -763,12 +743,10 @@ class TraceNode:
         #: at node exit, the entry state for compiling child nodes and
         #: the tableau half of a divergence-frontier checkpoint.
         self._exit_xz: tuple[np.ndarray, np.ndarray] | None = None
-        self._dense_program: list | None = None
-        self._dense_state: SimulationBackend | None = None
         #: Dense step compilation: the device's busy-until and
         #: drive-window bookkeeping at node exit — the entry state for
-        #: compiling child nodes (under either binding), and what a
-        #: divergence-frontier resume restores into the live device.
+        #: compiling child nodes, and what a divergence-frontier resume
+        #: restores into the live device.
         self._exit_busy: dict[int, int] | None = None
         self._exit_windows: dict[int, tuple[int, int]] | None = None
         #: Batched (wavefront) replay compilations: the sign-trace
@@ -793,7 +771,7 @@ class TraceNode:
         The exit snapshots stay: they depend only on the quantum items,
         so child programs compiled from them remain valid.
         """
-        self._program = self._dense_program = None
+        self._program = None
         self._bsign_program = self._bdense_program = None
 
     def sign_program(self, state: StabilizerState,
@@ -841,8 +819,7 @@ class TraceNode:
         sign trace chains its model tableau.  The exit maps are kept
         on the node so child nodes compile from them and a
         divergence-frontier resume can restore them into the live
-        device; both bindings write the same values, and every walk
-        compiles a parent before its children.
+        device; every walk compiles a parent before its children.
         """
         if parent is None:
             busy: dict[int, int] = {}
@@ -855,24 +832,6 @@ class TraceNode:
         self._exit_busy = busy
         self._exit_windows = windows
         return steps
-
-    def dense_program(self, qpu: SimulatedQPU,
-                      parent: "TraceNode | None", fuse: bool,
-                      ctx: _ReplayContext,
-                      max_qubits: int | None = None) -> list:
-        """This node's serial dense program.
-
-        The step list bound to zero-argument closures over the live
-        statevector, the noise rng and ``ctx`` (the owning cache's
-        persistent replay context), see :func:`_bind_serial`.
-        """
-        state = qpu.state
-        if self._dense_program is None or self._dense_state is not state:
-            self._dense_program = _bind_serial(
-                self._dense_steps(qpu, parent, fuse, max_qubits), qpu,
-                ctx)
-            self._dense_state = state
-        return self._dense_program
 
     def batch_sign_program(self, state: StabilizerState,
                            parent: "TraceNode | None",
@@ -898,14 +857,14 @@ class TraceNode:
                             parent: "TraceNode | None",
                             fuse: bool,
                             max_qubits: int | None = None) -> list:
-        """This node's cohort-taking dense program (batched replay).
+        """This node's dense program: the one binding of its step list.
 
-        The same step list as :meth:`dense_program`, bound to closures
-        over a :class:`_BatchCohort` argument instead of the live
-        state (:func:`_bind_cohort`), so one compilation serves every
-        wavefront (and every ``take``-partitioned sub-cohort) that
-        passes through the node.  The cohort state is never captured,
-        so the program stays valid for the cache's lifetime.
+        The step list (:meth:`_dense_steps`) bound to closures over a
+        :class:`_BatchCohort` argument (:func:`_bind_cohort`), so one
+        compilation serves every wavefront, every ``take``-partitioned
+        sub-cohort and every serial shot (a cohort of one) that passes
+        through the node.  The cohort state is never captured, so the
+        program stays valid for the cache's lifetime.
         """
         if self._bdense_program is None:
             self._bdense_program = _bind_cohort(
@@ -1398,9 +1357,9 @@ def _compile_dense_steps(items: tuple, qpu: SimulatedQPU,
                          max_qubits: int | None = None) -> list:
     """Compile a node's segment into a state-free dense step list.
 
-    The one dense compiler: both :func:`_bind_serial` and
-    :func:`_bind_cohort` bind its output, so timing, channel
-    selection, ZZ windows and fusion are modelled here only.
+    The one dense compiler: :func:`_bind_cohort` binds its output,
+    so timing, channel selection, ZZ windows and fusion are modelled
+    here only.
     ``busy``/``windows`` model :class:`~repro.qpu.device.SimulatedQPU`
     bookkeeping at node entry and are advanced **in place** to the
     node's exit state.  Idle durations and ZZ overlaps are pure
@@ -1527,91 +1486,6 @@ def _compile_dense_steps(items: tuple, qpu: SimulatedQPU,
     return steps
 
 
-def _serial_channel_step(kind: str, params, appliers: tuple, nrng):
-    """One serial step for a stochastic gate-channel site.
-
-    ``appliers`` holds, per site qubit, the (X, Y, Z) correction
-    appliers.  Draw-for-draw ``DepolarizingNoise.apply`` /
-    ``PauliChannel.apply``: one ``random()`` per qubit, plus one
-    ``choice()`` on a depolarizing fire.
-    """
-    if kind == "dep":
-        p = params
-
-        def step() -> None:
-            for triplet in appliers:
-                if nrng.random() < p:
-                    triplet[nrng.choice(_PAULI_INDICES)]()
-    else:  # "pauli"
-        cx, cxy, cxyz = params
-
-        def step() -> None:
-            for triplet in appliers:
-                draw = nrng.random()
-                if draw < cx:
-                    triplet[0]()
-                elif draw < cxy:
-                    triplet[1]()
-                elif draw < cxyz:
-                    triplet[2]()
-    return step
-
-
-def _bind_serial(steps: list, qpu: SimulatedQPU,
-                 ctx: _ReplayContext) -> list:
-    """Bind a dense step list to zero-argument closures (serial loop).
-
-    Unitaries and channel corrections run through
-    :meth:`~repro.qpu.statevector.StateVector.block_applier` on the
-    live statevector; channel sites draw the noise rng like
-    ``DepolarizingNoise``/``PauliChannel``; idle decay, resets and
-    measurements call the device's own state kernels
-    (:meth:`~repro.qpu.statevector.StateVector.apply_decay` with the
-    compiled constants); and
-    classical steps run over ``ctx``, the cache's persistent replay
-    context (reset in place per shot, so the captured containers stay
-    connected).
-    """
-    state = qpu.state
-    nrng = qpu.noise.rng
-    state_measure = state.measure
-    state_decay = state.apply_decay
-    delivered = ctx.delivered
-    outcomes = ctx.outcomes
-    program: list = []
-    for step in steps:
-        code = step[0]
-        if code == _V_UNITARY:
-            program.append(state.block_applier(step[1], step[2]))
-        elif code == _V_CHANNEL:
-            appliers = tuple(
-                tuple(state.block_applier(matrix, support)
-                      for matrix in matrices)
-                for support, matrices in step[3])
-            program.append(_serial_channel_step(step[1], step[2],
-                                                appliers, nrng))
-        elif code == _V_DECAY:
-            program.append(lambda q=step[1], g=step[2], k=step[3],
-                           d=step[4]: state_decay(q, g, k, d, nrng))
-        elif code == _V_RESET:
-            program.append(lambda q=step[1]: state.reset(q))
-        elif code == _V_MEAS:
-            def measure(q=step[1], corrupt=step[2]) -> None:
-                value = state_measure(q)
-                if corrupt is not None:
-                    value = corrupt(value, nrng)
-                delivered[q] = value
-                outcomes.append(value)
-            program.append(measure)
-        elif code == _V_CLS:
-            program.append(lambda run=step[2], pid=step[1]:
-                           run(ctx.proc(pid)))
-        else:  # _V_FMR
-            program.append(lambda pid=step[1], rd=step[2], q=step[3]:
-                           ctx.write_fmr(pid, rd, q))
-    return program
-
-
 class _UnbatchableNode(Exception):
     """A sign node contains a classical micro-op the cohort cannot
     partition (no def/use sets); the wavefront falls back to the serial
@@ -1624,10 +1498,12 @@ class _BatchCohort:
     Pairs the stacked quantum state (:class:`BatchStateVector` row
     ``b``) with shot ``b``'s classical replay context and its two
     seeded rngs — measurement (``random.Random(seed)``) and noise
-    (``random.Random(seed ^ NOISE_SEED_SALT)``), the exact per-shot
-    streams :meth:`~repro.qpu.device.SimulatedQPU.restart` would seed
-    — plus the shot's slot in the caller's result list.  ``take``
-    is the wavefront partition primitive.
+    (``random.Random(seed ^ NOISE_SEED_SALT)``, ``nrngs`` is ``None``
+    on an ideal model), the exact per-shot streams
+    :meth:`~repro.qpu.device.SimulatedQPU.restart` would seed; a serial
+    shot's cohort of one carries the device's own rngs after that
+    restart — plus the shot's slot in the caller's result list.
+    ``take`` is the wavefront partition primitive.
     """
 
     __slots__ = ("batch", "slots", "ctxs", "srngs", "nrngs")
@@ -1820,8 +1696,9 @@ def replay_mode(qpu: SimulatedQPU) -> str | None:
 
     ``"signs"`` (the sign trace, :meth:`TraceNode.sign_program`) on
     the stabilizer tableau under Pauli-only noise; ``"dense"`` (the
-    noise-site program, :meth:`TraceNode.dense_program`) on the
-    statevector under ideal or dense-compilable noise; ``None`` for
+    noise-site program, :meth:`TraceNode.batch_dense_program`, run by
+    cohorts — a serial shot is a cohort of one) on the statevector
+    under ideal or dense-compilable noise; ``None`` for
     every other substrate, which the shot engine then runs
     cycle-accurately — fail closed, since both noise predicates are
     allow-lists.  Evaluated once per engine and stored on its
@@ -2267,11 +2144,13 @@ class TraceCache:
     ``rejoins`` (runs stopped to hand their shot back to replay, see
     "Restart and rejoin at quiet decisions" above).  A shot counts one
     hit or one miss, however often it rejoined.
-    Batched replay adds ``batched_shots`` (the subset of hits
-    completed by a wavefront cohort), ``wavefront_splits`` (cohort
-    partitions at decision points) and ``serial_fallbacks`` (shots a
-    wavefront handed back to the serial per-shot loop — divergences
-    off the cached trie plus unbatchable segments).
+    Batched replay (:meth:`replay_batch`) adds ``batched_shots`` (the
+    subset of hits completed by a wavefront cohort),
+    ``wavefront_splits`` (cohort partitions at decision points) and
+    ``serial_fallbacks`` (shots a wavefront handed back to the serial
+    per-shot path — divergences off the cached trie plus unbatchable
+    segments); the cohort of one that serves a serial dense shot
+    counts none of them.
     """
 
     def __init__(self, config: QCPConfig, mode: str,
@@ -2303,9 +2182,6 @@ class TraceCache:
         #: value is exact; a short stream is topped up on the way.
         self.stream_draws = 0
         self._tick = 0
-        # Persistent replay context for the compiled dense programs
-        # (their closures capture it; reset in place per shot).
-        self._dense_ctx: _ReplayContext | None = None
         # Intrusive recency list (amortized LRU): head side is most
         # recent.  Every non-root node is linked; the root is covered
         # by the current-path rule (its stamp always equals the
@@ -2365,7 +2241,28 @@ class TraceCache:
         qpu.restart(seed=seed)
         if self.mode == "signs":
             return self._replay_signs(node, qpu)
-        return self._replay_dense(node, qpu)
+        # A dense shot is a cohort of one that draws the device's own
+        # rngs, so on a miss both are already at the frontier.
+        ctx = _ReplayContext(self.config)
+        cohort = _BatchCohort(qpu.state.make_batch_state(1), [0], [ctx],
+                              [qpu.state.rng],
+                              None if qpu.noise.is_ideal
+                              else [qpu.noise.rng])
+        results = [None]
+        frontier = self._replay_batch_dense(node, qpu, cohort, results)
+        if results[0] is not None:
+            return results[0]
+        # Move the frontier into the live device: its amplitudes, and
+        # the bookkeeping the resumed cycle-accurate suffix reads (idle
+        # gaps, ZZ windows).
+        qpu.state.restore(cohort.batch.amplitudes[0])
+        qpu._busy_until.clear()
+        qpu._busy_until.update(frontier._exit_busy)
+        qpu._windows.clear()
+        qpu._windows.update(frontier._exit_windows)
+        ctx.skip_ops = sum(ancestor.devops
+                           for ancestor in _ancestry(frontier))
+        return self._resume_point(ctx)
 
     def _resume_point(self, ctx: _ReplayContext,
                       node: TraceNode | None = None) -> ResumePoint:
@@ -2373,25 +2270,23 @@ class TraceCache:
             ctx.simulated = True
             self.misses += 1
             self.resumes += 1
-        # Copy: the dense replay context is reused across shots, so the
-        # ResumePoint must not alias its (soon reset) outcome list; only
-        # the sign loop, whose context is the shot's own, hands it out.
-        return ResumePoint(skip_ops=ctx.skip_ops,
-                           outcomes=list(ctx.outcomes), node=node,
-                           ctx=None if node is None else ctx)
+        # No copy: a context is the shot's own, and nothing appends to
+        # its outcomes once the shot has missed.
+        return ResumePoint(skip_ops=ctx.skip_ops, outcomes=ctx.outcomes,
+                           node=node, ctx=None if node is None else ctx)
 
     def _epilogue(self, node: TraceNode,
                   ctx: _ReplayContext) -> "TraceNode | object | None":
-        """The shared decide/hit/resume tail of both serial loops.
+        """The decide/hit/resume tail of the serial sign loop, shared
+        with the recorder's hand-over back to it
+        (:meth:`TraceRecorder._hand_over`).
 
         Re-computes the node's recorded decision from this shot's own
         state (:func:`_decide`) and returns the child
         :class:`TraceNode` to continue into, the :data:`_HIT` sentinel
         when the shot completed at a recorded leaf (hit counted here),
-        or ``None`` on a trie miss: the caller materializes its
-        mode-specific frontier (sign replay restores the tableau,
-        noise-site replay restores the device bookkeeping) and returns
-        :meth:`_resume_point`.
+        or ``None`` on a trie miss: the sign loop then materializes the
+        frontier tableau and returns :meth:`_resume_point`.
 
         At a folded decision the Pauli arm continues in the identity
         arm's child: the epilogue adds the fold's ``δ`` to the shot's
@@ -2419,49 +2314,6 @@ class TraceCache:
         if child is None or child.items is None:
             return None
         return child
-
-    def _replay_dense(self, node: TraceNode, qpu: SimulatedQPU
-                      ) -> tuple[dict[int, int], int] | ResumePoint:
-        """Dense replay through the compiled noise-site program.
-
-        Every step is prebound (fused unitary runs, idle-decay sites
-        with precomputed durations, channel draws, ZZ windows with
-        precomputed overlaps); measurements execute live with readout
-        corruption so each shot draws its own outcomes.  On a miss,
-        the device's busy/window bookkeeping is restored from the
-        frontier node's compile-time exit maps — the backend state and
-        both rngs are already live at the frontier.
-        """
-        fuse = self.config.trace_cache_dense_fusion
-        width = self.config.fuse_max_qubits
-        ctx = self._dense_ctx
-        if ctx is None:
-            ctx = self._dense_ctx = _ReplayContext(self.config)
-        else:
-            ctx.reset()
-        parent: TraceNode | None = None
-        while True:
-            self._touch(node)
-            ctx.skip_ops += node.devops
-            for step in node.dense_program(qpu, parent, fuse, ctx,
-                                           max_qubits=width):
-                step()
-            nxt = self._epilogue(node, ctx)
-            if nxt is _HIT:
-                # Copy: the context (and its delivered map) is reused
-                # by the next shot, but the caller keeps this result.
-                return dict(ctx.delivered), node.total_ns
-            if nxt is None:
-                # Restore the device bookkeeping the resumed
-                # cycle-accurate suffix will read (idle gaps, ZZ
-                # windows); rngs and backend state are already live.
-                qpu._busy_until.clear()
-                qpu._busy_until.update(node._exit_busy)
-                qpu._windows.clear()
-                qpu._windows.update(node._exit_windows)
-                return self._resume_point(ctx)
-            parent = node
-            node = nxt
 
     def _replay_signs(self, node: TraceNode, qpu: SimulatedQPU,
                       ctx: _ReplayContext | None = None,
@@ -2617,8 +2469,25 @@ class TraceCache:
         qpu.operation_log.clear()
         qpu.timing_violations.clear()
         if self.mode == "signs":
-            return self._replay_batch_signs(node, qpu, seeds, results)
-        return self._replay_batch_dense(node, qpu, seeds, results)
+            self._replay_batch_signs(node, qpu, seeds, results)
+        else:
+            cohort = _BatchCohort(
+                qpu.state.make_batch_state(len(seeds)),
+                list(range(len(seeds))),
+                [_ReplayContext(self.config) for _ in seeds],
+                [random.Random(seed) for seed in seeds],
+                # Channel firings, readout flips and dephasing are the
+                # only noise-rng consumers; an ideal substrate never
+                # draws them, so skip the per-shot Mersenne seeding.
+                None if qpu.noise.is_ideal else
+                [random.Random(seed ^ NOISE_SEED_SALT) for seed in seeds])
+            self._replay_batch_dense(node, qpu, cohort, results)
+        # Every shot ends at a leaf or leaves the cohort for the serial
+        # path, where its slot stays None.
+        fallbacks = results.count(None)
+        self.batched_shots += len(seeds) - fallbacks
+        self.serial_fallbacks += fallbacks
+        return results
 
     def _split_cohort(self, node: TraceNode, slots: list, lanes: int,
                       taken: int) -> list:
@@ -2627,10 +2496,10 @@ class TraceCache:
         The one edge selection of both batched loops.  ``lanes`` is
         the cohort's lane mask (bit ``slot`` for each shot in
         ``slots``) and ``taken`` the lanes whose decision took edge 1.
-        Lanes whose edge leads off the cached trie stay ``None`` for
-        the serial fallback (counted in ``serial_fallbacks``); a
-        cohort that divides across continuations counts
-        ``wavefront_splits``.  Returns ``[(child, rows, child_lanes)]``
+        Lanes whose edge leads off the cached trie get no edge: their
+        results stay ``None`` for the serial path.  A cohort that
+        divides across continuations counts ``wavefront_splits``.
+        Returns ``[(child, rows, child_lanes)]``
         for the surviving sub-cohorts in push order — the edge of the
         cohort's first slot first — with ``rows`` indexing ``slots``.
         A folded node does not split: every lane continues in the
@@ -2648,21 +2517,20 @@ class TraceCache:
                 continue
             child = node.children.get(outcome)
             if child is None or child.items is None:
-                fallback += mask.bit_count()
+                fallback = 1
             elif mask == lanes:
                 edges.append((child, range(len(slots)), mask))
             else:
                 edges.append((child,
                               [row for row, slot in enumerate(slots)
                                if (mask >> slot) & 1], mask))
-        self.serial_fallbacks += fallback
-        parts = len(edges) + (1 if fallback else 0)
+        parts = len(edges) + fallback
         if parts > 1:
             self.wavefront_splits += parts - 1
         return edges
 
     def _replay_batch_signs(self, root: TraceNode, qpu: SimulatedQPU,
-                            seeds: list, results: list) -> list:
+                            seeds: list, results: list) -> None:
         """Wavefront sign-trace replay over integer bit-planes.
 
         The cohort's sign columns are bit-planes: ``planes[row]`` is one
@@ -2751,7 +2619,6 @@ class TraceCache:
                 ops, node_measured, branch_uses, draws = \
                     node.batch_sign_program(state, parent, noise)
             except _UnbatchableNode:
-                self.serial_fallbacks += len(slots)
                 continue
             if offset + draws > drawn:
                 extra = 64 * (offset + draws - drawn)
@@ -2838,7 +2705,6 @@ class TraceCache:
                             for slot in _set_bits(mask):
                                 results[slot] = entry
                 self.hits += len(slots)
-                self.batched_shots += len(slots)
                 continue
             if decision[0] == _D_MRCE:
                 taken = delivered_words[decision[1]] & cmask
@@ -2872,10 +2738,10 @@ class TraceCache:
                               slots if lanes == cmask
                               else [slots[row] for row in rows],
                               measured, lanes, offset, drawn))
-        return results
 
     def _replay_batch_dense(self, root: TraceNode, qpu: SimulatedQPU,
-                            seeds: list, results: list) -> list:
+                            cohort: _BatchCohort, results: list
+                            ) -> TraceNode | None:
         """Wavefront dense replay over a stacked amplitude matrix.
 
         The cohort is a ``(width, 2^n)`` :class:`BatchStateVector`;
@@ -2884,20 +2750,14 @@ class TraceCache:
         reduction over the whole matrix, while outcomes, channel
         firings and readout flips are drawn from each shot's own
         seeded rngs in serial order.  Decision splits gather-copy the
-        partitioned amplitude rows into child cohorts.
+        partitioned amplitude rows into child cohorts.  Fills
+        ``results`` at the leaves and returns the last node where
+        lanes left the trie (``None`` if none did): a cohort of one's
+        divergence frontier (:meth:`replay`).
         """
-        batch = qpu.state.make_batch_state(len(seeds))
         fuse = self.config.trace_cache_dense_fusion
         width = self.config.fuse_max_qubits
-        cohort = _BatchCohort(
-            batch, list(range(len(seeds))),
-            [_ReplayContext(self.config) for _ in seeds],
-            [random.Random(seed) for seed in seeds],
-            # Channel firings, readout flips and dephasing are the only
-            # noise-rng consumers; an ideal substrate never draws them,
-            # so skip the per-shot Mersenne seeding entirely.
-            None if qpu.noise.is_ideal else
-            [random.Random(seed ^ NOISE_SEED_SALT) for seed in seeds])
+        frontier = None
         stack: list[tuple] = [(root, None, cohort)]
         while stack:
             node, parent, cohort = stack.pop()
@@ -2912,17 +2772,19 @@ class TraceCache:
                 for slot, ctx in zip(cohort.slots, cohort.ctxs):
                     results[slot] = (ctx.delivered, node.total_ns)
                 self.hits += len(cohort.slots)
-                self.batched_shots += len(cohort.slots)
                 continue
             lanes = taken = 0
             for slot, ctx in zip(cohort.slots, cohort.ctxs):
                 lanes |= 1 << slot
                 if _decide(decision, ctx):
                     taken |= 1 << slot
-            for child, rows, _lanes in self._split_cohort(
+            for child, rows, child_lanes in self._split_cohort(
                     node, cohort.slots, lanes, taken):
+                lanes ^= child_lanes
                 stack.append((child, node, cohort.take(rows)))
-        return results
+            if lanes:
+                frontier = node
+        return frontier
 
     # -- recording ---------------------------------------------------------
 

@@ -57,7 +57,7 @@ def cached_unitary(name: str,
 #: sharing a qubit) into one pass over the amplitudes.
 FUSE_MAX_QUBITS = 3
 
-#: Register size up to which :meth:`StateVector.block_applier` uses
+#: Register size up to which :func:`batch_block_applier` uses
 #: precomputed gather/scatter index arrays (2 * 8 * 2^n bytes per
 #: distinct permutation, shared through :data:`_GATHER_CACHE`); above
 #: this the indices would rival the statevector itself, so appliers
@@ -253,72 +253,6 @@ class StateVector(SimulationBackend):
             return
         self.apply_unitary(definition.unitary(tuple(params)), qubits)
 
-    def block_applier(self, matrix: np.ndarray,
-                      qubits: tuple[int, ...]) -> Callable[[], None]:
-        """Precompile one k-qubit operator application for replay.
-
-        :meth:`apply_unitary` re-derives the axis permutation, inverse
-        permutation and block shape on every call (the ``moveaxis``
-        round trip); for a compiled replay those are constants.  The
-        k >= 2 closure gathers the amplitudes through a precomputed
-        index permutation (element-for-element the same contiguous
-        copy the ``moveaxis``/``reshape`` round trip produces), runs
-        the same GEMM, and scatters back through the inverse indices —
-        so the arithmetic, and with it every amplitude, is bit-for-bit
-        identical to :meth:`apply_unitary`.  The single-qubit closure
-        precomputes what :meth:`_apply_single_qubit` rebuilds per call
-        (the kron operator below the BLAS crossover) and performs the
-        identical matmul.
-        """
-        k = len(qubits)
-        if k == 1:
-            qubit = qubits[0]
-            inner = 1 << qubit
-            if qubit < self._KRON_THRESHOLD:
-                operator_t = np.kron(matrix,
-                                     np.eye(inner, dtype=complex)).T
-
-                def apply() -> None:
-                    rows = self._amplitudes.reshape(-1, 2 * inner)
-                    self._amplitudes = np.matmul(rows,
-                                                 operator_t).reshape(-1)
-            else:
-
-                def apply() -> None:
-                    blocks = self._amplitudes.reshape(-1, 2, inner)
-                    self._amplitudes = np.matmul(matrix,
-                                                 blocks).reshape(-1)
-
-            return apply
-        n = self.n_qubits
-        axes = [n - 1 - q for q in qubits]
-        rest = [axis for axis in range(n) if axis not in axes]
-        perm = tuple(axes + rest)
-        rows = 1 << k
-        if n <= _GATHER_QUBIT_LIMIT:
-            gather, scatter = _gather_indices(n, perm)
-
-            def apply() -> None:
-                out = matrix @ self._amplitudes[gather].reshape(rows,
-                                                                -1)
-                self._amplitudes = out.ravel()[scatter]
-
-            return apply
-        # Large registers: index arrays would rival the state itself,
-        # so fall back to precomputed-permutation transposes — same
-        # contiguous copies, same GEMM, still bit-identical.
-        inverse = tuple(int(i) for i in np.argsort(perm))
-        tensor_shape = (2,) * n
-
-        def apply() -> None:
-            tensor = self._amplitudes.reshape(tensor_shape)
-            tensor = matrix @ tensor.transpose(perm).reshape(rows, -1)
-            self._amplitudes = np.ascontiguousarray(
-                tensor.reshape(tensor_shape).transpose(inverse)
-            ).reshape(-1)
-
-        return apply
-
     # -- non-unitary operations ------------------------------------------------
 
     def probability_of_one(self, qubit: int) -> float:
@@ -425,14 +359,20 @@ def batch_block_applier(n_qubits: int, matrix: np.ndarray,
                         qubits: tuple[int, ...]) -> Callable:
     """Precompile one k-qubit operator for a whole shot cohort.
 
-    The batched analogue of :meth:`StateVector.block_applier`: the
-    returned closure ``apply(batch, rows=None)`` pushes ``matrix``
+    The returned closure ``apply(batch, rows=None)`` pushes ``matrix``
     through every live state of a :class:`BatchStateVector` as one
     batch GEMM (``rows`` restricts the application to a sub-cohort,
     which is how per-shot stochastic channel corrections and reset
-    flips hit only the shots whose draws fired).  Each per-shot slice
-    runs the same matmul shapes the serial closure runs, so the
-    arithmetic per shot matches the serial replay path.
+    flips hit only the shots whose draws fired).  The axis
+    permutation, its inverse and the block shape that
+    :meth:`StateVector.apply_unitary` re-derives per call are
+    constants here, and each row runs the device's arithmetic: the
+    k >= 2 path gathers the row through precomputed indices (element
+    for element the contiguous copy the ``moveaxis``/``reshape``
+    round trip produces), runs the same GEMM and scatters back, and
+    the single-qubit path runs :meth:`StateVector._apply_single_qubit`'s
+    matmul with its kron operator precomputed — so every row is bit
+    for bit what the device's ``apply_unitary`` leaves.
     """
     k = len(qubits)
     if k == 1:
@@ -484,8 +424,9 @@ def batch_block_applier(n_qubits: int, matrix: np.ndarray,
                 batch._psi[rows] = out
 
         return apply
-    # Large registers: per-shot transposes, the same fallback (and the
-    # same arithmetic) as the serial block applier.
+    # Large registers: index arrays would rival the state itself, so
+    # fall back to per-shot precomputed-permutation transposes — the
+    # same contiguous copies and the same GEMM.
     inverse = tuple(int(i) for i in np.argsort(perm))
     tensor_shape = (2,) * n_qubits
 

@@ -287,6 +287,8 @@ class JobManager:
         loop = asyncio.get_event_loop()
         spec = job.spec
         payload = spec.payload()
+        # The test-only fault fires on a shard's first submission only.
+        retry_payload = dict(payload, fault=None)
         job.status = "running"
         shard_shots = spec.shard_shots or workers.default_shard_shots(
             spec.shots, self.n_workers)
@@ -296,10 +298,10 @@ class JobManager:
                     else loop.time() + spec.timeout_s)
         pending: dict[asyncio.Future, tuple[int, int]] = {}
 
-        def submit_span(span: tuple[int, int]) -> None:
+        def submit_span(span: tuple[int, int], sent: dict) -> None:
             try:
                 future = asyncio.wrap_future(
-                    self._pool.submit(workers.run_shard, payload, *span))
+                    self._pool.submit(workers.run_shard, sent, *span))
             except BrokenProcessPool as exc:
                 # A worker can die while spans are still being
                 # submitted (the pool breaks between two submits).
@@ -310,7 +312,7 @@ class JobManager:
             pending[future] = span
 
         for span in spans:
-            submit_span(span)
+            submit_span(span, payload)
         cancel_wait = asyncio.ensure_future(job.cancel_requested.wait())
         try:
             while pending:
@@ -363,7 +365,7 @@ class JobManager:
                     self._rebuild_pool()
                     for span, shard_result in job.shards.items():
                         if shard_result is None:
-                            submit_span(span)
+                            submit_span(span, retry_payload)
                 if progressed:
                     self._publish_partial(job)
             self._complete(job)

@@ -164,7 +164,8 @@ class JobSpec:
     #: from the other fields, so it is excluded from the identity
     #: keys — the *routed* backend they contain already pins it.
     routing: dict | None = None
-    #: Test-only fault injection consumed by the workers (see
+    #: Test-only fault injection consumed by the workers, validated
+    #: as ``{"kill_shard_start": <int >= 0>}`` (see
     #: ``repro.service.workers``); never part of the job identity.
     fault: dict | None = None
 
@@ -256,8 +257,16 @@ class JobSpec:
                 "bad_job", f"'shard_shots' must be a positive integer, "
                 f"got {shard_shots!r}")
         fault = raw.get("fault")
-        if fault is not None and not isinstance(fault, dict):
-            raise ProtocolError("bad_job", "'fault' must be an object")
+        if fault is not None:
+            start = (fault.get("kill_shard_start")
+                     if isinstance(fault, dict) and len(fault) == 1
+                     else None)
+            if (not isinstance(start, int) or isinstance(start, bool)
+                    or start < 0):
+                raise ProtocolError(
+                    "bad_job", f"'fault' must be an object whose one "
+                    f"key, 'kill_shard_start', is a non-negative "
+                    f"integer, got {fault!r}")
         try:
             parsed = program_from_text(program)
         except Exception as exc:

@@ -17,21 +17,21 @@ re-executed after a crash — produces bit-identical counts.
 Fault injection
 ===============
 
-``run_shard`` honours a test-only ``fault`` payload field::
+``run_shard`` honours a test-only ``fault`` payload field, which the
+front end accepts only in this shape::
 
-    {"kill_shard_start": <start>, "once_token": "<path>"}
+    {"kill_shard_start": <start>}
 
-The first worker to pick up the shard starting at ``kill_shard_start``
-creates the token file and hard-exits, simulating a worker crash
-mid-sweep; because the token then exists, the retried shard runs
-normally.  This is how the test suite proves crash-retry keeps results
-bit-identical.
+The worker that picks up the shard starting at ``kill_shard_start``
+hard-exits, simulating a worker crash mid-sweep.  The job manager
+sends ``fault`` with each shard's first submission only, so the shards
+it resubmits after rebuilding the pool run normally.  This is how the
+test suite proves crash-retry keeps results bit-identical.
 """
 
 from __future__ import annotations
 
 import os
-import pathlib
 from collections import OrderedDict
 
 from repro.qcp.config import QCPConfig
@@ -117,11 +117,7 @@ def _engine_for(payload: dict) -> ShotEngine:
 
 def _maybe_inject_fault(payload: dict, start: int) -> None:
     fault = payload.get("fault")
-    if not fault or fault.get("kill_shard_start") != start:
-        return
-    token = pathlib.Path(fault["once_token"])
-    if not token.exists():
-        token.touch()
+    if fault is not None and fault["kill_shard_start"] == start:
         # Simulate a hard worker crash: no exception, no cleanup.
         os._exit(1)
 

@@ -22,22 +22,23 @@ bit** under a fixed seed:
 * shot batching: lockstep cohorts (bit-plane sign columns on the
   stabilizer backend, batch GEMMs on the statevector backend,
   wavefront trie traversal for control flow) vs the serial per-shot
-  replay loop, at cohort widths that split at every decision and
+  sign replay loop on the stabilizer and the cycle-accurate model on
+  the statevector, at cohort widths that split at every decision and
   widths larger than the shot count.  Dense cohorts run under both
   dense channel stacks, the Pauli one with fusion on and off, so
   cohort ZZ windows, deferred corrections, idle decay and unfused
   cohort steps are differential-tested.
 
 This is the suite guarding edge selection, which lives in two places:
-both serial replay loops (sign-trace, dense noise-site) decide through
-the shared decide/hit/resume epilogue
-(:meth:`repro.qcp.tracecache.TraceCache._epilogue`), and both batched
-loops partition their cohorts through one shared split
-(:meth:`~repro.qcp.tracecache.TraceCache._split_cohort`).  The dense
-cohort loop decides shot by shot; the sign cohort loop decides once per
-distinct combination of register values in the cohort.  A disagreement
-between any two strategies points at a hot-loop specialization or at
-one of the two shared tails.
+the serial sign-trace loop decides through the decide/hit/resume
+epilogue (:meth:`repro.qcp.tracecache.TraceCache._epilogue`), and both
+batched loops partition their cohorts through one shared split
+(:meth:`~repro.qcp.tracecache.TraceCache._split_cohort`); a serial
+dense shot is a cohort of one.  The dense cohort loop decides shot by
+shot; the sign cohort loop decides once per distinct combination of
+register values in the cohort.  A disagreement between any two
+strategies points at a hot-loop specialization or at one of the two
+shared tails.
 
 The accumulator segments are what the trace cache's decision slice
 (only the classical ops a recorded branch depends on are replayed)
@@ -334,11 +335,16 @@ def test_fuzz_batched_replay_matches_serial(program):
     """Shot-batched replay is bit-identical per shot-seed to serial.
 
     Every (backend, noise, fusion, cohort width) cell must reproduce
-    the serial-replay histogram, total_ns and measured-qubit union
-    exactly.  Widths 7 and 64 force wavefront splits at every random
-    decision the generated program takes; width 100 exceeds the shot
-    count; width 1 degenerates to cohorts of one.  Both dense stacks
-    must actually batch, decoherence included.
+    the reference histogram, total_ns and measured-qubit union
+    exactly.  On the stabilizer the reference is serial sign replay
+    (``trace_cache_batch=False``).  On the statevector, where a serial
+    shot runs the cohort walker as a cohort of one, it is the
+    cycle-accurate model (``trace_cache=False``), and the serial
+    engine is one more compared cell.  Widths 7 and 64 force wavefront
+    splits at every random decision the generated program takes;
+    width 100 exceeds the shot count; width 1 degenerates to cohorts
+    of one.  Both dense stacks must actually batch, decoherence
+    included; the serial engine never counts a cohort.
     """
     config = scalar_config()
     for backend, noise_factory, changes in (
@@ -352,8 +358,22 @@ def test_fuzz_batched_replay_matches_serial(program):
             ("statevector", dense_noise, {})):
         serial = cache_engine(program, backend, config, noise_factory,
                               trace_cache_batch=False, **changes)
-        reference = serial.run(BATCH_SHOTS)
-        assert serial.trace_cache.batched_shots == 0
+        serial_result = serial.run(BATCH_SHOTS)
+        cache = serial.trace_cache
+        assert cache.batched_shots == cache.serial_fallbacks == \
+            cache.wavefront_splits == 0
+        if backend == "stabilizer":
+            reference = serial_result
+        else:
+            reference = cache_engine(program, backend, config,
+                                     noise_factory, trace_cache=False,
+                                     **changes).run(BATCH_SHOTS)
+            name = f"{backend}/{noise_factory}/{changes}/serial"
+            assert serial_result.counts == reference.counts, name
+            assert serial_result.total_ns == reference.total_ns, name
+            assert serial_result.measured_qubits == \
+                reference.measured_qubits, name
+            assert cache.hits + cache.misses == BATCH_SHOTS, name
         batched = 0
         for width in BATCH_WIDTHS:
             engine = cache_engine(program, backend, config,
@@ -445,29 +465,34 @@ def test_fuzz_pauli_folds_match_cycle_accurate(program):
 def test_epilogue_is_shared_by_all_replay_modes():
     """Edge selection has exactly two implementations.
 
-    Both serial loops decide through the shared epilogue and both
-    batched loops partition through the one shared cohort split; no
-    other replay code selects a trie edge (the recorder creates
-    edges, stepping along a simulated shot's own outcomes, and its
-    Pauli-arm folds merge them, but neither selects one for a
-    replayed shot; a shot the recorder hands back to replay at a
-    quiet decision gets its edge from the epilogue).  The sign cohort
-    loop builds no per-shot context and names no comparator or ALU
-    function: its decisions run the recorded micro-op closures.
+    The serial sign loop decides through the epilogue and both
+    batched loops partition through the one shared cohort split; a
+    serial dense shot is a cohort of one, so the dense branch of
+    ``replay`` runs the dense cohort walker.  No other replay code
+    selects a trie edge (the recorder creates edges, stepping along a
+    simulated shot's own outcomes, and its Pauli-arm folds merge them,
+    but neither selects one for a replayed shot; a shot the recorder
+    hands back to replay at a quiet decision gets its edge from the
+    epilogue).  The sign cohort loop builds no per-shot context and
+    names no comparator or ALU function: its decisions run the
+    recorded micro-op closures.
 
     Dense compilation has exactly one implementation: the drive-window
     pruning, the ZZ window accounting, the gate-channel selection and
-    GEMM fusion each appear in one function, and both dense bindings
-    (serial and cohort) compile through the one step compiler.
+    GEMM fusion each appear in one function, and the step compiler has
+    exactly one binding, the cohort one.
     """
     import inspect
 
     from repro.qcp import tracecache
 
     cache = tracecache.TraceCache
-    for mode in ("_replay_signs", "_replay_dense"):
-        source = inspect.getsource(getattr(cache, mode))
-        assert "self._epilogue(" in source, f"{mode} bypasses the epilogue"
+    source = inspect.getsource(cache._replay_signs)
+    assert "self._epilogue(" in source, "_replay_signs bypasses the epilogue"
+    source = inspect.getsource(cache.replay)
+    dense = source[source.index('if self.mode == "signs":'):]
+    assert "self._replay_batch_dense(" in dense, (
+        "serial dense replay bypasses the cohort walker")
     for mode in ("_replay_batch_signs", "_replay_batch_dense"):
         source = inspect.getsource(getattr(cache, mode))
         assert "self._split_cohort(" in source, (
@@ -500,13 +525,12 @@ def test_epilogue_is_shared_by_all_replay_modes():
     for kernel in ("stop <= time_ns", "window_events(",
                    "gate_site_specs(", "fuse_into("):
         assert len(holders(kernel)) == 1, (kernel, holders(kernel))
-    # The step compiler's own definition and its one caller.
+    # The step compiler's own definition, its one caller and the one
+    # binding that caller serves.
     assert holders("_compile_dense_steps(") == {"_compile_dense_steps",
                                                 "TraceNode._dense_steps"}
-    for binding in ("dense_program", "batch_dense_program"):
-        source = inspect.getsource(getattr(tracecache.TraceNode, binding))
-        assert "self._dense_steps(" in source, (
-            f"{binding} bypasses the shared dense step compiler")
+    assert holders("self._dense_steps(") == {
+        "TraceNode.batch_dense_program"}
     source = inspect.getsource(cache._replay_batch_signs)
     for banned in ("_COMPARATORS", "_FUNCS", ".taken(", "_ReplayContext",
                    "_decide("):

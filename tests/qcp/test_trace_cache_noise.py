@@ -371,17 +371,29 @@ def random_measured_segment(seed: int, n_qubits: int = 4,
     return tuple(items)
 
 
+def cohort_of_one(qpu):
+    """A serial shot's cohort of one, as :meth:`TraceCache.replay`
+    builds it: one amplitude row, one replay context and the (already
+    restarted) device's own rngs."""
+    from repro.qcp.config import QCPConfig
+    from repro.qcp.tracecache import _BatchCohort, _ReplayContext
+    from repro.qpu.statevector import BatchStateVector
+
+    return _BatchCohort(BatchStateVector(qpu.state.n_qubits, 1), [0],
+                        [_ReplayContext(QCPConfig())], [qpu.state.rng],
+                        None if qpu.noise.is_ideal else [qpu.noise.rng])
+
+
 class TestUnfusedDenseSteps:
     """With fusion off, the compiled dense steps *are* the device."""
 
     def test_serial_binding_matches_device_amplitudes(self):
-        # Each segment runs through SimulatedQPU.apply_gate and through
-        # the serial binding of its unfused step list on an identically
-        # seeded device: amplitudes must be exactly equal (not close),
-        # and both noise rngs must end in the same state.
-        from repro.qcp.config import QCPConfig
-        from repro.qcp.tracecache import (_I_OPS, _ReplayContext,
-                                          _bind_serial,
+        # Each segment runs through SimulatedQPU.apply_gate and, on an
+        # identically seeded device, through the cohort binding of its
+        # unfused step list as a serial shot's cohort of one: the row's
+        # amplitudes must be exactly equal (not close), and both rngs
+        # must end in the same state.
+        from repro.qcp.tracecache import (_I_OPS, _bind_cohort,
                                           _compile_dense_steps)
         from repro.qpu.device import SimulatedQPU
 
@@ -399,11 +411,12 @@ class TestUnfusedDenseSteps:
             steps = _compile_dense_steps(((_I_OPS, ops, times),),
                                          replay, busy, windows,
                                          fuse=False)
-            for step in _bind_serial(steps, replay,
-                                     _ReplayContext(QCPConfig())):
-                step()
+            cohort = cohort_of_one(replay)
+            for step in _bind_cohort(steps, 4):
+                step(cohort)
             assert np.array_equal(device.state.amplitudes,
-                                  replay.state.amplitudes), seed
+                                  cohort.batch.amplitudes[0]), seed
+            assert device._rng.getstate() == replay._rng.getstate(), seed
             assert (device.noise.rng.getstate()
                     == replay.noise.rng.getstate()), seed
             # The compile-time timing model ends where the device does.
@@ -413,12 +426,13 @@ class TestUnfusedDenseSteps:
     def test_cohort_binding_matches_serial_rows(self):
         # A 6-shot cohort through the cohort binding of each segment:
         # row b must equal, exactly, shot b's device amplitudes
-        # (unfused) and shot b's serial binding (fused), with the same
-        # delivered outcomes and both of its rngs in the same state.
+        # (unfused) and shot b's own cohort of one (fused), with the
+        # same delivered outcomes and both of its rngs in the same
+        # state — a shot's arithmetic does not depend on which shots
+        # share its cohort.
         from repro.qcp.config import QCPConfig
         from repro.qcp.tracecache import (_I_OPS, _V_DECAY, _BatchCohort,
                                           _ReplayContext, _bind_cohort,
-                                          _bind_serial,
                                           _compile_dense_steps)
         from repro.qpu.device import SimulatedQPU
         from repro.qpu.noise import NOISE_SEED_SALT
@@ -438,19 +452,22 @@ class TestUnfusedDenseSteps:
                     else:
                         delivered[item[1]] = device.measure(item[2],
                                                             item[1])
-                yield device, delivered
+                yield (device.state.amplitudes, delivered,
+                       device._rng.getstate(),
+                       device.noise.rng.getstate())
 
-        def serial_shots(steps, seeds):
-            # Bound once and restarted per shot, as the cache does.
-            replay = SimulatedQPU(4, noise=decaying_noise())
-            ctx = _ReplayContext(QCPConfig())
-            program = _bind_serial(steps, replay, ctx)
+        def serial_shots(program, seeds):
+            # One restarted device, one cohort of one per shot, as the
+            # cache serves a serial shot.
+            device = SimulatedQPU(4, noise=decaying_noise())
             for seed in seeds:
-                replay.restart(seed=seed)
-                ctx.reset()
+                device.restart(seed=seed)
+                one = cohort_of_one(device)
                 for step in program:
-                    step()
-                yield replay, ctx.delivered
+                    step(one)
+                yield (one.batch.amplitudes[0], one.ctxs[0].delivered,
+                       device._rng.getstate(),
+                       device.noise.rng.getstate())
 
         likely_jumps = 0
         for segment in range(100):
@@ -460,25 +477,25 @@ class TestUnfusedDenseSteps:
                 steps = _compile_dense_steps(
                     items, SimulatedQPU(4, noise=decaying_noise()), {},
                     {}, fuse=fuse)
+                program = _bind_cohort(steps, 4)
                 cohort = _BatchCohort(
                     BatchStateVector(4, 6), list(range(6)),
                     [_ReplayContext(QCPConfig()) for _ in seeds],
                     [random.Random(seed) for seed in seeds],
                     [random.Random(seed ^ NOISE_SEED_SALT)
                      for seed in seeds])
-                for step in _bind_cohort(steps, 4):
+                for step in program:
                     step(cohort)
-                shots = (serial_shots(steps, seeds) if fuse
+                shots = (serial_shots(program, seeds) if fuse
                          else device_shots(items, seeds))
-                for row, (shot, delivered) in enumerate(shots):
+                for row, (amplitudes, delivered, srng,
+                          nrng) in enumerate(shots):
                     name = (segment, fuse, row)
                     assert np.array_equal(cohort.batch.amplitudes[row],
-                                          shot.state.amplitudes), name
+                                          amplitudes), name
                     assert cohort.ctxs[row].delivered == delivered, name
-                    assert (cohort.srngs[row].getstate()
-                            == shot._rng.getstate()), name
-                    assert (cohort.nrngs[row].getstate()
-                            == shot.noise.rng.getstate()), name
+                    assert cohort.srngs[row].getstate() == srng, name
+                    assert cohort.nrngs[row].getstate() == nrng, name
             # The short T1 must make jumps common: count the idle
             # sites whose damping probability exceeds 0.3.
             likely_jumps += sum(step[0] == _V_DECAY and step[2] > 0.3

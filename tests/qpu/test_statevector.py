@@ -161,41 +161,38 @@ def test_inverse_circuit_returns_to_start(gates, qubit):
 def compile_dense(ops, seed=0, max_qubits=None):
     """``ops`` through the trace cache's dense step compiler.
 
-    Compiles one recorded op run for an ideal 4-qubit device seeded
-    with ``seed`` and binds it for serial replay; returns the device,
-    the replay steps and the qubit support of every fused block the
-    compiler emitted.
+    Compiles one recorded op run for an ideal 4-qubit device and binds
+    it to a cohort of one whose measurement rng is seeded with
+    ``seed``; returns the cohort, the bound program and the qubit
+    support of every fused block (``_V_UNITARY`` step) the compiler
+    emitted.
     """
     from repro.qcp.config import QCPConfig
-    from repro.qcp.tracecache import (_I_OPS, _ReplayContext,
-                                      _bind_serial, _compile_dense_steps)
+    from repro.qcp.tracecache import (_I_OPS, _V_UNITARY, _BatchCohort,
+                                      _ReplayContext, _bind_cohort,
+                                      _compile_dense_steps)
     from repro.qpu.device import SimulatedQPU
+    from repro.qpu.statevector import BatchStateVector
 
-    qpu = SimulatedQPU(4, seed=seed)
-    supports = []
-    applier = qpu.state.block_applier
-
-    def recording_applier(matrix, qubits):
-        supports.append(tuple(qubits))
-        return applier(matrix, qubits)
-
-    qpu.state.block_applier = recording_applier
     times = tuple(40 * index for index in range(len(ops)))
-    steps = _bind_serial(
-        _compile_dense_steps(((_I_OPS, tuple(ops), times),), qpu, {}, {},
-                             True, max_qubits=max_qubits),
-        qpu, _ReplayContext(QCPConfig()))
-    return qpu, steps, supports
+    steps = _compile_dense_steps(((_I_OPS, tuple(ops), times),),
+                                 SimulatedQPU(4), {}, {}, True,
+                                 max_qubits=max_qubits)
+    supports = [step[2] for step in steps if step[0] == _V_UNITARY]
+    cohort = _BatchCohort(BatchStateVector(4, 1), [0],
+                          [_ReplayContext(QCPConfig())],
+                          [random.Random(seed)], None)
+    return cohort, _bind_cohort(steps, 4), supports
 
 
 class TestGemmFusion:
-    """GEMM fusion and precompiled block appliers (trace-cache replay).
+    """GEMM fusion (trace-cache replay).
 
-    ``block_applier`` promises *bit-for-bit* identity with
-    ``apply_unitary`` (same GEMM on the same gathered buffer); the
-    dense block compiler promises identical rng draw sequences and
+    The dense block compiler promises identical rng draw sequences and
     measurement outcomes, with amplitudes equal up to last-ulp
-    rounding (matrix products round differently).
+    rounding (matrix products round differently).  The appliers'
+    bit-for-bit identity with ``apply_unitary`` is checked row by row
+    in :class:`TestBatchRows`.
     """
 
     OPS = [
@@ -215,11 +212,11 @@ class TestGemmFusion:
         for seed in range(10):
             sequential = StateVector(4, rng=random.Random(seed))
             sequential.apply_ops(self.OPS)
-            fused, steps, _ = compile_dense(self.OPS, seed)
-            for step in steps:
-                step()
+            cohort, program, _ = compile_dense(self.OPS, seed)
+            for step in program:
+                step(cohort)
             assert np.allclose(sequential.amplitudes,
-                               fused.state.amplitudes)
+                               cohort.batch.amplitudes[0])
 
     def test_fusion_preserves_rng_draws_and_outcomes(self):
         # Resets flush and draw exactly one rng draw each, so the
@@ -227,25 +224,27 @@ class TestGemmFusion:
         for seed in range(20):
             sequential = StateVector(4, rng=random.Random(seed))
             sequential.apply_ops(self.OPS)
-            fused, steps, _ = compile_dense(self.OPS, seed)
-            for step in steps:
-                step()
+            cohort, program, _ = compile_dense(self.OPS, seed)
+            for step in program:
+                step(cohort)
+            # The fused row, measured on with the rng the cohort drew.
+            fused = StateVector(4, rng=cohort.srngs[0])
+            fused.restore(cohort.batch.amplitudes[0])
             for qubit in range(4):
-                assert sequential.measure(qubit) == \
-                    fused.state.measure(qubit)
+                assert sequential.measure(qubit) == fused.measure(qubit)
 
     def test_block_compiler_respects_support_bound(self):
-        _, steps, supports = compile_dense(self.OPS, max_qubits=2)
+        _, program, supports = compile_dense(self.OPS, max_qubits=2)
         assert supports
         assert all(len(support) <= 2 for support in supports)
         # Resets survive as explicit steps (they consume an rng draw).
-        assert len(steps) == len(supports) + 1
+        assert len(program) == len(supports) + 1
 
     def test_block_compiler_folds_single_qubit_runs(self):
         run = [("gate", "h", (1,), ()), ("gate", "t", (1,), ()),
                ("gate", "s", (1,), ()), ("gate", "x", (1,), ())]
-        _, steps, supports = compile_dense(run)
-        assert len(steps) == 1
+        _, program, supports = compile_dense(run)
+        assert len(program) == 1
         assert supports == [(1,)]
 
     def test_lift_matches_direct_application(self):
@@ -266,39 +265,6 @@ class TestGemmFusion:
             lifted.apply_unitary(_lift(matrix, gate_qubits, (0, 1, 2)),
                                  (0, 1, 2))
             assert np.allclose(direct.amplitudes, lifted.amplitudes)
-
-    @pytest.mark.parametrize("qubits", [(0,), (3,), (5,), (1, 4),
-                                        (4, 1), (0, 2, 5)])
-    def test_block_applier_bit_identical_to_apply_unitary(self, qubits):
-        # The contract is exact equality, not allclose: the applier
-        # must run the same GEMM over the same gathered buffer.
-        rng = np.random.default_rng(11)
-        k = len(qubits)
-        raw = (rng.normal(size=(1 << k, 1 << k))
-               + 1j * rng.normal(size=(1 << k, 1 << k)))
-        matrix, _ = np.linalg.qr(raw)
-        vector = rng.normal(size=64) + 1j * rng.normal(size=64)
-        vector /= np.linalg.norm(vector)
-        reference = StateVector(6)
-        compiled = StateVector(6)
-        reference._amplitudes[:] = vector
-        compiled._amplitudes[:] = vector
-        reference.apply_unitary(matrix, qubits)
-        compiled.block_applier(matrix, qubits)()
-        assert np.array_equal(reference.amplitudes, compiled.amplitudes)
-
-    def test_block_applier_single_qubit_matches_fast_path(self):
-        from repro.qpu.statevector import cached_unitary
-        for qubit in range(6):  # spans the kron/BLAS crossover
-            reference = StateVector(6, rng=random.Random(3))
-            compiled = StateVector(6, rng=random.Random(3))
-            for state in (reference, compiled):
-                state.apply_gate("h", (qubit,))
-            matrix = cached_unitary("t")
-            reference._apply_single_qubit(matrix, qubit)
-            compiled.block_applier(matrix, (qubit,))()
-            assert np.array_equal(reference.amplitudes,
-                                  compiled.amplitudes)
 
 
 def random_amplitudes(rng: np.random.Generator, shape) -> np.ndarray:
@@ -408,15 +374,20 @@ class TestDecayKernel:
 
 
 class TestBatchRows:
-    """Cohort rows must reduce exactly like the serial vector."""
+    """Cohort rows must compute and reduce exactly like the device."""
 
+    @pytest.mark.parametrize("width", [1, 6])
     @pytest.mark.parametrize("n, qubits", [
-        (6, (0,)), (6, (5,)), (6, (1, 4)), (6, (4, 1, 2)), (9, (8, 0)),
+        (6, (0,)), (6, (3,)), (6, (4,)), (6, (5,)), (6, (1, 4)),
+        (6, (4, 1)), (6, (0, 2, 5)), (6, (4, 1, 2)), (9, (8, 0)),
         (15, (3, 12))])
-    def test_applier_rows_keep_serial_probabilities(self, n, qubits):
+    def test_applier_rows_keep_serial_probabilities(self, n, qubits,
+                                                    width):
         # Every applier kind (kron and BLAS single-qubit, gather and
-        # transpose k-qubit) must leave the rows C-contiguous, so each
-        # row's P(1) reduction equals the serial one exactly.
+        # transpose k-qubit) must leave each row bit-for-bit what the
+        # device's apply_unitary (its _apply_single_qubit fast path
+        # for k = 1) leaves, and C-contiguous, so each row's P(1)
+        # reduction equals the serial one exactly.
         from repro.qpu.statevector import (BatchStateVector,
                                            batch_block_applier)
         rng = np.random.default_rng(n * 31 + len(qubits))
@@ -424,15 +395,15 @@ class TestBatchRows:
         raw = (rng.normal(size=(1 << k, 1 << k))
                + 1j * rng.normal(size=(1 << k, 1 << k)))
         matrix, _ = np.linalg.qr(raw)
-        rows = random_amplitudes(rng, (6, 1 << n))
-        batch = BatchStateVector(n, 6)
+        rows = random_amplitudes(rng, (width, 1 << n))
+        batch = BatchStateVector(n, width)
         batch._psi[:] = rows
         batch_block_applier(n, matrix, qubits)(batch)
         p_one = [batch.probability_of_one(qubit) for qubit in range(n)]
-        for row in range(6):
+        for row in range(width):
             serial = StateVector(n)
             serial._amplitudes[:] = rows[row]
-            serial.block_applier(matrix, qubits)()
+            serial.apply_unitary(matrix, qubits)
             assert np.array_equal(batch.amplitudes[row],
                                   serial.amplitudes)
             for qubit in range(n):

@@ -71,6 +71,12 @@ class TestValidation:
         (job(program=NO_MEASURE_ASM), "no_measurements"),
         (job(config={"artifact_cache_dir": "/tmp/x"}), "bad_config"),
         (job(config={"artifact_cache_max_bytes": 1}), "bad_config"),
+        (job(fault={"kill_shard_start": 0, "once_token": "/tmp/x"}),
+         "bad_job"),
+        (job(fault="kill"), "bad_job"),
+        (job(fault={"kill_shard_start": -1}), "bad_job"),
+        (job(fault={"kill_shard_start": True}), "bad_job"),
+        (job(fault={}), "bad_job"),
     ])
     def test_rejections_carry_machine_readable_codes(self, raw, code):
         with pytest.raises(ProtocolError) as excinfo:

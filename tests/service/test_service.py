@@ -91,19 +91,16 @@ class TestBitIdentityMatrix:
 
 class TestWorkerCrashRetry:
     def test_killed_worker_shard_is_retried_bit_identically(
-            self, client, service, tmp_path):
+            self, client):
         from repro.service.protocol import result_from_payload
 
-        token = tmp_path / f"kill-once-{service.n_workers}"
         event = client.submit({
             "program": BRANCHY, "shots": SHOTS,
             "backend": "stabilizer", "shard_shots": 6,
-            "fault": {"kill_shard_start": 6,
-                      "once_token": str(token)}})
+            "fault": {"kill_shard_start": 6}})
         result = result_from_payload(event["result"])
         serial = serial_reference("stabilizer", False, True)
-        assert token.exists()  # the fault really fired
-        assert event["retries"] >= 1
+        assert event["retries"] >= 1  # the fault really fired
         assert result.counts == serial.counts
         assert result.total_ns == serial.total_ns
 
