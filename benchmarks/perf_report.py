@@ -2,10 +2,11 @@
 
 Runs the shot-throughput suite through the compile-once
 :class:`~repro.qcp.shots.ShotEngine` three times — trace cache
-disabled (every shot cycle-accurate), enabled with the serial per-shot
-replay loop, and enabled with shot-batched cohort replay (bit-plane
-sign columns / batch GEMMs, auto-sized cohorts) — and writes the rates
-as JSON so future PRs have a comparable perf trajectory.  Workloads:
+disabled (every shot cycle-accurate), enabled with one ``run_shot``
+per seed (the serial per-shot replay loop), and enabled through
+``run`` (shot-batched cohort replay: bit-plane sign columns / batch
+GEMMs, auto-sized cohorts) — and writes the rates as JSON so future
+PRs have a comparable perf trajectory.  Workloads:
 
 * repetition-chain syndrome memories from 9 to 101 qubits (ideal
   substrate);
@@ -21,8 +22,7 @@ as JSON so future PRs have a comparable perf trajectory.  Workloads:
   superscalar mix — and the surface-code d=3/d=5 memories at the
   standard noise point (with their seeded golden logical error counts);
 * a **dense-replay sweep** on the statevector backend through the
-  compiled noise-site program: the ideal chain fused vs unfused, and
-  the noisy chain.
+  compiled noise-site program: the ideal chain and the noisy chain.
 
 Usage::
 
@@ -99,19 +99,21 @@ def chain_noise_model() -> NoiseModel:
 def _measure(program, n_qubits: int, trace_cache: bool, shots: int,
              noise_factory=None, max_nodes: int | None = None,
              backend: str = "stabilizer", batch: bool = False,
-             profile: DeviceProfile | None = None,
-             **config_changes) -> tuple[float, ShotEngine]:
-    # Serial replay is the measured baseline: batching stays off
-    # unless this call is the explicit batched measurement.
+             profile: DeviceProfile | None = None
+             ) -> tuple[float, ShotEngine]:
+    # Serial replay is the measured baseline: shots go one run_shot at
+    # a time unless this call is the explicit batched measurement.
     config = scalar_config(trace_cache=trace_cache,
-                           trace_cache_max_nodes=max_nodes,
-                           trace_cache_batch=batch,
-                           **config_changes)
+                           trace_cache_max_nodes=max_nodes)
     noise = noise_factory() if noise_factory is not None else None
     engine = ShotEngine(program, config=config, backend=backend,
                         n_qubits=n_qubits, noise=noise, profile=profile)
     start = time.perf_counter()
-    engine.run(shots)
+    if batch:
+        engine.run(shots)
+    else:
+        for seed in range(shots):
+            engine.run_shot(seed)
     elapsed = time.perf_counter() - start
     return shots / elapsed, engine
 
@@ -251,55 +253,31 @@ def measure_calibrated_workload(program, n_qubits: int,
 def measure_dense_workload(program, n_qubits: int,
                            uncached_shots: int, cached_shots: int,
                            noise_factory=None) -> dict:
-    """One dense (statevector) sweep entry.
-
-    On the ideal substrate the entry also compares GEMM fusion on vs
-    off; a noisy entry reports the compiled noise-site program against
-    the cycle-accurate rate only.
-    """
+    """One dense (statevector) sweep entry: the compiled (GEMM-fused)
+    noise-site program, serially and in cohorts, against the
+    cycle-accurate rate."""
     uncached_rate, _ = _measure(program, n_qubits, False,
                                 uncached_shots, noise_factory,
                                 backend="statevector")
-    entry = {
+    cached_rate, engine = _measure(program, n_qubits, True, cached_shots,
+                                   noise_factory, backend="statevector")
+    batched_rate, batched_engine = _measure(
+        program, n_qubits, True, cached_shots, noise_factory,
+        backend="statevector", batch=True)
+    return {
         "qubits": n_qubits,
         "backend": "statevector",
         "noisy": noise_factory is not None,
         "uncached_shots_per_s": round(uncached_rate, 2),
-    }
-    if noise_factory is None:
-        unfused_rate, _ = _measure(program, n_qubits, True,
-                                   cached_shots, backend="statevector",
-                                   trace_cache_dense_fusion=False)
-        fused_rate, engine = _measure(program, n_qubits, True,
-                                      cached_shots,
-                                      backend="statevector")
-        entry.update({
-            "unfused_shots_per_s": round(unfused_rate, 2),
-            "cached_shots_per_s": round(fused_rate, 2),
-            "speedup": round(fused_rate / uncached_rate, 1),
-            "fusion_speedup": round(fused_rate / unfused_rate, 2),
-        })
-    else:
-        compiled_rate, engine = _measure(program, n_qubits, True,
-                                         cached_shots, noise_factory,
-                                         backend="statevector")
-        entry.update({
-            "cached_shots_per_s": round(compiled_rate, 2),
-            "speedup": round(compiled_rate / uncached_rate, 1),
-        })
-    batched_rate, batched_engine = _measure(
-        program, n_qubits, True, cached_shots, noise_factory,
-        backend="statevector", batch=True)
-    entry.update({
+        "cached_shots_per_s": round(cached_rate, 2),
+        "speedup": round(cached_rate / uncached_rate, 1),
         "batched_shots_per_s": round(batched_rate, 2),
         "batch_width": auto_batch_width(batched_engine._qpu),
-        "batch_speedup": round(
-            batched_rate / entry["cached_shots_per_s"], 2),
-    })
-    entry["trace_cache"] = _cache_stats(engine.trace_cache)
-    entry["batched_trace_cache"] = _cache_stats(
-        batched_engine.trace_cache, batched=True)
-    return entry
+        "batch_speedup": round(batched_rate / cached_rate, 2),
+        "trace_cache": _cache_stats(engine.trace_cache),
+        "batched_trace_cache": _cache_stats(
+            batched_engine.trace_cache, batched=True),
+    }
 
 
 def measure_service_sweep(quick: bool = False) -> dict:
@@ -463,17 +441,16 @@ def run_suite(quick: bool = False) -> dict:
             workloads[f"surface_d{distance}_{layout.n_qubits}q"] = entry
     workloads["service_sweep"] = measure_service_sweep(quick)
     return {
-        "schema": "bench-shots/v10",
+        "schema": "bench-shots/v11",
         "description": ("Shot throughput of the compile-once ShotEngine "
                         "with the cycle-accurate simulator (uncached) vs "
                         "trace-cache replay (cached = serial per-shot "
                         "loop, batched = lockstep cohorts at the "
                         "reported batch_width), on ideal and noisy "
-                        "substrates; ideal dense entries compare "
-                        "GEMM-fused against unfused replay; the "
-                        "service_sweep entry shards a cycle-accurate-"
-                        "bound sweep across the shot-sweep service's "
-                        "worker pool and reports per-worker-count "
+                        "substrates; the service_sweep entry shards a "
+                        "cycle-accurate-bound sweep across the "
+                        "shot-sweep service's worker pool and reports "
+                        "per-worker-count "
                         "speedup over the serial engine (results "
                         "asserted bit-identical first); v7 adds "
                         "the SDK-authored dynamic workloads (teleport "
@@ -490,7 +467,11 @@ def run_suite(quick: bool = False) -> dict:
                         "entries' device_replay_shots_per_s and "
                         "speedup_vs_device_replay, whose replay loop "
                         "no longer exists; v10 drops the artifact "
-                        "warm-start entries."),
+                        "warm-start entries; v11 drops the ideal dense "
+                        "entries' unfused_shots_per_s and "
+                        "fusion_speedup: dense replay always fuses, "
+                        "and the cached rates serve one run_shot per "
+                        "seed."),
         "config": {"backend": "stabilizer + statevector (dense sweep)",
                    "chain_rounds": CHAIN_ROUNDS,
                    "noise": "PauliChannel(px=1e-3) + "

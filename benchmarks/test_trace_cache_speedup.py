@@ -27,17 +27,21 @@ IDENTITY_SHOTS = 25
 CHAIN_DATA, CHAIN_QUBITS = 26, 51
 
 
-def rate(program, n_qubits: int, trace_cache: bool, shots: int):
-    # Batching off: this sweep measures the *serial* replay loop the
-    # PR 2 speedup figures were taken against; the batched cohort
-    # engine has its own benchmark below.
-    engine = ShotEngine(program,
-                        config=scalar_config(trace_cache=trace_cache,
-                                             trace_cache_batch=False),
-                        backend="stabilizer", n_qubits=n_qubits)
+def serial_rate(engine, shots: int):
+    """Shots/s and per-seed results of ``engine`` serving seeds one
+    ``run_shot`` at a time: the *serial* replay loop the first
+    trace-cache speedup figures were taken against (the batched cohort
+    engine has its own benchmark below)."""
     start = time.perf_counter()
-    result = engine.run(shots)
-    return shots / (time.perf_counter() - start), result, engine
+    results = [engine.run_shot(seed) for seed in range(shots)]
+    return shots / (time.perf_counter() - start), results
+
+
+def rate(program, n_qubits: int, trace_cache: bool, shots: int):
+    engine = ShotEngine(program,
+                        config=scalar_config(trace_cache=trace_cache),
+                        backend="stabilizer", n_qubits=n_qubits)
+    return serial_rate(engine, shots) + (engine,)
 
 
 def sweep():
@@ -55,8 +59,7 @@ def sweep():
         rows[name] = {
             "uncached": uncached, "cached": cached,
             "speedup": cached / uncached,
-            "identical": (replayed.counts == ref.counts
-                          and replayed.total_ns == ref.total_ns),
+            "identical": replayed == ref,
             "cache": engine.trace_cache,
         }
     return rows
@@ -99,13 +102,10 @@ def noisy_sweep():
 
     def noisy_rate(trace_cache: bool, shots: int):
         engine = ShotEngine(
-            chain, config=scalar_config(trace_cache=trace_cache,
-                                        trace_cache_batch=False),
+            chain, config=scalar_config(trace_cache=trace_cache),
             backend="stabilizer", n_qubits=25,
             noise=chain_noise_model())
-        start = time.perf_counter()
-        result = engine.run(shots)
-        return shots / (time.perf_counter() - start), result, engine
+        return serial_rate(engine, shots) + (engine,)
 
     uncached, _, _ = noisy_rate(False, UNCACHED_SHOTS)
     cached, _, engine = noisy_rate(True, CACHED_SHOTS)
@@ -114,8 +114,7 @@ def noisy_sweep():
     return {
         "uncached": uncached, "cached": cached,
         "speedup": cached / uncached,
-        "identical": (replayed.counts == ref.counts
-                      and replayed.total_ns == ref.total_ns),
+        "identical": replayed == ref,
         "cache": engine.trace_cache,
     }
 
@@ -152,28 +151,26 @@ def batched_sweep():
 
     Both engines replay the *same* trie on the same ideal stabilizer
     substrate; only the shot loop differs (bit-plane cohorts advanced
-    in lockstep vs one `_replay_signs` pass per shot), so the rate
-    ratio isolates the batching win.  Rates are interleaved best-of-3
-    so clock drift and CPU contention hit both strategies alike.
+    in lockstep by ``run`` vs one `_replay_signs` pass per
+    ``run_shot``), so the rate ratio isolates the batching win.  Rates
+    are interleaved best-of-3 so clock drift and CPU contention hit
+    both strategies alike.
     """
     chain = build_repetition_chain_program(5, rounds=6, encode_one=True)
 
-    def engine_for(**config_changes):
-        engine = ShotEngine(chain,
-                            config=scalar_config(**config_changes),
+    def warm_engine():
+        engine = ShotEngine(chain, config=scalar_config(),
                             backend="stabilizer", n_qubits=9)
         engine.run(50)  # warm the trie and the compiled sign programs
         return engine
 
-    serial_engine = engine_for(trace_cache_batch=False)
-    batched_engine = engine_for()
-    serial_rate = batched_rate = 0.0
+    serial_engine = warm_engine()
+    batched_engine = warm_engine()
+    best_serial = batched_rate = 0.0
     shots = 3000
     for _ in range(3):
-        start = time.perf_counter()
-        serial_engine.run(shots)
-        serial_rate = max(serial_rate,
-                          shots / (time.perf_counter() - start))
+        best_serial = max(best_serial,
+                          serial_rate(serial_engine, shots)[0])
         start = time.perf_counter()
         batched_engine.run(shots)
         batched_rate = max(batched_rate,
@@ -189,8 +186,8 @@ def batched_sweep():
     batched = histogram()
     cache = batched_engine.trace_cache
     return {
-        "serial": serial_rate, "batched": batched_rate,
-        "speedup": batched_rate / serial_rate,
+        "serial": best_serial, "batched": batched_rate,
+        "speedup": batched_rate / best_serial,
         "identical": (batched.counts == reference.counts
                       and batched.total_ns == reference.total_ns),
         "cache": cache,
@@ -211,7 +208,7 @@ def test_batched_replay_throughput(benchmark, report):
     """
     data = benchmark.pedantic(batched_sweep, rounds=1, iterations=1)
     cache = data["cache"]
-    report("trace_cache_batched", format_table(
+    report("trace_cache_cohorts", format_table(
         ["workload", "serial-replay shots/s", "batched shots/s",
          "speedup", "batched shots (splits)", "bit-identical"],
         [["chain_9q_r6",

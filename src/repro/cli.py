@@ -63,13 +63,6 @@ def _config_from_args(args: argparse.Namespace):
     max_nodes = getattr(args, "trace_cache_max_nodes", None)
     if max_nodes is not None:
         config = config.with_(trace_cache_max_nodes=max_nodes)
-    if getattr(args, "no_dense_fusion", False):
-        config = config.with_(trace_cache_dense_fusion=False)
-    if getattr(args, "no_batch_shots", False):
-        config = config.with_(trace_cache_batch=False)
-    batch_width = getattr(args, "batch_shots", None)
-    if batch_width is not None:
-        config = config.with_(trace_cache_batch_width=batch_width)
     profile_path = getattr(args, "device_profile", None)
     if profile_path is not None:
         config = config.with_(device_profile=profile_path)
@@ -115,9 +108,6 @@ def command_run(args: argparse.Namespace) -> int:
 _CACHE_FLAGS = (
     ("no_trace_cache", "--no-trace-cache"),
     ("trace_cache_max_nodes", "--trace-cache-max-nodes"),
-    ("no_dense_fusion", "--no-dense-fusion"),
-    ("batch_shots", "--batch-shots"),
-    ("no_batch_shots", "--no-batch-shots"),
 )
 
 
@@ -167,11 +157,7 @@ def _run_shots(program, args: argparse.Namespace) -> int:
     print(f"{result.shots} shots on the {substrate} substrate, "
           f"{engine.qubit_count} qubits, {result.total_ns} ns total")
     if engine.routing is not None:
-        line = f"routing: {engine.routing.reason}"
-        if engine.routing.fuse_max_qubits is not None:
-            line += (f"; fusion widened to "
-                     f"{engine.routing.fuse_max_qubits} qubits")
-        print(line)
+        print(f"routing: {engine.routing.reason}")
     if engine.profile is not None:
         profile = engine.profile
         print(f"device profile: {profile.name or '<unnamed>'} "
@@ -321,25 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
              "recently-used decision paths once the trie exceeds N "
              "nodes (default: unbounded; useful for high-path-entropy "
              "workloads such as fair-coin RUS loops)")
-    run_parser.add_argument(
-        "--no-dense-fusion", action="store_true",
-        help="replay dense (statevector) trace-cache segments gate by "
-             "gate instead of through GEMM-fused block operators; "
-             "fusion perturbs amplitudes in the last ulp, so outcome "
-             "identity with the cycle-accurate path is almost-sure "
-             "(~2^-50 per measurement) rather than exact — use this "
-             "flag when exactness must be structural")
-    run_parser.add_argument(
-        "--batch-shots", type=int, default=None, metavar="N",
-        help="cohort width for shot-batched trace-cache replay: "
-             "advance N shots in lockstep per cached pass (bit-plane "
-             "sign columns on the stabilizer backend, batch GEMMs on "
-             "the statevector backend; default: auto-sized from the "
-             "qubit count)")
-    run_parser.add_argument(
-        "--no-batch-shots", action="store_true",
-        help="replay cached shots one at a time instead of in "
-             "lockstep cohorts (results are bit-identical either way)")
     run_parser.set_defaults(entry=command_run)
 
     asm_parser = commands.add_parser(

@@ -14,7 +14,14 @@ from dataclasses import dataclass, replace
 
 @dataclass(frozen=True)
 class QCPConfig:
-    """All tunable microarchitecture parameters."""
+    """All tunable microarchitecture parameters.
+
+    Besides the paper's parameters it carries the QPU substrate and two
+    trace-cache switches, ``trace_cache`` and the memory bound
+    ``trace_cache_max_nodes``.  How the shot engine replays (cohort
+    width, GEMM fusion) follows from the substrate and never changes a
+    result, so it is not configured here.
+    """
 
     # -- clock -----------------------------------------------------------
     clock_period_ns: int = 10
@@ -71,11 +78,6 @@ class QCPConfig:
     #: The profile *content* (not the path) is part of the service's
     #: engine identity.
     device_profile: str | None = None
-    #: Fused-block width cap for dense trace-cache replay (``None`` =
-    #: :data:`repro.qpu.statevector.FUSE_MAX_QUBITS`).  The ``"auto"``
-    #: router widens it to the register size for small registers,
-    #: where one fused GEMM beats several narrow ones.
-    fuse_max_qubits: int | None = None
 
     # -- shot execution -----------------------------------------------------
     #: Cache executed shot traces in a decision-keyed trie and replay
@@ -90,42 +92,11 @@ class QCPConfig:
     #: cannot cache: those without a compiled replay mode (see
     #: :func:`repro.qcp.tracecache.replay_mode`) and custom
     #: ``qpu_factory`` devices, which are opaque to the recorder.
+    #: Warm seed ranges replay in cohorts of
+    #: :func:`repro.qcp.tracecache.auto_batch_width`, and dense
+    #: segments always replay GEMM-fused (see
+    #: :func:`repro.qpu.statevector.fusion_width`).
     trace_cache: bool = True
-    #: Fuse consecutive recorded unitaries of a dense (statevector)
-    #: trace-cache replay segment into precomposed operators (GEMM
-    #: fusion, see :func:`repro.qpu.statevector.fuse_into`).  Fusion
-    #: happens only *within* a decision-free run (one trie node) and
-    #: never consumes rng draws, but it perturbs amplitudes in the
-    #: last ulp (matrix products round differently) — so a delivered
-    #: outcome can differ from cycle-accurate execution only if a
-    #: measurement draw lands inside that few-ulp probability window
-    #: (~2^-50 per measurement; no fixed-seed test suite has ever
-    #: observed one).  Disable for exact amplitude-level or
-    #: guaranteed-exact outcome comparisons: every gate, channel
-    #: correction and ZZ phase then replays as its own operator on its
-    #: own qubits, bit-for-bit what the device applies.  Serial and
-    #: batched replay run the same compiled program (a serial shot is
-    #: a cohort of one), so the flag means the same for both.
-    trace_cache_dense_fusion: bool = True
-    #: Replay cached shots in batches: the shot engine hands the trace
-    #: cache a whole cohort of shot seeds and the cache walks the trie
-    #: as a *wavefront*, executing every compiled segment once for the
-    #: live cohort — bit-plane XORs on stabilizer substrates, batch
-    #: GEMMs on dense ones — instead of once per shot.  Bit-identical
-    #: per shot-seed to serial replay (each shot still draws from its
-    #: own salted rngs, in the same order); shots whose decision paths
-    #: leave the cached trie fall back to the serial per-shot path,
-    #: which records the new path as usual.  Fails closed: sign nodes
-    #: whose programs contain a classical micro-op the cohort cannot
-    #: partition are replayed serially.  Off, every shot is served on
-    #: its own: a stabilizer shot by the serial sign loop, a dense
-    #: shot as a cohort of one.
-    trace_cache_batch: bool = True
-    #: Cohort width for batched replay (``None`` = auto: 256 shots —
-    #: four machine words per bit-plane row — on stabilizer
-    #: substrates, memory-capped on dense ones; see
-    #: :func:`~repro.qcp.tracecache.auto_batch_width`).
-    trace_cache_batch_width: int | None = None
     #: LRU bound on trace-cache trie nodes (``None`` = unbounded).
     #: High-path-entropy workloads — RUS loops driven by fair coins —
     #: record a new path per novel decision sequence; the bound evicts
@@ -156,11 +127,6 @@ class QCPConfig:
         if self.trace_cache_max_nodes is not None \
                 and self.trace_cache_max_nodes < 1:
             raise ValueError("trace-cache node bound must be positive")
-        if self.trace_cache_batch_width is not None \
-                and self.trace_cache_batch_width < 1:
-            raise ValueError("trace-cache batch width must be positive")
-        if self.fuse_max_qubits is not None and self.fuse_max_qubits < 1:
-            raise ValueError("fused-block width must be positive")
 
     @property
     def is_superscalar(self) -> bool:

@@ -17,10 +17,7 @@ the workload —
 A calibrated :class:`~repro.qpu.profile.DeviceProfile` may pin a
 backend (``"backend"`` key in the profile JSON); the pin wins over the
 program analysis, because a calibration is measured against one
-physical modality.  On dense registers small enough that one fused
-GEMM beats several narrow ones (``3 < n_qubits <= 6``), routing also
-widens the trace-cache fusion block to the register size — the
-adaptive ``fuse_max_qubits`` the decision carries.
+physical modality.
 
 Routing is a pure function of (program, noise, profile, register
 size): the decision is computed once per engine, stored on it, carried
@@ -38,11 +35,6 @@ from repro.isa.program import Program
 from repro.qpu.stabilizer import (_CLIFFORD_DECOMPOSITIONS,
                                   _TWO_QUBIT_DECOMPOSITIONS)
 
-#: Register size above which adaptive fusion stops widening blocks: an
-#: n-qubit fused operator is a 2^n x 2^n GEMM per application, so past
-#: a handful of qubits wider blocks cost more than they save.
-ADAPTIVE_FUSION_LIMIT = 6
-
 #: Canonical names the stabilizer tableau represents exactly.
 CLIFFORD_GATES = (frozenset(_CLIFFORD_DECOMPOSITIONS)
                   | frozenset(_TWO_QUBIT_DECOMPOSITIONS))
@@ -58,17 +50,15 @@ class RoutingDecision:
     ``backend`` is the routed substrate name (never ``"auto"``);
     ``reason`` is a one-line human-readable justification;
     ``clifford_only`` is the program analysis result independent of
-    what was ultimately chosen; ``fuse_max_qubits`` is the adaptive
-    fusion width, or ``None`` when the default cap applies; ``forced``
-    is set when a device profile pinned the backend and the program
-    analysis was overridden.
+    what was ultimately chosen; ``forced`` is set when a device
+    profile pinned the backend and the program analysis was
+    overridden.
     """
 
     backend: str
     reason: str
     clifford_only: bool
     n_qubits: int
-    fuse_max_qubits: int | None = None
     forced: bool = False
 
     def as_dict(self) -> dict:
@@ -106,12 +96,6 @@ def is_clifford_program(program: Program) -> bool:
     return True
 
 
-def _adaptive_fuse_width(backend: str, n_qubits: int) -> int | None:
-    if backend == "statevector" and 3 < n_qubits <= ADAPTIVE_FUSION_LIMIT:
-        return n_qubits
-    return None
-
-
 def route_backend(program: Program, n_qubits: int,
                   noise=None, profile=None) -> RoutingDecision:
     """Pick the substrate for ``backend="auto"`` (see module docstring).
@@ -128,9 +112,7 @@ def route_backend(program: Program, n_qubits: int,
             backend=backend,
             reason=f"device profile {profile.name or '<unnamed>'!s} "
                    f"pins {backend!r}",
-            clifford_only=clifford, n_qubits=n_qubits,
-            fuse_max_qubits=_adaptive_fuse_width(backend, n_qubits),
-            forced=True)
+            clifford_only=clifford, n_qubits=n_qubits, forced=True)
     if clifford and (noise is None or noise.is_pauli_only):
         return RoutingDecision(
             backend="stabilizer",
@@ -142,7 +124,5 @@ def route_backend(program: Program, n_qubits: int,
                   "amplitudes: dense statevector")
     else:
         reason = "non-Clifford gates present: dense statevector"
-    return RoutingDecision(
-        backend="statevector", reason=reason,
-        clifford_only=clifford, n_qubits=n_qubits,
-        fuse_max_qubits=_adaptive_fuse_width("statevector", n_qubits))
+    return RoutingDecision(backend="statevector", reason=reason,
+                           clifford_only=clifford, n_qubits=n_qubits)

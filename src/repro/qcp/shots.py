@@ -20,10 +20,11 @@ while producing bit-identical outcomes, histograms and timings.
 Replay itself is compiled per substrate
 (:func:`~repro.qcp.tracecache.replay_mode`): sign-trace programs on
 the stabilizer backend, whose serial loop decides through one
-decide/hit/resume epilogue, and flat noise-site programs — GEMM-fused
-unless ``QCPConfig.trace_cache_dense_fusion`` is off — on the dense
-backend, which the cohort walker runs, a serial shot being a cohort
-of one.
+decide/hit/resume epilogue, and flat GEMM-fused noise-site programs
+on the dense backend, which the cohort walker runs, a serial shot
+being a cohort of one.  A sweep replays its warm shots in cohorts
+(:meth:`ShotEngine._run_seeds`); how wide, and how wide a fused
+block, follows from the substrate, not from the config.
 This includes **noisy substrates** (pass ``noise=``): the per-shot
 reseeded noise rng is replayed positionally, and a replay that
 diverges from the trie resumes the cycle-accurate simulation from
@@ -285,10 +286,9 @@ class ShotEngine:
                 "custom qpu_factory builds its own devices")
         self.profile = profile
         # -- automatic backend routing (backend="auto") ------------------
-        # Resolved once, before the QPU is built: the routed name (and
-        # the adaptive fusion width it may carry) is what flows into
-        # the device and the engine identity — "auto" itself never
-        # reaches make_backend.
+        # Resolved once, before the QPU is built: the routed name is
+        # what flows into the device and the engine identity — "auto"
+        # itself never reaches make_backend.
         self.routing: RoutingDecision | None = None
         if self.backend == "auto":
             if qpu_factory is not None:
@@ -300,10 +300,6 @@ class ShotEngine:
             self.routing = route_backend(program, self.qubit_count,
                                          noise=preview, profile=profile)
             self.backend = self.routing.backend
-            if (self.routing.fuse_max_qubits is not None
-                    and self.config.fuse_max_qubits is None):
-                self.config = self.config.with_(
-                    fuse_max_qubits=self.routing.fuse_max_qubits)
         # -- compile-once artifacts, shared by every shot ----------------
         self.memory = InstructionMemory(program)
         self.table = BlockInfoTable(program, mode=dependency_mode)
@@ -413,28 +409,23 @@ class ShotEngine:
     def _run_seeds(self, seeds: range):
         """Yield each seed's (last results, ns) in seed order.
 
-        With batching enabled (``QCPConfig.trace_cache_batch``) the
-        first seed runs serially to warm the trie, then the remaining
-        seeds go to the trace cache in cohorts of
-        ``trace_cache_batch_width`` (default: substrate-dependent, see
-        :func:`~repro.qcp.tracecache.auto_batch_width`): the cache
+        With a trace cache the first seed runs alone to warm the trie,
+        then the remaining seeds go to the cache in cohorts of
+        :func:`~repro.qcp.tracecache.auto_batch_width`: the cache
         replays each cohort as one wavefront over the trie and hands
         back ``None`` for shots that diverged off the cached paths or
         hit an unbatchable segment — those fall back to
         :meth:`run_shot`, which records their new paths as usual.
-        Every shot is bit-identical to its serial ``run_shot(seed)``
-        either way, so histograms and timings depend on neither the
-        batch width nor how a sweep is sharded into seed ranges.
+        Every shot is bit-identical to its own ``run_shot(seed)``, so
+        histograms and timings depend on neither the cohort width nor
+        how a sweep is sharded into seed ranges.
         """
         cache = self.trace_cache
-        if (cache is None or not self.config.trace_cache_batch
-                or len(seeds) < 2):
+        if cache is None or len(seeds) < 2:
             for seed in seeds:
                 yield self.run_shot(seed)
             return
-        width = self.config.trace_cache_batch_width
-        if width is None:
-            width = auto_batch_width(self._qpu)
+        width = auto_batch_width(self._qpu)
         yield self.run_shot(seeds[0])
         index = 1
         while index < len(seeds):

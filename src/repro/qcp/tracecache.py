@@ -93,17 +93,20 @@ Dense GEMM fusion
 
 Decision-free unitary runs on the statevector backend are fused into
 precomposed block operators (:class:`_DenseBlockCompiler`) before
-replay — one batched matmul per run instead of one dispatch per gate.
+replay — one batched matmul per run instead of one dispatch per gate,
+on blocks as wide as :func:`~repro.qpu.statevector.fusion_width`
+allows for the register.
 Fusion is keyed per :class:`TraceNode` and never crosses a decision,
 a measurement, a reset, or a state-reading noise site, so the rng draw
 sequence (and with it every delivered outcome, histogram and timing
 under a fixed seed) is identical to unfused replay; intermediate
-amplitudes may differ in the last ulp.  Disable with
-``QCPConfig.trace_cache_dense_fusion``: every gate, channel correction
-and ZZ phase is then its own step on its own qubits, applied to each
-cohort row through :func:`~repro.qpu.statevector.batch_block_applier`,
-which is bit-for-bit identical to the device's ``apply_unitary`` —
-amplitudes included.
+amplitudes may differ in the last ulp.  The compiler's private
+``fuse=False`` mode, which the amplitude-exactness tests use, makes
+every gate, channel correction and ZZ phase its own step on its own
+qubits, applied to each cohort row through
+:func:`~repro.qpu.statevector.batch_block_applier`, which is
+bit-for-bit identical to the device's ``apply_unitary`` — amplitudes
+included.
 
 Readout corruption is drawn exactly as the device draws it, so the
 *delivered* bit (which the control stack keys decisions on) and the
@@ -275,16 +278,14 @@ from repro.circuit.gates import lookup_gate
 from repro.qcp.config import QCPConfig
 from repro.qcp.decode import LOC_REG, LOC_SHARED
 from repro.qcp.registers import RegisterFile, SharedRegisters
-from repro.qpu.backend import SimulationBackend
 from repro.qpu.device import SimulatedQPU
 from repro.qpu.noise import NOISE_SEED_SALT, NoiseModel
 from repro.qpu.stabilizer import (StabilizerState,
                                   _CLIFFORD_DECOMPOSITIONS,
                                   _TWO_QUBIT_DECOMPOSITIONS)
-from repro.qpu.statevector import (BatchStateVector, FUSE_MAX_QUBITS,
-                                   StateVector, _lift,
+from repro.qpu.statevector import (BatchStateVector, StateVector, _lift,
                                    batch_block_applier, cached_unitary,
-                                   fuse_into)
+                                   fuse_into, fusion_width)
 
 # Chronological-stream entry tags (recording side).  REC_GATE/REC_RESET
 # double as the BackendOp kind strings, so a recorded entry's first
@@ -717,9 +718,8 @@ class TraceNode:
     __slots__ = ("items", "decision", "children", "total_ns", "devops",
                  "decision_ns", "quiet", "fold", "snapshot",
                  "last_used", "parent", "edge", "lru_prev", "lru_next",
-                 "live", "_program", "_program_state", "_exit_xz",
-                 "_exit_busy", "_exit_windows",
-                 "_bsign_program", "_bsign_state", "_bdense_program")
+                 "live", "_program", "_exit_xz", "_exit_busy",
+                 "_exit_windows", "_bsign_program", "_bdense_program")
 
     def __init__(self) -> None:
         self.items: tuple | None = None
@@ -738,7 +738,6 @@ class TraceNode:
         self.lru_next: TraceNode | None = None
         self.live: frozenset | None = None
         self._program: list | None = None
-        self._program_state: SimulationBackend | None = None
         #: Stabilizer sign-trace compilation: model (x, z) bit matrices
         #: at node exit, the entry state for compiling child nodes and
         #: the tableau half of a divergence-frontier checkpoint.
@@ -753,7 +752,6 @@ class TraceNode:
         #: program with masks re-expressed as bit-plane row indices,
         #: and the dense step list bound to cohort-taking closures.
         self._bsign_program: list | None = None
-        self._bsign_state: SimulationBackend | None = None
         self._bdense_program: list | None = None
 
     def live_items(self) -> tuple:
@@ -789,7 +787,7 @@ class TraceNode:
         noisy gate; the compile-time model tableau is chained from the
         parent node's exit snapshot.
         """
-        if self._program is None or self._program_state is not state:
+        if self._program is None:
             if parent is None:
                 n = state.n_qubits
                 rows = 2 * n + 1
@@ -805,11 +803,10 @@ class TraceNode:
                                                state.n_qubits, x, z,
                                                noise)
             self._exit_xz = (x, z)
-            self._program_state = state
         return self._program
 
-    def _dense_steps(self, qpu: SimulatedQPU, parent: "TraceNode | None",
-                     fuse: bool, max_qubits: int | None) -> list:
+    def _dense_steps(self, qpu: SimulatedQPU,
+                     parent: "TraceNode | None") -> list:
         """Compile this node's state-free dense step list.
 
         The device's busy-until map and drive-window bookkeeping are
@@ -828,7 +825,7 @@ class TraceNode:
             busy = dict(parent._exit_busy)
             windows = dict(parent._exit_windows)
         steps = _compile_dense_steps(self.live_items(), qpu, busy,
-                                     windows, fuse, max_qubits)
+                                     windows)
         self._exit_busy = busy
         self._exit_windows = windows
         return steps
@@ -848,15 +845,12 @@ class TraceNode:
         when a micro-op has no def/use sets.
         """
         serial = self.sign_program(state, parent, noise)
-        if self._bsign_program is None or self._bsign_state is not state:
+        if self._bsign_program is None:
             self._bsign_program = _batch_sign_ops(serial, self.decision)
-            self._bsign_state = state
         return self._bsign_program
 
     def batch_dense_program(self, qpu: SimulatedQPU,
-                            parent: "TraceNode | None",
-                            fuse: bool,
-                            max_qubits: int | None = None) -> list:
+                            parent: "TraceNode | None") -> list:
         """This node's dense program: the one binding of its step list.
 
         The step list (:meth:`_dense_steps`) bound to closures over a
@@ -868,8 +862,7 @@ class TraceNode:
         """
         if self._bdense_program is None:
             self._bdense_program = _bind_cohort(
-                self._dense_steps(qpu, parent, fuse, max_qubits),
-                qpu.state.n_qubits)
+                self._dense_steps(qpu, parent), qpu.state.n_qubits)
         return self._bdense_program
 
 
@@ -884,8 +877,7 @@ class _Fold:
     arm's programs serve both arms.
     """
 
-    __slots__ = ("edge", "op", "delta_ns", "_program", "_batch",
-                 "_state")
+    __slots__ = ("edge", "op", "delta_ns", "_program", "_batch")
 
     def __init__(self, edge: int, op: tuple, delta_ns: int) -> None:
         self.edge = edge
@@ -893,19 +885,17 @@ class _Fold:
         self.delta_ns = delta_ns
         self._program: list | None = None
         self._batch: list | None = None
-        self._state: SimulationBackend | None = None
 
     def sign_program(self, node: TraceNode, state: StabilizerState,
                      noise: NoiseModel) -> list:
         """The Pauli's serial sign ops, after ``node`` (the folded
         decision node, whose program is compiled)."""
-        if self._program is None or self._state is not state:
+        if self._program is None:
             x, z = node._exit_xz
             self._program = _compile_sign_node(
                 ((_I_OPS, (self.op,), (0,)),), state.n_qubits, x.copy(),
                 z.copy(), noise)
             self._batch = _batch_sign_ops(self._program, None)[0]
-            self._state = state
         return self._program
 
     def batch_sign_program(self, node: TraceNode, state: StabilizerState,
@@ -1283,12 +1273,10 @@ class _DenseBlockCompiler:
     site's corrections are the bare Paulis on their own qubits.
     """
 
-    def __init__(self, steps: list, fuse: bool,
-                 max_qubits: int | None = None) -> None:
+    def __init__(self, steps: list, fuse: bool, max_qubits: int) -> None:
         self.steps = steps
         self.fuse = fuse
-        self.max_qubits = (FUSE_MAX_QUBITS if max_qubits is None
-                           else max_qubits)
+        self.max_qubits = max_qubits
         self.support: tuple[int, ...] = ()
         self.matrix: np.ndarray | None = None
         #: Deferred sites: (kind, params, site_qubits, prefix, support)
@@ -1353,8 +1341,7 @@ class _DenseBlockCompiler:
 def _compile_dense_steps(items: tuple, qpu: SimulatedQPU,
                          busy: dict[int, int],
                          windows: dict[int, tuple[int, int]],
-                         fuse: bool,
-                         max_qubits: int | None = None) -> list:
+                         fuse: bool = True) -> list:
     """Compile a node's segment into a state-free dense step list.
 
     The one dense compiler: :func:`_bind_cohort` binds its output,
@@ -1368,13 +1355,15 @@ def _compile_dense_steps(items: tuple, qpu: SimulatedQPU,
     preserving bit-identity of every draw and delivered outcome.
 
     Unitary runs are GEMM-fused through channel sites
-    (:class:`_DenseBlockCompiler`) and ZZ windows enter the fusion
-    stream as per-pair conditional-phase unitaries; with ``fuse``
-    unset every gate, channel correction and ZZ phase is its own
-    step on its own qubits.  State-*reading* sites — idle decay
-    (amplitude damping depends on the live excited-state
-    probability), resets and measurements — always flush the open
-    block.  An unknown gate-channel site kind raises (fail closed).
+    (:class:`_DenseBlockCompiler`), up to the register's
+    :func:`~repro.qpu.statevector.fusion_width`, and ZZ windows enter
+    the fusion stream as per-pair conditional-phase unitaries; with
+    ``fuse`` unset (the amplitude-exactness tests) every gate, channel
+    correction and ZZ phase is its own step on its own qubits.
+    State-*reading* sites — idle decay (amplitude damping depends on
+    the live excited-state probability), resets and measurements —
+    always flush the open block.  An unknown gate-channel site kind
+    raises (fail closed).
     """
     noise = qpu.noise
     decoherence = noise.decoherence
@@ -1382,7 +1371,8 @@ def _compile_dense_steps(items: tuple, qpu: SimulatedQPU,
     readout = noise.readout
     duration_of = qpu.gate_duration_ns
     steps: list = []
-    block = _DenseBlockCompiler(steps, fuse, max_qubits)
+    block = _DenseBlockCompiler(steps, fuse,
+                                fusion_width(qpu.state.n_qubits))
 
     def decay_sites(time_ns: int, qubits: tuple[int, ...]) -> None:
         # Mirrors SimulatedQPU._decay_idle, resolving at compile time
@@ -2755,15 +2745,12 @@ class TraceCache:
         lanes left the trie (``None`` if none did): a cohort of one's
         divergence frontier (:meth:`replay`).
         """
-        fuse = self.config.trace_cache_dense_fusion
-        width = self.config.fuse_max_qubits
         frontier = None
         stack: list[tuple] = [(root, None, cohort)]
         while stack:
             node, parent, cohort = stack.pop()
             self._touch(node)
-            for step in node.batch_dense_program(qpu, parent, fuse,
-                                                 max_qubits=width):
+            for step in node.batch_dense_program(qpu, parent):
                 step(cohort)
             decision = node.decision
             if decision is None:

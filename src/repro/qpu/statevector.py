@@ -57,6 +57,18 @@ def cached_unitary(name: str,
 #: sharing a qubit) into one pass over the amplitudes.
 FUSE_MAX_QUBITS = 3
 
+
+def fusion_width(n_qubits: int) -> int:
+    """The fused-block width cap on an ``n_qubits`` register.
+
+    The whole register on 4 to 6 qubits, where one fused GEMM beats
+    several narrow ones; :data:`FUSE_MAX_QUBITS` otherwise, since an
+    n-qubit block is a 2^n x 2^n GEMM per application and past a
+    handful of qubits wider blocks cost more than they save.
+    """
+    return n_qubits if FUSE_MAX_QUBITS < n_qubits <= 6 else FUSE_MAX_QUBITS
+
+
 #: Register size up to which :func:`batch_block_applier` uses
 #: precomputed gather/scatter index arrays (2 * 8 * 2^n bytes per
 #: distinct permutation, shared through :data:`_GATHER_CACHE`); above

@@ -239,20 +239,22 @@ class JobSpec:
             raise ProtocolError("bad_noise", "'noise' must be an object")
         noise_model = build_noise_model(noise)
         n_processors = raw.get("n_processors", 1)
-        if not isinstance(n_processors, int) or n_processors < 1:
+        if not isinstance(n_processors, int) \
+                or isinstance(n_processors, bool) or n_processors < 1:
             raise ProtocolError(
                 "bad_job", f"'n_processors' must be a positive "
                 f"integer, got {n_processors!r}")
         timeout_s = raw.get("timeout_s")
         if timeout_s is not None and (
                 not isinstance(timeout_s, (int, float))
-                or timeout_s <= 0):
+                or isinstance(timeout_s, bool) or timeout_s <= 0):
             raise ProtocolError(
                 "bad_job", f"'timeout_s' must be positive, "
                 f"got {timeout_s!r}")
         shard_shots = raw.get("shard_shots")
         if shard_shots is not None and (
-                not isinstance(shard_shots, int) or shard_shots < 1):
+                not isinstance(shard_shots, int)
+                or isinstance(shard_shots, bool) or shard_shots < 1):
             raise ProtocolError(
                 "bad_job", f"'shard_shots' must be a positive integer, "
                 f"got {shard_shots!r}")
@@ -338,9 +340,8 @@ class JobSpec:
             "shots": self.shots,
             "seed": self.seed,
             # Raw, not routed: a worker engine given "auto" re-derives
-            # the same decision (pure function of the payload) *and*
-            # applies its adaptive fusion width, which a pre-resolved
-            # name would lose.
+            # the same decision (a pure function of the payload) and
+            # keeps it on the engine, so a worker's /stats reports it.
             "backend": self.backend,
             "config": self.config,
             "noise": self.noise,

@@ -15,7 +15,9 @@ bit** under a fixed seed:
 * noise: ideal, Pauli+readout (both backends), the full dense
   channel stack (statevector only) and that stack without decoherence
   but with a Pauli channel (statevector only);
-* dense replay flavours: GEMM fusion on/off and an LRU-bounded trie;
+* dense replay flavours: the fused step program and an LRU-bounded
+  trie (the unfused steps are pinned against the device amplitude for
+  amplitude in ``tests/qcp/test_trace_cache_noise.py``);
 * Pauli-arm MRCE folds: arms drawn from ``i``/``x``/``y``/``z``,
   quiet and non-quiet resolutions, and the one folding engine (one
   scalar sign-trace core) against cells that must decline;
@@ -24,10 +26,10 @@ bit** under a fixed seed:
   wavefront trie traversal for control flow) vs the serial per-shot
   sign replay loop on the stabilizer and the cycle-accurate model on
   the statevector, at cohort widths that split at every decision and
-  widths larger than the shot count.  Dense cohorts run under both
-  dense channel stacks, the Pauli one with fusion on and off, so
-  cohort ZZ windows, deferred corrections, idle decay and unfused
-  cohort steps are differential-tested.
+  widths larger than the shot count (both reached directly, through
+  ``tests/replay_paths.py``).  Dense cohorts run under both dense
+  channel stacks, so cohort ZZ windows, deferred corrections and idle
+  decay are differential-tested.
 
 This is the suite guarding edge selection, which lives in two places:
 the serial sign-trace loop decides through the decide/hit/resume
@@ -61,6 +63,7 @@ from repro.qcp import ShotEngine, scalar_config, superscalar_config
 from repro.qpu.noise import (DecoherenceNoise, DepolarizingNoise,
                              NoiseModel, PauliChannel, ReadoutError,
                              ZZCrosstalk)
+from tests.replay_paths import served
 
 #: Clifford-only pool so both backends execute every program.
 GATES = ("h", "x", "s", "z", "y90", "cnot")
@@ -290,17 +293,14 @@ def test_fuzz_pauli_noise_both_backends(program):
 @given(control_flow_programs(), st.booleans())
 def test_fuzz_dense_noise_replay_flavours(program, superscalar):
     """Full dense channel stack: every noisy-dense replay flavour —
-    compiled noise-site program fused and unfused, LRU-bounded —
-    against the cycle-accurate reference."""
+    the compiled noise-site program, LRU-bounded or not — against the
+    cycle-accurate reference."""
     config = superscalar_config(4) if superscalar else scalar_config()
     engines = {
         "uncached": cache_engine(program, "statevector", config,
                                  dense_noise, trace_cache=False),
-        "compiled-fused": cache_engine(program, "statevector", config,
-                                       dense_noise),
-        "compiled-unfused": cache_engine(
-            program, "statevector", config, dense_noise,
-            trace_cache_dense_fusion=False),
+        "compiled": cache_engine(program, "statevector", config,
+                                 dense_noise),
         "compiled-lru": cache_engine(
             program, "statevector", config, dense_noise,
             trace_cache_max_nodes=4),
@@ -334,63 +334,53 @@ BATCH_WIDTHS = (1, 7, 64, 100)
 def test_fuzz_batched_replay_matches_serial(program):
     """Shot-batched replay is bit-identical per shot-seed to serial.
 
-    Every (backend, noise, fusion, cohort width) cell must reproduce
-    the reference histogram, total_ns and measured-qubit union
-    exactly.  On the stabilizer the reference is serial sign replay
-    (``trace_cache_batch=False``).  On the statevector, where a serial
-    shot runs the cohort walker as a cohort of one, it is the
-    cycle-accurate model (``trace_cache=False``), and the serial
-    engine is one more compared cell.  Widths 7 and 64 force wavefront
-    splits at every random decision the generated program takes;
-    width 100 exceeds the shot count; width 1 degenerates to cohorts
-    of one.  Both dense stacks must actually batch, decoherence
-    included; the serial engine never counts a cohort.
+    Every (backend, noise, cohort width) cell must reproduce the
+    reference per seed, results and total_ns alike.  On the stabilizer
+    the reference is serial sign replay (one ``run_shot`` per seed).
+    On the statevector, where a serial shot runs the cohort walker as
+    a cohort of one, it is the cycle-accurate model
+    (``trace_cache=False``), and the serial engine is one more
+    compared cell.  Widths 7 and 64 force wavefront splits at every
+    random decision the generated program takes; width 100 exceeds
+    the shot count; width 1 degenerates to cohorts of one.  Both dense
+    stacks must actually batch, decoherence included; the serial
+    engine never counts a cohort.
     """
     config = scalar_config()
-    for backend, noise_factory, changes in (
-            ("stabilizer", None, {}),
-            ("statevector", None, {}),
-            ("stabilizer", pauli_noise, {}),
-            ("statevector", pauli_noise, {}),
-            ("statevector", pauli_dense_noise, {}),
-            ("statevector", pauli_dense_noise,
-             {"trace_cache_dense_fusion": False}),
-            ("statevector", dense_noise, {})):
-        serial = cache_engine(program, backend, config, noise_factory,
-                              trace_cache_batch=False, **changes)
-        serial_result = serial.run(BATCH_SHOTS)
+    seeds = range(BATCH_SHOTS)
+    for backend, noise_factory in (
+            ("stabilizer", None),
+            ("statevector", None),
+            ("stabilizer", pauli_noise),
+            ("statevector", pauli_noise),
+            ("statevector", pauli_dense_noise),
+            ("statevector", dense_noise)):
+        name = f"{backend}/{noise_factory}"
+        serial = cache_engine(program, backend, config, noise_factory)
+        serial_results = served(serial, seeds, "serial")
         cache = serial.trace_cache
         assert cache.batched_shots == cache.serial_fallbacks == \
-            cache.wavefront_splits == 0
+            cache.wavefront_splits == 0, name
+        assert cache.hits + cache.misses == BATCH_SHOTS, name
         if backend == "stabilizer":
-            reference = serial_result
+            reference = serial_results
         else:
-            reference = cache_engine(program, backend, config,
-                                     noise_factory, trace_cache=False,
-                                     **changes).run(BATCH_SHOTS)
-            name = f"{backend}/{noise_factory}/{changes}/serial"
-            assert serial_result.counts == reference.counts, name
-            assert serial_result.total_ns == reference.total_ns, name
-            assert serial_result.measured_qubits == \
-                reference.measured_qubits, name
-            assert cache.hits + cache.misses == BATCH_SHOTS, name
+            reference = served(cache_engine(program, backend, config,
+                                            noise_factory,
+                                            trace_cache=False), seeds)
+            assert serial_results == reference, f"{name}/serial"
         batched = 0
         for width in BATCH_WIDTHS:
             engine = cache_engine(program, backend, config,
-                                  noise_factory,
-                                  trace_cache_batch_width=width,
-                                  **changes)
-            result = engine.run(BATCH_SHOTS)
-            name = f"{backend}/{noise_factory}/{changes}/{width}"
-            assert result.counts == reference.counts, name
-            assert result.total_ns == reference.total_ns, name
-            assert result.measured_qubits == \
-                reference.measured_qubits, name
+                                  noise_factory)
+            assert served(engine, seeds, width) == reference, \
+                f"{name}/{width}"
             cache = engine.trace_cache
-            assert cache.hits + cache.misses == BATCH_SHOTS, name
+            assert cache.hits + cache.misses == BATCH_SHOTS, \
+                f"{name}/{width}"
             batched += cache.batched_shots
         if noise_factory in (dense_noise, pauli_dense_noise):
-            assert batched > 0, f"{backend}/{noise_factory}/{changes}"
+            assert batched > 0, name
 
 
 FOLD_SHOTS = 16
@@ -431,18 +421,18 @@ def test_fuzz_pauli_folds_match_cycle_accurate(program):
     for name, (changes, backend, processors) in FOLD_CELLS.items():
         config = scalar_config(**changes)
         engines = {
-            variant: ShotEngine(program, config=config.with_(**extra),
-                                backend=backend, n_qubits=N_QUBITS,
-                                n_processors=processors,
-                                noise=pauli_noise())
-            for variant, extra in (
-                ("reference", {"trace_cache": False}),
-                ("serial", {"trace_cache_batch": False}),
-                ("batched", {"trace_cache_batch_width": 5}),
-                ("lru", {"trace_cache_max_nodes": 4}))}
-        expected = list(engines.pop("reference")._run_seeds(seeds))
-        for variant, engine in engines.items():
-            assert list(engine._run_seeds(seeds)) == expected, (
+            (variant, how): ShotEngine(
+                program, config=config.with_(**extra), backend=backend,
+                n_qubits=N_QUBITS, n_processors=processors,
+                noise=pauli_noise())
+            for variant, extra, how in (
+                ("reference", {"trace_cache": False}, "run"),
+                ("serial", {}, "serial"),
+                ("batched", {}, 5),
+                ("lru", {"trace_cache_max_nodes": 4}, "run"))}
+        expected = served(engines.pop(("reference", "run")), seeds)
+        for (variant, how), engine in engines.items():
+            assert served(engine, seeds, how) == expected, (
                 f"{name}/{variant} diverged from the cycle-accurate run")
         caches = [engine.trace_cache for engine in engines.values()]
         folds[name] = sum(cache.folds for cache in caches)
@@ -454,11 +444,11 @@ def test_fuzz_pauli_folds_match_cycle_accurate(program):
     assert folds.pop("scalar") > 0
     assert not any(folds.values()), folds
     reference, engine = (
-        ShotEngine(program, config=scalar_config(**extra),
+        ShotEngine(program, config=scalar_config(trace_cache=cached),
                    backend="stabilizer", n_qubits=N_QUBITS)
-        for extra in ({"trace_cache": False}, {"trace_cache_batch": False}))
-    assert list(engine._run_seeds(seeds)) == \
-        list(reference._run_seeds(seeds)), "noiseless scalar diverged"
+        for cached in (False, True))
+    assert served(engine, seeds, "serial") == served(reference, seeds), \
+        "noiseless scalar diverged"
     assert engine.trace_cache.rejoins > 0
 
 

@@ -8,8 +8,9 @@ them across the full execution matrix:
 
 * statevector x stabilizer,
 * trace cache off / on / tiny-LRU,
-* serial x batched wavefront replay (Pauli noise on both backends,
-  T1/T2 decay on the statevector),
+* serial x batched wavefront replay at several cohort widths (Pauli
+  noise on both backends, T1/T2 decay on the statevector), reached
+  directly through ``tests/replay_paths.py``,
 * in-process x 2-worker sharded service (the programs travel as
   ``to_asm()`` text, so this also fuzzes the round-trip contract).
 
@@ -21,10 +22,11 @@ from __future__ import annotations
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.qcp import ShotEngine, run_shots, scalar_config
+from repro.qcp import ShotEngine, scalar_config
 from repro.qpu.noise import (DecoherenceNoise, NoiseModel, PauliChannel,
                              ReadoutError)
 from repro.sdk import SdkBuilder
+from tests.replay_paths import histogram, served
 
 N_QUBITS = 4
 SHOTS = 6
@@ -163,22 +165,17 @@ def test_sdk_fuzz_backends_and_cache_modes(program):
 @settings(max_examples=6, deadline=None)
 @given(sdk_programs())
 def test_sdk_fuzz_batched_matches_serial(program):
-    """Wavefront-batched replay against serial, histogram + ns."""
+    """Wavefront-batched replay against serial, per seed."""
+    seeds = range(BATCH_SHOTS)
     for backend, noise_factory in (("statevector", pauli_noise),
                                    ("stabilizer", pauli_noise),
                                    ("statevector", decoherent_noise)):
-        serial = engine_for(program, backend, noise_factory,
-                            trace_cache_batch=False)
-        reference = serial.run(BATCH_SHOTS)
+        reference = served(engine_for(program, backend, noise_factory),
+                           seeds, "serial")
         for width in (1, 7, 64):
-            engine = engine_for(program, backend, noise_factory,
-                                trace_cache_batch_width=width)
-            result = engine.run(BATCH_SHOTS)
+            engine = engine_for(program, backend, noise_factory)
             name = f"{backend}/{noise_factory.__name__}/width{width}"
-            assert result.counts == reference.counts, name
-            assert result.total_ns == reference.total_ns, name
-            assert result.measured_qubits == \
-                reference.measured_qubits, name
+            assert served(engine, seeds, width) == reference, name
 
 
 @pytest.fixture(scope="module")
@@ -201,17 +198,16 @@ def sdk_client(sdk_service):
 @given(sdk_programs())
 def test_sdk_fuzz_service_matches_in_process(sdk_client, program):
     """SDK programs as to_asm() text through the 2-worker sharded
-    service: counts and total_ns identical to a serial in-process run,
-    serial and batched."""
-    for batched in (False, True):
-        result, event = sdk_client.run_sweep(
-            program.to_asm(), shots=BATCH_SHOTS, backend="stabilizer",
-            config={"trace_cache_batch": batched}, shard_shots=5)
-        serial = run_shots(
-            program, shots=BATCH_SHOTS,
-            config=scalar_config().with_(trace_cache_batch=batched),
-            backend="stabilizer")
-        assert result.counts == serial.counts
-        assert result.total_ns == serial.total_ns
-        assert result.measured_qubits == serial.measured_qubits
-        assert event["shards"] == 4
+    service: counts and total_ns identical to an in-process run,
+    served one shot at a time and in cohorts."""
+    result, event = sdk_client.run_sweep(
+        program.to_asm(), shots=BATCH_SHOTS, backend="stabilizer",
+        shard_shots=5)
+    assert event["shards"] == 4
+    for how in ("serial", "run"):
+        expected = histogram(served(
+            ShotEngine(program, config=scalar_config(),
+                       backend="stabilizer"), range(BATCH_SHOTS), how))
+        assert result.counts == expected.counts, how
+        assert result.total_ns == expected.total_ns, how
+        assert result.measured_qubits == expected.measured_qubits, how

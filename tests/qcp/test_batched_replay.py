@@ -2,9 +2,11 @@
 
 The differential fuzzer (`tests/integration/test_fuzz_differential.py`)
 owns the bit-identity contract; these tests pin the batched machinery
-piece by piece — config gating, the CLI flags, the rng draw basis,
-the cohort state objects and the wavefront counters — so a regression
-points at the broken part instead of at "the histogram differs".
+piece by piece — the CLI summary, the rng draw basis, the cohort
+state objects and the wavefront counters — so a regression points at
+the broken part instead of at "the histogram differs".  Serial
+replay and narrow cohorts are reached through
+:func:`tests.replay_paths.served`.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from repro.qpu.noise import (DecoherenceNoise, DepolarizingNoise,
                              NoiseModel, PauliChannel, ReadoutError)
 from repro.qpu.stabilizer import StabilizerState
 from repro.qpu.statevector import BatchStateVector, StateVector
+from tests.replay_paths import served
 
 H = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
 
@@ -52,19 +55,7 @@ def coin_program():
     return builder.build()
 
 
-# -- config and CLI gating ----------------------------------------------------
-
-
-def test_config_defaults_and_width_validation():
-    config = QCPConfig()
-    assert config.trace_cache_batch is True
-    assert config.trace_cache_batch_width is None
-    assert config.with_(trace_cache_batch_width=7) \
-        .trace_cache_batch_width == 7
-    with pytest.raises(ValueError, match="batch width"):
-        QCPConfig(trace_cache_batch_width=0)
-    with pytest.raises(ValueError, match="batch width"):
-        QCPConfig(trace_cache_batch_width=-4)
+# -- CLI summary --------------------------------------------------------------
 
 
 ASM = """
@@ -87,18 +78,9 @@ def asm_file(tmp_path):
 
 def test_cli_batched_shots_prints_cohort_stats(asm_file, capsys):
     assert main(["run", asm_file, "--qpu", "stabilizer",
-                 "--shots", "40", "--batch-shots", "16"]) == 0
+                 "--shots", "40"]) == 0
     out = capsys.readouterr().out
-    assert "batched replay:" in out
-    assert "lockstep cohorts" in out
-
-
-def test_cli_no_batch_shots_disables_cohorts(asm_file, capsys):
-    assert main(["run", asm_file, "--qpu", "stabilizer",
-                 "--shots", "40", "--no-batch-shots"]) == 0
-    out = capsys.readouterr().out
-    assert "trace cache:" in out
-    assert "batched replay:" not in out
+    assert "batched replay: 39 shots in lockstep cohorts" in out
 
 
 # -- rng draw basis -----------------------------------------------------------
@@ -214,19 +196,18 @@ def test_batch_state_vector_matches_serial_rows():
 
 
 def run_engine(program, backend="stabilizer", n_qubits=5, noise=None,
-               shots=40, **changes):
-    engine = ShotEngine(program, config=scalar_config(**changes),
+               shots=40, how="run"):
+    """Per-seed results of ``shots`` seeds served ``how`` (see
+    :func:`tests.replay_paths.served`), and the engine's cache."""
+    engine = ShotEngine(program, config=scalar_config(),
                         backend=backend, n_qubits=n_qubits, noise=noise)
-    result = engine.run(shots)
-    return result, engine.trace_cache
+    return served(engine, range(shots), how), engine.trace_cache
 
 
 def test_single_path_chain_batches_every_replayed_shot():
     result, cache = run_engine(chain_program())
-    reference, serial_cache = run_engine(chain_program(),
-                                         trace_cache_batch=False)
-    assert result.counts == reference.counts
-    assert result.total_ns == reference.total_ns
+    reference, serial_cache = run_engine(chain_program(), how="serial")
+    assert result == reference
     # Shot 0 warms the trie serially; the other 39 replay in cohorts
     # that never split on the deterministic syndrome path.
     assert cache.batched_shots == 39
@@ -237,26 +218,24 @@ def test_single_path_chain_batches_every_replayed_shot():
 
 
 def test_width_one_cohorts_still_batch():
-    result, cache = run_engine(chain_program(),
-                               trace_cache_batch_width=1)
-    reference, _ = run_engine(chain_program(), trace_cache_batch=False)
-    assert result.counts == reference.counts
+    result, cache = run_engine(chain_program(), how=1)
+    reference, _ = run_engine(chain_program(), how="serial")
+    assert result == reference
     assert cache.batched_shots == 39
 
 
 def test_fair_coin_splits_wavefronts():
     reference, _ = run_engine(coin_program(), n_qubits=2, shots=60,
-                              trace_cache_batch=False)
+                              how="serial")
     # Shot 0 records one edge of the coin.  The first cohort splits at
     # it: its lanes on the recorded edge complete batched, the others
     # fall back to the serial loop (which records the second edge);
     # later cohorts find both edges and split without falling back.
-    for width, batched, splits, fallbacks in ((None, 28, 1, 31),
-                                              (8, 54, 8, 5)):
+    for how, batched, splits, fallbacks in (("run", 28, 1, 31),
+                                            (8, 54, 8, 5)):
         result, cache = run_engine(coin_program(), n_qubits=2, shots=60,
-                                   trace_cache_batch_width=width)
-        assert result.counts == reference.counts, width
-        assert result.total_ns == reference.total_ns, width
+                                   how=how)
+        assert result == reference, how
         assert (cache.hits, cache.misses, cache.resumes) == (58, 2, 1)
         assert (cache.batched_shots, cache.wavefront_splits,
                 cache.serial_fallbacks) == (batched, splits, fallbacks)
@@ -274,9 +253,8 @@ def test_readout_noise_keeps_cohorts_batched():
                                                p1_given_0=0.03))
 
     reference, _ = run_engine(chain_program(), noise=fresh_noise(),
-                              trace_cache_batch=False)
-    assert result.counts == reference.counts
-    assert result.total_ns == reference.total_ns
+                              how="serial")
+    assert result == reference
     assert cache.batched_shots > 0
 
 
@@ -293,9 +271,8 @@ def test_decoherence_batches_in_cohorts():
                                noise=decoherent_noise(), shots=20)
     reference, _ = run_engine(chain_program(), backend="statevector",
                               noise=decoherent_noise(), shots=20,
-                              trace_cache_batch=False)
-    assert result.counts == reference.counts
-    assert result.total_ns == reference.total_ns
+                              how="serial")
+    assert result == reference
     assert cache.batched_shots > 0
     assert cache.hits + cache.misses == 20
 
@@ -303,9 +280,8 @@ def test_decoherence_batches_in_cohorts():
 def test_dense_ideal_chain_batches():
     result, cache = run_engine(chain_program(), backend="statevector")
     reference, _ = run_engine(chain_program(), backend="statevector",
-                              trace_cache_batch=False)
-    assert result.counts == reference.counts
-    assert result.total_ns == reference.total_ns
+                              how="serial")
+    assert result == reference
     assert cache.batched_shots == 39
 
 
@@ -478,14 +454,12 @@ def fold_program(coins: int = 8):
 @pytest.mark.parametrize("width", [7, 256])
 def test_many_valued_registers_match_cycle_accurate(width):
     program = fold_program()
-    engine = ShotEngine(program, config=scalar_config(
-        trace_cache_batch_width=width), backend="stabilizer", n_qubits=2)
+    engine = ShotEngine(program, config=scalar_config(),
+                        backend="stabilizer", n_qubits=2)
     uncached = ShotEngine(program, config=scalar_config(trace_cache=False),
                           backend="stabilizer", n_qubits=2)
-    result = engine.run_range(0, 300)
-    reference = uncached.run_range(0, 300)
-    assert result.counts == reference.counts
-    assert result.total_ns == reference.total_ns
+    assert served(engine, range(300), width) == served(uncached,
+                                                        range(300))
     assert engine.trace_cache.batched_shots > 0
 
 
@@ -506,7 +480,7 @@ def test_micro_op_without_effects_fails_closed(opcode):
     builder.halt()
     program = builder.build()
     reference, _ = run_engine(program, n_qubits=2, shots=40,
-                              trace_cache_batch=False)
+                              how="serial")
     engine = ShotEngine(program, config=scalar_config(),
                         backend="stabilizer", n_qubits=2)
 
@@ -519,9 +493,7 @@ def test_micro_op_without_effects_fails_closed(opcode):
         return opaque
 
     wrap_closures(engine, strip)
-    result = engine.run(40)
-    assert result.counts == reference.counts
-    assert result.total_ns == reference.total_ns
+    assert served(engine, range(40)) == reference
     cache = engine.trace_cache
     # Shot 0 runs cold; the other 39 form one cohort that never splits.
     assert cache.serial_fallbacks == 39

@@ -3,8 +3,9 @@
 Three contracts in one module:
 
 * the :func:`~repro.qcp.routing.route_backend` decision table —
-  Clifford analysis, noise compatibility, profile pins, adaptive
-  fusion widths;
+  Clifford analysis, noise compatibility, profile pins — and the
+  register-size fusion width every dense engine compiles with,
+  routed or not;
 * fail-closed backend construction — unknown names (including a raw
   ``"auto"`` that escaped resolution) raise naming every registered
   backend;
@@ -21,11 +22,12 @@ import pytest
 
 from repro.isa.builder import ProgramBuilder
 from repro.qcp import ShotEngine, scalar_config
-from repro.qcp.routing import (ADAPTIVE_FUSION_LIMIT, RoutingDecision,
-                               is_clifford_program, route_backend)
+from repro.qcp.routing import (RoutingDecision, is_clifford_program,
+                               route_backend)
 from repro.qpu.backend import backend_names, make_backend
 from repro.qpu.noise import NoiseModel, PauliChannel, ZZCrosstalk
 from repro.qpu.profile import DeviceProfile
+from tests.replay_paths import histogram, served
 
 
 def clifford_program(n_qubits=2):
@@ -44,6 +46,19 @@ def t_gate_program():
     builder.qop("h", [0], timing=2)
     builder.qop("t", [0], timing=2)
     builder.qmeas(0, timing=2)
+    builder.halt()
+    return builder.build()
+
+
+def entangling_t_program(n_qubits):
+    """A T gate, then a CNOT ladder across the whole register."""
+    builder = ProgramBuilder("ladder")
+    builder.qop("h", [0], timing=2)
+    builder.qop("t", [0], timing=2)
+    for qubit in range(1, n_qubits):
+        builder.qop("cnot", [qubit - 1, qubit], timing=2)
+    for qubit in range(n_qubits):
+        builder.qmeas(qubit, timing=2)
     builder.halt()
     return builder.build()
 
@@ -76,7 +91,6 @@ class TestDecisionTable:
         assert decision.backend == "stabilizer"
         assert decision.clifford_only
         assert not decision.forced
-        assert decision.fuse_max_qubits is None
 
     def test_t_gate_routes_statevector(self):
         decision = route_backend(t_gate_program(), 1)
@@ -112,19 +126,6 @@ class TestDecisionTable:
         assert decision.forced
         assert "pinned" in decision.reason
 
-    @pytest.mark.parametrize("n_qubits,width", [
-        (2, None), (3, None), (4, 4), (5, 5),
-        (ADAPTIVE_FUSION_LIMIT, ADAPTIVE_FUSION_LIMIT),
-        (ADAPTIVE_FUSION_LIMIT + 1, None), (12, None)])
-    def test_adaptive_fusion_width(self, n_qubits, width):
-        decision = route_backend(t_gate_program(), n_qubits)
-        assert decision.backend == "statevector"
-        assert decision.fuse_max_qubits == width
-
-    def test_stabilizer_never_widens_fusion(self):
-        assert route_backend(clifford_program(5), 5) \
-            .fuse_max_qubits is None
-
     def test_decision_round_trips_to_json(self):
         decision = route_backend(t_gate_program(), 5)
         rendered = json.loads(json.dumps(decision.as_dict()))
@@ -139,17 +140,32 @@ class TestEngineAutoResolution:
         assert engine.routing is not None
         assert engine.routing.backend == "stabilizer"
 
-    def test_non_clifford_engine_resolves_statevector_and_widens(self):
+    def test_non_clifford_engine_resolves_statevector(self):
         engine = ShotEngine(t_gate_program(), backend="auto",
                             n_qubits=5)
         assert engine.backend == "statevector"
-        assert engine.config.fuse_max_qubits == 5
 
-    def test_explicit_fusion_width_is_not_overridden(self):
-        engine = ShotEngine(
-            t_gate_program(), backend="auto", n_qubits=5,
-            config=scalar_config(fuse_max_qubits=2))
-        assert engine.config.fuse_max_qubits == 2
+    @pytest.mark.parametrize("backend", ["auto", "statevector"])
+    @pytest.mark.parametrize("n_qubits,width", [(5, 5), (7, 3)])
+    def test_dense_replay_fuses_to_the_register_width(
+            self, monkeypatch, backend, n_qubits, width):
+        # Routed or explicit, a dense engine fuses a gate run across
+        # its whole register on 4-6 qubits, and three qubits at a
+        # time above that.
+        from repro.qcp import tracecache
+        supports = []
+        bind = tracecache._bind_cohort
+
+        def spy(steps, n):
+            supports.extend(step[2] for step in steps
+                            if step[0] == tracecache._V_UNITARY)
+            return bind(steps, n)
+        monkeypatch.setattr(tracecache, "_bind_cohort", spy)
+        engine = ShotEngine(entangling_t_program(n_qubits),
+                            backend=backend, n_qubits=n_qubits)
+        assert engine.backend == "statevector"
+        engine.run(2)
+        assert max(len(support) for support in supports) == width
 
     def test_explicit_backend_sets_no_routing(self):
         engine = ShotEngine(clifford_program(), backend="stabilizer",
@@ -249,22 +265,19 @@ class TestCalibratedBitIdentityMatrix:
         assert result.measured_qubits == reference.measured_qubits
         assert cached.trace_cache.hits > 0
 
-        batched = calibrated_engine(PROFILE_DOC,
-                                    trace_cache_batch_width=7)
-        result = batched.run(SWEEP_SHOTS)
+        result = histogram(served(calibrated_engine(PROFILE_DOC),
+                                  range(SWEEP_SHOTS), 7))
         assert result.counts == reference.counts
         assert result.total_ns == reference.total_ns
 
     def test_batchable_profile_actually_batches(self):
         # T1/T2 decay included, the lockstep cohorts must both engage
         # and stay bit-identical.
-        reference = calibrated_engine(PROFILE_DOC, trace_cache=False) \
-            .run(SWEEP_SHOTS)
-        batched = calibrated_engine(PROFILE_DOC,
-                                    trace_cache_batch_width=7)
-        result = batched.run(SWEEP_SHOTS)
-        assert result.counts == reference.counts
-        assert result.total_ns == reference.total_ns
+        reference = served(calibrated_engine(PROFILE_DOC,
+                                             trace_cache=False),
+                           range(SWEEP_SHOTS))
+        batched = calibrated_engine(PROFILE_DOC)
+        assert served(batched, range(SWEEP_SHOTS), 7) == reference
         assert batched.trace_cache.batched_shots > 0
 
     def test_edited_calibration_changes_results_not_just_keys(self):

@@ -20,6 +20,7 @@ from repro.qcp import (QCPConfig, ShotEngine, TraceCache, scalar_config,
 from repro.qcp.decode import K_CLASSICAL
 from repro.qcp.tracecache import _I_CLS, _S_CLS, _S_FMR
 from repro.qpu import PRNGQPU
+from tests.replay_paths import served
 
 #: Clifford-only gate pool so every generated program runs on both
 #: backends with identically seeded outcome streams.
@@ -306,23 +307,19 @@ class TestDecisionSlice:
         paths = {(bits[1], bits[0] if bits[1] else None)
                  for bits in window}
         assert len(paths) == 3  # both edges of the ldm branch recorded
-        reference = uncached.run_range(start, stop)
-        for changes in ({"trace_cache_batch": False},
-                        {"trace_cache_batch_width": 4}):
-            engine = ShotEngine(program, config=QCPConfig(**changes),
-                                **kwargs)
-            result = engine.run_range(start, stop)
-            assert result.counts == reference.counts, changes
-            assert result.total_ns == reference.total_ns, changes
-            assert engine.trace_cache.misses == len(paths), changes
+        reference = served(uncached, range(start, stop))
+        for how in ("serial", 4):
+            engine = ShotEngine(program, config=QCPConfig(), **kwargs)
+            assert served(engine, range(start, stop), how) == reference, how
+            assert engine.trace_cache.misses == len(paths), how
 
     def test_item_without_def_use_sets_fails_closed(self):
         program = opaque_program()
         uncached = ShotEngine(program, config=QCPConfig(trace_cache=False),
                               backend="stabilizer", n_qubits=3)
-        reference = uncached.run(24)
-        for changes in ({"trace_cache_batch": False}, {}):
-            engine = ShotEngine(program, config=QCPConfig(**changes),
+        reference = served(uncached, range(24))
+        for how in ("serial", "run"):
+            engine = ShotEngine(program, config=QCPConfig(),
                                 backend="stabilizer", n_qubits=3)
             decoded = engine.memory._decoded
             pc = next(pc for pc, instr in enumerate(program.instructions)
@@ -333,9 +330,7 @@ class TestDecisionSlice:
             def opaque(proc, run=run):
                 return run(proc)
             decoded[pc] = (kind, instr, (opaque, hoistable, eclass))
-            result = engine.run(24)
-            assert result.counts == reference.counts
-            assert result.total_ns == reference.total_ns
+            assert served(engine, range(24), how) == reference, how
             root = engine.trace_cache.root
             children = [node for node in root.children.values()
                         if node.items is not None]
@@ -414,8 +409,8 @@ class TestPauliFolds:
 
     SHOTS = 64
 
-    def per_seed(self, engine):
-        return list(engine._run_seeds(range(self.SHOTS)))
+    def per_seed(self, engine, how="run"):
+        return served(engine, range(self.SHOTS), how)
 
     @pytest.mark.parametrize("label", [1, 5])
     def test_translation_counterexample_declines(self, label):
@@ -425,12 +420,10 @@ class TestPauliFolds:
                                config=scalar_config(trace_cache=False),
                                **kwargs)
         expected = self.per_seed(reference)
-        for changes in ({"trace_cache_batch": False}, {},
-                        {"trace_cache_batch_width": 7}):
-            engine = ShotEngine(program, config=scalar_config(**changes),
-                                **kwargs)
-            assert self.per_seed(engine) == expected, changes
-            assert engine.trace_cache.folds == 0, changes
+        for how in ("serial", "run", 7):
+            engine = ShotEngine(program, config=scalar_config(), **kwargs)
+            assert self.per_seed(engine, how) == expected, how
+            assert engine.trace_cache.folds == 0, how
 
     def test_surface_memory_folds_and_replays(self):
         from repro.benchlib.surface import (build_surface_memory_program,
@@ -444,14 +437,11 @@ class TestPauliFolds:
                                config=QCPConfig(trace_cache=False),
                                **kwargs)
         expected = self.per_seed(reference)
-        for changes in ({"trace_cache_batch": False},
-                        {"trace_cache_batch_width": 7},
-                        {"trace_cache_batch_width": 64}):
-            engine = ShotEngine(program, config=QCPConfig(**changes),
-                                **kwargs)
-            assert self.per_seed(engine) == expected, changes
+        for how in ("serial", 7, 64):
+            engine = ShotEngine(program, config=QCPConfig(), **kwargs)
+            assert self.per_seed(engine, how) == expected, how
             cache = engine.trace_cache
-            assert cache.folds > 0 and cache.hits > 0, changes
+            assert cache.folds > 0 and cache.hits > 0, how
 
     def test_active_reset_folds_on_one_scalar_sign_core(self):
         engine = ShotEngine(active_reset_program(), config=scalar_config(),
@@ -477,11 +467,10 @@ class TestPauliFolds:
                                config=config.with_(trace_cache=False),
                                **kwargs)
         expected = self.per_seed(reference)
-        for changes in ({"trace_cache_batch": False}, {}):
-            engine = ShotEngine(program, config=config.with_(**changes),
-                                **kwargs)
-            assert self.per_seed(engine) == expected, changes
-            assert engine.trace_cache.folds == 0, changes
+        for how in ("serial", "run"):
+            engine = ShotEngine(program, config=config, **kwargs)
+            assert self.per_seed(engine, how) == expected, how
+            assert engine.trace_cache.folds == 0, how
 
 
 def surface_memory():
@@ -508,23 +497,23 @@ class TestQuietRestart:
     #: cycle-accurate model's; every engine must reproduce them).
     GOLDEN_D3_LOGICAL_ERRORS_64 = 4
 
-    def per_seed(self, engine):
-        return list(engine._run_seeds(range(self.SHOTS)))
+    def per_seed(self, engine, how="run"):
+        return served(engine, range(self.SHOTS), how)
 
-    @pytest.mark.parametrize("changes", [
-        {"trace_cache_batch": False},
-        {"trace_cache_batch_width": 7},
-        {"trace_cache_batch_width": 64},
-        {"trace_cache_max_nodes": 4},
+    @pytest.mark.parametrize("how, changes", [
+        ("serial", {}),
+        (7, {}),
+        (64, {}),
+        ("run", {"trace_cache_max_nodes": 4}),
     ], ids=["serial", "width-7", "width-64", "lru-4"])
-    def test_surface_memory_restarts_and_rejoins(self, changes):
+    def test_surface_memory_restarts_and_rejoins(self, how, changes):
         from repro.benchlib.surface import decode_logical_z
         layout, program, kwargs = surface_memory()
         reference = ShotEngine(program, config=QCPConfig(trace_cache=False),
                                **kwargs)
         expected = self.per_seed(reference)
         engine = ShotEngine(program, config=QCPConfig(**changes), **kwargs)
-        results = self.per_seed(engine)
+        results = self.per_seed(engine, how)
         assert results == expected
         assert sum(decode_logical_z(layout, bits) for bits, _ in
                    results) == self.GOLDEN_D3_LOGICAL_ERRORS_64
@@ -617,10 +606,8 @@ class TestQuietRestart:
         _layout, program, kwargs = surface_memory()
         reference = ShotEngine(program, config=QCPConfig(trace_cache=False),
                                **kwargs)
-        engine = ShotEngine(program,
-                            config=QCPConfig(trace_cache_batch=False),
-                            **kwargs)
-        assert self.per_seed(engine) == self.per_seed(reference)
+        engine = ShotEngine(program, config=QCPConfig(), **kwargs)
+        assert self.per_seed(engine, "serial") == self.per_seed(reference)
         cache = engine.trace_cache
         assert cache.restarts > 0 and cache.folds > 0
         assert cache.rejoins == 0
@@ -644,10 +631,8 @@ class TestQuietRestart:
         reference = ShotEngine(program,
                                config=scalar_config(trace_cache=False),
                                **kwargs)
-        engine = ShotEngine(program,
-                            config=scalar_config(trace_cache_batch=False),
-                            **kwargs)
-        assert self.per_seed(engine) == self.per_seed(reference)
+        engine = ShotEngine(program, config=scalar_config(), **kwargs)
+        assert self.per_seed(engine, "serial") == self.per_seed(reference)
         assert engine.trace_cache.restarts > 0
 
     def test_rejoined_replay_reads_live_registers(self, monkeypatch):
@@ -688,10 +673,8 @@ class TestQuietRestart:
         reference = ShotEngine(program,
                                config=scalar_config(trace_cache=False),
                                **kwargs)
-        engine = ShotEngine(program,
-                            config=scalar_config(trace_cache_batch=False),
-                            **kwargs)
-        assert self.per_seed(engine) == self.per_seed(reference)
+        engine = ShotEngine(program, config=scalar_config(), **kwargs)
+        assert self.per_seed(engine, "serial") == self.per_seed(reference)
         assert engine.trace_cache.rejoins > 0
         assert handed and set(handed) == {(1, 1)}
 
@@ -724,10 +707,8 @@ class TestQuietRestart:
         reference = ShotEngine(program,
                                config=scalar_config(trace_cache=False),
                                **kwargs)
-        engine = ShotEngine(program,
-                            config=scalar_config(trace_cache_batch=False),
-                            **kwargs)
-        assert self.per_seed(engine) == self.per_seed(reference)
+        engine = ShotEngine(program, config=scalar_config(), **kwargs)
+        assert self.per_seed(engine, "serial") == self.per_seed(reference)
         cache = engine.trace_cache
         assert cache.restarts == 0
         assert cache.folds > 0 and cache.rejoins > 0
@@ -739,10 +720,8 @@ class TestQuietRestart:
         reference = ShotEngine(program,
                                config=scalar_config(trace_cache=False),
                                **kwargs)
-        engine = ShotEngine(program,
-                            config=scalar_config(trace_cache_batch=False),
-                            **kwargs)
-        assert self.per_seed(engine) == self.per_seed(reference)
+        engine = ShotEngine(program, config=scalar_config(), **kwargs)
+        assert self.per_seed(engine, "serial") == self.per_seed(reference)
         cache = engine.trace_cache
         assert cache.restarts > 0 and cache.rejoins > 0
         assert cache.hits + cache.misses == self.SHOTS
@@ -762,11 +741,10 @@ class TestQuietRestart:
                                config=config.with_(trace_cache=False),
                                **kwargs)
         expected = self.per_seed(reference)
-        for changes in ({"trace_cache_batch": False}, {}):
-            engine = ShotEngine(program, config=config.with_(**changes),
-                                **kwargs)
-            assert self.per_seed(engine) == expected, changes
+        for how in ("serial", "run"):
+            engine = ShotEngine(program, config=config, **kwargs)
+            assert self.per_seed(engine, how) == expected, how
             cache = engine.trace_cache
-            assert cache.restarts == cache.rejoins == 0, changes
+            assert cache.restarts == cache.rejoins == 0, how
             assert all(node.snapshot is None
-                       for node in path_nodes(cache)), changes
+                       for node in path_nodes(cache)), how

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.qpu import StateVector
+from repro.qpu.statevector import FUSE_MAX_QUBITS, fusion_width
 
 
 class TestBasics:
@@ -158,11 +159,11 @@ def test_inverse_circuit_returns_to_start(gates, qubit):
     assert state.fidelity_with(reference) == pytest.approx(1.0)
 
 
-def compile_dense(ops, seed=0, max_qubits=None):
+def compile_dense(ops, seed=0, n_qubits=4):
     """``ops`` through the trace cache's dense step compiler.
 
-    Compiles one recorded op run for an ideal 4-qubit device and binds
-    it to a cohort of one whose measurement rng is seeded with
+    Compiles one recorded op run for an ideal ``n_qubits`` device and
+    binds it to a cohort of one whose measurement rng is seeded with
     ``seed``; returns the cohort, the bound program and the qubit
     support of every fused block (``_V_UNITARY`` step) the compiler
     emitted.
@@ -176,13 +177,12 @@ def compile_dense(ops, seed=0, max_qubits=None):
 
     times = tuple(40 * index for index in range(len(ops)))
     steps = _compile_dense_steps(((_I_OPS, tuple(ops), times),),
-                                 SimulatedQPU(4), {}, {}, True,
-                                 max_qubits=max_qubits)
+                                 SimulatedQPU(n_qubits), {}, {})
     supports = [step[2] for step in steps if step[0] == _V_UNITARY]
-    cohort = _BatchCohort(BatchStateVector(4, 1), [0],
+    cohort = _BatchCohort(BatchStateVector(n_qubits, 1), [0],
                           [_ReplayContext(QCPConfig())],
                           [random.Random(seed)], None)
-    return cohort, _bind_cohort(steps, 4), supports
+    return cohort, _bind_cohort(steps, n_qubits), supports
 
 
 class TestGemmFusion:
@@ -233,12 +233,26 @@ class TestGemmFusion:
             for qubit in range(4):
                 assert sequential.measure(qubit) == fused.measure(qubit)
 
-    def test_block_compiler_respects_support_bound(self):
-        _, program, supports = compile_dense(self.OPS, max_qubits=2)
-        assert supports
-        assert all(len(support) <= 2 for support in supports)
-        # Resets survive as explicit steps (they consume an rng draw).
+    @pytest.mark.parametrize("n_qubits,width", [
+        (1, 3), (3, 3), (4, 4), (5, 5), (6, 6), (7, 3), (12, 3)])
+    def test_fusion_width_follows_register_size(self, n_qubits, width):
+        assert fusion_width(n_qubits) == width
+
+    def test_block_compiler_fuses_the_whole_small_register(self):
+        _, program, supports = compile_dense(self.OPS)
+        # The reset splits the run into two blocks, the second across
+        # all four qubits; it survives as its own step (it consumes
+        # an rng draw).
+        assert [len(support) for support in supports] == [3, 4]
         assert len(program) == len(supports) + 1
+
+    def test_block_compiler_respects_support_bound(self):
+        ladder = [("gate", "cnot", (qubit, qubit + 1), ())
+                  for qubit in range(6)]
+        _, _, supports = compile_dense(ladder, n_qubits=7)
+        assert len(supports) > 1
+        assert all(len(support) <= FUSE_MAX_QUBITS
+                   for support in supports)
 
     def test_block_compiler_folds_single_qubit_runs(self):
         run = [("gate", "h", (1,), ()), ("gate", "t", (1,), ()),

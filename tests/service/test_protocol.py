@@ -77,6 +77,13 @@ class TestValidation:
         (job(fault={"kill_shard_start": -1}), "bad_job"),
         (job(fault={"kill_shard_start": True}), "bad_job"),
         (job(fault={}), "bad_job"),
+        (job(n_processors=True), "bad_job"),
+        (job(shard_shots=True), "bad_job"),
+        (job(timeout_s=True), "bad_job"),
+        (job(config={"trace_cache_batch": False}), "bad_config"),
+        (job(config={"trace_cache_batch_width": 8}), "bad_config"),
+        (job(config={"trace_cache_dense_fusion": False}), "bad_config"),
+        (job(config={"fuse_max_qubits": 5}), "bad_config"),
     ])
     def test_rejections_carry_machine_readable_codes(self, raw, code):
         with pytest.raises(ProtocolError) as excinfo:

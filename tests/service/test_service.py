@@ -2,20 +2,21 @@
 
 The expensive fixtures — one running service per worker count — are
 module-scoped; the matrix tests then submit sweeps over the live
-socket and compare against serial :func:`repro.qcp.run_shots` down to
-the last count and nanosecond.
+socket and compare against an in-process engine, served one shot at a
+time and in cohorts, down to the last count and nanosecond.
 """
 
 import asyncio
 
 import pytest
 
-from repro.qcp import QCPConfig, run_shots
+from repro.qcp import ShotEngine
 from repro.qpu.noise import NoiseModel, PauliChannel, ReadoutError
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.jobs import JobManager, QueueFull
 from repro.service.protocol import JobSpec
 from repro.service.server import ServiceHandle
+from tests.replay_paths import histogram, served
 
 BRANCHY = """
 .block main prio=0
@@ -46,7 +47,7 @@ NOISE_SPEC = {"pauli": {"px": 1e-3},
 SHOTS = 24
 
 
-def serial_reference(backend, noisy, batched):
+def serial_reference(backend, noisy, how="run"):
     noise = None
     if noisy:
         noise = NoiseModel(pauli=PauliChannel(px=1e-3),
@@ -54,9 +55,9 @@ def serial_reference(backend, noisy, batched):
                                                 p1_given_0=0.002))
     from repro.service.protocol import program_from_text
 
-    config = QCPConfig().with_(trace_cache_batch=batched)
-    return run_shots(program_from_text(BRANCHY), shots=SHOTS,
-                     config=config, backend=backend, noise=noise)
+    engine = ShotEngine(program_from_text(BRANCHY), backend=backend,
+                        noise=noise)
+    return histogram(served(engine, range(SHOTS), how))
 
 
 @pytest.fixture(scope="module", params=[1, 2, 4])
@@ -74,14 +75,15 @@ def client(service):
 class TestBitIdentityMatrix:
     @pytest.mark.parametrize("backend", ["statevector", "stabilizer"])
     @pytest.mark.parametrize("noisy", [False, True])
-    @pytest.mark.parametrize("batched", [False, True])
-    def test_sweep_matches_serial(self, client, backend, noisy, batched):
+    @pytest.mark.parametrize("how", ["serial", "run"])
+    def test_sweep_matches_serial(self, client, backend, noisy, how):
+        # The second sweep of a (backend, noisy) cell finds its worker
+        # engines warm.
         result, event = client.run_sweep(
             BRANCHY, shots=SHOTS, backend=backend,
-            config={"trace_cache_batch": batched},
             noise=NOISE_SPEC if noisy else None,
             shard_shots=7)
-        serial = serial_reference(backend, noisy, batched)
+        serial = serial_reference(backend, noisy, how)
         assert result.counts == serial.counts
         assert result.total_ns == serial.total_ns
         assert result.measured_qubits == serial.measured_qubits
@@ -99,7 +101,7 @@ class TestWorkerCrashRetry:
             "backend": "stabilizer", "shard_shots": 6,
             "fault": {"kill_shard_start": 6}})
         result = result_from_payload(event["result"])
-        serial = serial_reference("stabilizer", False, True)
+        serial = serial_reference("stabilizer", False)
         assert event["retries"] >= 1  # the fault really fired
         assert result.counts == serial.counts
         assert result.total_ns == serial.total_ns

@@ -10,11 +10,12 @@ pin it observationally across backends, noise, and batching.
 
 import pytest
 
-from repro.qcp import QCPConfig, ShotEngine, merge_shard_outcomes
+from repro.qcp import ShotEngine, merge_shard_outcomes
 from repro.qpu.noise import NoiseModel, PauliChannel, ReadoutError
 from repro.service.protocol import JobSpec, program_from_text
 from repro.service.workers import (default_shard_shots, plan_shards,
                                    run_shard)
+from tests.replay_paths import histogram, served
 
 # A branchy program: the q0 readout steers a conditional X on q1, so
 # different seeds take different control paths — the hardest case for
@@ -61,10 +62,9 @@ class TestPlanShards:
         assert default_shard_shots(1, n_workers=8) == 1
 
 
-def _engine(backend, noise=None, batched=True):
-    config = QCPConfig().with_(trace_cache_batch=batched)
-    return ShotEngine(program_from_text(BRANCHY), config=config,
-                      backend=backend, noise=noise)
+def _engine(backend, noise=None):
+    return ShotEngine(program_from_text(BRANCHY), backend=backend,
+                      noise=noise)
 
 
 def _noise():
@@ -76,11 +76,11 @@ def _noise():
 class TestMergeBitIdentity:
     @pytest.mark.parametrize("backend", ["statevector", "stabilizer"])
     @pytest.mark.parametrize("noisy", [False, True])
-    @pytest.mark.parametrize("batched", [False, True])
-    def test_sharded_equals_serial(self, backend, noisy, batched):
+    @pytest.mark.parametrize("how", ["serial", "run"])
+    def test_sharded_equals_serial(self, backend, noisy, how):
         noise = _noise() if noisy else None
-        serial = _engine(backend, noise, batched).run(24)
-        sharded_engine = _engine(backend, noise, batched)
+        serial = histogram(served(_engine(backend, noise), range(24), how))
+        sharded_engine = _engine(backend, noise)
         shards = [sharded_engine.run_range(start, stop)
                   for start, stop in plan_shards(24, 7)]
         merged = merge_shard_outcomes(shards)

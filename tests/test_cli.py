@@ -146,11 +146,10 @@ class TestUncacheableSubstrateWarning:
 
     def test_warning_names_every_given_flag(self, asm_file, capsys):
         assert main(["run", asm_file, "--shots", "4",
-                     "--batch-shots", "8",
+                     "--no-trace-cache",
                      "--trace-cache-max-nodes", "100"]) == 0
         err = capsys.readouterr().err
-        assert "--batch-shots" in err
-        assert "--trace-cache-max-nodes" in err
+        assert "--no-trace-cache, --trace-cache-max-nodes" in err
 
     def test_prng_without_cache_flags_is_silent(self, asm_file, capsys):
         assert main(["run", asm_file, "--shots", "4"]) == 0
