@@ -1605,8 +1605,8 @@ def _collapse_cohort(cohort: _BatchCohort, qubit: int) -> list:
     each outcome still comes from its shot's own measurement rng.
     """
     p_one = cohort.batch.probability_of_one(qubit)
-    outcomes = [1 if srng.random() < p_one[row] else 0
-                for row, srng in enumerate(cohort.srngs)]
+    outcomes = [1 if srng.random() < p else 0
+                for srng, p in zip(cohort.srngs, p_one.tolist())]
     cohort.batch.collapse(qubit, np.array(outcomes), p_one)
     return outcomes
 
@@ -1614,8 +1614,9 @@ def _collapse_cohort(cohort: _BatchCohort, qubit: int) -> list:
 def _bind_cohort(steps: list, n: int) -> list:
     """Bind a dense step list to closures over a :class:`_BatchCohort`.
 
-    Every operator becomes one batch GEMM over the cohort's stacked
-    amplitudes (:func:`~repro.qpu.statevector.batch_block_applier`);
+    Every operator becomes one ``np.matmul`` call over the cohort's
+    stacked amplitudes, which runs each row's own GEMM
+    (:func:`~repro.qpu.statevector.batch_block_applier`);
     measurements become one cohort probability reduction plus
     per-shot draws and collapse; idle decay runs the cohort form of
     the serial kernel

@@ -372,10 +372,12 @@ def batch_block_applier(n_qubits: int, matrix: np.ndarray,
     """Precompile one k-qubit operator for a whole shot cohort.
 
     The returned closure ``apply(batch, rows=None)`` pushes ``matrix``
-    through every live state of a :class:`BatchStateVector` as one
-    batch GEMM (``rows`` restricts the application to a sub-cohort,
-    which is how per-shot stochastic channel corrections and reset
-    flips hit only the shots whose draws fired).  The axis
+    through every live state of a :class:`BatchStateVector`
+    (``rows`` restricts the application to a sub-cohort, which is
+    how per-shot stochastic channel corrections and reset flips hit
+    only the shots whose draws fired).  Up to large registers that
+    is one ``np.matmul`` call, which on the k >= 2 path issues one
+    GEMM per row, not one wide GEMM over the cohort.  The axis
     permutation, its inverse and the block shape that
     :meth:`StateVector.apply_unitary` re-derives per call are
     constants here, and each row runs the device's arithmetic: the
@@ -527,58 +529,77 @@ class BatchStateVector:
 
         ``outcomes`` holds each shot's (already drawn) measurement
         result; the complementary branch of each row is zeroed by
-        boolean groups and all rows are renormalised in one division.
+        boolean groups and all rows are renormalised in one multiply
+        by the reciprocals of their norms.  Numpy divides complex by
+        real as ``(re + im*0) * (1/norm)``, so each row equals
+        :meth:`StateVector.measure`'s division in value: only an
+        exact zero's sign can differ, which no probability, outcome
+        or non-zero amplitude sees and ``np.array_equal`` ignores.
         """
         ones = np.asarray(outcomes, dtype=bool)
         norms = np.sqrt(np.where(ones, p_one, 1.0 - p_one))
-        if np.any(norms == 0.0):
+        if not norms.all():
             raise RuntimeError("projection onto zero-probability outcome")
         view = self._psi.reshape(self.width, -1, 2, 1 << qubit)
         view[ones, :, 0, :] = 0.0
         view[~ones, :, 1, :] = 0.0
-        self._psi /= norms[:, None]
+        self._psi *= (1.0 / norms)[:, None]
 
     def apply_decay(self, qubit: int, gamma: float, keep: float,
                     dephase: float, srngs: Sequence[random.Random],
                     nrngs: Sequence[random.Random]) -> None:
-        """:meth:`StateVector.apply_decay` on every row, bit for bit.
+        """:meth:`StateVector.apply_decay` on every row.
 
         One cohort-wide P(|1>) reduction; row ``b`` draws its jump
         from its measurement rng ``srngs[b]`` and its dephasing fire
         from its noise rng ``nrngs[b]``, as the serial kernel would.
         Jump rows are projected and flipped together; no-jump rows are
-        scaled together but renormalised by one ``np.linalg.norm``
-        call per row, the serial reduction.
+        scaled and renormalised together (:func:`_damp_rows`).  Every
+        row equals the serial kernel's vector (``np.array_equal``).
         """
         view = self._psi.reshape(self.width, -1, 2, 1 << qubit)
         if gamma != 0.0:
             p_one = self.probability_of_one(qubit)
-            jumped = [srng.random() < gamma * p
-                      for srng, p in zip(srngs, p_one.tolist())]
-            if any(jumped):
-                rows = np.flatnonzero(jumped)
-                view[rows, :, 0, :] = (view[rows, :, 1, :]
-                                       / np.sqrt(p_one[rows])[:, None,
-                                                              None])
-                view[rows, :, 1, :] = 0.0
-                stay = np.flatnonzero(np.logical_not(jumped))
-                if stay.size:
+            jumped: list[int] = []
+            stay: list[int] = []
+            for row, (srng, p) in enumerate(zip(srngs, p_one.tolist())):
+                (jumped if srng.random() < gamma * p else stay).append(row)
+            if jumped:
+                view[jumped, :, 0, :] = (view[jumped, :, 1, :]
+                                         / np.sqrt(p_one[jumped])[:, None,
+                                                                  None])
+                view[jumped, :, 1, :] = 0.0
+                if stay:
                     self._psi[stay] = _damp_rows(self._psi[stay], qubit,
                                                  keep)
             else:
                 _damp_rows(self._psi, qubit, keep)
-        fired = np.flatnonzero([nrng.random() < dephase
-                                for nrng in nrngs])
-        if fired.size:
+        fired = [row for row, nrng in enumerate(nrngs)
+                 if nrng.random() < dephase]
+        if fired:
             view[fired, :, 1, :] = -view[fired, :, 1, :]
 
 
 def _damp_rows(psi: np.ndarray, qubit: int, keep: float) -> np.ndarray:
     """The no-jump branch of :meth:`BatchStateVector.apply_decay`,
-    in place on a ``(rows, 2^n)`` matrix (returned for chaining)."""
+    in place on a ``(rows, 2^n)`` matrix (returned for chaining).
+
+    ``np.linalg.norm`` of one complex row is ``sqrt(re . re + im . im)``
+    over the strided real and imaginary views, two ``ddot`` calls.
+    One ``np.matmul`` per part, of its stacked ``(rows, 1, 2^n)`` and
+    ``(rows, 2^n, 1)`` views, issues that same strided ``ddot`` per
+    row, so every norm equals the serial one.  Renormalisation then
+    multiplies by the reciprocals, which equals the serial division
+    in value (see :meth:`BatchStateVector.collapse`).
+    """
     psi.reshape(psi.shape[0], -1, 2, 1 << qubit)[:, :, 1, :] *= keep
-    norms = np.array([np.linalg.norm(row) for row in psi])
+    norms = np.sqrt(_row_dots(psi.real) + _row_dots(psi.imag))
     if not norms.all():
         raise RuntimeError("state annihilated by idle decay")
-    psi /= norms[:, None]
+    psi *= (1.0 / norms)[:, None]
     return psi
+
+
+def _row_dots(part: np.ndarray) -> np.ndarray:
+    """Each row of a ``(rows, 2^n)`` float matrix dotted with itself."""
+    return np.matmul(part[:, None, :], part[:, :, None])[:, 0, 0]

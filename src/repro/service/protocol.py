@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -247,10 +248,11 @@ class JobSpec:
         timeout_s = raw.get("timeout_s")
         if timeout_s is not None and (
                 not isinstance(timeout_s, (int, float))
-                or isinstance(timeout_s, bool) or timeout_s <= 0):
+                or isinstance(timeout_s, bool)
+                or not math.isfinite(timeout_s) or timeout_s <= 0):
             raise ProtocolError(
-                "bad_job", f"'timeout_s' must be positive, "
-                f"got {timeout_s!r}")
+                "bad_job", f"'timeout_s' must be a finite positive "
+                f"number, got {timeout_s!r}")
         shard_shots = raw.get("shard_shots")
         if shard_shots is not None and (
                 not isinstance(shard_shots, int)

@@ -355,18 +355,20 @@ class TestDecayKernel:
         ones = before.reshape(2, 2)[1]
         assert np.array_equal(state.amplitudes.reshape(2, 2)[1], -ones)
 
-    def test_cohort_rows_match_serial_kernel(self):
-        # Each row draws its own rngs and ends bit-identical to a
-        # serial StateVector running the same kernel with them.
+    @pytest.mark.parametrize("width", [1, 6, 64])
+    def test_cohort_rows_match_serial_kernel(self, width):
+        # Each row draws its own rngs and ends equal to a serial
+        # StateVector running the same kernel with them.  Width 64 is
+        # auto_batch_width on 9 qubits.
         from repro.qpu.statevector import BatchStateVector
         rng = np.random.default_rng(9)
         jumped = []
-        for n in range(1, 10):
+        for n in range(1, 11):
             for qubit in range(n):
-                rows = random_amplitudes(rng, (6, 1 << n))
+                rows = random_amplitudes(rng, (width, 1 << n))
                 seeds = [int(seed) for seed in rng.integers(1 << 30,
-                                                            size=6)]
-                batch = BatchStateVector(n, 6)
+                                                            size=width)]
+                batch = BatchStateVector(n, width)
                 batch._psi[:] = rows
                 srngs = [random.Random(seed) for seed in seeds]
                 nrngs = [random.Random(~seed) for seed in seeds]
@@ -389,6 +391,74 @@ class TestDecayKernel:
 
 class TestBatchRows:
     """Cohort rows must compute and reduce exactly like the device."""
+
+    @pytest.mark.parametrize("width", [1, 6, 64])
+    def test_collapse_rows_match_serial_measure(self, width):
+        # Each row draws its outcome from its own seeded rng and ends
+        # equal to a serial StateVector.measure with that seed.
+        from repro.qcp.tracecache import _BatchCohort, _collapse_cohort
+        from repro.qpu.statevector import BatchStateVector
+        rng = np.random.default_rng(width)
+        outcomes = []
+        for n in range(1, 11):
+            for qubit in range(n):
+                rows = random_amplitudes(rng, (width, 1 << n))
+                seeds = [int(seed) for seed in rng.integers(1 << 30,
+                                                            size=width)]
+                batch = BatchStateVector(n, width)
+                batch._psi[:] = rows
+                srngs = [random.Random(seed) for seed in seeds]
+                drawn = _collapse_cohort(
+                    _BatchCohort(batch, list(range(width)),
+                                 [None] * width, srngs, None), qubit)
+                for row, seed in enumerate(seeds):
+                    serial = StateVector(n, rng=random.Random(seed))
+                    serial._amplitudes[:] = rows[row]
+                    assert serial.measure(qubit) == drawn[row]
+                    assert np.array_equal(batch.amplitudes[row],
+                                          serial.amplitudes), (n, qubit)
+                    assert srngs[row].getstate() == \
+                        serial.rng.getstate()
+                outcomes.extend(drawn)
+        assert 0 in outcomes and 1 in outcomes
+
+    @pytest.mark.parametrize("width", [1, 6])
+    def test_zero_norm_checks_raise_before_any_reciprocal(self, width):
+        # Row 0 is |1>: a scripted draw of 1.0 keeps it out of the jump
+        # (1.0 < gamma * P(1) = 1.0 fails), so keep = 0 annihilates it,
+        # and measures it as 0, a zero-probability outcome.  Under
+        # errstate(all="raise") a reciprocal of zero would raise
+        # FloatingPointError, which is not a RuntimeError.
+        from repro.qpu.statevector import BatchStateVector
+        rows = random_amplitudes(np.random.default_rng(3), (width, 8))
+        rows[0] = 0.0
+        rows[0, 1] = 1.0
+        draws = [1.0] + [0.5] * (width - 1)
+        with np.errstate(all="raise"):
+            batch = BatchStateVector(3, width)
+            batch._psi[:] = rows
+            with pytest.raises(RuntimeError,
+                               match="annihilated by idle decay"):
+                batch.apply_decay(0, 1.0, 0.0, 0.0,
+                                  [ScriptedDraws(d) for d in draws],
+                                  [ScriptedDraws(0.5)] * width)
+            serial = StateVector(3, rng=ScriptedDraws(1.0))
+            serial._amplitudes[:] = rows[0]
+            with pytest.raises(RuntimeError,
+                               match="annihilated by idle decay"):
+                serial.apply_decay(0, 1.0, 0.0, 0.0, ScriptedDraws(0.5))
+            batch._psi[:] = rows
+            p_one = batch.probability_of_one(0)
+            outcomes = np.array([int(d < p) for d, p in zip(draws, p_one)])
+            assert p_one[0] == 1.0 and outcomes[0] == 0
+            with pytest.raises(RuntimeError,
+                               match="zero-probability outcome"):
+                batch.collapse(0, outcomes, p_one)
+            serial = StateVector(3, rng=ScriptedDraws(1.0))
+            serial._amplitudes[:] = rows[0]
+            with pytest.raises(RuntimeError,
+                               match="zero-probability outcome"):
+                serial.measure(0)
 
     @pytest.mark.parametrize("width", [1, 6])
     @pytest.mark.parametrize("n, qubits", [

@@ -84,6 +84,8 @@ class TestValidation:
         (job(config={"trace_cache_batch_width": 8}), "bad_config"),
         (job(config={"trace_cache_dense_fusion": False}), "bad_config"),
         (job(config={"fuse_max_qubits": 5}), "bad_config"),
+        (job(timeout_s=float("nan")), "bad_job"),
+        (job(timeout_s=float("inf")), "bad_job"),
     ])
     def test_rejections_carry_machine_readable_codes(self, raw, code):
         with pytest.raises(ProtocolError) as excinfo:
