@@ -414,7 +414,7 @@ class ShotEngine:
         :func:`~repro.qcp.tracecache.auto_batch_width`: the cache
         replays each cohort as one wavefront over the trie and hands
         back ``None`` for shots that diverged off the cached paths or
-        hit an unbatchable segment — those fall back to
+        reached a node closed to cohorts — those fall back to
         :meth:`run_shot`, which records their new paths as usual.
         Every shot is bit-identical to its own ``run_shot(seed)``, so
         histograms and timings depend on neither the cohort width nor

@@ -18,21 +18,27 @@ a handful of nodes deep.
 
 :class:`TraceCache` stores executed shots in a trie keyed by the
 decision sequence.  A node holds the *segment* of work between two
-decisions, in chronological (kernel-event) order:
+decisions as the recording stream's own entries (``REC_*`` below), in
+chronological (kernel-event) order, every time on the identity arms'
+clock (see "Pauli-arm folds"):
 
-* device-level backend operations (gates/resets) with their issue
-  times — replayed through the node's compiled program (a sign trace
-  on the stabilizer tableau, a noise-site program on the dense
-  statevector; see :func:`replay_mode`);
-* measurements — executed **live** against the backend so each shot
-  draws its own outcomes (one rng draw per measurement/reset keeps the
-  replay draw-for-draw aligned with the recording simulation);
-* the executed classical micro-ops (register/shared-memory writes) and
-  measurement-result fetches — recorded in full, but replayed only as
-  far as a recorded branch depends on them (the *decision slice*,
-  below), against a lightweight register-file facade: the next
-  decision must be *computed* from this shot's own outcomes, not
-  assumed from the recording.
+* ``REC_GATE``/``REC_RESET`` — device-level backend operations with
+  their issue times;
+* ``REC_MEAS`` — measurements, without the recorded delivered value:
+  executed **live** against the backend so each shot draws its own
+  outcomes (one rng draw per measurement/reset keeps the replay
+  draw-for-draw aligned with the recording simulation);
+* ``REC_CLS``/``REC_FMR`` — the executed classical micro-ops
+  (register/shared-memory writes) and measurement-result fetches —
+  recorded in full, but replayed only as far as a recorded branch
+  depends on them (the *decision slice*, below), against a lightweight
+  register-file facade: the next decision must be *computed* from this
+  shot's own outcomes, not assumed from the recording.
+
+Each node compiles once into the one program its substrate's replay
+loops read — a sign trace on the stabilizer tableau, a noise-site step
+list on the dense statevector (see :func:`replay_mode`) — chained from
+its parent's compile-time exit state.
 
 Edges leave a node at its recorded decision point: a data-dependent
 branch (keyed by taken/not-taken, evaluated by re-running the compiled
@@ -68,7 +74,9 @@ sites the cycle-accurate simulation would:
   touches the tableau's x/z bits, so the x/z evolution along a
   decision path stays shot-invariant and each potential injection site
   compiles to pre-computed sign masks (``_S_NOISE``).  Readout flips
-  are drawn live at each compiled measurement.
+  are drawn live at each compiled measurement.  One compiled op list
+  serves both sign loops: each op carries the serial loop's packed
+  masks and the bit-plane cohort loop's row tuples.
 * On the **dense** backend, each node compiles once into a
   state-free *step list* (:func:`_compile_dense_steps`): the device's
   per-op timed behaviour is pre-resolved against one model of its
@@ -78,10 +86,9 @@ sites the cycle-accurate simulation would:
   idle-decay sites with precomputed durations, resets, live
   measurements with their readout channel and classical ops —
   analogous to the stabilizer ``_S_NOISE`` sites.  The list is bound
-  once, to closures over a cohort
-  (:meth:`TraceNode.batch_dense_program`), and one wavefront loop runs
-  it: a serial shot is a cohort of one that draws the live device's
-  own rngs (:meth:`TraceCache.replay`).
+  once, to closures over a cohort (:meth:`TraceNode.dense_program`),
+  and one wavefront loop runs it: a serial shot is a cohort of one
+  that draws the live device's own rngs (:meth:`TraceCache.replay`).
   Every stochastic step draws exactly as the device's channel does,
   so the replay is draw-for-draw identical; only the *structure*
   (which sites exist, with which constants) is hoisted out of the
@@ -131,7 +138,7 @@ verification fetches of the 236 classical ops on its decision path.
 
 Live sets only grow.  :meth:`TraceCache.record` updates them leaf to
 root along the path it just recorded and drops a node's compiled
-programs when its live set grows — a branch recorded later can revive
+program when its live set grows — a branch recorded later can revive
 an op an earlier path left dead.  The pass fails closed: an item whose
 micro-op carries no def/use sets is kept, and so is every classical
 item before it on the path (:data:`_LIVE_ALL`).
@@ -287,9 +294,11 @@ from repro.qpu.statevector import (BatchStateVector, StateVector, _lift,
                                    batch_block_applier, cached_unitary,
                                    fuse_into, fusion_width)
 
-# Chronological-stream entry tags (recording side).  REC_GATE/REC_RESET
-# double as the BackendOp kind strings, so a recorded entry's first
-# four fields are a ready-made BackendOp.
+# Chronological-stream entry tags.  A node's segment keeps the entries
+# themselves (a measurement without its delivered value, every time on
+# the identity arms' clock).  REC_GATE/REC_RESET double as the
+# BackendOp kind strings, so an entry's first four fields are a
+# ready-made BackendOp.
 REC_GATE = "gate"   # (REC_GATE, name, qubits, params, time_ns)
 REC_RESET = "reset"  # (REC_RESET, "reset", (qubit,), (), time_ns)
 REC_MEAS = "meas"   # (REC_MEAS, qubit, time_ns, delivered value)
@@ -299,27 +308,28 @@ REC_DEC = "dec"     # (REC_DEC, proc_id, run, taken)
 REC_MDEC = "mdec"   # (REC_MDEC, result_qubit, value, target, time_ns,
 #                     quiescence signature or None)
 
-# Compiled node-program item codes (replay side).
-_I_OPS = 0     # (_I_OPS, backend_ops, issue_times)
-_I_MEAS = 1    # (_I_MEAS, qubit, time_ns)
-_I_CLS = 2     # (_I_CLS, proc_id, run)
-_I_FMR = 3     # (_I_FMR, proc_id, rd, qubit)
-
 # Decision kinds.
 _D_BRANCH = 0  # (_D_BRANCH, proc_id, run)
 _D_MRCE = 1    # (_D_MRCE, result_qubit, target_qubit)
 
 # Compiled *sign-trace* op codes (stabilizer backend only, see
-# _compile_sign_node): the replay state is a single arbitrary-precision
-# integer holding the tableau's sign column, one bit per row.
-_S_XOR = 0      # (_S_XOR, mask)                      r ^= mask
-_S_MEAS_R = 1   # (_S_MEAS_R, qubit, pivot, pm, tmask, gmask)
-_S_MEAS_D = 2   # (_S_MEAS_D, qubit, rowsmask, ghalf)
-_S_RESET_R = 3  # (_S_RESET_R, pivot, pm, tmask, gmask, zmask)
-_S_RESET_D = 4  # (_S_RESET_D, rowsmask, ghalf, zmask)
-_S_CLS = 5      # (_S_CLS, proc_id, run)
-_S_FMR = 6      # (_S_FMR, proc_id, rd, qubit)
-_S_NOISE = 7    # (_S_NOISE, dep_p, per_qubit_masks, pauli_cumulative)
+# _compile_sign_node).  Every op carries both operand forms: first the
+# packed integer masks of the serial loop, whose state is one
+# arbitrary-precision integer holding the tableau's sign column (bit i
+# is row i), then the row-index tuples of the cohort loop, whose state
+# is one bit-plane integer per row (bit b is shot b).  A measurement's
+# target is its qubit in both forms, a reset's its zmask and its rows.
+_S_XOR = 0      # (_S_XOR, mask, rows)                r ^= mask
+_S_MEAS_R = 1   # (_S_MEAS_R, pivot, pm, tmask, gmask, qubit,
+#                  t_rows, g_rows, shift, qubit)
+_S_MEAS_D = 2   # (_S_MEAS_D, rowsmask, ghalf, qubit, rows, qubit)
+_S_RESET_R = 3  # (_S_RESET_R, pivot, pm, tmask, gmask, zmask,
+#                  t_rows, g_rows, shift, z_rows)
+_S_RESET_D = 4  # (_S_RESET_D, rowsmask, ghalf, zmask, rows, z_rows)
+_S_CLS = 5      # (_S_CLS, proc_id, run, defs, uses)
+_S_FMR = 6      # (_S_FMR, proc_id, rd, qubit, (proc_id, rd))
+_S_NOISE = 7    # (_S_NOISE, dep_p, per_qubit_masks, pauli_cumulative,
+#                  per_qubit_rows)
 
 # Compiled *dense step* codes (statevector backend, see
 # _compile_dense_steps): a state-free list that _bind_cohort turns into
@@ -662,14 +672,14 @@ def _slice(items: tuple, live) -> tuple[set, frozenset | None]:
     current = set(live) if live else set()
     for index in range(len(items) - 1, -1, -1):
         item = items[index]
-        code = item[0]
-        if code == _I_FMR:
+        tag = item[0]
+        if tag == REC_FMR:
             key = (item[1], item[2])
             if key in current:
                 current.discard(key)
             else:
                 dead.add(index)
-        elif code == _I_CLS:
+        elif tag == REC_CLS:
             effects = getattr(item[2], "effects", None)
             if effects is None:
                 return dead, _LIVE_ALL
@@ -688,8 +698,9 @@ def _slice(items: tuple, live) -> tuple[set, frozenset | None]:
 class TraceNode:
     """One trie node: the work segment up to the next decision point.
 
-    ``items is None`` marks an unexplored node (created as a child edge
-    but not yet recorded).  A recorded node is *interior* when
+    ``items`` is the segment: the recording stream's entries (see
+    ``REC_*``); ``None`` marks an unexplored node (created as a child
+    edge but not yet recorded).  A recorded node is *interior* when
     ``decision`` is set and a *leaf* (shot end) when it is ``None``;
     leaves carry the shot's ``total_ns``.  ``devops`` counts the
     device-level operations (gates, resets, measurements) in the
@@ -703,7 +714,7 @@ class TraceNode:
     ``live`` is the node's live set: the locations its own branch and
     its recorded children read from the classical state at its
     decision point (``None`` when there are none).  The compiled
-    programs replay only :meth:`live_items`.
+    program replays only :meth:`live_items`.
 
     An MRCE decision also keeps its time (``decision_ns``) and its
     quiescence signature (``quiet``, ``None`` unless resolved on a
@@ -719,7 +730,7 @@ class TraceNode:
                  "decision_ns", "quiet", "fold", "snapshot",
                  "last_used", "parent", "edge", "lru_prev", "lru_next",
                  "live", "_program", "_exit_xz", "_exit_busy",
-                 "_exit_windows", "_bsign_program", "_bdense_program")
+                 "_exit_windows")
 
     def __init__(self) -> None:
         self.items: tuple | None = None
@@ -737,7 +748,11 @@ class TraceNode:
         self.lru_prev: TraceNode | None = None
         self.lru_next: TraceNode | None = None
         self.live: frozenset | None = None
-        self._program: list | None = None
+        #: The one compiled program its substrate's loops read: the
+        #: sign trace and its manifest on the tableau
+        #: (:meth:`sign_program`), the bound step list on the
+        #: statevector (:meth:`dense_program`).
+        self._program: tuple | list | None = None
         #: Stabilizer sign-trace compilation: model (x, z) bit matrices
         #: at node exit, the entry state for compiling child nodes and
         #: the tableau half of a divergence-frontier checkpoint.
@@ -748,11 +763,6 @@ class TraceNode:
         #: restores into the live device.
         self._exit_busy: dict[int, int] | None = None
         self._exit_windows: dict[int, tuple[int, int]] | None = None
-        #: Batched (wavefront) replay compilations: the sign-trace
-        #: program with masks re-expressed as bit-plane row indices,
-        #: and the dense step list bound to cohort-taking closures.
-        self._bsign_program: list | None = None
-        self._bdense_program: list | None = None
 
     def live_items(self) -> tuple:
         """The recorded items minus the classical ops no recorded
@@ -763,31 +773,33 @@ class TraceNode:
         return tuple(item for index, item in enumerate(self.items)
                      if index not in dead)
 
-    def drop_programs(self) -> None:
-        """Forget the compiled programs; the next replay recompiles.
+    def drop_program(self) -> None:
+        """Forget the compiled program; the next replay recompiles.
 
         The exit snapshots stay: they depend only on the quantum items,
         so child programs compiled from them remain valid.
         """
         self._program = None
-        self._bsign_program = self._bdense_program = None
 
     def sign_program(self, state: StabilizerState,
-                     parent: "TraceNode | None",
-                     noise: NoiseModel) -> list:
-        """This node's compiled sign-trace (stabilizer backends).
+                     noise: NoiseModel) -> tuple:
+        """This node's compiled sign trace (stabilizer backends):
+        ``(ops, manifest)``, see :func:`_compile_sign_node`.
 
         Along a fixed decision path, the tableau's x/z bit matrices are
         *shot-invariant*: gates and measurement collapses never read
         the sign column, and Pauli-only noise injections never write
         the x/z bits — so only the signs differ between shots.  The
-        node's segment therefore compiles to a handful of integer
-        bit operations on the packed sign column (see
-        :func:`_compile_sign_node`), with one ``_S_NOISE`` site per
-        noisy gate; the compile-time model tableau is chained from the
-        parent node's exit snapshot.
+        node's segment therefore compiles to a handful of bit
+        operations on the sign column, with one ``_S_NOISE`` site per
+        noisy gate, and each op carries both the serial loop's packed
+        masks and the cohort loop's row tuples: one compilation serves
+        both loops.  The compile-time model tableau is chained from
+        the parent node's exit snapshot; every walk compiles a parent
+        before its children.
         """
         if self._program is None:
+            parent = self.parent
             if parent is None:
                 n = state.n_qubits
                 rows = 2 * n + 1
@@ -800,14 +812,15 @@ class TraceNode:
                 x = parent._exit_xz[0].copy()
                 z = parent._exit_xz[1].copy()
             self._program = _compile_sign_node(self.live_items(),
+                                               self.decision,
                                                state.n_qubits, x, z,
                                                noise)
             self._exit_xz = (x, z)
         return self._program
 
-    def _dense_steps(self, qpu: SimulatedQPU,
-                     parent: "TraceNode | None") -> list:
-        """Compile this node's state-free dense step list.
+    def dense_program(self, qpu: SimulatedQPU) -> list:
+        """This node's dense program: its step list, compiled and bound
+        once.
 
         The device's busy-until map and drive-window bookkeeping are
         *decision-path invariants* (they depend only on the recorded
@@ -817,53 +830,29 @@ class TraceNode:
         on the node so child nodes compile from them and a
         divergence-frontier resume can restore them into the live
         device; every walk compiles a parent before its children.
+
+        The steps are bound to closures over a :class:`_BatchCohort`
+        argument (:func:`_bind_cohort`), so one compilation serves
+        every wavefront, every ``take``-partitioned sub-cohort and
+        every serial shot (a cohort of one) that passes through the
+        node.  The cohort state is never captured, so the program
+        stays valid for the cache's lifetime.
         """
-        if parent is None:
-            busy: dict[int, int] = {}
-            windows: dict[int, tuple[int, int]] = {}
-        else:
-            busy = dict(parent._exit_busy)
-            windows = dict(parent._exit_windows)
-        steps = _compile_dense_steps(self.live_items(), qpu, busy,
-                                     windows)
-        self._exit_busy = busy
-        self._exit_windows = windows
-        return steps
-
-    def batch_sign_program(self, state: StabilizerState,
-                           parent: "TraceNode | None",
-                           noise: NoiseModel) -> tuple:
-        """The sign trace re-expressed for bit-plane cohorts.
-
-        Derived from :meth:`sign_program` (compiling it on demand, so
-        the model-tableau chaining and exit snapshots stay in one
-        place): every packed integer mask becomes a tuple of tableau
-        row indices, turning each serial integer XOR into one lane-mask
-        XOR per row of the cohort's bit-planes.  Returns
-        ``(batched_ops, measured_qubits, branch_uses, draws)`` — see
-        :func:`_batch_sign_ops`, which raises :class:`_UnbatchableNode`
-        when a micro-op has no def/use sets.
-        """
-        serial = self.sign_program(state, parent, noise)
-        if self._bsign_program is None:
-            self._bsign_program = _batch_sign_ops(serial, self.decision)
-        return self._bsign_program
-
-    def batch_dense_program(self, qpu: SimulatedQPU,
-                            parent: "TraceNode | None") -> list:
-        """This node's dense program: the one binding of its step list.
-
-        The step list (:meth:`_dense_steps`) bound to closures over a
-        :class:`_BatchCohort` argument (:func:`_bind_cohort`), so one
-        compilation serves every wavefront, every ``take``-partitioned
-        sub-cohort and every serial shot (a cohort of one) that passes
-        through the node.  The cohort state is never captured, so the
-        program stays valid for the cache's lifetime.
-        """
-        if self._bdense_program is None:
-            self._bdense_program = _bind_cohort(
-                self._dense_steps(qpu, parent), qpu.state.n_qubits)
-        return self._bdense_program
+        if self._program is None:
+            parent = self.parent
+            if parent is None:
+                busy: dict[int, int] = {}
+                windows: dict[int, tuple[int, int]] = {}
+            else:
+                busy = dict(parent._exit_busy)
+                windows = dict(parent._exit_windows)
+            self._program = _bind_cohort(
+                _compile_dense_steps(self.live_items(), qpu, busy,
+                                     windows),
+                qpu.state.n_qubits)
+            self._exit_busy = busy
+            self._exit_windows = windows
+        return self._program
 
 
 class _Fold:
@@ -871,64 +860,52 @@ class _Fold:
 
     ``edge`` is the Pauli arm's edge, ``op`` its leading Pauli as a
     recorded backend op and ``delta_ns`` how much later the Pauli arm
-    runs than the identity arm.  The Pauli's sign program — its XOR
-    mask and its gate-noise site — compiles once from the decision
-    node's exit tableau; a Pauli leaves x/z unchanged, so the identity
-    arm's programs serve both arms.
+    runs than the identity arm.  The Pauli's sign ops — its XOR mask
+    and its gate-noise site — compile once from the decision node's
+    exit tableau; a Pauli leaves x/z unchanged, so the identity arm's
+    programs serve both arms.
     """
 
-    __slots__ = ("edge", "op", "delta_ns", "_program", "_batch")
+    __slots__ = ("edge", "op", "delta_ns", "_program")
 
     def __init__(self, edge: int, op: tuple, delta_ns: int) -> None:
         self.edge = edge
         self.op = op
         self.delta_ns = delta_ns
         self._program: list | None = None
-        self._batch: list | None = None
 
     def sign_program(self, node: TraceNode, state: StabilizerState,
                      noise: NoiseModel) -> list:
-        """The Pauli's serial sign ops, after ``node`` (the folded
-        decision node, whose program is compiled)."""
+        """The Pauli's sign ops, after ``node`` (the folded decision
+        node, whose program is compiled), for both sign loops."""
         if self._program is None:
             x, z = node._exit_xz
             self._program = _compile_sign_node(
-                ((_I_OPS, (self.op,), (0,)),), state.n_qubits, x.copy(),
-                z.copy(), noise)
-            self._batch = _batch_sign_ops(self._program, None)[0]
+                (self.op + (0,),), None, state.n_qubits, x.copy(),
+                z.copy(), noise)[0]
         return self._program
-
-    def batch_sign_program(self, node: TraceNode, state: StabilizerState,
-                           noise: NoiseModel) -> list:
-        """The same ops re-expressed for bit-plane cohorts."""
-        self.sign_program(node, state, noise)
-        return self._batch
 
 
 def _op_keys(items: tuple) -> list:
-    """A segment's ops in order, without their times: what the fold
+    """A segment's entries in order, without their times: what the fold
     rule compares.  Backend ops keep their params, measurements their
-    qubit, classical items their micro-op (closures compare by
+    qubit, classical entries their micro-op (closures compare by
     identity; the engine decodes each instruction once)."""
-    keys: list = []
-    for item in items:
-        if item[0] == _I_OPS:
-            keys.extend(item[1])
-        elif item[0] == _I_MEAS:
-            keys.append(item[:2])
-        else:
-            keys.append(item)
-    return keys
+    return [item[:4] if item[0] == REC_GATE or item[0] == REC_RESET
+            else item[:2] if item[0] == REC_MEAS else item
+            for item in items]
 
 
-def _shifted(items: tuple, delta_ns: int) -> tuple:
-    """``items`` with every time ``delta_ns`` earlier."""
-    return tuple(
-        (_I_OPS, item[1], tuple(time - delta_ns for time in item[2]))
-        if item[0] == _I_OPS else
-        (_I_MEAS, item[1], item[2] - delta_ns) if item[0] == _I_MEAS
-        else item
-        for item in items)
+def _shifted(entry: tuple, delta_ns: int) -> tuple:
+    """A stream entry as a segment item: its time ``delta_ns`` earlier,
+    a measurement without its delivered value; the entry itself when
+    nothing changes."""
+    tag = entry[0]
+    if tag == REC_MEAS:
+        return (REC_MEAS, entry[1], entry[2] - delta_ns)
+    if delta_ns and (tag == REC_GATE or tag == REC_RESET):
+        return entry[:4] + (entry[4] - delta_ns,)
+    return entry
 
 
 def _bitmask(rows: np.ndarray | list) -> int:
@@ -996,13 +973,16 @@ def _flip_cnot(x: np.ndarray, z: np.ndarray, a: int, b: int) -> np.ndarray:
 
 
 def _compile_sign_measure(x: np.ndarray, z: np.ndarray, n: int,
-                          qubit: int, reset: bool) -> tuple:
+                          qubit: int, reset: bool, draw: int) -> tuple:
     """Compile one measurement (or reset) against the model tableau.
 
     Mirrors :meth:`StabilizerState.measure` with the sign column
     abstracted out: the pivot/target/row selections and the CHP ``g``
     phase contributions depend only on x/z, so they become constants;
     what remains at replay time is sign parity and the rng draw.
+    ``draw`` is the op's measurement-rng draw within its node: a
+    random-pivot op's ``shift``, ``64 * draw``, is where a cohort
+    reads each shot's coin in its measurement stream.
     """
     column = x[n:2 * n, qubit]
     first = int(column.argmax())
@@ -1031,10 +1011,13 @@ def _compile_sign_measure(x: np.ndarray, z: np.ndarray, n: int,
         x[pivot] = 0
         z[pivot] = 0
         z[pivot, qubit] = 1
+        t_rows, g_rows, shift = _set_bits(tmask), _set_bits(gmask), 64 * draw
         if reset:
-            return (_S_RESET_R, pivot, pivot - n, tmask, gmask,
-                    _bitmask(z[:, qubit]))
-        return (_S_MEAS_R, qubit, pivot, pivot - n, tmask, gmask)
+            zmask = _bitmask(z[:, qubit])
+            return (_S_RESET_R, pivot, pivot - n, tmask, gmask, zmask,
+                    t_rows, g_rows, shift, _set_bits(zmask))
+        return (_S_MEAS_R, pivot, pivot - n, tmask, gmask, qubit,
+                t_rows, g_rows, shift, qubit)
     hits = np.nonzero(x[:n, qubit])[0]
     ghalf = 0
     rowsmask = 0
@@ -1051,12 +1034,15 @@ def _compile_sign_measure(x: np.ndarray, z: np.ndarray, n: int,
             dtype=np.int64))
         ghalf = (g % 4) // 2
     if reset:
-        return (_S_RESET_D, rowsmask, ghalf, _bitmask(z[:, qubit]))
-    return (_S_MEAS_D, qubit, rowsmask, ghalf)
+        zmask = _bitmask(z[:, qubit])
+        return (_S_RESET_D, rowsmask, ghalf, zmask, _set_bits(rowsmask),
+                _set_bits(zmask))
+    return (_S_MEAS_D, rowsmask, ghalf, qubit, _set_bits(rowsmask), qubit)
 
 
-def _compile_sign_node(items: tuple, n: int, x: np.ndarray,
-                       z: np.ndarray, noise: NoiseModel) -> list:
+def _compile_sign_node(items: tuple, decision: tuple | None, n: int,
+                       x: np.ndarray, z: np.ndarray,
+                       noise: NoiseModel) -> tuple:
     """Compile a node's segment into sign-column operations.
 
     ``x``/``z`` is the model tableau at node entry; it is advanced in
@@ -1071,6 +1057,22 @@ def _compile_sign_node(items: tuple, n: int, x: np.ndarray,
     shot-invariant constants and the replay merely draws the channel
     rng positionally and XORs the selected mask.  Reset operations get
     no site — the device layer applies no gate noise after a reset.
+
+    Every op carries both operand forms (see ``_S_*``), so the serial
+    loop and the bit-plane cohort loop read one list, op for op.
+    Serial replay draws one measurement-rng ``random()`` per
+    measurement and reset, so the node consumes a fixed number of
+    draws.  Classical ops carry their cohort-state locations.
+
+    Returns ``(ops, manifest)``.  The manifest is ``(measured,
+    branch_uses, draws)``: the measured qubits in program order, which
+    the wavefront accumulates along its path so a completed shot can
+    materialize its delivered map from the cohort-level outcome words
+    in one pass; the locations ``decision`` reads (``None`` for an
+    MRCE or a leaf); and the node's draw count.  It is ``None`` when a
+    micro-op of the node has no def/use sets: a cohort cannot tell
+    which values it reads, so the node is closed to cohorts and they
+    hand its lanes to the serial loop (fail closed).
     """
     depolarizing = noise.depolarizing
     two_qubit = noise.two_qubit_depolarizing
@@ -1082,12 +1084,15 @@ def _compile_sign_node(items: tuple, n: int, x: np.ndarray,
     has_gate_noise = (depolarizing is not None or two_qubit is not None
                       or pauli is not None)
     program: list = []
+    measured: list = []
+    draws = 0
+    closed = False
     pending = 0
 
     def flush() -> None:
         nonlocal pending
         if pending:
-            program.append((_S_XOR, pending))
+            program.append((_S_XOR, pending, _set_bits(pending)))
             pending = 0
 
     def noise_site(qubits: tuple[int, ...]) -> None:
@@ -1104,48 +1109,58 @@ def _compile_sign_node(items: tuple, n: int, x: np.ndarray,
             z_flips = _bitmask(x[:, q])
             masks.append((x_flips, x_flips ^ z_flips, z_flips))
         masks = tuple(masks)
-        program.append((_S_NOISE, dep_p, masks, pauli_cum))
+        rows = tuple(tuple(_set_bits(mask) for mask in qubit_masks)
+                     for qubit_masks in masks)
+        program.append((_S_NOISE, dep_p, masks, pauli_cum, rows))
 
     for item in items:
-        code = item[0]
-        if code == _I_OPS:
-            for kind, name, qubits, _params in item[1]:
-                if kind == "reset":
-                    flush()
-                    program.append(_compile_sign_measure(
-                        x, z, n, qubits[0], reset=True))
-                    continue
-                if name in _CLIFFORD_DECOMPOSITIONS:
-                    for primitive in _CLIFFORD_DECOMPOSITIONS[name]:
+        tag = item[0]
+        if tag == REC_GATE:
+            name, qubits = item[1], item[2]
+            if name in _CLIFFORD_DECOMPOSITIONS:
+                for primitive in _CLIFFORD_DECOMPOSITIONS[name]:
+                    pending ^= _bitmask(
+                        _FLIP_ONE_QUBIT[primitive](x, z, qubits[0]))
+            else:
+                for primitive, a, b in _TWO_QUBIT_DECOMPOSITIONS[name]:
+                    if primitive == "cnot":
                         pending ^= _bitmask(
-                            _FLIP_ONE_QUBIT[primitive](x, z, qubits[0]))
-                else:
-                    for primitive, a, b in \
-                            _TWO_QUBIT_DECOMPOSITIONS[name]:
-                        if primitive == "cnot":
-                            pending ^= _bitmask(
-                                _flip_cnot(x, z, qubits[a], qubits[b]))
-                        else:
-                            pending ^= _bitmask(
-                                _FLIP_ONE_QUBIT[primitive](x, z,
-                                                           qubits[a]))
-                if has_gate_noise:
-                    # Sign XORs commute, so the pending gate flips need
-                    # no flush — the site only draws the noise rng and
-                    # XORs masks of its own.
-                    noise_site(qubits)
-        elif code == _I_MEAS:
+                            _flip_cnot(x, z, qubits[a], qubits[b]))
+                    else:
+                        pending ^= _bitmask(
+                            _FLIP_ONE_QUBIT[primitive](x, z, qubits[a]))
+            if has_gate_noise:
+                # Sign XORs commute, so the pending gate flips need no
+                # flush — the site only draws the noise rng and XORs
+                # masks of its own.
+                noise_site(qubits)
+        elif tag == REC_RESET or tag == REC_MEAS:
             flush()
-            program.append(_compile_sign_measure(x, z, n, item[1],
-                                                 reset=False))
-        elif code == _I_CLS:
+            reset = tag == REC_RESET
+            qubit = item[2][0] if reset else item[1]
+            program.append(_compile_sign_measure(x, z, n, qubit, reset,
+                                                 draws))
+            if not reset:
+                measured.append(qubit)
+            draws += 1
+        elif tag == REC_CLS:
             flush()
-            program.append((_S_CLS, item[1], item[2]))
-        else:  # _I_FMR
+            effects = _cohort_effects(item[1], item[2])
+            closed = closed or effects is None
+            program.append((_S_CLS, item[1], item[2])
+                           + (effects or (None, None)))
+        else:  # REC_FMR
             flush()
-            program.append((_S_FMR, item[1], item[2], item[3]))
+            program.append((_S_FMR, item[1], item[2], item[3],
+                            (item[1], item[2])))
     flush()
-    return program
+    branch_uses = None
+    if decision is not None and decision[0] == _D_BRANCH:
+        effects = _cohort_effects(decision[1], decision[2])
+        closed = closed or effects is None
+        branch_uses = None if effects is None else effects[1]
+    return program, None if closed else (tuple(measured), branch_uses,
+                                         draws)
 
 
 def _set_bits(mask: int) -> tuple:
@@ -1163,90 +1178,17 @@ def _set_bits(mask: int) -> tuple:
     return tuple(bits)
 
 
-def _cohort_effects(proc_id: int, run) -> tuple:
-    """A micro-op's ``(defs, uses)`` as cohort-state locations.
-
-    Raises :class:`_UnbatchableNode` for a micro-op without def/use
-    sets: a cohort cannot tell which values it reads, so the cohort
-    goes to the serial loop (fail closed).
-    """
+def _cohort_effects(proc_id: int, run) -> tuple | None:
+    """A micro-op's ``(defs, uses)`` as cohort-state locations, or
+    ``None`` for a micro-op without def/use sets, which closes its
+    node to cohorts (:func:`_compile_sign_node`)."""
     effects = getattr(run, "effects", None)
     if effects is None:
-        raise _UnbatchableNode("classical micro-op without def/use sets")
+        return None
     # An op reading one register twice (``add r6, r6, r6``) has one
     # input, not a combination of two.
     return (tuple(dict.fromkeys(_located(proc_id, effects[0]))),
             tuple(dict.fromkeys(_located(proc_id, effects[1]))))
-
-
-def _batch_sign_ops(program: list, decision: tuple | None) -> tuple:
-    """Re-express a compiled sign trace for bit-plane execution.
-
-    Op order is identical to the serial program, so the batched loop
-    mirrors the serial loop op for op.  The integer masks become
-    tuples of tableau row indices, the CHP ``g`` phase collapses to
-    its parity bit, and each measurement or reset ends with its
-    target: the measured qubit, or a reset's zmask rows.
-
-    * ``(_S_MEAS_D | _S_RESET_D, rows, ghalf, target)``
-    * ``(_S_MEAS_R | _S_RESET_R, pivot, pm, t_rows, g_rows, shift,
-      target)``
-
-    Serial replay draws one measurement-rng ``random()`` per
-    measurement and reset, so the node consumes a fixed number of
-    draws.  ``shift`` is ``64 * i`` for a random-pivot op's draw ``i``
-    within the node: where the cohort reads each shot's coin in its
-    measurement stream.  Classical ops carry their locations for the
-    cohort's :class:`_CohortState`: a ``_S_CLS`` becomes ``(_S_CLS,
-    run, defs, uses)`` and a ``_S_FMR`` ``(_S_FMR, register, qubit)``.
-    Returns ``(batched_ops, measured_qubits, branch_uses, draws)``:
-    the segment's measurement manifest in program order, which the
-    wavefront accumulates along its path so a completed shot can
-    materialize its delivered map from the cohort-level outcome words
-    in one pass; the locations the node's branch decision reads
-    (``None`` for an MRCE or a leaf); and the node's draw count.
-    """
-    branch_uses = None
-    if decision is not None and decision[0] == _D_BRANCH:
-        branch_uses = _cohort_effects(decision[1], decision[2])[1]
-    batched: list = []
-    measured: list = []
-    draws = 0
-    for op in program:
-        code = op[0]
-        if code == _S_XOR:
-            batched.append((_S_XOR, _set_bits(op[1])))
-        elif code == _S_MEAS_D:
-            batched.append((_S_MEAS_D, _set_bits(op[2]), op[3] & 1,
-                            op[1]))
-            measured.append(op[1])
-            draws += 1
-        elif code == _S_MEAS_R:
-            _c, qubit, pivot, pm, tmask, gmask = op
-            batched.append((_S_MEAS_R, pivot, pm, _set_bits(tmask),
-                            _set_bits(gmask), 64 * draws, qubit))
-            measured.append(qubit)
-            draws += 1
-        elif code == _S_RESET_R:
-            _c, pivot, pm, tmask, gmask, zmask = op
-            batched.append((_S_RESET_R, pivot, pm, _set_bits(tmask),
-                            _set_bits(gmask), 64 * draws,
-                            _set_bits(zmask)))
-            draws += 1
-        elif code == _S_RESET_D:
-            batched.append((_S_RESET_D, _set_bits(op[1]), op[2] & 1,
-                            _set_bits(op[3])))
-            draws += 1
-        elif code == _S_NOISE:
-            _c, dep_p, masks, pauli_cum = op
-            rows = tuple(tuple(_set_bits(mask) for mask in qubit_masks)
-                         for qubit_masks in masks)
-            batched.append((_S_NOISE, dep_p, rows, pauli_cum))
-        elif code == _S_CLS:
-            batched.append((_S_CLS, op[2]) + _cohort_effects(op[1], op[2]))
-        else:  # _S_FMR
-            batched.append((_S_FMR, (op[1], op[2]), op[3]))
-    return batched, tuple(measured), branch_uses, draws
 
 
 class _DenseBlockCompiler:
@@ -1432,28 +1374,27 @@ def _compile_dense_steps(items: tuple, qpu: SimulatedQPU,
                 block.add_unitary(matrix, (left, right))
 
     for item in items:
-        code = item[0]
-        if code == _I_OPS:
-            for op, time_ns in zip(item[1], item[2]):
-                kind, name, qubits, params = op
-                duration = duration_of(name, qubits)
-                decay_sites(time_ns, qubits)
-                for qubit in qubits:
-                    busy[qubit] = time_ns + duration
-                if kind == "reset":
-                    # The device applies no gate noise after a reset
-                    # and opens no drive window for it; resets draw
-                    # the backend rng, so they always flush.
-                    block.flush()
-                    steps.append((_V_RESET, qubits[0]))
-                    continue
-                block.add_unitary(cached_unitary(name, params)
-                                  if len(qubits) == 1
-                                  else lookup_gate(name).unitary(params),
-                                  qubits)
-                channel_sites(qubits)
-                note_window(time_ns, qubits, duration)
-        elif code == _I_MEAS:
+        tag = item[0]
+        if tag == REC_GATE or tag == REC_RESET:
+            _tag, name, qubits, params, time_ns = item
+            duration = duration_of(name, qubits)
+            decay_sites(time_ns, qubits)
+            for qubit in qubits:
+                busy[qubit] = time_ns + duration
+            if tag == REC_RESET:
+                # The device applies no gate noise after a reset and
+                # opens no drive window for it; resets draw the
+                # backend rng, so they always flush.
+                block.flush()
+                steps.append((_V_RESET, qubits[0]))
+                continue
+            block.add_unitary(cached_unitary(name, params)
+                              if len(qubits) == 1
+                              else lookup_gate(name).unitary(params),
+                              qubits)
+            channel_sites(qubits)
+            note_window(time_ns, qubits, duration)
+        elif tag == REC_MEAS:
             qubit, time_ns = item[1], item[2]
             decay_sites(time_ns, (qubit,))
             busy[qubit] = time_ns + duration_of("measure", (qubit,))
@@ -1463,23 +1404,17 @@ def _compile_dense_steps(items: tuple, qpu: SimulatedQPU,
             steps.append((_V_MEAS, qubit,
                           None if readout is None
                           else readout.for_qubit(qubit).corrupt))
-        elif code == _I_CLS:
+        elif tag == REC_CLS:
             # Classical micro-ops never touch the quantum state, so
             # they need no gate flush; program order within the
             # segment is preserved for everything that matters (the
             # delivered-outcome map is only written at measure steps,
             # which do flush).
             steps.append((_V_CLS, item[1], item[2]))
-        else:  # _I_FMR
+        else:  # REC_FMR
             steps.append((_V_FMR, item[1], item[2], item[3]))
     block.flush()
     return steps
-
-
-class _UnbatchableNode(Exception):
-    """A sign node contains a classical micro-op the cohort cannot
-    partition (no def/use sets); the wavefront falls back to the serial
-    per-shot loop for the affected shots (fail closed)."""
 
 
 class _BatchCohort:
@@ -1568,7 +1503,7 @@ def _cohort_noise(op: tuple, slots, nrngs: list, planes: list) -> None:
     depolarizing fire), and the fired Paulis XOR the bit-planes of
     their lanes.
     """
-    _c, dep_p, qubit_rows, pauli_cum = op
+    _c, dep_p, _masks, pauli_cum, qubit_rows = op
     if dep_p is not None:
         for triplet in qubit_rows:
             fired = [0, 0, 0]
@@ -1687,7 +1622,7 @@ def replay_mode(qpu: SimulatedQPU) -> str | None:
 
     ``"signs"`` (the sign trace, :meth:`TraceNode.sign_program`) on
     the stabilizer tableau under Pauli-only noise; ``"dense"`` (the
-    noise-site program, :meth:`TraceNode.batch_dense_program`, run by
+    noise-site program, :meth:`TraceNode.dense_program`, run by
     cohorts — a serial shot is a cohort of one) on the statevector
     under ideal or dense-compilable noise; ``None`` for
     every other substrate, which the shot engine then runs
@@ -1833,9 +1768,9 @@ class TraceRecorder:
     :meth:`TraceCache._fold` once its new arm is closed.
     """
 
-    __slots__ = ("cache", "stream", "read", "node", "items", "ops",
-                 "times", "path", "classical", "shift", "pauli", "fork",
-                 "base", "restart", "handover")
+    __slots__ = ("cache", "stream", "read", "node", "items", "path",
+                 "classical", "shift", "pauli", "fork", "base", "restart",
+                 "handover")
 
     def __init__(self, cache: TraceCache, node: TraceNode, shift: int = 0,
                  base: _ReplayContext | None = None) -> None:
@@ -1845,9 +1780,8 @@ class TraceRecorder:
         self.read = 0
         #: The node whose segment is open.
         self.node = node
+        #: The open segment's entries (see :func:`_shifted`).
         self.items: list = []
-        self.ops: list = []
-        self.times: list = []
         #: (node, newly recorded) from the root down, open node excluded.
         self.path = [(ancestor, False) for ancestor in _ancestry(node.parent)]
         #: The path holds a classical entry: no snapshots below it.
@@ -1858,8 +1792,8 @@ class TraceRecorder:
         self.base = base
         #: (snapshot, now, delivered) when the run restarts from a node.
         self.restart: tuple | None = None
-        #: (child, decision node, context, packed signs) once the shot
-        #: is handed back to replay.
+        #: (child, context, packed signs) once the shot is handed back
+        #: to replay.
         self.handover: tuple | None = None
 
     @classmethod
@@ -1899,37 +1833,23 @@ class TraceRecorder:
         closing a node at each decision."""
         stream = self.stream
         items = self.items
-        ops = self.ops
-        times = self.times
         shift = self.shift
         for index in range(self.read, len(stream)):
             entry = stream[index]
             tag = entry[0]
-            if tag == REC_GATE or tag == REC_RESET:
-                ops.append(entry[:4])
-                times.append(entry[4] - shift)
-                continue
-            if ops:
-                items.append((_I_OPS, tuple(ops), tuple(times)))
-                ops.clear()
-                times.clear()
-            if tag == REC_MEAS:
-                items.append((_I_MEAS, entry[1], entry[2] - shift))
-            elif tag == REC_CLS:
-                items.append((_I_CLS, entry[1], entry[2]))
+            if tag == REC_DEC:
                 self.classical = True
-            elif tag == REC_FMR:
-                items.append((_I_FMR, entry[1], entry[2], entry[3]))
-                self.classical = True
+                self._close((_D_BRANCH, entry[1], entry[2]), entry[3])
+            elif tag == REC_MDEC:
+                self._close((_D_MRCE, entry[1], entry[3]), entry[2],
+                            entry[4] - shift, entry[5])
             else:
-                if tag == REC_DEC:
+                if tag == REC_CLS or tag == REC_FMR:
                     self.classical = True
-                    self._close((_D_BRANCH, entry[1], entry[2]), entry[3])
-                else:  # REC_MDEC
-                    self._close((_D_MRCE, entry[1], entry[3]), entry[2],
-                                entry[4] - shift, entry[5])
-                items = self.items
-                shift = self.shift
+                items.append(_shifted(entry, shift))
+                continue
+            items = self.items
+            shift = self.shift
         self.read = len(stream)
 
     def _close(self, decision: tuple | None, outcome: int | None = None,
@@ -1937,10 +1857,6 @@ class TraceRecorder:
                total_ns: int | None = None) -> None:
         """Close the open segment at a decision (``None``: the leaf,
         with the run's ``total_ns``) and open the outcome's child."""
-        if self.ops:
-            self.items.append((_I_OPS, tuple(self.ops), tuple(self.times)))
-            self.ops.clear()
-            self.times.clear()
         node = self.node
         items = self.items
         fresh = node.items is None
@@ -1950,10 +1866,8 @@ class TraceRecorder:
             node.decision = decision
             node.decision_ns = time_ns
             node.quiet = quiet
-            node.devops = sum(
-                len(item[1]) if item[0] == _I_OPS else 1
-                for item in node.items
-                if item[0] == _I_OPS or item[0] == _I_MEAS)
+            node.devops = sum(1 for item in items
+                              if item[0] != REC_CLS and item[0] != REC_FMR)
             if decision is None:
                 node.total_ns = total_ns - self.shift
         elif not _same_decision(node.decision, decision):
@@ -2106,7 +2020,7 @@ class TraceRecorder:
         child = cache._epilogue(node, ctx)
         if child is None:
             return False
-        self.handover = (child, node, ctx, _pack_signs(state.r))
+        self.handover = (child, ctx, _pack_signs(state.r))
         cache.rejoins += 1
         return True
 
@@ -2139,8 +2053,8 @@ class TraceCache:
     subset of hits completed by a wavefront cohort),
     ``wavefront_splits`` (cohort partitions at decision points) and
     ``serial_fallbacks`` (shots a wavefront handed back to the serial
-    per-shot path — divergences off the cached trie plus unbatchable
-    segments); the cohort of one that serves a serial dense shot
+    per-shot path — divergences off the cached trie plus nodes closed
+    to cohorts); the cohort of one that serves a serial dense shot
     counts none of them.
     """
 
@@ -2307,8 +2221,7 @@ class TraceCache:
         return child
 
     def _replay_signs(self, node: TraceNode, qpu: SimulatedQPU,
-                      ctx: _ReplayContext | None = None,
-                      parent: TraceNode | None = None, r: int = 0
+                      ctx: _ReplayContext | None = None, r: int = 0
                       ) -> tuple[dict[int, int], int] | ResumePoint:
         """Replay via the compiled sign-trace (stabilizer backends).
 
@@ -2321,8 +2234,8 @@ class TraceCache:
         resumed cycle-accurate run continues from the checkpoint.
 
         A shot that rejoins the trie (:meth:`rejoin`) enters at the
-        hand-over child with its context, its decision node as
-        ``parent`` and the live packed signs ``r``.
+        hand-over child with its context and the live packed signs
+        ``r``.
         """
         state: StabilizerState = qpu.state
         noise = qpu.noise
@@ -2336,10 +2249,10 @@ class TraceCache:
         while True:
             self._touch(node)
             ctx.skip_ops += node.devops
-            program = node.sign_program(state, parent, noise)
+            program = node.sign_program(state, noise)[0]
             if ctx.pauli is not None:
                 # Entered on a fold's Pauli arm: the Pauli comes first.
-                program = ctx.pauli.sign_program(parent, state,
+                program = ctx.pauli.sign_program(node.parent, state,
                                                  noise) + program
                 ctx.pauli = None
             for op in program:
@@ -2347,13 +2260,14 @@ class TraceCache:
                 if code == _S_XOR:
                     r ^= op[1]
                 elif code == _S_MEAS_D:
-                    raw = ((r & op[2]).bit_count() + op[3]) & 1
+                    raw = ((r & op[1]).bit_count() + op[2]) & 1
                     rng()
-                    value = corrupt(raw, op[1])
-                    delivered[op[1]] = value
+                    value = corrupt(raw, op[3])
+                    delivered[op[3]] = value
                     outcomes.append(value)
                 elif code == _S_MEAS_R:
-                    _c, qubit, pivot, pm, tmask, gmask = op
+                    (_c, pivot, pm, tmask, gmask, qubit,
+                     _t_rows, _g_rows, _shift, _qubit) = op
                     raw = 1 if rng() < 0.5 else 0
                     if (r >> pivot) & 1:
                         r ^= gmask ^ tmask
@@ -2369,7 +2283,7 @@ class TraceCache:
                     delivered[qubit] = value
                     outcomes.append(value)
                 elif code == _S_NOISE:
-                    _c, dep_p, masks, pauli_cum = op
+                    _c, dep_p, masks, pauli_cum, _rows = op
                     if dep_p is not None:
                         for qubit_masks in masks:
                             if nrng.random() < dep_p:
@@ -2386,7 +2300,8 @@ class TraceCache:
                             elif draw < cxyz:
                                 r ^= qubit_masks[2]
                 elif code == _S_RESET_R:
-                    _c, pivot, pm, tmask, gmask, zmask = op
+                    (_c, pivot, pm, tmask, gmask, zmask,
+                     _t_rows, _g_rows, _shift, _z_rows) = op
                     outcome = 1 if rng() < 0.5 else 0
                     if (r >> pivot) & 1:
                         r ^= gmask ^ tmask
@@ -2423,7 +2338,6 @@ class TraceCache:
                 state.restore((exit_x, exit_z,
                                _unpack_signs(r, exit_x.shape[0])))
                 return self._resume_point(ctx, node)
-            parent = node
             node = nxt
 
     # -- batched (wavefront) replay ----------------------------------------
@@ -2441,8 +2355,8 @@ class TraceCache:
         list aligned with ``seeds``: ``(last result per qubit, total
         ns)`` for each shot a wavefront completed at a recorded leaf —
         bit-identical per shot-seed to :meth:`replay` — and ``None``
-        for shots that left the cached trie or hit an unbatchable
-        segment; the caller runs those through the serial per-shot
+        for shots that left the cached trie or reached a node closed
+        to cohorts; the caller runs those through the serial per-shot
         path, which records new paths as usual.  Every replay mode
         has a batch kernel.  The live QPU's state and rngs are never
         touched — cohorts carry their own — but its per-shot logs are
@@ -2554,7 +2468,8 @@ class TraceCache:
         word; a classical op or branch runs its recorded closure once
         per distinct input combination present; an MRCE decision reads
         the outcome word.  Each decision so yields a taken-lane mask
-        for :meth:`_split_cohort`.  A micro-op without def/use sets
+        for :meth:`_split_cohort`.  A node closed to cohorts (a
+        micro-op without def/use sets, see :func:`_compile_sign_node`)
         hands the whole cohort to the serial loop (fail closed).  A
         folded MRCE does not split the cohort: its Pauli-arm lanes get
         the Pauli's XOR and noise site and the fold's ``δ``.  A leaf
@@ -2600,17 +2515,15 @@ class TraceCache:
             delivered_words[qubit] = (
                 (delivered_words.get(qubit, 0) & ~cmask) | raw)
 
-        stack: list[tuple] = [(root, None, list(range(width)), (),
-                               everyone, 0, drawn)]
+        stack: list[tuple] = [(root, list(range(width)), (), everyone,
+                               0, drawn)]
         while stack:
-            node, parent, slots, measured, cmask, offset, drawn = \
-                stack.pop()
+            node, slots, measured, cmask, offset, drawn = stack.pop()
             self._touch(node)
-            try:
-                ops, node_measured, branch_uses, draws = \
-                    node.batch_sign_program(state, parent, noise)
-            except _UnbatchableNode:
-                continue
+            ops, manifest = node.sign_program(state, noise)
+            if manifest is None:
+                continue  # closed to cohorts
+            node_measured, branch_uses, draws = manifest
             if offset + draws > drawn:
                 extra = 64 * (offset + draws - drawn)
                 for slot in slots:
@@ -2625,10 +2538,10 @@ class TraceCache:
             for op in ops:
                 code = op[0]
                 if code == _S_XOR:
-                    for row in op[1]:
+                    for row in op[2]:
                         planes[row] ^= cmask
                 elif code == _S_MEAS_D or code == _S_RESET_D:
-                    _c, rows, ghalf, target = op
+                    _c, _mask, ghalf, _target, rows, target = op
                     raw = cmask if ghalf else 0
                     for row in rows:
                         raw ^= planes[row]
@@ -2641,7 +2554,8 @@ class TraceCache:
                         for row in target:
                             planes[row] ^= raw
                 elif code == _S_MEAS_R or code == _S_RESET_R:
-                    _c, pivot, pm, t_rows, g_rows, shift, target = op
+                    (_c, pivot, pm, _tmask, _gmask, _target,
+                     t_rows, g_rows, shift, target) = op
                     # random() < 0.5 exactly when the probed bit is
                     # clear.
                     probe = 1 << (coin + shift)
@@ -2663,10 +2577,10 @@ class TraceCache:
                 elif code == _S_NOISE:
                     _cohort_noise(op, slots, nrngs, planes)
                 elif code == _S_CLS:
-                    classical.execute(op[1], op[2], op[3], cmask)
+                    classical.execute(op[2], op[3], op[4], cmask)
                 else:  # _S_FMR
-                    word = delivered_words[op[2]] & cmask
-                    classical.write(op[1], {1: word, 0: cmask ^ word},
+                    word = delivered_words[op[3]] & cmask
+                    classical.write(op[4], {1: word, 0: cmask ^ word},
                                     cmask)
             decision = node.decision
             if decision is None:
@@ -2705,10 +2619,9 @@ class TraceCache:
                     # later; _split_cohort keeps the cohort whole.
                     flips = taken if fold.edge else cmask ^ taken
                     if flips:
-                        for op in fold.batch_sign_program(node, state,
-                                                          noise):
+                        for op in fold.sign_program(node, state, noise):
                             if op[0] == _S_XOR:
-                                for row in op[1]:
+                                for row in op[2]:
                                     planes[row] ^= flips
                             else:
                                 _cohort_noise(op, _set_bits(flips), nrngs,
@@ -2725,7 +2638,7 @@ class TraceCache:
                 taken = classical.branch(decision[2], branch_uses, cmask)
             for child, rows, lanes in self._split_cohort(
                     node, slots, cmask, taken):
-                stack.append((child, node,
+                stack.append((child,
                               slots if lanes == cmask
                               else [slots[row] for row in rows],
                               measured, lanes, offset, drawn))
@@ -2747,11 +2660,11 @@ class TraceCache:
         divergence frontier (:meth:`replay`).
         """
         frontier = None
-        stack: list[tuple] = [(root, None, cohort)]
+        stack: list[tuple] = [(root, cohort)]
         while stack:
-            node, parent, cohort = stack.pop()
+            node, cohort = stack.pop()
             self._touch(node)
-            for step in node.batch_dense_program(qpu, parent):
+            for step in node.dense_program(qpu):
                 step(cohort)
             decision = node.decision
             if decision is None:
@@ -2769,7 +2682,7 @@ class TraceCache:
             for child, rows, child_lanes in self._split_cohort(
                     node, cohort.slots, lanes, taken):
                 lanes ^= child_lanes
-                stack.append((child, node, cohort.take(rows)))
+                stack.append((child, cohort.take(rows)))
             if lanes:
                 frontier = node
         return frontier
@@ -2799,8 +2712,8 @@ class TraceCache:
         Returns the replay's result: the shot's outcome, or a
         :class:`ResumePoint` for its next miss (counted as no new miss).
         """
-        child, parent, ctx, r = recorder.handover
-        replayed = self._replay_signs(child, qpu, ctx, parent, r)
+        child, ctx, r = recorder.handover
+        replayed = self._replay_signs(child, qpu, ctx, r)
         if (not isinstance(replayed, ResumePoint)
                 and self.max_nodes is not None
                 and self.nodes > self.max_nodes):
@@ -2817,7 +2730,7 @@ class TraceCache:
             pending.append(current)
             current = current.parent
         for current in reversed(pending):
-            current.sign_program(state, current.parent, noise)
+            current.sign_program(state, noise)
         return node._exit_xz
 
     def _grow_live(self, path: list) -> None:
@@ -2825,7 +2738,7 @@ class TraceCache:
 
         A node's live set takes in its own branch's uses and the entry
         set of the path's next node.  A node whose live set grows drops
-        its compiled programs: a branch recorded later can revive an op
+        its compiled program: a branch recorded later can revive an op
         that an earlier path left dead.  The walk stops at the first
         node recorded before whose live set did not change — its
         parent already covers what it needs on entry.  A path without
@@ -2837,7 +2750,7 @@ class TraceCache:
                          entry)
             if live is not node.live:
                 node.live = live
-                node.drop_programs()
+                node.drop_program()
             elif not fresh:
                 return
             entry = _slice(node.items, live)[1]
@@ -2912,7 +2825,7 @@ class TraceCache:
             live = _join(dst.live, src.live)
             if live is not dst.live:
                 dst.live = live
-                dst.drop_programs()
+                dst.drop_program()
             if (not _same_decision(dst.decision, src.decision)
                     or dst.quiet != src.quiet
                     or dst.snapshot != src.snapshot
@@ -2977,7 +2890,8 @@ class TraceCache:
         while stack:
             node = stack.pop()
             if node.items is not None:
-                node.items = _shifted(node.items, delta_ns)
+                node.items = tuple(_shifted(item, delta_ns)
+                                   for item in node.items)
                 if node.decision is None:
                     node.total_ns -= delta_ns
                 elif node.decision_ns is not None:

@@ -129,6 +129,10 @@ class ZZCrosstalk:
     zeta_hz: float
     pairs: tuple[tuple[int, int], ...] = ()
 
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.zeta_hz):
+            raise ValueError("ZZ coefficient must be finite")
+
     def conditional_phase(self, duration_ns: float) -> float:
         """Phase (radians) accumulated over ``duration_ns``."""
         return 2.0 * math.pi * self.zeta_hz * duration_ns * 1e-9
@@ -229,6 +233,7 @@ class PairZZCrosstalk(ZZCrosstalk):
     pair_zeta_hz: tuple[tuple[int, int, float], ...] = ()
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         table = {}
         for left, right, zeta in self.pair_zeta_hz:
             table[(left, right)] = zeta
@@ -259,6 +264,8 @@ class DecoherenceNoise:
     t2_us: float = 60.0
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.t1_us) and math.isfinite(self.t2_us)):
+            raise ValueError("coherence times must be finite")
         if self.t1_us <= 0 or self.t2_us <= 0:
             raise ValueError("coherence times must be positive")
         if self.t2_us > 2 * self.t1_us:

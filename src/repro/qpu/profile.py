@@ -57,6 +57,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import pathlib
 from dataclasses import dataclass, field
 
@@ -89,9 +90,9 @@ def _canonical_gate(name: object, where: str) -> str:
 
 def _check_time(value: object, key: str, where: str) -> float:
     if not isinstance(value, (int, float)) or isinstance(value, bool) \
-            or value <= 0:
+            or not math.isfinite(value) or value <= 0:
         raise ValueError(f"device-profile {where}: {key} must be a "
-                         f"positive number, got {value!r}")
+                         f"positive finite number, got {value!r}")
     return float(value)
 
 
@@ -272,9 +273,10 @@ class DeviceProfile:
                                  f"{pair!r}")
             zz_khz = entry.get("zz_khz")
             if not isinstance(zz_khz, (int, float)) \
-                    or isinstance(zz_khz, bool):
+                    or isinstance(zz_khz, bool) \
+                    or not math.isfinite(zz_khz):
                 raise ValueError(f"device-profile coupling zz_khz must "
-                                 f"be a number, got {zz_khz!r}")
+                                 f"be a finite number, got {zz_khz!r}")
             left, right = sorted(pair)
             couplings.append((left, right, float(zz_khz) * 1e3))
         return cls(name=name, backend=backend, defaults=defaults,

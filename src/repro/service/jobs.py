@@ -113,9 +113,12 @@ class JobManager:
             except asyncio.CancelledError:
                 pass
             self._runner = None
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            # Join the pool's management thread: left running, it can
+            # write to its wakeup pipe after interpreter exit closed it.
+            await asyncio.to_thread(pool.shutdown, wait=True,
+                                    cancel_futures=True)
 
     def _new_pool(self) -> ProcessPoolExecutor:
         # The initializer reruns in every worker of every pool, so a

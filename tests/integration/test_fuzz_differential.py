@@ -467,10 +467,15 @@ def test_epilogue_is_shared_by_all_replay_modes():
     names no comparator or ALU function: its decisions run the
     recorded micro-op closures.
 
-    Dense compilation has exactly one implementation: the drive-window
-    pruning, the ZZ window accounting, the gate-channel selection and
-    GEMM fusion each appear in one function, and the step compiler has
-    exactly one binding, the cohort one.
+    Each substrate compiles a node once, into the one program its
+    loops read.  Dense compilation has exactly one implementation: the
+    drive-window pruning, the ZZ window accounting, the gate-channel
+    selection and GEMM fusion each appear in one function, and
+    ``TraceNode.dense_program`` both compiles and binds the step list
+    (the cohort binding is the only one).  The sign trace has exactly
+    one compiler, whose ops carry both the serial loop's masks and the
+    cohort loop's rows: no other function builds a sign op, and only
+    the node and the fold call the compiler.
     """
     import inspect
 
@@ -515,12 +520,20 @@ def test_epilogue_is_shared_by_all_replay_modes():
     for kernel in ("stop <= time_ns", "window_events(",
                    "gate_site_specs(", "fuse_into("):
         assert len(holders(kernel)) == 1, (kernel, holders(kernel))
-    # The step compiler's own definition, its one caller and the one
-    # binding that caller serves.
+    # Each compiler's own definition and its callers: one per program.
     assert holders("_compile_dense_steps(") == {"_compile_dense_steps",
-                                                "TraceNode._dense_steps"}
-    assert holders("self._dense_steps(") == {
-        "TraceNode.batch_dense_program"}
+                                                "TraceNode.dense_program"}
+    assert holders("_bind_cohort(") == {"_bind_cohort",
+                                        "TraceNode.dense_program"}
+    assert holders("_compile_sign_node(") == {"_compile_sign_node",
+                                              "TraceNode.sign_program",
+                                              "_Fold.sign_program"}
+    assert holders("(_S_XOR,") == {"_compile_sign_node"}
+    sign_ops = {holder for name in vars(tracecache)
+                if name.startswith("_S_")
+                for holder in holders(f"({name},")}
+    assert sign_ops == {"_compile_sign_node", "_compile_sign_measure"}, (
+        sign_ops)
     source = inspect.getsource(cache._replay_batch_signs)
     for banned in ("_COMPARATORS", "_FUNCS", ".taken(", "_ReplayContext",
                    "_decide("):

@@ -18,7 +18,7 @@ from repro.isa.builder import ProgramBuilder
 from repro.qcp import (QCPConfig, ShotEngine, TraceCache, scalar_config,
                        superscalar_config)
 from repro.qcp.decode import K_CLASSICAL
-from repro.qcp.tracecache import _I_CLS, _S_CLS, _S_FMR
+from repro.qcp.tracecache import REC_CLS, _S_CLS, _S_FMR
 from repro.qpu import PRNGQPU
 from tests.replay_paths import served
 
@@ -212,7 +212,7 @@ def path_nodes(cache):
 
 def classical_ops(node):
     """(``_S_CLS``, ``_S_FMR``) op counts of a node's sign program."""
-    codes = [op[0] for op in node._program]
+    codes = [op[0] for op in node._program[0]]
     return codes.count(_S_CLS), codes.count(_S_FMR)
 
 
@@ -343,12 +343,12 @@ class TestDecisionSlice:
             assert classical_ops(root) == (1, 1)
             for child in children:
                 assert classical_ops(child) == (1, 1)
-                assert any(item[0] == _I_CLS and item[2] is opaque
+                assert any(item[0] == REC_CLS and item[2] is opaque
                            for item in child.live_items())
             # Below it the slice still prunes the dead ldi.
             assert all(classical_ops(node) == (0, 0)
                        for node in grandchildren)
-            assert any(item[0] == _I_CLS for node in grandchildren
+            assert any(item[0] == REC_CLS for node in grandchildren
                        for item in node.items)
 
 
@@ -644,7 +644,7 @@ class TestQuietRestart:
         rejoin = TraceCache.rejoin
 
         def spy(self, recorder, qpu):
-            ctx = recorder.handover[2]
+            ctx = recorder.handover[1]
             handed.append((ctx.proc(0).registers.read(7),
                            ctx.shared.read(5)))
             return rejoin(self, recorder, qpu)

@@ -339,35 +339,30 @@ def decaying_noise() -> NoiseModel:
 
 def random_measured_segment(seed: int, n_qubits: int = 4,
                             length: int = 30) -> tuple:
-    """A seeded random decision-free segment as recorded items: runs of
-    :func:`random_segment`'s gates plus resets, split by
+    """A seeded random decision-free segment as recorded stream
+    entries: :func:`random_segment`'s gates plus resets and
     measurements."""
-    from repro.qcp.tracecache import _I_MEAS, _I_OPS
+    from repro.qcp.tracecache import REC_GATE, REC_MEAS, REC_RESET
 
     rng = random.Random(seed)
-    items, ops, times = [], [], []
+    items = []
     time_ns = 0
     for _ in range(length):
         draw = rng.random()
         if draw < 0.15:
-            if ops:
-                items.append((_I_OPS, tuple(ops), tuple(times)))
-                ops, times = [], []
-            items.append((_I_MEAS, rng.randrange(n_qubits), time_ns))
+            items.append((REC_MEAS, rng.randrange(n_qubits), time_ns))
+        elif draw < 0.2:
+            items.append((REC_RESET, "reset", (rng.randrange(n_qubits),),
+                          (), time_ns))
+        elif draw < 0.4:
+            control, target = rng.sample(range(n_qubits), 2)
+            items.append((REC_GATE, "cnot", (control, target), (),
+                          time_ns))
         else:
-            if draw < 0.2:
-                ops.append(("reset", "reset", (rng.randrange(n_qubits),),
-                            ()))
-            elif draw < 0.4:
-                control, target = rng.sample(range(n_qubits), 2)
-                ops.append(("gate", "cnot", (control, target), ()))
-            else:
-                gate = rng.choice(("h", "t", "s", "x", "y90", "z"))
-                ops.append(("gate", gate, (rng.randrange(n_qubits),), ()))
-            times.append(time_ns)
+            gate = rng.choice(("h", "t", "s", "x", "y90", "z"))
+            items.append((REC_GATE, gate, (rng.randrange(n_qubits),), (),
+                          time_ns))
         time_ns += rng.choice((0, 10, 20, 30, 150, 400))
-    if ops:
-        items.append((_I_OPS, tuple(ops), tuple(times)))
     return tuple(items)
 
 
@@ -393,8 +388,7 @@ class TestUnfusedDenseSteps:
         # unfused step list as a serial shot's cohort of one: the row's
         # amplitudes must be exactly equal (not close), and both rngs
         # must end in the same state.
-        from repro.qcp.tracecache import (_I_OPS, _bind_cohort,
-                                          _compile_dense_steps)
+        from repro.qcp.tracecache import _bind_cohort, _compile_dense_steps
         from repro.qpu.device import SimulatedQPU
 
         for seed in range(200):
@@ -408,8 +402,9 @@ class TestUnfusedDenseSteps:
                                   seed=seed)
             replay.restart(seed=seed)
             busy, windows = {}, {}
-            steps = _compile_dense_steps(((_I_OPS, ops, times),),
-                                         replay, busy, windows,
+            items = tuple(op + (time_ns,)
+                          for op, time_ns in zip(ops, times))
+            steps = _compile_dense_steps(items, replay, busy, windows,
                                          fuse=False)
             cohort = cohort_of_one(replay)
             for step in _bind_cohort(steps, 4):
@@ -431,7 +426,7 @@ class TestUnfusedDenseSteps:
         # state — a shot's arithmetic does not depend on which shots
         # share its cohort.
         from repro.qcp.config import QCPConfig
-        from repro.qcp.tracecache import (_I_OPS, _V_DECAY, _BatchCohort,
+        from repro.qcp.tracecache import (REC_MEAS, _V_DECAY, _BatchCohort,
                                           _ReplayContext, _bind_cohort,
                                           _compile_dense_steps)
         from repro.qpu.device import SimulatedQPU
@@ -444,14 +439,12 @@ class TestUnfusedDenseSteps:
                 device.restart(seed=seed)
                 delivered = {}
                 for item in items:
-                    if item[0] == _I_OPS:
-                        for (_, name, qubits, params), time_ns in zip(
-                                item[1], item[2]):
-                            device.apply_gate(time_ns, name, qubits,
-                                              params)
-                    else:
+                    if item[0] == REC_MEAS:
                         delivered[item[1]] = device.measure(item[2],
                                                             item[1])
+                    else:
+                        _, name, qubits, params, time_ns = item
+                        device.apply_gate(time_ns, name, qubits, params)
                 yield (device.state.amplitudes, delivered,
                        device._rng.getstate(),
                        device.noise.rng.getstate())
@@ -503,14 +496,14 @@ class TestUnfusedDenseSteps:
         assert likely_jumps > 100
 
     def test_unknown_site_kind_fails_closed(self, monkeypatch):
-        from repro.qcp.tracecache import (_I_OPS, TraceDivergenceError,
+        from repro.qcp.tracecache import (REC_GATE, TraceDivergenceError,
                                           _compile_dense_steps)
         from repro.qpu.device import SimulatedQPU
 
         qpu = SimulatedQPU(2, noise=pauli_noise())
         monkeypatch.setattr(qpu.noise, "gate_site_specs",
                             lambda qubits: (("leak", None),))
-        items = ((_I_OPS, (("gate", "h", (0,), ()),), (0,)),)
+        items = ((REC_GATE, "h", (0,), (), 0),)
         for fuse in (True, False):
             with pytest.raises(TraceDivergenceError):
                 _compile_dense_steps(items, qpu, {}, {}, fuse)

@@ -62,6 +62,12 @@ class TestZZCrosstalk:
         zz.apply_simultaneous(untouched, driven={1, 2}, duration_ns=20)
         assert untouched.fidelity_with(reference) == pytest.approx(1.0)
 
+    def test_non_finite_coupling_rejected(self):
+        from repro.qpu.noise import PairZZCrosstalk
+        for channel in (ZZCrosstalk, PairZZCrosstalk):
+            with pytest.raises(ValueError, match="finite"):
+                channel(zeta_hz=float("nan"))
+
     def test_zero_coupling_is_identity(self):
         zz = ZZCrosstalk(zeta_hz=0.0, pairs=((0, 1),))
         state = StateVector(2)
@@ -69,6 +75,15 @@ class TestZZCrosstalk:
         reference = state.copy()
         zz.apply_simultaneous(state, driven={0, 1}, duration_ns=20)
         assert state.fidelity_with(reference) == pytest.approx(1.0)
+
+
+class TestDecoherence:
+    @pytest.mark.parametrize("t1_us, t2_us", [
+        (float("nan"), 60.0), (75.0, float("nan"))])
+    def test_non_finite_coherence_times_rejected(self, t1_us, t2_us):
+        from repro.qpu.noise import DecoherenceNoise
+        with pytest.raises(ValueError, match="finite"):
+            DecoherenceNoise(t1_us=t1_us, t2_us=t2_us)
 
 
 class TestReadoutError:

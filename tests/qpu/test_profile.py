@@ -102,10 +102,16 @@ class TestFailClosed:
         with pytest.raises(ValueError, match="broken.json"):
             load_device_profile(path)
 
-    @pytest.mark.parametrize("value", [0, -3.5, "fast", True])
+    @pytest.mark.parametrize("value", [0, -3.5, "fast", True,
+                                       float("nan"), float("inf")])
     def test_bad_times_rejected(self, value):
         with pytest.raises(ValueError, match="t1_us"):
             DeviceProfile.from_dict({"defaults": {"t1_us": value}})
+
+    def test_non_finite_coupling_rejected(self):
+        with pytest.raises(ValueError, match="zz_khz"):
+            DeviceProfile.from_dict(
+                {"couplings": [{"pair": [0, 1], "zz_khz": float("nan")}]})
 
     def test_bad_probability_rejected(self):
         with pytest.raises(ValueError, match="p0_given_1"):

@@ -162,22 +162,22 @@ def test_inverse_circuit_returns_to_start(gates, qubit):
 def compile_dense(ops, seed=0, n_qubits=4):
     """``ops`` through the trace cache's dense step compiler.
 
-    Compiles one recorded op run for an ideal ``n_qubits`` device and
+    Compiles one recorded op run (as stream entries, 40 ns apart) for
+    an ideal ``n_qubits`` device and
     binds it to a cohort of one whose measurement rng is seeded with
     ``seed``; returns the cohort, the bound program and the qubit
     support of every fused block (``_V_UNITARY`` step) the compiler
     emitted.
     """
     from repro.qcp.config import QCPConfig
-    from repro.qcp.tracecache import (_I_OPS, _V_UNITARY, _BatchCohort,
+    from repro.qcp.tracecache import (_V_UNITARY, _BatchCohort,
                                       _ReplayContext, _bind_cohort,
                                       _compile_dense_steps)
     from repro.qpu.device import SimulatedQPU
     from repro.qpu.statevector import BatchStateVector
 
-    times = tuple(40 * index for index in range(len(ops)))
-    steps = _compile_dense_steps(((_I_OPS, tuple(ops), times),),
-                                 SimulatedQPU(n_qubits), {}, {})
+    items = tuple(op + (40 * index,) for index, op in enumerate(ops))
+    steps = _compile_dense_steps(items, SimulatedQPU(n_qubits), {}, {})
     supports = [step[2] for step in steps if step[0] == _V_UNITARY]
     cohort = _BatchCohort(BatchStateVector(n_qubits, 1), [0],
                           [_ReplayContext(QCPConfig())],

@@ -86,6 +86,11 @@ class TestValidation:
         (job(config={"fuse_max_qubits": 5}), "bad_config"),
         (job(timeout_s=float("nan")), "bad_job"),
         (job(timeout_s=float("inf")), "bad_job"),
+        (job(profile={"defaults": {"t1_us": float("nan")}}),
+         "bad_profile"),
+        (job(noise={"decoherence": {"t1_us": float("nan")}}),
+         "bad_noise"),
+        (job(noise={"zz": {"zeta_hz": float("nan")}}), "bad_noise"),
     ])
     def test_rejections_carry_machine_readable_codes(self, raw, code):
         with pytest.raises(ProtocolError) as excinfo:

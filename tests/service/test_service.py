@@ -183,6 +183,25 @@ class TestJobManager:
 
         run_async(main())
 
+    def test_stop_joins_the_pool_management_thread(self):
+        async def main():
+            manager = JobManager(n_workers=1, queue_size=4)
+            await manager.start()
+            try:
+                job, _ = manager.submit(self.spec())
+                queue = manager.subscribe(job)
+                while True:
+                    event = await asyncio.wait_for(queue.get(), 60)
+                    if event["event"] in ("result", "error"):
+                        break
+                thread = manager._pool._executor_manager_thread
+                assert thread is not None and thread.is_alive()
+            finally:
+                await asyncio.wait_for(manager.stop(), 60)
+            assert not thread.is_alive()
+
+        run_async(main())
+
     def test_backpressure_rejects_beyond_queue_size(self):
         async def main():
             manager = JobManager(n_workers=1, queue_size=1)
