@@ -80,6 +80,11 @@ def main() -> int:
             f"service {result.counts} != serial {serial.counts}"
         assert result.total_ns == serial.total_ns
         assert result.measured_qubits == serial.measured_qubits
+        # A streaming client must see partials, the last covering
+        # the whole sweep, before its result.
+        assert partials, "no partial histogram was streamed"
+        assert partials[-1] == args.shots, \
+            f"last partial covers {partials[-1]} of {args.shots} shots"
         print(f"bit-identical to serial run_shots: OK "
               f"({len(partials)} partial updates streamed)")
 

@@ -105,7 +105,18 @@ def route_backend(program: Program, n_qubits: int,
     :class:`~repro.qpu.profile.DeviceProfile` whose ``backend`` pin,
     when present, wins over the program analysis.
     """
-    clifford = is_clifford_program(program)
+    return route_analysed(is_clifford_program(program), n_qubits,
+                          noise=noise, profile=profile)
+
+
+def route_analysed(clifford: bool, n_qubits: int,
+                   noise=None, profile=None) -> RoutingDecision:
+    """The routing rules, given the program analysis already made.
+
+    ``clifford`` is :func:`is_clifford_program` of the program; the
+    shot-sweep service keeps it per program text, so a repeated text
+    routes without being parsed again.
+    """
     if profile is not None and profile.backend is not None:
         backend = profile.backend
         return RoutingDecision(

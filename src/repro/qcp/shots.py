@@ -409,16 +409,19 @@ class ShotEngine:
     def _run_seeds(self, seeds: range):
         """Yield each seed's (last results, ns) in seed order.
 
-        With a trace cache the first seed runs alone to warm the trie,
-        then the remaining seeds go to the cache in cohorts of
+        With a trace cache the seeds go to the cache in cohorts of
         :func:`~repro.qcp.tracecache.auto_batch_width`: the cache
         replays each cohort as one wavefront over the trie and hands
         back ``None`` for shots that diverged off the cached paths or
         reached a node closed to cohorts — those fall back to
         :meth:`run_shot`, which records their new paths as usual.
-        Every shot is bit-identical to its own ``run_shot(seed)``, so
-        histograms and timings depend on neither the cohort width nor
-        how a sweep is sharded into seed ranges.
+        Only a cold trie (no recorded path yet) runs the first seed
+        alone, to record a path for the cohorts to replay; a range of
+        one seed always runs alone, as a sign cohort of one costs more
+        than the serial sign loop.  Every shot is bit-identical to its own
+        ``run_shot(seed)``, so histograms and timings depend on
+        neither the cohort width nor how a sweep is sharded into seed
+        ranges.
         """
         cache = self.trace_cache
         if cache is None or len(seeds) < 2:
@@ -426,8 +429,10 @@ class ShotEngine:
                 yield self.run_shot(seed)
             return
         width = auto_batch_width(self._qpu)
-        yield self.run_shot(seeds[0])
-        index = 1
+        index = 0
+        if cache.root is None or cache.root.items is None:
+            yield self.run_shot(seeds[0])
+            index = 1
         while index < len(seeds):
             chunk = list(seeds[index:index + width])
             replayed = cache.replay_batch(self._qpu, chunk)

@@ -5,9 +5,9 @@ Simulation backends
 
 The functional QPU (:class:`SimulatedQPU`) is parameterized by a
 :class:`SimulationBackend` — the contract ``apply_gate`` /
-``probability_of_one`` / ``measure`` / ``reset`` / ``copy`` between the
-device layer and a quantum-state representation.  Two implementations
-are registered:
+``probability_of_one`` / ``measure_with_probability`` / ``reset`` /
+``copy`` between the device layer and a quantum-state representation.
+Two implementations are registered:
 
 ``"statevector"`` (:class:`StateVector`)
     Dense 2^n amplitudes.  Exact for every gate in the library,

@@ -65,8 +65,14 @@ class SimulationBackend(abc.ABC):
         """Pre-collapse probability of measuring ``qubit`` as 1."""
 
     @abc.abstractmethod
+    def measure_with_probability(self, qubit: int) -> tuple[int, float]:
+        """Measure ``qubit`` like :meth:`measure`; return the outcome
+        and the pre-collapse :meth:`probability_of_one`, which the
+        measurement computes for its draw anyway."""
+
     def measure(self, qubit: int) -> int:
         """Projectively measure ``qubit`` and collapse the state."""
+        return self.measure_with_probability(qubit)[0]
 
     @abc.abstractmethod
     def reset(self, qubit: int) -> None:

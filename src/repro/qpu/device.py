@@ -211,9 +211,8 @@ class SimulatedQPU(QPUBase):
     def measure(self, time_ns: int, qubit: int) -> int:
         self._decay_idle(time_ns, (qubit,))
         self._record(time_ns, "measure", (qubit,))
-        self.measure_ground_probabilities[qubit] = (
-            1.0 - self.state.probability_of_one(qubit))
-        outcome = self.state.measure(qubit)
+        outcome, p_one = self.state.measure_with_probability(qubit)
+        self.measure_ground_probabilities[qubit] = 1.0 - p_one
         return self.noise.corrupt_readout(outcome, qubit)
 
     def reset(self, time_ns: int, qubit: int) -> None:

@@ -318,19 +318,20 @@ class StabilizerState(SimulationBackend):
             return 0.5
         return float(self._deterministic_outcome(qubit))
 
-    def measure(self, qubit: int) -> int:
+    def measure_with_probability(self, qubit: int) -> tuple[int, float]:
         """Projectively measure ``qubit`` and collapse the state.
 
         Consumes exactly one rng draw (compared against the
         pre-collapse probability), matching the dense backend's
         consumption so identically seeded backends agree shot for shot.
+        Returns the outcome and that probability.
         """
         self._check_qubit(qubit)
         pivot = self._random_pivot(qubit)
         if pivot is None:
             outcome = self._deterministic_outcome(qubit)
             self.rng.random()  # parity with the dense backend's draw
-            return outcome
+            return outcome, float(outcome)
         outcome = 1 if self.rng.random() < 0.5 else 0
         n = self.n_qubits
         targets = np.nonzero(self.x[:, qubit])[0]
@@ -346,7 +347,7 @@ class StabilizerState(SimulationBackend):
         self.z[pivot] = 0
         self.z[pivot, qubit] = 1
         self.r[pivot] = outcome
-        return outcome
+        return outcome, 0.5
 
     def reset(self, qubit: int) -> None:
         """Unconditionally reset ``qubit`` to |0> (measure + flip)."""

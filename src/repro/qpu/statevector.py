@@ -276,12 +276,12 @@ class StateVector(SimulationBackend):
         # hottest scalar on the measurement path.
         return float(np.add.reduce(np.abs(ones) ** 2, axis=None))
 
-    def measure(self, qubit: int) -> int:
+    def measure_with_probability(self, qubit: int) -> tuple[int, float]:
         """Projectively measure ``qubit`` and collapse the state.
 
         Shares one (-1, 2, 2^qubit) view between the probability
         reduction (numerically :meth:`probability_of_one`) and the
-        collapse write.
+        collapse write.  Returns the outcome and that probability.
         """
         self._check_qubit(qubit)
         view = self._amplitudes.reshape(-1, 2, 1 << qubit)
@@ -293,7 +293,7 @@ class StateVector(SimulationBackend):
             raise RuntimeError("projection onto zero-probability outcome")
         view[:, 1 - outcome, :] = 0.0
         self._amplitudes /= norm
-        return outcome
+        return outcome, p_one
 
     def reset(self, qubit: int) -> None:
         """Unconditionally reset ``qubit`` to |0> (measure + flip)."""

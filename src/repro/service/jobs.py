@@ -58,8 +58,9 @@ class Job:
         self.retries = 0
         self.result: ShotResult | None = None
         self.terminal_event: dict | None = None
-        self.last_partial: dict | None = None
         self.subscribers: list[asyncio.Queue] = []
+        #: The subscribers that also receive ``partial`` events.
+        self.streams: list[asyncio.Queue] = []
         self.done = asyncio.Event()
         self.cancel_requested = asyncio.Event()
 
@@ -159,17 +160,22 @@ class JobManager:
         self._queue.put_nowait(job)
         return job, False
 
-    def subscribe(self, job: Job) -> asyncio.Queue:
+    def subscribe(self, job: Job, stream: bool = False) -> asyncio.Queue:
         """Event queue for one subscriber of ``job``.
 
-        A late subscriber immediately receives the latest partial (if
-        any) and, for a finished job, the terminal event — so
-        subscribing can never miss the outcome.
+        Every subscriber receives the terminal event, at once for a
+        finished job, so subscribing can never miss the outcome.  A
+        ``stream`` subscriber also receives a ``partial`` event after
+        each wave of finished shards, and one merged as it attaches
+        when it joins a running job late.  Partial histograms are
+        merged only for jobs that have a streaming subscriber.
         """
         queue: asyncio.Queue = asyncio.Queue()
         job.subscribers.append(queue)
-        if job.last_partial is not None and not job.done.is_set():
-            queue.put_nowait(job.last_partial)
+        if stream:
+            job.streams.append(queue)
+            if job.shots_done and not job.done.is_set():
+                queue.put_nowait(self._partial_event(job))
         if job.terminal_event is not None:
             queue.put_nowait(job.terminal_event)
         return queue
@@ -237,19 +243,25 @@ class JobManager:
             "error": code, "message": message})
 
     def _publish_partial(self, job: Job) -> None:
+        job.shots_done = sum(r["stop"] - r["start"]
+                             for r in job.shards.values() if r is not None)
+        if job.streams:
+            event = self._partial_event(job)
+            for queue in job.streams:
+                queue.put_nowait(event)
+
+    def _partial_event(self, job: Job) -> dict:
+        """The ``partial`` event of ``job``'s finished shards."""
         finished = [r for r in job.shards.values() if r is not None]
         partial = merge_shard_outcomes(
             [ShardOutcomes(start=r["start"], stop=r["stop"],
                            counts=r["counts"], total_ns=r["total_ns"])
              for r in finished])
-        job.shots_done = partial.shots
-        event = {"event": "partial", "job_id": job.id, "key": job.key,
-                 "shots_done": partial.shots, "shots": job.spec.shots,
-                 "shards_done": len(finished),
-                 "shards": len(job.shards),
-                 "result": result_payload(partial)}
-        job.last_partial = event
-        self._publish(job, event)
+        return {"event": "partial", "job_id": job.id, "key": job.key,
+                "shots_done": partial.shots, "shots": job.spec.shots,
+                "shards_done": len(finished),
+                "shards": len(job.shards),
+                "result": result_payload(partial)}
 
     def _note_worker(self, shard_result: dict) -> None:
         pid = shard_result["pid"]

@@ -32,11 +32,12 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any
 
 from repro.qcp.config import QCPConfig
-from repro.qcp.routing import route_backend
+from repro.qcp.routing import is_clifford_program, route_analysed
 from repro.qcp.shots import ShotResult, program_has_measurement
 from repro.qcp.system import infer_qubit_count
 from repro.qpu.noise import (DecoherenceNoise, DepolarizingNoise,
@@ -74,6 +75,15 @@ _SPEC_FIELDS = frozenset({
     "n_processors", "timeout_s", "shard_shots", "fault", "profile",
 })
 
+#: Program texts whose validation facts :func:`program_facts` keeps.
+VALIDATED_TEXTS = 256
+
+#: SHA-256 digest of a program text -> its :func:`program_facts`,
+#: least recently used first.  It holds neither the text nor the
+#: parsed program: a request line may carry megabytes of text, and a
+#: parsed program is several times larger than its text.
+_validated: OrderedDict[bytes, tuple[bool, bool, int]] = OrderedDict()
+
 
 class ProtocolError(ValueError):
     """A malformed or invalid request; ``code`` is machine-readable."""
@@ -99,6 +109,37 @@ def program_from_text(text: str, name: str = "job"):
     from repro.isa import parse_asm
 
     return parse_asm(text, name=name)
+
+
+def program_facts(text: str) -> tuple[bool, bool, int]:
+    """What job validation needs to know about a program text.
+
+    Returns ``(measures, clifford_only, n_qubits)``:
+    :func:`~repro.qcp.shots.program_has_measurement`,
+    :func:`~repro.qcp.routing.is_clifford_program` and
+    :func:`~repro.qcp.system.infer_qubit_count` of the parsed program.
+    A text this process has validated before is not parsed again: the
+    facts are kept under the text's digest for the last
+    :data:`VALIDATED_TEXTS` texts.  A text that does not parse raises
+    :class:`ProtocolError` (``bad_program``) and is not kept, so it is
+    parsed, and rejected, on every submission.
+    """
+    digest = hashlib.sha256(text.encode()).digest()
+    # Pop and re-insert, each one atomic: service event loops on
+    # other threads may use the table at the same time.
+    facts = _validated.pop(digest, None)
+    if facts is None:
+        try:
+            parsed = program_from_text(text)
+        except Exception as exc:
+            raise ProtocolError(
+                "bad_program", f"program does not parse: {exc}") from exc
+        facts = (program_has_measurement(parsed),
+                 is_clifford_program(parsed), infer_qubit_count(parsed))
+    _validated[digest] = facts
+    if len(_validated) > VALIDATED_TEXTS:
+        _validated.popitem(last=False)
+    return facts
 
 
 def build_noise_model(spec: dict | None) -> NoiseModel | None:
@@ -178,7 +219,9 @@ class JobSpec:
         at least one measurement, the config overrides construct a
         :class:`QCPConfig`, and the noise spec constructs a
         :class:`NoiseModel` — so a worker can never fail on a job the
-        front end accepted, only crash.
+        front end accepted, only crash.  The program checks, and the
+        analysis ``"auto"`` routes by, come from
+        :func:`program_facts`, which parses each text once per process.
         """
         if not isinstance(raw, dict):
             raise ProtocolError("bad_job", "job must be an object")
@@ -271,12 +314,8 @@ class JobSpec:
                     "bad_job", f"'fault' must be an object whose one "
                     f"key, 'kill_shard_start', is a non-negative "
                     f"integer, got {fault!r}")
-        try:
-            parsed = program_from_text(program)
-        except Exception as exc:
-            raise ProtocolError(
-                "bad_program", f"program does not parse: {exc}") from exc
-        if not program_has_measurement(parsed):
+        measures, clifford, n_qubits = program_facts(program)
+        if not measures:
             raise ProtocolError(
                 "no_measurements",
                 "program never measures a qubit: every shot would "
@@ -293,8 +332,8 @@ class JobSpec:
             # non-Clifford jobs never collide on one engine.
             preview = (profile_obj.noise_model(base=noise_model)
                        if profile_obj is not None else noise_model)
-            routing = route_backend(
-                parsed, infer_qubit_count(parsed), noise=preview,
+            routing = route_analysed(
+                clifford, n_qubits, noise=preview,
                 profile=profile_obj).as_dict()
         return cls(program=program, shots=shots, seed=seed,
                    backend=backend, config=dict(config), noise=noise,

@@ -56,15 +56,12 @@ async def _handle_submit(manager: JobManager, message: dict,
         return
     # Subscribe in the same loop step as submit: no await separates
     # them, so no event can slip past before the queue exists.
-    subscription = manager.subscribe(job)
+    subscription = manager.subscribe(job, bool(message.get("stream")))
     await _send(writer, {"event": "accepted", "job_id": job.id,
                          "key": job.key, "deduped": deduped,
                          "shots": spec.shots})
-    stream = bool(message.get("stream"))
     while True:
         event = await subscription.get()
-        if not stream and event.get("event") == "partial":
-            continue
         await _send(writer, event)
         if event.get("event") in ("result", "error"):
             return

@@ -22,6 +22,7 @@ from repro.cli import main
 from repro.isa.builder import ProgramBuilder
 from repro.qcp import QCPConfig, ShotEngine, scalar_config
 from repro.qcp.decode import K_CLASSICAL
+from repro.qcp.shots import ShardOutcomes
 from repro.qcp.tracecache import (_D_BRANCH, _CohortState,
                                   auto_batch_width)
 from repro.qpu.noise import (DecoherenceNoise, DepolarizingNoise,
@@ -383,6 +384,56 @@ def test_shor_cohort_draws_each_stream_once(monkeypatch):
     assert len(rngs) == 256
     assert calls["random"] == 0
     assert calls["getrandbits"] <= 256
+
+
+def served_by(engine, monkeypatch):
+    """Record the seeds each trace-cache entry point serves."""
+    cache = engine.trace_cache
+    calls = {"replay": [], "replay_batch": []}
+    replay, replay_batch = cache.replay, cache.replay_batch
+
+    def counted_replay(qpu, seed):
+        calls["replay"].append(seed)
+        return replay(qpu, seed)
+
+    def counted_batch(qpu, seeds):
+        calls["replay_batch"].extend(seeds)
+        return replay_batch(qpu, seeds)
+
+    monkeypatch.setattr(cache, "replay", counted_replay)
+    monkeypatch.setattr(cache, "replay_batch", counted_batch)
+    return calls
+
+
+def shor_engine():
+    from repro.benchlib.steane import (N_QUBITS,
+                                       build_shor_syndrome_program)
+
+    return ShotEngine(build_shor_syndrome_program(rounds=1),
+                      backend="stabilizer", n_processors=6,
+                      n_qubits=N_QUBITS)
+
+
+def test_warm_range_first_seed_joins_its_cohort(monkeypatch):
+    engine = shor_engine()
+    engine.run_shot(0)  # records the only decision path
+    calls = served_by(engine, monkeypatch)
+    shard = engine.run_range(10, 50)
+    assert calls == {"replay": [], "replay_batch": list(range(10, 50))}
+    serial = ShardOutcomes(start=10, stop=50)
+    for last_value, shot_ns in (engine.run_shot(seed)
+                                for seed in range(10, 50)):
+        serial.counts[tuple(sorted(last_value.items()))] += 1
+        serial.total_ns += shot_ns
+    assert (shard.counts, shard.total_ns) == (serial.counts,
+                                              serial.total_ns)
+
+
+def test_cold_range_first_seed_runs_alone(monkeypatch):
+    engine = shor_engine()
+    calls = served_by(engine, monkeypatch)
+    engine.run_range(10, 50)
+    assert calls == {"replay": [10], "replay_batch": list(range(11, 50))}
 
 
 def rus_engine(**changes):

@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.qpu import (PRNGQPU, PRNGReadout, StateVectorQPU, Topology,
-                       ZZCrosstalk, NoiseModel, full_topology,
-                       linear_topology)
+from repro.qpu import (PRNGQPU, PRNGReadout, SimulatedQPU,
+                       StateVectorQPU, Topology, ZZCrosstalk, NoiseModel,
+                       full_topology, linear_topology)
 from repro.qpu.readout import DeterministicReadout
 
 
@@ -114,6 +114,48 @@ class TestStateVectorQPU:
         reference.apply_gate(20, "h", (1,))
         assert qpu.state.fidelity_with(reference.state) == \
             pytest.approx(1.0)
+
+
+#: Gates after which measuring q0, q1, q2 in turn reads a coin, an
+#: outcome q0's fixes, and a deterministic 1 (stabilizer) or a
+#: biased coin (statevector).
+PREPARE = {
+    "statevector": [("ry", (0,), (0.7,)), ("cnot", (0, 1), ()),
+                    ("ry", (2,), (2.1,))],
+    "stabilizer": [("h", (0,), ()), ("cnot", (0, 1), ()),
+                   ("x", (2,), ())],
+}
+
+
+class TestMeasureProbability:
+    """``measure`` computes P(1) once, inside the backend's measurement."""
+
+    @pytest.mark.parametrize("backend", sorted(PREPARE))
+    @pytest.mark.parametrize("seed", range(4))
+    def test_ground_probability_without_a_second_reduction(
+            self, backend, seed, monkeypatch):
+        device, reference = (SimulatedQPU(3, seed=seed, backend=backend)
+                             for _ in range(2))
+        for qpu in (device, reference):
+            for gate, qubits, params in PREPARE[backend]:
+                qpu.apply_gate(0, gate, qubits, params)
+        expected = {}
+        for qubit in (0, 1, 2):
+            expected[qubit] = (
+                1.0 - reference.state.probability_of_one(qubit),
+                reference.state.measure(qubit))
+
+        def refused(self, qubit):
+            raise AssertionError("probability_of_one called")
+
+        monkeypatch.setattr(type(device.state), "probability_of_one",
+                            refused)
+        for qubit in (0, 1, 2):
+            outcome = device.measure(10, qubit)
+            ground = device.measure_ground_probabilities[qubit]
+            assert (ground, outcome) == expected[qubit]
+        assert device.state.rng.getstate() == \
+            reference.state.rng.getstate()
 
 
 class TestDriveWindowAccounting:

@@ -22,8 +22,8 @@ def served(engine, seeds, how="run") -> list:
     * ``"serial"``: one :meth:`~repro.qcp.shots.ShotEngine.run_shot`
       per seed — the serial sign loop on a stabilizer engine, a cohort
       of one on a dense one;
-    * a cohort width: the first seed alone, the rest in cohorts of
-      that width through
+    * a cohort width: the first seed alone on a cold trie, the rest
+      in cohorts of that width through
       :meth:`~repro.qcp.tracecache.TraceCache.replay_batch`, and a
       shot its cohort hands back alone — what ``run`` does at its own
       width.
@@ -33,8 +33,10 @@ def served(engine, seeds, how="run") -> list:
     if how == "serial":
         return [engine.run_shot(seed) for seed in seeds]
     seeds = list(seeds)
-    results = [engine.run_shot(seeds[0])]
-    for start in range(1, len(seeds), how):
+    root = engine.trace_cache.root
+    results = ([engine.run_shot(seeds[0])]
+               if root is None or root.items is None else [])
+    for start in range(len(results), len(seeds), how):
         chunk = seeds[start:start + how]
         replayed = engine.trace_cache.replay_batch(engine._qpu, chunk)
         results.extend(result if result is not None

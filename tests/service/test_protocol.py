@@ -1,8 +1,11 @@
 """Tests for the service wire protocol and job identity model."""
 
+from collections import OrderedDict
+
 import pytest
 
 from repro.qcp import run_shots
+from repro.service import protocol
 from repro.service.protocol import (BACKENDS, JobSpec, ProtocolError,
                                     build_noise_model, decode_line,
                                     encode_message, program_from_text,
@@ -103,6 +106,60 @@ class TestValidation:
         with pytest.raises(ProtocolError) as excinfo:
             JobSpec.from_dict(job(program=qasm))
         assert excinfo.value.code == "no_measurements"
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """The texts parsed from here on, starting from an empty table."""
+    monkeypatch.setattr(protocol, "_validated", OrderedDict())
+    texts = []
+    parse = protocol.program_from_text
+
+    def counted(text, name="job"):
+        texts.append(text)
+        return parse(text, name)
+
+    monkeypatch.setattr(protocol, "program_from_text", counted)
+    return texts
+
+
+class TestValidationTable:
+    def test_repeated_text_parses_once(self, parses):
+        JobSpec.from_dict(job())
+        JobSpec.from_dict(job(shots=11, seed=3, backend="auto"))
+        assert parses == [ASM]
+
+    def test_unparseable_text_is_rejected_every_time(self, parses):
+        for _ in range(2):
+            with pytest.raises(ProtocolError) as excinfo:
+                JobSpec.from_dict(job(program="qqop nonsense"))
+            assert excinfo.value.code == "bad_program"
+        assert len(parses) == 2
+        assert len(protocol._validated) == 0
+
+    def test_measurement_free_text_stays_rejected(self, parses):
+        for _ in range(2):
+            with pytest.raises(ProtocolError) as excinfo:
+                JobSpec.from_dict(job(program=NO_MEASURE_ASM))
+            assert excinfo.value.code == "no_measurements"
+        assert parses == [NO_MEASURE_ASM]
+
+    def test_table_is_bounded_and_holds_only_digests_and_facts(
+            self, parses):
+        bound = protocol.VALIDATED_TEXTS
+        texts = [f"{ASM}; text {index}\n" for index in range(bound + 8)]
+        for text in texts:
+            JobSpec.from_dict(job(program=text))
+            JobSpec.from_dict(job(program=texts[0]))  # kept recent
+            assert len(protocol._validated) <= bound
+        assert len(protocol._validated) == bound
+        for digest, facts in protocol._validated.items():
+            assert isinstance(digest, bytes) and len(digest) == 32
+            assert facts == (True, True, 1)
+        parses.clear()
+        for text in (texts[0], texts[-1], texts[1]):
+            JobSpec.from_dict(job(program=text))
+        assert parses == [texts[1]]  # the least recently used went
 
 
 class TestKeys:

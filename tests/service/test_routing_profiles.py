@@ -14,11 +14,13 @@ import json
 import pytest
 
 from repro.qcp import QCPConfig
+from repro.qcp.routing import route_backend
 from repro.qcp.shots import ShotEngine
+from repro.qcp.system import infer_qubit_count
 from repro.qpu.profile import DeviceProfile
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.protocol import (JobSpec, ProtocolError,
-                                    program_from_text)
+                                    build_noise_model, program_from_text)
 from repro.service.server import ServiceHandle
 
 CLIFFORD = """
@@ -101,6 +103,29 @@ class TestJobSpecRouting:
         job = spec(backend="auto", profile=DENSE_PROFILE)
         assert job.resolved_backend == "statevector"
         assert job.routing["clifford_only"]  # the *noise* forced it
+
+    @pytest.mark.parametrize("program, profile, noise", [
+        (CLIFFORD, None, None),
+        (MAGIC, None, None),
+        (CLIFFORD, None, {"decoherence": {"t1_us": 50.0}}),
+        (CLIFFORD, DENSE_PROFILE, None),
+        (MAGIC, dict(READOUT_PROFILE, backend="stabilizer"), None),
+    ])
+    def test_auto_routing_is_route_backend_of_the_parsed_program(
+            self, program, profile, noise):
+        parsed = program_from_text(program)
+        profile_obj = (None if profile is None
+                       else DeviceProfile.from_dict(profile))
+        preview = build_noise_model(noise)
+        if profile_obj is not None:
+            preview = profile_obj.noise_model(base=preview)
+        expected = route_backend(parsed, infer_qubit_count(parsed),
+                                 noise=preview,
+                                 profile=profile_obj).as_dict()
+        # The second validation routes from the facts the first kept.
+        for _ in range(2):
+            assert spec(program=program, backend="auto", profile=profile,
+                        noise=noise).routing == expected
 
     def test_auto_job_shares_engine_key_with_explicit_backend(self):
         # The identity carries the routed backend, never "auto": an

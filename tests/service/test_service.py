@@ -113,6 +113,7 @@ class TestStreaming:
         result, event = client.run_sweep(
             BRANCHY, shots=SHOTS, backend="stabilizer", shard_shots=6,
             seed=17, on_partial=lambda e: seen.append(e["shots_done"]))
+        assert seen and seen[-1] == SHOTS
         assert seen == sorted(seen)
         assert all(done % 6 == 0 and done <= SHOTS for done in seen)
         assert event["shots_done"] == SHOTS
@@ -180,6 +181,66 @@ class TestJobManager:
                 assert manager.stats()["jobs"]["deduped"] == 1
             finally:
                 await manager.stop()
+
+        run_async(main())
+
+    def test_job_without_streaming_subscriber_merges_once(
+            self, monkeypatch):
+        from repro.service import jobs
+
+        merges = []
+        merge = jobs.merge_shard_outcomes
+
+        def counted(shards):
+            merges.append(len(shards))
+            return merge(shards)
+
+        monkeypatch.setattr(jobs, "merge_shard_outcomes", counted)
+
+        async def main():
+            manager = JobManager(n_workers=1, queue_size=4)
+            await manager.start()
+            try:
+                job, _ = manager.submit(self.spec(shots=12, shard_shots=3))
+                queue = manager.subscribe(job)
+                event = await asyncio.wait_for(queue.get(), 60)
+                assert event["event"] == "result"
+                assert event["shards"] == 4
+            finally:
+                await manager.stop()
+
+        run_async(main())
+        assert merges == [4]
+
+    def test_late_streaming_subscriber_receives_a_partial(self):
+        async def main():
+            manager = JobManager(n_workers=1, queue_size=4)
+            await manager.start()
+            first_wave = asyncio.Event()
+            publish = manager._publish_partial
+
+            def published(job):
+                publish(job)
+                first_wave.set()
+
+            manager._publish_partial = published
+            try:
+                job, _ = manager.submit(self.spec(shots=16, shard_shots=1))
+                manager.subscribe(job)
+                await asyncio.wait_for(first_wave.wait(), 60)
+                # The runner awaits its next wave before this task
+                # resumes, so the job is still running here.
+                assert 0 < job.shots_done < 16
+                queue = manager.subscribe(job, stream=True)
+                events = [await asyncio.wait_for(queue.get(), 60)]
+                while events[-1]["event"] == "partial":
+                    events.append(await asyncio.wait_for(queue.get(), 60))
+            finally:
+                await manager.stop()
+            assert events[0]["event"] == "partial"
+            assert events[0]["shots_done"] >= 1
+            assert events[-1]["event"] == "result"
+            assert events[-2]["shots_done"] == 16
 
         run_async(main())
 
