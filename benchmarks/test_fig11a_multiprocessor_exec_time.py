@@ -14,7 +14,7 @@ import statistics
 from repro.analysis import format_table
 from repro.benchlib import (build_shor_syndrome_program,
                             verification_qubits)
-from repro.qcp import QuAPESystem, scalar_config
+from repro.qcp import ShotEngine, scalar_config
 from repro.qpu import PRNGQPU, PRNGReadout
 
 FAILURE_RATES = (0.1, 0.25, 0.5)
@@ -22,16 +22,17 @@ PROCESSOR_COUNTS = (1, 2, 4, 6)
 RUNS_PER_POINT = 60
 
 
-def run_once(program, n_processors: int, failure_rate: float,
-             seed: int) -> int:
-    readout = PRNGReadout(
-        failure_rate=0.0,
-        per_qubit={q: failure_rate for q in verification_qubits()},
-        seed=seed)
-    system = QuAPESystem(program=program, config=scalar_config(),
-                         n_processors=n_processors,
-                         qpu=PRNGQPU(37, readout), n_qubits=37)
-    return system.run().total_ns
+def point_times(program, n_processors: int,
+                failure_rate: float) -> list[int]:
+    """``total_ns`` of runs 0..RUNS_PER_POINT-1 of one point: one
+    compile-once engine, a fresh PRNG-readout QPU seeded per run."""
+    per_qubit = {q: failure_rate for q in verification_qubits()}
+    engine = ShotEngine(
+        program, config=scalar_config(), n_processors=n_processors,
+        n_qubits=37,
+        qpu_factory=lambda seed: PRNGQPU(37, PRNGReadout(
+            failure_rate=0.0, per_qubit=per_qubit, seed=seed)))
+    return [engine.run_shot(seed)[1] for seed in range(RUNS_PER_POINT)]
 
 
 def sweep():
@@ -39,9 +40,8 @@ def sweep():
     means: dict[tuple[float, int], float] = {}
     for rate in FAILURE_RATES:
         for count in PROCESSOR_COUNTS:
-            times = [run_once(program, count, rate, seed)
-                     for seed in range(RUNS_PER_POINT)]
-            means[(rate, count)] = statistics.fmean(times)
+            means[(rate, count)] = statistics.fmean(
+                point_times(program, count, rate))
     return means
 
 

@@ -14,7 +14,7 @@ import statistics
 from repro.analysis import format_comparison, format_table
 from repro.benchlib import (build_shor_syndrome_program,
                             verification_qubits)
-from repro.qcp import QuAPESystem, scalar_config
+from repro.qcp import ShotEngine, scalar_config
 from repro.qpu import PRNGQPU, PRNGReadout
 
 PROCESSOR_COUNTS = (1, 2, 4, 6)
@@ -23,16 +23,16 @@ RUNS_PER_POINT = 60
 PAPER_SIX_CORE_SPEEDUP = 2.59
 
 
-def run_once(program, n_processors: int, seed: int, ideal: bool) -> int:
-    readout = PRNGReadout(
-        failure_rate=0.0,
-        per_qubit={q: FAILURE_RATE for q in verification_qubits()},
-        seed=seed)
-    system = QuAPESystem(program=program,
-                         config=scalar_config(ideal_scheduler=ideal),
-                         n_processors=n_processors,
-                         qpu=PRNGQPU(37, readout), n_qubits=37)
-    return system.run().total_ns
+def point_times(program, n_processors: int, ideal: bool) -> list[int]:
+    """``total_ns`` of runs 0..RUNS_PER_POINT-1 of one point: one
+    compile-once engine, a fresh PRNG-readout QPU seeded per run."""
+    per_qubit = {q: FAILURE_RATE for q in verification_qubits()}
+    engine = ShotEngine(
+        program, config=scalar_config(ideal_scheduler=ideal),
+        n_processors=n_processors, n_qubits=37,
+        qpu_factory=lambda seed: PRNGQPU(37, PRNGReadout(
+            failure_rate=0.0, per_qubit=per_qubit, seed=seed)))
+    return [engine.run_shot(seed)[1] for seed in range(RUNS_PER_POINT)]
 
 
 def sweep():
@@ -41,9 +41,7 @@ def sweep():
     for label, ideal in (("actual", False), ("ideal", True)):
         base = None
         for count in PROCESSOR_COUNTS:
-            mean = statistics.fmean(
-                run_once(program, count, seed, ideal)
-                for seed in range(RUNS_PER_POINT))
+            mean = statistics.fmean(point_times(program, count, ideal))
             base = base or mean
             speedups[label].append(base / mean)
     return speedups

@@ -287,9 +287,7 @@ from repro.qcp.decode import LOC_REG, LOC_SHARED
 from repro.qcp.registers import RegisterFile, SharedRegisters
 from repro.qpu.device import SimulatedQPU
 from repro.qpu.noise import NOISE_SEED_SALT, NoiseModel
-from repro.qpu.stabilizer import (StabilizerState,
-                                  _CLIFFORD_DECOMPOSITIONS,
-                                  _TWO_QUBIT_DECOMPOSITIONS)
+from repro.qpu.stabilizer import StabilizerState
 from repro.qpu.statevector import (BatchStateVector, StateVector, _lift,
                                    batch_block_applier, cached_unitary,
                                    fuse_into, fusion_width)
@@ -753,10 +751,11 @@ class TraceNode:
         #: (:meth:`sign_program`), the bound step list on the
         #: statevector (:meth:`dense_program`).
         self._program: tuple | list | None = None
-        #: Stabilizer sign-trace compilation: model (x, z) bit matrices
-        #: at node exit, the entry state for compiling child nodes and
-        #: the tableau half of a divergence-frontier checkpoint.
-        self._exit_xz: tuple[np.ndarray, np.ndarray] | None = None
+        #: Stabilizer sign-trace compilation: the model tableau's
+        #: (x, z) columns at node exit, the entry state for compiling
+        #: child nodes and the x/z half of a divergence-frontier
+        #: checkpoint.
+        self._exit_xz: tuple[tuple[int, ...], tuple[int, ...]] | None = None
         #: Dense step compilation: the device's busy-until and
         #: drive-window bookkeeping at node exit — the entry state for
         #: compiling child nodes, and what a divergence-frontier resume
@@ -786,7 +785,7 @@ class TraceNode:
         """This node's compiled sign trace (stabilizer backends):
         ``(ops, manifest)``, see :func:`_compile_sign_node`.
 
-        Along a fixed decision path, the tableau's x/z bit matrices are
+        Along a fixed decision path, the tableau's x/z columns are
         *shot-invariant*: gates and measurement collapses never read
         the sign column, and Pauli-only noise injections never write
         the x/z bits — so only the signs differ between shots.  The
@@ -794,28 +793,17 @@ class TraceNode:
         operations on the sign column, with one ``_S_NOISE`` site per
         noisy gate, and each op carries both the serial loop's packed
         masks and the cohort loop's row tuples: one compilation serves
-        both loops.  The compile-time model tableau is chained from
-        the parent node's exit snapshot; every walk compiles a parent
+        both loops.  The compiler runs the device's own kernel on a
+        model :class:`StabilizerState` chained from the parent node's
+        exit columns (:func:`_model_at`); every walk compiles a parent
         before its children.
         """
         if self._program is None:
-            parent = self.parent
-            if parent is None:
-                n = state.n_qubits
-                rows = 2 * n + 1
-                x = np.zeros((rows, n), dtype=np.uint8)
-                z = np.zeros((rows, n), dtype=np.uint8)
-                idx = np.arange(n)
-                x[idx, idx] = 1
-                z[n + idx, idx] = 1
-            else:
-                x = parent._exit_xz[0].copy()
-                z = parent._exit_xz[1].copy()
+            model = _model_at(self.parent, state.n_qubits)
             self._program = _compile_sign_node(self.live_items(),
-                                               self.decision,
-                                               state.n_qubits, x, z,
+                                               self.decision, model,
                                                noise)
-            self._exit_xz = (x, z)
+            self._exit_xz = model.snapshot()[:2]
         return self._program
 
     def dense_program(self, qpu: SimulatedQPU) -> list:
@@ -879,10 +867,9 @@ class _Fold:
         """The Pauli's sign ops, after ``node`` (the folded decision
         node, whose program is compiled), for both sign loops."""
         if self._program is None:
-            x, z = node._exit_xz
             self._program = _compile_sign_node(
-                (self.op + (0,),), None, state.n_qubits, x.copy(),
-                z.copy(), noise)[0]
+                (self.op + (0,),), None, _model_at(node, state.n_qubits),
+                noise)[0]
         return self._program
 
 
@@ -908,147 +895,25 @@ def _shifted(entry: tuple, delta_ns: int) -> tuple:
     return entry
 
 
-def _bitmask(rows: np.ndarray | list) -> int:
-    """Pack row indices (or a 0/1 row vector) into an integer mask."""
-    mask = 0
-    for index in np.nonzero(rows)[0]:
-        mask |= 1 << int(index)
-    return mask
+def _model_at(node: TraceNode | None, n: int) -> StabilizerState:
+    """The sign compiler's model tableau at ``node``'s exit (|0...0>
+    above the root), with its signs left at zero: the compiler reads
+    only the masks the kernel returns, never ``r``."""
+    model = StabilizerState(n)
+    if node is not None:
+        model.restore(node._exit_xz + (0,))
+    return model
 
 
-def _index_mask(indices) -> int:
-    mask = 0
-    for index in indices:
-        mask |= 1 << int(index)
-    return mask
-
-
-def _pack_signs(signs: np.ndarray) -> int:
-    """A tableau's sign column packed into one integer, row ``i`` in
-    bit ``i`` (the inverse of :func:`_unpack_signs`)."""
-    return int.from_bytes(np.packbits(signs, bitorder="little").tobytes(),
-                          "little")
-
-
-def _unpack_signs(r: int, rows: int) -> np.ndarray:
-    """The packed sign column as a uint8 vector of ``rows`` bits."""
-    raw = np.frombuffer(r.to_bytes((rows + 7) // 8, "little"),
-                        dtype=np.uint8)
-    return np.unpackbits(raw, bitorder="little")[:rows].copy()
-
-
-def _flip_h(x: np.ndarray, z: np.ndarray, a: int) -> np.ndarray:
-    flip = x[:, a] & z[:, a]
-    x[:, a], z[:, a] = z[:, a].copy(), x[:, a].copy()
-    return flip
-
-
-def _flip_s(x: np.ndarray, z: np.ndarray, a: int) -> np.ndarray:
-    flip = x[:, a] & z[:, a]
-    z[:, a] ^= x[:, a]
-    return flip
-
-
-def _flip_x(x: np.ndarray, z: np.ndarray, a: int) -> np.ndarray:
-    return z[:, a]
-
-
-def _flip_z(x: np.ndarray, z: np.ndarray, a: int) -> np.ndarray:
-    return x[:, a]
-
-
-def _flip_y(x: np.ndarray, z: np.ndarray, a: int) -> np.ndarray:
-    return x[:, a] ^ z[:, a]
-
-
-_FLIP_ONE_QUBIT = {"h": _flip_h, "s": _flip_s, "x": _flip_x,
-                   "z": _flip_z, "y": _flip_y}
-
-
-def _flip_cnot(x: np.ndarray, z: np.ndarray, a: int, b: int) -> np.ndarray:
-    flip = x[:, a] & z[:, b] & (x[:, b] ^ z[:, a] ^ 1)
-    x[:, b] ^= x[:, a]
-    z[:, a] ^= z[:, b]
-    return flip
-
-
-def _compile_sign_measure(x: np.ndarray, z: np.ndarray, n: int,
-                          qubit: int, reset: bool, draw: int) -> tuple:
-    """Compile one measurement (or reset) against the model tableau.
-
-    Mirrors :meth:`StabilizerState.measure` with the sign column
-    abstracted out: the pivot/target/row selections and the CHP ``g``
-    phase contributions depend only on x/z, so they become constants;
-    what remains at replay time is sign parity and the rng draw.
-    ``draw`` is the op's measurement-rng draw within its node: a
-    random-pivot op's ``shift``, ``64 * draw``, is where a cohort
-    reads each shot's coin in its measurement stream.
-    """
-    column = x[n:2 * n, qubit]
-    first = int(column.argmax())
-    if column[first]:
-        pivot = n + first
-        targets = np.nonzero(x[:, qubit])[0]
-        targets = targets[targets != pivot]
-        tmask = _index_mask(targets)
-        gmask = 0
-        if targets.size:
-            x1 = x[pivot].astype(np.int16)
-            z1 = z[pivot].astype(np.int16)
-            x2 = x[targets].astype(np.int16)
-            z2 = z[targets].astype(np.int16)
-            g = StabilizerState._g_terms(x1, z1, x2, z2).sum(
-                axis=1, dtype=np.int64) % 4 // 2
-            gmask = _index_mask(targets[g.astype(bool)])
-            # The batch rowsum multiplies the pivot into every target
-            # row's Pauli part as well.
-            x[targets] ^= x[pivot]
-            z[targets] ^= z[pivot]
-        # Model collapse: the pivot's destabilizer inherits the old
-        # stabilizer; the pivot row becomes +/- Z_qubit.
-        x[pivot - n] = x[pivot]
-        z[pivot - n] = z[pivot]
-        x[pivot] = 0
-        z[pivot] = 0
-        z[pivot, qubit] = 1
-        t_rows, g_rows, shift = _set_bits(tmask), _set_bits(gmask), 64 * draw
-        if reset:
-            zmask = _bitmask(z[:, qubit])
-            return (_S_RESET_R, pivot, pivot - n, tmask, gmask, zmask,
-                    t_rows, g_rows, shift, _set_bits(zmask))
-        return (_S_MEAS_R, pivot, pivot - n, tmask, gmask, qubit,
-                t_rows, g_rows, shift, qubit)
-    hits = np.nonzero(x[:n, qubit])[0]
-    ghalf = 0
-    rowsmask = 0
-    if hits.size:
-        rows = hits + n
-        rowsmask = _index_mask(rows)
-        x1 = x[rows].astype(np.int16)
-        z1 = z[rows].astype(np.int16)
-        x2 = np.zeros_like(x1)
-        z2 = np.zeros_like(z1)
-        np.bitwise_xor.accumulate(x1[:-1], axis=0, out=x2[1:])
-        np.bitwise_xor.accumulate(z1[:-1], axis=0, out=z2[1:])
-        g = int(StabilizerState._g_terms(x1, z1, x2, z2).sum(
-            dtype=np.int64))
-        ghalf = (g % 4) // 2
-    if reset:
-        zmask = _bitmask(z[:, qubit])
-        return (_S_RESET_D, rowsmask, ghalf, zmask, _set_bits(rowsmask),
-                _set_bits(zmask))
-    return (_S_MEAS_D, rowsmask, ghalf, qubit, _set_bits(rowsmask), qubit)
-
-
-def _compile_sign_node(items: tuple, decision: tuple | None, n: int,
-                       x: np.ndarray, z: np.ndarray,
-                       noise: NoiseModel) -> tuple:
+def _compile_sign_node(items: tuple, decision: tuple | None,
+                       model: StabilizerState, noise: NoiseModel) -> tuple:
     """Compile a node's segment into sign-column operations.
 
-    ``x``/``z`` is the model tableau at node entry; it is advanced in
-    place to the node's exit state.  Consecutive gates fold into a
-    single XOR mask — an entire gate run costs one integer XOR at
-    replay time.
+    ``model`` is the model tableau at node entry (:func:`_model_at`);
+    the device's own kernel advances its x/z in place to the node's
+    exit state, and each conjugation's returned flip mask is the op's
+    sign effect.  Consecutive gates fold into a single XOR mask — an
+    entire gate run costs one integer XOR at replay time.
 
     When ``noise`` carries gate channels (depolarizing / Pauli), every
     unitary gate additionally compiles a ``_S_NOISE`` site holding the
@@ -1105,8 +970,8 @@ def _compile_sign_node(items: tuple, decision: tuple | None, n: int,
             return
         masks = []
         for q in qubits:
-            x_flips = _bitmask(z[:, q])
-            z_flips = _bitmask(x[:, q])
+            x_flips = model.z[q]
+            z_flips = model.x[q]
             masks.append((x_flips, x_flips ^ z_flips, z_flips))
         masks = tuple(masks)
         rows = tuple(tuple(_set_bits(mask) for mask in qubit_masks)
@@ -1116,19 +981,8 @@ def _compile_sign_node(items: tuple, decision: tuple | None, n: int,
     for item in items:
         tag = item[0]
         if tag == REC_GATE:
-            name, qubits = item[1], item[2]
-            if name in _CLIFFORD_DECOMPOSITIONS:
-                for primitive in _CLIFFORD_DECOMPOSITIONS[name]:
-                    pending ^= _bitmask(
-                        _FLIP_ONE_QUBIT[primitive](x, z, qubits[0]))
-            else:
-                for primitive, a, b in _TWO_QUBIT_DECOMPOSITIONS[name]:
-                    if primitive == "cnot":
-                        pending ^= _bitmask(
-                            _flip_cnot(x, z, qubits[a], qubits[b]))
-                    else:
-                        pending ^= _bitmask(
-                            _FLIP_ONE_QUBIT[primitive](x, z, qubits[a]))
+            qubits = item[2]
+            pending ^= model.conjugate(item[1], qubits)
             if has_gate_noise:
                 # Sign XORs commute, so the pending gate flips need no
                 # flush — the site only draws the noise rng and XORs
@@ -1138,8 +992,25 @@ def _compile_sign_node(items: tuple, decision: tuple | None, n: int,
             flush()
             reset = tag == REC_RESET
             qubit = item[2][0] if reset else item[1]
-            program.append(_compile_sign_measure(x, z, n, qubit, reset,
-                                                 draws))
+            # The device's projection collapses the model's x/z and
+            # returns the masks its sign rules read.  A reset's X
+            # correction flips the rows with a Z on the qubit after the
+            # collapse; a random op's shift is where a cohort reads
+            # each shot's coin in its measurement stream.
+            projected = model.project(qubit)
+            target = model.z[qubit] if reset else qubit
+            rows = _set_bits(target) if reset else qubit
+            if projected is None:
+                rowsmask, ghalf = model.deterministic(qubit)
+                program.append((_S_RESET_D if reset else _S_MEAS_D,
+                                rowsmask, ghalf, target,
+                                _set_bits(rowsmask), rows))
+            else:
+                pivot, tmask, gmask = projected
+                program.append((_S_RESET_R if reset else _S_MEAS_R,
+                                pivot, pivot - model.n_qubits, tmask,
+                                gmask, target, _set_bits(tmask),
+                                _set_bits(gmask), 64 * draws, rows))
             if not reset:
                 measured.append(qubit)
             draws += 1
@@ -1996,8 +1867,7 @@ class TraceRecorder:
         qpu = system.qpu
         state = qpu.state
         exit_x, exit_z = cache._exit_model(node, state, qpu.noise)
-        if not (np.array_equal(state.x, exit_x)
-                and np.array_equal(state.z, exit_z)):
+        if tuple(state.x) != exit_x or tuple(state.z) != exit_z:
             return False
         ctx = _ReplayContext(cache.config)
         base = self.base
@@ -2020,7 +1890,7 @@ class TraceRecorder:
         child = cache._epilogue(node, ctx)
         if child is None:
             return False
-        self.handover = (child, ctx, _pack_signs(state.r))
+        self.handover = (child, ctx, state.r)
         cache.rejoins += 1
         return True
 
@@ -2334,9 +2204,7 @@ class TraceCache:
                 # executed node's exit model, signs from the packed
                 # column.  Both rngs are already at their frontier
                 # positions.
-                exit_x, exit_z = node._exit_xz
-                state.restore((exit_x, exit_z,
-                               _unpack_signs(r, exit_x.shape[0])))
+                state.restore(node._exit_xz + (r,))
                 return self._resume_point(ctx, node)
             node = nxt
 
@@ -2480,7 +2348,7 @@ class TraceCache:
         noise = qpu.noise
         readout = noise.readout
         width = len(seeds)
-        planes = [0] * (2 * state.n_qubits + 1)
+        planes = [0] * (2 * state.n_qubits)
         srngs = [random.Random(seed) for seed in seeds]
         drawn = self.stream_draws
         streams = [rng.getrandbits(64 * drawn) for rng in srngs]
@@ -2721,9 +2589,10 @@ class TraceCache:
         return replayed
 
     def _exit_model(self, node: TraceNode, state: StabilizerState,
-                    noise: NoiseModel) -> tuple[np.ndarray, np.ndarray]:
-        """``node``'s compile-time exit x/z, compiling first the nodes
-        above it that no replay has compiled yet."""
+                    noise: NoiseModel
+                    ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """``node``'s compile-time exit x/z columns, compiling first the
+        nodes above it that no replay has compiled yet."""
         pending = []
         current: TraceNode | None = node
         while current is not None and current._exit_xz is None:

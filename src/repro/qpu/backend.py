@@ -116,8 +116,9 @@ class SimulationBackend(abc.ABC):
         explicit checkpoint — the live state after a replayed prefix
         *is* the frontier — but its stabilizer sign-trace replay never
         touches the real tableau, so on a miss it materializes the
-        frontier by calling ``restore`` with a *constructed* snapshot
-        (the trie node's x/z model plus the live sign column).
+        frontier by calling ``restore`` with a *constructed* snapshot:
+        the trie node's compile-time exit x/z columns plus the live
+        sign column ``r``.
         """
 
     # -- batched shots (the shot-batched trace-cache replay path) ----------

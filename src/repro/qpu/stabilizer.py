@@ -12,12 +12,27 @@ Tableau layout (Aaronson & Gottesman, "Improved simulation of
 stabilizer circuits", PRA 70, 052328):
 
 * rows ``0..n-1``  — destabilizers (row i starts as X_i),
-* rows ``n..2n-1`` — stabilizers  (row n+i starts as Z_i),
-* row  ``2n``      — scratch row for deterministic measurements.
+* rows ``n..2n-1`` — stabilizers  (row n+i starts as Z_i).
 
-``x[i, j]``/``z[i, j]`` are the X/Z bits of row i on qubit j and
-``r[i]`` its sign bit.  Gates conjugate every row; measurement follows
-the textbook random/deterministic split.
+CHP's scratch row 2n is not kept: a determined outcome's product is
+summed from per-column prefix XORs instead
+(:meth:`~StabilizerState.deterministic`).
+
+The tableau is column-packed, as CHP packs it into machine words:
+``x[j]``/``z[j]`` is one Python int per qubit column whose bit ``i``
+is row i's X/Z bit on qubit j, and ``r`` is one int whose bit ``i``
+is row i's sign.  A gate touches only its qubits' columns, so it costs
+a few integer operations over all 2n rows at once.
+
+Every conjugation updates x/z and *returns* its sign-flip mask (the
+rows whose sign the gate flips); :meth:`StabilizerState.apply_gate`
+XORs the mask into ``r``.  Measurement splits the same way: an
+x/z-only projection (:meth:`~StabilizerState.project` for a random
+outcome, :meth:`~StabilizerState.deterministic` for a fixed one)
+returns the masks the sign rules read, and the device applies those
+rules to its own ``r``.  Since x/z never read ``r``, the trace cache's
+sign compiler runs this same kernel on a model state whose signs it
+leaves at zero (:mod:`repro.qcp.tracecache`).
 
 Non-Clifford gates (t, rx(theta), ...) raise
 :class:`~repro.qpu.backend.NonCliffordGateError` — use the
@@ -27,11 +42,14 @@ Non-Clifford gates (t, rx(theta), ...) raise
 from __future__ import annotations
 
 import random
+from typing import TYPE_CHECKING
 
-import numpy as np
-
+from repro.circuit.gates import lookup_gate
 from repro.qpu.backend import (NonCliffordGateError, SimulationBackend,
                                register_backend)
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Gates the tableau can conjugate by, with their decomposition into
 #: the primitive conjugations implemented below.  Order matters: the
@@ -75,90 +93,110 @@ class StabilizerState(SimulationBackend):
             raise ValueError("need at least one qubit")
         self.n_qubits = n_qubits
         self.rng = rng or random.Random()
-        rows = 2 * n_qubits + 1
-        self.x = np.zeros((rows, n_qubits), dtype=np.uint8)
-        self.z = np.zeros((rows, n_qubits), dtype=np.uint8)
-        self.r = np.zeros(rows, dtype=np.uint8)
-        idx = np.arange(n_qubits)
-        self.x[idx, idx] = 1                 # destabilizer i = X_i
-        self.z[n_qubits + idx, idx] = 1      # stabilizer  i = Z_i
+        self.x = [1 << j for j in range(n_qubits)]
+        self.z = [1 << (n_qubits + j) for j in range(n_qubits)]
+        self.r = 0
 
     def copy(self) -> "StabilizerState":
         clone = StabilizerState.__new__(StabilizerState)
         clone.n_qubits = self.n_qubits
         clone.rng = self.rng
-        clone.x = self.x.copy()
-        clone.z = self.z.copy()
-        clone.r = self.r.copy()
+        clone.x = list(self.x)
+        clone.z = list(self.z)
+        clone.r = self.r
         return clone
 
     def reinitialize(self) -> None:
         """Return to |0...0> in place (object identity preserved)."""
-        self.x.fill(0)
-        self.z.fill(0)
-        self.r.fill(0)
-        idx = np.arange(self.n_qubits)
-        self.x[idx, idx] = 1
-        self.z[self.n_qubits + idx, idx] = 1
+        n = self.n_qubits
+        self.x[:] = [1 << j for j in range(n)]
+        self.z[:] = [1 << (n + j) for j in range(n)]
+        self.r = 0
 
-    def snapshot(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Checkpoint: defensive copies of the (x, z, r) tableau."""
-        return self.x.copy(), self.z.copy(), self.r.copy()
+    def snapshot(self) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+        """Checkpoint: the (x, z, r) columns as immutable ints."""
+        return tuple(self.x), tuple(self.z), self.r
 
-    def restore(self,
-                snap: tuple[np.ndarray, np.ndarray, np.ndarray]) -> None:
+    def restore(self, snap: tuple) -> None:
         """Overwrite the tableau in place from a :meth:`snapshot`.
 
         Also accepts a *constructed* snapshot — the trace cache
         materializes the divergence frontier from a trie node's
-        compile-time x/z model plus the live packed sign column, which
-        is exactly an (x, z, r) triple.
+        compile-time exit columns plus the live sign column, which is
+        exactly an (x, z, r) triple.
         """
         x, z, r = snap
-        if x.shape != self.x.shape or z.shape != self.z.shape \
-                or r.shape != self.r.shape:
+        n = self.n_qubits
+        limit = 1 << 2 * n
+        if len(x) != n or len(z) != n or not all(
+                0 <= value < limit for value in (*x, *z, r)):
             raise ValueError(
-                f"snapshot shapes {(x.shape, z.shape, r.shape)} do not "
-                f"match the {self.n_qubits}-qubit tableau")
-        self.x[:, :] = x
-        self.z[:, :] = z
-        self.r[:] = r
+                f"snapshot with {len(x)}/{len(z)} columns does not fit "
+                f"the {n}-qubit tableau")
+        self.x[:] = x
+        self.z[:] = z
+        self.r = r
 
-    # -- primitive conjugations (vectorised over all rows) -----------------
+    # -- primitive conjugations: update x/z, return the sign flips ---------
 
-    def _h(self, a: int) -> None:
-        self.r ^= self.x[:, a] & self.z[:, a]
-        self.x[:, a], self.z[:, a] = (self.z[:, a].copy(),
-                                      self.x[:, a].copy())
+    def _h(self, a: int) -> int:
+        x, z = self.x, self.z
+        xa, za = x[a], z[a]
+        x[a], z[a] = za, xa
+        return xa & za
 
-    def _s(self, a: int) -> None:
-        self.r ^= self.x[:, a] & self.z[:, a]
-        self.z[:, a] ^= self.x[:, a]
+    def _s(self, a: int) -> int:
+        xa, za = self.x[a], self.z[a]
+        self.z[a] = za ^ xa
+        return xa & za
 
-    def _x(self, a: int) -> None:
-        self.r ^= self.z[:, a]
+    def _x(self, a: int) -> int:
+        return self.z[a]
 
-    def _z(self, a: int) -> None:
-        self.r ^= self.x[:, a]
+    def _z(self, a: int) -> int:
+        return self.x[a]
 
-    def _y(self, a: int) -> None:
-        self.r ^= self.x[:, a] ^ self.z[:, a]
+    def _y(self, a: int) -> int:
+        return self.x[a] ^ self.z[a]
 
-    def _cnot(self, a: int, b: int) -> None:
-        self.r ^= (self.x[:, a] & self.z[:, b]
-                   & (self.x[:, b] ^ self.z[:, a] ^ 1))
-        self.x[:, b] ^= self.x[:, a]
-        self.z[:, a] ^= self.z[:, b]
+    def _cnot(self, a: int, b: int) -> int:
+        x, z = self.x, self.z
+        xa, zb = x[a], z[b]
+        flip = xa & zb & ~(x[b] ^ z[a])
+        x[b] ^= xa
+        z[a] ^= zb
+        return flip
 
     _ONE_QUBIT = {"h": _h, "s": _s, "x": _x, "z": _z, "y": _y}
 
     # -- gate interface ----------------------------------------------------
 
+    def conjugate(self, name: str, qubits: tuple[int, ...]) -> int:
+        """Conjugate x/z by the canonical Clifford gate ``name`` and
+        return its sign-flip mask; ``r`` is left alone."""
+        mask = 0
+        decomposition = _CLIFFORD_DECOMPOSITIONS.get(name)
+        if decomposition is not None:
+            for primitive in decomposition:
+                mask ^= self._ONE_QUBIT[primitive](self, qubits[0])
+            return mask
+        pairs = _TWO_QUBIT_DECOMPOSITIONS.get(name)
+        if pairs is None:
+            raise NonCliffordGateError(
+                f"gate {name!r} is not Clifford; the stabilizer backend "
+                f"supports {sorted(_CLIFFORD_DECOMPOSITIONS)} and "
+                f"{sorted(_TWO_QUBIT_DECOMPOSITIONS)} — use the "
+                f"'statevector' backend for this circuit")
+        for primitive, a, b in pairs:
+            if primitive == "cnot":
+                mask ^= self._cnot(qubits[a], qubits[b])
+            else:
+                mask ^= self._ONE_QUBIT[primitive](self, qubits[a])
+        return mask
+
     def apply_gate(self, gate: str, qubits: tuple[int, ...],
                    params: tuple[float, ...] = ()) -> None:
         """Apply a library gate by name (Clifford gates only)."""
-        from repro.circuit.gates import lookup_gate
-
         name = lookup_gate(gate).name
         qubits = tuple(qubits)
         for qubit in qubits:
@@ -175,22 +213,7 @@ class StabilizerState(SimulationBackend):
             raise NonCliffordGateError(
                 f"parametric gate {gate!r} is not Clifford; use the "
                 f"'statevector' backend for this circuit")
-        if name in _CLIFFORD_DECOMPOSITIONS:
-            for primitive in _CLIFFORD_DECOMPOSITIONS[name]:
-                self._ONE_QUBIT[primitive](self, qubits[0])
-            return
-        if name in _TWO_QUBIT_DECOMPOSITIONS:
-            for primitive, a, b in _TWO_QUBIT_DECOMPOSITIONS[name]:
-                if primitive == "cnot":
-                    self._cnot(qubits[a], qubits[b])
-                else:
-                    self._ONE_QUBIT[primitive](self, qubits[a])
-            return
-        raise NonCliffordGateError(
-            f"gate {gate!r} is not Clifford; the stabilizer backend "
-            f"supports {sorted(_CLIFFORD_DECOMPOSITIONS)} and "
-            f"{sorted(_TWO_QUBIT_DECOMPOSITIONS)} — use the "
-            f"'statevector' backend for this circuit")
+        self.r ^= self.conjugate(name, qubits)
 
     def apply_unitary(self, matrix: np.ndarray,
                       qubits: tuple[int, ...]) -> None:
@@ -214,109 +237,118 @@ class StabilizerState(SimulationBackend):
         if nrng.random() < dephase:
             self.apply_gate("z", (qubit,))
 
-    # -- measurement -------------------------------------------------------
+    # -- measurement: x/z projections, then the sign rules ----------------
 
-    def _rowsum(self, h: int, i: int) -> None:
-        """Multiply row ``i`` into row ``h``, tracking the sign."""
-        x1 = self.x[i].astype(bool)
-        z1 = self.z[i].astype(bool)
-        x2 = self.x[h].astype(np.int64)
-        z2 = self.z[h].astype(np.int64)
-        # Exponent of the i^k phase picked up multiplying the Paulis
-        # column by column (the g function of the CHP paper).
-        g = np.zeros(self.n_qubits, dtype=np.int64)
-        is_y = x1 & z1
-        g[is_y] = z2[is_y] - x2[is_y]
-        is_x = x1 & ~z1
-        g[is_x] = z2[is_x] * (2 * x2[is_x] - 1)
-        is_z = ~x1 & z1
-        g[is_z] = x2[is_z] * (1 - 2 * z2[is_z])
-        phase = (2 * int(self.r[h]) + 2 * int(self.r[i])
-                 + int(g.sum())) % 4
-        self.r[h] = phase // 2
-        self.x[h] ^= self.x[i]
-        self.z[h] ^= self.z[i]
+    def project(self, qubit: int) -> tuple[int, int, int] | None:
+        """Collapse x/z for a measurement of ``qubit`` whose outcome is
+        a fair coin; ``None`` (nothing changed) when it is determined.
 
-    @staticmethod
-    def _g_terms(x1: np.ndarray, z1: np.ndarray, x2: np.ndarray,
-                 z2: np.ndarray) -> np.ndarray:
-        """Branchless CHP ``g`` exponents, broadcast over rows.
-
-        Integer-exact equivalent of the masked per-column assignments
-        in :meth:`_rowsum`: Y columns contribute ``z2 - x2``, X columns
-        ``z2 * (2*x2 - 1)``, Z columns ``x2 * (1 - 2*z2)`` and identity
-        columns zero.
-        """
-        return (x1 * z1 * (z2 - x2)
-                + x1 * (1 - z1) * z2 * (2 * x2 - 1)
-                + (1 - x1) * z1 * x2 * (1 - 2 * z2))
-
-    def _rowsum_batch(self, targets: np.ndarray, i: int) -> None:
-        """Multiply row ``i`` into every row in ``targets`` at once.
-
-        Each target row is independent (the multiplier row is fixed),
-        so the per-row :meth:`_rowsum` loop collapses to one 2-D
-        integer computation.  All arithmetic is exact, making the
-        result bit-identical to the sequential loop.
-        """
-        x1 = self.x[i].astype(np.int16)
-        z1 = self.z[i].astype(np.int16)
-        x2 = self.x[targets].astype(np.int16)
-        z2 = self.z[targets].astype(np.int16)
-        g = self._g_terms(x1, z1, x2, z2).sum(axis=1, dtype=np.int64)
-        phase = (2 * self.r[targets].astype(np.int64)
-                 + 2 * int(self.r[i]) + g) % 4
-        self.r[targets] = (phase // 2).astype(np.uint8)
-        self.x[targets] ^= self.x[i]
-        self.z[targets] ^= self.z[i]
-
-    def _random_pivot(self, qubit: int) -> int | None:
-        """Stabilizer row with an X on ``qubit``, if any.
-
-        Such a row anticommutes with Z_qubit, making the measurement
-        outcome a fair coin; no such row makes it deterministic.
+        The pivot is the first stabilizer row with an X on ``qubit``;
+        the targets ``tmask`` are the other rows with one.  The pivot
+        row multiplies into each target (the CHP rowsum), its
+        destabilizer partner inherits it, and it becomes Z_qubit.
+        Returns ``(pivot, tmask, gmask)``: ``gmask`` holds the targets
+        whose rowsum phase exponent ``g`` is 2 or 3 mod 4, so a
+        target's new sign is its sign XOR the pivot's XOR its ``gmask``
+        bit.  Columns are independent, so one pass over them does the
+        rowsum and the collapse; the per-row ``g`` counts mod 4 in two
+        bit-sliced words (``lo``, ``hi``).
         """
         n = self.n_qubits
-        column = self.x[n:2 * n, qubit]
-        first = int(column.argmax())
-        if not column[first]:
+        x, z = self.x, self.z
+        stabilizers = x[qubit] >> n
+        if not stabilizers:
             return None
-        return n + first
+        pivot = (stabilizers & -stabilizers).bit_length() - 1 + n
+        pbit = 1 << pivot
+        mbit = 1 << (pivot - n)
+        targets = x[qubit] ^ pbit
+        touched = pbit | mbit
+        keep = ~touched
+        lo = hi = 0
+        for j in range(n):
+            xj, zj = x[j], z[j]
+            if not (xj | zj) & touched:
+                continue    # neither the pivot nor its partner here
+            px, pz = xj & pbit, zj & pbit
+            if px or pz:
+                # g exponents of multiplying the pivot's Pauli into the
+                # targets' (the CHP g function): +1 in ``plus``, -1 in
+                # ``minus``, by the pivot's Pauli on this column.
+                a, b = xj & targets, zj & targets
+                if px and pz:                   # Y: z2 - x2
+                    plus, minus = b & ~a, a & ~b
+                elif px:                        # X: z2 (2 x2 - 1)
+                    plus, minus = a & b, b & ~a
+                else:                           # Z: x2 (1 - 2 z2)
+                    plus, minus = a & ~b, a & b
+                hi ^= lo & plus
+                lo ^= plus
+                hi ^= ~lo & minus
+                lo ^= minus
+                if px:
+                    xj = (xj ^ targets) & keep | mbit
+                else:
+                    xj &= keep
+                if pz:
+                    zj = (zj ^ targets) & keep | mbit
+                else:
+                    zj &= keep
+                x[j], z[j] = xj, zj
+            else:
+                x[j], z[j] = xj & keep, zj & keep
+        z[qubit] |= pbit
+        return pivot, targets, hi
 
-    def _deterministic_outcome(self, qubit: int) -> int:
-        """Outcome when Z_qubit is in the stabilizer group (no collapse).
+    def deterministic(self, qubit: int) -> tuple[int, int]:
+        """The determined outcome's masks: ``(rowsmask, ghalf)``, so the
+        outcome is ``(popcount(r & rowsmask) + ghalf) & 1``.  Only
+        meaningful when the outcome is determined (:meth:`project`
+        returns ``None``).
 
-        The scratch row accumulates the product of the stabilizer rows
-        whose destabilizer partners carry an X on ``qubit``.  The
-        accumulator before step ``j`` is the XOR-prefix of the earlier
-        multiplier rows, so every ``g`` term is computed from prefix
-        arrays in one vectorised pass.  Every intermediate product is a
-        stabilizer-group element with a real sign (phase exponent even
-        at every step), which is what lets the per-step ``%4``/halving
-        of :meth:`_rowsum` commute with summing all terms first.
+        Z_qubit is the product of the stabilizer rows whose
+        destabilizer partners carry an X on ``qubit`` (``rowsmask``),
+        taken lowest row first.  Row k's ``g`` term reads the product
+        of the rows before it: per column, an exclusive prefix XOR over
+        the rows, built from shift-XORs.  Every partial product is a
+        stabilizer-group element with a real sign, so summing all terms
+        before the ``% 4`` equals the sequential rowsums, and ``ghalf``
+        is ``(g % 4) // 2``.  x/z are unchanged.
         """
         n = self.n_qubits
-        hits = np.nonzero(self.x[:n, qubit])[0]
-        if hits.size == 0:
-            return 0
-        rows = hits + n
-        x1 = self.x[rows].astype(np.int16)
-        z1 = self.z[rows].astype(np.int16)
-        # Accumulator (scratch-row) value before each multiplication.
-        x2 = np.zeros_like(x1)
-        z2 = np.zeros_like(z1)
-        np.bitwise_xor.accumulate(x1[:-1], axis=0, out=x2[1:])
-        np.bitwise_xor.accumulate(z1[:-1], axis=0, out=z2[1:])
-        g = int(self._g_terms(x1, z1, x2, z2).sum(dtype=np.int64))
-        total = 2 * int(self.r[rows].sum(dtype=np.int64)) + g
-        return (total % 4) // 2
+        rows = (self.x[qubit] & ((1 << n) - 1)) << n
+        if not rows:
+            return 0, 0
+        span = rows.bit_length() - (rows & -rows).bit_length() + 1
+        g = 0
+        for xj, zj in zip(self.x, self.z):
+            a, b = xj & rows, zj & rows
+            both = a | b
+            if not both & (both - 1):
+                continue    # at most one row: no earlier product
+            ea, eb = a, b
+            shift = 1
+            while shift < span:
+                ea ^= ea << shift
+                eb ^= eb << shift
+                shift <<= 1
+            # The product so far (x2, z2 of the g function) at each
+            # row, and the row's own Pauli: Y, X only or Z only.
+            ea = (ea ^ a) & rows
+            eb = (eb ^ b) & rows
+            y, xo, zo = a & b, a & ~b, b & ~a
+            g += ((y & eb & ~ea).bit_count() - (y & ea & ~eb).bit_count()
+                  + (xo & eb & ea).bit_count() - (xo & eb & ~ea).bit_count()
+                  + (zo & ea & ~eb).bit_count() - (zo & ea & eb).bit_count())
+        return rows, (g % 4) // 2
 
     def probability_of_one(self, qubit: int) -> float:
         """Pre-collapse P(1): always 0, 1/2 or 1 for stabilizer states."""
         self._check_qubit(qubit)
-        if self._random_pivot(qubit) is not None:
+        if self.x[qubit] >> self.n_qubits:
             return 0.5
-        return float(self._deterministic_outcome(qubit))
+        rows, ghalf = self.deterministic(qubit)
+        return float(((self.r & rows).bit_count() + ghalf) & 1)
 
     def measure_with_probability(self, qubit: int) -> tuple[int, float]:
         """Projectively measure ``qubit`` and collapse the state.
@@ -327,32 +359,36 @@ class StabilizerState(SimulationBackend):
         Returns the outcome and that probability.
         """
         self._check_qubit(qubit)
-        pivot = self._random_pivot(qubit)
-        if pivot is None:
-            outcome = self._deterministic_outcome(qubit)
+        projected = self.project(qubit)
+        if projected is None:
+            rows, ghalf = self.deterministic(qubit)
+            outcome = ((self.r & rows).bit_count() + ghalf) & 1
             self.rng.random()  # parity with the dense backend's draw
             return outcome, float(outcome)
+        pivot, tmask, gmask = projected
         outcome = 1 if self.rng.random() < 0.5 else 0
-        n = self.n_qubits
-        targets = np.nonzero(self.x[:, qubit])[0]
-        targets = targets[targets != pivot]
-        if targets.size:
-            self._rowsum_batch(targets, pivot)
-        # The pivot's destabilizer becomes the old stabilizer; the
-        # pivot row collapses to +/- Z_qubit with the drawn sign.
-        self.x[pivot - n] = self.x[pivot]
-        self.z[pivot - n] = self.z[pivot]
-        self.r[pivot - n] = self.r[pivot]
-        self.x[pivot] = 0
-        self.z[pivot] = 0
-        self.z[pivot, qubit] = 1
-        self.r[pivot] = outcome
+        # The targets take the pivot's sign and their g phase; the
+        # destabilizer partner inherits the pivot's sign, and the pivot
+        # row's sign is the drawn outcome.
+        r = self.r
+        partner = 1 << (pivot - self.n_qubits)
+        if (r >> pivot) & 1:
+            r ^= gmask ^ tmask
+            r |= partner
+        else:
+            r ^= gmask
+            r &= ~partner
+        if outcome:
+            r |= 1 << pivot
+        else:
+            r &= ~(1 << pivot)
+        self.r = r
         return outcome, 0.5
 
     def reset(self, qubit: int) -> None:
         """Unconditionally reset ``qubit`` to |0> (measure + flip)."""
         if self.measure(qubit):
-            self._x(qubit)
+            self.r ^= self._x(qubit)
 
     # -- queries -----------------------------------------------------------
 
@@ -362,9 +398,9 @@ class StabilizerState(SimulationBackend):
         labels = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
         strings = []
         for row in range(n, 2 * n):
-            sign = "-" if self.r[row] else "+"
+            sign = "-" if (self.r >> row) & 1 else "+"
             paulis = "".join(
-                labels[(int(self.x[row, q]), int(self.z[row, q]))]
+                labels[((self.x[q] >> row) & 1, (self.z[q] >> row) & 1)]
                 for q in range(n))
             strings.append(sign + paulis)
         return strings

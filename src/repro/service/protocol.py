@@ -29,6 +29,7 @@ they change how a sweep is run, never what it computes.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -44,6 +45,7 @@ from repro.qpu.noise import (DecoherenceNoise, DepolarizingNoise,
                              NoiseModel, PauliChannel, ReadoutError,
                              ZZCrosstalk)
 from repro.qpu.profile import DeviceProfile
+from repro.qpu.statevector import DENSE_QUBIT_LIMIT
 
 #: Protocol revision announced by the server and checked by clients.
 PROTOCOL_VERSION = 1
@@ -215,13 +217,22 @@ class JobSpec:
     def from_dict(cls, raw: Any) -> "JobSpec":
         """Validate an incoming job object; raises :class:`ProtocolError`.
 
-        Validation is eager and complete: the program parses, contains
-        at least one measurement, the config overrides construct a
-        :class:`QCPConfig`, and the noise spec constructs a
-        :class:`NoiseModel` — so a worker can never fail on a job the
-        front end accepted, only crash.  The program checks, and the
+        Validation is eager: the program parses, contains at least one
+        measurement, the config overrides construct a
+        :class:`QCPConfig`, the noise spec constructs a
+        :class:`NoiseModel`, and the resolved backend can represent the
+        program — the stabilizer only Clifford gates, the statevector
+        at most :data:`~repro.qpu.statevector.DENSE_QUBIT_LIMIT` qubits
+        (``bad_backend`` otherwise).  The program checks, and the
         analysis ``"auto"`` routes by, come from
         :func:`program_facts`, which parses each text once per process.
+
+        One failure is left to the workers: non-Pauli noise
+        (decoherence, ZZ) on the stabilizer raises
+        ``NonCliffordGateError`` only once a channel fires, which
+        depends on its parameters and on the program's idle gaps and
+        drive overlaps.  A static refusal would also refuse jobs that
+        run, so such a job is accepted and may fail as ``worker_error``.
         """
         if not isinstance(raw, dict):
             raise ProtocolError("bad_job", "job must be an object")
@@ -335,11 +346,23 @@ class JobSpec:
             routing = route_analysed(
                 clifford, n_qubits, noise=preview,
                 profile=profile_obj).as_dict()
-        return cls(program=program, shots=shots, seed=seed,
+        spec = cls(program=program, shots=shots, seed=seed,
                    backend=backend, config=dict(config), noise=noise,
                    n_processors=n_processors, timeout_s=timeout_s,
                    shard_shots=shard_shots, profile=profile,
                    routing=routing, fault=fault)
+        resolved = spec.resolved_backend
+        if resolved == "stabilizer" and not clifford:
+            raise ProtocolError(
+                "bad_backend", "the program has non-Clifford gates, "
+                "which the 'stabilizer' backend cannot run; use "
+                "'statevector'")
+        if resolved == "statevector" and n_qubits > DENSE_QUBIT_LIMIT:
+            raise ProtocolError(
+                "bad_backend", f"{n_qubits} qubits exceeds the dense "
+                f"simulator limit ({DENSE_QUBIT_LIMIT}); Clifford "
+                f"programs can use 'stabilizer'")
+        return spec
 
     @property
     def resolved_backend(self) -> str:
@@ -352,7 +375,10 @@ class JobSpec:
             return self.routing["backend"]
         return requested
 
+    @functools.cached_property
     def _engine_identity(self) -> dict:
+        """The engine-key fields, computed once per spec: the program
+        text is hashed, and an inline profile parsed, only here."""
         return {
             "program_sha": _sha(self.program),
             "backend": self.resolved_backend,
@@ -366,12 +392,12 @@ class JobSpec:
 
     def engine_key(self) -> str:
         """Identity of the compiled artifacts a worker can reuse."""
-        return _sha(_canonical(self._engine_identity()))
+        return _sha(_canonical(self._engine_identity))
 
     def job_key(self) -> str:
         """Identity of the result — the dedup key."""
-        identity = self._engine_identity()
-        identity.update(shots=self.shots, seed=self.seed)
+        identity = dict(self._engine_identity, shots=self.shots,
+                        seed=self.seed)
         return _sha(_canonical(identity))
 
     def payload(self) -> dict:

@@ -475,7 +475,10 @@ def test_epilogue_is_shared_by_all_replay_modes():
     (the cohort binding is the only one).  The sign trace has exactly
     one compiler, whose ops carry both the serial loop's masks and the
     cohort loop's rows: no other function builds a sign op, and only
-    the node and the fold call the compiler.
+    the node and the fold call the compiler.  The compiler runs the
+    device's own tableau kernel on a model state, so no function here
+    reads the tableau's gate decompositions or its ``g`` rule: the
+    conjugation and measurement rules cannot fork again.
     """
     import inspect
 
@@ -532,8 +535,11 @@ def test_epilogue_is_shared_by_all_replay_modes():
     sign_ops = {holder for name in vars(tracecache)
                 if name.startswith("_S_")
                 for holder in holders(f"({name},")}
-    assert sign_ops == {"_compile_sign_node", "_compile_sign_measure"}, (
-        sign_ops)
+    assert sign_ops == {"_compile_sign_node"}, sign_ops
+    for rule in ("_CLIFFORD_DECOMPOSITIONS", "_TWO_QUBIT_DECOMPOSITIONS",
+                 "_g_terms"):
+        assert rule not in vars(tracecache), rule
+        assert not holders(rule), (rule, holders(rule))
     source = inspect.getsource(cache._replay_batch_signs)
     for banned in ("_COMPARATORS", "_FUNCS", ".taken(", "_ReplayContext",
                    "_decide("):

@@ -64,12 +64,23 @@ def replay(backend, ops):
     return probabilities, outcomes
 
 
+#: Random circuits the two backends must agree on.  The stabilizer's
+#: kernel is also the trace cache's sign compiler, so the replay fuzz
+#: suites cannot check it independently: this dense comparison does.
+TRIALS = 40
+
+
+def trial_circuit(trial: int) -> tuple[int, list]:
+    """Trial ``trial``'s register size (2-8 qubits) and circuit."""
+    gen = random.Random(trial)
+    n_qubits = gen.randrange(2, 9)
+    return n_qubits, random_clifford_ops(gen, n_qubits, length=60)
+
+
 class TestBackendCrossValidation:
-    @pytest.mark.parametrize("trial", range(15))
+    @pytest.mark.parametrize("trial", range(TRIALS))
     def test_identical_streams_on_random_clifford_circuits(self, trial):
-        gen = random.Random(trial)
-        n_qubits = gen.randrange(2, 6)
-        ops = random_clifford_ops(gen, n_qubits, length=30)
+        n_qubits, ops = trial_circuit(trial)
         seed = 1000 + trial
         dense_p, dense_out = replay(
             StateVector(n_qubits, rng=random.Random(seed)), ops)
@@ -77,6 +88,20 @@ class TestBackendCrossValidation:
             StabilizerState(n_qubits, rng=random.Random(seed)), ops)
         assert dense_out == stab_out
         assert dense_p == pytest.approx(stab_p, abs=1e-9)
+
+    def test_trials_cover_every_measurement_kind(self):
+        """The trials together measure random outcomes (P(1) = 1/2)
+        and determined ones of both values, and reset."""
+        probabilities = set()
+        resets = 0
+        for trial in range(TRIALS):
+            n_qubits, ops = trial_circuit(trial)
+            stab_p, _ = replay(StabilizerState(
+                n_qubits, rng=random.Random(1000 + trial)), ops)
+            probabilities.update(stab_p)
+            resets += sum(gate == "reset" for gate, _qubits in ops)
+        assert probabilities == {0.0, 0.5, 1.0}
+        assert resets > 0
 
     def test_stabilizer_probabilities_are_exact(self):
         # Every pre-collapse probability of a stabilizer state is
@@ -156,3 +181,10 @@ class TestSnapshotRestore:
             big.restore(small.snapshot())
         with pytest.raises(ValueError):
             StabilizerState(3).restore(StabilizerState(2).snapshot())
+        # Right column count, but a bit past the 2n tableau rows.
+        state = StabilizerState(3)
+        x, z, r = state.snapshot()
+        with pytest.raises(ValueError):
+            state.restore(((1 << 6,) + x[1:], z, r))
+        with pytest.raises(ValueError):
+            state.restore((x, z, 1 << 6))

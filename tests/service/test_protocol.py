@@ -1,9 +1,13 @@
 """Tests for the service wire protocol and job identity model."""
 
+import functools
+import hashlib
+import pathlib
 from collections import OrderedDict
 
 import pytest
 
+from repro.benchlib.steane import build_shor_syndrome_program
 from repro.qcp import run_shots
 from repro.service import protocol
 from repro.service.protocol import (BACKENDS, JobSpec, ProtocolError,
@@ -108,6 +112,49 @@ class TestValidation:
         assert excinfo.value.code == "no_measurements"
 
 
+MAGIC_QASM = (pathlib.Path(__file__).resolve().parents[2] / "examples"
+              / "magic.qasm").read_text()
+
+
+@functools.cache
+def shor_text() -> str:
+    """The 37-qubit Shor syndrome program: Clifford, beyond the dense
+    simulator's limit."""
+    return build_shor_syndrome_program(rounds=1).to_asm()
+
+
+class TestBackendFitsProgram:
+    """A job whose resolved backend cannot run its program is refused,
+    however the backend was chosen: a worker would only fail it."""
+
+    @pytest.mark.parametrize("overrides", [
+        {"backend": "stabilizer"},
+        {"config": {"qpu_backend": "stabilizer"}},
+        {"backend": "auto",
+         "profile": {"name": "pinned", "backend": "stabilizer"}},
+    ], ids=["backend", "config", "profile-pin"])
+    def test_non_clifford_program_refused_on_the_stabilizer(
+            self, overrides):
+        with pytest.raises(ProtocolError) as excinfo:
+            JobSpec.from_dict(job(program=MAGIC_QASM, **overrides))
+        assert excinfo.value.code == "bad_backend"
+        assert "non-Clifford" in str(excinfo.value)
+
+    def test_wide_program_refused_on_the_statevector(self):
+        with pytest.raises(ProtocolError) as excinfo:
+            JobSpec.from_dict(job(program=shor_text(),
+                                  backend="statevector"))
+        assert excinfo.value.code == "bad_backend"
+        assert "37 qubits exceeds" in str(excinfo.value)
+
+    def test_programs_accepted_where_they_run(self):
+        spec = JobSpec.from_dict(job(program=MAGIC_QASM, backend="auto"))
+        assert spec.resolved_backend == "statevector"
+        spec = JobSpec.from_dict(job(program=shor_text(),
+                                     backend="stabilizer"))
+        assert spec.resolved_backend == "stabilizer"
+
+
 @pytest.fixture
 def parses(monkeypatch):
     """The texts parsed from here on, starting from an empty table."""
@@ -163,6 +210,56 @@ class TestValidationTable:
 
 
 class TestKeys:
+    #: A spec with every identity field set: an inline profile, noise,
+    #: a config override and an ``auto`` backend.
+    FIXED = {"program": ASM, "shots": 10, "seed": 7, "backend": "auto",
+             "config": {"trace_cache": False},
+             "noise": {"pauli": {"px": 0.001}},
+             "profile": {"name": "keys", "defaults": {"readout": {
+                 "p0_given_1": 0.02, "p1_given_0": 0.01}}}}
+
+    def test_keys_of_a_fixed_spec(self):
+        spec = JobSpec.from_dict(dict(self.FIXED))
+        assert spec.engine_key() == (
+            "3f6f9db8e494fc211b3b3aff752d9c7d7aa5b163f9d39b192ce1b1b0f4be09b0")
+        assert spec.job_key() == (
+            "0ccc8b858481d326e0185eb1679df9cd22630e1d77332b4e0eb332b5aba2df5b")
+        # Asking again changes nothing: job_key copies the identity.
+        assert spec.engine_key() == JobSpec.from_dict(
+            dict(self.FIXED, shots=99)).engine_key()
+        assert spec.job_key() == JobSpec.from_dict(
+            dict(self.FIXED)).job_key()
+
+    def test_one_submit_hashes_the_text_and_parses_the_profile_once(
+            self, monkeypatch):
+        from repro.service.jobs import JobManager
+
+        spec = JobSpec.from_dict(dict(self.FIXED))
+        hashed = []
+        parsed = []
+        sha256 = hashlib.sha256
+
+        def counted_sha256(data=b"", **kwargs):
+            hashed.append(data)
+            return sha256(data, **kwargs)
+
+        from_dict = protocol.DeviceProfile.from_dict.__func__
+
+        def counted_from_dict(cls, data):
+            parsed.append(data)
+            return from_dict(cls, data)
+
+        monkeypatch.setattr(protocol.hashlib, "sha256", counted_sha256)
+        monkeypatch.setattr(protocol.DeviceProfile, "from_dict",
+                            classmethod(counted_from_dict))
+        # Not started: submit only queues, and no pool exists to stop.
+        manager = JobManager(n_workers=1, queue_size=4)
+        job_, deduped = manager.submit(spec)
+        assert not deduped and job_.key == spec.job_key()
+        assert spec.payload()["engine_key"] == spec.engine_key()
+        assert hashed.count(ASM.encode()) == 1
+        assert parsed == [self.FIXED["profile"]]
+
     def test_job_key_is_stable(self):
         assert JobSpec.from_dict(job()).job_key() == \
             JobSpec.from_dict(job()).job_key()

@@ -109,7 +109,9 @@ class TestJobSpecRouting:
         (MAGIC, None, None),
         (CLIFFORD, None, {"decoherence": {"t1_us": 50.0}}),
         (CLIFFORD, DENSE_PROFILE, None),
-        (MAGIC, dict(READOUT_PROFILE, backend="stabilizer"), None),
+        # A pin that overrides the program analysis (a pin the
+        # program cannot run on is refused, see test_protocol).
+        (CLIFFORD, dict(READOUT_PROFILE, backend="statevector"), None),
     ])
     def test_auto_routing_is_route_backend_of_the_parsed_program(
             self, program, profile, noise):
