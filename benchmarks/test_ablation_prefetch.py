@@ -13,7 +13,7 @@ import statistics
 from repro.analysis import format_table
 from repro.benchlib import (build_shor_syndrome_program,
                             verification_qubits)
-from repro.qcp import QuAPESystem, scalar_config
+from repro.qcp import ShotEngine, scalar_config
 from repro.qpu import PRNGQPU, PRNGReadout
 
 RUNS = 30
@@ -21,19 +21,16 @@ PROCESSOR_COUNTS = (1, 2, 4)
 
 
 def mean_time(program, n_processors: int, prefetch: bool) -> float:
-    times = []
-    for seed in range(RUNS):
-        readout = PRNGReadout(
-            failure_rate=0.0,
-            per_qubit={q: 0.25 for q in verification_qubits()},
-            seed=seed)
-        system = QuAPESystem(
-            program=program,
-            config=scalar_config(enable_prefetch=prefetch),
-            n_processors=n_processors, qpu=PRNGQPU(37, readout),
-            n_qubits=37)
-        times.append(system.run().total_ns)
-    return statistics.fmean(times)
+    """Mean ``total_ns`` of runs 0..RUNS-1 of one point: one
+    compile-once engine, a fresh PRNG-readout QPU seeded per run."""
+    per_qubit = {q: 0.25 for q in verification_qubits()}
+    engine = ShotEngine(
+        program, config=scalar_config(enable_prefetch=prefetch),
+        n_processors=n_processors, n_qubits=37,
+        qpu_factory=lambda seed: PRNGQPU(37, PRNGReadout(
+            failure_rate=0.0, per_qubit=per_qubit, seed=seed)))
+    return statistics.fmean(engine.run_shot(seed)[1]
+                            for seed in range(RUNS))
 
 
 def sweep():

@@ -89,6 +89,8 @@ def command_run(args: argparse.Namespace) -> int:
     print(f"executed in {result.total_ns} ns "
           f"({result.total_cycles} cycles at 100 MHz) on "
           f"{args.processors} processor(s), width {args.width}")
+    if args.qpu == "auto":
+        print(f"substrate: auto->{system.qpu.backend_name}")
     print(f"timing: {lateness_summary(result.trace)}")
     report = result.tr_report()
     if report.per_step:

@@ -334,9 +334,39 @@ class ProcessorCore:
 
     _waiting_qubits: tuple[int, ...] = ()
 
+    def _stall_on_context(self, qubits: tuple[int, ...]) -> None:
+        self.state = ProcState.WAIT_CONTEXT
+        self._waiting_qubits = tuple(qubits)
+        self._stall_began_ns = self.kernel.now
+        # Resumption happens in _on_context_result.
+
     def _maybe_finish_drain(self) -> None:
         if not self.contexts.busy:
             self._finish_block()
+
+    # -- result fetch (FMR) ---------------------------------------------------
+
+    def _stall_on_fmr(self, instr) -> None:
+        """Stall until the FMR's measurement result is valid."""
+        self.state = ProcState.WAIT_RESULT
+        self._stall_began_ns = self.kernel.now
+        self.results.wait(instr.qubit,
+                          lambda value, _t: self._resume_fmr(instr, value))
+
+    def _resume_fmr(self, instr, value: int) -> None:
+        # The pc step matters to a scalar core only: a superscalar core
+        # fetches from its own fetch pc.
+        now = self.kernel.now
+        self.ces.excluded_wait(self._step_of(instr),
+                               now - self._stall_began_ns)
+        self.registers.write(instr.rd, value)
+        if self.recording is not None:
+            self.recording.append((REC_FMR, self.proc_id, instr.rd,
+                                   instr.qubit))
+        self.ces.classical(self._step_of(instr), 1)
+        self.state = ProcState.RUNNING
+        self.pc += 1
+        self._schedule_cycle(1)
 
 
 class ScalarProcessor(ProcessorCore):
@@ -417,11 +447,7 @@ class ScalarProcessor(ProcessorCore):
             self._record_classical(instr, run, eclass, disposition)
         step = self._step_of(instr)
         if disposition == "stall_fmr":
-            self.state = ProcState.WAIT_RESULT
-            self._stall_began_ns = self.kernel.now
-            self.results.wait(
-                instr.qubit,
-                lambda value, _t: self._resume_fmr(instr, value))
+            self._stall_on_fmr(instr)
             return
         if disposition == "halt":
             # Halt is block packaging, not circuit-step work: it does
@@ -437,22 +463,3 @@ class ScalarProcessor(ProcessorCore):
         if disposition == "next":
             self.pc += 1
         self._schedule_cycle(1 + extra)
-
-    def _resume_fmr(self, instr, value: int) -> None:
-        now = self.kernel.now
-        self.ces.excluded_wait(self._step_of(instr),
-                               now - self._stall_began_ns)
-        self.registers.write(instr.rd, value)
-        if self.recording is not None:
-            self.recording.append((REC_FMR, self.proc_id, instr.rd,
-                                   instr.qubit))
-        self.ces.classical(self._step_of(instr), 1)
-        self.state = ProcState.RUNNING
-        self.pc += 1
-        self._schedule_cycle(1)
-
-    def _stall_on_context(self, qubits: tuple[int, ...]) -> None:
-        self.state = ProcState.WAIT_CONTEXT
-        self._waiting_qubits = tuple(qubits)
-        self._stall_began_ns = self.kernel.now
-        # Resumption happens in _on_context_result.

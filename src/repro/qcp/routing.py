@@ -10,8 +10,9 @@ engine hands the program here once, before any shot runs, and
 the workload —
 
 * ``"stabilizer"`` when every issued gate (including both arms of each
-  MRCE) is Clifford and parameter-free **and** the noise model is
-  Pauli-compatible (:attr:`~repro.qpu.noise.NoiseModel.is_pauli_only`);
+  MRCE) is Clifford and parameter-free **and** the noise model, with a
+  device profile's channels composed over it, is Pauli-compatible
+  (:attr:`~repro.qpu.noise.NoiseModel.is_pauli_only`);
 * ``"statevector"`` otherwise.
 
 A calibrated :class:`~repro.qpu.profile.DeviceProfile` may pin a
@@ -100,10 +101,12 @@ def route_backend(program: Program, n_qubits: int,
                   noise=None, profile=None) -> RoutingDecision:
     """Pick the substrate for ``backend="auto"`` (see module docstring).
 
-    ``noise`` is the noise model the engine will run (may be ``None``
-    = ideal); ``profile`` an optional
-    :class:`~repro.qpu.profile.DeviceProfile` whose ``backend`` pin,
-    when present, wins over the program analysis.
+    ``noise`` is the base noise model (may be ``None`` = ideal);
+    ``profile`` an optional :class:`~repro.qpu.profile.DeviceProfile`.
+    The profile's readout, T1/T2 and ZZ channels are composed over
+    ``noise`` (:meth:`~repro.qpu.profile.DeviceProfile.noise_model`),
+    as the device composes them, and its ``backend`` pin, when
+    present, wins over the program analysis.
     """
     return route_analysed(is_clifford_program(program), n_qubits,
                           noise=noise, profile=profile)
@@ -124,6 +127,8 @@ def route_analysed(clifford: bool, n_qubits: int,
             reason=f"device profile {profile.name or '<unnamed>'!s} "
                    f"pins {backend!r}",
             clifford_only=clifford, n_qubits=n_qubits, forced=True)
+    if profile is not None:
+        noise = profile.noise_model(base=noise)
     if clifford and (noise is None or noise.is_pauli_only):
         return RoutingDecision(
             backend="stabilizer",

@@ -295,10 +295,8 @@ class ShotEngine:
                 raise ValueError(
                     'backend="auto" routes the engine-owned QPU; a '
                     "custom qpu_factory builds its own devices")
-            preview = (profile.noise_model(base=noise)
-                       if profile is not None else noise)
             self.routing = route_backend(program, self.qubit_count,
-                                         noise=preview, profile=profile)
+                                         noise=noise, profile=profile)
             self.backend = self.routing.backend
         # -- compile-once artifacts, shared by every shot ----------------
         self.memory = InstructionMemory(program)

@@ -33,7 +33,6 @@ from repro.isa.instructions import Mrce
 from repro.qcp.decode import (DecodedInstr, K_BUNDLE, K_CLASSICAL,
                               K_MRCE, K_QMEAS)
 from repro.qcp.processor import ProcessorCore, ProcState
-from repro.qcp.tracecache import REC_FMR
 
 
 class SuperscalarProcessor(ProcessorCore):
@@ -183,7 +182,7 @@ class SuperscalarProcessor(ProcessorCore):
                 for entry in group):
             if self._dispatched_classical:
                 return "stop"  # finish this cycle, stall next one
-            self._stall_on_context_super(
+            self._stall_on_context(
                 tuple(q for entry in group
                       for q in entry[2][0].qubits))
             return "stalled"
@@ -251,24 +250,8 @@ class SuperscalarProcessor(ProcessorCore):
         if disposition == "taken":
             self._flush_buffer(self.pc)
         elif disposition == "stall_fmr":
-            self.state = ProcState.WAIT_RESULT
-            self._stall_began_ns = self.kernel.now
-            self.results.wait(
-                instr.qubit,
-                lambda value, _t: self._resume_fmr_super(instr, value))
+            self._stall_on_fmr(instr)
         return disposition, extra
-
-    def _resume_fmr_super(self, instr, value: int) -> None:
-        now = self.kernel.now
-        self.ces.excluded_wait(self._step_of(instr),
-                               now - self._stall_began_ns)
-        self.registers.write(instr.rd, value)
-        if self.recording is not None:
-            self.recording.append((REC_FMR, self.proc_id, instr.rd,
-                                   instr.qubit))
-        self.ces.classical(self._step_of(instr), 1)
-        self.state = ProcState.RUNNING
-        self._schedule_cycle(1)
 
     def _dispatch_mrce(self, instr: Mrce) -> tuple[bool, bool]:
         """Dispatch the MRCE at the buffer head.
@@ -278,12 +261,12 @@ class SuperscalarProcessor(ProcessorCore):
         if self.config.fast_context_switch:
             qubits = (instr.result_qubit, instr.target_qubit)
             if self.contexts.conflicts_with(qubits):
-                self._stall_on_context_super(qubits)
+                self._stall_on_context(qubits)
                 return False, True
             if self._execute_mrce_fast(instr):
                 self._buffer.popleft()
                 return True, False
-            self._stall_on_context_super(qubits)
+            self._stall_on_context(qubits)
             return False, True
         self._buffer.popleft()
         if self._execute_mrce_blocking(instr):
@@ -292,8 +275,3 @@ class SuperscalarProcessor(ProcessorCore):
         # restarts the cycle loop (its pc increment is harmless here —
         # superscalar fetch is driven by _fetch_pc, not pc).
         return False, True
-
-    def _stall_on_context_super(self, qubits: tuple[int, ...]) -> None:
-        self.state = ProcState.WAIT_CONTEXT
-        self._waiting_qubits = tuple(qubits)
-        self._stall_began_ns = self.kernel.now

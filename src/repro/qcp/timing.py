@@ -20,19 +20,8 @@ different quantum instructions cannot be guaranteed".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.qcp.emitter import Emitter, QuantumOp
 from repro.sim.kernel import SimKernel
-
-
-@dataclass
-class PendingOp:
-    """A queue entry awaiting its timing point."""
-
-    op: QuantumOp
-    scheduled_ns: int
-    actual_ns: int
 
 
 class TimingController:
@@ -62,7 +51,7 @@ class TimingController:
         self._last_issue_ns = value
 
     def enqueue(self, op: QuantumOp, timing_label: int,
-                exec_time_ns: int) -> PendingOp:
+                exec_time_ns: int) -> None:
         """Accept an executed quantum instruction for timed issue.
 
         ``exec_time_ns`` is when the processor finished executing the
@@ -75,14 +64,12 @@ class TimingController:
                          + timing_label * self.clock_period_ns)
         actual = max(scheduled, exec_time_ns)
         self._last_issue_ns = actual
-        pending = PendingOp(op=op, scheduled_ns=scheduled, actual_ns=actual)
         self._in_flight += 1
         self.queue_depth_high_water = max(self.queue_depth_high_water,
                                           self._in_flight)
-        self.kernel.schedule_at(actual, self._fire, pending)
-        return pending
+        self.kernel.schedule_at(actual, self._fire, op, actual - scheduled)
 
-    def enqueue_immediate(self, op: QuantumOp, time_ns: int) -> PendingOp:
+    def enqueue_immediate(self, op: QuantumOp, time_ns: int) -> None:
         """Issue a feedback-determined operation as soon as possible.
 
         Used for the operation selected by an MRCE: it has no
@@ -92,12 +79,11 @@ class TimingController:
         """
         actual = max(time_ns, self._last_issue_ns or 0)
         self._last_issue_ns = actual
-        pending = PendingOp(op=op, scheduled_ns=actual, actual_ns=actual)
         self._in_flight += 1
-        self.kernel.schedule_at(actual, self._fire, pending)
-        return pending
+        self.kernel.schedule_at(actual, self._fire, op, 0)
 
-    def _fire(self, pending: PendingOp) -> None:
+    def _fire(self, op: QuantumOp, late_ns: int) -> None:
+        """Issue ``op`` at its timing point, ``late_ns`` after the
+        point its label scheduled."""
         self._in_flight -= 1
-        late_ns = pending.actual_ns - pending.scheduled_ns
-        self.emitter.issue(pending.op, self.processor_id, late_ns)
+        self.emitter.issue(op, self.processor_id, late_ns)

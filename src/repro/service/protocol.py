@@ -341,10 +341,8 @@ class JobSpec:
             # same decision deterministically, but the identity keys
             # must carry the *routed* backend so Clifford and
             # non-Clifford jobs never collide on one engine.
-            preview = (profile_obj.noise_model(base=noise_model)
-                       if profile_obj is not None else noise_model)
             routing = route_analysed(
-                clifford, n_qubits, noise=preview,
+                clifford, n_qubits, noise=noise_model,
                 profile=profile_obj).as_dict()
         spec = cls(program=program, shots=shots, seed=seed,
                    backend=backend, config=dict(config), noise=noise,

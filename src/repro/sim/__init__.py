@@ -1,5 +1,5 @@
 """Discrete-event simulation substrate used by the whole control stack."""
 
-from repro.sim.kernel import Clock, Event, SimKernel, SimulationError
+from repro.sim.kernel import SimKernel, SimulationError
 
-__all__ = ["Clock", "Event", "SimKernel", "SimulationError"]
+__all__ = ["SimKernel", "SimulationError"]

@@ -6,36 +6,18 @@ AWG, DAQ, QPU) advances simulated time by scheduling callbacks on a shared
 100 MHz control-processor clock (10 ns period) and analog latencies compose
 without floating-point drift.
 
-Queue organisation
-==================
-
-The dominant scheduling pattern is *monotone*: a processor's cycle
-event fires and schedules the next cycle one period later, the timing
-controller appends operations to the end of its timeline, the readout
-path adds a fixed latency.  Those events arrive in nondecreasing
-``(time, priority, seq)`` order, so the kernel keeps a plain FIFO for
-the monotone run — O(1) append and pop — and falls back to a binary
-heap only for the minority of events scheduled out of order.  The next
-event is whichever front is smaller; total order (and therefore
-reproducibility) is identical to a single heap.
-
-Cancelled events are skipped lazily when they reach a queue front.  To
-keep long mixed-branch runs from growing the queues unboundedly, the
-kernel compacts both queues once cancelled entries outnumber live ones
-(see :meth:`Event.cancel`).
+The queue is one binary heap of plain ``(time, seq, callback, args)``
+tuples.  ``seq`` counts schedule calls, so events fire by time and then
+in the order they were scheduled: a deterministic total order that keeps
+every simulation reproducible for a fixed seed.  ``seq`` is unique, so
+tuple comparison never reaches the callback.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from collections import deque
-from dataclasses import dataclass, field
 from typing import Any, Callable
-
-#: Queues smaller than this are never compacted: the lazy front-skip
-#: already bounds their overhead and compaction would just thrash.
-_COMPACT_MIN_PENDING = 16
 
 
 class SimulationError(RuntimeError):
@@ -43,54 +25,23 @@ class SimulationError(RuntimeError):
     the past) or a run exceeds its event budget."""
 
 
-@dataclass(order=True)
-class Event:
-    """A pending callback in the event queue.
-
-    Events are ordered by ``(time, priority, seq)``: earlier time first,
-    then lower priority value, then insertion order.  ``seq`` guarantees a
-    deterministic total order, which keeps every simulation reproducible
-    for a fixed seed.
-    """
-
-    time: int
-    priority: int
-    seq: int
-    callback: Callable[..., None] = field(compare=False)
-    args: tuple = field(compare=False, default=())
-    cancelled: bool = field(compare=False, default=False)
-    kernel: "SimKernel | None" = field(compare=False, default=None,
-                                       repr=False)
-
-    def cancel(self) -> None:
-        """Mark the event so the kernel skips it when it is popped."""
-        if not self.cancelled:
-            self.cancelled = True
-            if self.kernel is not None:
-                self.kernel._note_cancel()
-
-
 class SimKernel:
-    """Hybrid FIFO/priority-queue discrete-event scheduler.
+    """Discrete-event scheduler over one heap.
 
     >>> kernel = SimKernel()
     >>> fired = []
-    >>> _ = kernel.schedule(5, fired.append, 'a')
-    >>> _ = kernel.schedule(3, fired.append, 'b')
+    >>> kernel.schedule(5, fired.append, 'a')
+    >>> kernel.schedule(3, fired.append, 'b')
     >>> kernel.run()
     >>> (fired, kernel.now)
     (['b', 'a'], 5)
     """
 
     def __init__(self) -> None:
-        #: Monotone run: events appended in nondecreasing order (O(1)).
-        self._fifo: deque[Event] = deque()
-        #: Out-of-order arrivals (classic binary heap).
-        self._heap: list[Event] = []
+        self._heap: list[tuple] = []
         self._seq = itertools.count()
         self._now = 0
         self._events_processed = 0
-        self._cancelled_pending = 0
 
     @property
     def now(self) -> int:
@@ -104,138 +55,41 @@ class SimKernel:
 
     @property
     def pending_events(self) -> int:
-        """Queue entries not yet dispatched (cancelled ones included)."""
-        return len(self._fifo) + len(self._heap)
+        """Events scheduled and not yet dispatched.  An event is off the
+        queue when its callback runs, so this is 0 inside the last one."""
+        return len(self._heap)
 
     def schedule(self, delay: int, callback: Callable[..., None],
-                 *args: Any, priority: int = 0) -> Event:
+                 *args: Any) -> None:
         """Schedule ``callback(*args)`` to run ``delay`` ns from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past: {delay}")
-        return self.schedule_at(self._now + int(delay), callback, *args,
-                                priority=priority)
+        heapq.heappush(self._heap, (self._now + int(delay), next(self._seq),
+                                    callback, args))
 
     def schedule_at(self, time: int, callback: Callable[..., None],
-                    *args: Any, priority: int = 0) -> Event:
+                    *args: Any) -> None:
         """Schedule ``callback(*args)`` at absolute time ``time`` ns."""
         if time < self._now:
             raise SimulationError(
                 f"cannot schedule at t={time} before now={self._now}")
-        event = Event(int(time), priority, next(self._seq), callback, args,
-                      kernel=self)
-        fifo = self._fifo
-        if not fifo or fifo[-1] < event:
-            fifo.append(event)  # monotone fast path
-        else:
-            heapq.heappush(self._heap, event)
-        return event
+        heapq.heappush(self._heap, (int(time), next(self._seq), callback,
+                                    args))
 
-    # -- queue internals ---------------------------------------------------
+    def run(self, max_events: int | None = None) -> None:
+        """Dispatch events until the queue drains.
 
-    def _note_cancel(self) -> None:
-        """Event.cancel() hook: compact once cancelled entries dominate."""
-        self._cancelled_pending += 1
-        pending = len(self._fifo) + len(self._heap)
-        if (pending >= _COMPACT_MIN_PENDING
-                and 2 * self._cancelled_pending > pending):
-            self._compact()
-
-    def _compact(self) -> None:
-        """Drop every cancelled entry from both queues."""
-        self._fifo = deque(e for e in self._fifo if not e.cancelled)
-        live = [e for e in self._heap if not e.cancelled]
-        heapq.heapify(live)
-        self._heap = live
-        self._cancelled_pending = 0
-
-    def _front(self) -> Event | None:
-        """The next live event, without popping it."""
-        fifo, heap = self._fifo, self._heap
-        while fifo and fifo[0].cancelled:
-            fifo.popleft()
-            self._cancelled_pending -= 1
-        while heap and heap[0].cancelled:
-            heapq.heappop(heap)
-            self._cancelled_pending -= 1
-        if fifo and (not heap or fifo[0] < heap[0]):
-            return fifo[0]
-        if heap:
-            return heap[0]
-        return None
-
-    def _pop(self, event: Event) -> None:
-        """Remove ``event`` (known to be a queue front)."""
-        if self._fifo and self._fifo[0] is event:
-            self._fifo.popleft()
-        else:
-            heapq.heappop(self._heap)
-
-    def peek_time(self) -> int | None:
-        """Time of the next live event, or ``None`` if the queue is empty."""
-        event = self._front()
-        return None if event is None else event.time
-
-    def step(self) -> bool:
-        """Dispatch the next event.  Returns ``False`` when idle."""
-        event = self._front()
-        if event is None:
-            return False
-        self._pop(event)
-        self._now = event.time
-        self._events_processed += 1
-        event.callback(*event.args)
-        return True
-
-    def run(self, until: int | None = None,
-            max_events: int | None = None) -> None:
-        """Run events until the queue drains.
-
-        ``until`` stops the clock once the next event lies strictly beyond
-        that time; ``max_events`` bounds the total number of dispatches and
+        ``max_events`` bounds the number of dispatches of this call and
         raises :class:`SimulationError` when exhausted (a guard against
         accidental infinite feedback loops in processor models).
         """
+        heap, pop = self._heap, heapq.heappop
         dispatched = 0
-        while True:
-            event = self._front()
-            if event is None:
-                return
-            if until is not None and event.time > until:
-                self._now = until
-                return
+        while heap:
             if max_events is not None and dispatched >= max_events:
                 raise SimulationError(
                     f"event budget of {max_events} exhausted at t={self._now}")
-            self._pop(event)
-            self._now = event.time
-            self._events_processed += 1
-            event.callback(*event.args)
             dispatched += 1
-
-
-class Clock:
-    """Converts between clock cycles and nanoseconds for one clock domain.
-
-    The paper's control processor, AWGs and DAQs all run at 100 MHz
-    (``period_ns=10``).
-    """
-
-    def __init__(self, period_ns: int = 10) -> None:
-        if period_ns <= 0:
-            raise ValueError("clock period must be positive")
-        self.period_ns = int(period_ns)
-
-    def to_ns(self, cycles: int) -> int:
-        """Duration of ``cycles`` clock cycles in nanoseconds."""
-        return int(cycles) * self.period_ns
-
-    def to_cycles(self, ns: int) -> int:
-        """Number of full cycles covering ``ns`` (ceiling division)."""
-        return -(-int(ns) // self.period_ns)
-
-    def cycles_at(self, time_ns: int) -> int:
-        """Cycle index containing the instant ``time_ns``."""
-        return int(time_ns) // self.period_ns
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Clock(period_ns={self.period_ns})"
+            self._now, _seq, callback, args = pop(heap)
+            self._events_processed += 1
+            callback(*args)

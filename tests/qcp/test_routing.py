@@ -21,7 +21,7 @@ import json
 import pytest
 
 from repro.isa.builder import ProgramBuilder
-from repro.qcp import ShotEngine, scalar_config
+from repro.qcp import QuAPESystem, ShotEngine, scalar_config
 from repro.qcp.routing import (RoutingDecision, is_clifford_program,
                                route_backend)
 from repro.qpu.backend import backend_names, make_backend
@@ -85,6 +85,10 @@ def zz_noise():
     return NoiseModel(zz=ZZCrosstalk(zeta_hz=1e6, pairs=((0, 1),)))
 
 
+#: A profile whose only channels are T1/T2 decoherence.
+T1T2 = {"name": "t1t2", "defaults": {"t1_us": 60.0, "t2_us": 45.0}}
+
+
 class TestDecisionTable:
     def test_clifford_ideal_routes_stabilizer(self):
         decision = route_backend(clifford_program(), 2)
@@ -126,6 +130,22 @@ class TestDecisionTable:
         assert decision.forced
         assert "pinned" in decision.reason
 
+    def test_profile_decoherence_forces_statevector(self):
+        # No base noise model: the profile's own T1/T2 channels need
+        # amplitudes, as the device composes them over the base.
+        decision = route_backend(clifford_program(), 2,
+                                 profile=DeviceProfile.from_dict(T1T2))
+        assert decision.backend == "statevector"
+        assert decision.clifford_only and not decision.forced
+        assert "noise" in decision.reason
+
+    def test_profile_readout_keeps_stabilizer(self):
+        profile = DeviceProfile.from_dict(
+            {"defaults": {"readout": {"p0_given_1": 0.05}}})
+        noise = NoiseModel(pauli=PauliChannel(px=0.01))
+        assert route_backend(clifford_program(), 2, noise=noise,
+                             profile=profile).backend == "stabilizer"
+
     def test_decision_round_trips_to_json(self):
         decision = route_backend(t_gate_program(), 5)
         rendered = json.loads(json.dumps(decision.as_dict()))
@@ -166,6 +186,18 @@ class TestEngineAutoResolution:
         assert engine.backend == "statevector"
         engine.run(2)
         assert max(len(support) for support in supports) == width
+
+    def test_single_run_routes_with_the_config_profile(self, tmp_path):
+        # The cycle-accurate system routes "auto" from the config's
+        # profile path, with the profile's channels, as the engine does.
+        path = tmp_path / "t1t2.json"
+        path.write_text(json.dumps(T1T2))
+        system = QuAPESystem(
+            program=clifford_program(),
+            config=scalar_config(device_profile=str(path)),
+            qpu_backend="auto")
+        assert system.qpu.backend_name == "statevector"
+        assert system.run().total_ns > 0
 
     def test_explicit_backend_sets_no_routing(self):
         engine = ShotEngine(clifford_program(), backend="stabilizer",

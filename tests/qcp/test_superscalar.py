@@ -150,6 +150,17 @@ class TestControlFlow:
         gates = [r.gate for r in result.trace.issues]
         assert gates == ["y"]
 
+    def test_fmr_waits_for_daq_delivery(self, run_asm):
+        result, system = run_asm("""
+            qmeas 0, q2
+            fmr r1, q2
+            halt
+        """, config=superscalar_config(8), outcomes={2: [1]})
+        assert system.processors[0].registers.read(1) == 1
+        # The stall covers the ~400 ns stage I+II wait and resumes once.
+        assert result.total_ns >= 400
+        assert result.trace.instructions_executed == 3
+
     def test_loop_with_fmr_and_measure(self, run_asm):
         result, system = run_asm("""
         retry:

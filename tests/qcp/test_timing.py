@@ -78,6 +78,26 @@ class TestTimeline:
         assert trace.issues[1].time_ns == 25
         assert trace.issues[1].late_ns == 0
 
+    def test_enqueue_immediate_never_issues_before_the_timeline(self):
+        kernel, trace, controller = make_controller()
+        controller.enqueue(op(), 0, 0)
+        controller.enqueue(op(qubits=(1,)), 4, 0)
+        # Requested at 10 ns, but the timeline already reached 40 ns.
+        controller.enqueue_immediate(op(qubits=(2,)), 10)
+        kernel.run()
+        assert [(r.qubits, r.time_ns, r.late_ns) for r in trace.issues] == [
+            ((0,), 0, 0), ((1,), 40, 0), ((2,), 40, 0)]
+
+    def test_simultaneous_ops_issue_in_enqueue_order(self):
+        kernel, trace, controller = make_controller()
+        controller.enqueue(op("x", (3,)), 0, 20)
+        controller.enqueue(op("y", (1,)), 0, 0)
+        controller.enqueue_immediate(op("z", (2,)), 20)
+        controller.enqueue(op("h", (0,)), 0, 0)
+        kernel.run()
+        assert [(r.gate, r.time_ns) for r in trace.issues] == [
+            ("x", 20), ("y", 20), ("z", 20), ("h", 20)]
+
     def test_queue_high_water_mark(self):
         kernel, _, controller = make_controller()
         for index in range(5):

@@ -118,11 +118,8 @@ class TestJobSpecRouting:
         parsed = program_from_text(program)
         profile_obj = (None if profile is None
                        else DeviceProfile.from_dict(profile))
-        preview = build_noise_model(noise)
-        if profile_obj is not None:
-            preview = profile_obj.noise_model(base=preview)
         expected = route_backend(parsed, infer_qubit_count(parsed),
-                                 noise=preview,
+                                 noise=build_noise_model(noise),
                                  profile=profile_obj).as_dict()
         # The second validation routes from the facts the first kept.
         for _ in range(2):

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.sim import Clock, SimKernel, SimulationError
+from repro.sim import SimKernel, SimulationError
 
 
 class TestScheduling:
@@ -23,14 +23,6 @@ class TestScheduling:
             kernel.schedule(10, fired.append, tag)
         kernel.run()
         assert fired == [0, 1, 2, 3, 4]
-
-    def test_priority_breaks_time_ties(self):
-        kernel = SimKernel()
-        fired = []
-        kernel.schedule(10, fired.append, "low", priority=5)
-        kernel.schedule(10, fired.append, "high", priority=-5)
-        kernel.run()
-        assert fired == ["high", "low"]
 
     def test_now_advances_to_event_time(self):
         kernel = SimKernel()
@@ -64,67 +56,53 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             kernel.schedule_at(10, lambda: None)
 
-
-class TestCancellation:
-    def test_cancelled_event_does_not_fire(self):
+    def test_schedule_at_now_fires_at_now(self):
         kernel = SimKernel()
         fired = []
-        event = kernel.schedule(10, fired.append, "cancelled")
-        kernel.schedule(20, fired.append, "kept")
-        event.cancel()
+        kernel.schedule(20, lambda: kernel.schedule_at(
+            kernel.now, lambda: fired.append(kernel.now)))
         kernel.run()
-        assert fired == ["kept"]
+        assert fired == [20]
 
-    def test_peek_skips_cancelled_events(self):
+    def test_callback_receives_every_argument(self):
         kernel = SimKernel()
-        event = kernel.schedule(5, lambda: None)
-        kernel.schedule(15, lambda: None)
-        event.cancel()
-        assert kernel.peek_time() == 15
-
-    def test_mass_cancellation_compacts_queue(self):
-        # Cancelled events must not linger until popped: once they
-        # outnumber live ones the kernel compacts both queues, so long
-        # mixed-branch runs cannot grow the heap unboundedly.
-        kernel = SimKernel()
-        doomed = [kernel.schedule(1000 + i, lambda: None)
-                  for i in range(100)]
-        keeper = kernel.schedule(5000, lambda: None)
-        assert kernel.pending_events == 101
-        for event in doomed:
-            event.cancel()
-        # Compaction is lazy (triggered at >50% cancelled, with a small
-        # floor below which the front-skip suffices), so a handful of
-        # cancelled entries may remain — but not the bulk.
-        assert kernel.pending_events <= 16
+        received = []
+        kernel.schedule(5, lambda *args: received.append(args), "op", 3, None)
+        kernel.schedule_at(7, lambda *args: received.append(args))
         kernel.run()
-        assert kernel.now == 5000
+        assert received == [("op", 3, None), ()]
 
-    def test_double_cancel_counts_once(self):
-        kernel = SimKernel()
-        events = [kernel.schedule(10 + i, lambda: None)
-                  for i in range(50)]
-        for event in events[:20]:
-            event.cancel()
-            event.cancel()  # idempotent: must not skew the ratio
-        kernel.run()
-        assert kernel.events_processed == 30
-
-    def test_compaction_preserves_order(self):
+    def test_relative_and_absolute_schedules_share_one_order(self):
         kernel = SimKernel()
         fired = []
-        events = [kernel.schedule(10 * i, fired.append, i)
-                  for i in range(60)]
-        for event in events[::2]:
-            event.cancel()
+        kernel.schedule(10, fired.append, "relative first")
+        kernel.schedule_at(10, fired.append, "absolute")
+        kernel.schedule(10, fired.append, "relative last")
         kernel.run()
-        assert fired == list(range(1, 60, 2))
+        assert fired == ["relative first", "absolute", "relative last"]
+
+    def test_rejected_schedule_leaves_the_queue_unchanged(self):
+        kernel = SimKernel()
+        fired = []
+        kernel.schedule(30, fired.append, "kept")
+
+        def reject():
+            with pytest.raises(SimulationError):
+                kernel.schedule(-5, fired.append, "negative delay")
+            with pytest.raises(SimulationError):
+                kernel.schedule_at(kernel.now - 1, fired.append, "past")
+            fired.append(kernel.pending_events)
+
+        kernel.schedule(10, reject)
+        kernel.run()
+        assert fired == [1, "kept"]
+        assert kernel.events_processed == 2
 
 
-class TestHybridQueue:
+class TestDispatchOrder:
     def test_out_of_order_scheduling_interleaves_with_monotone(self):
-        # Monotone appends ride the FIFO; earlier-time arrivals go to
-        # the heap.  Dispatch must interleave them in global order.
+        # Events scheduled for earlier times after later ones still
+        # dispatch in global time order.
         kernel = SimKernel()
         fired = []
         for time in (10, 20, 30, 40):
@@ -135,48 +113,86 @@ class TestHybridQueue:
         kernel.run()
         assert fired == [5, 10, 15, 20, 30, 35, 40]
 
-    def test_priority_out_of_order_between_same_time_events(self):
+    def test_event_scheduled_for_now_fires_after_queued_ones(self):
         kernel = SimKernel()
         fired = []
-        kernel.schedule(10, fired.append, "first")
-        kernel.schedule(10, fired.append, "urgent", priority=-1)
-        kernel.schedule(10, fired.append, "last")
-        kernel.run()
-        assert fired == ["urgent", "first", "last"]
 
-    @given(st.lists(st.tuples(st.integers(0, 500), st.integers(-3, 3)),
-                    min_size=1, max_size=80))
-    def test_random_schedules_dispatch_in_total_order(self, entries):
+        def first():
+            fired.append("first")
+            kernel.schedule(0, fired.append, "scheduled by first")
+
+        kernel.schedule(10, first)
+        kernel.schedule(10, fired.append, "second")
+        kernel.run()
+        assert fired == ["first", "second", "scheduled by first"]
+
+    def test_callbacks_are_never_compared(self):
+        # Schedule order breaks every time tie, so the heap never
+        # compares two callbacks (or their arguments).
+        class Incomparable:
+            def __init__(self, fired, tag):
+                self.fired, self.tag = fired, tag
+
+            def __call__(self):
+                self.fired.append(self.tag)
+
+            def __eq__(self, other):
+                raise AssertionError("callbacks were compared")
+
+            __lt__ = __gt__ = __le__ = __ge__ = __eq__
+            __hash__ = object.__hash__
+
+        kernel = SimKernel()
+        fired = []
+        for tag in range(20):
+            kernel.schedule_at(tag % 3, Incomparable(fired, tag))
+        kernel.run()
+        assert fired == sorted(range(20), key=lambda tag: (tag % 3, tag))
+
+    @given(st.lists(st.integers(0, 500), min_size=1, max_size=80))
+    def test_random_schedules_dispatch_in_total_order(self, times):
+        # By time, then in the order the events were scheduled.
         kernel = SimKernel()
         observed = []
-        for time, priority in entries:
+        for index, time in enumerate(times):
             kernel.schedule_at(
-                time, lambda t=time, p=priority:
-                observed.append((kernel.now, p)), priority=priority)
+                time, lambda i=index: observed.append((kernel.now, i)))
         kernel.run()
-        times = [t for t, _ in observed]
-        assert times == sorted(times)
-        assert len(observed) == len(entries)
+        assert observed == sorted((time, index)
+                                  for index, time in enumerate(times))
+
+
+class TestPendingEvents:
+    def test_counts_undispatched_events(self):
+        kernel = SimKernel()
+        seen = []
+        for delay in (30, 10, 20):
+            kernel.schedule(delay,
+                            lambda: seen.append(kernel.pending_events))
+        assert kernel.pending_events == 3
+        kernel.run()
+        # An event leaves the queue before its callback runs, so the
+        # last one sees an empty queue (the quiet-MRCE signature reads
+        # this).
+        assert seen == [2, 1, 0]
+        assert kernel.pending_events == 0
+
+    def test_counts_events_scheduled_by_callbacks(self):
+        kernel = SimKernel()
+        seen = []
+
+        def fan_out():
+            for delay in (5, 5, 10):
+                kernel.schedule(delay, lambda: seen.append(
+                    (kernel.now, kernel.pending_events)))
+            seen.append((kernel.now, kernel.pending_events))
+
+        kernel.schedule(0, fan_out)
+        kernel.run()
+        assert seen == [(0, 3), (5, 2), (5, 1), (10, 0)]
 
 
 class TestRunBounds:
-    def test_run_until_stops_before_later_events(self):
-        kernel = SimKernel()
-        fired = []
-        kernel.schedule(10, fired.append, "in")
-        kernel.schedule(100, fired.append, "out")
-        kernel.run(until=50)
-        assert fired == ["in"]
-        assert kernel.now == 50
-
-    def test_run_until_resumes_later(self):
-        kernel = SimKernel()
-        fired = []
-        kernel.schedule(100, fired.append, "out")
-        kernel.run(until=50)
-        kernel.run()
-        assert fired == ["out"]
-
     def test_max_events_guard_raises(self):
         kernel = SimKernel()
 
@@ -187,9 +203,6 @@ class TestRunBounds:
         with pytest.raises(SimulationError):
             kernel.run(max_events=100)
 
-    def test_step_returns_false_when_idle(self):
-        assert SimKernel().step() is False
-
     def test_events_processed_counter(self):
         kernel = SimKernel()
         for _ in range(4):
@@ -197,30 +210,61 @@ class TestRunBounds:
         kernel.run()
         assert kernel.events_processed == 4
 
+    def test_budget_equal_to_the_event_count_drains(self):
+        kernel = SimKernel()
+        for delay in range(5):
+            kernel.schedule(delay, lambda: None)
+        kernel.run(max_events=5)
+        assert kernel.pending_events == 0
+        assert kernel.events_processed == 5
 
-class TestClock:
-    def test_round_trip_cycles(self):
-        clock = Clock(10)
-        assert clock.to_ns(7) == 70
-        assert clock.to_cycles(70) == 7
+    def test_exhausted_budget_keeps_the_rest_queued(self):
+        kernel = SimKernel()
+        fired = []
+        for time in (40, 10, 30, 20, 50):
+            kernel.schedule_at(time, fired.append, time)
+        with pytest.raises(SimulationError):
+            kernel.run(max_events=3)
+        assert fired == [10, 20, 30]
+        assert kernel.now == 30
+        assert kernel.pending_events == 2
+        kernel.run()
+        assert fired == [10, 20, 30, 40, 50]
 
-    def test_to_cycles_rounds_up(self):
-        assert Clock(10).to_cycles(71) == 8
+    def test_budget_applies_to_each_call(self):
+        kernel = SimKernel()
+        for _ in range(3):
+            kernel.schedule(1, lambda: None)
+        kernel.run(max_events=3)
+        for _ in range(3):
+            kernel.schedule(1, lambda: None)
+        kernel.run(max_events=3)
+        assert kernel.events_processed == 6
 
-    def test_cycles_at_truncates(self):
-        assert Clock(10).cycles_at(79) == 7
+    def test_run_on_an_empty_queue_is_a_no_op(self):
+        kernel = SimKernel()
+        kernel.run(max_events=0)
+        kernel.run()
+        assert (kernel.now, kernel.events_processed,
+                kernel.pending_events) == (0, 0, 0)
 
-    def test_invalid_period_rejected(self):
-        with pytest.raises(ValueError):
-            Clock(0)
+    def test_callback_error_propagates_and_the_queue_survives(self):
+        kernel = SimKernel()
+        fired = []
 
-    @given(st.integers(min_value=0, max_value=10**9),
-           st.integers(min_value=1, max_value=1000))
-    def test_to_cycles_covers_duration(self, ns, period):
-        clock = Clock(period)
-        cycles = clock.to_cycles(ns)
-        assert clock.to_ns(cycles) >= ns
-        assert clock.to_ns(cycles) - ns < period
+        def fail():
+            raise ValueError("model fault")
+
+        kernel.schedule(10, fail)
+        kernel.schedule(20, fired.append, "after")
+        with pytest.raises(ValueError, match="model fault"):
+            kernel.run()
+        # The failing event was dispatched; the later one is still due.
+        assert kernel.now == 10
+        assert kernel.events_processed == 1
+        assert kernel.pending_events == 1
+        kernel.run()
+        assert fired == ["after"]
 
 
 @given(st.lists(st.integers(min_value=0, max_value=1000), min_size=1,

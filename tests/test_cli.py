@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import pathlib
+
 import pytest
 
 from repro.cli import main
@@ -40,6 +42,9 @@ RESET_ASM = """
 """
 
 
+EXAMPLES = pathlib.Path(__file__).resolve().parents[1] / "examples"
+
+
 @pytest.fixture
 def asm_file(tmp_path):
     path = tmp_path / "demo.tqasm"
@@ -76,6 +81,13 @@ class TestRunCommand:
         assert main(["run", asm_file, "--processors", "2"]) == 0
         assert "2 processor(s)" in capsys.readouterr().out
 
+    def test_auto_single_run_routes_with_the_device_profile(self, capsys):
+        # The calibrated profile's T1/T2 and ZZ channels need
+        # amplitudes: the Clifford Bell program runs on the statevector.
+        assert main(["run", str(EXAMPLES / "program.qasm"),
+                     "--qpu", "auto", "--device-profile",
+                     str(EXAMPLES / "profiles" / "paper_37q.json")]) == 0
+        assert "substrate: auto->statevector" in capsys.readouterr().out
 
     def test_trace_cache_line_reports_folds(self, tmp_path, capsys):
         path = tmp_path / "reset.tqasm"
