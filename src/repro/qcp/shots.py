@@ -133,15 +133,16 @@ def merge_shard_outcomes(shards) -> ShotResult:
         merged.update(shard.counts)
         total_ns += shard.total_ns
         shots += shard.shots
-    measured = tuple(sorted(
-        set().union(*({qubit for qubit, _ in key} for key in merged))))
+    measured = tuple(sorted({qubit for key in merged for qubit, _ in key}))
     result = ShotResult(shots=shots, measured_qubits=measured,
                         total_ns=total_ns)
+    position = {qubit: index for index, qubit in enumerate(measured)}
+    unmeasured = [UNMEASURED] * len(measured)
     for key, count in merged.items():
-        values = dict(key)
-        bits = "".join([str(values[q]) if q in values else UNMEASURED
-                        for q in measured])
-        result.counts[bits] += count
+        bits = unmeasured.copy()
+        for qubit, value in key:
+            bits[position[qubit]] = str(value)
+        result.counts["".join(bits)] += count
     return result
 
 

@@ -34,8 +34,6 @@ class TimingController:
         self.clock_period_ns = clock_period_ns
         self.processor_id = processor_id
         self._last_issue_ns: int | None = None
-        self.queue_depth_high_water = 0
-        self._in_flight = 0
 
     def reset_timeline(self) -> None:
         """Start a fresh timeline (new program block)."""
@@ -64,10 +62,10 @@ class TimingController:
                          + timing_label * self.clock_period_ns)
         actual = max(scheduled, exec_time_ns)
         self._last_issue_ns = actual
-        self._in_flight += 1
-        self.queue_depth_high_water = max(self.queue_depth_high_water,
-                                          self._in_flight)
-        self.kernel.schedule_at(actual, self._fire, op, actual - scheduled)
+        # The emitter issues ``op`` at its timing point, ``late_ns``
+        # after the point its label scheduled.
+        self.kernel.schedule_at(actual, self.emitter.issue, op,
+                                self.processor_id, actual - scheduled)
 
     def enqueue_immediate(self, op: QuantumOp, time_ns: int) -> None:
         """Issue a feedback-determined operation as soon as possible.
@@ -79,11 +77,5 @@ class TimingController:
         """
         actual = max(time_ns, self._last_issue_ns or 0)
         self._last_issue_ns = actual
-        self._in_flight += 1
-        self.kernel.schedule_at(actual, self._fire, op, 0)
-
-    def _fire(self, op: QuantumOp, late_ns: int) -> None:
-        """Issue ``op`` at its timing point, ``late_ns`` after the
-        point its label scheduled."""
-        self._in_flight -= 1
-        self.emitter.issue(op, self.processor_id, late_ns)
+        self.kernel.schedule_at(actual, self.emitter.issue, op,
+                                self.processor_id, 0)

@@ -1509,19 +1509,26 @@ def replay_mode(qpu: SimulatedQPU) -> str | None:
     return None
 
 
-def auto_batch_width(qpu: SimulatedQPU) -> int:
-    """Default cohort width for batched replay on ``qpu``'s substrate.
+def cohort_width(backend: str, n_qubits: int) -> int:
+    """Width of one batched-replay cohort on ``backend`` at ``n_qubits``.
 
     A stabilizer cohort's bit-plane row is one Python int with a bit
     per shot; at 256 bits an integer XOR is still effectively free
     while the per-segment dispatch overhead is spread over 256 shots,
-    so the default cohort is 256.  Dense cohorts are capped so the
-    ``(width, 2^n)`` amplitude matrix stays around a few hundred
-    megabytes of complex amplitudes.
+    so the cohort is 256.  Dense (``"statevector"``) cohorts are
+    capped so the ``(width, 2^n)`` amplitude matrix stays around a few
+    hundred megabytes of complex amplitudes.  The engine replays in
+    cohorts of this width (:func:`auto_batch_width`), and the service
+    sizes a job's shards from it before any engine exists.
     """
-    if isinstance(qpu.state, StateVector):
-        return min(64, max(1, (1 << 23) >> qpu.state.n_qubits))
+    if backend == "statevector":
+        return min(64, max(1, (1 << 23) >> n_qubits))
     return 256
+
+
+def auto_batch_width(qpu: SimulatedQPU) -> int:
+    """:func:`cohort_width` of ``qpu``'s substrate."""
+    return cohort_width(qpu.state.backend_name, qpu.state.n_qubits)
 
 
 class RecordingQPU:

@@ -36,13 +36,29 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
+from repro.qcp.config import QCPConfig
 from repro.qcp.shots import ShardOutcomes, ShotResult, merge_shard_outcomes
+from repro.qcp.tracecache import cohort_width
 from repro.service import workers
-from repro.service.protocol import JobSpec, result_payload
+from repro.service.protocol import JobSpec, program_facts, result_payload
 
 
 class QueueFull(Exception):
     """Backpressure: the bounded job queue is at capacity."""
+
+
+def replay_cohort(spec: JobSpec) -> int:
+    """Width of one replay cohort of ``spec``'s worker engines.
+
+    :func:`~repro.qcp.tracecache.cohort_width` of the resolved backend
+    at the program's qubit count, which :func:`program_facts` kept
+    under the text's digest when the job was validated; 1 when the
+    job's config turns the trace cache off, so nothing replays.
+    """
+    if not spec.config.get("trace_cache", QCPConfig.trace_cache):
+        return 1
+    _, _, n_qubits = program_facts(spec.program)
+    return cohort_width(spec.resolved_backend, n_qubits)
 
 
 class Job:
@@ -306,7 +322,7 @@ class JobManager:
         retry_payload = dict(payload, fault=None)
         job.status = "running"
         shard_shots = spec.shard_shots or workers.default_shard_shots(
-            spec.shots, self.n_workers)
+            spec.shots, self.n_workers, replay_cohort(spec))
         spans = workers.plan_shards(spec.shots, shard_shots)
         job.shards = {span: None for span in spans}
         deadline = (None if spec.timeout_s is None

@@ -77,14 +77,22 @@ def plan_shards(shots: int, shard_shots: int) -> list[tuple[int, int]]:
             for start in range(0, shots, shard_shots)]
 
 
-def default_shard_shots(shots: int, n_workers: int) -> int:
-    """Default shard size: ~4 shards per worker.
+def default_shard_shots(shots: int, n_workers: int, cohort: int = 1) -> int:
+    """Default shard size: ~4 shards per worker, none below a cohort.
 
-    Fine enough that partial-histogram updates stream and a crashed
-    worker loses little work, coarse enough that per-shard dispatch
-    overhead stays negligible against the shots themselves.
+    ``cohort`` is the width in which the job's engines replay
+    (:func:`~repro.qcp.tracecache.cohort_width`; 1 when nothing
+    replays).  A shard replays in cohorts no wider than itself, so a
+    shard below a cohort spreads each replayed segment's dispatch over
+    fewer shots, and every shard costs a result round trip and a
+    merge input.  Hence ``ceil(shots / (4 * n_workers))`` shots, for
+    streaming partials and cheap crash retries, but at least
+    ``min(cohort, ceil(shots / n_workers))``: no shard is smaller than
+    a cohort unless a worker would otherwise idle.
     """
-    return max(1, -(-shots // (4 * max(1, n_workers))))
+    workers = max(1, n_workers)
+    return max(-(-shots // (4 * workers)),
+               min(cohort, -(-shots // workers)))
 
 
 def _build_engine(payload: dict) -> ShotEngine:

@@ -98,13 +98,6 @@ class TestTimeline:
         assert [(r.gate, r.time_ns) for r in trace.issues] == [
             ("x", 20), ("y", 20), ("z", 20), ("h", 20)]
 
-    def test_queue_high_water_mark(self):
-        kernel, _, controller = make_controller()
-        for index in range(5):
-            controller.enqueue(op(qubits=(index % 4,)), 10, 0)
-        assert controller.queue_depth_high_water == 5
-        kernel.run()
-
 
 class TestEmitterPaths:
     def test_gate_reaches_qpu(self):

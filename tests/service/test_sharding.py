@@ -11,6 +11,8 @@ pin it observationally across backends, noise, and batching.
 import pytest
 
 from repro.qcp import ShotEngine, merge_shard_outcomes
+from repro.qcp.tracecache import auto_batch_width, cohort_width
+from repro.qpu.device import SimulatedQPU
 from repro.qpu.noise import NoiseModel, PauliChannel, ReadoutError
 from repro.service.protocol import JobSpec, program_from_text
 from repro.service.workers import (default_shard_shots, plan_shards,
@@ -60,6 +62,56 @@ class TestPlanShards:
 
     def test_default_width_never_zero(self):
         assert default_shard_shots(1, n_workers=8) == 1
+
+
+def four_per_worker(shots, n_workers):
+    """The shard size a job gets when nothing replays in cohorts."""
+    return max(1, -(-shots // (4 * n_workers)))
+
+
+class TestShardSizing:
+    """Default shards are whole replay cohorts."""
+
+    @pytest.mark.parametrize("shots, n_workers, cohort, width", [
+        (512, 2, 256, 256),        # one cohort per worker, not 4 x 64
+        (1_500, 2, 256, 256),      # 6 shards, not 8 of 188
+        (100_000, 2, 256, 12_500),  # large: ~4 shards per worker
+        (96, 2, 256, 48),          # below a cohort: one shard per worker
+        (3, 8, 256, 1),            # fewer shots than workers
+    ])
+    def test_no_shard_below_a_cohort_unless_a_worker_idles(
+            self, shots, n_workers, cohort, width):
+        assert default_shard_shots(shots, n_workers, cohort) == width
+
+    @pytest.mark.parametrize("n_workers", [1, 2, 3, 8])
+    def test_uncached_jobs_plan_four_shards_per_worker(self, n_workers):
+        for shots in range(1, 700):
+            assert (default_shard_shots(shots, n_workers, cohort=1)
+                    == four_per_worker(shots, n_workers))
+
+    @pytest.mark.parametrize("n_workers", [1, 2, 3, 8])
+    @pytest.mark.parametrize("cohort", [8, 64, 256])
+    def test_large_jobs_plan_four_shards_per_worker(self, n_workers,
+                                                    cohort):
+        floor = 4 * n_workers * cohort
+        for shots in (floor, floor + 1, floor + 4 * n_workers - 1,
+                      3 * floor + 5):
+            assert (default_shard_shots(shots, n_workers, cohort)
+                    == four_per_worker(shots, n_workers))
+        # At 4 x workers x (cohort - 1) shots, four shards per worker
+        # would be narrower than a cohort: the cohort floor takes over.
+        shots = floor - 4 * n_workers
+        assert four_per_worker(shots, n_workers) == cohort - 1
+        assert default_shard_shots(shots, n_workers, cohort) == cohort
+
+    @pytest.mark.parametrize("n_qubits, dense", [
+        (5, 64), (9, 64), (18, 32), (20, 8)])
+    def test_cohort_width_is_the_engine_cohort(self, n_qubits, dense):
+        for backend, width in (("stabilizer", 256),
+                               ("statevector", dense)):
+            qpu = SimulatedQPU(n_qubits, backend=backend)
+            assert cohort_width(backend, n_qubits) == width
+            assert auto_batch_width(qpu) == width
 
 
 def _engine(backend, noise=None):
