@@ -8,11 +8,11 @@ complete, and asserts the merged result is **bit-identical** to a
 serial :func:`repro.qcp.run_shots` of the same sweep — the property
 the whole service design rests on.  It then submits the sweep again
 with the service's default shard plan, which cuts it into whole
-replay cohorts (one shard per worker for a sweep below ``workers x
-256`` stabilizer shots), and asserts the plan and bit-identity again.
-Finishes with the ``/stats``
-snapshot (written to ``service_stats.json`` when ``--stats-out`` is
-given), which CI uploads as an artifact.
+replay cohorts (one shard per worker for a sweep of up to ``workers
+x 256`` stabilizer shots), and asserts the plan and bit-identity
+again.  Finishes with the ``/stats`` snapshot (written to
+``service_stats.json`` when ``--stats-out`` is given), which CI
+uploads as an artifact.
 
 Run with::
 
@@ -24,12 +24,10 @@ from __future__ import annotations
 import argparse
 import json
 
-from repro.qcp import infer_qubit_count, run_shots
-from repro.qcp.tracecache import cohort_width
+from repro.qcp import run_shots
 from repro.service.client import ServiceClient
 from repro.service.protocol import program_from_text
 from repro.service.server import ServiceHandle
-from repro.service.workers import default_shard_shots, plan_shards
 
 # The q0 readout steers a conditional X on q1: shots take different
 # control paths, so shards see different outcome dictionaries — the
@@ -80,8 +78,8 @@ def main() -> int:
         print(f"result: {dict(result.counts)} in {result.total_ns} ns "
               f"({info['shards']} shards, {info['retries']} retries)")
 
-        program = program_from_text(PROGRAM)
-        serial = run_shots(program, shots=args.shots, backend="stabilizer")
+        serial = run_shots(program_from_text(PROGRAM),
+                           shots=args.shots, backend="stabilizer")
         assert result.counts == serial.counts, \
             f"service {result.counts} != serial {serial.counts}"
         assert result.total_ns == serial.total_ns
@@ -94,18 +92,18 @@ def main() -> int:
         print(f"bit-identical to serial run_shots: OK "
               f"({len(partials)} partial updates streamed)")
 
-        # The default plan: shards of at least one replay cohort
-        # (256 shots on the stabilizer) unless a worker would idle,
-        # so 96 shots on 2 workers run as one 48-shot shard each.
-        planned = plan_shards(args.shots, default_shard_shots(
-            args.shots, args.workers,
-            cohort_width("stabilizer", infer_qubit_count(program))))
+        # Up to one replay cohort (256 stabilizer shots) per worker,
+        # the default plan gives each worker one shard of
+        # ceil(shots / workers): 2 shards of 48 for 96 shots on 2.
         default, info = client.run_sweep(PROGRAM, shots=args.shots,
                                          backend="stabilizer")
-        print(f"default plan: {info['shards']} shards of up to "
-              f"{planned[0][1]} shots on {args.workers} workers")
-        assert info["shards"] == len(planned), \
-            f"default plan ran {info['shards']} shards, not {len(planned)}"
+        print(f"default plan: {info['shards']} shards on "
+              f"{args.workers} workers")
+        if args.shots <= args.workers * 256:
+            width = -(-args.shots // args.workers)
+            assert info["shards"] == -(-args.shots // width), \
+                f"default plan ran {info['shards']} shards, not " \
+                f"one of {width} shots per worker"
         assert default.counts == serial.counts
         assert default.total_ns == serial.total_ns
         assert default.measured_qubits == serial.measured_qubits

@@ -316,7 +316,7 @@ class ShotEngine:
         # are opaque to the recorder, run every shot cycle-accurately.
         self.trace_cache: TraceCache | None = None
         if self.config.trace_cache and self._qpu is not None:
-            mode = replay_mode(self._qpu)
+            mode = replay_mode(self._qpu.backend_name, self._qpu.noise)
             if mode is not None:
                 self.trace_cache = TraceCache(self.config, mode,
                                               n_processors)
@@ -417,10 +417,15 @@ class ShotEngine:
         Only a cold trie (no recorded path yet) runs the first seed
         alone, to record a path for the cohorts to replay; a range of
         one seed always runs alone, as a sign cohort of one costs more
-        than the serial sign loop.  Every shot is bit-identical to its own
-        ``run_shot(seed)``, so histograms and timings depend on
-        neither the cohort width nor how a sweep is sharded into seed
-        ranges.
+        than the serial sign loop.  After a cold start the cohorts
+        grow from 2, doubling while any shot falls back: a trie that
+        knows one path would send most of a full cohort back to the
+        serial loop, while the fallbacks of a narrow cohort record the
+        paths the next one replays.  A cohort with no fallback, and
+        every cohort on a warm trie, is full width.  Every shot is
+        bit-identical to its own ``run_shot(seed)``, so histograms and
+        timings depend on neither the cohort width nor how a sweep is
+        sharded into seed ranges.
         """
         cache = self.trace_cache
         if cache is None or len(seeds) < 2:
@@ -428,17 +433,21 @@ class ShotEngine:
                 yield self.run_shot(seed)
             return
         width = auto_batch_width(self._qpu)
-        index = 0
+        step, index = width, 0
         if cache.root is None or cache.root.items is None:
             yield self.run_shot(seeds[0])
-            index = 1
+            step, index = 2, 1
         while index < len(seeds):
-            chunk = list(seeds[index:index + width])
+            chunk = list(seeds[index:index + step])
             replayed = cache.replay_batch(self._qpu, chunk)
+            fell_back = False
             for chunk_seed, result in zip(chunk, replayed):
-                yield (result if result is not None
-                       else self.run_shot(chunk_seed))
+                if result is None:
+                    fell_back = True
+                    result = self.run_shot(chunk_seed)
+                yield result
             index += len(chunk)
+            step = min(width, 2 * step) if fell_back else width
 
     def run_range(self, start: int, stop: int) -> ShardOutcomes:
         """Execute seeds ``start..stop-1``; return the partial histogram.

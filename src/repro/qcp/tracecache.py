@@ -288,7 +288,7 @@ from repro.qcp.registers import RegisterFile, SharedRegisters
 from repro.qpu.device import SimulatedQPU
 from repro.qpu.noise import NOISE_SEED_SALT, NoiseModel
 from repro.qpu.stabilizer import StabilizerState
-from repro.qpu.statevector import (BatchStateVector, StateVector, _lift,
+from repro.qpu.statevector import (BatchStateVector, _lift,
                                    batch_block_applier, cached_unitary,
                                    fuse_into, fusion_width)
 
@@ -1488,8 +1488,9 @@ def _bind_cohort(steps: list, n: int) -> list:
     return program
 
 
-def replay_mode(qpu: SimulatedQPU) -> str | None:
-    """The compiled replay representation of ``qpu``'s substrate.
+def replay_mode(backend: str, noise: NoiseModel | None) -> str | None:
+    """The compiled replay representation of a ``backend`` substrate
+    under ``noise`` (``None``: ideal).
 
     ``"signs"`` (the sign trace, :meth:`TraceNode.sign_program`) on
     the stabilizer tableau under Pauli-only noise; ``"dense"`` (the
@@ -1498,13 +1499,16 @@ def replay_mode(qpu: SimulatedQPU) -> str | None:
     under ideal or dense-compilable noise; ``None`` for
     every other substrate, which the shot engine then runs
     cycle-accurately — fail closed, since both noise predicates are
-    allow-lists.  Evaluated once per engine and stored on its
-    :class:`TraceCache`, where the replay dispatch reads it.
+    allow-lists.  ``noise`` is the device's whole model, a device
+    profile's channels composed over the base.  The shot engine
+    evaluates this once and stores it on its :class:`TraceCache`,
+    where the replay dispatch reads it; the service asks it whether a
+    job's engines replay before any engine exists.
     """
-    noise = qpu.noise
-    if isinstance(qpu.state, StabilizerState):
-        return "signs" if noise.is_pauli_only else None
-    if isinstance(qpu.state, StateVector) and noise.is_dense_compilable:
+    if backend == "stabilizer":
+        return "signs" if noise is None or noise.is_pauli_only else None
+    if backend == "statevector" and (noise is None
+                                     or noise.is_dense_compilable):
         return "dense"
     return None
 

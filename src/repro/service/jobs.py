@@ -38,9 +38,10 @@ from concurrent.futures.process import BrokenProcessPool
 
 from repro.qcp.config import QCPConfig
 from repro.qcp.shots import ShardOutcomes, ShotResult, merge_shard_outcomes
-from repro.qcp.tracecache import cohort_width
+from repro.qcp.tracecache import cohort_width, replay_mode
 from repro.service import workers
-from repro.service.protocol import JobSpec, program_facts, result_payload
+from repro.service.protocol import (JobSpec, build_noise_model,
+                                    program_facts, result_payload)
 
 
 class QueueFull(Exception):
@@ -52,13 +53,22 @@ def replay_cohort(spec: JobSpec) -> int:
 
     :func:`~repro.qcp.tracecache.cohort_width` of the resolved backend
     at the program's qubit count, which :func:`program_facts` kept
-    under the text's digest when the job was validated; 1 when the
-    job's config turns the trace cache off, so nothing replays.
+    under the text's digest when the job was validated.  1 when
+    nothing replays: the job's config turns the trace cache off, or
+    :func:`~repro.qcp.tracecache.replay_mode` has no replay for the
+    backend under the job's noise, with an inline profile's channels
+    composed over it as the worker's device composes them.
     """
     if not spec.config.get("trace_cache", QCPConfig.trace_cache):
         return 1
+    backend = spec.resolved_backend
+    noise = build_noise_model(spec.noise)
+    if spec.device_profile is not None:
+        noise = spec.device_profile.noise_model(base=noise)
+    if replay_mode(backend, noise) is None:
+        return 1
     _, _, n_qubits = program_facts(spec.program)
-    return cohort_width(spec.resolved_backend, n_qubits)
+    return cohort_width(backend, n_qubits)
 
 
 class Job:

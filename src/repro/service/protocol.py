@@ -374,18 +374,23 @@ class JobSpec:
         return requested
 
     @functools.cached_property
+    def device_profile(self) -> DeviceProfile | None:
+        """The inline profile, parsed once per spec."""
+        return (None if self.profile is None
+                else DeviceProfile.from_dict(self.profile))
+
+    @functools.cached_property
     def _engine_identity(self) -> dict:
         """The engine-key fields, computed once per spec: the program
-        text is hashed, and an inline profile parsed, only here."""
+        text is hashed only here."""
         return {
             "program_sha": _sha(self.program),
             "backend": self.resolved_backend,
             "config": self.config,
             "noise": self.noise,
             "n_processors": self.n_processors,
-            "profile": (None if self.profile is None else
-                        DeviceProfile.from_dict(self.profile)
-                        .canonical()),
+            "profile": (None if self.device_profile is None
+                        else self.device_profile.canonical()),
         }
 
     def engine_key(self) -> str:

@@ -78,21 +78,27 @@ def plan_shards(shots: int, shard_shots: int) -> list[tuple[int, int]]:
 
 
 def default_shard_shots(shots: int, n_workers: int, cohort: int = 1) -> int:
-    """Default shard size: ~4 shards per worker, none below a cohort.
+    """Default shard size: up to 4 shards per worker, each one cohort.
 
     ``cohort`` is the width in which the job's engines replay
     (:func:`~repro.qcp.tracecache.cohort_width`; 1 when nothing
     replays).  A shard replays in cohorts no wider than itself, so a
     shard below a cohort spreads each replayed segment's dispatch over
     fewer shots, and every shard costs a result round trip and a
-    merge input.  Hence ``ceil(shots / (4 * n_workers))`` shots, for
-    streaming partials and cheap crash retries, but at least
-    ``min(cohort, ceil(shots / n_workers))``: no shard is smaller than
-    a cohort unless a worker would otherwise idle.
+    merge input; a few shards per worker, on the other hand, stream
+    partial histograms and bound what a crashed worker loses.  So
+    each worker gets ``rounds`` shards, the cohorts its share of the
+    shots fills, ``ceil(shots / (n_workers * cohort))``, but at most
+    4, and the shots are cut into at most ``n_workers * rounds``
+    shards of ``ceil(shots / (n_workers * rounds))``: workers taking
+    shards in turn each run at most ``rounds`` of them, fewer than
+    ``rounds`` shots above an even split.  Cohort 1 gives ~4 shards
+    per worker, and so does any job of at least ``4 * n_workers *
+    cohort`` shots.
     """
     workers = max(1, n_workers)
-    return max(-(-shots // (4 * workers)),
-               min(cohort, -(-shots // workers)))
+    rounds = max(1, min(4, -(-shots // (workers * cohort))))
+    return max(1, -(-shots // (workers * rounds)))
 
 
 def _build_engine(payload: dict) -> ShotEngine:

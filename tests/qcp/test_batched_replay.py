@@ -232,7 +232,9 @@ def test_fair_coin_splits_wavefronts():
     # it: its lanes on the recorded edge complete batched, the others
     # fall back to the serial loop (which records the second edge);
     # later cohorts find both edges and split without falling back.
-    for how, batched, splits, fallbacks in (("run", 28, 1, 31),
+    # A run after a cold start opens with a cohort of 2, so one shot
+    # falls back where a full cohort would send back 31.
+    for how, batched, splits, fallbacks in (("run", 58, 3, 1),
                                             (8, 54, 8, 5)):
         result, cache = run_engine(coin_program(), n_qubits=2, shots=60,
                                    how=how)
@@ -241,6 +243,33 @@ def test_fair_coin_splits_wavefronts():
         assert (cache.batched_shots, cache.wavefront_splits,
                 cache.serial_fallbacks) == (batched, splits, fallbacks)
 
+
+
+@pytest.mark.parametrize("program, n_qubits, cold_widths", [
+    (chain_program(), 5, [2, 37]),
+    (coin_program(), 2, [2, 4, 33]),
+], ids=["one-path", "coin"])
+def test_cohorts_grow_after_a_cold_start(program, n_qubits, cold_widths):
+    # After the cold shot the cohorts open at 2 and double while any
+    # shot falls back; the first cohort with no fallback, and every
+    # cohort on a warm trie, is full width.
+    engine = ShotEngine(program, config=scalar_config(),
+                        backend="stabilizer", n_qubits=n_qubits)
+    cache = engine.trace_cache
+    replay_batch, widths = cache.replay_batch, []
+
+    def logged(qpu, seeds):
+        widths.append(len(seeds))
+        return replay_batch(qpu, seeds)
+
+    cache.replay_batch = logged
+    reference, _ = run_engine(program, n_qubits=n_qubits, shots=80,
+                              how="serial")
+    assert served(engine, range(40)) == reference[:40]
+    assert widths == cold_widths
+    widths.clear()
+    assert served(engine, range(40, 80)) == reference[40:]
+    assert widths == [40]
 
 def test_readout_noise_keeps_cohorts_batched():
     noise = NoiseModel(pauli=PauliChannel(px=0.02),
@@ -546,7 +575,8 @@ def test_micro_op_without_effects_fails_closed(opcode):
     wrap_closures(engine, strip)
     assert served(engine, range(40)) == reference
     cache = engine.trace_cache
-    # Shot 0 runs cold; the other 39 form one cohort that never splits.
+    # Shot 0 runs cold; the other 39 replay in cohorts that never
+    # split, each falling back whole (so each is twice as wide).
     assert cache.serial_fallbacks == 39
     assert (cache.batched_shots, cache.wavefront_splits) == (0, 0)
     assert cache.hits + cache.misses == 40

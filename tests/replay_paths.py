@@ -26,7 +26,7 @@ def served(engine, seeds, how="run") -> list:
       in cohorts of that width through
       :meth:`~repro.qcp.tracecache.TraceCache.replay_batch`, and a
       shot its cohort hands back alone — what ``run`` does at its own
-      width.
+      width once its cohorts are full.
     """
     if how == "run":
         return list(engine._run_seeds(seeds))

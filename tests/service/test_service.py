@@ -311,35 +311,39 @@ class TestJobManager:
     def test_default_plan_is_one_cohort_per_worker(self):
         # 512 stabilizer shots on 2 workers: one 256-shot cohort per
         # worker, where ~4 shards per worker would cut 8 of 64.  With
-        # the trace cache off nothing replays in cohorts, so the plan
-        # stays at ~4 shards per worker.
+        # the trace cache off, or under ZZ noise the tableau cannot
+        # replay, nothing replays in cohorts, so the plan stays at ~4
+        # shards per worker.
         from repro.qcp import merge_shard_outcomes
-        from repro.service.protocol import (program_from_text,
+        from repro.service.protocol import (build_noise_model,
+                                            program_from_text,
                                             result_from_payload)
 
         shots = 512
-        engine = ShotEngine(program_from_text(BRANCHY),
-                            backend="stabilizer")
-        serial = merge_shard_outcomes([engine.run_range(0, shots)])
+        zz = {"zz": {"zeta_hz": 1e3, "pairs": []}}  # never fires
+        jobs = [({}, None, 2), ({"trace_cache": False}, None, 8),
+                ({}, zz, 8)]
 
         async def main():
             manager = JobManager(n_workers=2, queue_size=4)
             await manager.start()
             events = []
             try:
-                for config in ({}, {"trace_cache": False}):
-                    job, _ = manager.submit(
-                        self.spec(shots=shots, config=config))
+                for config, noise, _ in jobs:
+                    job, _ = manager.submit(self.spec(
+                        shots=shots, config=config, noise=noise))
                     queue = manager.subscribe(job)
                     events.append(await asyncio.wait_for(queue.get(), 60))
             finally:
                 await manager.stop()
             return events
 
-        cached, uncached = run_async(main())
-        assert (cached["shards"], uncached["shards"]) == (2, 8)
-        for event in (cached, uncached):
-            assert event["event"] == "result"
+        for (_, noise, shards), event in zip(jobs, run_async(main())):
+            assert (event["event"], event["shards"]) == ("result", shards)
+            engine = ShotEngine(program_from_text(BRANCHY),
+                                backend="stabilizer",
+                                noise=build_noise_model(noise))
+            serial = merge_shard_outcomes([engine.run_range(0, shots)])
             result = result_from_payload(event["result"])
             assert result.counts == serial.counts
             assert result.total_ns == serial.total_ns

@@ -14,9 +14,10 @@ from repro.qcp import ShotEngine, merge_shard_outcomes
 from repro.qcp.tracecache import auto_batch_width, cohort_width
 from repro.qpu.device import SimulatedQPU
 from repro.qpu.noise import NoiseModel, PauliChannel, ReadoutError
+from repro.service.jobs import replay_cohort
 from repro.service.protocol import JobSpec, program_from_text
-from repro.service.workers import (default_shard_shots, plan_shards,
-                                   run_shard)
+from repro.service.workers import (_build_engine, default_shard_shots,
+                                   plan_shards, run_shard)
 from tests.replay_paths import histogram, served
 
 # A branchy program: the q0 readout steers a conditional X on q1, so
@@ -69,19 +70,45 @@ def four_per_worker(shots, n_workers):
     return max(1, -(-shots // (4 * n_workers)))
 
 
+def turns(shots, n_workers, width):
+    """Shots each worker runs when the workers take shards in turn."""
+    loads = [0] * n_workers
+    for index, (start, stop) in enumerate(plan_shards(shots, width)):
+        loads[index % n_workers] += stop - start
+    return loads
+
+
 class TestShardSizing:
-    """Default shards are whole replay cohorts."""
+    """Default shards are whole replay cohorts, spread evenly."""
 
     @pytest.mark.parametrize("shots, n_workers, cohort, width", [
         (512, 2, 256, 256),        # one cohort per worker, not 4 x 64
-        (1_500, 2, 256, 256),      # 6 shards, not 8 of 188
+        (1_500, 2, 256, 250),      # 3 cohorts per worker, not 4 of 188
         (100_000, 2, 256, 12_500),  # large: ~4 shards per worker
         (96, 2, 256, 48),          # below a cohort: one shard per worker
         (3, 8, 256, 1),            # fewer shots than workers
+        (768, 2, 256, 192),        # 384 + 384, not 512 + 256
+        (2_304, 8, 256, 144),      # 288 per worker, not 512 on one
     ])
-    def test_no_shard_below_a_cohort_unless_a_worker_idles(
-            self, shots, n_workers, cohort, width):
+    def test_shards_fill_cohorts_evenly(self, shots, n_workers, cohort,
+                                        width):
         assert default_shard_shots(shots, n_workers, cohort) == width
+
+    @pytest.mark.parametrize("n_workers", [1, 2, 3, 8])
+    @pytest.mark.parametrize("cohort", [8, 64])
+    def test_shards_fit_a_cohort_and_workers_stay_even(self, n_workers,
+                                                       cohort):
+        # Up to 4 x workers x cohort shots: every shard fits in one
+        # cohort, a worker gets no more shards than its share of the
+        # shots fills cohorts, and workers taking shards in turn run
+        # within 3 shots of an even split.
+        for shots in range(1, 4 * n_workers * cohort + 1):
+            width = default_shard_shots(shots, n_workers, cohort)
+            fill = -(-shots // (n_workers * cohort))
+            assert width <= cohort
+            assert len(plan_shards(shots, width)) <= n_workers * fill
+            assert (max(turns(shots, n_workers, width))
+                    <= -(-shots // n_workers) + 3)
 
     @pytest.mark.parametrize("n_workers", [1, 2, 3, 8])
     def test_uncached_jobs_plan_four_shards_per_worker(self, n_workers):
@@ -98,11 +125,6 @@ class TestShardSizing:
                       3 * floor + 5):
             assert (default_shard_shots(shots, n_workers, cohort)
                     == four_per_worker(shots, n_workers))
-        # At 4 x workers x (cohort - 1) shots, four shards per worker
-        # would be narrower than a cohort: the cohort floor takes over.
-        shots = floor - 4 * n_workers
-        assert four_per_worker(shots, n_workers) == cohort - 1
-        assert default_shard_shots(shots, n_workers, cohort) == cohort
 
     @pytest.mark.parametrize("n_qubits, dense", [
         (5, 64), (9, 64), (18, 32), (20, 8)])
@@ -112,6 +134,32 @@ class TestShardSizing:
             qpu = SimulatedQPU(n_qubits, backend=backend)
             assert cohort_width(backend, n_qubits) == width
             assert auto_batch_width(qpu) == width
+
+
+ZZ_NEVER_FIRES = {"zz": {"zeta_hz": 1e3, "pairs": []}}
+
+
+class TestReplayCohort:
+    """The job manager plans from the cohort its workers' engines use."""
+
+    @pytest.mark.parametrize("overrides, cohort", [
+        ({}, 256),
+        ({"noise": {"pauli": {"px": 0.01}}}, 256),
+        ({"config": {"trace_cache": False}}, 1),
+        ({"noise": ZZ_NEVER_FIRES}, 1),
+        ({"profile": {"defaults": {"t1_us": 50.0, "t2_us": 40.0}}}, 1),
+        ({"backend": "statevector"}, 64),
+        ({"backend": "statevector", "noise": ZZ_NEVER_FIRES}, 64),
+    ], ids=["ideal", "pauli", "cache-off", "stabilizer-zz",
+            "stabilizer-t1t2-profile", "dense", "dense-zz"])
+    def test_cohort_is_the_worker_engines(self, overrides, cohort):
+        raw = {"program": BRANCHY, "shots": 8, "backend": "stabilizer"}
+        raw.update(overrides)
+        spec = JobSpec.from_dict(raw)
+        engine = _build_engine(spec.payload())
+        assert replay_cohort(spec) == cohort
+        assert cohort == (1 if engine.trace_cache is None
+                          else auto_batch_width(engine._qpu))
 
 
 def _engine(backend, noise=None):
