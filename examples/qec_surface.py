@@ -4,12 +4,14 @@
 Builds the distance-3 rotated surface code with the dynamic-circuit
 SDK (17 qubits, MRCE-reset syndrome ancillas), submits it to a real
 2-worker sharded service as ``to_asm()`` text at the standard noise
-point, decodes the merged histogram offline with the single-X-error
-lookup decoder, and asserts the logical error count equals the seeded
-golden value — the same number ``tests/benchlib/test_surface.py`` pins
-for an in-process run.  A drifting count means the outcome stream
-changed somewhere in the SDK -> text -> service -> shard -> merge
-pipeline, which is exactly what this smoke test exists to catch.
+point on the service's default shard plan (one shard per worker up to
+``workers x 256`` shots), decodes the merged histogram offline with
+the single-X-error lookup decoder, and asserts the logical error
+count equals the seeded golden value — the same number
+``tests/benchlib/test_surface.py`` pins for an in-process run.  A
+drifting count means the outcome stream changed somewhere in the SDK
+-> text -> service -> shard -> merge pipeline, which is exactly what
+this smoke test exists to catch.
 
 Run with::
 
@@ -72,11 +74,18 @@ def main() -> int:
               f"({args.workers} workers)")
         result, info = client.run_sweep(
             text, shots=args.shots, backend="stabilizer",
-            noise=NOISE_SPEC,
-            shard_shots=max(1, args.shots // (4 * args.workers)))
+            noise=NOISE_SPEC)
         print(f"sweep: {args.shots} shots in {info['shards']} shards, "
               f"{len(result.counts)} distinct outcomes, "
               f"{result.total_ns} ns total")
+        # Up to one replay cohort (256 stabilizer shots) per worker,
+        # the default plan gives each worker one shard of
+        # ceil(shots / workers): 2 shards of 50 for 100 shots on 2.
+        if args.shots <= args.workers * 256:
+            width = -(-args.shots // args.workers)
+            assert info["shards"] == -(-args.shots // width), \
+                f"default plan ran {info['shards']} shards, not " \
+                f"one of {width} shots per worker"
 
         errors = decode_histogram(layout, result)
         rate = errors / args.shots

@@ -13,7 +13,7 @@ from repro.qcp.registers import (MeasurementResultRegisters, RegisterFile,
 from repro.qcp.scheduler import BlockScheduler, BlockState
 from repro.qcp.superscalar import SuperscalarProcessor
 from repro.qcp.shots import (ShardOutcomes, ShotEngine, ShotResult,
-                             merge_shard_outcomes,
+                             merge_shard_outcomes, outcome_key,
                              program_has_measurement, run_shots)
 from repro.qcp.tracecache import (RecordingQPU, TraceCache,
                                   TraceDivergenceError, TraceNode)
@@ -34,7 +34,7 @@ __all__ = [
     "SharedRegisters", "ShotEngine", "ShotResult",
     "SuperscalarProcessor", "TraceCache", "TraceDivergenceError",
     "TraceNode", "infer_qubit_count", "merge_shard_outcomes",
-    "program_has_measurement", "run_shots",
+    "outcome_key", "program_has_measurement", "run_shots",
     "TimingController", "TRReport", "Trace", "average_ces", "run_program",
     "scalar_config", "superscalar_config", "time_ratio",
 ]

@@ -23,7 +23,7 @@ the stabilizer backend, whose serial loop decides through one
 decide/hit/resume epilogue, and flat GEMM-fused noise-site programs
 on the dense backend, which the cohort walker runs, a serial shot
 being a cohort of one.  A sweep replays its warm shots in cohorts
-(:meth:`ShotEngine._run_seeds`); how wide, and how wide a fused
+(:meth:`ShotEngine.run_range`); how wide, and how wide a fused
 block, follows from the substrate, not from the config.
 This includes **noisy substrates** (pass ``noise=``): the per-shot
 reseeded noise rng is replayed positionally, and a replay that
@@ -71,9 +71,10 @@ from repro.qcp.config import QCPConfig
 from repro.qcp.memory import InstructionMemory
 from repro.qcp.system import QuAPESystem, infer_qubit_count
 from repro.qcp.routing import RoutingDecision, route_backend
-from repro.qcp.tracecache import (CheckpointQPU, RecordingQPU,
-                                  TraceCache, TraceRecorder,
-                                  auto_batch_width, replay_mode)
+from repro.qcp.tracecache import (CheckpointQPU, OutcomeKey,
+                                  RecordingQPU, TraceCache, TraceRecorder,
+                                  _set_bits, auto_batch_width, outcome_key,
+                                  replay_mode)
 from repro.qpu.device import QPUBase, SimulatedQPU
 from repro.qpu.noise import NoiseModel
 from repro.qpu.profile import DeviceProfile, load_device_profile
@@ -81,30 +82,26 @@ from repro.qpu.profile import DeviceProfile, load_device_profile
 #: Placeholder in a bitstring for a union qubit this shot never measured.
 UNMEASURED = "-"
 
-#: One shot's outcome as a hashable, order-canonical key: sorted
-#: ``(qubit, value)`` pairs.  Unlike a rendered bitstring, the key is
-#: independent of which *other* shots ran alongside it — which is what
-#: makes shard histograms mergeable without re-running anything.
-OutcomeKey = tuple[tuple[int, int], ...]
-
 
 @dataclass
 class ShardOutcomes:
     """Partial histogram of one contiguous seed range of a sweep.
 
-    The histogram is keyed by :data:`OutcomeKey` rather than rendered
-    bitstrings, because bitstring rendering depends on the cross-shot
-    measurement union — a global property a shard cannot know.  Keys
-    make the merge commutative and associative: summing the counters
-    of any disjoint cover of ``range(0, shots)`` and rendering once at
-    the end (:func:`merge_shard_outcomes`) reproduces, count for count
-    and nanosecond for nanosecond, what a serial
-    :meth:`ShotEngine.run` over the same seeds produces.
+    The histogram is keyed by :data:`~repro.qcp.tracecache.OutcomeKey`
+    — ``(measured, bits)``, the sorted qubits a shot measured and one
+    int of their last values — rather than rendered bitstrings,
+    because bitstring rendering depends on the cross-shot measurement
+    union — a global property a shard cannot know.  Keys make the
+    merge commutative and associative: summing the counters of any
+    disjoint cover of ``range(0, shots)`` and rendering once at the
+    end (:func:`merge_shard_outcomes`) reproduces, count for count and
+    nanosecond for nanosecond, what a serial :meth:`ShotEngine.run`
+    over the same seeds produces.
     """
 
     start: int
     stop: int
-    counts: Counter = field(default_factory=Counter)
+    counts: Counter[OutcomeKey] = field(default_factory=Counter)
     total_ns: int = 0
 
     @property
@@ -117,11 +114,12 @@ def merge_shard_outcomes(shards) -> ShotResult:
 
     Purely commutative: counter sum plus integer ``total_ns`` sum,
     then one rendering pass against the union of measured qubits.
-    Because each shot's :data:`OutcomeKey` and duration are pure
-    functions of its seed (PR 4's salted per-shot derivation), the
-    merged result is bit-identical to serially executing the union of
-    the shard ranges — the property the shot-sweep service asserts
-    for its sharded sweeps.
+    Each distinct measured-qubit tuple maps once to its positions in
+    the union; a key then renders by placing its bits there.  Because
+    each shot's key and duration are pure functions of its seed (the
+    salted per-shot derivation), the merged result is bit-identical to
+    serially executing the union of the shard ranges — the property
+    the shot-sweep service asserts for its sharded sweeps.
     """
     shards = list(shards)
     if not shards:
@@ -133,16 +131,19 @@ def merge_shard_outcomes(shards) -> ShotResult:
         merged.update(shard.counts)
         total_ns += shard.total_ns
         shots += shard.shots
-    measured = tuple(sorted({qubit for key in merged for qubit, _ in key}))
-    result = ShotResult(shots=shots, measured_qubits=measured,
+    shapes = {measured for measured, _ in merged}
+    union = tuple(sorted(set().union(*shapes)))
+    result = ShotResult(shots=shots, measured_qubits=union,
                         total_ns=total_ns)
-    position = {qubit: index for index, qubit in enumerate(measured)}
-    unmeasured = [UNMEASURED] * len(measured)
-    for key, count in merged.items():
-        bits = unmeasured.copy()
-        for qubit, value in key:
-            bits[position[qubit]] = str(value)
-        result.counts["".join(bits)] += count
+    position = {qubit: index for index, qubit in enumerate(union)}
+    places = {measured: [position[qubit] for qubit in measured]
+              for measured in shapes}
+    unmeasured = [UNMEASURED] * len(union)
+    for (measured, bits), count in merged.items():
+        rendered = unmeasured.copy()
+        for index, place in enumerate(places[measured]):
+            rendered[place] = "1" if (bits >> index) & 1 else "0"
+        result.counts["".join(rendered)] += count
     return result
 
 
@@ -405,82 +406,80 @@ class ShotEngine:
             channel_map=self.channel_map, recorder=recorder,
             on_quiet=on_quiet)
 
-    def _run_seeds(self, seeds: range):
-        """Yield each seed's (last results, ns) in seed order.
-
-        With a trace cache the seeds go to the cache in cohorts of
-        :func:`~repro.qcp.tracecache.auto_batch_width`: the cache
-        replays each cohort as one wavefront over the trie and hands
-        back ``None`` for shots that diverged off the cached paths or
-        reached a node closed to cohorts — those fall back to
-        :meth:`run_shot`, which records their new paths as usual.
-        Only a cold trie (no recorded path yet) runs the first seed
-        alone, to record a path for the cohorts to replay; a range of
-        one seed always runs alone, as a sign cohort of one costs more
-        than the serial sign loop.  After a cold start the cohorts
-        grow from 2, doubling while any shot falls back: a trie that
-        knows one path would send most of a full cohort back to the
-        serial loop, while the fallbacks of a narrow cohort record the
-        paths the next one replays.  A cohort with no fallback, and
-        every cohort on a warm trie, is full width.  Every shot is
-        bit-identical to its own ``run_shot(seed)``, so histograms and
-        timings depend on neither the cohort width nor how a sweep is
-        sharded into seed ranges.
-        """
-        cache = self.trace_cache
-        if cache is None or len(seeds) < 2:
-            for seed in seeds:
-                yield self.run_shot(seed)
-            return
-        width = auto_batch_width(self._qpu)
-        step, index = width, 0
-        if cache.root is None or cache.root.items is None:
-            yield self.run_shot(seeds[0])
-            step, index = 2, 1
-        while index < len(seeds):
-            chunk = list(seeds[index:index + step])
-            replayed = cache.replay_batch(self._qpu, chunk)
-            fell_back = False
-            for chunk_seed, result in zip(chunk, replayed):
-                if result is None:
-                    fell_back = True
-                    result = self.run_shot(chunk_seed)
-                yield result
-            index += len(chunk)
-            step = min(width, 2 * step) if fell_back else width
-
     def run_range(self, start: int, stop: int) -> ShardOutcomes:
         """Execute seeds ``start..stop-1``; return the partial histogram.
 
         This is the shard entry point of the shot-sweep service
         (:mod:`repro.service`): a worker runs one contiguous seed
-        range and hands back outcome-keyed counts plus the summed
+        range and hands back :data:`OutcomeKey` counts plus the summed
         duration, without rendering bitstrings — rendering needs the
         cross-shard measurement union, which only the merge
         (:func:`merge_shard_outcomes`) knows.  Shots are pure
         functions of their seed, so any disjoint cover of a seed range
-        merges to exactly the serial result.
+        merges to exactly the serial result.  Seeds are non-negative:
+        ``random.Random(-k)`` seeds exactly like ``random.Random(k)``,
+        so a negative seed would repeat a positive shot.
+
+        With a trace cache the seeds go to the cache in cohorts of
+        :func:`~repro.qcp.tracecache.auto_batch_width`: the cache
+        replays each cohort as one wavefront over the trie and hands
+        back its leaf groups, one count per group, plus the lanes that
+        diverged off the cached paths or reached a node closed to
+        cohorts — those fall back to :meth:`run_shot`, which records
+        their new paths as usual.  Only a cold trie (no recorded path
+        yet) runs the first seed alone, to record a path for the
+        cohorts to replay; a range of one seed always runs alone, as a
+        sign cohort of one costs more than the serial sign loop.
+        After a cold start the cohorts grow from 2, doubling while any
+        shot falls back: a trie that knows one path would send most of
+        a full cohort back to the serial loop, while the fallbacks of a
+        narrow cohort record the paths the next one replays.  A cohort
+        with no fallback, and every cohort on a warm trie, is full
+        width.  Every shot is bit-identical to its own
+        ``run_shot(seed)``, so histograms and timings depend on neither
+        the cohort width nor how a sweep is sharded into seed ranges.
         """
+        if start < 0:
+            raise ValueError(
+                f"negative shot seed {start}: random.Random(-k) seeds "
+                f"like random.Random(k)")
         if stop <= start:
             raise ValueError(
                 f"empty shard range [{start}, {stop})")
         shard = ShardOutcomes(start=start, stop=stop)
         counts = shard.counts
-        # Batched replay hands out one shared outcome dict per
-        # distinct leaf pattern; memoizing the outcome key by object
-        # identity collapses per-shot keying to a dict hit.  Keeping a
-        # reference to each keyed dict pins its id for the shard's
-        # lifetime.
-        keyed: dict[int, tuple[dict[int, int], OutcomeKey]] = {}
-        for last_value, shot_ns in self._run_seeds(range(start, stop)):
-            entry = keyed.get(id(last_value))
-            if entry is None:
-                key: OutcomeKey = tuple(sorted(last_value.items()))
-                keyed[id(last_value)] = (last_value, key)
-            else:
-                key = entry[1]
-            counts[key] += 1
+        # One tuple object per measured-qubit set: a shard's keys then
+        # pickle each set once.
+        shapes: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+        def serial(seed: int) -> None:
+            last_value, shot_ns = self.run_shot(seed)
+            measured, bits = outcome_key(last_value)
+            counts[shapes.setdefault(measured, measured), bits] += 1
             shard.total_ns += shot_ns
+
+        seeds = range(start, stop)
+        cache = self.trace_cache
+        if cache is None or len(seeds) < 2:
+            for seed in seeds:
+                serial(seed)
+            return shard
+        width = auto_batch_width(self._qpu)
+        step, index = width, 0
+        if cache.root is None or cache.root.items is None:
+            serial(seeds[0])
+            step, index = 2, 1
+        while index < len(seeds):
+            chunk = list(seeds[index:index + step])
+            groups, left = cache.replay_batch(self._qpu, chunk)
+            for lanes, (measured, bits), shot_ns in groups:
+                shots = lanes.bit_count()
+                counts[shapes.setdefault(measured, measured), bits] += shots
+                shard.total_ns += shots * shot_ns
+            for lane in _set_bits(left):
+                serial(chunk[lane])
+            index += len(chunk)
+            step = min(width, 2 * step) if left else width
         return shard
 
     def run(self, shots: int) -> ShotResult:

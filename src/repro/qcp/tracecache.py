@@ -276,6 +276,7 @@ cannot see inside.
 
 from __future__ import annotations
 
+import _random
 import random
 from dataclasses import dataclass, field
 
@@ -319,10 +320,10 @@ _D_MRCE = 1    # (_D_MRCE, result_qubit, target_qubit)
 # target is its qubit in both forms, a reset's its zmask and its rows.
 _S_XOR = 0      # (_S_XOR, mask, rows)                r ^= mask
 _S_MEAS_R = 1   # (_S_MEAS_R, pivot, pm, tmask, gmask, qubit,
-#                  t_rows, g_rows, shift, qubit)
+#                  t_rows, g_rows, draw, qubit)
 _S_MEAS_D = 2   # (_S_MEAS_D, rowsmask, ghalf, qubit, rows, qubit)
 _S_RESET_R = 3  # (_S_RESET_R, pivot, pm, tmask, gmask, zmask,
-#                  t_rows, g_rows, shift, z_rows)
+#                  t_rows, g_rows, draw, z_rows)
 _S_RESET_D = 4  # (_S_RESET_D, rowsmask, ghalf, zmask, rows, z_rows)
 _S_CLS = 5      # (_S_CLS, proc_id, run, defs, uses)
 _S_FMR = 6      # (_S_FMR, proc_id, rd, qubit, (proc_id, rd))
@@ -357,6 +358,24 @@ _PAULI_INDICES = (0, 1, 2)
 #: The gate names of those indices, the order of every (X, Y, Z)
 #: correction triple.
 _PAULIS = ("x", "y", "z")
+
+#: One shot's outcome as a hashable key: ``(measured, bits)``, the
+#: sorted tuple of the qubits the shot measured and one int whose bit
+#: ``i`` is the last delivered value of ``measured[i]``.  A key does
+#: not depend on which other shots ran alongside it, so the histograms
+#: of any seed ranges merge by counter addition
+#: (:func:`~repro.qcp.shots.merge_shard_outcomes`).
+OutcomeKey = tuple[tuple[int, ...], int]
+
+
+def outcome_key(last_value: dict[int, int]) -> OutcomeKey:
+    """The :data:`OutcomeKey` of a shot's last value per qubit."""
+    measured = tuple(sorted(last_value))
+    bits = 0
+    for index, qubit in enumerate(measured):
+        if last_value[qubit]:
+            bits |= 1 << index
+    return measured, bits
 
 
 class TraceDivergenceError(RuntimeError):
@@ -995,8 +1014,8 @@ def _compile_sign_node(items: tuple, decision: tuple | None,
             # The device's projection collapses the model's x/z and
             # returns the masks its sign rules read.  A reset's X
             # correction flips the rows with a Z on the qubit after the
-            # collapse; a random op's shift is where a cohort reads
-            # each shot's coin in its measurement stream.
+            # collapse; a random op's draw is the index of each shot's
+            # coin among the node's measurement draws.
             projected = model.project(qubit)
             target = model.z[qubit] if reset else qubit
             rows = _set_bits(target) if reset else qubit
@@ -1010,7 +1029,7 @@ def _compile_sign_node(items: tuple, decision: tuple | None,
                 program.append((_S_RESET_R if reset else _S_MEAS_R,
                                 pivot, pivot - model.n_qubits, tmask,
                                 gmask, target, _set_bits(tmask),
-                                _set_bits(gmask), 64 * draws, rows))
+                                _set_bits(gmask), draws, rows))
             if not reset:
                 measured.append(qubit)
             draws += 1
@@ -1047,6 +1066,26 @@ def _set_bits(mask: int) -> tuple:
         bits.append(low.bit_length() - 1)
         mask ^= low
     return tuple(bits)
+
+
+def _coin_words(streams: list, draws: int) -> list:
+    """The coin of each of the first ``draws`` draws of every stream,
+    as lane words: bit ``lane`` of word ``d`` is set when draw ``d`` of
+    ``streams[lane]`` (``getrandbits(64 * draws)``) is a
+    ``random() < 0.5``, i.e. when bit ``64 * d + 31`` is clear.
+
+    One numpy transpose of the streams' bytes replaces a bit probe per
+    lane and coin: that bit is the top bit of byte ``8 * d + 3``.
+    """
+    size = 8 * draws
+    raw = np.frombuffer(b"".join([stream.to_bytes(size, "little")
+                                  for stream in streams]),
+                        dtype=np.uint8).reshape(len(streams), draws, 8)
+    heads = np.packbits(raw[:, :, 3] < 0x80, axis=0, bitorder="little")
+    data = heads.T.tobytes()
+    step = heads.shape[0]
+    return [int.from_bytes(data[start:start + step], "little")
+            for start in range(0, len(data), step)]
 
 
 def _cohort_effects(proc_id: int, run) -> tuple | None:
@@ -1293,12 +1332,13 @@ class _BatchCohort:
 
     Pairs the stacked quantum state (:class:`BatchStateVector` row
     ``b``) with shot ``b``'s classical replay context and its two
-    seeded rngs — measurement (``random.Random(seed)``) and noise
+    seeded rngs — measurement (``_random.Random(seed)``, the generator
+    ``random.Random(seed)`` wraps) and noise
     (``random.Random(seed ^ NOISE_SEED_SALT)``, ``nrngs`` is ``None``
     on an ideal model), the exact per-shot streams
     :meth:`~repro.qpu.device.SimulatedQPU.restart` would seed; a serial
     shot's cohort of one carries the device's own rngs after that
-    restart — plus the shot's slot in the caller's result list.
+    restart — plus the shot's lane in the cohort.
     ``take`` is the wavefront partition primitive.
     """
 
@@ -2034,10 +2074,10 @@ class TraceCache:
                               [qpu.state.rng],
                               None if qpu.noise.is_ideal
                               else [qpu.noise.rng])
-        results = [None]
-        frontier = self._replay_batch_dense(node, qpu, cohort, results)
-        if results[0] is not None:
-            return results[0]
+        groups: list = []
+        frontier = self._replay_batch_dense(node, qpu, cohort, groups)
+        if groups:
+            return ctx.delivered, groups[0][2]
         # Move the frontier into the live device: its amplitudes, and
         # the bookkeeping the resumed cycle-accurate suffix reads (idle
         # gaps, ZZ windows).
@@ -2148,7 +2188,7 @@ class TraceCache:
                     outcomes.append(value)
                 elif code == _S_MEAS_R:
                     (_c, pivot, pm, tmask, gmask, qubit,
-                     _t_rows, _g_rows, _shift, _qubit) = op
+                     _t_rows, _g_rows, _draw, _qubit) = op
                     raw = 1 if rng() < 0.5 else 0
                     if (r >> pivot) & 1:
                         r ^= gmask ^ tmask
@@ -2182,7 +2222,7 @@ class TraceCache:
                                 r ^= qubit_masks[2]
                 elif code == _S_RESET_R:
                     (_c, pivot, pm, tmask, gmask, zmask,
-                     _t_rows, _g_rows, _shift, _z_rows) = op
+                     _t_rows, _g_rows, _draw, _z_rows) = op
                     outcome = 1 if rng() < 0.5 else 0
                     if (r >> pivot) & 1:
                         r ^= gmask ^ tmask
@@ -2221,7 +2261,8 @@ class TraceCache:
 
     # -- batched (wavefront) replay ----------------------------------------
 
-    def replay_batch(self, qpu: SimulatedQPU, seeds: list) -> list:
+    def replay_batch(self, qpu: SimulatedQPU, seeds: list
+                     ) -> tuple[list, int]:
         """Replay a cohort of shot seeds through the trie at once.
 
         The trie is traversed as a **wavefront**: every compiled
@@ -2230,21 +2271,26 @@ class TraceCache:
         while every shot draws its own seeded rngs (the exact streams
         ``qpu.restart(seed)`` would produce; a sign cohort takes each
         shot's measurement draws in one ``getrandbits``), and each
-        decision partitions the cohort across child edges.  Returns a
-        list aligned with ``seeds``: ``(last result per qubit, total
-        ns)`` for each shot a wavefront completed at a recorded leaf —
-        bit-identical per shot-seed to :meth:`replay` — and ``None``
-        for shots that left the cached trie or reached a node closed
-        to cohorts; the caller runs those through the serial per-shot
-        path, which records new paths as usual.  Every replay mode
-        has a batch kernel.  The live QPU's state and rngs are never
-        touched — cohorts carry their own — but its per-shot logs are
-        cleared, as any serial replay would.
+        decision partitions the cohort across child edges.  Shot
+        ``seeds[lane]`` is lane ``lane``.
+
+        Returns ``(groups, left)``.  ``groups`` holds one ``(lanes,
+        key, total_ns)`` per leaf group: the lanes a wavefront
+        completed at a recorded leaf with the same :data:`OutcomeKey`
+        and duration, each bit-identical per shot-seed to
+        :meth:`replay`.  ``left`` is the mask of the lanes that left
+        the cached trie or reached a node closed to cohorts; the
+        caller runs those through the serial per-shot path, which
+        records new paths as usual.  Every replay mode has a batch
+        kernel.  The live QPU's state and rngs are never touched —
+        cohorts carry their own — but its per-shot logs are cleared,
+        as any serial replay would.
         """
-        results: list = [None] * len(seeds)
+        groups: list = []
+        everyone = (1 << len(seeds)) - 1
         node = self.root
         if node is None or node.items is None:
-            return results
+            return groups, everyone
         self._tick += 1
         # Per-shot device logs describe the *last* simulated shot; a
         # batched pass supersedes it just like a serial replay (which
@@ -2252,26 +2298,33 @@ class TraceCache:
         # survive the cohort.
         qpu.operation_log.clear()
         qpu.timing_violations.clear()
+        # Lane measurement rngs are ``_random.Random``: the generator
+        # ``random.Random`` wraps, seeded alike from an int and cheaper
+        # to construct.  Noise rngs stay ``random.Random``, whose
+        # ``choice`` depolarizing sites draw.
         if self.mode == "signs":
-            self._replay_batch_signs(node, qpu, seeds, results)
+            self._replay_batch_signs(node, qpu, seeds, groups)
         else:
             cohort = _BatchCohort(
                 qpu.state.make_batch_state(len(seeds)),
                 list(range(len(seeds))),
                 [_ReplayContext(self.config) for _ in seeds],
-                [random.Random(seed) for seed in seeds],
+                [_random.Random(seed) for seed in seeds],
                 # Channel firings, readout flips and dephasing are the
                 # only noise-rng consumers; an ideal substrate never
                 # draws them, so skip the per-shot Mersenne seeding.
                 None if qpu.noise.is_ideal else
                 [random.Random(seed ^ NOISE_SEED_SALT) for seed in seeds])
-            self._replay_batch_dense(node, qpu, cohort, results)
-        # Every shot ends at a leaf or leaves the cohort for the serial
-        # path, where its slot stays None.
-        fallbacks = results.count(None)
+            self._replay_batch_dense(node, qpu, cohort, groups)
+        # Every shot ends in a leaf group or leaves the cohort for the
+        # serial path.
+        left = everyone
+        for lanes, _key, _ns in groups:
+            left &= ~lanes
+        fallbacks = left.bit_count()
         self.batched_shots += len(seeds) - fallbacks
         self.serial_fallbacks += fallbacks
-        return results
+        return groups, left
 
     def _split_cohort(self, node: TraceNode, slots: list, lanes: int,
                       taken: int) -> list:
@@ -2280,8 +2333,8 @@ class TraceCache:
         The one edge selection of both batched loops.  ``lanes`` is
         the cohort's lane mask (bit ``slot`` for each shot in
         ``slots``) and ``taken`` the lanes whose decision took edge 1.
-        Lanes whose edge leads off the cached trie get no edge: their
-        results stay ``None`` for the serial path.  A cohort that
+        Lanes whose edge leads off the cached trie get no edge: they
+        are left for the serial path.  A cohort that
         divides across continuations counts ``wavefront_splits``.
         Returns ``[(child, rows, child_lanes)]``
         for the surviving sub-cohorts in push order — the edge of the
@@ -2314,7 +2367,7 @@ class TraceCache:
         return edges
 
     def _replay_batch_signs(self, root: TraceNode, qpu: SimulatedQPU,
-                            seeds: list, results: list) -> None:
+                            seeds: list, groups: list) -> None:
         """Wavefront sign-trace replay over integer bit-planes.
 
         The cohort's sign columns are bit-planes: ``planes[row]`` is one
@@ -2330,15 +2383,17 @@ class TraceCache:
         reset; ``getrandbits(64 * k)`` leaves the Mersenne Twister where
         ``k`` such calls leave it, and draw ``i``'s ``random() < 0.5``
         holds exactly when bit ``64 * i + 31`` is clear.  So every shot
-        draws its stream at the root, sized by :attr:`stream_draws`.  A
-        sub-cohort carries its stream offset, which all its shots share
-        because they took the same path, and tops up its own shots when
-        it runs past the drawn length.  Random-pivot measurements and
-        resets read each shot's coin from its stream; deterministic
-        ones draw nothing.  Over-drawing is safe: the streams are
-        private, and a shot that leaves the trie reruns from its seed.
-        Noise sites and readout flips draw each shot's own noise rng
-        in serial order.
+        draws its stream at the root, sized by :attr:`stream_draws`, and
+        one transpose turns the root streams into a coin word per draw
+        (:func:`_coin_words`).  A sub-cohort carries its stream offset,
+        which all its shots share because they took the same path, and
+        tops up its own shots when it runs past the drawn length.  A
+        random-pivot measurement or reset reads its lanes' coins as one
+        masked coin word, or lane by lane from a topped-up stream;
+        deterministic ones draw nothing.  Over-drawing is safe: the
+        streams are private, and a shot that leaves the trie reruns
+        from its seed.  Noise sites and readout flips draw each shot's
+        own noise rng in serial order.
 
         Everything classical is decided once per cohort, not once per
         shot.  Delivered outcomes are one lane word per qubit, and the
@@ -2352,17 +2407,21 @@ class TraceCache:
         hands the whole cohort to the serial loop (fail closed).  A
         folded MRCE does not split the cohort: its Pauli-arm lanes get
         the Pauli's XOR and noise site and the fold's ``δ``.  A leaf
-        completes its whole cohort at once: shots with the same
-        outcomes and time offset share one result.
+        completes its whole cohort at once: it refines its lanes by the
+        outcome word of each measured qubit in sorted order, so a
+        group's value word is its :data:`OutcomeKey`'s ``bits``, and
+        appends one group per outcome and time offset to ``groups``.
         """
         state: StabilizerState = qpu.state
         noise = qpu.noise
         readout = noise.readout
         width = len(seeds)
         planes = [0] * (2 * state.n_qubits)
-        srngs = [random.Random(seed) for seed in seeds]
+        srngs = [_random.Random(seed) for seed in seeds]
         drawn = self.stream_draws
         streams = [rng.getrandbits(64 * drawn) for rng in srngs]
+        # coins[d]: the lanes whose root-drawn draw d is heads.
+        coins = _coin_words(streams, drawn)
         # The noise rng is only ever drawn by channel sites and readout
         # corruption; on an ideal substrate skipping its (expensive)
         # Mersenne seeding halves the per-shot rng cost.
@@ -2409,7 +2468,7 @@ class TraceCache:
                     streams[slot] |= (srngs[slot].getrandbits(extra)
                                       << 64 * drawn)
                 drawn = offset + draws
-            coin = 64 * offset + 31
+            first = offset
             offset += draws
             for qubit in node_measured:
                 if qubit not in measured:
@@ -2434,12 +2493,16 @@ class TraceCache:
                             planes[row] ^= raw
                 elif code == _S_MEAS_R or code == _S_RESET_R:
                     (_c, pivot, pm, _tmask, _gmask, _target,
-                     t_rows, g_rows, shift, target) = op
-                    # random() < 0.5 exactly when the probed bit is
-                    # clear.
-                    probe = 1 << (coin + shift)
-                    raw = sum([1 << slot for slot in slots
-                               if not streams[slot] & probe])
+                     t_rows, g_rows, draw, target) = op
+                    draw += first
+                    if draw < len(coins):
+                        raw = coins[draw] & cmask
+                    else:
+                        # A topped-up draw: random() < 0.5 exactly when
+                        # the probed bit is clear.
+                        probe = 1 << (64 * draw + 31)
+                        raw = sum([1 << slot for slot in slots
+                                   if not streams[slot] & probe])
                     pivot_bits = planes[pivot] & cmask
                     for row in g_rows:
                         planes[row] ^= cmask
@@ -2464,30 +2527,30 @@ class TraceCache:
             decision = node.decision
             if decision is None:
                 # Leaf: the whole cohort completes here.  Refine the
-                # cohort's lanes by each measured qubit's outcome word,
-                # so shots with the same outcomes share one delivered
-                # map — histograms concentrate, so the groups are few.
+                # cohort's lanes by each measured qubit's outcome word
+                # in sorted-qubit order, so shots with the same outcomes
+                # share one value word, the key's bits — histograms
+                # concentrate, so the groups are few.
                 self.stream_draws = offset
-                groups = [(cmask, 0)]
-                for index, qubit in enumerate(measured):
+                order = tuple(sorted(measured))
+                refined = [(cmask, 0)]
+                for index, qubit in enumerate(order):
                     word = delivered_words[qubit]
                     split = []
-                    for lanes, values in groups:
+                    for lanes, values in refined:
                         ones = lanes & word
                         if ones:
                             split.append((ones, values | 1 << index))
                         if ones != lanes:
                             split.append((lanes ^ ones, values))
-                    groups = split
-                for lanes, values in groups:
-                    delivered = {qubit: (values >> index) & 1
-                                 for index, qubit in enumerate(measured)}
+                    refined = split
+                for lanes, values in refined:
+                    key = (order, values)
                     for shift, mask in shifts.items():
                         mask &= lanes
                         if mask:
-                            entry = (delivered, node.total_ns + shift)
-                            for slot in _set_bits(mask):
-                                results[slot] = entry
+                            groups.append((mask, key,
+                                           node.total_ns + shift))
                 self.hits += len(slots)
                 continue
             if decision[0] == _D_MRCE:
@@ -2523,7 +2586,7 @@ class TraceCache:
                               measured, lanes, offset, drawn))
 
     def _replay_batch_dense(self, root: TraceNode, qpu: SimulatedQPU,
-                            cohort: _BatchCohort, results: list
+                            cohort: _BatchCohort, groups: list
                             ) -> TraceNode | None:
         """Wavefront dense replay over a stacked amplitude matrix.
 
@@ -2533,10 +2596,12 @@ class TraceCache:
         reduction over the whole matrix, while outcomes, channel
         firings and readout flips are drawn from each shot's own
         seeded rngs in serial order.  Decision splits gather-copy the
-        partitioned amplitude rows into child cohorts.  Fills
-        ``results`` at the leaves and returns the last node where
-        lanes left the trie (``None`` if none did): a cohort of one's
-        divergence frontier (:meth:`replay`).
+        partitioned amplitude rows into child cohorts.  A leaf keys
+        each shot's delivered map (:func:`outcome_key`) and appends one
+        ``(lanes, key, total_ns)`` group per key to ``groups``.
+        Returns the last node where lanes left the trie (``None`` if
+        none did): a cohort of one's divergence frontier
+        (:meth:`replay`).
         """
         frontier = None
         stack: list[tuple] = [(root, cohort)]
@@ -2547,10 +2612,12 @@ class TraceCache:
                 step(cohort)
             decision = node.decision
             if decision is None:
-                # Per-shot contexts are never reused, so the delivered
-                # maps can be handed out without a copy.
+                keyed: dict = {}
                 for slot, ctx in zip(cohort.slots, cohort.ctxs):
-                    results[slot] = (ctx.delivered, node.total_ns)
+                    key = outcome_key(ctx.delivered)
+                    keyed[key] = keyed.get(key, 0) | 1 << slot
+                groups.extend((lanes, key, node.total_ns)
+                              for key, lanes in keyed.items())
                 self.hits += len(cohort.slots)
                 continue
             lanes = taken = 0

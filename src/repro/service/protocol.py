@@ -180,10 +180,11 @@ class JobSpec:
     """A validated shot-sweep job.
 
     ``program`` is source text (timed-QASM or OpenQASM 2.0); shot ``i``
-    of the sweep runs with seed ``seed + i``, so a job is sharded into
-    contiguous shot-index ranges without any coordination between
-    workers.  ``config`` holds :class:`QCPConfig` field overrides,
-    ``noise`` a channel spec for :func:`build_noise_model`.
+    of the sweep runs with seed ``seed + i`` (``seed >= 0``), so a job
+    is sharded into contiguous shot-index ranges without any
+    coordination between workers.  ``config`` holds
+    :class:`QCPConfig` field overrides, ``noise`` a channel spec for
+    :func:`build_noise_model`.
     """
 
     program: str
@@ -251,9 +252,13 @@ class JobSpec:
                 "bad_shots", f"'shots' must be a positive integer, "
                 f"got {shots!r}")
         seed = raw.get("seed", 0)
-        if not isinstance(seed, int) or isinstance(seed, bool):
+        # random.Random(-k) seeds like random.Random(k): a negative
+        # job seed would repeat the outcomes of positive shot seeds.
+        if not isinstance(seed, int) or isinstance(seed, bool) \
+                or seed < 0:
             raise ProtocolError(
-                "bad_seed", f"'seed' must be an integer, got {seed!r}")
+                "bad_seed", f"'seed' must be a non-negative integer, "
+                f"got {seed!r}")
         backend = raw.get("backend")
         if backend is not None and backend not in BACKENDS:
             raise ProtocolError(

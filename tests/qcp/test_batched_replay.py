@@ -11,6 +11,7 @@ replay and narrow cohorts are reached through
 
 from __future__ import annotations
 
+import _random
 import random
 import types
 from collections import Counter
@@ -22,14 +23,14 @@ from repro.cli import main
 from repro.isa.builder import ProgramBuilder
 from repro.qcp import QCPConfig, ShotEngine, scalar_config
 from repro.qcp.decode import K_CLASSICAL
-from repro.qcp.shots import ShardOutcomes
-from repro.qcp.tracecache import (_D_BRANCH, _CohortState,
+from repro.qcp.shots import ShardOutcomes, outcome_key
+from repro.qcp.tracecache import (_D_BRANCH, _CohortState, _coin_words,
                                   auto_batch_width)
 from repro.qpu.noise import (DecoherenceNoise, DepolarizingNoise,
                              NoiseModel, PauliChannel, ReadoutError)
 from repro.qpu.stabilizer import StabilizerState
 from repro.qpu.statevector import BatchStateVector, StateVector
-from tests.replay_paths import served
+from tests.replay_paths import expand, served
 
 H = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
 
@@ -101,6 +102,35 @@ def test_getrandbits_stream_is_random_draws(draws):
         assert streamed.getstate() == serial.getstate(), seed
         assert coins == [not (stream >> (64 * index + 31)) & 1
                          for index in range(draws)], seed
+
+
+def test_lane_rng_is_random_random():
+    """Cohorts seed each lane's measurement rng as ``_random.Random``,
+    the generator ``random.Random`` wraps.  Seeded from the same int,
+    both must give the same ``getrandbits`` stream, a Shor cohort's
+    162 draws, and the same ``random()`` draws after it."""
+    for seed in [*range(3000), 2**32 - 1, 2**32, 2**64 + 3]:
+        lane, reference = _random.Random(seed), random.Random(seed)
+        assert lane.getrandbits(10368) == \
+            reference.getrandbits(10368), seed
+        assert [lane.random() for _ in range(3)] == \
+            [reference.random() for _ in range(3)], seed
+
+
+def test_coin_words_transpose_the_streams():
+    """Coin word ``d`` holds bit ``lane`` exactly when draw ``d`` of
+    that lane's stream is a ``random() < 0.5``, at widths that do not
+    fill a byte."""
+    for width in (1, 7, 9, 64):
+        rngs = [random.Random(seed) for seed in range(width)]
+        streams = [rng.getrandbits(64 * 5) for rng in rngs]
+        coins = _coin_words(streams, 5)
+        serial = [random.Random(seed) for seed in range(width)]
+        heads = [[rng.random() < 0.5 for _ in range(5)] for rng in serial]
+        assert coins == [sum(1 << lane for lane in range(width)
+                             if heads[lane][draw])
+                         for draw in range(5)], width
+    assert _coin_words([0, 0], 0) == []
 
 
 # -- cohort classical state ---------------------------------------------------
@@ -359,7 +389,8 @@ def test_shor_cohort_runs_each_branch_once(monkeypatch):
     monkeypatch.setattr(tracecache, "_ReplayContext", CountedContext)
     calls.clear()
     cache = engine.trace_cache
-    results = cache.replay_batch(engine._qpu, list(range(1, 257)))
+    seeds = list(range(1, 257))
+    results = expand(seeds, cache.replay_batch(engine._qpu, seeds))
     assert all(result is not None for result in results)
     assert (cache.batched_shots, cache.wavefront_splits,
             cache.serial_fallbacks) == (256, 0, 0)
@@ -391,10 +422,13 @@ def test_shor_cohort_draws_each_stream_once(monkeypatch):
     rngs = []
     calls: Counter = Counter()
 
-    class CountingRandom(random.Random):
-        def __init__(self, seed=None):
-            rngs.append(self)
-            super().__init__(seed)
+    class CountingRandom(_random.Random):
+        # Seeded by __new__ on Python 3.10 and by __init__ after it:
+        # counting in __new__ leaves both to the base class.
+        def __new__(cls, seed):
+            rng = super().__new__(cls, seed)
+            rngs.append(rng)
+            return rng
 
         def random(self):
             calls["random"] += 1
@@ -404,8 +438,9 @@ def test_shor_cohort_draws_each_stream_once(monkeypatch):
             calls["getrandbits"] += 1
             return super().getrandbits(k)
 
-    monkeypatch.setattr(random, "Random", CountingRandom)
-    results = cache.replay_batch(engine._qpu, list(range(257, 513)))
+    monkeypatch.setattr(_random, "Random", CountingRandom)
+    seeds = list(range(257, 513))
+    results = expand(seeds, cache.replay_batch(engine._qpu, seeds))
     assert all(result is not None for result in results)
     # The ideal substrate seeds no noise rngs, so every rng is a
     # shot's measurement rng.  Drawn per op, a shot makes 162
@@ -452,7 +487,7 @@ def test_warm_range_first_seed_joins_its_cohort(monkeypatch):
     serial = ShardOutcomes(start=10, stop=50)
     for last_value, shot_ns in (engine.run_shot(seed)
                                 for seed in range(10, 50)):
-        serial.counts[tuple(sorted(last_value.items()))] += 1
+        serial.counts[outcome_key(last_value)] += 1
         serial.total_ns += shot_ns
     assert (shard.counts, shard.total_ns) == (serial.counts,
                                               serial.total_ns)
@@ -494,7 +529,8 @@ def test_stream_offsets_and_over_draw_match_serial():
     def replay(hint):
         cache.stream_draws = hint
         before = (qpu.state.rng.getstate(), qpu.noise.rng.getstate())
-        assert cache.replay_batch(qpu, seeds) == expected, hint
+        assert expand(seeds, cache.replay_batch(qpu, seeds)) == expected, \
+            hint
         assert (qpu.state.rng.getstate(),
                 qpu.noise.rng.getstate()) == before
         return cache.stream_draws

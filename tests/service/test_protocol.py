@@ -104,6 +104,15 @@ class TestValidation:
             JobSpec.from_dict(raw)
         assert excinfo.value.code == code
 
+    def test_negative_seed_rejected(self):
+        # random.Random(-k) seeds like random.Random(k): the 16-shot
+        # sweep of seed -8 (shot seeds -8..7) would repeat the outcomes
+        # of shot seeds 1..7.
+        with pytest.raises(ProtocolError) as excinfo:
+            JobSpec.from_dict(job(seed=-8))
+        assert excinfo.value.code == "bad_seed"
+        assert JobSpec.from_dict(job(seed=0)).seed == 0
+
     def test_no_measurement_openqasm_rejected(self):
         qasm = ("OPENQASM 2.0;\ninclude \"qelib1.inc\";\n"
                 "qreg q[1];\nh q[0];\n")

@@ -8,9 +8,14 @@ same shard/merge path, so identity holds by construction.  These tests
 pin it observationally across backends, noise, and batching.
 """
 
-import pytest
+import pickle
+from collections import Counter
 
-from repro.qcp import ShotEngine, merge_shard_outcomes
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.qcp import ShotEngine, merge_shard_outcomes, outcome_key
+from repro.qcp.shots import ShardOutcomes
 from repro.qcp.tracecache import auto_batch_width, cohort_width
 from repro.qpu.device import SimulatedQPU
 from repro.qpu.noise import NoiseModel, PauliChannel, ReadoutError
@@ -213,6 +218,79 @@ class TestMergeBitIdentity:
         with pytest.raises(ValueError):
             engine.run_range(3, 3)
 
+    def test_negative_start_rejected(self):
+        # random.Random(-k) seeds like random.Random(k), so the seeds
+        # -8..7 would repeat the outcomes of seeds 1..7.
+        engine = _engine("stabilizer")
+        with pytest.raises(ValueError, match="negative shot seed -8"):
+            engine.run_range(-8, 8)
+        assert engine.run_range(0, 8).shots == 8
+
+
+def reference_merge(per_shard) -> tuple:
+    """The merge of sorted ``(qubit, value)`` keys, rendered against
+    the union of measured qubits with ``-`` for the unmeasured: the
+    outcome keys compact keys replace, kept as the reference."""
+    merged: Counter = Counter()
+    total_ns = 0
+    for shots in per_shard:
+        for delivered, shot_ns in shots:
+            merged[tuple(sorted(delivered.items()))] += 1
+            total_ns += shot_ns
+    measured = tuple(sorted({qubit for key in merged
+                             for qubit, _ in key}))
+    position = {qubit: index for index, qubit in enumerate(measured)}
+    counts: Counter = Counter()
+    for key, count in merged.items():
+        bits = ["-"] * len(measured)
+        for qubit, value in key:
+            bits[position[qubit]] = str(value)
+        counts["".join(bits)] += count
+    return counts, measured, total_ns
+
+
+#: One shot: its last value per measured qubit (any subset, the empty
+#: map included) and its duration.
+SHOTS = st.lists(st.tuples(st.dictionaries(st.integers(0, 9),
+                                           st.integers(0, 1),
+                                           max_size=5),
+                           st.integers(0, 10**9)),
+                 min_size=1, max_size=40)
+
+
+class TestCompactKeys:
+    @settings(max_examples=200, deadline=None)
+    @given(SHOTS, st.data())
+    def test_any_split_merges_like_the_reference(self, shots, data):
+        cuts = sorted(data.draw(st.sets(st.integers(1, len(shots) - 1)
+                                        if len(shots) > 1
+                                        else st.nothing())))
+        bounds = [0, *cuts, len(shots)]
+        shards = []
+        for start, stop in zip(bounds, bounds[1:]):
+            shard = ShardOutcomes(start=start, stop=stop)
+            for delivered, shot_ns in shots[start:stop]:
+                shard.counts[outcome_key(delivered)] += 1
+                shard.total_ns += shot_ns
+            shards.append(shard)
+        merged = merge_shard_outcomes(data.draw(st.permutations(shards)))
+        counts, measured, total_ns = reference_merge(
+            [shots[start:stop] for start, stop in zip(bounds, bounds[1:])])
+        assert merged.counts == counts
+        assert merged.measured_qubits == measured
+        assert merged.total_ns == total_ns
+        assert merged.shots == len(shots)
+
+    def test_no_measurement_renders_the_empty_string(self):
+        shard = ShardOutcomes(start=0, stop=3,
+                              counts=Counter({outcome_key({}): 3}))
+        merged = merge_shard_outcomes([shard])
+        assert merged.counts == {"": 3}
+        assert merged.measured_qubits == ()
+
+    def test_key_bit_i_is_the_ith_sorted_qubit(self):
+        assert outcome_key({7: 1, 2: 0, 5: 1}) == ((2, 5, 7), 0b110)
+
 
 class TestRunShardWorker:
     """Direct calls into the worker entry point (no pool)."""
@@ -251,6 +329,22 @@ class TestRunShardWorker:
         assert out["trace_cache"]["folds"] == 0
         assert out["trace_cache"]["restarts"] == 0
         assert out["trace_cache"]["rejoins"] == 0
+
+    def test_warm_shor_shard_pickles_small(self):
+        # A warm 256-shot shard of the paper's benchmark replays as one
+        # cohort; its result carries one compact key per outcome group,
+        # and every key shares one measured-qubit tuple.
+        from repro.benchlib.steane import build_shor_syndrome_program
+
+        payload = JobSpec.from_dict({
+            "program": build_shor_syndrome_program(rounds=3).to_asm(),
+            "shots": 257, "backend": "stabilizer",
+            "n_processors": 6}).payload()
+        run_shard(payload, 0, 1)  # cold: records the only path
+        out = run_shard(payload, 1, 257)
+        assert out["trace_cache"]["batched_shots"] == 256
+        assert len({measured for measured, _ in out["counts"]}) == 1
+        assert len(pickle.dumps(out)) < 2048
 
     def test_uncached_shard_reports_no_cache(self):
         payload = self.payload(config={"trace_cache": False})
