@@ -233,6 +233,14 @@ def _last_values(system: QuAPESystem,
     return last_value
 
 
+def _check_seed(seed: int) -> None:
+    """Refuse a negative shot seed: ``random.Random(-k)`` seeds like
+    ``random.Random(k)``, so shot ``-k`` would repeat shot ``k``."""
+    if seed < 0:
+        raise ValueError(f"negative shot seed {seed}: random.Random(-k) "
+                         f"seeds like random.Random(k)")
+
+
 class ShotEngine:
     """Compile-once, run-many executor for one program.
 
@@ -356,8 +364,10 @@ class ShotEngine:
           continues in replay (:meth:`TraceCache.rejoin`).
 
         A cold cache falls back to a full cycle-accurate shot.  All
-        paths return bit-identical results for the same seed.
+        paths return bit-identical results for the same seed.  A
+        negative seed raises ``ValueError`` (see :meth:`run_range`).
         """
+        _check_seed(seed)
         cache = self.trace_cache
         if cache is None:
             system = self._system(self._shot_qpu(seed))
@@ -439,10 +449,7 @@ class ShotEngine:
         ``run_shot(seed)``, so histograms and timings depend on neither
         the cohort width nor how a sweep is sharded into seed ranges.
         """
-        if start < 0:
-            raise ValueError(
-                f"negative shot seed {start}: random.Random(-k) seeds "
-                f"like random.Random(k)")
+        _check_seed(start)
         if stop <= start:
             raise ValueError(
                 f"empty shard range [{start}, {stop})")

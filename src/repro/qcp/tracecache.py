@@ -76,7 +76,7 @@ sites the cycle-accurate simulation would:
   compiles to pre-computed sign masks (``_S_NOISE``).  Readout flips
   are drawn live at each compiled measurement.  One compiled op list
   serves both sign loops: each op carries the serial loop's packed
-  masks and the bit-plane cohort loop's row tuples.
+  masks and the bit-plane cohort walker's row tuples.
 * On the **dense** backend, each node compiles once into a
   state-free *step list* (:func:`_compile_dense_steps`): the device's
   per-op timed behaviour is pre-resolved against one model of its
@@ -84,11 +84,12 @@ sites the cycle-accurate simulation would:
   crosstalk windows become per-pair phase unitaries with precomputed
   overlaps), gate-channel sites with their Pauli corrections,
   idle-decay sites with precomputed durations, resets, live
-  measurements with their readout channel and classical ops —
-  analogous to the stabilizer ``_S_NOISE`` sites.  The list is bound
-  once, to closures over a cohort (:meth:`TraceNode.dense_program`),
-  and one wavefront loop runs it: a serial shot is a cohort of one
-  that draws the live device's own rngs (:meth:`TraceCache.replay`).
+  measurements and classical ops — analogous to the stabilizer
+  ``_S_NOISE`` sites.  The list is bound once, to closures over a
+  cohort (:meth:`TraceNode.dense_program`), and the wavefront walker
+  that runs sign cohorts runs it too (:meth:`TraceCache._replay_cohort`):
+  a serial shot is a cohort of one that draws the live device's own
+  rngs (:meth:`TraceCache.replay`).
   Every stochastic step draws exactly as the device's channel does,
   so the replay is draw-for-draw identical; only the *structure*
   (which sites exist, with which constants) is hoisted out of the
@@ -172,13 +173,13 @@ new path per novel decision sequence and would grow the trie without
 bound.  ``QCPConfig.trace_cache_max_nodes`` caps the node count:
 after each recording that exceeds the bound, the least-recently-used
 subtrees (by last replay/record visit) are evicted until the trie
-fits.  Recency is tracked **amortized**: every node sits on an
-intrusive doubly-linked list ordered by last touch, so a touch is
-O(1) and an eviction pass walks only the cold tail plus the evicted
-nodes themselves — no full-trie scoring scan per overflow (which made
-small bounds on hot RUS loops quadratic).  Because a shot touches
-nodes root-to-leaf, a parent is always at least as recent as its
-descendants, so detaching the coldest listed node always removes a
+fits.  Recency is tracked **amortized**: every node sits in an
+ordered dict by last touch, so a touch is one O(1) ``move_to_end``
+and an eviction pass pops only the cold front plus the evicted nodes
+themselves — no full-trie scoring scan per overflow (which made small
+bounds on hot RUS loops quadratic).  Because a shot touches nodes
+root-to-leaf, a parent is always at least as recent as its
+descendants, so detaching the coldest node always removes a
 coldest-first *subtree*.  The path touched by the current shot is
 never evicted, so the bound is best-effort when a single path is
 longer than the cap.
@@ -278,6 +279,7 @@ from __future__ import annotations
 
 import _random
 import random
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -287,7 +289,7 @@ from repro.qcp.config import QCPConfig
 from repro.qcp.decode import LOC_REG, LOC_SHARED
 from repro.qcp.registers import RegisterFile, SharedRegisters
 from repro.qpu.device import SimulatedQPU
-from repro.qpu.noise import NOISE_SEED_SALT, NoiseModel
+from repro.qpu.noise import NOISE_SEED_SALT, NoiseModel, ReadoutError
 from repro.qpu.stabilizer import StabilizerState
 from repro.qpu.statevector import (BatchStateVector, _lift,
                                    batch_block_applier, cached_unitary,
@@ -315,7 +317,7 @@ _D_MRCE = 1    # (_D_MRCE, result_qubit, target_qubit)
 # _compile_sign_node).  Every op carries both operand forms: first the
 # packed integer masks of the serial loop, whose state is one
 # arbitrary-precision integer holding the tableau's sign column (bit i
-# is row i), then the row-index tuples of the cohort loop, whose state
+# is row i), then the row-index tuples of the cohort walker, whose state
 # is one bit-plane integer per row (bit b is shot b).  A measurement's
 # target is its qubit in both forms, a reset's its zmask and its rows.
 _S_XOR = 0      # (_S_XOR, mask, rows)                r ^= mask
@@ -337,9 +339,9 @@ _V_UNITARY = 0  # (_V_UNITARY, matrix, support)
 _V_CHANNEL = 1  # (_V_CHANNEL, kind, params, ((support, (X, Y, Z)), ...))
 _V_DECAY = 2    # (_V_DECAY, qubit, gamma, sqrt(1 - gamma), p_dephase)
 _V_RESET = 3    # (_V_RESET, qubit)
-_V_MEAS = 4     # (_V_MEAS, qubit, corrupt or None)
-_V_CLS = 5      # (_V_CLS, proc_id, run)
-_V_FMR = 6      # (_V_FMR, proc_id, rd, qubit)
+_V_MEAS = 4     # (_V_MEAS, qubit)
+_V_CLS = 5      # (_V_CLS, run, defs, uses)
+_V_FMR = 6      # (_V_FMR, location, qubit)
 
 #: Sentinel returned by the shared replay epilogue when a shot
 #: completed at a recorded leaf.
@@ -448,30 +450,67 @@ class _ReplayProcessor:
 
 
 class _CohortState:
-    """The classical state of a bit-plane cohort, as value partitions.
+    """The classical state of a cohort, shared by all its sub-cohorts.
 
+    Every cohort walk (:meth:`TraceCache._replay_cohort`), sign or
+    dense, keeps one.  Delivered outcomes are one lane word per qubit
+    (``words``: bit ``slot`` is that shot's latest delivered bit), and
+    ``log`` holds every word delivered, in order: a cohort of one's
+    outcome stream.  ``shifts`` maps each summed fold ``δ`` to the
+    lanes that fired those folds.
+
+    Registers and shared words are value partitions:
     ``partitions[location]`` maps each value the location holds in
-    some lane to the mask of the lanes holding it (bit ``slot`` per
-    shot).  Locations are keyed like the decision slice's live sets
-    (:func:`_located`); a location never written holds 0 in every
-    lane.  No micro-op reads the zero register as a location: the
-    scratch facade reads it as 0.  Sub-cohorts share one state through
-    masked writes, as they share the delivered-outcome words, so a
-    split copies nothing.
+    some lane to the mask of the lanes holding it.  Locations are
+    keyed like the decision slice's live sets (:func:`_located`); a
+    location never written holds 0 in every lane.  No micro-op reads
+    the zero register as a location: the scratch facade reads it as 0.
+    Sub-cohorts share one state through masked writes, so a split
+    copies nothing.
 
-    Micro-ops run through :meth:`execute` and :meth:`branch`: the
+    Micro-ops run through :meth:`execute` and :meth:`decide`: the
     recorded closure runs once per distinct combination of its input
     values present in the cohort, on one reused scratch facade, and
-    the lanes are grouped by its result.  Nothing here draws an rng.
+    the lanes are grouped by its result.  Only :meth:`deliver` draws
+    an rng: a readout flip per lane.
     """
 
-    __slots__ = ("lanes", "partitions", "scratch")
+    __slots__ = ("lanes", "partitions", "scratch", "readout", "words",
+                 "log", "shifts")
 
-    def __init__(self, lanes: int, config: QCPConfig) -> None:
+    def __init__(self, lanes: int, config: QCPConfig,
+                 readout: ReadoutError | None = None) -> None:
         #: Every lane of the cohort (the initial wavefront).
         self.lanes = lanes
         self.partitions: dict[tuple, dict[int, int]] = {}
         self.scratch = _ReplayProcessor(SharedRegisters(), config)
+        self.readout = readout
+        self.words: dict[int, int] = {}
+        self.log: list[int] = []
+        self.shifts = {0: lanes}
+
+    def deliver(self, qubit: int, raw: int, cohort: "_Cohort") -> None:
+        """Deliver ``cohort``'s raw outcome word for ``qubit``.
+
+        The qubit's readout channel flips each lane's bit as
+        ``ReadoutError.corrupt`` does, with one draw of the lane's
+        noise rng.
+        """
+        if self.readout is not None:
+            # Per-qubit calibration resolves at the measurement site
+            # (identity on the uniform channel).
+            site = self.readout.for_qubit(qubit)
+            for slot, nrng in zip(cohort.slots, cohort.nrngs):
+                if nrng.random() < (site.p0_given_1 if (raw >> slot) & 1
+                                    else site.p1_given_0):
+                    raw ^= 1 << slot
+        self.words[qubit] = (self.words.get(qubit, 0) & ~cohort.lanes) | raw
+        self.log.append(raw)
+
+    def fetch(self, location: tuple, qubit: int, lanes: int) -> None:
+        """Replay a result fetch: each lane's delivered bit."""
+        word = self.words[qubit] & lanes
+        self.write(location, {1: word, 0: lanes ^ word}, lanes)
 
     def read(self, location: tuple, lanes: int) -> dict[int, int]:
         """``location``'s value partition restricted to ``lanes``."""
@@ -567,29 +606,73 @@ class _CohortState:
         for location, partition in zip(defs, results):
             self.write(location, partition, lanes)
 
-    def branch(self, run, uses: tuple, lanes: int) -> int:
-        """The lanes in which a recorded branch micro-op is taken."""
+    def decide(self, decision: tuple, uses: tuple | None,
+               lanes: int) -> int:
+        """The ``lanes`` that take edge 1 at a recorded decision: an
+        MRCE reads its outcome word, a branch (reading ``uses``) runs
+        its micro-op."""
+        if decision[0] == _D_MRCE:
+            return self.words[decision[1]] & lanes
         taken = 0
-        for disposition, mask in self._evaluate(run, uses, lanes):
+        for disposition, mask in self._evaluate(decision[2], uses, lanes):
             if disposition == "taken":
                 taken |= mask
         return taken
 
+    def shift(self, lanes: int, delta_ns: int) -> None:
+        """Run ``lanes`` ``delta_ns`` later: a fold's Pauli arm."""
+        moved: dict[int, int] = {}
+        for shift, mask in self.shifts.items():
+            for key, part in ((shift, mask & ~lanes),
+                              (shift + delta_ns, mask & lanes)):
+                if part:
+                    moved[key] = moved.get(key, 0) | part
+        self.shifts = moved
+
+    def group(self, measured: tuple, lanes: int, total_ns: int,
+              groups: list) -> None:
+        """Complete ``lanes`` at a leaf whose path measured
+        ``measured``: append one ``(lanes, key, total_ns)`` per
+        outcome and time offset to ``groups``.
+
+        The lanes are refined by each measured qubit's word in
+        sorted-qubit order, so a group's value word is its
+        :data:`OutcomeKey`'s ``bits``; histograms concentrate, so the
+        groups are few.
+        """
+        order = tuple(sorted(measured))
+        refined = [(lanes, 0)]
+        for index, qubit in enumerate(order):
+            word = self.words[qubit]
+            split = []
+            for part, values in refined:
+                ones = part & word
+                if ones:
+                    split.append((ones, values | 1 << index))
+                if ones != part:
+                    split.append((part ^ ones, values))
+            refined = split
+        for part, values in refined:
+            key = (order, values)
+            for shift, mask in self.shifts.items():
+                mask &= part
+                if mask:
+                    groups.append((mask, key, total_ns + shift))
+
 
 class _ReplayContext:
-    """Per-shot classical replay state of the serial sign loop and of
-    every dense cohort shot.
+    """Per-shot classical replay state of the serial sign loop.
 
-    Owns the pieces those loops need — the delivered-outcome map, the
+    Owns the pieces that loop needs — the delivered-outcome map, the
     chronological outcome list, the skipped-devop count, the time
     offset of the folds fired (``shift_ns``; ``pauli`` is the fold
     whose Pauli the next node replays first), and the lazily created
     per-processor register facades over one shared register file — so
-    a shot's decision (:func:`_decide`) and the serial sign loop's
-    decide/hit/resume epilogue (:meth:`TraceCache._epilogue`) are
-    written once against this object.  Every shot gets a fresh one.
-    Sign cohorts keep no per-shot context: their classical state is a
-    :class:`_CohortState`.
+    a shot's decision (:func:`_decide`), the loop's decide/hit/resume
+    epilogue (:meth:`TraceCache._epilogue`) and the recorder's
+    hand-over back to it are written once against this object.  Every
+    shot gets a fresh one.  Cohorts keep no per-shot context: their
+    classical state is a :class:`_CohortState`.
     """
 
     __slots__ = ("config", "delivered", "outcomes", "skip_ops",
@@ -615,10 +698,6 @@ class _ReplayContext:
             proc = self.procs[proc_id] = _ReplayProcessor(
                 self.shared, self.config)
         return proc
-
-    def write_fmr(self, proc_id: int, rd: int, qubit: int) -> None:
-        """Replay a result fetch: this shot's own delivered bit."""
-        self.proc(proc_id).registers.write(rd, self.delivered[qubit])
 
     def deliver(self, qubit: int, value: int) -> None:
         """Record one live measurement outcome."""
@@ -725,8 +804,7 @@ class TraceNode:
 
     ``last_used`` is the LRU stamp of the latest shot that replayed or
     recorded through this node; ``parent``/``edge`` locate the node in
-    the trie and ``lru_prev``/``lru_next`` link it into the cache's
-    recency list (amortized eviction, see :meth:`TraceCache._evict`).
+    the trie.
 
     ``live`` is the node's live set: the locations its own branch and
     its recorded children read from the classical state at its
@@ -745,9 +823,8 @@ class TraceNode:
 
     __slots__ = ("items", "decision", "children", "total_ns", "devops",
                  "decision_ns", "quiet", "fold", "snapshot",
-                 "last_used", "parent", "edge", "lru_prev", "lru_next",
-                 "live", "_program", "_exit_xz", "_exit_busy",
-                 "_exit_windows")
+                 "last_used", "parent", "edge", "live", "_program",
+                 "_exit_xz", "_exit_busy", "_exit_windows")
 
     def __init__(self) -> None:
         self.items: tuple | None = None
@@ -762,14 +839,12 @@ class TraceNode:
         self.last_used = 0
         self.parent: TraceNode | None = None
         self.edge: int | None = None
-        self.lru_prev: TraceNode | None = None
-        self.lru_next: TraceNode | None = None
         self.live: frozenset | None = None
-        #: The one compiled program its substrate's loops read: the
-        #: sign trace and its manifest on the tableau
+        #: The one compiled program its substrate's loops read, with
+        #: its :func:`_manifest`: the sign trace on the tableau
         #: (:meth:`sign_program`), the bound step list on the
         #: statevector (:meth:`dense_program`).
-        self._program: tuple | list | None = None
+        self._program: tuple | None = None
         #: Stabilizer sign-trace compilation: the model tableau's
         #: (x, z) columns at node exit, the entry state for compiling
         #: child nodes and the x/z half of a divergence-frontier
@@ -802,7 +877,8 @@ class TraceNode:
     def sign_program(self, state: StabilizerState,
                      noise: NoiseModel) -> tuple:
         """This node's compiled sign trace (stabilizer backends):
-        ``(ops, manifest)``, see :func:`_compile_sign_node`.
+        ``(ops, manifest)``, see :func:`_compile_sign_node` and
+        :func:`_manifest`.
 
         Along a fixed decision path, the tableau's x/z columns are
         *shot-invariant*: gates and measurement collapses never read
@@ -811,7 +887,7 @@ class TraceNode:
         node's segment therefore compiles to a handful of bit
         operations on the sign column, with one ``_S_NOISE`` site per
         noisy gate, and each op carries both the serial loop's packed
-        masks and the cohort loop's row tuples: one compilation serves
+        masks and the cohort walker's row tuples: one compilation serves
         both loops.  The compiler runs the device's own kernel on a
         model :class:`StabilizerState` chained from the parent node's
         exit columns (:func:`_model_at`); every walk compiles a parent
@@ -819,15 +895,15 @@ class TraceNode:
         """
         if self._program is None:
             model = _model_at(self.parent, state.n_qubits)
-            self._program = _compile_sign_node(self.live_items(),
-                                               self.decision, model,
-                                               noise)
+            items = self.live_items()
+            self._program = (_compile_sign_node(items, model, noise),
+                             _manifest(items, self.decision))
             self._exit_xz = model.snapshot()[:2]
         return self._program
 
-    def dense_program(self, qpu: SimulatedQPU) -> list:
-        """This node's dense program: its step list, compiled and bound
-        once.
+    def dense_program(self, qpu: SimulatedQPU) -> tuple:
+        """This node's dense program: ``(steps, manifest)``, its step
+        list compiled and bound once, and its :func:`_manifest`.
 
         The device's busy-until map and drive-window bookkeeping are
         *decision-path invariants* (they depend only on the recorded
@@ -838,7 +914,7 @@ class TraceNode:
         divergence-frontier resume can restore them into the live
         device; every walk compiles a parent before its children.
 
-        The steps are bound to closures over a :class:`_BatchCohort`
+        The steps are bound to closures over a :class:`_Cohort`
         argument (:func:`_bind_cohort`), so one compilation serves
         every wavefront, every ``take``-partitioned sub-cohort and
         every serial shot (a cohort of one) that passes through the
@@ -853,10 +929,12 @@ class TraceNode:
             else:
                 busy = dict(parent._exit_busy)
                 windows = dict(parent._exit_windows)
-            self._program = _bind_cohort(
-                _compile_dense_steps(self.live_items(), qpu, busy,
-                                     windows),
-                qpu.state.n_qubits)
+            items = self.live_items()
+            self._program = (
+                _bind_cohort(_compile_dense_steps(items, qpu, busy,
+                                                  windows),
+                             qpu.state.n_qubits),
+                _manifest(items, self.decision))
             self._exit_busy = busy
             self._exit_windows = windows
         return self._program
@@ -887,8 +965,7 @@ class _Fold:
         node, whose program is compiled), for both sign loops."""
         if self._program is None:
             self._program = _compile_sign_node(
-                (self.op + (0,),), None, _model_at(node, state.n_qubits),
-                noise)[0]
+                (self.op + (0,),), _model_at(node, state.n_qubits), noise)
         return self._program
 
 
@@ -924,8 +1001,8 @@ def _model_at(node: TraceNode | None, n: int) -> StabilizerState:
     return model
 
 
-def _compile_sign_node(items: tuple, decision: tuple | None,
-                       model: StabilizerState, noise: NoiseModel) -> tuple:
+def _compile_sign_node(items: tuple, model: StabilizerState,
+                       noise: NoiseModel) -> list:
     """Compile a node's segment into sign-column operations.
 
     ``model`` is the model tableau at node entry (:func:`_model_at`);
@@ -943,20 +1020,11 @@ def _compile_sign_node(items: tuple, decision: tuple | None,
     no site — the device layer applies no gate noise after a reset.
 
     Every op carries both operand forms (see ``_S_*``), so the serial
-    loop and the bit-plane cohort loop read one list, op for op.
+    loop and the bit-plane cohort walker read one list, op for op.
     Serial replay draws one measurement-rng ``random()`` per
     measurement and reset, so the node consumes a fixed number of
-    draws.  Classical ops carry their cohort-state locations.
-
-    Returns ``(ops, manifest)``.  The manifest is ``(measured,
-    branch_uses, draws)``: the measured qubits in program order, which
-    the wavefront accumulates along its path so a completed shot can
-    materialize its delivered map from the cohort-level outcome words
-    in one pass; the locations ``decision`` reads (``None`` for an
-    MRCE or a leaf); and the node's draw count.  It is ``None`` when a
-    micro-op of the node has no def/use sets: a cohort cannot tell
-    which values it reads, so the node is closed to cohorts and they
-    hand its lanes to the serial loop (fail closed).
+    draws, and a random op carries its draw's index among them.
+    Classical ops carry their cohort-state locations.
     """
     depolarizing = noise.depolarizing
     two_qubit = noise.two_qubit_depolarizing
@@ -968,9 +1036,7 @@ def _compile_sign_node(items: tuple, decision: tuple | None,
     has_gate_noise = (depolarizing is not None or two_qubit is not None
                       or pauli is not None)
     program: list = []
-    measured: list = []
     draws = 0
-    closed = False
     pending = 0
 
     def flush() -> None:
@@ -1030,27 +1096,50 @@ def _compile_sign_node(items: tuple, decision: tuple | None,
                                 pivot, pivot - model.n_qubits, tmask,
                                 gmask, target, _set_bits(tmask),
                                 _set_bits(gmask), draws, rows))
-            if not reset:
-                measured.append(qubit)
             draws += 1
         elif tag == REC_CLS:
             flush()
-            effects = _cohort_effects(item[1], item[2])
-            closed = closed or effects is None
             program.append((_S_CLS, item[1], item[2])
-                           + (effects or (None, None)))
+                           + (_cohort_effects(item[1], item[2])
+                              or (None, None)))
         else:  # REC_FMR
             flush()
             program.append((_S_FMR, item[1], item[2], item[3],
                             (item[1], item[2])))
     flush()
+    return program
+
+
+def _manifest(items: tuple, decision: tuple | None) -> tuple | None:
+    """What a cohort walk reads of a node besides its program.
+
+    ``(measured, branch_uses, draws)``: the measured qubits in program
+    order, which the wavefront accumulates along its path to key its
+    leaf groups; the locations ``decision`` reads (``None`` for an
+    MRCE or a leaf); and the node's measurements and resets, a sign
+    node's measurement-rng draws.  ``None`` when a micro-op of the
+    node has no def/use sets: a cohort cannot tell which values it
+    reads, so the node is closed to cohorts (fail closed) — a cohort's
+    lanes there go back to the serial path, and a cohort of one
+    resumes cycle-accurately at the node's entry.
+    """
+    measured = []
+    draws = 0
+    for item in items:
+        tag = item[0]
+        if tag == REC_CLS and _cohort_effects(item[1], item[2]) is None:
+            return None
+        if tag == REC_MEAS:
+            measured.append(item[1])
+        if tag == REC_MEAS or tag == REC_RESET:
+            draws += 1
     branch_uses = None
     if decision is not None and decision[0] == _D_BRANCH:
         effects = _cohort_effects(decision[1], decision[2])
-        closed = closed or effects is None
-        branch_uses = None if effects is None else effects[1]
-    return program, None if closed else (tuple(measured), branch_uses,
-                                         draws)
+        if effects is None:
+            return None
+        branch_uses = effects[1]
+    return tuple(measured), branch_uses, draws
 
 
 def _set_bits(mask: int) -> tuple:
@@ -1091,7 +1180,7 @@ def _coin_words(streams: list, draws: int) -> list:
 def _cohort_effects(proc_id: int, run) -> tuple | None:
     """A micro-op's ``(defs, uses)`` as cohort-state locations, or
     ``None`` for a micro-op without def/use sets, which closes its
-    node to cohorts (:func:`_compile_sign_node`)."""
+    node to cohorts (:func:`_manifest`)."""
     effects = getattr(run, "effects", None)
     if effects is None:
         return None
@@ -1220,7 +1309,6 @@ def _compile_dense_steps(items: tuple, qpu: SimulatedQPU,
     noise = qpu.noise
     decoherence = noise.decoherence
     zz = noise.zz
-    readout = noise.readout
     duration_of = qpu.gate_duration_ns
     steps: list = []
     block = _DenseBlockCompiler(steps, fuse,
@@ -1309,59 +1397,77 @@ def _compile_dense_steps(items: tuple, qpu: SimulatedQPU,
             decay_sites(time_ns, (qubit,))
             busy[qubit] = time_ns + duration_of("measure", (qubit,))
             block.flush()
-            # The qubit's calibrated readout channel resolves here
-            # (for_qubit is identity on the uniform channel).
-            steps.append((_V_MEAS, qubit,
-                          None if readout is None
-                          else readout.for_qubit(qubit).corrupt))
+            # The cohort state applies the readout channel.
+            steps.append((_V_MEAS, qubit))
         elif tag == REC_CLS:
             # Classical micro-ops never touch the quantum state, so
             # they need no gate flush; program order within the
             # segment is preserved for everything that matters (the
-            # delivered-outcome map is only written at measure steps,
-            # which do flush).
-            steps.append((_V_CLS, item[1], item[2]))
+            # outcome words are only written at measure steps, which
+            # do flush).  A micro-op without def/use sets closes the
+            # node (:func:`_manifest`), so its step never runs.
+            steps.append((_V_CLS, item[2])
+                         + (_cohort_effects(item[1], item[2])
+                            or (None, None)))
         else:  # REC_FMR
-            steps.append((_V_FMR, item[1], item[2], item[3]))
+            steps.append((_V_FMR, (item[1], item[2]), item[3]))
     block.flush()
     return steps
 
 
-class _BatchCohort:
+class _Cohort:
     """The live shots of one wavefront branch, advanced in lockstep.
 
-    Pairs the stacked quantum state (:class:`BatchStateVector` row
-    ``b``) with shot ``b``'s classical replay context and its two
-    seeded rngs — measurement (``_random.Random(seed)``, the generator
-    ``random.Random(seed)`` wraps) and noise
-    (``random.Random(seed ^ NOISE_SEED_SALT)``, ``nrngs`` is ``None``
-    on an ideal model), the exact per-shot streams
-    :meth:`~repro.qpu.device.SimulatedQPU.restart` would seed; a serial
-    shot's cohort of one carries the device's own rngs after that
-    restart — plus the shot's lane in the cohort.
-    ``take`` is the wavefront partition primitive.
+    Shot ``slots[b]`` (ascending; ``lanes`` is their mask) is row
+    ``b`` of the stacked amplitudes on the dense backend
+    (:class:`BatchStateVector`; ``batch`` is ``None`` for a sign
+    cohort, whose bit-planes its walk shares between sub-cohorts) and
+    of the two seeded rng lists — measurement
+    (``_random.Random(seed)``, the generator ``random.Random(seed)``
+    wraps) and noise (``random.Random(seed ^ NOISE_SEED_SALT)``;
+    ``nrngs`` is ``None`` on an ideal model), the exact per-shot
+    streams :meth:`~repro.qpu.device.SimulatedQPU.restart` would
+    seed.  A serial dense shot's cohort of one carries the device's
+    own rngs after that restart.  Every sub-cohort shares its root's
+    classical ``state``; ``take`` is the wavefront partition
+    primitive.
     """
 
-    __slots__ = ("batch", "slots", "ctxs", "srngs", "nrngs")
+    __slots__ = ("batch", "slots", "lanes", "srngs", "nrngs", "state")
 
-    def __init__(self, batch: BatchStateVector, slots: list,
-                 ctxs: list, srngs: list, nrngs: list) -> None:
+    def __init__(self, batch: BatchStateVector | None, slots: list,
+                 lanes: int, srngs: list, nrngs: list | None,
+                 state: _CohortState | None) -> None:
         self.batch = batch
         self.slots = slots
-        self.ctxs = ctxs
+        self.lanes = lanes
         self.srngs = srngs
         self.nrngs = nrngs
+        self.state = state
 
-    def take(self, rows: list) -> "_BatchCohort":
-        """The sub-cohort of the given rows (self when all survive)."""
-        if len(rows) == len(self.slots):
+    @classmethod
+    def root(cls, qpu: SimulatedQPU, config: QCPConfig, srngs: list,
+             nrngs: list | None) -> "_Cohort":
+        """A walk's first cohort on ``qpu``'s substrate: shot ``b`` in
+        lane ``b``, drawing ``srngs[b]`` and ``nrngs[b]``."""
+        width = len(srngs)
+        lanes = (1 << width) - 1
+        return cls(qpu.state.make_batch_state(width), list(range(width)),
+                   lanes, srngs, nrngs,
+                   _CohortState(lanes, config, qpu.noise.readout))
+
+    def take(self, lanes: int) -> "_Cohort":
+        """The sub-cohort of ``lanes`` (self when all survive)."""
+        if lanes == self.lanes:
             return self
-        return _BatchCohort(self.batch.take(rows),
-                            [self.slots[r] for r in rows],
-                            [self.ctxs[r] for r in rows],
-                            [self.srngs[r] for r in rows],
-                            None if self.nrngs is None
-                            else [self.nrngs[r] for r in rows])
+        rows = [row for row, slot in enumerate(self.slots)
+                if (lanes >> slot) & 1]
+        batch, nrngs = self.batch, self.nrngs
+        return _Cohort(None if batch is None else batch.take(rows),
+                       [self.slots[row] for row in rows], lanes,
+                       [self.srngs[row] for row in rows],
+                       None if nrngs is None
+                       else [nrngs[row] for row in rows], self.state)
 
 
 def _batch_channel_step(kind: str, params, appliers: tuple):
@@ -1395,7 +1501,7 @@ def _batch_channel_step(kind: str, params, appliers: tuple):
                 elif draw < cxyz:
                     fired[2].append(row)
 
-    def step(cohort: _BatchCohort) -> None:
+    def step(cohort: _Cohort) -> None:
         for triplet in appliers:
             fired: tuple[list, list, list] = ([], [], [])
             fire(cohort.nrngs, fired)
@@ -1444,7 +1550,7 @@ def _cohort_noise(op: tuple, slots, nrngs: list, planes: list) -> None:
                         planes[row] ^= flips
 
 
-def _collapse_cohort(cohort: _BatchCohort, qubit: int) -> list:
+def _collapse_cohort(cohort: _Cohort, qubit: int) -> list:
     """Measure ``qubit`` in every shot of a cohort; the raw outcomes.
 
     One cohort-wide probability reduction replaces per-shot scans;
@@ -1458,13 +1564,15 @@ def _collapse_cohort(cohort: _BatchCohort, qubit: int) -> list:
 
 
 def _bind_cohort(steps: list, n: int) -> list:
-    """Bind a dense step list to closures over a :class:`_BatchCohort`.
+    """Bind a dense step list to closures over a :class:`_Cohort`.
 
     Every operator becomes one ``np.matmul`` call over the cohort's
     stacked amplitudes, which runs each row's own GEMM
     (:func:`~repro.qpu.statevector.batch_block_applier`);
     measurements become one cohort probability reduction plus
-    per-shot draws and collapse; idle decay runs the cohort form of
+    per-shot draws and collapse, delivered as one outcome word to the
+    cohort's classical state, which also runs the classical steps
+    (:class:`_CohortState`); idle decay runs the cohort form of
     the serial kernel
     (:meth:`~repro.qpu.statevector.BatchStateVector.apply_decay`);
     every stochastic site draws each shot's own rngs in serial order
@@ -1494,7 +1602,7 @@ def _bind_cohort(steps: list, n: int) -> list:
         elif code == _V_RESET:
             flip = batch_block_applier(n, cached_unitary("x"), (step[1],))
 
-            def reset(cohort: _BatchCohort, q=step[1], flip=flip) -> None:
+            def reset(cohort: _Cohort, q=step[1], flip=flip) -> None:
                 ones = [row for row, outcome
                         in enumerate(_collapse_cohort(cohort, q))
                         if outcome]
@@ -1502,29 +1610,21 @@ def _bind_cohort(steps: list, n: int) -> list:
                     flip(cohort.batch, np.array(ones, dtype=np.intp))
             program.append(reset)
         elif code == _V_MEAS:
-            def measure(cohort: _BatchCohort, q=step[1],
-                        corrupt=step[2]) -> None:
-                outcomes = _collapse_cohort(cohort, q)
-                if corrupt is None:
-                    for row, ctx in enumerate(cohort.ctxs):
-                        ctx.deliver(q, outcomes[row])
-                else:
-                    for row, ctx in enumerate(cohort.ctxs):
-                        ctx.deliver(q, corrupt(outcomes[row],
-                                               cohort.nrngs[row]))
+            def measure(cohort: _Cohort, q=step[1]) -> None:
+                raw = 0
+                for slot, outcome in zip(cohort.slots,
+                                         _collapse_cohort(cohort, q)):
+                    if outcome:
+                        raw |= 1 << slot
+                cohort.state.deliver(q, raw, cohort)
             program.append(measure)
         elif code == _V_CLS:
-            def cls_step(cohort: _BatchCohort,
-                         run=step[2], pid=step[1]) -> None:
-                for ctx in cohort.ctxs:
-                    run(ctx.proc(pid))
-            program.append(cls_step)
+            program.append(lambda cohort, run=step[1], defs=step[2],
+                           uses=step[3]: cohort.state.execute(
+                               run, defs, uses, cohort.lanes))
         else:  # _V_FMR
-            def fmr_step(cohort: _BatchCohort, pid=step[1],
-                         rd=step[2], q=step[3]) -> None:
-                for ctx in cohort.ctxs:
-                    ctx.write_fmr(pid, rd, q)
-            program.append(fmr_step)
+            program.append(lambda cohort, location=step[1], q=step[2]:
+                           cohort.state.fetch(location, q, cohort.lanes))
     return program
 
 
@@ -2008,31 +2108,20 @@ class TraceCache:
         #: value is exact; a short stream is topped up on the way.
         self.stream_draws = 0
         self._tick = 0
-        # Intrusive recency list (amortized LRU): head side is most
-        # recent.  Every non-root node is linked; the root is covered
-        # by the current-path rule (its stamp always equals the
-        # newest tick) and has no parent edge to detach anyway.
-        self._lru_head = TraceNode()
-        self._lru_tail = TraceNode()
-        self._lru_head.lru_next = self._lru_tail
-        self._lru_tail.lru_prev = self._lru_head
+        #: Every non-root node, least recently touched first (amortized
+        #: LRU).  The root is covered by the current-path rule (its
+        #: stamp always equals the newest tick) and has no parent edge
+        #: to detach anyway.
+        self._lru: OrderedDict[TraceNode, None] = OrderedDict()
 
     def _touch(self, node: TraceNode) -> None:
         """Stamp ``node`` and move it to the recent end — O(1)."""
         node.last_used = self._tick
-        if node.parent is None:
-            return
-        prev = node.lru_prev
-        if prev is not None:
-            nxt = node.lru_next
-            prev.lru_next = nxt
-            nxt.lru_prev = prev
-        head = self._lru_head
-        first = head.lru_next
-        node.lru_prev = head
-        node.lru_next = first
-        head.lru_next = node
-        first.lru_prev = node
+        if node.parent is not None:
+            try:
+                self._lru.move_to_end(node)
+            except KeyError:  # a new node
+                self._lru[node] = None
 
     # -- replay ------------------------------------------------------------
 
@@ -2069,37 +2158,27 @@ class TraceCache:
             return self._replay_signs(node, qpu)
         # A dense shot is a cohort of one that draws the device's own
         # rngs, so on a miss both are already at the frontier.
-        ctx = _ReplayContext(self.config)
-        cohort = _BatchCohort(qpu.state.make_batch_state(1), [0], [ctx],
-                              [qpu.state.rng],
+        cohort = _Cohort.root(qpu, self.config, [qpu.state.rng],
                               None if qpu.noise.is_ideal
                               else [qpu.noise.rng])
         groups: list = []
-        frontier = self._replay_batch_dense(node, qpu, cohort, groups)
+        frontier = self._replay_cohort(node, qpu, cohort, groups)
         if groups:
-            return ctx.delivered, groups[0][2]
+            ((_lane, (measured, bits), total_ns),) = groups
+            return ({qubit: (bits >> index) & 1
+                     for index, qubit in enumerate(measured)}, total_ns)
         # Move the frontier into the live device: its amplitudes, and
         # the bookkeeping the resumed cycle-accurate suffix reads (idle
-        # gaps, ZZ windows).
+        # gaps, ZZ windows), which the restart above cleared.
         qpu.state.restore(cohort.batch.amplitudes[0])
-        qpu._busy_until.clear()
-        qpu._busy_until.update(frontier._exit_busy)
-        qpu._windows.clear()
-        qpu._windows.update(frontier._exit_windows)
-        ctx.skip_ops = sum(ancestor.devops
-                           for ancestor in _ancestry(frontier))
-        return self._resume_point(ctx)
-
-    def _resume_point(self, ctx: _ReplayContext,
-                      node: TraceNode | None = None) -> ResumePoint:
-        if not ctx.simulated:
-            ctx.simulated = True
-            self.misses += 1
-            self.resumes += 1
-        # No copy: a context is the shot's own, and nothing appends to
-        # its outcomes once the shot has missed.
-        return ResumePoint(skip_ops=ctx.skip_ops, outcomes=ctx.outcomes,
-                           node=node, ctx=None if node is None else ctx)
+        if frontier is not None:
+            qpu._busy_until.update(frontier._exit_busy)
+            qpu._windows.update(frontier._exit_windows)
+        self.misses += 1
+        self.resumes += 1
+        return ResumePoint(skip_ops=sum(ancestor.devops for ancestor
+                                        in _ancestry(frontier)),
+                           outcomes=cohort.state.log)
 
     def _epilogue(self, node: TraceNode,
                   ctx: _ReplayContext) -> "TraceNode | object | None":
@@ -2112,7 +2191,7 @@ class TraceCache:
         :class:`TraceNode` to continue into, the :data:`_HIT` sentinel
         when the shot completed at a recorded leaf (hit counted here),
         or ``None`` on a trie miss: the sign loop then materializes the
-        frontier tableau and returns :meth:`_resume_point`.
+        frontier tableau and returns a :class:`ResumePoint`.
 
         At a folded decision the Pauli arm continues in the identity
         arm's child: the epilogue adds the fold's ``δ`` to the shot's
@@ -2245,8 +2324,8 @@ class TraceCache:
                         r ^= op[3]
                 elif code == _S_CLS:
                     op[2](ctx.proc(op[1]))
-                else:  # _S_FMR
-                    ctx.write_fmr(op[1], op[2], op[3])
+                else:  # _S_FMR: this shot's own delivered bit
+                    ctx.proc(op[1]).registers.write(op[2], delivered[op[3]])
             nxt = self._epilogue(node, ctx)
             if nxt is _HIT:
                 return delivered, node.total_ns + ctx.shift_ns
@@ -2256,7 +2335,13 @@ class TraceCache:
                 # column.  Both rngs are already at their frontier
                 # positions.
                 state.restore(node._exit_xz + (r,))
-                return self._resume_point(ctx, node)
+                if not ctx.simulated:
+                    ctx.simulated = True
+                    self.misses += 1
+                    self.resumes += 1
+                # No copy: a context is the shot's own, and nothing
+                # appends to its outcomes once the shot has missed.
+                return ResumePoint(ctx.skip_ops, ctx.outcomes, node, ctx)
             node = nxt
 
     # -- batched (wavefront) replay ----------------------------------------
@@ -2265,14 +2350,15 @@ class TraceCache:
                      ) -> tuple[list, int]:
         """Replay a cohort of shot seeds through the trie at once.
 
-        The trie is traversed as a **wavefront**: every compiled
-        segment executes once for all live shots — integer bit-plane
-        XORs on stabilizer substrates, batch GEMMs on dense ones —
-        while every shot draws its own seeded rngs (the exact streams
-        ``qpu.restart(seed)`` would produce; a sign cohort takes each
-        shot's measurement draws in one ``getrandbits``), and each
-        decision partitions the cohort across child edges.  Shot
-        ``seeds[lane]`` is lane ``lane``.
+        The trie is traversed as a **wavefront**
+        (:meth:`_replay_cohort`): every compiled segment executes once
+        for all live shots — integer bit-plane XORs on stabilizer
+        substrates, batch GEMMs on dense ones — while every shot draws
+        its own seeded rngs (the exact streams ``qpu.restart(seed)``
+        would produce; a sign cohort takes each shot's measurement
+        draws in one ``getrandbits``), and each decision partitions the
+        cohort across child edges.  Shot ``seeds[lane]`` is lane
+        ``lane``.
 
         Returns ``(groups, left)``.  ``groups`` holds one ``(lanes,
         key, total_ns)`` per leaf group: the lanes a wavefront
@@ -2281,10 +2367,9 @@ class TraceCache:
         :meth:`replay`.  ``left`` is the mask of the lanes that left
         the cached trie or reached a node closed to cohorts; the
         caller runs those through the serial per-shot path, which
-        records new paths as usual.  Every replay mode has a batch
-        kernel.  The live QPU's state and rngs are never touched —
-        cohorts carry their own — but its per-shot logs are cleared,
-        as any serial replay would.
+        records new paths as usual.  The live QPU's state and rngs are
+        never touched — cohorts carry their own — but its per-shot
+        logs are cleared, as any serial replay would.
         """
         groups: list = []
         everyone = (1 << len(seeds)) - 1
@@ -2301,21 +2386,15 @@ class TraceCache:
         # Lane measurement rngs are ``_random.Random``: the generator
         # ``random.Random`` wraps, seeded alike from an int and cheaper
         # to construct.  Noise rngs stay ``random.Random``, whose
-        # ``choice`` depolarizing sites draw.
-        if self.mode == "signs":
-            self._replay_batch_signs(node, qpu, seeds, groups)
-        else:
-            cohort = _BatchCohort(
-                qpu.state.make_batch_state(len(seeds)),
-                list(range(len(seeds))),
-                [_ReplayContext(self.config) for _ in seeds],
-                [_random.Random(seed) for seed in seeds],
-                # Channel firings, readout flips and dephasing are the
-                # only noise-rng consumers; an ideal substrate never
-                # draws them, so skip the per-shot Mersenne seeding.
-                None if qpu.noise.is_ideal else
-                [random.Random(seed ^ NOISE_SEED_SALT) for seed in seeds])
-            self._replay_batch_dense(node, qpu, cohort, groups)
+        # ``choice`` depolarizing sites draw.  Channel firings, readout
+        # flips and dephasing are the only noise-rng consumers; an
+        # ideal substrate never draws them, so skip the per-shot
+        # Mersenne seeding.
+        self._replay_cohort(node, qpu, _Cohort.root(
+            qpu, self.config, [_random.Random(seed) for seed in seeds],
+            None if qpu.noise.is_ideal else
+            [random.Random(seed ^ NOISE_SEED_SALT) for seed in seeds]),
+            groups)
         # Every shot ends in a leaf group or leaves the cohort for the
         # serial path.
         left = everyone
@@ -2326,28 +2405,26 @@ class TraceCache:
         self.serial_fallbacks += fallbacks
         return groups, left
 
-    def _split_cohort(self, node: TraceNode, slots: list, lanes: int,
+    def _split_cohort(self, node: TraceNode, cohort: _Cohort,
                       taken: int) -> list:
         """Partition a cohort across its node's decision edges.
 
-        The one edge selection of both batched loops.  ``lanes`` is
-        the cohort's lane mask (bit ``slot`` for each shot in
-        ``slots``) and ``taken`` the lanes whose decision took edge 1.
-        Lanes whose edge leads off the cached trie get no edge: they
-        are left for the serial path.  A cohort that
-        divides across continuations counts ``wavefront_splits``.
-        Returns ``[(child, rows, child_lanes)]``
-        for the surviving sub-cohorts in push order — the edge of the
-        cohort's first slot first — with ``rows`` indexing ``slots``.
-        A folded node does not split: every lane continues in the
-        identity arm (the sign loop has replayed the Pauli-arm lanes'
-        Pauli).
+        The one edge selection of the cohort walker.  ``taken`` holds
+        the lanes whose decision took edge 1.  Lanes whose edge leads
+        off the cached trie get no edge: they are left for the serial
+        path.  A cohort that divides across continuations counts
+        ``wavefront_splits``.  Returns ``[(child, sub_cohort)]`` for
+        the surviving sub-cohorts in push order — the edge of the
+        cohort's first slot first.  A folded node does not split:
+        every lane continues in the identity arm (the walker has
+        replayed the Pauli-arm lanes' Pauli).
         """
+        lanes = cohort.lanes
         if node.fold is not None:
             taken = 0 if node.fold.edge else lanes
         edges = []
         fallback = 0
-        first = (taken >> slots[0]) & 1
+        first = 1 if taken & lanes & -lanes else 0
         for outcome in (first, first ^ 1):
             mask = taken if outcome else lanes & ~taken
             if not mask:
@@ -2355,280 +2432,184 @@ class TraceCache:
             child = node.children.get(outcome)
             if child is None or child.items is None:
                 fallback = 1
-            elif mask == lanes:
-                edges.append((child, range(len(slots)), mask))
             else:
-                edges.append((child,
-                              [row for row, slot in enumerate(slots)
-                               if (mask >> slot) & 1], mask))
+                edges.append((child, cohort.take(mask)))
         parts = len(edges) + fallback
         if parts > 1:
             self.wavefront_splits += parts - 1
         return edges
 
-    def _replay_batch_signs(self, root: TraceNode, qpu: SimulatedQPU,
-                            seeds: list, groups: list) -> None:
-        """Wavefront sign-trace replay over integer bit-planes.
+    def _replay_cohort(self, root: TraceNode, qpu: SimulatedQPU,
+                       cohort: _Cohort, groups: list) -> TraceNode | None:
+        """The wavefront walk of a cohort, sign or dense, from ``root``.
 
-        The cohort's sign columns are bit-planes: ``planes[row]`` is one
-        Python int whose bit ``slot`` is that shot's sign bit for the
-        tableau row.  A compiled ``_S_XOR`` advances every live shot
-        with one integer XOR per touched row, and a deterministic
-        measurement's outcome lanes are the XOR of its rows.
-        Sub-cohorts that split at a decision keep sharing the planes
-        through disjoint lane masks.
+        ``cohort`` is the walk's first cohort (:meth:`_Cohort.root`),
+        whose row ``b`` is lane ``b``.  Every node's compiled program
+        runs once for the whole cohort.
+        Only that step is substrate-specific, with the sign stream
+        top-up and the Pauli-arm fold flips:
 
-        Each shot draws its measurement rng once per walk, not once per
-        op.  Serial replay makes one ``random()`` per measurement and
-        reset; ``getrandbits(64 * k)`` leaves the Mersenne Twister where
-        ``k`` such calls leave it, and draw ``i``'s ``random() < 0.5``
-        holds exactly when bit ``64 * i + 31`` is clear.  So every shot
-        draws its stream at the root, sized by :attr:`stream_draws`, and
-        one transpose turns the root streams into a coin word per draw
-        (:func:`_coin_words`).  A sub-cohort carries its stream offset,
-        which all its shots share because they took the same path, and
-        tops up its own shots when it runs past the drawn length.  A
-        random-pivot measurement or reset reads its lanes' coins as one
-        masked coin word, or lane by lane from a topped-up stream;
-        deterministic ones draw nothing.  Over-drawing is safe: the
-        streams are private, and a shot that leaves the trie reruns
-        from its seed.  Noise sites and readout flips draw each shot's
-        own noise rng in serial order.
+        * **Signs.**  The cohort's sign columns are bit-planes:
+          ``planes[row]`` is one Python int whose bit ``slot`` is that
+          shot's sign bit for the tableau row.  A compiled ``_S_XOR``
+          advances every live shot with one integer XOR per touched
+          row, and a deterministic measurement's outcome lanes are the
+          XOR of its rows.  Sub-cohorts share the planes through
+          disjoint lane masks.  Each shot draws its measurement rng
+          once per walk: serial replay makes one ``random()`` per
+          measurement and reset, ``getrandbits(64 * k)`` leaves the
+          Mersenne Twister where ``k`` such calls leave it, and draw
+          ``i``'s ``random() < 0.5`` holds exactly when bit ``64 * i +
+          31`` is clear.  So every shot draws its stream at the root,
+          sized by :attr:`stream_draws`, and one transpose turns the
+          streams into a coin word per draw (:func:`_coin_words`).  A
+          sub-cohort carries its stream offset, which all its shots
+          share because they took the same path, and tops up its own
+          shots when it runs past the drawn length; a topped-up draw is
+          read lane by lane.  Over-drawing is safe: the streams are
+          private, and a shot that leaves the trie reruns from its
+          seed.  A folded MRCE does not split the cohort: its
+          Pauli-arm lanes get the Pauli's XOR and noise site and the
+          fold's ``δ``.
+        * **Dense.**  The cohort is a ``(width, 2^n)``
+          :class:`BatchStateVector`, and each node's bound steps
+          (:meth:`TraceNode.dense_program`) push block operators
+          through it as batch GEMMs; a measurement reduces to one
+          probability reduction over the whole matrix.  Decision
+          splits gather-copy the partitioned rows into child cohorts.
 
-        Everything classical is decided once per cohort, not once per
-        shot.  Delivered outcomes are one lane word per qubit, and the
-        registers and shared words are value partitions
-        (:class:`_CohortState`).  A fetch writes its qubit's outcome
-        word; a classical op or branch runs its recorded closure once
-        per distinct input combination present; an MRCE decision reads
-        the outcome word.  Each decision so yields a taken-lane mask
-        for :meth:`_split_cohort`.  A node closed to cohorts (a
-        micro-op without def/use sets, see :func:`_compile_sign_node`)
-        hands the whole cohort to the serial loop (fail closed).  A
-        folded MRCE does not split the cohort: its Pauli-arm lanes get
-        the Pauli's XOR and noise site and the fold's ``δ``.  A leaf
-        completes its whole cohort at once: it refines its lanes by the
-        outcome word of each measured qubit in sorted order, so a
-        group's value word is its :data:`OutcomeKey`'s ``bits``, and
-        appends one group per outcome and time offset to ``groups``.
+        Everything classical is the cohort's :class:`_CohortState`,
+        decided once per cohort, not once per shot: outcomes are
+        delivered as lane words (readout flips drawn from each shot's
+        own noise rng), a fetch writes its qubit's word, a classical
+        op or branch runs its recorded closure once per distinct input
+        combination present, and an MRCE decision reads its word.
+        Each decision so yields a taken-lane mask for
+        :meth:`_split_cohort`.  A leaf completes its whole cohort at
+        once, appending its lane groups to ``groups``
+        (:meth:`_CohortState.group`).  A node closed to cohorts (a
+        micro-op without def/use sets, see :func:`_manifest`) leaves
+        its lanes at its entry (fail closed).
+
+        Returns where lanes last left the trie: the node whose
+        decision had no edge, the parent of a closed node (``None`` at
+        the root), or ``None`` when none left.  A cohort of one that
+        completes no group stands at that frontier (:meth:`replay`).
         """
-        state: StabilizerState = qpu.state
+        signs = self.mode == "signs"
+        state = cohort.state
         noise = qpu.noise
-        readout = noise.readout
-        width = len(seeds)
-        planes = [0] * (2 * state.n_qubits)
-        srngs = [_random.Random(seed) for seed in seeds]
-        drawn = self.stream_draws
-        streams = [rng.getrandbits(64 * drawn) for rng in srngs]
-        # coins[d]: the lanes whose root-drawn draw d is heads.
-        coins = _coin_words(streams, drawn)
-        # The noise rng is only ever drawn by channel sites and readout
-        # corruption; on an ideal substrate skipping its (expensive)
-        # Mersenne seeding halves the per-shot rng cost.
-        nrngs = ([random.Random(seed ^ NOISE_SEED_SALT)
-                  for seed in seeds]
-                 if readout is not None or not noise.is_ideal else None)
-        # Measurement outcomes live in one arbitrary-precision integer
-        # per qubit (bit b = shot b's latest outcome).
-        delivered_words: dict[int, int] = {}
-        everyone = (1 << width) - 1
-        #: Time-offset classes: the summed δ of the folds a lane fired
-        #: -> the mask of those lanes (sub-cohorts share it, like the
-        #: outcome words).
-        shifts = {0: everyone}
-        classical = _CohortState(everyone, self.config)
-
-        def deliver(qubit: int, raw: int, slots: list, cmask: int) -> None:
-            if readout is not None:
-                # Per-qubit readout calibration resolves at the
-                # measurement site (identity on the uniform channel).
-                site = readout.for_qubit(qubit)
-                p0_given_1 = site.p0_given_1
-                p1_given_0 = site.p1_given_0
-                for slot in slots:
-                    bit = (raw >> slot) & 1
-                    flip = p0_given_1 if bit else p1_given_0
-                    if nrngs[slot].random() < flip:
-                        raw ^= 1 << slot
-            delivered_words[qubit] = (
-                (delivered_words.get(qubit, 0) & ~cmask) | raw)
-
-        stack: list[tuple] = [(root, list(range(width)), (), everyone,
-                               0, drawn)]
+        drawn = 0
+        if signs:
+            tableau = qpu.state
+            planes = [0] * (2 * tableau.n_qubits)
+            # The root's rng lists, indexed by lane (row b is lane b).
+            srngs, nrngs = cohort.srngs, cohort.nrngs
+            drawn = self.stream_draws
+            streams = [srng.getrandbits(64 * drawn) for srng in srngs]
+            # coins[d]: the lanes whose root-drawn draw d is heads.
+            coins = _coin_words(streams, drawn)
+        frontier = None
+        stack: list[tuple] = [(root, cohort, (), 0, drawn)]
         while stack:
-            node, slots, measured, cmask, offset, drawn = stack.pop()
+            node, cohort, measured, offset, drawn = stack.pop()
             self._touch(node)
-            ops, manifest = node.sign_program(state, noise)
+            program, manifest = (node.sign_program(tableau, noise) if signs
+                                 else node.dense_program(qpu))
             if manifest is None:
+                frontier = node.parent
                 continue  # closed to cohorts
             node_measured, branch_uses, draws = manifest
-            if offset + draws > drawn:
-                extra = 64 * (offset + draws - drawn)
-                for slot in slots:
-                    streams[slot] |= (srngs[slot].getrandbits(extra)
-                                      << 64 * drawn)
-                drawn = offset + draws
-            first = offset
-            offset += draws
             for qubit in node_measured:
                 if qubit not in measured:
                     measured = measured + (qubit,)
-            for op in ops:
-                code = op[0]
-                if code == _S_XOR:
-                    for row in op[2]:
-                        planes[row] ^= cmask
-                elif code == _S_MEAS_D or code == _S_RESET_D:
-                    _c, _mask, ghalf, _target, rows, target = op
-                    raw = cmask if ghalf else 0
-                    for row in rows:
-                        raw ^= planes[row]
-                    raw &= cmask
-                    if code == _S_MEAS_D:
-                        deliver(target, raw, slots, cmask)
-                    elif raw:
-                        # A |1> outcome's X correction flips every
-                        # zmask row.
-                        for row in target:
-                            planes[row] ^= raw
-                elif code == _S_MEAS_R or code == _S_RESET_R:
-                    (_c, pivot, pm, _tmask, _gmask, _target,
-                     t_rows, g_rows, draw, target) = op
-                    draw += first
-                    if draw < len(coins):
-                        raw = coins[draw] & cmask
-                    else:
-                        # A topped-up draw: random() < 0.5 exactly when
-                        # the probed bit is clear.
-                        probe = 1 << (64 * draw + 31)
-                        raw = sum([1 << slot for slot in slots
-                                   if not streams[slot] & probe])
-                    pivot_bits = planes[pivot] & cmask
-                    for row in g_rows:
-                        planes[row] ^= cmask
-                    for row in t_rows:
-                        planes[row] ^= pivot_bits
-                    keep = ~cmask
-                    planes[pm] = (planes[pm] & keep) | pivot_bits
-                    planes[pivot] = (planes[pivot] & keep) | raw
-                    if code == _S_MEAS_R:
-                        deliver(target, raw, slots, cmask)
-                    else:
-                        for row in target:
-                            planes[row] ^= raw
-                elif code == _S_NOISE:
-                    _cohort_noise(op, slots, nrngs, planes)
-                elif code == _S_CLS:
-                    classical.execute(op[2], op[3], op[4], cmask)
-                else:  # _S_FMR
-                    word = delivered_words[op[3]] & cmask
-                    classical.write(op[4], {1: word, 0: cmask ^ word},
-                                    cmask)
-            decision = node.decision
-            if decision is None:
-                # Leaf: the whole cohort completes here.  Refine the
-                # cohort's lanes by each measured qubit's outcome word
-                # in sorted-qubit order, so shots with the same outcomes
-                # share one value word, the key's bits — histograms
-                # concentrate, so the groups are few.
-                self.stream_draws = offset
-                order = tuple(sorted(measured))
-                refined = [(cmask, 0)]
-                for index, qubit in enumerate(order):
-                    word = delivered_words[qubit]
-                    split = []
-                    for lanes, values in refined:
-                        ones = lanes & word
-                        if ones:
-                            split.append((ones, values | 1 << index))
-                        if ones != lanes:
-                            split.append((lanes ^ ones, values))
-                    refined = split
-                for lanes, values in refined:
-                    key = (order, values)
-                    for shift, mask in shifts.items():
-                        mask &= lanes
-                        if mask:
-                            groups.append((mask, key,
-                                           node.total_ns + shift))
-                self.hits += len(slots)
-                continue
-            if decision[0] == _D_MRCE:
-                taken = delivered_words[decision[1]] & cmask
-                fold = node.fold
-                if fold is not None:
-                    # The Pauli-arm lanes replay the Pauli and run δ
-                    # later; _split_cohort keeps the cohort whole.
-                    flips = taken if fold.edge else cmask ^ taken
-                    if flips:
-                        for op in fold.sign_program(node, state, noise):
-                            if op[0] == _S_XOR:
-                                for row in op[2]:
-                                    planes[row] ^= flips
-                            else:
-                                _cohort_noise(op, _set_bits(flips), nrngs,
-                                              planes)
-                        moved: dict[int, int] = {}
-                        for shift, mask in shifts.items():
-                            for key, part in ((shift, mask & ~flips),
-                                              (shift + fold.delta_ns,
-                                               mask & flips)):
-                                if part:
-                                    moved[key] = moved.get(key, 0) | part
-                        shifts = moved
+            lanes = cohort.lanes
+            if signs:
+                slots = cohort.slots
+                if offset + draws > drawn:
+                    extra = 64 * (offset + draws - drawn)
+                    for slot in slots:
+                        streams[slot] |= (srngs[slot].getrandbits(extra)
+                                          << 64 * drawn)
+                    drawn = offset + draws
+                for op in program:
+                    code = op[0]
+                    if code == _S_XOR:
+                        for row in op[2]:
+                            planes[row] ^= lanes
+                    elif code == _S_MEAS_D or code == _S_RESET_D:
+                        _c, _mask, ghalf, _target, rows, target = op
+                        raw = lanes if ghalf else 0
+                        for row in rows:
+                            raw ^= planes[row]
+                        raw &= lanes
+                        if code == _S_MEAS_D:
+                            state.deliver(target, raw, cohort)
+                        elif raw:
+                            # A |1> outcome's X correction flips every
+                            # zmask row.
+                            for row in target:
+                                planes[row] ^= raw
+                    elif code == _S_MEAS_R or code == _S_RESET_R:
+                        (_c, pivot, pm, _tmask, _gmask, _target,
+                         t_rows, g_rows, draw, target) = op
+                        draw += offset
+                        if draw < len(coins):
+                            raw = coins[draw] & lanes
+                        else:
+                            # A topped-up draw: random() < 0.5 exactly when
+                            # the probed bit is clear.
+                            probe = 1 << (64 * draw + 31)
+                            raw = sum([1 << slot for slot in slots
+                                       if not streams[slot] & probe])
+                        pivot_bits = planes[pivot] & lanes
+                        for row in g_rows:
+                            planes[row] ^= lanes
+                        for row in t_rows:
+                            planes[row] ^= pivot_bits
+                        keep = ~lanes
+                        planes[pm] = (planes[pm] & keep) | pivot_bits
+                        planes[pivot] = (planes[pivot] & keep) | raw
+                        if code == _S_MEAS_R:
+                            state.deliver(target, raw, cohort)
+                        else:
+                            for row in target:
+                                planes[row] ^= raw
+                    elif code == _S_NOISE:
+                        _cohort_noise(op, slots, nrngs, planes)
+                    elif code == _S_CLS:
+                        state.execute(op[2], op[3], op[4], lanes)
+                    else:  # _S_FMR
+                        state.fetch(op[4], op[3], lanes)
             else:
-                taken = classical.branch(decision[2], branch_uses, cmask)
-            for child, rows, lanes in self._split_cohort(
-                    node, slots, cmask, taken):
-                stack.append((child,
-                              slots if lanes == cmask
-                              else [slots[row] for row in rows],
-                              measured, lanes, offset, drawn))
-
-    def _replay_batch_dense(self, root: TraceNode, qpu: SimulatedQPU,
-                            cohort: _BatchCohort, groups: list
-                            ) -> TraceNode | None:
-        """Wavefront dense replay over a stacked amplitude matrix.
-
-        The cohort is a ``(width, 2^n)`` :class:`BatchStateVector`;
-        compiled segments push block operators through it as batch
-        GEMMs and measurements reduce to one per-qubit probability
-        reduction over the whole matrix, while outcomes, channel
-        firings and readout flips are drawn from each shot's own
-        seeded rngs in serial order.  Decision splits gather-copy the
-        partitioned amplitude rows into child cohorts.  A leaf keys
-        each shot's delivered map (:func:`outcome_key`) and appends one
-        ``(lanes, key, total_ns)`` group per key to ``groups``.
-        Returns the last node where lanes left the trie (``None`` if
-        none did): a cohort of one's divergence frontier
-        (:meth:`replay`).
-        """
-        frontier = None
-        stack: list[tuple] = [(root, cohort)]
-        while stack:
-            node, cohort = stack.pop()
-            self._touch(node)
-            for step in node.dense_program(qpu):
-                step(cohort)
+                for step in program:
+                    step(cohort)
+            offset += draws
             decision = node.decision
             if decision is None:
-                keyed: dict = {}
-                for slot, ctx in zip(cohort.slots, cohort.ctxs):
-                    key = outcome_key(ctx.delivered)
-                    keyed[key] = keyed.get(key, 0) | 1 << slot
-                groups.extend((lanes, key, node.total_ns)
-                              for key, lanes in keyed.items())
+                if signs:
+                    self.stream_draws = offset
+                state.group(measured, lanes, node.total_ns, groups)
                 self.hits += len(cohort.slots)
                 continue
-            lanes = taken = 0
-            for slot, ctx in zip(cohort.slots, cohort.ctxs):
-                lanes |= 1 << slot
-                if _decide(decision, ctx):
-                    taken |= 1 << slot
-            for child, rows, child_lanes in self._split_cohort(
-                    node, cohort.slots, lanes, taken):
-                lanes ^= child_lanes
-                stack.append((child, cohort.take(rows)))
+            taken = state.decide(decision, branch_uses, lanes)
+            fold = node.fold
+            if fold is not None:
+                # The Pauli-arm lanes replay the Pauli and run δ later;
+                # _split_cohort keeps the cohort whole.
+                flips = taken if fold.edge else lanes ^ taken
+                if flips:
+                    for op in fold.sign_program(node, tableau, noise):
+                        if op[0] == _S_XOR:
+                            for row in op[2]:
+                                planes[row] ^= flips
+                        else:
+                            _cohort_noise(op, _set_bits(flips), nrngs,
+                                          planes)
+                    state.shift(flips, fold.delta_ns)
+            for child, sub in self._split_cohort(node, cohort, taken):
+                lanes ^= sub.lanes
+                stack.append((child, sub, measured, offset, drawn))
             if lanes:
                 frontier = node
         return frontier
@@ -2850,25 +2831,24 @@ class TraceCache:
     def _evict(self) -> None:
         """Drop least-recently-used subtrees until the trie fits.
 
-        Amortized: nodes sit on an intrusive recency list, so this
+        Amortized: nodes sit in an ordered dict by last touch, so this
         pass pops the coldest node, detaches its whole subtree, and
         repeats — no full-trie scoring scan.  Touches always run
         root-to-leaf along one path, so a parent is never colder than
-        a descendant; the tail node therefore carries the global
+        a descendant; the coldest node therefore carries the global
         minimum stamp and is the *top* of a maximally cold subtree
-        (its descendants share that minimum stamp — they sit on the
-        head side of it, since each touch pushes the child after its
-        parent, and are unlinked with it), and detaching at it
-        removes exactly what the old full-scan pass would have
-        evicted first.  The path the current shot just used
-        carries the newest tick and is never evicted — the bound is
-        best-effort when that path alone exceeds it.  Total eviction
-        work is O(1) per node over its lifetime.
+        (its descendants share that minimum stamp — they follow it,
+        since each touch moves the child after its parent, and are
+        unlinked with it), and detaching at it removes exactly what
+        the old full-scan pass would have evicted first.  The path the
+        current shot just used carries the newest tick and is never
+        evicted — the bound is best-effort when that path alone
+        exceeds it.  Total eviction work is O(1) per node over its
+        lifetime.
         """
-        tail = self._lru_tail
         while self.nodes > self.max_nodes:
-            node = tail.lru_prev
-            if node is self._lru_head or node.last_used >= self._tick:
+            node = next(iter(self._lru), None)
+            if node is None or node.last_used >= self._tick:
                 break  # only the current shot's path remains
             parent = node.parent
             del parent.children[node.edge]
@@ -2879,13 +2859,8 @@ class TraceCache:
             self.evictions += removed
 
     def _unlink(self, node: TraceNode) -> None:
-        """Take one detached node off the recency list."""
-        prev = node.lru_prev
-        if prev is not None:
-            nxt = node.lru_next
-            prev.lru_next = nxt
-            nxt.lru_prev = prev
-            node.lru_prev = node.lru_next = None
+        """Take one detached node out of the recency order."""
+        self._lru.pop(node, None)
         node.parent = None
 
     def _unlink_subtree(self, node: TraceNode) -> int:

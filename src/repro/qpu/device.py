@@ -138,11 +138,18 @@ class SimulatedQPU(QPUBase):
         state's outcome stream *and* its noise trajectory reproducible
         — what a shot engine needs to make per-shot seeds meaningful
         on a reused QPU, and what lets the trace cache replay noisy
-        shots bit-identically.  The state object is reinitialized *in
-        place* so its identity is stable across shots — compiled
-        replay closures bound to it (trace cache) survive a restart.
+        shots bit-identically.  ``None`` keeps both rngs where they
+        are; a negative seed raises ``ValueError``, because
+        ``random.Random(-k)`` seeds like ``random.Random(k)``.  The
+        state object is reinitialized *in place* so its identity is
+        stable across shots — compiled replay closures bound to it
+        (trace cache) survive a restart.
         """
         if seed is not None:
+            if seed < 0:
+                raise ValueError(
+                    f"negative seed {seed}: random.Random(-k) seeds "
+                    f"like random.Random(k)")
             self._rng.seed(seed)
             self.noise.reseed(seed)
         self.state.reinitialize()

@@ -33,12 +33,13 @@ bit** under a fixed seed:
 
 This is the suite guarding edge selection, which lives in two places:
 the serial sign-trace loop decides through the decide/hit/resume
-epilogue (:meth:`repro.qcp.tracecache.TraceCache._epilogue`), and both
-batched loops partition their cohorts through one shared split
-(:meth:`~repro.qcp.tracecache.TraceCache._split_cohort`); a serial
-dense shot is a cohort of one.  The dense cohort loop decides shot by
-shot; the sign cohort loop decides once per distinct combination of
-register values in the cohort.  A disagreement between any two
+epilogue (:meth:`repro.qcp.tracecache.TraceCache._epilogue`), and the
+one cohort walker (:meth:`~repro.qcp.tracecache.TraceCache._replay_cohort`),
+which serves sign cohorts, dense cohorts and the serial dense shot (a
+cohort of one), partitions its cohorts through one shared split
+(:meth:`~repro.qcp.tracecache.TraceCache._split_cohort`).  The walker
+decides once per distinct combination of register values in the
+cohort, on either substrate.  A disagreement between any two
 strategies points at a hot-loop specialization or at one of the two
 shared tails.
 
@@ -455,17 +456,19 @@ def test_fuzz_pauli_folds_match_cycle_accurate(program):
 def test_epilogue_is_shared_by_all_replay_modes():
     """Edge selection has exactly two implementations.
 
-    The serial sign loop decides through the epilogue and both
-    batched loops partition through the one shared cohort split; a
-    serial dense shot is a cohort of one, so the dense branch of
-    ``replay`` runs the dense cohort walker.  No other replay code
-    selects a trie edge (the recorder creates edges, stepping along a
-    simulated shot's own outcomes, and its Pauli-arm folds merge them,
-    but neither selects one for a replayed shot; a shot the recorder
-    hands back to replay at a quiet decision gets its edge from the
-    epilogue).  The sign cohort loop builds no per-shot context and
-    names no comparator or ALU function: its decisions run the
-    recorded micro-op closures.
+    There are two replay loops.  The serial sign loop decides through
+    the epilogue, and one cohort walker, serving sign cohorts, dense
+    cohorts and the serial dense shot (a cohort of one, so the dense
+    branch of ``replay`` runs it), partitions through the one shared
+    cohort split.  No other replay code selects a trie edge (the
+    recorder creates edges, stepping along a simulated shot's own
+    outcomes, and its Pauli-arm folds merge them, but neither selects
+    one for a replayed shot; a shot the recorder hands back to replay
+    at a quiet decision gets its edge from the epilogue).  The walker
+    builds no per-shot context, keys no shot on its own and names no
+    comparator or ALU function: its decisions run the recorded
+    micro-op closures once per cohort, and no bound dense step carries
+    a readout channel of its own (the cohort state delivers outcomes).
 
     Each substrate compiles a node once, into the one program its
     loops read.  Dense compilation has exactly one implementation: the
@@ -474,7 +477,7 @@ def test_epilogue_is_shared_by_all_replay_modes():
     ``TraceNode.dense_program`` both compiles and binds the step list
     (the cohort binding is the only one).  The sign trace has exactly
     one compiler, whose ops carry both the serial loop's masks and the
-    cohort loop's rows: no other function builds a sign op, and only
+    cohort walker's rows: no other function builds a sign op, and only
     the node and the fold call the compiler.  The compiler runs the
     device's own tableau kernel on a model state, so no function here
     reads the tableau's gate decompositions or its ``g`` rule: the
@@ -487,14 +490,17 @@ def test_epilogue_is_shared_by_all_replay_modes():
     cache = tracecache.TraceCache
     source = inspect.getsource(cache._replay_signs)
     assert "self._epilogue(" in source, "_replay_signs bypasses the epilogue"
+    for gone in ("_replay_batch_signs", "_replay_batch_dense"):
+        assert not hasattr(cache, gone), f"{gone} is a third replay loop"
     source = inspect.getsource(cache.replay)
     dense = source[source.index('if self.mode == "signs":'):]
-    assert "self._replay_batch_dense(" in dense, (
+    assert "self._replay_cohort(" in dense, (
         "serial dense replay bypasses the cohort walker")
-    for mode in ("_replay_batch_signs", "_replay_batch_dense"):
-        source = inspect.getsource(getattr(cache, mode))
-        assert "self._split_cohort(" in source, (
-            f"{mode} bypasses the shared cohort split")
+    assert "self._replay_cohort(" in inspect.getsource(cache.replay_batch), (
+        "batched replay bypasses the cohort walker")
+    source = inspect.getsource(cache._replay_cohort)
+    assert "self._split_cohort(" in source, (
+        "the cohort walker bypasses the shared cohort split")
     # Every function written in the module, methods included.
     functions = [(name, member)
                  for name, member in vars(tracecache).items()
@@ -540,12 +546,28 @@ def test_epilogue_is_shared_by_all_replay_modes():
                  "_g_terms"):
         assert rule not in vars(tracecache), rule
         assert not holders(rule), (rule, holders(rule))
-    source = inspect.getsource(cache._replay_batch_signs)
+    source = inspect.getsource(cache._replay_cohort)
     for banned in ("_COMPARATORS", "_FUNCS", ".taken(", "_ReplayContext",
-                   "_decide("):
+                   "_decide(", "outcome_key("):
         assert banned not in source, (
-            f"the sign cohort loop decides outside the recorded "
-            f"closures: {banned}")
+            f"the cohort walker decides or keys shot by shot: {banned}")
     source = inspect.getsource(tracecache._CohortState)
     for banned in ("_COMPARATORS", "_FUNCS", ".taken("):
         assert banned not in source, banned
+    # A readout channel reaches a dense measurement only through the
+    # cohort state: no bound step captures one.
+    from repro.qpu.device import SimulatedQPU
+    from repro.qpu.noise import NoiseModel, ReadoutError
+
+    qpu = SimulatedQPU(2, noise=NoiseModel(readout=ReadoutError(0.1, 0.2)))
+    steps = tracecache._compile_dense_steps(
+        ((tracecache.REC_GATE, "h", (0,), (), 0),
+         (tracecache.REC_MEAS, 0, 40)), qpu, {}, {})
+    assert (tracecache._V_MEAS, 0) in steps, steps
+    for step in tracecache._bind_cohort(steps, 2):
+        captured = list(step.__defaults__ or ()) + [
+            cell.cell_contents for cell in step.__closure__ or ()]
+        assert not any(
+            isinstance(value, ReadoutError)
+            or isinstance(getattr(value, "__self__", None), ReadoutError)
+            for value in captured), captured

@@ -408,6 +408,53 @@ def test_shor_cohort_runs_each_branch_once(monkeypatch):
     assert contexts == []
 
 
+def test_dense_cohort_runs_each_branch_once_per_combination():
+    """A dense cohort decides once per cohort, as a sign cohort does:
+    over 64 shots the ``ldi`` closure runs once and the ``beq`` closure
+    once per value ``r1`` holds, and every shot equals the
+    cycle-accurate engine's."""
+    builder = ProgramBuilder("dense_coin")
+    builder.ldi(7, 1)
+    builder.qop("h", [0], timing=2)
+    builder.qmeas(0, timing=2)
+    builder.fmr(1, 0)
+    builder.beq(1, 7, "one")
+    builder.qop("x", [1], timing=2)
+    builder.label("one")
+    builder.qmeas(1, timing=2)
+    builder.halt()
+    program = builder.build()
+    engine = ShotEngine(program, config=scalar_config(),
+                        backend="statevector", n_qubits=2)
+    calls: Counter = Counter()
+
+    def counting(pc, run):
+        def counted(proc):
+            calls[program.instructions[pc].opcode.name] += 1
+            return run(proc)
+        counted.effects = run.effects
+        return counted
+
+    wrap_closures(engine, counting)
+    cache = engine.trace_cache
+    for seed in range(20):  # warm the trie on both paths
+        engine.run_shot(seed)
+        if all(child.items is not None
+               for child in cache.root.children.values()) and \
+                len(cache.root.children) == 2:
+            break
+    assert sorted(cache.root.children) == [0, 1]
+    calls.clear()
+    seeds = list(range(100, 164))
+    results = expand(seeds, cache.replay_batch(engine._qpu, seeds))
+    assert calls["LDI"] == 1
+    assert 1 <= calls["BEQ"] <= 2
+    assert cache.wavefront_splits == 1
+    uncached = ShotEngine(program, config=scalar_config(trace_cache=False),
+                          backend="statevector", n_qubits=2)
+    assert results == [uncached.run_shot(seed) for seed in seeds]
+
+
 def test_shor_cohort_draws_each_stream_once(monkeypatch):
     from repro.benchlib.steane import (N_QUBITS,
                                        build_shor_syndrome_program)
@@ -567,23 +614,27 @@ def fold_program(coins: int = 8):
     return builder.build()
 
 
+@pytest.mark.parametrize("backend", ["stabilizer", "statevector"])
 @pytest.mark.parametrize("width", [7, 256])
-def test_many_valued_registers_match_cycle_accurate(width):
+def test_many_valued_registers_match_cycle_accurate(width, backend):
     program = fold_program()
     engine = ShotEngine(program, config=scalar_config(),
-                        backend="stabilizer", n_qubits=2)
+                        backend=backend, n_qubits=2)
     uncached = ShotEngine(program, config=scalar_config(trace_cache=False),
-                          backend="stabilizer", n_qubits=2)
+                          backend=backend, n_qubits=2)
     assert served(engine, range(300), width) == served(uncached,
                                                         range(300))
     assert engine.trace_cache.batched_shots > 0
 
 
+@pytest.mark.parametrize("backend", ["stabilizer", "statevector"])
 @pytest.mark.parametrize("opcode", ["BEQ", "ADDI"])
-def test_micro_op_without_effects_fails_closed(opcode):
+def test_micro_op_without_effects_fails_closed(opcode, backend):
     """A recorded closure without def/use sets — the coin's branch, or
     a classical op feeding it — sends every cohort reaching it to the
-    serial loop whole; results are unchanged."""
+    serial path whole; results are unchanged.  A dense serial shot is
+    a cohort of one, so it resumes cycle-accurately at the node's
+    entry instead."""
     builder = ProgramBuilder("opaque_coin")
     builder.qop("h", [0], timing=2)
     builder.qmeas(0, timing=2)
@@ -595,10 +646,10 @@ def test_micro_op_without_effects_fails_closed(opcode):
     builder.qmeas(1, timing=2)
     builder.halt()
     program = builder.build()
-    reference, _ = run_engine(program, n_qubits=2, shots=40,
-                              how="serial")
+    reference, _ = run_engine(program, backend=backend, n_qubits=2,
+                              shots=40, how="serial")
     engine = ShotEngine(program, config=scalar_config(),
-                        backend="stabilizer", n_qubits=2)
+                        backend=backend, n_qubits=2)
 
     def strip(pc, run):
         if program.instructions[pc].opcode.name != opcode:
@@ -616,3 +667,7 @@ def test_micro_op_without_effects_fails_closed(opcode):
     assert cache.serial_fallbacks == 39
     assert (cache.batched_shots, cache.wavefront_splits) == (0, 0)
     assert cache.hits + cache.misses == 40
+    if backend == "statevector":
+        # No dense shot replays through the opaque node: every one
+        # after the cold shot resumes at its entry.
+        assert (cache.hits, cache.resumes) == (0, 39)

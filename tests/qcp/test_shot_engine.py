@@ -56,6 +56,16 @@ class TestShotEngine:
         # on this 50/50 circuit (7 and 5 happen to disagree).
         assert first != other
 
+    @pytest.mark.parametrize("trace_cache", [True, False])
+    def test_negative_shot_seed_rejected(self, trace_cache):
+        # random.Random(-k) seeds like random.Random(k): shot -3 would
+        # repeat shot 3, cached or cycle-accurate.
+        engine = ShotEngine(bell_program(),
+                            config=QCPConfig(trace_cache=trace_cache))
+        with pytest.raises(ValueError, match="negative shot seed -3"):
+            engine.run_shot(-3)
+        assert engine.run_shot(3) == engine.run_shot(3)
+
     def test_qpu_reuse_clears_logs_between_shots(self):
         engine = ShotEngine(bell_program())
         engine.run(4)

@@ -368,15 +368,19 @@ def random_measured_segment(seed: int, n_qubits: int = 4,
 
 def cohort_of_one(qpu):
     """A serial shot's cohort of one, as :meth:`TraceCache.replay`
-    builds it: one amplitude row, one replay context and the (already
-    restarted) device's own rngs."""
+    builds it: one amplitude row, one classical state with the device's
+    readout channel, and the (already restarted) device's own rngs."""
     from repro.qcp.config import QCPConfig
-    from repro.qcp.tracecache import _BatchCohort, _ReplayContext
-    from repro.qpu.statevector import BatchStateVector
+    from repro.qcp.tracecache import _Cohort
 
-    return _BatchCohort(BatchStateVector(qpu.state.n_qubits, 1), [0],
-                        [_ReplayContext(QCPConfig())], [qpu.state.rng],
+    return _Cohort.root(qpu, QCPConfig(), [qpu.state.rng],
                         None if qpu.noise.is_ideal else [qpu.noise.rng])
+
+
+def delivered_bits(state, row):
+    """Row ``row``'s last delivered bit per qubit, read from a cohort
+    state's outcome words."""
+    return {qubit: (word >> row) & 1 for qubit, word in state.words.items()}
 
 
 class TestUnfusedDenseSteps:
@@ -426,12 +430,11 @@ class TestUnfusedDenseSteps:
         # state — a shot's arithmetic does not depend on which shots
         # share its cohort.
         from repro.qcp.config import QCPConfig
-        from repro.qcp.tracecache import (REC_MEAS, _V_DECAY, _BatchCohort,
-                                          _ReplayContext, _bind_cohort,
+        from repro.qcp.tracecache import (REC_MEAS, _V_DECAY, _Cohort,
+                                          _bind_cohort,
                                           _compile_dense_steps)
         from repro.qpu.device import SimulatedQPU
         from repro.qpu.noise import NOISE_SEED_SALT
-        from repro.qpu.statevector import BatchStateVector
 
         def device_shots(items, seeds):
             device = SimulatedQPU(4, noise=decaying_noise())
@@ -458,7 +461,8 @@ class TestUnfusedDenseSteps:
                 one = cohort_of_one(device)
                 for step in program:
                     step(one)
-                yield (one.batch.amplitudes[0], one.ctxs[0].delivered,
+                yield (one.batch.amplitudes[0],
+                       delivered_bits(one.state, 0),
                        device._rng.getstate(),
                        device.noise.rng.getstate())
 
@@ -471,9 +475,8 @@ class TestUnfusedDenseSteps:
                     items, SimulatedQPU(4, noise=decaying_noise()), {},
                     {}, fuse=fuse)
                 program = _bind_cohort(steps, 4)
-                cohort = _BatchCohort(
-                    BatchStateVector(4, 6), list(range(6)),
-                    [_ReplayContext(QCPConfig()) for _ in seeds],
+                cohort = _Cohort.root(
+                    SimulatedQPU(4, noise=decaying_noise()), QCPConfig(),
                     [random.Random(seed) for seed in seeds],
                     [random.Random(seed ^ NOISE_SEED_SALT)
                      for seed in seeds])
@@ -486,7 +489,8 @@ class TestUnfusedDenseSteps:
                     name = (segment, fuse, row)
                     assert np.array_equal(cohort.batch.amplitudes[row],
                                           amplitudes), name
-                    assert cohort.ctxs[row].delivered == delivered, name
+                    assert delivered_bits(cohort.state, row) == delivered, \
+                        name
                     assert cohort.srngs[row].getstate() == srng, name
                     assert cohort.nrngs[row].getstate() == nrng, name
             # The short T1 must make jumps common: count the idle

@@ -92,6 +92,17 @@ class TestStateVectorQPU:
         assert qpu.state.probability_of_one(0) == pytest.approx(0.0)
         assert len(qpu.operation_log) == 1
 
+    def test_restart_refuses_negative_seed(self):
+        # random.Random(-k) seeds like random.Random(k); None keeps
+        # the rng where it is.
+        qpu = StateVectorQPU(1, seed=0)
+        with pytest.raises(ValueError, match="negative seed -2"):
+            qpu.restart(seed=-2)
+        qpu.restart(seed=2)
+        drawn = qpu._rng.getstate()
+        qpu.restart()
+        assert qpu._rng.getstate() == drawn
+
     def test_zz_applied_for_simultaneous_windows(self):
         noise = NoiseModel(zz=ZZCrosstalk(zeta_hz=12.5e6,
                                           pairs=((0, 1),)), seed=0)

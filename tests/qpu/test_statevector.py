@@ -170,18 +170,15 @@ def compile_dense(ops, seed=0, n_qubits=4):
     emitted.
     """
     from repro.qcp.config import QCPConfig
-    from repro.qcp.tracecache import (_V_UNITARY, _BatchCohort,
-                                      _ReplayContext, _bind_cohort,
+    from repro.qcp.tracecache import (_V_UNITARY, _bind_cohort, _Cohort,
                                       _compile_dense_steps)
     from repro.qpu.device import SimulatedQPU
-    from repro.qpu.statevector import BatchStateVector
 
+    qpu = SimulatedQPU(n_qubits)
     items = tuple(op + (40 * index,) for index, op in enumerate(ops))
-    steps = _compile_dense_steps(items, SimulatedQPU(n_qubits), {}, {})
+    steps = _compile_dense_steps(items, qpu, {}, {})
     supports = [step[2] for step in steps if step[0] == _V_UNITARY]
-    cohort = _BatchCohort(BatchStateVector(n_qubits, 1), [0],
-                          [_ReplayContext(QCPConfig())],
-                          [random.Random(seed)], None)
+    cohort = _Cohort.root(qpu, QCPConfig(), [random.Random(seed)], None)
     return cohort, _bind_cohort(steps, n_qubits), supports
 
 
@@ -396,7 +393,7 @@ class TestBatchRows:
     def test_collapse_rows_match_serial_measure(self, width):
         # Each row draws its outcome from its own seeded rng and ends
         # equal to a serial StateVector.measure with that seed.
-        from repro.qcp.tracecache import _BatchCohort, _collapse_cohort
+        from repro.qcp.tracecache import _Cohort, _collapse_cohort
         from repro.qpu.statevector import BatchStateVector
         rng = np.random.default_rng(width)
         outcomes = []
@@ -409,8 +406,8 @@ class TestBatchRows:
                 batch._psi[:] = rows
                 srngs = [random.Random(seed) for seed in seeds]
                 drawn = _collapse_cohort(
-                    _BatchCohort(batch, list(range(width)),
-                                 [None] * width, srngs, None), qubit)
+                    _Cohort(batch, list(range(width)), (1 << width) - 1,
+                            srngs, None, None), qubit)
                 for row, seed in enumerate(seeds):
                     serial = StateVector(n, rng=random.Random(seed))
                     serial._amplitudes[:] = rows[row]
