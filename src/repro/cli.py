@@ -185,7 +185,9 @@ def _run_shots(program, args: argparse.Namespace) -> int:
                     f"wavefront splits")
             if cache.serial_fallbacks:
                 line += (f", {cache.serial_fallbacks} serial "
-                         f"fallbacks")
+                         f"fallbacks ({cache.handoffs} resumed where "
+                         f"they left, {cache.rewalks} replayed from the "
+                         f"root)")
             print(line)
     if result.measured_qubits:
         print(f"measured qubits: "

@@ -71,9 +71,9 @@ from repro.qcp.config import QCPConfig
 from repro.qcp.memory import InstructionMemory
 from repro.qcp.system import QuAPESystem, infer_qubit_count
 from repro.qcp.routing import RoutingDecision, route_backend
-from repro.qcp.tracecache import (CheckpointQPU, OutcomeKey,
+from repro.qcp.tracecache import (CheckpointQPU, Handoff, OutcomeKey,
                                   RecordingQPU, TraceCache, TraceRecorder,
-                                  _set_bits, auto_batch_width, outcome_key,
+                                  auto_batch_width, outcome_key,
                                   replay_mode)
 from repro.qpu.device import QPUBase, SimulatedQPU
 from repro.qpu.noise import NoiseModel
@@ -114,8 +114,9 @@ def merge_shard_outcomes(shards) -> ShotResult:
 
     Purely commutative: counter sum plus integer ``total_ns`` sum,
     then one rendering pass against the union of measured qubits.
-    Each distinct measured-qubit tuple maps once to its positions in
-    the union; a key then renders by placing its bits there.  Because
+    A key's bits format once, as one string in measured-qubit order;
+    a key measuring the whole union is that string, and any other
+    shape places its characters at its qubits' union positions.  Because
     each shot's key and duration are pure functions of its seed (the
     salted per-shot derivation), the merged result is bit-identical to
     serially executing the union of the shard ranges — the property
@@ -140,10 +141,15 @@ def merge_shard_outcomes(shards) -> ShotResult:
               for measured in shapes}
     unmeasured = [UNMEASURED] * len(union)
     for (measured, bits), count in merged.items():
-        rendered = unmeasured.copy()
-        for index, place in enumerate(places[measured]):
-            rendered[place] = "1" if (bits >> index) & 1 else "0"
-        result.counts["".join(rendered)] += count
+        # Character i is bit i, the value of measured[i].
+        text = (format(bits, f"0{len(measured)}b")[::-1] if measured
+                else "")
+        if measured != union:
+            rendered = unmeasured.copy()
+            for place, bit in zip(places[measured], text):
+                rendered[place] = bit
+            text = "".join(rendered)
+        result.counts[text] += count
     return result
 
 
@@ -374,7 +380,24 @@ class ShotEngine:
             execution = system.run()
             system.kernel.run()  # drain trailing deliveries
             return _last_values(system, {}), execution.total_ns
-        replayed = cache.replay(self._qpu, seed)
+        return self._serve(cache.replay(self._qpu, seed), seed)
+
+    def run_handoff(self, handoff: Handoff) -> tuple[dict[int, int], int]:
+        """Finish a shot a replay cohort handed back; returns what
+        :meth:`run_shot` returns for its seed.
+
+        The cache resumes the shot where its lane left the cohort
+        (:meth:`TraceCache.replay_handoff`), and misses, records and
+        rejoins follow as in :meth:`run_shot`.
+        """
+        return self._serve(
+            self.trace_cache.replay_handoff(self._qpu, handoff),
+            handoff.seed)
+
+    def _serve(self, replayed, seed: int) -> tuple[dict[int, int], int]:
+        """The miss/record/rejoin loop of a trace-cached shot, from
+        what its replay returned (see :meth:`run_shot`)."""
+        cache = self.trace_cache
         while not isinstance(replayed, tuple):
             recorder = TraceRecorder.start(cache, replayed)
             restart = recorder.restart
@@ -433,10 +456,12 @@ class ShotEngine:
         With a trace cache the seeds go to the cache in cohorts of
         :func:`~repro.qcp.tracecache.auto_batch_width`: the cache
         replays each cohort as one wavefront over the trie and hands
-        back its leaf groups, one count per group, plus the lanes that
-        diverged off the cached paths or reached a node closed to
-        cohorts — those fall back to :meth:`run_shot`, which records
-        their new paths as usual.  Only a cold trie (no recorded path
+        back its leaf groups, one count per group, plus a hand-off for
+        each lane that diverged off the cached paths or reached a node
+        closed to cohorts.  :meth:`run_handoff` serves those in lane
+        order: each resumes where its lane left, and the miss, record
+        and rejoin loop of :meth:`run_shot` records its new path as
+        usual.  Only a cold trie (no recorded path
         yet) runs the first seed alone, to record a path for the
         cohorts to replay; a range of one seed always runs alone, as a
         sign cohort of one costs more than the serial sign loop.
@@ -459,8 +484,8 @@ class ShotEngine:
         # pickle each set once.
         shapes: dict[tuple[int, ...], tuple[int, ...]] = {}
 
-        def serial(seed: int) -> None:
-            last_value, shot_ns = self.run_shot(seed)
+        def tally(result: tuple[dict[int, int], int]) -> None:
+            last_value, shot_ns = result
             measured, bits = outcome_key(last_value)
             counts[shapes.setdefault(measured, measured), bits] += 1
             shard.total_ns += shot_ns
@@ -469,12 +494,12 @@ class ShotEngine:
         cache = self.trace_cache
         if cache is None or len(seeds) < 2:
             for seed in seeds:
-                serial(seed)
+                tally(self.run_shot(seed))
             return shard
         width = auto_batch_width(self._qpu)
         step, index = width, 0
         if cache.root is None or cache.root.items is None:
-            serial(seeds[0])
+            tally(self.run_shot(seeds[0]))
             step, index = 2, 1
         while index < len(seeds):
             chunk = list(seeds[index:index + step])
@@ -483,8 +508,8 @@ class ShotEngine:
                 shots = lanes.bit_count()
                 counts[shapes.setdefault(measured, measured), bits] += shots
                 shard.total_ns += shots * shot_ns
-            for lane in _set_bits(left):
-                serial(chunk[lane])
+            for handoff in left:
+                tally(self.run_handoff(handoff))
             index += len(chunk)
             step = min(width, 2 * step) if left else width
         return shard

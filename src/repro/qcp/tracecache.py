@@ -163,7 +163,11 @@ the frontier tableau first (its compile-time x/z model plus the live
 packed sign column), and a dense replay its cohort-of-one row, through
 :meth:`~repro.qpu.backend.SimulationBackend.restore`.  A miss at a
 quiet MRCE on a folding engine skips the prefix re-run altogether (see
-"Restart and rejoin at quiet decisions" below).
+"Restart and rejoin at quiet decisions" below).  A shot whose lane
+left a replay cohort resumes at that lane's own frontier, with the
+state the cohort computed for it, and is walked from the root only
+when an earlier shot's recording moved the frontier
+(:meth:`TraceCache.replay_handoff`).
 
 LRU bound
 =========
@@ -397,6 +401,8 @@ class ResumePoint:
     device's busy/window bookkeeping are live at the frontier when
     this is returned — a dense replay has copied its cohort-of-one row
     into the device's statevector, and its rngs are the device's own;
+    a lane a cohort handed back (:meth:`TraceCache.replay_handoff`)
+    has put its sign column or amplitude row and its rngs there too;
     the shot engine wraps the QPU in a
     :class:`CheckpointQPU` built from this point so the cycle-accurate
     re-run skips the shared prefix, or restarts the control stack at
@@ -455,9 +461,11 @@ class _CohortState:
     Every cohort walk (:meth:`TraceCache._replay_cohort`), sign or
     dense, keeps one.  Delivered outcomes are one lane word per qubit
     (``words``: bit ``slot`` is that shot's latest delivered bit), and
-    ``log`` holds every word delivered, in order: a cohort of one's
-    outcome stream.  ``shifts`` maps each summed fold ``δ`` to the
-    lanes that fired those folds.
+    ``log`` holds every word delivered, in order, with the lanes it
+    went to: a lane's bits of its words are its outcome stream
+    (:meth:`outcomes`).  ``shifts`` maps each summed fold ``δ`` to the
+    lanes that fired those folds, and ``fired`` holds the lanes of
+    each fold firing, in order.
 
     Registers and shared words are value partitions:
     ``partitions[location]`` maps each value the location holds in
@@ -466,7 +474,8 @@ class _CohortState:
     location never written holds 0 in every lane.  No micro-op reads
     the zero register as a location: the scratch facade reads it as 0.
     Sub-cohorts share one state through masked writes, so a split
-    copies nothing.
+    copies nothing, and the lanes that leave a walk keep their values
+    as they left (:class:`_Frontier`).
 
     Micro-ops run through :meth:`execute` and :meth:`decide`: the
     recorded closure runs once per distinct combination of its input
@@ -476,7 +485,7 @@ class _CohortState:
     """
 
     __slots__ = ("lanes", "partitions", "scratch", "readout", "words",
-                 "log", "shifts")
+                 "log", "shifts", "fired")
 
     def __init__(self, lanes: int, config: QCPConfig,
                  readout: ReadoutError | None = None) -> None:
@@ -486,8 +495,9 @@ class _CohortState:
         self.scratch = _ReplayProcessor(SharedRegisters(), config)
         self.readout = readout
         self.words: dict[int, int] = {}
-        self.log: list[int] = []
+        self.log: list[tuple[int, int]] = []
         self.shifts = {0: lanes}
+        self.fired: list[int] = []
 
     def deliver(self, qubit: int, raw: int, cohort: "_Cohort") -> None:
         """Deliver ``cohort``'s raw outcome word for ``qubit``.
@@ -505,7 +515,12 @@ class _CohortState:
                                     else site.p1_given_0):
                     raw ^= 1 << slot
         self.words[qubit] = (self.words.get(qubit, 0) & ~cohort.lanes) | raw
-        self.log.append(raw)
+        self.log.append((cohort.lanes, raw))
+
+    def outcomes(self, slot: int) -> list[int]:
+        """Lane ``slot``'s delivered bits, in delivery order."""
+        return [(word >> slot) & 1 for lanes, word in self.log
+                if (lanes >> slot) & 1]
 
     def fetch(self, location: tuple, qubit: int, lanes: int) -> None:
         """Replay a result fetch: each lane's delivered bit."""
@@ -621,6 +636,7 @@ class _CohortState:
 
     def shift(self, lanes: int, delta_ns: int) -> None:
         """Run ``lanes`` ``delta_ns`` later: a fold's Pauli arm."""
+        self.fired.append(lanes)
         moved: dict[int, int] = {}
         for shift, mask in self.shifts.items():
             for key, part in ((shift, mask & ~lanes),
@@ -672,7 +688,8 @@ class _ReplayContext:
     epilogue (:meth:`TraceCache._epilogue`) and the recorder's
     hand-over back to it are written once against this object.  Every
     shot gets a fresh one.  Cohorts keep no per-shot context: their
-    classical state is a :class:`_CohortState`.
+    classical state is a :class:`_CohortState`, and a lane a cohort
+    hands back gets its context from it (:meth:`_Frontier.context`).
     """
 
     __slots__ = ("config", "delivered", "outcomes", "skip_ops",
@@ -1470,6 +1487,120 @@ class _Cohort:
                        else [nrngs[row] for row in rows], self.state)
 
 
+class _Frontier:
+    """Lanes that left a cohort walk at one node, as the walk left them.
+
+    ``path`` is the walk's path from the root to that node and
+    ``edges`` each path node's edge then.  The lanes either stand at
+    the entry of ``path[-1]``, a node closed to cohorts (``entered``),
+    or ran its program and found no edge for their decision
+    (``taken``: the lanes deciding edge 1).  ``ran`` is the path whose
+    programs they ran, so its last node (:attr:`node`) holds their
+    state at its exit.  ``cohort`` holds the lanes with their rngs
+    (and amplitude rows, dense) and shares the walk's
+    :class:`_CohortState`; ``planes`` are the walk's sign bit-planes.
+    No later sub-cohort writes a departed lane's bits of either, so
+    both stay as the lanes left them.  ``measured`` and ``offset``
+    are the path's measured qubits and measurement draws so far.
+    """
+
+    __slots__ = ("path", "edges", "ran", "entered", "taken", "cohort",
+                 "planes", "measured", "offset", "items", "live")
+
+    def __init__(self, node: TraceNode, entered: bool, taken: int,
+                 cohort: "_Cohort", planes: list | None,
+                 measured: tuple, offset: int) -> None:
+        self.path = _ancestry(node)
+        self.edges = [step.edge for step in self.path]
+        self.ran = self.path[:-1] if entered else self.path
+        self.entered = entered
+        self.taken = taken
+        self.cohort = cohort
+        self.planes = planes
+        self.measured = measured
+        self.offset = offset
+        node = self.node
+        self.items = None if node is None else node.items
+        self.live = None if node is None else node.live
+
+    @property
+    def node(self) -> TraceNode | None:
+        """The node at whose exit the lanes stand (``None`` above the
+        root)."""
+        return self.ran[-1] if self.ran else None
+
+    def current(self, root: TraceNode) -> bool:
+        """Whether the trie still holds this frontier as the walk left
+        it: the same nodes down the same edges from ``root``, and
+        :attr:`node` with the same items and live set.
+
+        A fold, graft, translation or eviction that moves or drops a
+        node gives it a new parent (``None`` once unlinked) or a new
+        edge, together with its parent's child entry; a live set that
+        grows is a new set.  Otherwise the walk's path, programs and
+        decisions still hold for these lanes.
+        """
+        if self.path[0] is not root:
+            return False
+        parent = None
+        for node, edge in zip(self.path, self.edges):
+            if node.parent is not parent or node.edge != edge:
+                return False
+            parent = node
+        node = self.node
+        return node is None or (node.items is self.items
+                                and node.live is self.live)
+
+    def context(self, slot: int, config: QCPConfig) -> _ReplayContext:
+        """Lane ``slot``'s serial replay context at :attr:`node`: its
+        delivered bits and outcome stream, its registers and shared
+        words, its fold shift, and the device ops its path issued,
+        each fired fold's Pauli included."""
+        state = self.cohort.state
+        ctx = _ReplayContext(config)
+        words = state.words
+        ctx.delivered = {qubit: (words[qubit] >> slot) & 1
+                         for qubit in self.measured}
+        ctx.outcomes = state.outcomes(slot)
+        for location, partition in state.partitions.items():
+            for value, mask in partition.items():
+                if (mask >> slot) & 1:
+                    if location[0] == LOC_SHARED:
+                        ctx.shared.write(location[1], value)
+                    else:
+                        ctx.proc(location[0]).registers.write(location[1],
+                                                              value)
+                    break
+        ctx.shift_ns = next(shift for shift, mask in state.shifts.items()
+                            if (mask >> slot) & 1)
+        ctx.skip_ops = (sum(node.devops for node in self.ran)
+                        + sum((lanes >> slot) & 1 for lanes in state.fired))
+        return ctx
+
+    def signs(self, slot: int) -> int:
+        """Lane ``slot``'s packed sign column (bit ``row`` is its bit of
+        ``planes[row]``)."""
+        r = 0
+        for row, plane in enumerate(self.planes):
+            if (plane >> slot) & 1:
+                r |= 1 << row
+        return r
+
+
+class Handoff:
+    """A shot a cohort walk handed back: its ``lane`` and ``seed``, and
+    the :class:`_Frontier` it left at (``None`` when the trie was
+    cold), for :meth:`TraceCache.replay_handoff`."""
+
+    __slots__ = ("lane", "seed", "frontier")
+
+    def __init__(self, lane: int, seed: int,
+                 frontier: _Frontier | None) -> None:
+        self.lane = lane
+        self.seed = seed
+        self.frontier = frontier
+
+
 def _batch_channel_step(kind: str, params, appliers: tuple):
     """One cohort step for a stochastic gate-channel site.
 
@@ -1517,37 +1648,29 @@ def _cohort_noise(op: tuple, slots, nrngs: list, planes: list) -> None:
 
     Each shot draws its own noise rng exactly as the serial loop does
     (one ``random()`` per qubit, plus one ``choice()`` on a
-    depolarizing fire), and the fired Paulis XOR the bit-planes of
-    their lanes.
+    depolarizing fire), and a fired Pauli XORs its lane into the
+    bit-planes of its rows.  Fires are rare, so a site costs little
+    more than its draws.
     """
     _c, dep_p, _masks, pauli_cum, qubit_rows = op
     if dep_p is not None:
         for triplet in qubit_rows:
-            fired = [0, 0, 0]
             for slot in slots:
                 nrng = nrngs[slot]
                 if nrng.random() < dep_p:
-                    fired[nrng.choice(_PAULI_INDICES)] |= 1 << slot
-            for rows, flips in zip(triplet, fired):
-                if flips:
-                    for row in rows:
-                        planes[row] ^= flips
+                    lane = 1 << slot
+                    for row in triplet[nrng.choice(_PAULI_INDICES)]:
+                        planes[row] ^= lane
     if pauli_cum is not None:
         cx, cxy, cxyz = pauli_cum
         for triplet in qubit_rows:
-            fired = [0, 0, 0]
             for slot in slots:
                 draw = nrngs[slot].random()
-                if draw < cx:
-                    fired[0] |= 1 << slot
-                elif draw < cxy:
-                    fired[1] |= 1 << slot
-                elif draw < cxyz:
-                    fired[2] |= 1 << slot
-            for rows, flips in zip(triplet, fired):
-                if flips:
-                    for row in rows:
-                        planes[row] ^= flips
+                if draw < cxyz:
+                    lane = 1 << slot
+                    for row in triplet[0 if draw < cx
+                                       else 1 if draw < cxy else 2]:
+                        planes[row] ^= lane
 
 
 def _collapse_cohort(cohort: _Cohort, qubit: int) -> list:
@@ -2076,7 +2199,10 @@ class TraceCache:
     ``serial_fallbacks`` (shots a wavefront handed back to the serial
     per-shot path — divergences off the cached trie plus nodes closed
     to cohorts); the cohort of one that serves a serial dense shot
-    counts none of them.
+    counts none of them.  Each fallback is one of ``handoffs`` (shots
+    :meth:`replay_handoff` resumed at their own frontier) or
+    ``rewalks`` (shots whose frontier went stale first, replayed from
+    the root).
     """
 
     def __init__(self, config: QCPConfig, mode: str,
@@ -2103,6 +2229,8 @@ class TraceCache:
         self.batched_shots = 0
         self.wavefront_splits = 0
         self.serial_fallbacks = 0
+        self.handoffs = 0
+        self.rewalks = 0
         #: Measurement-rng draws each sign-cohort shot takes up front:
         #: the draw count of the last path a cohort completed.  Any
         #: value is exact; a short stream is topped up on the way.
@@ -2162,23 +2290,34 @@ class TraceCache:
                               None if qpu.noise.is_ideal
                               else [qpu.noise.rng])
         groups: list = []
-        frontier = self._replay_cohort(node, qpu, cohort, groups)
+        left: list = []
+        self._replay_cohort(node, qpu, cohort, groups, left)
+        return self._dense_shot(qpu, cohort, groups, left)
+
+    def _dense_shot(self, qpu: SimulatedQPU, cohort: _Cohort,
+                    groups: list, left: list
+                    ) -> tuple[dict[int, int], int] | ResumePoint:
+        """The end of a dense cohort of one's walk on the device's
+        rngs: its result from its leaf group, or a :class:`ResumePoint`
+        at the :class:`_Frontier` where it left."""
         if groups:
             ((_lane, (measured, bits), total_ns),) = groups
             return ({qubit: (bits >> index) & 1
                      for index, qubit in enumerate(measured)}, total_ns)
         # Move the frontier into the live device: its amplitudes, and
         # the bookkeeping the resumed cycle-accurate suffix reads (idle
-        # gaps, ZZ windows), which the restart above cleared.
+        # gaps, ZZ windows), which the device's restart cleared.
+        (frontier,) = left
         qpu.state.restore(cohort.batch.amplitudes[0])
-        if frontier is not None:
-            qpu._busy_until.update(frontier._exit_busy)
-            qpu._windows.update(frontier._exit_windows)
+        node = frontier.node
+        if node is not None:
+            qpu._busy_until.update(node._exit_busy)
+            qpu._windows.update(node._exit_windows)
         self.misses += 1
         self.resumes += 1
         return ResumePoint(skip_ops=sum(ancestor.devops for ancestor
-                                        in _ancestry(frontier)),
-                           outcomes=cohort.state.log)
+                                        in frontier.ran),
+                           outcomes=cohort.state.outcomes(cohort.slots[0]))
 
     def _epilogue(self, node: TraceNode,
                   ctx: _ReplayContext) -> "TraceNode | object | None":
@@ -2330,19 +2469,25 @@ class TraceCache:
             if nxt is _HIT:
                 return delivered, node.total_ns + ctx.shift_ns
             if nxt is None:
-                # Materialize the frontier tableau: x/z from the last
-                # executed node's exit model, signs from the packed
-                # column.  Both rngs are already at their frontier
-                # positions.
-                state.restore(node._exit_xz + (r,))
-                if not ctx.simulated:
-                    ctx.simulated = True
-                    self.misses += 1
-                    self.resumes += 1
-                # No copy: a context is the shot's own, and nothing
-                # appends to its outcomes once the shot has missed.
-                return ResumePoint(ctx.skip_ops, ctx.outcomes, node, ctx)
+                return self._sign_miss(node, state, ctx, r)
             node = nxt
+
+    def _sign_miss(self, node: TraceNode, state: StabilizerState,
+                   ctx: _ReplayContext, r: int) -> ResumePoint:
+        """A serial sign shot found no edge at ``node``.
+
+        Materializes the frontier tableau — x/z from the node's exit
+        model, signs from the packed column ``r`` — with both rngs
+        already at their frontier positions, and counts the miss.
+        """
+        state.restore(node._exit_xz + (r,))
+        if not ctx.simulated:
+            ctx.simulated = True
+            self.misses += 1
+            self.resumes += 1
+        # No copy: a context is the shot's own, and nothing appends to
+        # its outcomes once the shot has missed.
+        return ResumePoint(ctx.skip_ops, ctx.outcomes, node, ctx)
 
     # -- batched (wavefront) replay ----------------------------------------
 
@@ -2364,18 +2509,20 @@ class TraceCache:
         key, total_ns)`` per leaf group: the lanes a wavefront
         completed at a recorded leaf with the same :data:`OutcomeKey`
         and duration, each bit-identical per shot-seed to
-        :meth:`replay`.  ``left`` is the mask of the lanes that left
-        the cached trie or reached a node closed to cohorts; the
-        caller runs those through the serial per-shot path, which
-        records new paths as usual.  The live QPU's state and rngs are
-        never touched — cohorts carry their own — but its per-shot
-        logs are cleared, as any serial replay would.
+        :meth:`replay`.  ``left`` holds a :class:`Handoff` per lane
+        that left the cached trie or reached a node closed to cohorts,
+        in lane order: the caller serves each through
+        :meth:`replay_handoff`, which resumes it where it left, and
+        the serial per-shot path, which records new paths as usual.
+        The live QPU's state and rngs are never touched — cohorts
+        carry their own — but its per-shot logs are cleared, as any
+        serial replay would.
         """
         groups: list = []
-        everyone = (1 << len(seeds)) - 1
         node = self.root
         if node is None or node.items is None:
-            return groups, everyone
+            return groups, [Handoff(lane, seed, None)
+                            for lane, seed in enumerate(seeds)]
         self._tick += 1
         # Per-shot device logs describe the *last* simulated shot; a
         # batched pass supersedes it just like a serial replay (which
@@ -2390,20 +2537,93 @@ class TraceCache:
         # flips and dephasing are the only noise-rng consumers; an
         # ideal substrate never draws them, so skip the per-shot
         # Mersenne seeding.
+        frontiers: list = []
         self._replay_cohort(node, qpu, _Cohort.root(
             qpu, self.config, [_random.Random(seed) for seed in seeds],
             None if qpu.noise.is_ideal else
             [random.Random(seed ^ NOISE_SEED_SALT) for seed in seeds]),
-            groups)
-        # Every shot ends in a leaf group or leaves the cohort for the
-        # serial path.
-        left = everyone
-        for lanes, _key, _ns in groups:
-            left &= ~lanes
-        fallbacks = left.bit_count()
-        self.batched_shots += len(seeds) - fallbacks
-        self.serial_fallbacks += fallbacks
+            groups, frontiers)
+        # Every shot ends in a leaf group or leaves the cohort at a
+        # frontier, to be served in lane order.
+        left = [Handoff(slot, seeds[slot], frontier)
+                for frontier in frontiers for slot in frontier.cohort.slots]
+        left.sort(key=lambda handoff: handoff.lane)
+        self.batched_shots += len(seeds) - len(left)
+        self.serial_fallbacks += len(left)
         return groups, left
+
+    def replay_handoff(self, qpu: SimulatedQPU, handoff: Handoff
+                       ) -> tuple[dict[int, int], int] | ResumePoint | None:
+        """Serve a shot :meth:`replay_batch` handed back, as
+        :meth:`replay` would serve its seed.
+
+        The shot resumes where its lane left the walk, with the state
+        the walk computed for it.  The device takes that state: its
+        measurement rng reseeded and advanced past the lane's draws
+        (``getrandbits(64 * offset)`` leaves a Mersenne Twister where
+        ``offset`` ``random()`` calls do), the lane's live noise rng
+        itself, and on the dense backend the lane's measurement rng
+        state.  A sign lane then continues in :meth:`_replay_signs`
+        with its context (:meth:`_Frontier.context`) and packed sign
+        column: at a missing edge after :meth:`_epilogue`, which
+        returns the edge an earlier shot recorded since or leads to
+        the miss, and at a node closed to cohorts from its entry.  A
+        dense lane continues as a cohort of one on the device's rngs,
+        as :meth:`replay` does.  Its path is stamped as a replay from
+        the root would stamp it, so LRU order and every counter are
+        the same as that replay's; ``handoffs`` counts it.
+
+        An earlier shot's recording may have moved the frontier (a
+        fold, graft, translation or eviction) or grown its live set
+        (:meth:`_Frontier.current`): the shot is then replayed from the
+        root (:meth:`replay`), counted in ``rewalks``.
+        """
+        frontier = handoff.frontier
+        if frontier is None:
+            return self.replay(qpu, handoff.seed)
+        if not frontier.current(self.root):
+            self.rewalks += 1
+            return self.replay(qpu, handoff.seed)
+        self.handoffs += 1
+        self._tick += 1
+        for node in frontier.ran:
+            self._touch(node)
+        qpu.operation_log.clear()
+        qpu.timing_violations.clear()
+        qpu.restart()  # per-shot device bookkeeping; rngs are set below
+        lane = frontier.cohort.take(1 << handoff.lane)
+        if lane.nrngs is not None:
+            qpu.noise.rng = lane.nrngs[0]
+        rng = qpu.state.rng
+        node = frontier.path[-1]
+        if self.mode == "signs":
+            rng.seed(handoff.seed)
+            if frontier.offset:
+                rng.getrandbits(64 * frontier.offset)
+            ctx = frontier.context(handoff.lane, self.config)
+            r = frontier.signs(handoff.lane)
+            if not frontier.entered:
+                nxt = self._epilogue(node, ctx)
+                if nxt is None:
+                    return self._sign_miss(node, qpu.state, ctx, r)
+                node = nxt
+            return self._replay_signs(node, qpu, ctx, r)
+        rng.setstate((rng.VERSION, lane.srngs[0].getstate(), None))
+        lane.srngs = [rng]
+        groups: list = []
+        left: list = []
+        if frontier.entered:
+            self._replay_cohort(node, qpu, lane, groups, left,
+                                frontier.measured)
+        else:
+            edges = self._split_cohort(node, lane,
+                                       frontier.taken & lane.lanes)
+            for child, sub in edges:
+                self._replay_cohort(child, qpu, sub, groups, left,
+                                    frontier.measured)
+            if not edges:
+                left.append(frontier)
+        return self._dense_shot(qpu, lane, groups, left)
 
     def _split_cohort(self, node: TraceNode, cohort: _Cohort,
                       taken: int) -> list:
@@ -2411,8 +2631,8 @@ class TraceCache:
 
         The one edge selection of the cohort walker.  ``taken`` holds
         the lanes whose decision took edge 1.  Lanes whose edge leads
-        off the cached trie get no edge: they are left for the serial
-        path.  A cohort that divides across continuations counts
+        off the cached trie get no edge: they leave the walk here.  A
+        cohort that divides across continuations counts
         ``wavefront_splits``.  Returns ``[(child, sub_cohort)]`` for
         the surviving sub-cohorts in push order — the edge of the
         cohort's first slot first.  A folded node does not split:
@@ -2440,11 +2660,14 @@ class TraceCache:
         return edges
 
     def _replay_cohort(self, root: TraceNode, qpu: SimulatedQPU,
-                       cohort: _Cohort, groups: list) -> TraceNode | None:
+                       cohort: _Cohort, groups: list, left: list,
+                       measured: tuple = ()) -> None:
         """The wavefront walk of a cohort, sign or dense, from ``root``.
 
         ``cohort`` is the walk's first cohort (:meth:`_Cohort.root`),
-        whose row ``b`` is lane ``b``.  Every node's compiled program
+        whose row ``b`` is lane ``b``, or a handed-off dense lane's
+        cohort of one entering ``root`` with its path's ``measured``
+        qubits (:meth:`replay_handoff`).  Every node's compiled program
         runs once for the whole cohort.
         Only that step is substrate-specific, with the sign stream
         top-up and the Pauli-arm fold flips:
@@ -2467,10 +2690,10 @@ class TraceCache:
           share because they took the same path, and tops up its own
           shots when it runs past the drawn length; a topped-up draw is
           read lane by lane.  Over-drawing is safe: the streams are
-          private, and a shot that leaves the trie reruns from its
-          seed.  A folded MRCE does not split the cohort: its
-          Pauli-arm lanes get the Pauli's XOR and noise site and the
-          fold's ``δ``.
+          private, and a shot that leaves the trie redraws its
+          measurement rng up to its own offset.  A folded MRCE does
+          not split the cohort: its Pauli-arm lanes get the Pauli's
+          XOR and noise site and the fold's ``δ``.
         * **Dense.**  The cohort is a ``(width, 2^n)``
           :class:`BatchStateVector`, and each node's bound steps
           (:meth:`TraceNode.dense_program`) push block operators
@@ -2491,15 +2714,18 @@ class TraceCache:
         micro-op without def/use sets, see :func:`_manifest`) leaves
         its lanes at its entry (fail closed).
 
-        Returns where lanes last left the trie: the node whose
-        decision had no edge, the parent of a closed node (``None`` at
-        the root), or ``None`` when none left.  A cohort of one that
-        completes no group stands at that frontier (:meth:`replay`).
+        Lanes that leave — at a decision with no edge for them, or at
+        a closed node's entry — are appended to ``left`` as one
+        :class:`_Frontier` per node, holding their state as they left;
+        a Pauli-arm lane's fold is not applied to lanes that leave at
+        the fold.  A cohort of one that completes no group stands at
+        its frontier (:meth:`replay`).
         """
         signs = self.mode == "signs"
         state = cohort.state
         noise = qpu.noise
         drawn = 0
+        planes = None
         if signs:
             tableau = qpu.state
             planes = [0] * (2 * tableau.n_qubits)
@@ -2509,16 +2735,16 @@ class TraceCache:
             streams = [srng.getrandbits(64 * drawn) for srng in srngs]
             # coins[d]: the lanes whose root-drawn draw d is heads.
             coins = _coin_words(streams, drawn)
-        frontier = None
-        stack: list[tuple] = [(root, cohort, (), 0, drawn)]
+        stack: list[tuple] = [(root, cohort, measured, 0, drawn)]
         while stack:
             node, cohort, measured, offset, drawn = stack.pop()
             self._touch(node)
             program, manifest = (node.sign_program(tableau, noise) if signs
                                  else node.dense_program(qpu))
-            if manifest is None:
-                frontier = node.parent
-                continue  # closed to cohorts
+            if manifest is None:  # closed to cohorts
+                left.append(_Frontier(node, True, 0, cohort, planes,
+                                      measured, offset))
+                continue
             node_measured, branch_uses, draws = manifest
             for qubit in node_measured:
                 if qubit not in measured:
@@ -2593,11 +2819,14 @@ class TraceCache:
                 self.hits += len(cohort.slots)
                 continue
             taken = state.decide(decision, branch_uses, lanes)
+            edges = self._split_cohort(node, cohort, taken)
+            for _child, sub in edges:
+                lanes ^= sub.lanes
             fold = node.fold
             if fold is not None:
                 # The Pauli-arm lanes replay the Pauli and run δ later;
                 # _split_cohort keeps the cohort whole.
-                flips = taken if fold.edge else lanes ^ taken
+                flips = (taken if fold.edge else cohort.lanes ^ taken) & ~lanes
                 if flips:
                     for op in fold.sign_program(node, tableau, noise):
                         if op[0] == _S_XOR:
@@ -2607,12 +2836,12 @@ class TraceCache:
                             _cohort_noise(op, _set_bits(flips), nrngs,
                                           planes)
                     state.shift(flips, fold.delta_ns)
-            for child, sub in self._split_cohort(node, cohort, taken):
-                lanes ^= sub.lanes
+            for child, sub in edges:
                 stack.append((child, sub, measured, offset, drawn))
             if lanes:
-                frontier = node
-        return frontier
+                left.append(_Frontier(node, False, taken,
+                                      cohort.take(lanes), planes, measured,
+                                      offset))
 
     # -- recording ---------------------------------------------------------
 

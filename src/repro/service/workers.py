@@ -158,7 +158,8 @@ def run_shard(payload: dict, start: int, stop: int) -> dict:
                  "restarts": cache.restarts, "rejoins": cache.rejoins,
                  "batched_shots": cache.batched_shots,
                  "wavefront_splits": cache.wavefront_splits,
-                 "serial_fallbacks": cache.serial_fallbacks}
+                 "serial_fallbacks": cache.serial_fallbacks,
+                 "handoffs": cache.handoffs, "rewalks": cache.rewalks}
     return {"start": start, "stop": stop,
             "counts": shard.counts, "total_ns": shard.total_ns,
             "pid": os.getpid(), "engine_key": payload["engine_key"],

@@ -29,7 +29,10 @@ bit** under a fixed seed:
   widths larger than the shot count (both reached directly, through
   ``tests/replay_paths.py``).  Dense cohorts run under both dense
   channel stacks, so cohort ZZ windows, deferred corrections and idle
-  decay are differential-tested.
+  decay are differential-tested;
+* hand-offs: lanes a cohort leaves resume at their own frontier (or
+  are replayed from the root when it went stale) on folding,
+  fast-switch, dense T1/T2 and node-bounded engines.
 
 This is the suite guarding edge selection, which lives in two places:
 the serial sign-trace loop decides through the decide/hit/resume
@@ -451,6 +454,51 @@ def test_fuzz_pauli_folds_match_cycle_accurate(program):
     assert served(engine, seeds, "serial") == served(reference, seeds), \
         "noiseless scalar diverged"
     assert engine.trace_cache.rejoins > 0
+
+
+HANDOFF_SHOTS = 24
+
+#: Engines whose cohorts hand lanes back: ``(config changes, backend,
+#: noise)``.  The scalar stabilizer core folds its MRCE resets, the
+#: fast-switch one does not, the dense one draws T1/T2 and readout
+#: noise, and the bounded one evicts the frontiers of later lanes.
+HANDOFF_CELLS = {
+    "folding": ({}, "stabilizer", pauli_noise),
+    "fast-switch": ({"fast_context_switch": True}, "stabilizer",
+                    pauli_noise),
+    "dense": ({}, "statevector", dense_noise),
+    "bounded": ({"trace_cache_max_nodes": 4}, "stabilizer", pauli_noise),
+}
+
+
+@settings(max_examples=5, deadline=None)
+@given(control_flow_programs(coin_resets=1, lead_coin=True))
+def test_fuzz_handoffs_match_serial_and_cycle_accurate(program):
+    """Lanes a cohort hands back resume where they left, exactly.
+
+    ``run`` opens with narrow cohorts whose lanes leave at the coins'
+    unrecorded arms; each is resumed at its own frontier, or replayed
+    from the root when an earlier fallback's recording moved it.
+    Every seed's ``(delivered, total_ns)`` must equal ``run_shot``'s
+    and the cycle-accurate engine's, in every cell.
+    """
+    seeds = range(HANDOFF_SHOTS)
+    for name, (changes, backend, noise_factory) in HANDOFF_CELLS.items():
+        config = scalar_config(**changes)
+        engines = {how: cache_engine(program, backend,
+                                     config.with_(trace_cache=cached),
+                                     noise_factory)
+                   for how, cached in (("run", True), ("serial", True),
+                                       ("reference", False))}
+        expected = served(engines.pop("reference"), seeds)
+        for how, engine in engines.items():
+            assert served(engine, seeds, how) == expected, f"{name}/{how}"
+        # The lead coin's unrecorded arm sends lanes back: the first
+        # of them finds its frontier where it left it.
+        cache = engines["run"].trace_cache
+        assert cache.handoffs > 0, name
+        assert cache.handoffs + cache.rewalks == cache.serial_fallbacks, \
+            name
 
 
 def test_epilogue_is_shared_by_all_replay_modes():

@@ -264,6 +264,8 @@ def test_fair_coin_splits_wavefronts():
     # later cohorts find both edges and split without falling back.
     # A run after a cold start opens with a cohort of 2, so one shot
     # falls back where a full cohort would send back 31.
+    # Every fallback resumes where its lane left: nothing an earlier
+    # fallback recorded moved its frontier.
     for how, batched, splits, fallbacks in (("run", 58, 3, 1),
                                             (8, 54, 8, 5)):
         result, cache = run_engine(coin_program(), n_qubits=2, shots=60,
@@ -272,6 +274,24 @@ def test_fair_coin_splits_wavefronts():
         assert (cache.hits, cache.misses, cache.resumes) == (58, 2, 1)
         assert (cache.batched_shots, cache.wavefront_splits,
                 cache.serial_fallbacks) == (batched, splits, fallbacks)
+        assert (cache.handoffs, cache.rewalks) == (fallbacks, 0), how
+
+
+@pytest.mark.parametrize("backend", ["stabilizer", "statevector"])
+def test_fallback_lanes_do_not_replay_from_the_root(backend, monkeypatch):
+    # The fair coin's fallback resumes at the coin's node, where its
+    # cohort left it: only the cold shot replays through
+    # ``TraceCache.replay``.
+    engine = ShotEngine(coin_program(), config=scalar_config(),
+                        backend=backend, n_qubits=2)
+    calls = served_by(engine, monkeypatch)
+    reference, _ = run_engine(coin_program(), backend=backend, n_qubits=2,
+                              shots=60, how="serial")
+    assert served(engine, range(60)) == reference
+    cache = engine.trace_cache
+    assert calls["replay"] == [0]
+    assert (cache.serial_fallbacks, cache.handoffs, cache.rewalks) == (
+        1, 1, 0)
 
 
 
@@ -671,3 +691,74 @@ def test_micro_op_without_effects_fails_closed(opcode, backend):
         # No dense shot replays through the opaque node: every one
         # after the cold shot resumes at its entry.
         assert (cache.hits, cache.resumes) == (0, 39)
+
+
+# -- hand-offs at stale frontiers ---------------------------------------------
+
+
+def mrce_coins_program(coins: int = 2):
+    """Fair coins resolved by MRCE, each arm a different gate: a trie
+    with no classical entry, so no live set ever grows."""
+    builder = ProgramBuilder("mrce_coins")
+    for index in range(coins):
+        builder.qop("h", [0], timing=2)
+        builder.qmeas(0, timing=2)
+        builder.mrce(0, 1 + index % 2, op_if_zero="i", op_if_one="x")
+    builder.qmeas(1, timing=2)
+    builder.qmeas(2, timing=2)
+    builder.halt()
+    return builder.build()
+
+
+def assert_rewalks_are_exact(make, seeds) -> object:
+    """Serve ``seeds`` with ``run`` on ``make(trace_cache=True)``; every
+    seed must match the cycle-accurate engine, and some shot must have
+    been replayed from the root because its frontier went stale."""
+    engine, reference = make(True), make(False)
+    assert served(engine, seeds) == served(reference, seeds)
+    cache = engine.trace_cache
+    assert cache.rewalks >= 1
+    assert cache.handoffs + cache.rewalks == cache.serial_fallbacks
+    assert all(node.live is None for node in cache._lru)
+    return cache
+
+
+def test_folded_frontier_is_replayed_from_the_root():
+    # Surface-code fallbacks record new MRCE arms, and the folds they
+    # make graft away subtrees later lanes of the same cohort left
+    # from.  Nothing else can move a frontier here: the bound is off
+    # and no live set grows.
+    from repro.benchlib.surface import (build_surface_memory_program,
+                                        surface_layout,
+                                        surface_noise_model)
+
+    program = build_surface_memory_program(3, rounds=2)
+
+    def make(cached):
+        return ShotEngine(program, config=QCPConfig(trace_cache=cached),
+                          backend="stabilizer",
+                          n_qubits=surface_layout(3).n_qubits,
+                          noise=surface_noise_model())
+
+    cache = assert_rewalks_are_exact(make, range(50, 75))
+    assert cache.folds > 0 and cache.evictions == 0
+
+
+@pytest.mark.parametrize("backend, changes", [
+    ("statevector", {}),
+    ("stabilizer", {"fast_context_switch": True}),
+], ids=["dense", "fast-switch"])
+def test_evicted_frontier_is_replayed_from_the_root(backend, changes):
+    # Four nodes cannot hold two coins' paths: an earlier fallback's
+    # recording evicts the nodes a later lane left from.  Neither
+    # engine folds and no live set grows, so only eviction moves a
+    # frontier.
+    def make(cached):
+        return ShotEngine(mrce_coins_program(),
+                          config=scalar_config(trace_cache=cached,
+                                               trace_cache_max_nodes=4,
+                                               **changes),
+                          backend=backend, n_qubits=3)
+
+    cache = assert_rewalks_are_exact(make, range(40))
+    assert cache.evictions > 0 and cache.folds == 0

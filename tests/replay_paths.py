@@ -7,9 +7,9 @@ qubit, total ns)`` pairs, the strongest thing to compare.
 :func:`served` returns them for ``run``'s own schedule, for the serial
 loop and for cohorts of any width; :func:`expand` turns what
 :meth:`~repro.qcp.tracecache.TraceCache.replay_batch` returns, lane
-groups and the lanes it left, into them; :func:`histogram` renders
-such a list as the :class:`~repro.qcp.shots.ShotResult` ``run`` would
-return.
+groups and the lanes it handed back, into them; :func:`histogram`
+renders such a list as the :class:`~repro.qcp.shots.ShotResult`
+``run`` would return.
 """
 
 from __future__ import annotations
@@ -24,13 +24,17 @@ def expand(seeds, replayed) -> list:
     """``replay_batch(qpu, seeds)``'s ``(groups, left)`` per seed.
 
     Each lane of a group gets the delivered map its key encodes and
-    the group's total; each lane in ``left`` gets ``None``.  Asserts
-    that every key's qubits are sorted and that the groups and
-    ``left`` partition the lanes.
+    the group's total; each lane handed back in ``left`` gets
+    ``None``.  Asserts that every key's qubits are sorted, that the
+    groups and ``left`` partition the lanes, and that ``left`` is in
+    lane order with each lane's seed.
     """
     groups, left = replayed
     results: list = [None] * len(seeds)
-    covered = left
+    lanes_left = [handoff.lane for handoff in left]
+    assert lanes_left == sorted(set(lanes_left)), lanes_left
+    assert all(handoff.seed == seeds[handoff.lane] for handoff in left)
+    covered = sum(1 << lane for lane in lanes_left)
     for lanes, (measured, bits), total_ns in groups:
         assert measured == tuple(sorted(set(measured))), measured
         assert lanes and not lanes & covered, "lane groups overlap"
@@ -48,9 +52,10 @@ def _run_per_seed(engine, seeds) -> list:
     """Each seed's result as one ``run_range`` over ``seeds`` serves it.
 
     The engine's own schedule runs unchanged; its ``run_shot`` and
-    its cache's ``replay_batch`` are wrapped for the call to record
-    what each seed got, and each seed must be served exactly once.
-    The shard ``run_range`` returns must be those results' histogram.
+    ``run_handoff`` and its cache's ``replay_batch`` are wrapped for
+    the call to record what each seed got, and each seed must be
+    served exactly once.  The shard ``run_range`` returns must be
+    those results' histogram.
     """
     seeds = list(seeds)
     start = seeds[0]
@@ -71,6 +76,14 @@ def _run_per_seed(engine, seeds) -> list:
         return result
 
     patch(engine, "run_shot", shot)
+    run_handoff = engine.run_handoff
+
+    def handoff(handed):
+        assert handed.seed not in per_seed, handed.seed
+        per_seed[handed.seed] = result = run_handoff(handed)
+        return result
+
+    patch(engine, "run_handoff", handoff)
     cache = engine.trace_cache
     if cache is not None:
         replay_batch = cache.replay_batch
@@ -110,8 +123,9 @@ def served(engine, seeds, how="run") -> list:
     * a cohort width: the first seed alone on a cold trie, the rest
       in cohorts of that width through
       :meth:`~repro.qcp.tracecache.TraceCache.replay_batch`, and a
-      shot its cohort hands back alone — what ``run`` does at its own
-      width once its cohorts are full.
+      shot its cohort hands back through
+      :meth:`~repro.qcp.shots.ShotEngine.run_handoff`, in lane order —
+      what ``run`` does at its own width once its cohorts are full.
     """
     if how == "run":
         return _run_per_seed(engine, seeds)
@@ -123,11 +137,11 @@ def served(engine, seeds, how="run") -> list:
                if root is None or root.items is None else [])
     for start in range(len(results), len(seeds), how):
         chunk = seeds[start:start + how]
-        replayed = expand(chunk, engine.trace_cache.replay_batch(
-            engine._qpu, chunk))
-        results.extend(result if result is not None
-                       else engine.run_shot(seed)
-                       for seed, result in zip(chunk, replayed))
+        replayed = engine.trace_cache.replay_batch(engine._qpu, chunk)
+        cohort = expand(chunk, replayed)
+        for handoff in replayed[1]:
+            cohort[handoff.lane] = engine.run_handoff(handoff)
+        results.extend(cohort)
     return results
 
 

@@ -291,6 +291,24 @@ class TestCompactKeys:
     def test_key_bit_i_is_the_ith_sorted_qubit(self):
         assert outcome_key({7: 1, 2: 0, 5: 1}) == ((2, 5, 7), 0b110)
 
+    def test_full_and_partial_shapes_render_against_the_union(self):
+        # Keys measuring the whole union, part of it and nothing at all
+        # merge into one histogram, ``-`` marking qubits a shot never
+        # measured.
+        shots = [({2: 1, 5: 0, 7: 1}, 10), ({2: 0, 5: 0, 7: 0}, 10),
+                 ({5: 1}, 20), ({2: 1, 7: 0}, 30), ({}, 40),
+                 ({2: 1, 5: 0, 7: 1}, 10)]
+        shard = ShardOutcomes(start=0, stop=len(shots))
+        for delivered, shot_ns in shots:
+            shard.counts[outcome_key(delivered)] += 1
+            shard.total_ns += shot_ns
+        merged = merge_shard_outcomes([shard])
+        assert merged.measured_qubits == (2, 5, 7)
+        assert merged.counts == {"101": 2, "000": 1, "-1-": 1, "1-0": 1,
+                                 "---": 1}
+        assert (merged.counts, merged.measured_qubits,
+                merged.total_ns) == reference_merge([shots])
+
 
 class TestRunShardWorker:
     """Direct calls into the worker entry point (no pool)."""
@@ -329,6 +347,11 @@ class TestRunShardWorker:
         assert out["trace_cache"]["folds"] == 0
         assert out["trace_cache"]["restarts"] == 0
         assert out["trace_cache"]["rejoins"] == 0
+        # Every shot a cohort handed back resumed at its frontier or
+        # was replayed from the root.
+        stats = out["trace_cache"]
+        assert (stats["handoffs"] + stats["rewalks"]
+                == stats["serial_fallbacks"])
 
     def test_warm_shor_shard_pickles_small(self):
         # A warm 256-shot shard of the paper's benchmark replays as one
