@@ -27,11 +27,13 @@ being a cohort of one.  A sweep replays its warm shots in cohorts
 block, follows from the substrate, not from the config.
 This includes **noisy substrates** (pass ``noise=``): the per-shot
 reseeded noise rng is replayed positionally, and a replay that
-diverges from the trie resumes the cycle-accurate simulation from
-the divergence frontier (:class:`~repro.qcp.tracecache.CheckpointQPU`)
-instead of re-simulating the whole shot — or, at a quiet MRCE on a
-folding engine, restarts the control stack there from a snapshot and
-hands the shot back to replay at the next quiet MRCE the trie covers.
+diverges from the trie hands back the shot's own replay context and
+resumes the cycle-accurate simulation from the divergence frontier
+(the run's one :class:`~repro.qcp.tracecache.RecordingQPU` skips the
+replayed prefix) instead of re-simulating the whole shot — or, at a
+quiet MRCE on a folding engine, restarts the control stack there from
+a snapshot and hands the shot back to replay at the next quiet MRCE
+the trie covers.
 Substrates with no compiled replay mode (non-Pauli noise on the
 stabilizer backend, channels the compilers do not model) and custom
 ``qpu_factory`` devices, which the cache cannot see inside, fall back
@@ -71,8 +73,8 @@ from repro.qcp.config import QCPConfig
 from repro.qcp.memory import InstructionMemory
 from repro.qcp.system import QuAPESystem, infer_qubit_count
 from repro.qcp.routing import RoutingDecision, route_backend
-from repro.qcp.tracecache import (CheckpointQPU, Handoff, OutcomeKey,
-                                  RecordingQPU, TraceCache, TraceRecorder,
+from repro.qcp.tracecache import (Handoff, OutcomeKey, RecordingQPU,
+                                  TraceCache, TraceRecorder,
                                   auto_batch_width, outcome_key,
                                   replay_mode)
 from repro.qpu.device import QPUBase, SimulatedQPU
@@ -361,9 +363,10 @@ class ShotEngine:
         * a miss at a node holding a control-stack snapshot (a quiet
           MRCE on a folding engine) *restarts* the control stack there,
           at the shot's own decision time, against the live QPU;
-        * any other miss re-runs the control stack from t = 0 behind a
-          :class:`~repro.qcp.tracecache.CheckpointQPU` proxy that skips
-          the prefix device operations;
+        * any other miss re-runs the control stack from t = 0, and the
+          run's :class:`~repro.qcp.tracecache.RecordingQPU` skips the
+          prefix device operations the replay applied, serving their
+          delivered bits from the shot's replay context;
         * a run records the new path as it goes, and on a folding
           engine stops at a quiet MRCE once the trie holds the shot's
           edge again (the run returns ``stopped``); the shot then
@@ -396,23 +399,27 @@ class ShotEngine:
 
     def _serve(self, replayed, seed: int) -> tuple[dict[int, int], int]:
         """The miss/record/rejoin loop of a trace-cached shot, from
-        what its replay returned (see :meth:`run_shot`)."""
+        what its replay returned (see :meth:`run_shot`): a result, the
+        shot's replay context at a miss, or ``None`` on a cold trie.
+        Each simulator run drives the QPU through one
+        :class:`~repro.qcp.tracecache.RecordingQPU`."""
         cache = self.trace_cache
         while not isinstance(replayed, tuple):
             recorder = TraceRecorder.start(cache, replayed)
             restart = recorder.restart
-            if restart is not None:
+            if replayed is None:
+                qpu = RecordingQPU(self._shot_qpu(seed), recorder.stream)
+            elif restart is not None:
                 # The replay drove the QPU to the restart node.
-                qpu: QPUBase = self._qpu
-            elif replayed is not None:
-                # The replay already restarted/reseeded the QPU and
-                # drove it to the frontier; do not reset it again.
-                qpu = CheckpointQPU(self._qpu, replayed)
+                qpu = RecordingQPU(self._qpu, recorder.stream)
             else:
-                qpu = self._shot_qpu(seed)
-            system = self._system(
-                RecordingQPU(qpu, recorder.stream), recorder.stream,
-                recorder.quiet if cache.folding else None)
+                # The replay already restarted/reseeded the QPU and
+                # drove it to the frontier: the run from t = 0 skips
+                # the prefix the replay applied.
+                qpu = RecordingQPU(self._qpu, recorder.stream,
+                                   replayed.skip_ops, replayed.outcomes)
+            system = self._system(qpu, recorder.stream,
+                                  recorder.quiet if cache.folding else None)
             if restart is not None:
                 system.restore(*restart)
             execution = system.run()

@@ -55,7 +55,8 @@ is equally decision-determined.
   decision with no matching edge is a *miss* handled by
   **checkpoint-resume at the divergence frontier** or, at a quiet MRCE
   on a folding engine, by a **restart** from a control-stack snapshot
-  (both below).
+  (both below); either way the shot's replay context is the miss's
+  only record.
 
 Noise-aware replay
 ==================
@@ -151,14 +152,17 @@ A replay that reaches a decision with no recorded edge has already
 done real work: the backend state, the rng positions (measurement and
 noise) and the delivered-outcome history are all exactly at the last
 shared trie node.  Instead of discarding that and re-simulating the
-whole shot, the cache returns a :class:`ResumePoint` and the shot
-engine re-runs the cycle-accurate simulation behind a
-:class:`CheckpointQPU` proxy: the first ``skip_ops`` device operations
-(the shared prefix the control stack re-issues) are *skipped* — the
-state already includes them — and prefix measurements return the
-recorded delivered bits.  Only the divergent suffix is simulated
-against the live backend, after which the newly discovered path is
-recorded into the trie as usual.  The sign-trace replay materializes
+whole shot, the cache returns the shot's own :class:`_ReplayContext`,
+which holds the device operations the replay applied (``skip_ops``),
+the delivered bits in order (``outcomes``) and, for a sign shot, the
+node it left at.  The shot engine re-runs the cycle-accurate
+simulation behind the one :class:`RecordingQPU` of the run, built from
+that context: the first ``skip_ops`` device operations (the shared
+prefix the control stack re-issues) are *skipped* — the state already
+includes them — and prefix measurements return the recorded delivered
+bits.  Only the divergent suffix is simulated against the live
+backend, after which the newly discovered path is recorded into the
+trie as usual.  The sign-trace replay materializes
 the frontier tableau first (its compile-time x/z model plus the live
 packed sign column), and a dense replay its cohort-of-one row, through
 :meth:`~repro.qpu.backend.SimulationBackend.restore`.  A miss at a
@@ -256,11 +260,12 @@ one segment, not a shot:
   nodes' snapshots to be equal (:class:`TraceDivergenceError`
   otherwise).
 * **Restart.**  A serial miss at a node with a snapshot
-  (:meth:`TraceRecorder.start`) materializes the tableau as for a
-  resume, then restores a fresh system at the node's decision time on
-  the shot's own clock; the valid result registers take the shot's
-  delivered bits and the MRCE resolves with the shot's bit.  Recording
-  starts at the node.
+  (:meth:`TraceRecorder.start`, reading the node from the shot's
+  context) materializes the tableau as for a resume, then restores a
+  fresh system at the node's decision time on the shot's own clock;
+  the valid result registers take the shot's delivered bits and the
+  MRCE resolves with the shot's bit.  Recording starts at the node,
+  and the run's :class:`RecordingQPU` skips nothing.
 * **Rejoin.**  At every quiet MRCE a recording run reaches, the
   recorder (:meth:`TraceRecorder.quiet`) closes the segment and offers
   the decision where the run left the trie to :meth:`TraceCache._fold`.
@@ -284,7 +289,6 @@ from __future__ import annotations
 import _random
 import random
 from collections import OrderedDict
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -391,37 +395,6 @@ class TraceDivergenceError(RuntimeError):
     — e.g. an externally mutated substrate or a non-positional rng
     consumer slipped past the cacheability gate.
     """
-
-
-@dataclass
-class ResumePoint:
-    """Where a replay stopped: the divergence frontier of a trie miss.
-
-    The backend state, rng positions and (for noisy substrates) the
-    device's busy/window bookkeeping are live at the frontier when
-    this is returned — a dense replay has copied its cohort-of-one row
-    into the device's statevector, and its rngs are the device's own;
-    a lane a cohort handed back (:meth:`TraceCache.replay_handoff`)
-    has put its sign column or amplitude row and its rngs there too;
-    the shot engine wraps the QPU in a
-    :class:`CheckpointQPU` built from this point so the cycle-accurate
-    re-run skips the shared prefix, or restarts the control stack at
-    ``node`` when it holds a snapshot
-    (:meth:`TraceRecorder.start`).
-    """
-
-    #: Device-level operations (gates + resets + measurements) the
-    #: replay already applied; the re-run skips this many.
-    skip_ops: int = 0
-    #: Delivered measurement bits of the prefix, in call order —
-    #: served to the control stack instead of re-measuring.
-    outcomes: list[int] = field(default_factory=list)
-    #: Sign replay only: the node whose decision had no edge, and the
-    #: shot's replay context there — what a restart from the node's
-    #: control-stack snapshot needs
-    #: (:meth:`TraceRecorder.start`).
-    node: "TraceNode | None" = None
-    ctx: "_ReplayContext | None" = None
 
 
 class _ReplayProcessor:
@@ -690,10 +663,18 @@ class _ReplayContext:
     shot gets a fresh one.  Cohorts keep no per-shot context: their
     classical state is a :class:`_CohortState`, and a lane a cohort
     hands back gets its context from it (:meth:`_Frontier.context`).
+
+    A miss returns the shot's context as its record: ``skip_ops`` and
+    ``outcomes`` are the prefix a t = 0 re-run skips and serves
+    (:class:`RecordingQPU`), and ``node``, set by a sign miss, is
+    where the shot left replay, from which a restart starts
+    (:meth:`TraceRecorder.start`).  A dense cohort of one that misses
+    returns its lane's context, with no ``node``.
     """
 
     __slots__ = ("config", "delivered", "outcomes", "skip_ops",
-                 "shift_ns", "pauli", "shared", "procs", "simulated")
+                 "shift_ns", "pauli", "shared", "procs", "simulated",
+                 "node")
 
     def __init__(self, config: QCPConfig) -> None:
         self.config = config
@@ -707,6 +688,8 @@ class _ReplayContext:
         #: The shot has run on the simulator: it is one miss, however
         #: often it rejoins, and its leaf counts no hit.
         self.simulated = False
+        #: Set by a sign miss: the node whose decision had no edge.
+        self.node: TraceNode | None = None
 
     def proc(self, proc_id: int) -> _ReplayProcessor:
         """The register facade for ``proc_id`` (created on first use)."""
@@ -841,7 +824,7 @@ class TraceNode:
     __slots__ = ("items", "decision", "children", "total_ns", "devops",
                  "decision_ns", "quiet", "fold", "snapshot",
                  "last_used", "parent", "edge", "live", "_program",
-                 "_exit_xz", "_exit_busy", "_exit_windows")
+                 "_exit_tableau", "_exit_busy", "_exit_windows")
 
     def __init__(self) -> None:
         self.items: tuple | None = None
@@ -862,11 +845,11 @@ class TraceNode:
         #: (:meth:`sign_program`), the bound step list on the
         #: statevector (:meth:`dense_program`).
         self._program: tuple | None = None
-        #: Stabilizer sign-trace compilation: the model tableau's
-        #: (x, z) columns at node exit, the entry state for compiling
-        #: child nodes and the x/z half of a divergence-frontier
-        #: checkpoint.
-        self._exit_xz: tuple[tuple[int, ...], tuple[int, ...]] | None = None
+        #: Stabilizer sign-trace compilation: the model tableau at
+        #: node exit (signs at zero), whose copy is the entry state for
+        #: compiling a child node and whose x/z columns are the x/z
+        #: half of a divergence-frontier checkpoint.
+        self._exit_tableau: StabilizerState | None = None
         #: Dense step compilation: the device's busy-until and
         #: drive-window bookkeeping at node exit — the entry state for
         #: compiling child nodes, and what a divergence-frontier resume
@@ -906,16 +889,16 @@ class TraceNode:
         noisy gate, and each op carries both the serial loop's packed
         masks and the cohort walker's row tuples: one compilation serves
         both loops.  The compiler runs the device's own kernel on a
-        model :class:`StabilizerState` chained from the parent node's
-        exit columns (:func:`_model_at`); every walk compiles a parent
-        before its children.
+        model :class:`StabilizerState` copied from the parent node's
+        exit model (:func:`_model_at`), which it keeps as its own exit
+        model; every walk compiles a parent before its children.
         """
         if self._program is None:
             model = _model_at(self.parent, state.n_qubits)
             items = self.live_items()
             self._program = (_compile_sign_node(items, model, noise),
                              _manifest(items, self.decision))
-            self._exit_xz = model.snapshot()[:2]
+            self._exit_tableau = model
         return self._program
 
     def dense_program(self, qpu: SimulatedQPU) -> tuple:
@@ -1009,13 +992,12 @@ def _shifted(entry: tuple, delta_ns: int) -> tuple:
 
 
 def _model_at(node: TraceNode | None, n: int) -> StabilizerState:
-    """The sign compiler's model tableau at ``node``'s exit (|0...0>
-    above the root), with its signs left at zero: the compiler reads
-    only the masks the kernel returns, never ``r``."""
-    model = StabilizerState(n)
-    if node is not None:
-        model.restore(node._exit_xz + (0,))
-    return model
+    """A copy of the sign compiler's model tableau at ``node``'s exit
+    (a fresh |0...0> above the root), with its signs at zero: the
+    compiler reads only the masks the kernel returns, never ``r``."""
+    if node is None:
+        return StabilizerState(n)
+    return node._exit_tableau.copy()
 
 
 def _compile_sign_node(items: tuple, model: StabilizerState,
@@ -1043,15 +1025,6 @@ def _compile_sign_node(items: tuple, model: StabilizerState,
     draws, and a random op carries its draw's index among them.
     Classical ops carry their cohort-state locations.
     """
-    depolarizing = noise.depolarizing
-    two_qubit = noise.two_qubit_depolarizing
-    pauli = noise.pauli
-    pauli_cum = None
-    if pauli is not None:
-        pauli_cum = (pauli.px, pauli.px + pauli.py,
-                     pauli.px + pauli.py + pauli.pz)
-    has_gate_noise = (depolarizing is not None or two_qubit is not None
-                      or pauli is not None)
     program: list = []
     draws = 0
     pending = 0
@@ -1063,13 +1036,13 @@ def _compile_sign_node(items: tuple, model: StabilizerState,
             pending = 0
 
     def noise_site(qubits: tuple[int, ...]) -> None:
-        """One post-gate injection site: masks + channel constants."""
-        channel = depolarizing
-        if len(qubits) == 2 and two_qubit is not None:
-            channel = two_qubit
-        dep_p = channel.p if channel is not None else None
-        if dep_p is None and pauli_cum is None:
+        """One post-gate injection site: masks + channel constants of
+        the channels :meth:`NoiseModel.gate_site_specs` selects."""
+        channels = dict(noise.gate_site_specs(qubits))
+        if not channels:
             return
+        dep = channels.get("dep")
+        pauli = channels.get("pauli")
         masks = []
         for q in qubits:
             x_flips = model.z[q]
@@ -1078,18 +1051,20 @@ def _compile_sign_node(items: tuple, model: StabilizerState,
         masks = tuple(masks)
         rows = tuple(tuple(_set_bits(mask) for mask in qubit_masks)
                      for qubit_masks in masks)
-        program.append((_S_NOISE, dep_p, masks, pauli_cum, rows))
+        program.append((_S_NOISE, None if dep is None else dep.p, masks,
+                        None if pauli is None
+                        else (pauli.px, pauli.px + pauli.py,
+                              pauli.px + pauli.py + pauli.pz), rows))
 
     for item in items:
         tag = item[0]
         if tag == REC_GATE:
             qubits = item[2]
             pending ^= model.conjugate(item[1], qubits)
-            if has_gate_noise:
-                # Sign XORs commute, so the pending gate flips need no
-                # flush — the site only draws the noise rng and XORs
-                # masks of its own.
-                noise_site(qubits)
+            # Sign XORs commute, so the pending gate flips need no
+            # flush — the site only draws the noise rng and XORs masks
+            # of its own.
+            noise_site(qubits)
         elif tag == REC_RESET or tag == REC_MEAS:
             flush()
             reset = tag == REC_RESET
@@ -1552,10 +1527,12 @@ class _Frontier:
                                 and node.live is self.live)
 
     def context(self, slot: int, config: QCPConfig) -> _ReplayContext:
-        """Lane ``slot``'s serial replay context at :attr:`node`: its
+        """Lane ``slot``'s replay context at :attr:`node`: its
         delivered bits and outcome stream, its registers and shared
         words, its fold shift, and the device ops its path issued,
-        each fired fold's Pauli included."""
+        each fired fold's Pauli included.  A sign lane continues in the
+        serial loop with it; a dense cohort of one that misses returns
+        it as its miss record (:meth:`TraceCache._dense_shot`)."""
         state = self.cohort.state
         ctx = _ReplayContext(config)
         words = state.words
@@ -1799,28 +1776,42 @@ def auto_batch_width(qpu: SimulatedQPU) -> int:
 
 
 class RecordingQPU:
-    """Device proxy capturing the backend-op stream of one shot.
+    """The one device proxy of a simulator run: it records the run's
+    backend-op stream and skips a t = 0 re-run's replayed prefix.
 
-    Wraps a :class:`~repro.qpu.device.SimulatedQPU` (or a
-    :class:`CheckpointQPU` around one); every attribute not intercepted
-    here delegates to it, so the control stack drives the proxy
-    exactly like the real device.  Backend operations and measurement
-    samples are appended — with their issue times, which the
-    noise-site compiler needs — to the shared chronological ``recorded``
-    stream, interleaved with the classical entries the processor
-    recording hooks contribute.
+    Wraps a :class:`~repro.qpu.device.SimulatedQPU`; every attribute
+    not intercepted here delegates to it, so the control stack drives
+    the proxy exactly like the real device.  Backend operations and
+    measurement samples are appended — with their issue times, which
+    the noise-site compiler needs — to the shared chronological
+    ``recorded`` stream, interleaved with the classical entries the
+    processor recording hooks contribute.
+
+    A run that resumes a missed shot from t = 0 passes the shot's
+    context's ``skip_ops`` and ``outcomes``: the device's state, rng
+    positions and bookkeeping are already at the frontier, so the
+    first ``skip_ops`` operations the control stack issues are recorded
+    but not applied, and prefix measurements return the delivered bits
+    in order.  Once the prefix is exhausted every call passes through,
+    simulating only the divergent suffix.
     """
 
-    def __init__(self, inner, recorded: list) -> None:
+    def __init__(self, inner, recorded: list, skip_ops: int = 0,
+                 outcomes=()) -> None:
         self._inner = inner
         self.recorded = recorded
+        self._skip = skip_ops
+        self._outcomes = iter(outcomes)
 
     def __getattr__(self, name: str):
         return getattr(self._inner, name)
 
     def apply_gate(self, time_ns: int, gate: str, qubits: tuple[int, ...],
                    params: tuple[float, ...] = ()) -> None:
-        self._inner.apply_gate(time_ns, gate, qubits, params)
+        if self._skip:
+            self._skip -= 1
+        else:
+            self._inner.apply_gate(time_ns, gate, qubits, params)
         definition = lookup_gate(gate)
         if definition.is_reset:
             self.recorded.append((REC_RESET, "reset", (qubits[0],), (),
@@ -1830,54 +1821,18 @@ class RecordingQPU:
                                   tuple(qubits), tuple(params), time_ns))
 
     def measure(self, time_ns: int, qubit: int) -> int:
-        outcome = self._inner.measure(time_ns, qubit)
-        self.recorded.append((REC_MEAS, qubit, time_ns, outcome))
-        return outcome
-
-    def reset(self, time_ns: int, qubit: int) -> None:
-        self.apply_gate(time_ns, "reset", (qubit,))
-
-
-class CheckpointQPU:
-    """Prefix-skipping device proxy for divergence-frontier resume.
-
-    Built from a :class:`ResumePoint`: the wrapped QPU's state, rng
-    positions and bookkeeping are already at the frontier, so the
-    first ``skip_ops`` device operations the re-running control stack
-    issues are dropped (their effects are live) and prefix
-    measurements return the recorded delivered bits.  Once the prefix
-    is exhausted every call passes through, simulating only the
-    divergent suffix.
-    """
-
-    def __init__(self, inner: SimulatedQPU, resume: ResumePoint) -> None:
-        self._inner = inner
-        self._skip = resume.skip_ops
-        self._outcomes = resume.outcomes
-        self._next_outcome = 0
-
-    def __getattr__(self, name: str):
-        return getattr(self._inner, name)
-
-    def apply_gate(self, time_ns: int, gate: str, qubits: tuple[int, ...],
-                   params: tuple[float, ...] = ()) -> None:
         if self._skip:
             self._skip -= 1
-            return
-        self._inner.apply_gate(time_ns, gate, qubits, params)
-
-    def measure(self, time_ns: int, qubit: int) -> int:
-        if self._skip:
-            self._skip -= 1
-            if self._next_outcome >= len(self._outcomes):
+            outcome = next(self._outcomes, None)
+            if outcome is None:
                 raise TraceDivergenceError(
                     "checkpoint prefix re-issued more measurements "
                     "than the replay delivered; the recorded trace "
                     "and the re-run disagree on the op stream")
-            value = self._outcomes[self._next_outcome]
-            self._next_outcome += 1
-            return value
-        return self._inner.measure(time_ns, qubit)
+        else:
+            outcome = self._inner.measure(time_ns, qubit)
+        self.recorded.append((REC_MEAS, qubit, time_ns, outcome))
+        return outcome
 
     def reset(self, time_ns: int, qubit: int) -> None:
         self.apply_gate(time_ns, "reset", (qubit,))
@@ -1943,26 +1898,26 @@ class TraceRecorder:
 
     @classmethod
     def start(cls, cache: TraceCache,
-              resume: ResumePoint | None) -> "TraceRecorder":
+              missed: _ReplayContext | None) -> "TraceRecorder":
         """The recorder of one simulator run for a shot that missed.
 
-        ``resume`` is what the replay returned: ``None`` for a cold
-        shot, else the miss's :class:`ResumePoint`.  A miss at a node
-        with a control-stack snapshot restarts there: ``restart`` holds
-        ``(snapshot, now, delivered)`` for :meth:`QuAPESystem.restore
+        ``missed`` is what the replay returned: ``None`` for a cold
+        shot, else the shot's replay context at the miss.  A miss at a
+        node (``missed.node``) with a control-stack snapshot restarts
+        there: ``restart`` holds ``(snapshot, now, delivered)`` for
+        :meth:`QuAPESystem.restore
         <repro.qcp.system.QuAPESystem.restore>`, ``now`` being the
         node's decision time on the shot's own clock.  Every other run
-        starts at the root, cold or behind a
-        :class:`CheckpointQPU` (a t = 0 resume).
+        starts at the root, cold or as a t = 0 resume whose
+        :class:`RecordingQPU` skips the context's prefix.
         """
-        node = None if resume is None else resume.node
+        node = None if missed is None else missed.node
         if (node is not None and node.snapshot is not None
-                and resume.ctx.pauli is None):
-            ctx = resume.ctx
-            recorder = cls(cache, node, ctx.shift_ns, ctx)
+                and missed.pauli is None):
+            recorder = cls(cache, node, missed.shift_ns, missed)
             recorder.restart = (node.snapshot,
-                                node.decision_ns + ctx.shift_ns,
-                                ctx.delivered)
+                                node.decision_ns + missed.shift_ns,
+                                missed.delivered)
             cache.restarts += 1
             return recorder
         if cache.root is None:
@@ -2254,7 +2209,7 @@ class TraceCache:
     # -- replay ------------------------------------------------------------
 
     def replay(self, qpu: SimulatedQPU, seed: int
-               ) -> tuple[dict[int, int], int] | ResumePoint | None:
+               ) -> tuple[dict[int, int], int] | _ReplayContext | None:
         """Replay one shot through the trie.
 
         Clears the per-shot device logs, restarts/reseeds ``qpu``
@@ -2265,12 +2220,14 @@ class TraceCache:
         and each decision is re-computed from this shot's own
         delivered bits to pick the next edge.
 
-        Returns ``(last result per qubit, total ns)`` on a full hit; a
-        :class:`ResumePoint` on a divergence-frontier miss (the caller
-        re-runs the cycle-accurate simulation behind a
-        :class:`CheckpointQPU` and records the new branch); or
-        ``None`` when the trie is cold (first shot ever) — the caller
-        then restarts the QPU itself and simulates from scratch.
+        Returns ``(last result per qubit, total ns)`` on a full hit;
+        the shot's :class:`_ReplayContext` on a divergence-frontier
+        miss, with the device at the frontier (the caller re-runs the
+        cycle-accurate simulation behind a :class:`RecordingQPU` that
+        skips the context's prefix, or restarts at its ``node``, and
+        records the new branch); or ``None`` when the trie is cold
+        (first shot ever) — the caller then restarts the QPU itself and
+        simulates from scratch.
         """
         # One tick per shot: the recorder and a rejoined replay stamp
         # the nodes they touch with it, so the LRU bound spares them.
@@ -2296,10 +2253,10 @@ class TraceCache:
 
     def _dense_shot(self, qpu: SimulatedQPU, cohort: _Cohort,
                     groups: list, left: list
-                    ) -> tuple[dict[int, int], int] | ResumePoint:
+                    ) -> tuple[dict[int, int], int] | _ReplayContext:
         """The end of a dense cohort of one's walk on the device's
-        rngs: its result from its leaf group, or a :class:`ResumePoint`
-        at the :class:`_Frontier` where it left."""
+        rngs: its result from its leaf group, or its lane's context at
+        the :class:`_Frontier` where it left."""
         if groups:
             ((_lane, (measured, bits), total_ns),) = groups
             return ({qubit: (bits >> index) & 1
@@ -2315,9 +2272,7 @@ class TraceCache:
             qpu._windows.update(node._exit_windows)
         self.misses += 1
         self.resumes += 1
-        return ResumePoint(skip_ops=sum(ancestor.devops for ancestor
-                                        in frontier.ran),
-                           outcomes=cohort.state.outcomes(cohort.slots[0]))
+        return frontier.context(cohort.slots[0], self.config)
 
     def _epilogue(self, node: TraceNode,
                   ctx: _ReplayContext) -> "TraceNode | object | None":
@@ -2330,7 +2285,8 @@ class TraceCache:
         :class:`TraceNode` to continue into, the :data:`_HIT` sentinel
         when the shot completed at a recorded leaf (hit counted here),
         or ``None`` on a trie miss: the sign loop then materializes the
-        frontier tableau and returns a :class:`ResumePoint`.
+        frontier tableau and returns the shot's context
+        (:meth:`_sign_miss`).
 
         At a folded decision the Pauli arm continues in the identity
         arm's child: the epilogue adds the fold's ``δ`` to the shot's
@@ -2361,7 +2317,7 @@ class TraceCache:
 
     def _replay_signs(self, node: TraceNode, qpu: SimulatedQPU,
                       ctx: _ReplayContext | None = None, r: int = 0
-                      ) -> tuple[dict[int, int], int] | ResumePoint:
+                      ) -> tuple[dict[int, int], int] | _ReplayContext:
         """Replay via the compiled sign-trace (stabilizer backends).
 
         The whole quantum side of a segment reduces to integer bit
@@ -2394,34 +2350,10 @@ class TraceCache:
                 program = ctx.pauli.sign_program(node.parent, state,
                                                  noise) + program
                 ctx.pauli = None
+            # Branches in order of frequency on noisy surface memories.
             for op in program:
                 code = op[0]
-                if code == _S_XOR:
-                    r ^= op[1]
-                elif code == _S_MEAS_D:
-                    raw = ((r & op[1]).bit_count() + op[2]) & 1
-                    rng()
-                    value = corrupt(raw, op[3])
-                    delivered[op[3]] = value
-                    outcomes.append(value)
-                elif code == _S_MEAS_R:
-                    (_c, pivot, pm, tmask, gmask, qubit,
-                     _t_rows, _g_rows, _draw, _qubit) = op
-                    raw = 1 if rng() < 0.5 else 0
-                    if (r >> pivot) & 1:
-                        r ^= gmask ^ tmask
-                        r |= 1 << pm
-                    else:
-                        r ^= gmask
-                        r &= ~(1 << pm)
-                    if raw:
-                        r |= 1 << pivot
-                    else:
-                        r &= ~(1 << pivot)
-                    value = corrupt(raw, qubit)
-                    delivered[qubit] = value
-                    outcomes.append(value)
-                elif code == _S_NOISE:
+                if code == _S_NOISE:
                     _c, dep_p, masks, pauli_cum, _rows = op
                     if dep_p is not None:
                         for qubit_masks in masks:
@@ -2438,29 +2370,42 @@ class TraceCache:
                                 r ^= qubit_masks[1]
                             elif draw < cxyz:
                                 r ^= qubit_masks[2]
-                elif code == _S_RESET_R:
-                    (_c, pivot, pm, tmask, gmask, zmask,
-                     _t_rows, _g_rows, _draw, _z_rows) = op
-                    outcome = 1 if rng() < 0.5 else 0
+                elif code == _S_MEAS_D or code == _S_RESET_D:
+                    raw = ((r & op[1]).bit_count() + op[2]) & 1
+                    rng()
+                    if code == _S_MEAS_D:
+                        value = corrupt(raw, op[3])
+                        delivered[op[3]] = value
+                        outcomes.append(value)
+                    elif raw:
+                        # A |1> outcome's X correction flips every
+                        # zmask row.
+                        r ^= op[3]
+                elif code == _S_MEAS_R or code == _S_RESET_R:
+                    (_c, pivot, pm, tmask, gmask, target,
+                     _t_rows, _g_rows, _draw, _target) = op
+                    raw = 1 if rng() < 0.5 else 0
                     if (r >> pivot) & 1:
                         r ^= gmask ^ tmask
                         r |= 1 << pm
                     else:
                         r ^= gmask
                         r &= ~(1 << pm)
-                    if outcome:
+                    if raw:
+                        r |= 1 << pivot
+                    else:
+                        r &= ~(1 << pivot)
+                    if code == _S_MEAS_R:
+                        value = corrupt(raw, target)
+                        delivered[target] = value
+                        outcomes.append(value)
+                    elif raw:
                         # Collapsed to |1>: the X correction flips the
                         # sign of every row with a Z on the qubit,
                         # the fresh +Z_qubit pivot row included.
-                        r |= 1 << pivot
-                        r ^= zmask
-                    else:
-                        r &= ~(1 << pivot)
-                elif code == _S_RESET_D:
-                    outcome = ((r & op[1]).bit_count() + op[2]) & 1
-                    rng()
-                    if outcome:
-                        r ^= op[3]
+                        r ^= target
+                elif code == _S_XOR:
+                    r ^= op[1]
                 elif code == _S_CLS:
                     op[2](ctx.proc(op[1]))
                 else:  # _S_FMR: this shot's own delivered bit
@@ -2473,21 +2418,24 @@ class TraceCache:
             node = nxt
 
     def _sign_miss(self, node: TraceNode, state: StabilizerState,
-                   ctx: _ReplayContext, r: int) -> ResumePoint:
+                   ctx: _ReplayContext, r: int) -> _ReplayContext:
         """A serial sign shot found no edge at ``node``.
 
         Materializes the frontier tableau — x/z from the node's exit
         model, signs from the packed column ``r`` — with both rngs
-        already at their frontier positions, and counts the miss.
+        already at their frontier positions, counts the miss and
+        returns the shot's context, its ``node`` set.
         """
-        state.restore(node._exit_xz + (r,))
+        model = node._exit_tableau
+        state.restore((model.x, model.z, r))
         if not ctx.simulated:
             ctx.simulated = True
             self.misses += 1
             self.resumes += 1
-        # No copy: a context is the shot's own, and nothing appends to
-        # its outcomes once the shot has missed.
-        return ResumePoint(ctx.skip_ops, ctx.outcomes, node, ctx)
+        # No copy: nothing appends to a shot's outcomes once it has
+        # missed, so the re-run's proxy reads them in place.
+        ctx.node = node
+        return ctx
 
     # -- batched (wavefront) replay ----------------------------------------
 
@@ -2553,7 +2501,7 @@ class TraceCache:
         return groups, left
 
     def replay_handoff(self, qpu: SimulatedQPU, handoff: Handoff
-                       ) -> tuple[dict[int, int], int] | ResumePoint | None:
+                       ) -> tuple[dict[int, int], int] | _ReplayContext | None:
         """Serve a shot :meth:`replay_batch` handed back, as
         :meth:`replay` would serve its seed.
 
@@ -2860,17 +2808,17 @@ class TraceCache:
             self._evict()
 
     def rejoin(self, recorder: "TraceRecorder", qpu: SimulatedQPU
-               ) -> tuple[dict[int, int], int] | ResumePoint:
+               ) -> tuple[dict[int, int], int] | _ReplayContext:
         """Continue a shot whose run stopped at a quiet MRCE
         (:meth:`TraceRecorder.quiet`) in serial sign replay, from the
         hand-over child its recorder chose through :meth:`_epilogue`.
 
-        Returns the replay's result: the shot's outcome, or a
-        :class:`ResumePoint` for its next miss (counted as no new miss).
+        Returns the replay's result: the shot's outcome, or its
+        context at its next miss (counted as no new miss).
         """
         child, ctx, r = recorder.handover
         replayed = self._replay_signs(child, qpu, ctx, r)
-        if (not isinstance(replayed, ResumePoint)
+        if (isinstance(replayed, tuple)
                 and self.max_nodes is not None
                 and self.nodes > self.max_nodes):
             self._evict()
@@ -2883,12 +2831,13 @@ class TraceCache:
         nodes above it that no replay has compiled yet."""
         pending = []
         current: TraceNode | None = node
-        while current is not None and current._exit_xz is None:
+        while current is not None and current._exit_tableau is None:
             pending.append(current)
             current = current.parent
         for current in reversed(pending):
             current.sign_program(state, noise)
-        return node._exit_xz
+        model = node._exit_tableau
+        return tuple(model.x), tuple(model.z)
 
     def _grow_live(self, path: list) -> None:
         """Grow the live sets along a just-recorded path, leaf to root.

@@ -520,18 +520,24 @@ def test_epilogue_is_shared_by_all_replay_modes():
 
     Each substrate compiles a node once, into the one program its
     loops read.  Dense compilation has exactly one implementation: the
-    drive-window pruning, the ZZ window accounting, the gate-channel
-    selection and GEMM fusion each appear in one function, and
-    ``TraceNode.dense_program`` both compiles and binds the step list
-    (the cohort binding is the only one).  The sign trace has exactly
-    one compiler, whose ops carry both the serial loop's masks and the
-    cohort walker's rows: no other function builds a sign op, and only
-    the node and the fold call the compiler.  The compiler runs the
-    device's own tableau kernel on a model state, so no function here
-    reads the tableau's gate decompositions or its ``g`` rule: the
-    conjugation and measurement rules cannot fork again.
+    drive-window pruning, the ZZ window accounting and GEMM fusion each
+    appear in one function, and ``TraceNode.dense_program`` both
+    compiles and binds the step list (the cohort binding is the only
+    one).  The sign trace has exactly one compiler, whose ops carry
+    both the serial loop's masks and the cohort walker's rows: no other
+    function builds a sign op, and only the node and the fold call the
+    compiler.  The compiler runs the device's own tableau kernel on a
+    model state, so no function here reads the tableau's gate
+    decompositions or its ``g`` rule: the conjugation and measurement
+    rules cannot fork again.  Both compilers take a gate's noise
+    channels from ``NoiseModel.gate_site_specs``, the device's own
+    rule, and both sign loops give a measurement and a reset of one
+    kind (deterministic or random pivot) one body.  A miss hands back
+    the shot's own replay context, and each simulator run drives the
+    device through one recording proxy.
     """
     import inspect
+    import pathlib
 
     from repro.qcp import tracecache
 
@@ -568,15 +574,31 @@ def test_epilogue_is_shared_by_all_replay_modes():
                          "TraceCache._graft"}, selectors
     source = inspect.getsource(tracecache.TraceRecorder._hand_over)
     assert "cache._epilogue(" in source, "the rejoin bypasses the epilogue"
+    for loop in (cache._replay_signs, cache._replay_cohort):
+        source = inspect.getsource(loop)
+        for kind in ("D", "R"):
+            shared = f"code == _S_MEAS_{kind} or code == _S_RESET_{kind}"
+            assert shared in source, (loop.__name__, shared)
+            assert source.count(f"== _S_RESET_{kind}") == 1, (
+                loop.__name__, kind)
+    # No second miss record or prefix-skipping proxy exists anywhere in
+    # the package.
+    package = pathlib.Path(tracecache.__file__).parents[1]
+    for gone in ("ResumePoint", "CheckpointQPU"):
+        found = sorted(path.name for path in package.rglob("*.py")
+                       if gone in path.read_text())
+        assert not found, (gone, found)
 
     def holders(text: str) -> set:
         return {name for name, member in functions
                 if member.__code__.co_filename == tracecache.__file__
                 and text in inspect.getsource(member)}
 
-    for kernel in ("stop <= time_ns", "window_events(",
-                   "gate_site_specs(", "fuse_into("):
+    for kernel in ("stop <= time_ns", "window_events(", "fuse_into("):
         assert len(holders(kernel)) == 1, (kernel, holders(kernel))
+    assert holders("gate_site_specs(") == {"_compile_dense_steps",
+                                           "_compile_sign_node"}
+    assert not holders("two_qubit_depolarizing")
     # Each compiler's own definition and its callers: one per program.
     assert holders("_compile_dense_steps(") == {"_compile_dense_steps",
                                                 "TraceNode.dense_program"}

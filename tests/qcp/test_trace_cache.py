@@ -18,7 +18,10 @@ from repro.isa.builder import ProgramBuilder
 from repro.qcp import (QCPConfig, ShotEngine, TraceCache, scalar_config,
                        superscalar_config)
 from repro.qcp.decode import K_CLASSICAL
-from repro.qcp.tracecache import REC_CLS, _S_CLS, _S_FMR
+from repro.qcp.tracecache import (REC_CLS, REC_DEC, REC_GATE, REC_MDEC,
+                                  REC_MEAS, REC_RESET, RecordingQPU,
+                                  TraceDivergenceError, TraceRecorder,
+                                  _S_CLS, _S_FMR)
 from repro.qpu import PRNGQPU
 from tests.replay_paths import served
 
@@ -611,6 +614,57 @@ class TestQuietRestart:
         assert cache.restarts > 0 and cache.folds > 0
         assert cache.rejoins == 0
 
+    def test_handover_fails_closed_on_a_quiet_signature_mismatch(
+            self, monkeypatch):
+        """A live quiet signature that is not the node's never rejoins:
+        the run goes on to the end, and every shot stays exact."""
+        hand_over = TraceRecorder._hand_over
+        offered = []
+
+        def elsewhere(self, system, node):
+            # The run stands at the node's decision on another stall.
+            offered.append(node)
+            entry = self.stream[-1]
+            self.stream[-1] = entry[:5] + ((entry[5], "elsewhere"),)
+            try:
+                return hand_over(self, system, node)
+            finally:
+                self.stream[-1] = entry
+        monkeypatch.setattr(TraceRecorder, "_hand_over", elsewhere)
+        self.assert_never_rejoins(offered)
+
+    def test_handover_fails_closed_when_the_epilogue_finds_no_edge(
+            self, monkeypatch):
+        """A hand-over whose epilogue finds no recorded edge never
+        rejoins: the run goes on, and every shot stays exact."""
+        hand_over = TraceRecorder._hand_over
+        offered = []
+
+        def no_edge(self, system, node):
+            offered.append(node)
+            cache = self.cache
+            cache._epilogue = lambda node, ctx: None
+            try:
+                return hand_over(self, system, node)
+            finally:
+                del cache._epilogue
+        monkeypatch.setattr(TraceRecorder, "_hand_over", no_edge)
+        self.assert_never_rejoins(offered)
+
+    def assert_never_rejoins(self, offered):
+        """Serve the active-reset program's seeds: each shot exact, a
+        hand-over ``offered`` and declined every time."""
+        program = active_reset_program()
+        kwargs = dict(backend="stabilizer", n_qubits=2)
+        reference = ShotEngine(program,
+                               config=scalar_config(trace_cache=False),
+                               **kwargs)
+        engine = ShotEngine(program, config=scalar_config(), **kwargs)
+        assert self.per_seed(engine, "serial") == self.per_seed(reference)
+        cache = engine.trace_cache
+        assert offered and cache.restarts > 0 and cache.folds > 0
+        assert cache.rejoins == 0
+
     def test_restart_keeps_earlier_results_valid(self):
         """A result delivered before the restart node stays readable:
         the MRCE on q1 resolves synchronously after the restarts."""
@@ -747,3 +801,184 @@ class TestQuietRestart:
             assert cache.restarts == cache.rejoins == 0, how
             assert all(node.snapshot is None
                        for node in path_nodes(cache)), how
+
+
+def run_stream(engine, seed):
+    """``seed``'s cycle-accurate run from t = 0 as the stream a
+    :class:`TraceRecorder` consumes (its :class:`RecordingQPU` and its
+    control stack append to it), and the run's total time."""
+    stream = []
+    system = engine._system(RecordingQPU(engine._shot_qpu(seed), stream),
+                            stream)
+    return stream, system.run().total_ns
+
+
+def record_stream(cache, stream, total_ns):
+    """Record a run from t = 0 into ``cache``, as a cold shot is."""
+    recorder = TraceRecorder.start(cache, None)
+    recorder.stream.extend(stream)
+    cache.record(recorder, total_ns)
+
+
+def later(entry, delta_ns):
+    """A stream entry ``delta_ns`` later."""
+    if entry[0] == REC_MEAS:
+        return entry[:2] + (entry[2] + delta_ns,) + entry[3:]
+    if entry[0] in (REC_GATE, REC_RESET, REC_MDEC):
+        return entry[:4] + (entry[4] + delta_ns,) + entry[5:]
+    return entry
+
+
+class TestRecordingFailsClosed:
+    """A recording that contradicts the trie raises
+    :class:`TraceDivergenceError`, and the trie it checked goes on
+    serving exact shots.
+
+    Each case records a real run of the folded two-round active reset,
+    its stream changed to contradict the trie.
+    """
+
+    SEEDS = range(32)
+
+    def folded(self):
+        """A folding engine that served :attr:`SEEDS` exactly, and its
+        per-seed results."""
+        program = active_reset_program(rounds=2)
+        kwargs = dict(backend="stabilizer", n_qubits=2)
+        reference = ShotEngine(program,
+                               config=scalar_config(trace_cache=False),
+                               **kwargs)
+        engine = ShotEngine(program, config=scalar_config(), **kwargs)
+        expected = served(reference, self.SEEDS, "serial")
+        assert served(engine, self.SEEDS, "serial") == expected
+        assert engine.trace_cache.folds == 2
+        return engine, expected
+
+    def assert_raises(self, engine, expected, stream, total_ns, match):
+        cache = engine.trace_cache
+        nodes = cache.nodes
+        with pytest.raises(TraceDivergenceError, match=match):
+            record_stream(cache, stream, total_ns)
+        assert cache.nodes == nodes
+        assert served(engine, self.SEEDS, "serial") == expected
+
+    def test_a_decision_the_trie_did_not_record_raises(self):
+        engine, expected = self.folded()
+        stream, total_ns = run_stream(engine, 0)
+        record_stream(engine.trace_cache, stream, total_ns)  # it verifies
+        # The run's last MRCE resolves as a branch instead.
+        last = max(index for index, entry in enumerate(stream)
+                   if entry[0] == REC_MDEC)
+        stream[last] = (REC_DEC, 0, None, 1)
+        self.assert_raises(engine, expected, stream, total_ns,
+                           "where the trie recorded")
+
+    @pytest.mark.parametrize("change", ["no-pauli", "late"])
+    def test_a_pauli_arm_that_is_not_a_translate_raises(self, change):
+        engine, expected = self.folded()
+        fold = engine.trace_cache.root.fold
+        for seed in self.SEEDS:
+            stream, total_ns = run_stream(engine, seed)
+            first = next(index for index, entry in enumerate(stream)
+                         if entry[0] == REC_MDEC)
+            if stream[first][2] == fold.edge:
+                break
+        record_stream(engine.trace_cache, stream, total_ns)  # it verifies
+        pauli = first + 1
+        assert stream[pauli][:4] == fold.op
+        if change == "no-pauli":
+            del stream[pauli]
+        else:
+            # The Pauli arm runs 1 ns later than the fold's delta.
+            stream[pauli:] = [later(entry, 1) for entry in stream[pauli:]]
+            total_ns += 1
+        self.assert_raises(engine, expected, stream, total_ns,
+                           "not the identity arm plus the Pauli")
+
+
+class TestGraft:
+    """A fold merges its Pauli arm's recorded subtree into the identity
+    arm's: exact where the two agree, :class:`TraceDivergenceError`
+    where they do not.
+
+    A folding engine folds an MRCE when its second arm closes, so the
+    arm it just recorded is one segment; these cases record the
+    two-round active reset with folding off, so both arms of every
+    MRCE hold recorded subtrees, and fold by hand.
+    """
+
+    SEEDS = range(32)
+
+    def unfolded(self):
+        """An engine whose trie holds every path of the two-round
+        active reset unfolded, and its cycle-accurate reference."""
+        program = active_reset_program(rounds=2)
+        kwargs = dict(backend="stabilizer", n_qubits=2)
+        reference = ShotEngine(program,
+                               config=scalar_config(trace_cache=False),
+                               **kwargs)
+        engine = ShotEngine(program, config=scalar_config(), **kwargs)
+        cache = engine.trace_cache
+        cache.folding = False
+        assert (served(engine, self.SEEDS, "serial")
+                == served(reference, self.SEEDS, "serial"))
+        assert cache.nodes == 7 and cache.folds == 0
+        return engine, reference
+
+    def assert_serves_exactly(self, engine, reference):
+        """Later shots on the grafted trie, folding again, are exact
+        and never miss."""
+        cache = engine.trace_cache
+        cache.folding = True
+        misses = cache.misses
+        seeds = range(32, 96)
+        assert (served(engine, seeds, "serial")
+                == served(reference, seeds, "serial"))
+        assert cache.misses == misses
+
+    def test_merges_two_recorded_subtrees(self):
+        engine, reference = self.unfolded()
+        cache = engine.trace_cache
+        root = cache.root
+        identity = root.children[0]
+        cache._fold(root)
+        # The x arm's two leaves merged into the identity arm's.
+        assert root.fold.edge == 1 and list(root.children) == [0]
+        assert cache.nodes == 4 and sorted(identity.children) == [0, 1]
+        self.assert_serves_exactly(engine, reference)
+
+    def test_relabels_a_folded_destinations_own_pauli_arm(self):
+        engine, reference = self.unfolded()
+        cache = engine.trace_cache
+        root = cache.root
+        identity, pauli = root.children[0], root.children[1]
+        cache._fold(pauli)
+        assert pauli.fold is not None and identity.fold is None
+        cache._fold(root)
+        # The identity arm took the Pauli arm's fold, and its own x arm
+        # merged into its identity arm.
+        assert identity.fold.edge == 1 and list(identity.children) == [0]
+        assert cache.nodes == 3
+        self.assert_serves_exactly(engine, reference)
+
+    @pytest.mark.parametrize("change, match", [
+        ("leaf-time", "subtree that disagrees"),
+        ("segment", "segment that disagrees"),
+        ("fold", "two folds of one decision disagree"),
+    ], ids=["leaf-time", "segment", "fold"])
+    def test_raises_where_the_arms_disagree(self, change, match):
+        engine, _reference = self.unfolded()
+        cache = engine.trace_cache
+        root = cache.root
+        identity, pauli = root.children[0], root.children[1]
+        leaf = pauli.children[0]
+        if change == "leaf-time":
+            leaf.total_ns += 1
+        elif change == "segment":
+            leaf.items = leaf.items[1:]
+        else:
+            cache._fold(identity)
+            cache._fold(pauli)
+            pauli.fold.delta_ns += 1
+        with pytest.raises(TraceDivergenceError, match=match):
+            cache._fold(root)

@@ -13,8 +13,7 @@ import pytest
 
 from repro.isa.builder import ProgramBuilder
 from repro.qcp import ShotEngine, scalar_config
-from repro.qcp.tracecache import (CheckpointQPU, ResumePoint,
-                                  TraceDivergenceError)
+from repro.qcp.tracecache import RecordingQPU, TraceDivergenceError
 from repro.qpu.device import SimulatedQPU
 from repro.qpu.noise import NoiseModel, ReadoutError
 
@@ -90,7 +89,9 @@ class TestZeroGatePrefixDivergence:
 
 
 class TestCheckpointOutcomeExhaustion:
-    """CheckpointQPU's recorded-outcome stream ends mid-prefix."""
+    """A t = 0 re-run's recorded-outcome stream ends mid-prefix: the
+    run's :class:`RecordingQPU` skips ``skip_ops`` device operations
+    and serves ``outcomes`` for the prefix measurements."""
 
     def make_qpu(self):
         return SimulatedQPU(2, seed=1, backend="statevector")
@@ -99,21 +100,24 @@ class TestCheckpointOutcomeExhaustion:
         # The last skipped op is a measurement: its recorded bit is
         # served, and the very next measurement samples live.
         qpu = self.make_qpu()
-        proxy = CheckpointQPU(qpu, ResumePoint(skip_ops=2, outcomes=[1]))
+        recorded = []
+        proxy = RecordingQPU(qpu, recorded, skip_ops=2, outcomes=[1])
         proxy.apply_gate(0, "h", (0,))          # skipped
         assert proxy.measure(10, 0) == 1        # skipped, recorded bit
         assert len(qpu.operation_log) == 0      # nothing reached it
         value = proxy.measure(20, 0)            # live
         assert value in (0, 1)
         assert len(qpu.operation_log) == 1
+        # The skipped prefix is recorded like the live suffix.
+        assert recorded == [("gate", "h", (0,), (), 0), ("meas", 0, 10, 1),
+                            ("meas", 0, 20, value)]
 
     def test_exhausted_outcomes_mid_measure_raises(self):
         # A prefix that re-issues more measurements than the replay
         # delivered means the trie and the re-run disagree; the proxy
         # must fail loudly instead of serving garbage.
         qpu = self.make_qpu()
-        proxy = CheckpointQPU(qpu, ResumePoint(skip_ops=3,
-                                               outcomes=[0]))
+        proxy = RecordingQPU(qpu, [], skip_ops=3, outcomes=[0])
         proxy.apply_gate(0, "h", (0,))          # skipped
         assert proxy.measure(10, 0) == 0        # consumes the only bit
         with pytest.raises(TraceDivergenceError):
@@ -121,11 +125,69 @@ class TestCheckpointOutcomeExhaustion:
 
     def test_reset_counts_as_skipped_op(self):
         qpu = self.make_qpu()
-        proxy = CheckpointQPU(qpu, ResumePoint(skip_ops=1, outcomes=[]))
+        proxy = RecordingQPU(qpu, [], skip_ops=1, outcomes=[])
         proxy.reset(0, 0)                       # skipped
         assert len(qpu.operation_log) == 0
         proxy.reset(10, 0)                      # live
         assert len(qpu.operation_log) == 1
+
+
+def coin_reset_program(rounds: int = 3):
+    """Fair coins on q0, each reset through an MRCE: on one scalar
+    sign core the MRCEs fold, and misses restart at them."""
+    builder = ProgramBuilder("coin-reset")
+    for _ in range(rounds):
+        builder.qop("h", [0], timing=2)
+        builder.qmeas(0, timing=2)
+        builder.mrce(0, 0, op_if_zero="i", op_if_one="x")
+    builder.qmeas(0, timing=4)
+    builder.halt()
+    return builder.build()
+
+
+class TestOneProxyPerRun:
+    """Every simulator run of a cached shot drives the device through
+    exactly one :class:`RecordingQPU`, cold, resumed from t = 0 (the
+    proxy then skips the replayed prefix) or restarted at a node."""
+
+    @pytest.mark.parametrize("backend", ("statevector", "stabilizer"))
+    def test_resumed_runs_skip_inside_the_recording_proxy(self, backend):
+        engine = ShotEngine(first_decision_program(), backend=backend,
+                            n_qubits=2, noise=readout_noise())
+        skips = self.run_devices(engine, range(30))
+        assert engine.trace_cache.resumes > 0
+        assert skips[0] == 0 and any(skips[1:])
+
+    def test_restarted_runs_skip_nothing(self):
+        engine = ShotEngine(coin_reset_program(), config=scalar_config(),
+                            backend="stabilizer", n_qubits=1)
+        skips = self.run_devices(engine, range(30))
+        # Every run after the cold one restarts at a node.
+        assert engine.trace_cache.restarts == len(skips) - 1 > 0
+        assert not any(skips)
+
+    def run_devices(self, engine, seeds) -> list:
+        """Serve ``seeds``; each run's device must be one recording
+        proxy around the engine's QPU.  Returns each run's skip count
+        at its start."""
+        skips = []
+        system = engine._system
+
+        def spy(qpu, *args):
+            assert type(qpu) is RecordingQPU, type(qpu)
+            assert qpu._inner is engine._qpu
+            skips.append(qpu._skip)
+            return system(qpu, *args)
+        engine._system = spy
+        reference = ShotEngine(engine.program,
+                               config=scalar_config(trace_cache=False),
+                               backend=engine.backend,
+                               n_qubits=engine.n_qubits,
+                               noise=engine._qpu.noise)
+        assert ([engine.run_shot(seed) for seed in seeds]
+                == [reference.run_shot(seed) for seed in seeds])
+        assert len(skips) >= engine.trace_cache.misses
+        return skips
 
 
 def fair_coin_program():
