@@ -1410,11 +1410,12 @@ def _compile_dense_steps(items: tuple, qpu: SimulatedQPU,
 class _Cohort:
     """The live shots of one wavefront branch, advanced in lockstep.
 
-    Shot ``slots[b]`` (ascending; ``lanes`` is their mask) is row
-    ``b`` of the stacked amplitudes on the dense backend
-    (:class:`BatchStateVector`; ``batch`` is ``None`` for a sign
-    cohort, whose bit-planes its walk shares between sub-cohorts) and
-    of the two seeded rng lists — measurement
+    Shot ``slots[b]`` (ascending; ``lanes`` is their mask) is lane
+    ``b`` of the amplitude rows on the dense backend
+    (:class:`BatchStateVector`, where lanes that drew the same events
+    share a row; ``batch`` is ``None`` for a sign cohort, whose
+    bit-planes its walk shares between sub-cohorts) and of the two
+    seeded rng lists — measurement
     (``_random.Random(seed)``, the generator ``random.Random(seed)``
     wraps) and noise (``random.Random(seed ^ NOISE_SEED_SALT)``;
     ``nrngs`` is ``None`` on an ideal model), the exact per-shot
@@ -1452,14 +1453,14 @@ class _Cohort:
         """The sub-cohort of ``lanes`` (self when all survive)."""
         if lanes == self.lanes:
             return self
-        rows = [row for row, slot in enumerate(self.slots)
+        kept = [lane for lane, slot in enumerate(self.slots)
                 if (lanes >> slot) & 1]
         batch, nrngs = self.batch, self.nrngs
-        return _Cohort(None if batch is None else batch.take(rows),
-                       [self.slots[row] for row in rows], lanes,
-                       [self.srngs[row] for row in rows],
+        return _Cohort(None if batch is None else batch.take(kept),
+                       [self.slots[lane] for lane in kept], lanes,
+                       [self.srngs[lane] for lane in kept],
                        None if nrngs is None
-                       else [nrngs[row] for row in rows], self.state)
+                       else [nrngs[lane] for lane in kept], self.state)
 
 
 class _Frontier:
@@ -1504,19 +1505,19 @@ class _Frontier:
         root)."""
         return self.ran[-1] if self.ran else None
 
-    def current(self, root: TraceNode) -> bool:
+    def current(self) -> bool:
         """Whether the trie still holds this frontier as the walk left
-        it: the same nodes down the same edges from ``root``, and
+        it: the same nodes down the same edges from the root, and
         :attr:`node` with the same items and live set.
 
-        A fold, graft, translation or eviction that moves or drops a
-        node gives it a new parent (``None`` once unlinked) or a new
-        edge, together with its parent's child entry; a live set that
-        grows is a new set.  Otherwise the walk's path, programs and
-        decisions still hold for these lanes.
+        The root never changes once recorded, and nothing evicts it,
+        so the path still starts there.  A fold, graft, translation or
+        eviction that moves or drops a node gives it a new parent
+        (``None`` once unlinked) or a new edge, together with its
+        parent's child entry; a live set that grows is a new set.
+        Otherwise the walk's path, programs and decisions still hold
+        for these lanes.
         """
-        if self.path[0] is not root:
-            return False
         parent = None
         for node, edge in zip(self.path, self.edges):
             if node.parent is not parent or node.edge != edge:
@@ -1566,13 +1567,12 @@ class _Frontier:
 
 class Handoff:
     """A shot a cohort walk handed back: its ``lane`` and ``seed``, and
-    the :class:`_Frontier` it left at (``None`` when the trie was
-    cold), for :meth:`TraceCache.replay_handoff`."""
+    the :class:`_Frontier` it left at, for
+    :meth:`TraceCache.replay_handoff`."""
 
     __slots__ = ("lane", "seed", "frontier")
 
-    def __init__(self, lane: int, seed: int,
-                 frontier: _Frontier | None) -> None:
+    def __init__(self, lane: int, seed: int, frontier: _Frontier) -> None:
         self.lane = lane
         self.seed = seed
         self.frontier = frontier
@@ -1582,41 +1582,53 @@ def _batch_channel_step(kind: str, params, appliers: tuple):
     """One cohort step for a stochastic gate-channel site.
 
     ``appliers`` holds, per site qubit, the (X, Y, Z) correction
-    appliers (sub-cohort capable).  Draw order matches the device:
+    appliers (row-subset capable).  Draw order matches the device:
     each shot consumes its own noise rng exactly as
     ``DepolarizingNoise.apply`` / ``PauliChannel.apply`` would — one
     ``random()`` per qubit (plus one ``choice()`` on a depolarizing
     fire) — qubit-outer so vectorised application groups the fired
-    shots per Pauli without reordering any single shot's draws.
+    rows per Pauli without reordering any single shot's draws.  A
+    lane's event is its Pauli's index plus one (0: none fired), and a
+    row whose lanes drew different events splits first
+    (:meth:`~repro.qpu.statevector.BatchStateVector.split`).
     """
     if kind == "dep":
         p = params
 
-        def fire(nrngs: list, fired: tuple) -> None:
-            for row, nrng in enumerate(nrngs):
+        def fire(nrngs: list) -> list | None:
+            events = None
+            for lane, nrng in enumerate(nrngs):
                 if nrng.random() < p:
-                    fired[nrng.choice(_PAULI_INDICES)].append(row)
+                    if events is None:
+                        events = [0] * len(nrngs)
+                    events[lane] = 1 + nrng.choice(_PAULI_INDICES)
+            return events
     else:  # "pauli"
         cx, cxy, cxyz = params
 
-        def fire(nrngs: list, fired: tuple) -> None:
-            for row, nrng in enumerate(nrngs):
+        def fire(nrngs: list) -> list | None:
+            events = None
+            for lane, nrng in enumerate(nrngs):
                 draw = nrng.random()
-                if draw < cx:
-                    fired[0].append(row)
-                elif draw < cxy:
-                    fired[1].append(row)
-                elif draw < cxyz:
-                    fired[2].append(row)
+                if draw < cxyz:
+                    if events is None:
+                        events = [0] * len(nrngs)
+                    events[lane] = (1 if draw < cx
+                                    else 2 if draw < cxy else 3)
+            return events
 
     def step(cohort: _Cohort) -> None:
+        batch = cohort.batch
         for triplet in appliers:
-            fired: tuple[list, list, list] = ([], [], [])
-            fire(cohort.nrngs, fired)
-            for index in range(3):
-                if fired[index]:
-                    triplet[index](cohort.batch,
-                                   np.array(fired[index], dtype=np.intp))
+            events = fire(cohort.nrngs)
+            if events is None:
+                continue
+            row_events = batch.split(events)[0]
+            for event, apply in enumerate(triplet, 1):
+                rows = [row for row, drawn in enumerate(row_events)
+                        if drawn == event]
+                if rows:
+                    apply(batch, np.array(rows, dtype=np.intp))
     return step
 
 
@@ -1653,13 +1665,18 @@ def _cohort_noise(op: tuple, slots, nrngs: list, planes: list) -> None:
 def _collapse_cohort(cohort: _Cohort, qubit: int) -> list:
     """Measure ``qubit`` in every shot of a cohort; the raw outcomes.
 
-    One cohort-wide probability reduction replaces per-shot scans;
-    each outcome still comes from its shot's own measurement rng.
+    One probability reduction over the cohort's rows replaces
+    per-shot scans; each outcome still comes from its shot's own
+    measurement rng, and a row whose lanes drew both outcomes splits
+    before the collapse.
     """
-    p_one = cohort.batch.probability_of_one(qubit)
-    outcomes = [1 if srng.random() < p else 0
-                for srng, p in zip(cohort.srngs, p_one.tolist())]
-    cohort.batch.collapse(qubit, np.array(outcomes), p_one)
+    batch = cohort.batch
+    p_one = batch.probability_of_one(qubit)
+    p = p_one.tolist()
+    outcomes = [1 if srng.random() < p[row] else 0
+                for srng, row in zip(cohort.srngs, batch.index)]
+    row_outcomes, origin = batch.split(outcomes)
+    batch.collapse(qubit, np.array(row_outcomes), p_one[origin])
     return outcomes
 
 
@@ -1667,9 +1684,9 @@ def _bind_cohort(steps: list, n: int) -> list:
     """Bind a dense step list to closures over a :class:`_Cohort`.
 
     Every operator becomes one ``np.matmul`` call over the cohort's
-    stacked amplitudes, which runs each row's own GEMM
+    distinct amplitude rows, which runs each row's own GEMM
     (:func:`~repro.qpu.statevector.batch_block_applier`);
-    measurements become one cohort probability reduction plus
+    measurements become one probability reduction over the rows plus
     per-shot draws and collapse, delivered as one outcome word to the
     cohort's classical state, which also runs the classical steps
     (:class:`_CohortState`); idle decay runs the cohort form of
@@ -1703,11 +1720,14 @@ def _bind_cohort(steps: list, n: int) -> list:
             flip = batch_block_applier(n, cached_unitary("x"), (step[1],))
 
             def reset(cohort: _Cohort, q=step[1], flip=flip) -> None:
-                ones = [row for row, outcome
-                        in enumerate(_collapse_cohort(cohort, q))
-                        if outcome]
+                outcomes = _collapse_cohort(cohort, q)
+                # The rows after the collapse's split: one outcome each.
+                index = cohort.batch.index
+                ones = {index[lane] for lane, outcome
+                        in enumerate(outcomes) if outcome}
                 if ones:
-                    flip(cohort.batch, np.array(ones, dtype=np.intp))
+                    flip(cohort.batch, np.array(sorted(ones),
+                                                dtype=np.intp))
             program.append(reset)
         elif code == _V_MEAS:
             def measure(cohort: _Cohort, q=step[1]) -> None:
@@ -1759,11 +1779,13 @@ def cohort_width(backend: str, n_qubits: int) -> int:
     A stabilizer cohort's bit-plane row is one Python int with a bit
     per shot; at 256 bits an integer XOR is still effectively free
     while the per-segment dispatch overhead is spread over 256 shots,
-    so the cohort is 256.  Dense (``"statevector"``) cohorts are
-    capped so the ``(width, 2^n)`` amplitude matrix stays around a few
-    hundred megabytes of complex amplitudes.  The engine replays in
-    cohorts of this width (:func:`auto_batch_width`), and the service
-    sizes a job's shards from it before any engine exists.
+    so the cohort is 256.  Dense (``"statevector"``) cohorts hold one
+    amplitude row per distinct lane state, so their width is capped
+    for the worst case, every lane distinct: ``width`` rows of ``2^n``
+    complex amplitudes stay around a few hundred megabytes.  The
+    engine replays in cohorts of this width (:func:`auto_batch_width`),
+    and the service sizes a job's shards from it before any engine
+    exists.
     """
     if backend == "statevector":
         return min(64, max(1, (1 << 23) >> n_qubits))
@@ -2265,7 +2287,7 @@ class TraceCache:
         # the bookkeeping the resumed cycle-accurate suffix reads (idle
         # gaps, ZZ windows), which the device's restart cleared.
         (frontier,) = left
-        qpu.state.restore(cohort.batch.amplitudes[0])
+        qpu.state.restore(cohort.batch.lane(0))
         node = frontier.node
         if node is not None:
             qpu._busy_until.update(node._exit_busy)
@@ -2451,7 +2473,9 @@ class TraceCache:
         would produce; a sign cohort takes each shot's measurement
         draws in one ``getrandbits``), and each decision partitions the
         cohort across child edges.  Shot ``seeds[lane]`` is lane
-        ``lane``.
+        ``lane``.  The trie must hold a recorded root: the engine
+        runs a cold trie's first seed alone
+        (:meth:`~repro.qcp.shots.ShotEngine.run_range`).
 
         Returns ``(groups, left)``.  ``groups`` holds one ``(lanes,
         key, total_ns)`` per leaf group: the lanes a wavefront
@@ -2467,10 +2491,6 @@ class TraceCache:
         serial replay would.
         """
         groups: list = []
-        node = self.root
-        if node is None or node.items is None:
-            return groups, [Handoff(lane, seed, None)
-                            for lane, seed in enumerate(seeds)]
         self._tick += 1
         # Per-shot device logs describe the *last* simulated shot; a
         # batched pass supersedes it just like a serial replay (which
@@ -2486,7 +2506,7 @@ class TraceCache:
         # ideal substrate never draws them, so skip the per-shot
         # Mersenne seeding.
         frontiers: list = []
-        self._replay_cohort(node, qpu, _Cohort.root(
+        self._replay_cohort(self.root, qpu, _Cohort.root(
             qpu, self.config, [_random.Random(seed) for seed in seeds],
             None if qpu.noise.is_ideal else
             [random.Random(seed ^ NOISE_SEED_SALT) for seed in seeds]),
@@ -2501,7 +2521,7 @@ class TraceCache:
         return groups, left
 
     def replay_handoff(self, qpu: SimulatedQPU, handoff: Handoff
-                       ) -> tuple[dict[int, int], int] | _ReplayContext | None:
+                       ) -> tuple[dict[int, int], int] | _ReplayContext:
         """Serve a shot :meth:`replay_batch` handed back, as
         :meth:`replay` would serve its seed.
 
@@ -2527,9 +2547,7 @@ class TraceCache:
         root (:meth:`replay`), counted in ``rewalks``.
         """
         frontier = handoff.frontier
-        if frontier is None:
-            return self.replay(qpu, handoff.seed)
-        if not frontier.current(self.root):
+        if not frontier.current():
             self.rewalks += 1
             return self.replay(qpu, handoff.seed)
         self.handoffs += 1
@@ -2642,12 +2660,14 @@ class TraceCache:
           measurement rng up to its own offset.  A folded MRCE does
           not split the cohort: its Pauli-arm lanes get the Pauli's
           XOR and noise site and the fold's ``δ``.
-        * **Dense.**  The cohort is a ``(width, 2^n)``
-          :class:`BatchStateVector`, and each node's bound steps
-          (:meth:`TraceNode.dense_program`) push block operators
-          through it as batch GEMMs; a measurement reduces to one
-          probability reduction over the whole matrix.  Decision
-          splits gather-copy the partitioned rows into child cohorts.
+        * **Dense.**  The cohort is a :class:`BatchStateVector`: one
+          amplitude row per distinct state, and a row index per lane.
+          Each node's bound steps (:meth:`TraceNode.dense_program`)
+          push block operators through the rows as batch GEMMs; a
+          measurement reduces to one probability reduction over the
+          rows.  A row splits where lanes sharing it draw different
+          events, and decision splits gather-copy the rows their
+          lanes reference into child cohorts.
 
         Everything classical is the cohort's :class:`_CohortState`,
         decided once per cohort, not once per shot: outcomes are

@@ -129,8 +129,8 @@ class SimulationBackend(abc.ABC):
 
         Batched trace-cache replay advances a whole cohort of shots
         per compiled step; a backend that can represent the cohort as
-        one stacked object (e.g. a ``(width, 2^n)`` amplitude matrix)
-        returns it here.  The default is ``None``; only the dense
+        one object (e.g. the statevector's amplitude rows, one per
+        distinct lane state) returns it here.  The default is ``None``; only the dense
         replay mode, which runs on the statevector, asks for one.  (The
         stabilizer substrate is batched without this hook: its
         sign-trace replay never touches the tableau, so the cohort

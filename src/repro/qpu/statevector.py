@@ -344,7 +344,8 @@ class StateVector(SimulationBackend):
     # -- batched shots ---------------------------------------------------------
 
     def make_batch_state(self, width: int) -> "BatchStateVector":
-        """A ``(width, 2^n)`` lockstep cohort for batched replay."""
+        """A ``width``-lane lockstep cohort for batched replay, every
+        lane sharing one |0...0> row."""
         return BatchStateVector(self.n_qubits, width)
 
     # -- queries ---------------------------------------------------------------
@@ -372,12 +373,13 @@ def batch_block_applier(n_qubits: int, matrix: np.ndarray,
     """Precompile one k-qubit operator for a whole shot cohort.
 
     The returned closure ``apply(batch, rows=None)`` pushes ``matrix``
-    through every live state of a :class:`BatchStateVector`
-    (``rows`` restricts the application to a sub-cohort, which is
-    how per-shot stochastic channel corrections and reset flips hit
-    only the shots whose draws fired).  Up to large registers that
-    is one ``np.matmul`` call, which on the k >= 2 path issues one
-    GEMM per row, not one wide GEMM over the cohort.  The axis
+    through every amplitude row of a :class:`BatchStateVector`, once
+    per distinct state however many lanes share it (``rows``
+    restricts the application to some rows, which is how per-shot
+    stochastic channel corrections and reset flips hit only the rows
+    whose lanes' draws fired).  Up to large registers that is one
+    ``np.matmul`` call, which on the k >= 2 path issues one GEMM per
+    row, not one wide GEMM over the cohort.  The axis
     permutation, its inverse and the block shape that
     :meth:`StateVector.apply_unitary` re-derives per call are
     constants here, and each row runs the device's arithmetic: the
@@ -445,7 +447,7 @@ def batch_block_applier(n_qubits: int, matrix: np.ndarray,
     tensor_shape = (2,) * n_qubits
 
     def apply(batch: "BatchStateVector", rows=None) -> None:
-        indices = range(batch.width) if rows is None else rows
+        indices = range(len(batch._psi)) if rows is None else rows
         for index in indices:
             tensor = batch._psi[index].reshape(tensor_shape)
             tensor = matrix @ tensor.transpose(perm).reshape(block_rows,
@@ -458,16 +460,22 @@ def batch_block_applier(n_qubits: int, matrix: np.ndarray,
 
 
 class BatchStateVector:
-    """A ``(width, 2^n)`` stack of pure states advanced in lockstep.
+    """``width`` pure states advanced in lockstep over shared rows.
 
-    The dense cohort representation of batched trace-cache replay: row
-    ``b`` is shot ``b``'s full amplitude vector, every compiled segment
-    applies to all rows at once (:func:`batch_block_applier`), and the
-    per-qubit measurement reduction collapses to **one**
-    ``np.add.reduce`` over the whole matrix per measured qubit.  The
-    per-shot *draws* (measurement outcomes, channel firings, decay
-    jumps) belong to each shot's own seeded rngs, in serial order,
+    The dense cohort representation of batched trace-cache replay.
+    Lanes are its unit: lane ``b`` is one shot, whose amplitude vector
+    is row ``index[b]`` of a ``(rows, 2^n)`` matrix with one row per
+    distinct state (:meth:`lane`).  Lanes that drew the same events
+    share a row, so every compiled block operator
+    (:func:`batch_block_applier`), probability reduction, idle-decay
+    damping and collapse runs once per row, and the per-qubit
+    measurement reduction is **one** ``np.add.reduce`` over the rows.
+    The per-shot *draws* (measurement outcomes, channel firings, decay
+    jumps) belong to each lane's own seeded rngs, in serial order,
     which is what keeps batched replay bit-identical per shot-seed.
+    When lanes that share a row draw different events, :meth:`split`
+    gives each (row, event) pair its own row: the only place rows are
+    copied besides :meth:`take`.
 
     ``_psi`` stays C-contiguous: every per-row reduction then walks a
     row in the order the serial reduction walks the shot's vector, so
@@ -485,27 +493,70 @@ class BatchStateVector:
             raise ValueError("cohort width must be positive")
         self.n_qubits = n_qubits
         self.width = width
-        self._psi = np.zeros((width, 1 << n_qubits), dtype=complex)
-        self._psi[:, 0] = 1.0
+        self._psi = np.zeros((1, 1 << n_qubits), dtype=complex)
+        self._psi[0, 0] = 1.0
+        #: Lane ``b``'s row of :attr:`amplitudes`.
+        self.index = [0] * width
 
     @property
     def amplitudes(self) -> np.ndarray:
-        """The raw ``(width, 2^n)`` amplitude matrix (do not mutate)."""
+        """The raw ``(rows, 2^n)`` matrix of distinct amplitude rows
+        (do not mutate); lane ``b`` is row ``index[b]``."""
         return self._psi
 
-    def take(self, rows: Sequence[int]) -> "BatchStateVector":
-        """An independent sub-cohort of the given shot rows.
+    def lane(self, lane: int) -> np.ndarray:
+        """Lane ``lane``'s amplitude vector (a row view; do not
+        mutate)."""
+        return self._psi[self.index[lane]]
+
+    def take(self, lanes: Sequence[int]) -> "BatchStateVector":
+        """An independent sub-cohort of the given lanes.
 
         This is the wavefront partition primitive: when a decision
         splits the cohort across trie edges, each child wavefront
-        carries a gather-copy of its shots' amplitude rows.
+        carries a gather-copy of the rows its lanes reference.
         """
-        index = np.asarray(rows, dtype=np.intp)
+        rows: dict[int, int] = {}
+        index = [rows.setdefault(self.index[lane], len(rows))
+                 for lane in lanes]
         clone = BatchStateVector.__new__(BatchStateVector)
         clone.n_qubits = self.n_qubits
-        clone.width = int(index.shape[0])
-        clone._psi = self._psi[index]
+        clone.width = len(index)
+        clone._psi = self._psi[list(rows)]
+        clone.index = index
         return clone
+
+    def split(self, events: Sequence) -> tuple[list, list[int]]:
+        """Give each (row, event) pair among the lanes its own row.
+
+        ``events[b]`` is what lane ``b`` drew at a stochastic site: a
+        measurement or reset outcome, a decay jump, a dephasing fire
+        or a channel Pauli.  A row keeps the event of its first lane;
+        each other event that lanes of the row drew gets a copy of the
+        row, appended, and those lanes move to it.  Returns each row's
+        event and the row it is a copy of (itself for the rows that
+        were there), for gathering per-row values alongside.
+        """
+        index = self.index
+        count = len(self._psi)
+        row_events: list = [None] * count
+        origin = list(range(count))
+        copies: dict[tuple, int] = {}
+        for lane, event in enumerate(events):
+            row = index[lane]
+            kept = row_events[row]
+            if kept is None:
+                row_events[row] = event
+            elif kept != event:
+                copy = copies.get((row, event))
+                if copy is None:
+                    copy = copies[row, event] = len(origin)
+                    origin.append(row)
+                    row_events.append(event)
+                index[lane] = copy
+        if copies:
+            self._psi = self._psi[origin]
+        return row_events, origin
 
     def apply_matrix(self, matrix: np.ndarray, qubits: tuple[int, ...],
                      rows=None) -> None:
@@ -514,33 +565,34 @@ class BatchStateVector:
                             tuple(qubits))(self, rows)
 
     def probability_of_one(self, qubit: int) -> np.ndarray:
-        """Per-shot P(1) of ``qubit``: one reduce for the cohort.
+        """Per-row P(1) of ``qubit``: one reduce for the cohort.
 
         The batched-measurement reduction: a single
-        ``np.add.reduce`` over the ``(width, 2^n)`` matrix replaces
-        ``width`` scalar reductions of the serial path.
+        ``np.add.reduce`` over the ``(rows, 2^n)`` matrix replaces a
+        scalar reduction per row of the serial path.
         """
-        view = self._psi.reshape(self.width, -1, 2, 1 << qubit)
+        view = self._psi.reshape(len(self._psi), -1, 2, 1 << qubit)
         return np.add.reduce(np.abs(view[:, :, 1, :]) ** 2, axis=(1, 2))
 
     def collapse(self, qubit: int, outcomes: np.ndarray,
                  p_one: np.ndarray) -> None:
-        """Project every shot onto its drawn outcome and renormalise.
+        """Project every row onto its drawn outcome and renormalise.
 
-        ``outcomes`` holds each shot's (already drawn) measurement
-        result; the complementary branch of each row is zeroed by
-        boolean groups and all rows are renormalised in one multiply
-        by the reciprocals of their norms.  Numpy divides complex by
-        real as ``(re + im*0) * (1/norm)``, so each row equals
-        :meth:`StateVector.measure`'s division in value: only an
-        exact zero's sign can differ, which no probability, outcome
-        or non-zero amplitude sees and ``np.array_equal`` ignores.
+        ``outcomes`` holds each row's (already drawn and
+        :meth:`split`) measurement result and ``p_one`` its P(1); the
+        complementary branch of each row is zeroed by boolean groups
+        and all rows are renormalised in one multiply by the
+        reciprocals of their norms.  Numpy divides complex by real as
+        ``(re + im*0) * (1/norm)``, so each row equals
+        :meth:`StateVector.measure`'s division in value: only an exact
+        zero's sign can differ, which no probability, outcome or
+        non-zero amplitude sees and ``np.array_equal`` ignores.
         """
         ones = np.asarray(outcomes, dtype=bool)
         norms = np.sqrt(np.where(ones, p_one, 1.0 - p_one))
         if not norms.all():
             raise RuntimeError("projection onto zero-probability outcome")
-        view = self._psi.reshape(self.width, -1, 2, 1 << qubit)
+        view = self._psi.reshape(len(self._psi), -1, 2, 1 << qubit)
         view[ones, :, 0, :] = 0.0
         view[~ones, :, 1, :] = 0.0
         self._psi *= (1.0 / norms)[:, None]
@@ -548,23 +600,30 @@ class BatchStateVector:
     def apply_decay(self, qubit: int, gamma: float, keep: float,
                     dephase: float, srngs: Sequence[random.Random],
                     nrngs: Sequence[random.Random]) -> None:
-        """:meth:`StateVector.apply_decay` on every row.
+        """:meth:`StateVector.apply_decay` on every lane.
 
-        One cohort-wide P(|1>) reduction; row ``b`` draws its jump
+        One P(|1>) reduction over the rows; lane ``b`` draws its jump
         from its measurement rng ``srngs[b]`` and its dephasing fire
-        from its noise rng ``nrngs[b]``, as the serial kernel would.
-        Jump rows are projected and flipped together; no-jump rows are
+        from its noise rng ``nrngs[b]``, as the serial kernel would,
+        and rows whose lanes drew differently :meth:`split`.  Jump
+        rows are projected and flipped together; no-jump rows are
         scaled and renormalised together (:func:`_damp_rows`).  Every
-        row equals the serial kernel's vector (``np.array_equal``).
+        lane equals the serial kernel's vector (``np.array_equal``).
         """
-        view = self._psi.reshape(self.width, -1, 2, 1 << qubit)
         if gamma != 0.0:
             p_one = self.probability_of_one(qubit)
-            jumped: list[int] = []
-            stay: list[int] = []
-            for row, (srng, p) in enumerate(zip(srngs, p_one.tolist())):
-                (jumped if srng.random() < gamma * p else stay).append(row)
-            if jumped:
+            p = p_one.tolist()
+            jumps = [srng.random() < gamma * p[row]
+                     for srng, row in zip(srngs, self.index)]
+            if any(jumps):
+                row_jumps, origin = self.split(jumps)
+                p_one = p_one[origin]
+                jumped = [row for row, jump in enumerate(row_jumps)
+                          if jump]
+                stay = [row for row, jump in enumerate(row_jumps)
+                        if not jump]
+                view = self._psi.reshape(len(self._psi), -1, 2,
+                                         1 << qubit)
                 view[jumped, :, 0, :] = (view[jumped, :, 1, :]
                                          / np.sqrt(p_one[jumped])[:, None,
                                                                   None])
@@ -574,9 +633,11 @@ class BatchStateVector:
                                                  keep)
             else:
                 _damp_rows(self._psi, qubit, keep)
-        fired = [row for row, nrng in enumerate(nrngs)
-                 if nrng.random() < dephase]
-        if fired:
+        fires = [nrng.random() < dephase for nrng in nrngs]
+        if any(fires):
+            row_fires = self.split(fires)[0]
+            fired = [row for row, fire in enumerate(row_fires) if fire]
+            view = self._psi.reshape(len(self._psi), -1, 2, 1 << qubit)
             view[fired, :, 1, :] = -view[fired, :, 1, :]
 
 

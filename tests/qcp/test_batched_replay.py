@@ -208,17 +208,25 @@ def test_backend_batch_state_hook_fails_closed():
     assert batch.width == 8
 
 
+def lane_probabilities(batch, qubit):
+    """Each lane's P(1) of ``qubit``, read through its row."""
+    p_one = batch.probability_of_one(qubit)
+    return [p_one[row] for row in batch.index]
+
+
 def test_batch_state_vector_matches_serial_rows():
     batch = BatchStateVector(2, width=3)
-    batch.apply_matrix(H, (0,), rows=np.array([0, 2], dtype=np.intp))
-    p_one = batch.probability_of_one(0)
-    assert p_one == pytest.approx([0.5, 0.0, 0.5])
+    # Lanes 0 and 2 draw event 1, lane 1 event 0: lane 1 gets a copy.
+    row_events, _ = batch.split([1, 0, 1])
+    assert batch.index == [0, 1, 0] and row_events == [1, 0]
+    batch.apply_matrix(H, (0,), rows=np.array([0], dtype=np.intp))
+    assert lane_probabilities(batch, 0) == pytest.approx([0.5, 0.0, 0.5])
     sub = batch.take([2])
     assert sub.width == 1
     assert sub.probability_of_one(0) == pytest.approx([0.5])
     # take() gather-copies: collapsing the child leaves the parent.
     sub.collapse(0, np.array([1]), sub.probability_of_one(0))
-    assert batch.probability_of_one(0) == pytest.approx([0.5, 0.0, 0.5])
+    assert lane_probabilities(batch, 0) == pytest.approx([0.5, 0.0, 0.5])
     with pytest.raises(ValueError):
         BatchStateVector(2, width=0)
 
@@ -246,6 +254,34 @@ def test_single_path_chain_batches_every_replayed_shot():
     assert cache.serial_fallbacks == 0
     assert cache.hits + cache.misses == 40
     assert serial_cache.batched_shots == 0
+
+
+def test_ideal_deterministic_cohort_holds_one_row(monkeypatch):
+    # The ideal chain's measurements are deterministic, so no lane
+    # ever draws apart from another: a full 64-lane dense cohort keeps
+    # one amplitude row from the root to the leaf.
+    from repro.qcp import tracecache
+
+    reference, _ = run_engine(chain_program(), backend="statevector",
+                              shots=65, how="serial")
+    seen = []
+    bind = tracecache._bind_cohort
+
+    def watched(steps, n):
+        def watch(step):
+            def run(cohort):
+                step(cohort)
+                seen.append((cohort.batch.width,
+                             len(cohort.batch.amplitudes)))
+            return run
+        return [watch(step) for step in bind(steps, n)]
+
+    monkeypatch.setattr(tracecache, "_bind_cohort", watched)
+    result, cache = run_engine(chain_program(), backend="statevector",
+                               shots=65, how=64)
+    assert result == reference
+    assert cache.batched_shots == 64
+    assert seen and set(seen) == {(64, 1)}
 
 
 def test_width_one_cohorts_still_batch():

@@ -961,6 +961,20 @@ class TestGraft:
         assert cache.nodes == 3
         self.assert_serves_exactly(engine, reference)
 
+    def test_joins_a_wider_live_set_into_its_mate(self):
+        # Live sets only grow: a grafted arm whose decision point needs
+        # a location its mate's does not widens the mate's set, and the
+        # mate's compiled program is dropped to recompile from it.
+        engine, reference = self.unfolded()
+        cache = engine.trace_cache
+        root = cache.root
+        identity, pauli = root.children[0], root.children[1]
+        assert identity.live is None and identity._program is not None
+        pauli.live = frozenset({(0, 3)})
+        cache._fold(root)
+        assert identity.live == pauli.live and identity._program is None
+        self.assert_serves_exactly(engine, reference)
+
     @pytest.mark.parametrize("change, match", [
         ("leaf-time", "subtree that disagrees"),
         ("segment", "segment that disagrees"),

@@ -377,6 +377,21 @@ def cohort_of_one(qpu):
                         None if qpu.noise.is_ideal else [qpu.noise.rng])
 
 
+def seeded_cohort(qpu, seeds):
+    """A cohort of ``seeds`` on ``qpu``, lane ``b`` drawing the rngs
+    ``restart(seeds[b])`` would seed, as :meth:`TraceCache.replay_batch`
+    builds it (no noise rngs on an ideal model)."""
+    from repro.qcp.config import QCPConfig
+    from repro.qcp.tracecache import _Cohort
+    from repro.qpu.noise import NOISE_SEED_SALT
+
+    return _Cohort.root(qpu, QCPConfig(),
+                        [random.Random(seed) for seed in seeds],
+                        None if qpu.noise.is_ideal else
+                        [random.Random(seed ^ NOISE_SEED_SALT)
+                         for seed in seeds])
+
+
 def delivered_bits(state, row):
     """Row ``row``'s last delivered bit per qubit, read from a cohort
     state's outcome words."""
@@ -414,7 +429,7 @@ class TestUnfusedDenseSteps:
             for step in _bind_cohort(steps, 4):
                 step(cohort)
             assert np.array_equal(device.state.amplitudes,
-                                  cohort.batch.amplitudes[0]), seed
+                                  cohort.batch.lane(0)), seed
             assert device._rng.getstate() == replay._rng.getstate(), seed
             assert (device.noise.rng.getstate()
                     == replay.noise.rng.getstate()), seed
@@ -429,12 +444,10 @@ class TestUnfusedDenseSteps:
         # same delivered outcomes and both of its rngs in the same
         # state — a shot's arithmetic does not depend on which shots
         # share its cohort.
-        from repro.qcp.config import QCPConfig
-        from repro.qcp.tracecache import (REC_MEAS, _V_DECAY, _Cohort,
+        from repro.qcp.tracecache import (REC_MEAS, _V_DECAY,
                                           _bind_cohort,
                                           _compile_dense_steps)
         from repro.qpu.device import SimulatedQPU
-        from repro.qpu.noise import NOISE_SEED_SALT
 
         def device_shots(items, seeds):
             device = SimulatedQPU(4, noise=decaying_noise())
@@ -461,7 +474,7 @@ class TestUnfusedDenseSteps:
                 one = cohort_of_one(device)
                 for step in program:
                     step(one)
-                yield (one.batch.amplitudes[0],
+                yield (one.batch.lane(0),
                        delivered_bits(one.state, 0),
                        device._rng.getstate(),
                        device.noise.rng.getstate())
@@ -475,11 +488,8 @@ class TestUnfusedDenseSteps:
                     items, SimulatedQPU(4, noise=decaying_noise()), {},
                     {}, fuse=fuse)
                 program = _bind_cohort(steps, 4)
-                cohort = _Cohort.root(
-                    SimulatedQPU(4, noise=decaying_noise()), QCPConfig(),
-                    [random.Random(seed) for seed in seeds],
-                    [random.Random(seed ^ NOISE_SEED_SALT)
-                     for seed in seeds])
+                cohort = seeded_cohort(
+                    SimulatedQPU(4, noise=decaying_noise()), seeds)
                 for step in program:
                     step(cohort)
                 shots = (serial_shots(program, seeds) if fuse
@@ -487,7 +497,7 @@ class TestUnfusedDenseSteps:
                 for row, (amplitudes, delivered, srng,
                           nrng) in enumerate(shots):
                     name = (segment, fuse, row)
-                    assert np.array_equal(cohort.batch.amplitudes[row],
+                    assert np.array_equal(cohort.batch.lane(row),
                                           amplitudes), name
                     assert delivered_bits(cohort.state, row) == delivered, \
                         name
@@ -511,3 +521,145 @@ class TestUnfusedDenseSteps:
         for fuse in (True, False):
             with pytest.raises(TraceDivergenceError):
                 _compile_dense_steps(items, qpu, {}, {}, fuse)
+
+
+def dense_program(items, noise_factory, fuse=True, n_qubits=4):
+    """``items`` compiled and bound as one dense node's program."""
+    from repro.qcp.tracecache import _bind_cohort, _compile_dense_steps
+    from repro.qpu.device import SimulatedQPU
+
+    qpu = SimulatedQPU(n_qubits, noise=noise_factory())
+    return _bind_cohort(_compile_dense_steps(items, qpu, {}, {}, fuse=fuse),
+                        n_qubits)
+
+
+def assert_lanes_match_cohorts_of_one(cohort, program, seeds,
+                                      noise_factory, n_qubits, name):
+    """Every lane of ``cohort`` (run through ``program``) ends exactly
+    where its own cohort of one ends: the same amplitudes, delivered
+    bits and rng states."""
+    from repro.qpu.device import SimulatedQPU
+
+    for lane, seed in enumerate(seeds):
+        one = seeded_cohort(SimulatedQPU(n_qubits, noise=noise_factory()),
+                            [seed])
+        for step in program:
+            step(one)
+        where = name + (lane,)
+        assert np.array_equal(cohort.batch.lane(lane), one.batch.lane(0)), \
+            where
+        assert delivered_bits(cohort.state, lane) == \
+            delivered_bits(one.state, 0), where
+        assert cohort.srngs[lane].getstate() == one.srngs[0].getstate(), \
+            where
+        if one.nrngs is not None:
+            assert cohort.nrngs[lane].getstate() == \
+                one.nrngs[0].getstate(), where
+
+
+class TestSharedRows:
+    """Lanes that drew the same events share one amplitude row.
+
+    A dense cohort holds one row per distinct state and a row index per
+    lane; a row splits only where the lanes sharing it draw different
+    events.  Sharing must not change any lane's arithmetic.
+    """
+
+    @pytest.mark.parametrize("fuse", [False, True],
+                             ids=["unfused", "fused"])
+    @pytest.mark.parametrize("width", [1, 2, 6, 48, 64])
+    def test_every_lane_matches_its_own_cohort_of_one(self, width, fuse):
+        # The kron path's GEMM height and every reduction's row count
+        # follow the number of distinct rows, which grows as lanes
+        # draw apart: each lane must still end exactly where its own
+        # cohort of one ends, whatever the cohort width.
+        from repro.qpu.device import SimulatedQPU
+
+        for segment in range(6):
+            items = random_measured_segment(segment)
+            program = dense_program(items, decaying_noise, fuse)
+            seeds = [segment * 64 + lane for lane in range(width)]
+            cohort = seeded_cohort(SimulatedQPU(4, noise=decaying_noise()),
+                                   seeds)
+            for step in program:
+                step(cohort)
+            assert len(cohort.batch.amplitudes) <= width
+            assert_lanes_match_cohorts_of_one(
+                cohort, program, seeds, decaying_noise, 4,
+                (segment, width, fuse))
+
+    def test_rows_split_only_where_lanes_sharing_one_drew_apart(
+            self, monkeypatch):
+        # Every split hands in what each lane drew at one stochastic
+        # site.  A step changes the row count only through splits, and
+        # a split adds one row per extra event among the lanes of a
+        # row: none where a row's lanes all drew alike.
+        from repro.qpu.device import SimulatedQPU
+        from repro.qpu.statevector import BatchStateVector
+
+        splits = []
+        split = BatchStateVector.split
+
+        def spied(batch, events):
+            index, rows = list(batch.index), len(batch.amplitudes)
+            result = split(batch, events)
+            extra = len(set(zip(index, events))) - len(set(index))
+            splits.append(extra)
+            assert len(batch.amplitudes) == rows + extra
+            return result
+
+        monkeypatch.setattr(BatchStateVector, "split", spied)
+        for segment in range(20):
+            items = random_measured_segment(segment)
+            program = dense_program(items, decaying_noise)
+            cohort = seeded_cohort(SimulatedQPU(4, noise=decaying_noise()),
+                                   range(segment * 48, segment * 48 + 48))
+            for step in program:
+                rows, calls = len(cohort.batch.amplitudes), len(splits)
+                step(cohort)
+                assert (len(cohort.batch.amplitudes)
+                        == rows + sum(splits[calls:])), segment
+        # Both kinds of split happened: rows whose lanes drew apart,
+        # and sites where every row's lanes drew alike.
+        assert any(splits) and not all(splits)
+
+    def test_distinct_lanes_still_match(self):
+        # A random-pivot measurement on each of 6 qubits, on 64 seeds
+        # chosen to draw all 64 outcome patterns: every lane ends on a
+        # row of its own, the widest a 64-lane cohort gets, and still
+        # matches its cohort of one, with and without fusion.
+        from repro.qcp.tracecache import REC_GATE, REC_MEAS
+        from repro.qpu.device import SimulatedQPU
+        from repro.qpu.noise import NoiseModel
+
+        n = 7
+        items = tuple((REC_GATE, "h", (qubit,), (), 0)
+                      for qubit in range(6))
+        items += tuple((REC_MEAS, qubit, 100) for qubit in range(6))
+        items += tuple((REC_GATE, gate, qubits, (), 200)
+                       for gate, qubits in (("cnot", (0, 6)),
+                                            ("t", (6,)), ("h", (3,)),
+                                            ("cnot", (6, 2)),
+                                            ("y90", (1,)),
+                                            ("cz", (4, 5))))
+        items += tuple((REC_MEAS, qubit, 300) for qubit in range(n))
+        pool = list(range(1000))
+        probe = seeded_cohort(SimulatedQPU(n), pool)
+        for step in dense_program(items[:12], NoiseModel, n_qubits=n):
+            step(probe)
+        first = {}
+        for lane, seed in enumerate(pool):
+            pattern = sum(((probe.state.words[qubit] >> lane) & 1) << qubit
+                          for qubit in range(6))
+            first.setdefault(pattern, seed)
+        seeds = sorted(first.values())
+        assert len(seeds) == 64
+        for fuse in (False, True):
+            program = dense_program(items, NoiseModel, fuse, n)
+            cohort = seeded_cohort(SimulatedQPU(n), seeds)
+            for step in program:
+                step(cohort)
+            assert len(cohort.batch.amplitudes) == 64
+            assert len(set(cohort.batch.index)) == 64
+            assert_lanes_match_cohorts_of_one(cohort, program, seeds,
+                                              NoiseModel, n, (fuse,))

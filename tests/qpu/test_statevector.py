@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.qpu import StateVector
-from repro.qpu.statevector import FUSE_MAX_QUBITS, fusion_width
+from repro.qpu.statevector import (FUSE_MAX_QUBITS, BatchStateVector,
+                                   fusion_width)
 
 
 class TestBasics:
@@ -213,7 +214,7 @@ class TestGemmFusion:
             for step in program:
                 step(cohort)
             assert np.allclose(sequential.amplitudes,
-                               cohort.batch.amplitudes[0])
+                               cohort.batch.lane(0))
 
     def test_fusion_preserves_rng_draws_and_outcomes(self):
         # Resets flush and draw exactly one rng draw each, so the
@@ -226,7 +227,7 @@ class TestGemmFusion:
                 step(cohort)
             # The fused row, measured on with the rng the cohort drew.
             fused = StateVector(4, rng=cohort.srngs[0])
-            fused.restore(cohort.batch.amplitudes[0])
+            fused.restore(cohort.batch.lane(0))
             for qubit in range(4):
                 assert sequential.measure(qubit) == fused.measure(qubit)
 
@@ -282,6 +283,15 @@ def random_amplitudes(rng: np.random.Generator, shape) -> np.ndarray:
     """Random normalised amplitude vectors (one per row of ``shape``)."""
     psi = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     return psi / np.linalg.norm(psi, axis=-1, keepdims=True)
+
+
+def distinct_lanes(n: int, rows: np.ndarray):
+    """An ``n``-qubit cohort whose lane ``b`` holds ``rows[b]``, each
+    lane on its own amplitude row."""
+    batch = BatchStateVector(n, len(rows))
+    batch._psi = np.array(rows, dtype=complex)
+    batch.index = list(range(len(rows)))
+    return batch
 
 
 class ScriptedDraws:
@@ -357,7 +367,6 @@ class TestDecayKernel:
         # Each row draws its own rngs and ends equal to a serial
         # StateVector running the same kernel with them.  Width 64 is
         # auto_batch_width on 9 qubits.
-        from repro.qpu.statevector import BatchStateVector
         rng = np.random.default_rng(9)
         jumped = []
         for n in range(1, 11):
@@ -365,8 +374,7 @@ class TestDecayKernel:
                 rows = random_amplitudes(rng, (width, 1 << n))
                 seeds = [int(seed) for seed in rng.integers(1 << 30,
                                                             size=width)]
-                batch = BatchStateVector(n, width)
-                batch._psi[:] = rows
+                batch = distinct_lanes(n, rows)
                 srngs = [random.Random(seed) for seed in seeds]
                 nrngs = [random.Random(~seed) for seed in seeds]
                 batch.apply_decay(qubit, 0.6, math.sqrt(0.4), 0.4, srngs,
@@ -377,7 +385,7 @@ class TestDecayKernel:
                     nrng = random.Random(~seed)
                     serial.apply_decay(qubit, 0.6, math.sqrt(0.4), 0.4,
                                        nrng)
-                    assert np.array_equal(batch.amplitudes[row],
+                    assert np.array_equal(batch.lane(row),
                                           serial.amplitudes), (n, qubit)
                     assert srngs[row].getstate() == \
                         serial.rng.getstate()
@@ -394,7 +402,6 @@ class TestBatchRows:
         # Each row draws its outcome from its own seeded rng and ends
         # equal to a serial StateVector.measure with that seed.
         from repro.qcp.tracecache import _Cohort, _collapse_cohort
-        from repro.qpu.statevector import BatchStateVector
         rng = np.random.default_rng(width)
         outcomes = []
         for n in range(1, 11):
@@ -402,8 +409,7 @@ class TestBatchRows:
                 rows = random_amplitudes(rng, (width, 1 << n))
                 seeds = [int(seed) for seed in rng.integers(1 << 30,
                                                             size=width)]
-                batch = BatchStateVector(n, width)
-                batch._psi[:] = rows
+                batch = distinct_lanes(n, rows)
                 srngs = [random.Random(seed) for seed in seeds]
                 drawn = _collapse_cohort(
                     _Cohort(batch, list(range(width)), (1 << width) - 1,
@@ -412,7 +418,7 @@ class TestBatchRows:
                     serial = StateVector(n, rng=random.Random(seed))
                     serial._amplitudes[:] = rows[row]
                     assert serial.measure(qubit) == drawn[row]
-                    assert np.array_equal(batch.amplitudes[row],
+                    assert np.array_equal(batch.lane(row),
                                           serial.amplitudes), (n, qubit)
                     assert srngs[row].getstate() == \
                         serial.rng.getstate()
@@ -426,14 +432,12 @@ class TestBatchRows:
         # and measures it as 0, a zero-probability outcome.  Under
         # errstate(all="raise") a reciprocal of zero would raise
         # FloatingPointError, which is not a RuntimeError.
-        from repro.qpu.statevector import BatchStateVector
         rows = random_amplitudes(np.random.default_rng(3), (width, 8))
         rows[0] = 0.0
         rows[0, 1] = 1.0
         draws = [1.0] + [0.5] * (width - 1)
         with np.errstate(all="raise"):
-            batch = BatchStateVector(3, width)
-            batch._psi[:] = rows
+            batch = distinct_lanes(3, rows)
             with pytest.raises(RuntimeError,
                                match="annihilated by idle decay"):
                 batch.apply_decay(0, 1.0, 0.0, 0.0,
@@ -444,7 +448,7 @@ class TestBatchRows:
             with pytest.raises(RuntimeError,
                                match="annihilated by idle decay"):
                 serial.apply_decay(0, 1.0, 0.0, 0.0, ScriptedDraws(0.5))
-            batch._psi[:] = rows
+            batch = distinct_lanes(3, rows)
             p_one = batch.probability_of_one(0)
             outcomes = np.array([int(d < p) for d, p in zip(draws, p_one)])
             assert p_one[0] == 1.0 and outcomes[0] == 0
@@ -469,24 +473,21 @@ class TestBatchRows:
         # device's apply_unitary (its _apply_single_qubit fast path
         # for k = 1) leaves, and C-contiguous, so each row's P(1)
         # reduction equals the serial one exactly.
-        from repro.qpu.statevector import (BatchStateVector,
-                                           batch_block_applier)
+        from repro.qpu.statevector import batch_block_applier
         rng = np.random.default_rng(n * 31 + len(qubits))
         k = len(qubits)
         raw = (rng.normal(size=(1 << k, 1 << k))
                + 1j * rng.normal(size=(1 << k, 1 << k)))
         matrix, _ = np.linalg.qr(raw)
         rows = random_amplitudes(rng, (width, 1 << n))
-        batch = BatchStateVector(n, width)
-        batch._psi[:] = rows
+        batch = distinct_lanes(n, rows)
         batch_block_applier(n, matrix, qubits)(batch)
         p_one = [batch.probability_of_one(qubit) for qubit in range(n)]
         for row in range(width):
             serial = StateVector(n)
             serial._amplitudes[:] = rows[row]
             serial.apply_unitary(matrix, qubits)
-            assert np.array_equal(batch.amplitudes[row],
-                                  serial.amplitudes)
+            assert np.array_equal(batch.lane(row), serial.amplitudes)
             for qubit in range(n):
-                assert p_one[qubit][row] == \
+                assert p_one[qubit][batch.index[row]] == \
                     serial.probability_of_one(qubit), (qubit, row)
